@@ -11,9 +11,14 @@ derived matrices (C_i)_jk = c_ij^k and (C^j)_ik = c_ij^k:
     M[i][j] = phi C_i C^j eta      a[i] = phi C_i eta      b[j] = phi C^j eta
 
 and the value is q**(corank - rank M) * theta(b0.b + phi.eta) when phi
-meshes with eta, zero otherwise.  There is no matrix formula for the corank
-here: it is the log_q of the right orbit of lambda_eta, found by closure,
-and asserted to be a power of q.
+meshes with eta, zero otherwise.  The corank is rank(A_eta), where
+(A_eta)_ij = sum_k c_ij^k eta_k: the right orbit of lambda_eta is an affine
+space of that dimension (Diaconis-Isaacs, Supercharacters and superclasses
+for algebra groups).  The same matrix gives the sparse mesh terms that
+:class:`superchar.formula.CharacterEvaluator` evaluates:
+
+    a_i = sum_s phi_s A[i][s]      b_j = sum_s phi_s A[s][j]
+    M[i][j] = sum_s phi_s sum_m c_is^m A[m][j]
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .errors import (
 )
 from .gf import CharValue, Fq, FqMatrix, nullspace_basis, perp_to_nullspace, rank, solve
 from .core import DEFAULT_ENUM_CAP, Orbit, OrbitPartition, _bfs, orbit_partition_from_moves
-from .poset import ClosedSet, close_covers, parse_field_literal
+from .poset import ClosedSet, close_covers, format_field_literal, parse_field_literal
 
 Vec = tuple
 
@@ -107,6 +112,10 @@ class StructureAlgebra:
     def zero(self) -> Vec:
         return (0,) * self.d
 
+    @property
+    def dim(self) -> int:
+        return self.d
+
     def order(self) -> int:
         return self.field.q ** self.d
 
@@ -149,7 +158,8 @@ class StructureAlgebra:
             level = nxt
             if not level:
                 return
-        raise NotNilpotent(level[0][1])
+        if level:  # d = 0 starts with no products at all
+            raise NotNilpotent(level[0][1])
 
     # -- mesh data and values --------------------------------------------------
 
@@ -195,20 +205,46 @@ class StructureAlgebra:
             return False, None
         return True, b0
 
+    def _eta_matrix(self, eta):
+        """A_eta as dense rows: (A_eta)_ij = sum_k c_ij^k eta_k."""
+        F = self.field
+        d = self.d
+        A = [[0] * d for _ in range(d)]
+        for (i, j), row in self.constants.items():
+            acc = 0
+            for k, c in row.items():
+                if eta[k]:
+                    acc = F.add(acc, F.mul(c, eta[k]))
+            A[i][j] = acc
+        return A
+
+    def mesh_terms(self, eta):
+        """The sparse mesh data of eta: (target, phi-slot, coefficient) terms of
+        a, b and M (targets of M are (row, col) pairs), read off A_eta."""
+        F = self.field
+        A = self._eta_matrix(eta)
+        a_terms, b_terms = [], []
+        for i, row in enumerate(A):
+            for s, v in enumerate(row):
+                if v:
+                    a_terms.append((i, s, v))
+                    b_terms.append((s, i, v))
+        m_acc: dict = {}
+        for (i, s), row in self.constants.items():
+            for m, c in row.items():
+                for j, v in enumerate(A[m]):
+                    if v:
+                        key = ((i, j), s)
+                        m_acc[key] = F.add(m_acc.get(key, 0), F.mul(c, v))
+        m_terms = [(pos, s, v) for (pos, s), v in m_acc.items() if v]
+        return a_terms, b_terms, m_terms
+
     def corank(self, eta, cap: int | None = None) -> int:
-        """log_q of the right orbit of lambda_eta, by closure; must be a q-power."""
-        cap = DEFAULT_ENUM_CAP if cap is None else cap
-        if self.order() > cap:
-            raise SizeCapExceeded(self.order(), cap, "co-orbit enumeration")
-        size = len(_bfs(self.field, tuple(eta), self._move_set("co_right")))
-        q = self.field.q
-        c = 0
-        while size % q == 0:
-            size //= q
-            c += 1
-        if size != 1:
-            raise InternalInvariantViolation("one-sided co-orbit size is not a power of q")
-        return c
+        """rank(A_eta), the dimension of the right orbit of lambda_eta.
+
+        ``cap`` is accepted for compatibility and ignored: nothing is enumerated.
+        """
+        return rank(FqMatrix.from_rows(self.field, self._eta_matrix(eta), self.d))
 
     def value(self, eta, phi, corank: int | None = None) -> CharValue:
         """chi^eta at the superclass of x_phi."""
@@ -226,16 +262,10 @@ class StructureAlgebra:
         return CharValue.of(corank - r, zeta, F.p)
 
     def is_irreducible(self, eta) -> bool:
-        """Right plus left annihilator of eta fills F_q**d, via A_ij = sum_k c_ij^k eta_k."""
+        """Right plus left annihilator of eta fills F_q**d, via A_eta."""
         F = self.field
         d = self.d
-        A = [[0] * d for _ in range(d)]
-        for (i, j), row in self.constants.items():
-            acc = 0
-            for k, c in row.items():
-                if eta[k]:
-                    acc = F.add(acc, F.mul(c, eta[k]))
-            A[i][j] = acc
+        A = self._eta_matrix(eta)
         M = FqMatrix.from_rows(F, A, d)
         MT = FqMatrix.from_rows(F, [list(col) for col in zip(*A)] if d else [], d)
         basis = nullspace_basis(M) + nullspace_basis(MT)
@@ -510,7 +540,5 @@ def emit_algebra_spec(alg: StructureAlgebra) -> str:
     lines.append("constants")
     for (i, j) in sorted(alg.constants):
         for k, v in sorted(alg.constants[(i, j)].items()):
-            from .poset import format_field_literal
-
             lines.append(f"{i + 1} {j + 1} {k + 1} {format_field_literal(alg.field, v)}")
     return "\n".join(lines) + "\n"

@@ -72,11 +72,8 @@ def cmd_validate(args) -> int:
 
 def cmd_table(args) -> int:
     obj = _load(args.path)
-    if isinstance(obj, PatternGroup):
-        tab = build_pattern_table(obj, cap=args.cap, threads=args.threads)
-    else:
-        tab = build_algebra_table(obj, cap=args.cap, threads=args.threads)
-    text = tab.render(args.format)
+    build = build_pattern_table if isinstance(obj, PatternGroup) else build_algebra_table
+    text = build(obj, cap=args.cap).render(args.format)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -89,14 +86,13 @@ def cmd_value(args) -> int:
     if isinstance(obj, PatternGroup):
         eta = parse_functional(obj.J, obj.field, args.eta)
         phi = parse_functional(obj.J, obj.field, args.phi)
-        val = CharacterEvaluator(obj, eta).value(phi)
         eta_s = format_functional(obj.J, obj.field, eta)
         phi_s = format_functional(obj.J, obj.field, phi)
     else:
         eta = _parse_algebra_functional(obj, args.eta)
         phi = _parse_algebra_functional(obj, args.phi)
-        val = obj.value(eta, phi)
         eta_s, phi_s = args.eta, args.phi
+    val = CharacterEvaluator(obj, eta).value(phi)
     print(f"chi[{eta_s}](x[{phi_s}]) = {val.render(obj.field)}")
     return 0
 
@@ -119,10 +115,9 @@ def cmd_orbits(args) -> int:
     coorbits = obj.all_coorbit_reps(args.cap)
     if isinstance(obj, PatternGroup):
         rep_obj = lambda f: _pattern_rep_obj(obj, f)  # noqa: E731
-        coranks = [obj.corank(o.rep) for o in coorbits]
     else:
         rep_obj = lambda f: _algebra_rep_obj(obj, f)  # noqa: E731
-        coranks = [obj.corank(o.rep, cap=args.cap) for o in coorbits]
+    coranks = [obj.corank(o.rep) for o in coorbits]
     payload = {
         "classes": [{"rep": rep_obj(o.rep), "size": o.size} for o in classes],
         "coorbits": [
@@ -161,7 +156,6 @@ def main(argv=None) -> int:
     p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     p.add_argument("--out", default=None)
     p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("value", help="one supercharacter value")

@@ -393,6 +393,22 @@ class PatternGroup:
             rows[ab][bc] = eta[ac]
         return FqMatrix.from_rows(self.field, rows, d)
 
+    def mesh_terms(self, eta):
+        """The sparse mesh data of eta: (target, phi-slot, coefficient) terms of
+        a, b and M (targets of M are (row, col) pairs), read off the chains."""
+        eta = self._check_like(eta)
+        a_terms, b_terms, m_terms = [], [], []
+        for ab, bc, ac in self.J.chain3_idx:
+            e = eta[ac]
+            if e:
+                a_terms.append((ab, bc, e))
+                b_terms.append((bc, ab, e))
+        for ab, bc, cd, ad in self.J.chain4_idx:
+            e = eta[ad]
+            if e:
+                m_terms.append(((ab, cd), bc, e))
+        return a_terms, b_terms, m_terms
+
     def corank(self, eta) -> int:
         rl = rank(self.dual_left_action_matrix(eta))
         rr = rank(self.dual_right_action_matrix(eta))

@@ -18,8 +18,9 @@ brute-force oracle pins it in the tests.)
 
 Everything below is pure; :class:`CharacterEvaluator` just caches the
 eta-dependent parts so table builders don't recompute the corank per entry,
-and knows how to evaluate a whole block of superclass columns at once over a
-prime field.
+and knows how to evaluate a whole block of superclass columns at once over
+any F_q.  It serves algebra groups too, from the mesh terms their structure
+constants give (see :mod:`.algebra`).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import (
     InternalInvariantViolation,
     NonMonomialRepresentative,
     ShapeMismatch,
+    SpecMismatch,
 )
 from .gf import (
     CharValue,
@@ -103,80 +105,66 @@ def degree(G: PatternGroup, eta) -> int:
 class CharacterEvaluator:
     """chi^eta as a reusable evaluator over many superclass representatives.
 
-    Precomputes corank(eta) and the eta-filtered chain lists, so a single
-    value costs O(chains through supp(eta)) plus a small solve when the mesh
-    matrix is nonzero.
+    ``source`` is a :class:`PatternGroup` or a
+    :class:`~superchar.algebra.StructureAlgebra`; either supplies the corank
+    of eta and the sparse (target, phi-slot, coefficient) terms of its mesh
+    data, and nothing below depends on which one it is.  A single value costs
+    O(terms) plus a small solve when the mesh matrix is nonzero.
     """
 
-    def __init__(self, G: PatternGroup, eta):
-        self.G = G
-        self.eta = eta = G._check_like(eta)
-        self.corank = G.corank(eta)
-        J, F = G.J, G.field
-        self._a_terms = []  # (a-slot, phi-slot, coefficient)
-        self._b_terms = []
-        for ab, bc, ac in J.chain3_idx:
-            e = eta[ac]
-            if e:
-                self._a_terms.append((ab, bc, e))
-                self._b_terms.append((bc, ab, e))
-        self._m_terms = []  # (row, col, phi-slot, coefficient)
-        for ab, bc, cd, ad in J.chain4_idx:
-            e = eta[ad]
-            if e:
-                self._m_terms.append((ab, cd, bc, e))
+    def __init__(self, source, eta):
+        self.field = source.field
+        self.eta = eta = tuple(eta)
+        if len(eta) != source.dim:
+            raise SpecMismatch("functional length does not match the group")
+        self.corank = source.corank(eta)
+        self._a_terms, self._b_terms, self._m_terms = source.mesh_terms(eta)
         # Fixed submatrix frame for the nonzero-mesh-matrix branch: every
         # possibly-nonzero entry of M lives at these row/column slots, so the
         # small system below never changes shape for a given eta.
-        self._m_rows = sorted({r for r, _, _, _ in self._m_terms})
-        self._m_cols = sorted({c for _, c, _, _ in self._m_terms})
-        self._m_row_set = set(self._m_rows)
-        self._m_col_set = set(self._m_cols)
-        row_pos = {r: k for k, r in enumerate(self._m_rows)}
-        col_pos = {c: k for k, c in enumerate(self._m_cols)}
-        self._m_pos = [(row_pos[r], col_pos[c]) for r, c, _, _ in self._m_terms]
+        self._m_rows = sorted({r for (r, _), _, _ in self._m_terms})
+        self._m_cols = sorted({c for (_, c), _, _ in self._m_terms})
+        self._row_pos = {r: k for k, r in enumerate(self._m_rows)}
+        self._col_pos = {c: k for k, c in enumerate(self._m_cols)}
 
     def value(self, phi) -> CharValue:
-        G, F, eta = self.G, self.G.field, self.eta
-        phi = G._check_like(phi)
-        a = {}
-        for tgt, src, coeff in self._a_terms:
-            v = phi[src]
-            if v:
-                a[tgt] = F.add(a.get(tgt, 0), F.mul(v, coeff))
-        b = {}
-        for tgt, src, coeff in self._b_terms:
-            v = phi[src]
-            if v:
-                b[tgt] = F.add(b.get(tgt, 0), F.mul(v, coeff))
-        m = [F.mul(phi[src], coeff) if phi[src] else 0 for _, _, src, coeff in self._m_terms]
-        theta_arg = F.dot(phi, eta)
-        if not any(m):
+        F = self.field
+        phi = tuple(phi)
+        if len(phi) != len(self.eta):
+            raise SpecMismatch("functional length does not match the group")
+        a = _accumulate(F, self._a_terms, phi)
+        b = _accumulate(F, self._b_terms, phi)
+        m = _accumulate(F, self._m_terms, phi)
+        theta_tr = F.trace(F.dot(phi, self.eta))
+        if not any(m.values()):
             # M = 0: meshed iff a = 0 and b = 0, and then b0 = 0.
             if any(a.values()) or any(b.values()):
                 return CharValue.zero()
-            return CharValue.of(self.corank, F.trace(theta_arg), F.p)
-        return self._value_hard(m, a, b, theta_arg)
+            return CharValue.of(self.corank, theta_tr, F.p)
+        return self._value_hard(m, a, b, theta_tr)
 
-    def _value_hard(self, m_vals, a, b, theta_arg) -> CharValue:
+    def _value_hard(self, m, a, b, theta_tr) -> CharValue:
         """The nonzero-mesh-matrix branch: one small row reduction decides
         solvability, the particular solution, the rank and the nullspace.
 
-        Zero rows of M force the matching entries of a to vanish; standard
-        basis vectors at zero columns lie in the nullspace, so b must vanish
-        off the fixed column frame too.
+        ``m``, ``a`` and ``b`` map positions to their entries, and
+        ``theta_tr`` is trace(phi . eta).  Zero rows of M force the matching
+        entries of a to vanish; standard basis vectors at zero columns lie in
+        the nullspace, so b must vanish off the fixed column frame too.
         """
-        F = self.G.field
-        if any(v and t not in self._m_row_set for t, v in a.items()):
+        F = self.field
+        row_pos, col_pos = self._row_pos, self._col_pos
+        if any(v and t not in row_pos for t, v in a.items()):
             return CharValue.zero()
-        if any(v and t not in self._m_col_set for t, v in b.items()):
+        if any(v and t not in col_pos for t, v in b.items()):
             return CharValue.zero()
         ncols = len(self._m_cols)
         rows = [[0] * (ncols + 1) for _ in self._m_rows]
-        for (ri, ci), v in zip(self._m_pos, m_vals):
-            rows[ri][ci] = v
-        for ri, t in enumerate(self._m_rows):
-            rows[ri][ncols] = F.neg(a.get(t, 0))
+        for (r, c), v in m.items():
+            rows[row_pos[r]][col_pos[c]] = v
+        for t, v in a.items():
+            if v:
+                rows[row_pos[t]][ncols] = F.neg(v)
         R, pivots = _rref(F, rows, ncols + 1)
         if pivots and pivots[-1] == ncols:
             return CharValue.zero()  # M x = -a is inconsistent
@@ -198,85 +186,77 @@ class CharacterEvaluator:
         for k, pc in enumerate(pivots):
             if R[k][ncols] and b_active[pc]:
                 dot = F.add(dot, F.mul(R[k][ncols], b_active[pc]))
-        zeta = F.trace(F.add(dot, theta_arg))
-        return CharValue.of(self.corank - r, zeta, F.p)
+        return CharValue.of(self.corank - r, F.trace(dot) + theta_tr, F.p)
 
     # -- block evaluation -------------------------------------------------
 
     def value_block(self, digits: np.ndarray):
         """Values over a block of superclass representatives.
 
-        ``digits`` is a (count, |J|) integer array of packed functionals.
-        Returns (is_zero, q_exp, zeta_exp) arrays.  Prime fields take a
-        vectorized path for the (typical) rows whose mesh matrix vanishes.
-        """
-        G, F = self.G, self.G.field
-        count = len(digits)
-        if F.r != 1:
-            out_zero = np.empty(count, dtype=bool)
-            out_q = np.zeros(count, dtype=np.int64)
-            out_z = np.zeros(count, dtype=np.int64)
-            for k in range(count):
-                cv = self.value(tuple(int(v) for v in digits[k]))
-                out_zero[k] = cv.is_zero
-                out_q[k] = cv.q_exp
-                out_z[k] = cv.zeta_exp
-            return out_zero, out_q, out_z
+        ``digits`` is a (count, dim) integer array of packed functionals.
+        Returns (is_zero, q_exp, zeta_exp) arrays.
 
-        p = F.p
-        eta_vec = np.array(self.eta, dtype=np.int64)
-        zdot = (digits @ eta_vec) % p
-        a_cols = []  # (target slot, accumulated values mod p)
-        a_ok = np.ones(count, dtype=bool)
-        for tgt, src, coeff in _grouped(self._a_terms):
-            acc = np.zeros(count, dtype=np.int64)
-            for s, c in zip(src, coeff):
-                acc += c * digits[:, s]
-            acc %= p
-            a_cols.append((tgt, acc))
-            a_ok &= acc == 0
-        b_cols = []
-        b_ok = np.ones(count, dtype=bool)
-        for tgt, src, coeff in _grouped(self._b_terms):
-            acc = np.zeros(count, dtype=np.int64)
-            for s, c in zip(src, coeff):
-                acc += c * digits[:, s]
-            acc %= p
-            b_cols.append((tgt, acc))
-            b_ok &= acc == 0
-        if self._m_terms:
-            m_vals = np.stack(
-                [(coeff * digits[:, src]) % p for _, _, src, coeff in self._m_terms], axis=1
-            )
-            easy = ~m_vals.any(axis=1)
-        else:
-            easy = np.ones(count, dtype=bool)
-        out_zero = np.empty(count, dtype=bool)
-        out_q = np.zeros(count, dtype=np.int64)
-        out_z = np.zeros(count, dtype=np.int64)
-        meshed = easy & a_ok & b_ok
-        out_zero[easy] = ~meshed[easy]
-        out_q[meshed] = self.corank
-        out_z[meshed] = zdot[meshed]
-        for k in np.nonzero(~easy)[0]:
-            a = {tgt: int(col[k]) for tgt, col in a_cols if col[k]}
-            b = {tgt: int(col[k]) for tgt, col in b_cols if col[k]}
-            m = [int(v) for v in m_vals[k]]
-            cv = self._value_hard(m, a, b, int(zdot[k]))
-            out_zero[k] = cv.is_zero
-            out_q[k] = cv.q_exp
-            out_z[k] = cv.zeta_exp
+        Multiplication by a fixed coefficient is F_p-linear on the r base-p
+        digits of an F_q element, and so is the trace.  So every entry of a,
+        b and M, and trace(phi . eta), is one column of a single integer
+        product over the digit matrix, reduced mod p.  The rows whose M
+        vanishes are decided from that product alone; the others go through
+        the small row reduction of :meth:`_value_hard`.
+        """
+        F = self.field
+        p, r = F.p, F.r
+        count, dim = len(digits), len(self.eta)
+        parts = (self._a_terms, self._b_terms, self._m_terms)
+        slots: dict = {}  # (part, target) -> its group of r columns; a, then b, then M
+        for part, terms in enumerate(parts):
+            for tgt, _, _ in terms:
+                slots.setdefault((part, tgt), len(slots))
+        col = len(slots) * r  # the trace column
+        weights = np.zeros((dim, r, col + 1), dtype=np.int64)
+        for part, terms in enumerate(parts):
+            for tgt, src, coeff in terms:
+                k = slots[part, tgt] * r
+                weights[src, :, k : k + r] += _digit_matrix(F, coeff)
+        powers = [p**t for t in range(r)]
+        for s, e in enumerate(self.eta):
+            if e:
+                weights[s, :, col] = [F.trace(F.mul(e, x)) for x in powers]
+        weights = weights.reshape(dim * r, col + 1) % p
+        x = (np.asarray(digits, dtype=np.int64).reshape(count, dim, 1) // powers) % p
+        y = (x.reshape(count, dim * r) @ weights) % p
+
+        m_start = r * sum(part < 2 for part, _ in slots)
+        hard = y[:, m_start:col].any(axis=1)
+        out_zero = ~hard & y[:, :m_start].any(axis=1)
+        meshed = ~hard & ~out_zero
+        out_q = np.where(meshed, self.corank, 0)
+        out_z = np.where(meshed, y[:, col], 0)
+        hard_idx = np.nonzero(hard)[0]
+        codes = y[hard_idx, :col].reshape(len(hard_idx), len(slots), r) @ powers
+        for k, row, tt in zip(hard_idx.tolist(), codes.tolist(), y[hard_idx, col].tolist()):
+            a, b, m = entries = ({}, {}, {})
+            for (part, tgt), v in zip(slots, row):
+                entries[part][tgt] = v
+            cv = self._value_hard(m, a, b, tt)
+            out_zero[k], out_q[k], out_z[k] = cv.is_zero, cv.q_exp, cv.zeta_exp
         return out_zero, out_q, out_z
 
 
-def _grouped(terms):
-    """Group (tgt, src, coeff) terms by target slot."""
-    by_tgt: dict[int, tuple[list, list]] = {}
+def _accumulate(F: Fq, terms, phi) -> dict:
+    """Sum (target, phi-slot, coefficient) terms at phi, by target."""
+    out = {}
+    add, mul = F.add, F.mul
     for tgt, src, coeff in terms:
-        srcs, coeffs = by_tgt.setdefault(tgt, ([], []))
-        srcs.append(src)
-        coeffs.append(coeff)
-    return [(tgt, srcs, coeffs) for tgt, (srcs, coeffs) in sorted(by_tgt.items())]
+        v = phi[src]
+        if v:
+            out[tgt] = add(out.get(tgt, 0), mul(v, coeff))
+    return out
+
+
+def _digit_matrix(F: Fq, c: int) -> list:
+    """The r x r matrix over F_p of x -> c * x on base-p digits: row t holds
+    the digits of c * X**t."""
+    return [F.coeffs(F.mul(c, F.p**t)) for t in range(F.r)]
 
 
 # ---------------------------------------------------------------------------

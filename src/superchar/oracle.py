@@ -28,6 +28,7 @@ from .errors import (
 from .gf import CycInt, Fq
 from .core import OrbitPartition, PatternGroup, _bfs, _codes_to_digits, orbit_partition_from_moves
 from .algebra import StructureAlgebra
+from .formula import CharacterEvaluator
 
 DEFAULT_ORACLE_CAP = 1 << 12
 
@@ -408,11 +409,8 @@ def charvalue_coeff_rows(p: int, q: int, zero, qexp, zexp) -> np.ndarray:
 def full_check(source, oracle_cap: int | None = None, with_axioms: bool = True) -> CheckReport:
     """Compare the closed-form values against orbit sums on every
     representative pair, after checking the two orbit decompositions agree."""
-    from .formula import CharacterEvaluator  # local import to avoid a cycle
-
     report = CheckReport()
     oracle = Oracle(source, cap=oracle_cap)
-    is_pattern = isinstance(source, PatternGroup)
     core_sc = source.orbit_partition(oracle.cap)
     core_co = source.coorbit_partition(oracle.cap)
     orc_sc = oracle.superclass_partition()
@@ -435,17 +433,7 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool = True) 
         # enumerate the co-orbit of eta from scratch
         elements = orc_co.elements_digits(k) if report.partitions_match else None
         oracle_row = oracle.value_row(eta, class_digits, elements=elements)
-        if is_pattern:
-            zero, qexp, zexp = CharacterEvaluator(source, eta).value_block(class_digits)
-        else:
-            corank = source.corank(eta, cap=oracle.cap)
-            vals = [
-                source.value(eta, tuple(int(v) for v in class_digits[c]), corank=corank)
-                for c in range(len(class_digits))
-            ]
-            zero = [v.is_zero for v in vals]
-            qexp = [v.q_exp for v in vals]
-            zexp = [v.zeta_exp for v in vals]
+        zero, qexp, zexp = CharacterEvaluator(source, eta).value_block(class_digits)
         formula_row = charvalue_coeff_rows(F.p, F.q, zero, qexp, zexp)
         if not np.array_equal(formula_row, oracle_row):
             diff = np.nonzero((formula_row != oracle_row).any(axis=0))[0]

@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import StructureAlgebra
 from .core import PatternGroup
@@ -122,98 +123,67 @@ def _algebra_rep_obj(alg: StructureAlgebra, f) -> dict:
     return {"coords": [format_field_literal(alg.field, v) for v in f]}
 
 
-def build_pattern_table(G: PatternGroup, cap: int | None = None, threads: int = 1) -> SuperTable:
-    classes = G.all_orbit_reps(cap)
-    chars = G.all_coorbit_reps(cap)
+def _build_table(kind: str, source, meta: dict, cap, rep_obj, irreducible) -> SuperTable:
+    """Partition ``source``, then fill each character's row with one
+    ``value_block`` call over the digits of every class representative."""
+    classes = source.all_orbit_reps(cap)
+    chars = source.all_coorbit_reps(cap)
     if len(classes) != len(chars):
         raise InternalInvariantViolation("superclass and character counts differ")
     if classes and any(classes[0].rep):
         raise InternalInvariantViolation("identity superclass is not in column 0")
-    class_reps = [o.rep for o in classes]
-
-    def row(k: int):
-        ev = CharacterEvaluator(G, chars[k].rep)
-        values = [ev.value(phi) for phi in class_reps]
-        return ev.corank, values
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(row, range(len(chars))))
-    else:
-        results = [row(k) for k in range(len(chars))]
-
-    meta = {
-        "n": G.J.n,
-        "q": G.field.q,
-        "p": G.field.p,
-    }
-    if G.field.r > 1:
-        meta["modulus"] = list(G.field.modulus)
-    meta["J"] = [[i, j] for i, j in G.J.order]
-    q = G.field.q
-    return SuperTable(
-        kind="pattern",
-        meta=meta,
-        classes=[{"rep": _pattern_rep_obj(G, o.rep), "size": o.size} for o in classes],
-        chars=[
+    digits = np.array([o.rep for o in classes], dtype=np.int64).reshape(len(classes), source.dim)
+    q = source.field.q
+    cells: dict = {}  # one shared CharValue per distinct (is_zero, q_exp, zeta_exp)
+    entries, rows = [], []
+    for o in chars:
+        ev = CharacterEvaluator(source, o.rep)
+        row = []
+        for key in zip(*(col.tolist() for col in ev.value_block(digits))):
+            v = cells.get(key)
+            if v is None:
+                is_zero, q_exp, zeta_exp = key
+                v = cells[key] = CharValue.zero() if is_zero else CharValue(q_exp, zeta_exp, False)
+            row.append(v)
+        rows.append(row)
+        entries.append(
             {
-                "rep": _pattern_rep_obj(G, o.rep),
-                "corank": corank,
-                "degree": q ** corank,
-                "irreducible": is_irreducible(G, o.rep),
+                "rep": rep_obj(o.rep),
+                "corank": ev.corank,
+                "degree": q**ev.corank,
+                "irreducible": irreducible(o.rep),
             }
-            for o, (corank, _) in zip(chars, results)
-        ],
-        values=[values for _, values in results],
+        )
+    return SuperTable(
+        kind=kind,
+        meta=meta,
+        classes=[{"rep": rep_obj(o.rep), "size": o.size} for o in classes],
+        chars=entries,
+        values=rows,
     )
 
 
-def build_algebra_table(
-    alg: StructureAlgebra, cap: int | None = None, threads: int = 1
-) -> SuperTable:
-    classes = alg.all_orbit_reps(cap)
-    chars = alg.all_coorbit_reps(cap)
-    if len(classes) != len(chars):
-        raise InternalInvariantViolation("superclass and character counts differ")
-    class_reps = [o.rep for o in classes]
+def _field_meta(F: Fq) -> dict:
+    meta = {"q": F.q, "p": F.p}
+    if F.r > 1:
+        meta["modulus"] = list(F.modulus)
+    return meta
 
-    def row(k: int):
-        eta = chars[k].rep
-        corank = alg.corank(eta, cap=cap)
-        values = [alg.value(eta, phi, corank=corank) for phi in class_reps]
-        return corank, values
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(row, range(len(chars))))
-    else:
-        results = [row(k) for k in range(len(chars))]
+def build_pattern_table(G: PatternGroup, cap: int | None = None) -> SuperTable:
+    meta = {"n": G.J.n, **_field_meta(G.field), "J": [[i, j] for i, j in G.J.order]}
+    return _build_table(
+        "pattern", G, meta, cap, lambda f: _pattern_rep_obj(G, f), lambda eta: is_irreducible(G, eta)
+    )
 
-    meta = {
-        "d": alg.d,
-        "q": alg.field.q,
-        "p": alg.field.p,
-    }
-    if alg.field.r > 1:
-        meta["modulus"] = list(alg.field.modulus)
-    meta["constants"] = [
+
+def build_algebra_table(alg: StructureAlgebra, cap: int | None = None) -> SuperTable:
+    constants = [
         [i + 1, j + 1, k + 1, format_field_literal(alg.field, v)]
         for (i, j) in sorted(alg.constants)
         for k, v in sorted(alg.constants[(i, j)].items())
     ]
-    q = alg.field.q
-    return SuperTable(
-        kind="algebra",
-        meta=meta,
-        classes=[{"rep": _algebra_rep_obj(alg, o.rep), "size": o.size} for o in classes],
-        chars=[
-            {
-                "rep": _algebra_rep_obj(alg, o.rep),
-                "corank": corank,
-                "degree": q ** corank,
-                "irreducible": alg.is_irreducible(o.rep),
-            }
-            for o, (corank, _) in zip(chars, results)
-        ],
-        values=[values for _, values in results],
+    meta = {"d": alg.d, **_field_meta(alg.field), "constants": constants}
+    return _build_table(
+        "algebra", alg, meta, cap, lambda f: _algebra_rep_obj(alg, f), alg.is_irreducible
     )

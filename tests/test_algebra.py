@@ -1,6 +1,12 @@
 """Structure-constant algebras: validation, values, and the pattern reduction."""
 
+import random
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_formula import _sparse_functional, _block_values
 
 from superchar.algebra import (
     StructureAlgebra,
@@ -15,12 +21,13 @@ from superchar.catalog import (
     annihilator_example_poset,
     full_triangular,
     heisenberg,
+    semidirect_algebra,
     sixteen_group,
     sixteen_group_basis,
     SIXTEEN_CLASS_MEMBERS,
     SIXTEEN_CLASS_SIZES,
 )
-from superchar.core import PatternGroup
+from superchar.core import PatternGroup, _bfs
 from superchar.errors import NotAssociative, NotNilpotent, ParseError
 from superchar.formula import CharacterEvaluator
 from superchar.gf import CharValue, Fq
@@ -140,6 +147,42 @@ def test_pattern_to_algebra_reproduces_pattern_values():
             assert ac == ev.corank
             for cl in G.all_orbit_reps():
                 assert alg.value(ch.rep, cl.rep, corank=ac) == ev.value(cl.rep)
+
+
+@lru_cache(maxsize=None)
+def _semidirect(n, q):
+    return semidirect_algebra(n, Fq.of(q))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((4, 5)), st.sampled_from((2, 3, 4)))
+def test_algebra_value_block_matches_dense_value(seed, n, q):
+    rng = random.Random(seed)
+    alg = _semidirect(n, q)
+    for _ in range(3):
+        eta = _sparse_functional(rng, q, alg.d)
+        phis = [_sparse_functional(rng, q, alg.d) for _ in range(12)]
+        ev = CharacterEvaluator(alg, eta)
+        expected = [alg.value(eta, phi) for phi in phis]
+        assert _block_values(ev, phis) == expected
+        assert [ev.value(phi) for phi in phis] == expected
+
+
+@pytest.mark.parametrize(
+    "n,q", [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (5, 4), (None, 2)]
+)
+def test_algebra_corank_is_the_rank_of_a_eta(n, q):
+    """q**corank is the size of the right co-orbit, found here by closure."""
+    alg = sixteen_group() if n is None else _semidirect(n, q)
+    moves = alg._move_set("co_right")
+    for o in alg.all_coorbit_reps():
+        assert q ** alg.corank(o.rep) == len(_bfs(alg.field, o.rep, moves))
+
+
+def test_zero_dimensional_algebra():
+    alg = StructureAlgebra(0, F2, {})  # pattern_to_algebra of an empty closed set
+    assert alg.order() == 1 and alg.corank(()) == 0
+    assert CharacterEvaluator(alg, ()).value(()) == CharValue.of(0, 0, 2)
 
 
 def test_algebra_orbit_counts_match():

@@ -4,7 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_poset import _random_closed
 
+from superchar.algebra import pattern_to_algebra
 from superchar.catalog import (
     annihilator_example_poset,
     class_counterexample_poset,
@@ -31,7 +35,15 @@ from superchar.formula import (
     value_no4chain,
     value_un,
 )
-from superchar.gf import CharValue, Fq, FqMatrix, nullspace_basis, perp_to_nullspace, solve
+from superchar.gf import (
+    _TABLE_LIMIT,
+    CharValue,
+    Fq,
+    FqMatrix,
+    nullspace_basis,
+    perp_to_nullspace,
+    solve,
+)
 from superchar.poset import functional, support, validate_closed
 
 F2 = Fq.of(2)
@@ -111,6 +123,53 @@ def test_value_block_matches_scalar_everywhere():
                 assert got.is_zero == bool(zero[c])
                 if not got.is_zero:
                     assert (got.q_exp, got.zeta_exp) == (int(qexp[c]), int(zexp[c]))
+
+
+def _sparse_functional(rng, q, d, density=0.5):
+    return tuple(rng.randrange(1, q) if rng.random() < density else 0 for _ in range(d))
+
+
+def _block_values(ev, phis):
+    """``ev.value_block`` over the rows ``phis``, as CharValues."""
+    digits = np.array(phis, dtype=np.int64).reshape(len(phis), len(ev.eta))
+    zero, qexp, zexp = ev.value_block(digits)
+    return [
+        CharValue.zero() if z else CharValue(int(m), int(k), False)
+        for z, m, k in zip(zero, qexp, zexp)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.sampled_from((2, 3, 4, 5)))
+def test_value_block_matches_scalar_and_dense_algebra_on_random_closed_sets(seed, n, q):
+    rng = random.Random(seed)
+    J = _random_closed(rng, n)
+    F = Fq.of(q)
+    G = PatternGroup(J, F)
+    alg = pattern_to_algebra(J, F)
+    d = len(J)
+    for _ in range(3):
+        eta = _sparse_functional(rng, q, d)
+        phis = [_sparse_functional(rng, q, d) for _ in range(12)]
+        ev = CharacterEvaluator(G, eta)
+        expected = [ev.value(phi) for phi in phis]
+        assert _block_values(ev, phis) == expected
+        assert _block_values(CharacterEvaluator(alg, eta), phis) == expected
+        assert [alg.value(eta, phi) for phi in phis] == expected
+
+
+def test_value_block_beyond_the_field_table_limit():
+    F = Fq.of(512, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))  # x^9 + x^4 + 1 over F_2
+    assert F.q > _TABLE_LIMIT
+    rng = random.Random(13)
+    for n in (3, 4):  # U_4 also reaches the nonzero-mesh-matrix branch
+        G = PatternGroup(full_triangular(n), F)
+        d = len(G.J)
+        for _ in range(4):
+            eta = _sparse_functional(rng, F.q, d, density=0.7)
+            phis = [_sparse_functional(rng, F.q, d) for _ in range(16)]
+            ev = CharacterEvaluator(G, eta)
+            assert _block_values(ev, phis) == [ev.value(phi) for phi in phis]
 
 
 def test_value_constant_on_superclasses_sampled():

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from superchar.catalog import sixteen_group
+from superchar.algebra import emit_algebra_spec
+from superchar.catalog import semidirect_algebra, sixteen_group
+from superchar.core import DEFAULT_ENUM_CAP
 from superchar.core import PatternGroup
 from superchar.cli import main
 from superchar.gf import CharValue, Fq
@@ -198,3 +200,13 @@ def test_heisenberg3_table_matches_the_closed_form(capsys):
         eta = unpack(ch["rep"])
         for cl, got in zip(tab.classes, row):
             assert got == value_heisenberg(G, eta, unpack(cl["rep"]))
+
+
+def test_cmd_value_on_an_algebra_beyond_the_enumeration_cap(tmp_path, capsys):
+    alg = semidirect_algebra(6, Fq.of(8))
+    assert alg.order() > DEFAULT_ENUM_CAP  # 8**9 > 2**20: the corank is a rank, not a closure
+    spec = tmp_path / "semidirect6_q8.txt"
+    spec.write_text(emit_algebra_spec(alg), encoding="utf-8")
+    code, out, _ = _run(capsys, "value", str(spec), "--eta", "9=1", "--phi", "0")
+    assert code == 0
+    assert out == f"chi[9=1](x[0]) = q^{alg.corank((0,) * 8 + (1,))}*z^0\n"
