@@ -176,7 +176,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("check", help="verify the formula against brute-force orbit sums")
     p.add_argument("path")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(func=cmd_check)
 

@@ -14,8 +14,8 @@ update rules all reduce to accumulations over 3- and 4-chains of the poset:
 Orbits are closures under the one-parameter generators x_alpha(t), with t
 running over an additive basis of F_q; a single-generator move touches only
 the chain positions cached on the ClosedSet.  Full-space orbit partitions
-also have a vectorized sweep for prime fields, since visiting q**|J|
-functionals one tuple at a time is the only hot spot at desk scale.
+use one vectorized sweep for every F_q, since visiting q**|J| functionals
+one tuple at a time is the only hot spot at desk scale.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .gf import Fq, FqMatrix, rank
 from .poset import ClosedSet
 
 DEFAULT_ENUM_CAP = 1 << 20
-
-_FAST_SWEEP_MIN = 1 << 12  # below this, plain BFS wins on overhead
 
 
 @dataclass(frozen=True)
@@ -54,13 +52,6 @@ def _apply_move(field: Fq, f, t: int, updates) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _decode(code: int, q: int, dim: int) -> tuple[int, ...]:
-    out = [0] * dim
-    for k in range(dim - 1, -1, -1):
-        code, out[k] = divmod(code, q)
-    return tuple(out)
-
-
 def _codes_to_digits(codes, q: int, dim: int) -> np.ndarray:
     codes = np.asarray(codes, dtype=np.int64)
     out = np.empty((len(codes), dim), dtype=np.int64)
@@ -79,7 +70,7 @@ class OrbitPartition:
         self.dim = dim
         self.reps = reps  # packed tuples, lexicographically ascending
         self.sizes = sizes
-        self._labels = labels  # ndarray code -> min code, or dict tuple -> class idx
+        self._labels = labels  # code -> code of its class minimum, smallest unsigned dtype
         self._rep_index = {r: k for k, r in enumerate(reps)}
         self._groups = None
 
@@ -93,20 +84,16 @@ class OrbitPartition:
         return acc
 
     def decode(self, code: int) -> tuple[int, ...]:
-        return _decode(code, self.field.q, self.dim)
+        out = [0] * self.dim
+        for k in range(self.dim - 1, -1, -1):
+            code, out[k] = divmod(code, self.field.q)
+        return tuple(out)
 
     def class_of(self, f) -> int:
-        if isinstance(self._labels, dict):
-            return self._labels[tuple(f)]
         return self._rep_index[self.decode(int(self._labels[self.code(f)]))]
 
     def canonical_codes(self) -> np.ndarray:
         """For every functional code, the code of its class representative."""
-        if isinstance(self._labels, dict):
-            out = np.empty(self.field.q ** self.dim, dtype=np.int64)
-            for f, k in self._labels.items():
-                out[self.code(f)] = self.code(self.reps[k])
-            return out
         return np.asarray(self._labels, dtype=np.int64)
 
     def elements_digits(self, k: int) -> np.ndarray:
@@ -142,49 +129,61 @@ def _bfs(field: Fq, start, moves) -> set:
     return seen
 
 
-def _partition_bfs(field: Fq, dim: int, moves, cap: int) -> OrbitPartition:
+def _digit_moves(field: Fq, moves) -> list[dict]:
+    """Each move (t, updates) as an F_p-linear map on base-p digits: a dict
+    from target digit position to its (source position, coefficient) terms.
+
+    An update (tgt, src, coeff) adds c * f[src] to f[tgt] with c = t * coeff,
+    which on digits is the r x r block of x -> c * x.  Digit u of coordinate
+    k sits at position k*r + (r-1-u), most significant first, so the base-p
+    code of a digit vector is the base-q code of its functional.
+    """
+    r = field.r
+    out = []
+    for t, updates in moves:
+        terms: dict = {}
+        for tgt, src, coeff in updates:
+            block = field.digit_matrix(field.mul(t, coeff))
+            for s, row in enumerate(block):
+                for u, c in enumerate(row):
+                    if c:
+                        terms.setdefault(tgt * r + r - 1 - u, []).append((src * r + r - 1 - s, c))
+        if terms:
+            out.append(terms)
+    return out
+
+
+def orbit_partition_from_moves(field: Fq, dim: int, moves, cap: int) -> OrbitPartition:
+    """The orbits of the moves on F_q**dim; the oracle calls it with its own moves.
+
+    Each move becomes one permutation of the codes, shaped (p,) * (dim * r)
+    with one axis per base-p digit: digit w of every code is arange(p) along
+    axis w, so no digit array is materialized.  Labels then pull the minimum
+    backward through every permutation to a fixpoint, the orbit minimum
+    everywhere since orbits are strongly connected (the moves generate a
+    group action).
+    """
     total = field.q ** dim
     if total > cap:
         raise SizeCapExceeded(total, cap, "orbit enumeration")
-    labels: dict[tuple, int] = {}
-    reps = []
-    sizes = []
-    # Sweeping codes in ascending order makes the first unseen member of each
-    # orbit its lexicographic minimum, hence the canonical representative.
-    for code in range(total):
-        start = _decode(code, field.q, dim)
-        if start in labels:
-            continue
-        k = len(reps)
-        members = _bfs(field, start, moves)
-        for m in members:
-            labels[m] = k
-        reps.append(start)
-        sizes.append(len(members))
-    return OrbitPartition(field, dim, tuple(reps), tuple(sizes), labels)
+    p, n = field.p, dim * field.r
+    dtype = np.min_scalar_type(total - 1)
+    codes = np.arange(total, dtype=dtype).reshape((p,) * n)
 
+    def digit(w):
+        return np.arange(p).reshape([p if k == w else 1 for k in range(n)])
 
-def _partition_fast(field: Fq, dim: int, moves, cap: int) -> OrbitPartition:
-    """Prime-field sweep: one permutation array per generator move, then
-    minimum-label propagation to a fixpoint.
-
-    Orbits are strongly connected (the moves generate a group action), so
-    pulling labels backward through each permutation converges to the orbit
-    minimum everywhere.
-    """
-    q = field.q
-    total = q ** dim
-    if total > cap:
-        raise SizeCapExceeded(total, cap, "orbit enumeration")
-    powers = q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    digits = _codes_to_digits(np.arange(total, dtype=np.int64), q, dim)
     perms = []
-    for t, updates in moves:
-        new = digits.copy()
-        for tgt, src, coeff in updates:
-            new[:, tgt] = (new[:, tgt] + t * coeff * digits[:, src]) % q
-        perms.append(new @ powers)
-    labels = np.arange(total, dtype=np.int64)
+    for terms in _digit_moves(field, moves):
+        perm = codes.copy()
+        for tgt, srcs in terms.items():
+            d = digit(tgt)
+            new = (d + sum(c * digit(src) for src, c in srcs)) % p
+            # a negative shift wraps modulo the unsigned dtype; every partial
+            # sum is still a code, since it changes only digits already done
+            perm += ((new - d) * p ** (n - 1 - tgt)).astype(dtype)
+        perms.append(perm.ravel())
+    labels = np.arange(total, dtype=dtype)
     changed = True
     while changed:
         changed = False
@@ -194,16 +193,10 @@ def _partition_fast(field: Fq, dim: int, moves, cap: int) -> OrbitPartition:
                 np.minimum(labels, pulled, out=labels)
                 changed = True
     rep_codes, counts = np.unique(labels, return_counts=True)
-    reps = tuple(tuple(int(v) for v in row) for row in _codes_to_digits(rep_codes, q, dim))
+    reps = tuple(
+        tuple(int(v) for v in row) for row in _codes_to_digits(rep_codes, field.q, dim)
+    )
     return OrbitPartition(field, dim, reps, tuple(int(c) for c in counts), labels)
-
-
-def orbit_partition_from_moves(field: Fq, dim: int, moves, cap: int) -> OrbitPartition:
-    """Shared partition driver; also used by the oracle with its own move set."""
-    total = field.q ** dim
-    if field.r == 1 and total >= _FAST_SWEEP_MIN:
-        return _partition_fast(field, dim, moves, cap)
-    return _partition_bfs(field, dim, moves, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ class CharacterEvaluator:
         for part, terms in enumerate(parts):
             for tgt, src, coeff in terms:
                 k = slots[part, tgt] * r
-                weights[src, :, k : k + r] += _digit_matrix(F, coeff)
+                weights[src, :, k : k + r] += F.digit_matrix(coeff)
         powers = [p**t for t in range(r)]
         for s, e in enumerate(self.eta):
             if e:
@@ -251,12 +251,6 @@ def _accumulate(F: Fq, terms, phi) -> dict:
         if v:
             out[tgt] = add(out.get(tgt, 0), mul(v, coeff))
     return out
-
-
-def _digit_matrix(F: Fq, c: int) -> list:
-    """The r x r matrix over F_p of x -> c * x on base-p digits: row t holds
-    the digits of c * X**t."""
-    return [F.coeffs(F.mul(c, F.p**t)) for t in range(F.r)]
 
 
 # ---------------------------------------------------------------------------

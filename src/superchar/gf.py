@@ -211,6 +211,11 @@ class Fq:
         """A basis of F_q over F_p: 1, X, ..., X**(r-1)."""
         return tuple(self.p ** i for i in range(self.r))
 
+    def digit_matrix(self, c: int) -> list:
+        """The r x r matrix over F_p of x -> c * x on base-p digits: row t holds
+        the digits of c * X**t."""
+        return [self.coeffs(self.mul(c, self.p**t)) for t in range(self.r)]
+
     # -- arithmetic --------------------------------------------------------
 
     @cached_property

@@ -11,7 +11,7 @@ from superchar.catalog import (
     heisenberg,
     orbit_shape_poset,
 )
-from superchar.core import PatternGroup, orbit_partition_from_moves, _partition_bfs, _partition_fast
+from superchar.core import PatternGroup, _bfs
 from superchar.errors import SizeCapExceeded, SpecMismatch
 from superchar.gf import Fq, rank
 from superchar.poset import functional, support, validate_closed
@@ -297,14 +297,22 @@ def test_size_cap_enforced():
         G.all_orbit_reps(cap=100)
 
 
-def test_fast_and_bfs_partitions_agree():
-    G = PatternGroup(coorbit_shape_poset(), F2)  # 256 functionals
-    moves = G._co_left_moves + G._co_right_moves
-    fast = _partition_fast(G.field, len(G.J), moves, 1 << 20)
-    slow = _partition_bfs(G.field, len(G.J), moves, 1 << 20)
-    assert fast.reps == slow.reps
-    assert fast.sizes == slow.sizes
-    assert list(fast.canonical_codes()) == list(slow.canonical_codes())
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_partition_classes_are_single_orbit_closures(q):
+    # U_4 up to q = 4 (4096 functionals), U_3 beyond
+    G = PatternGroup(full_triangular(4 if q <= 4 else 3), Fq.of(q))
+    for part, moves in (
+        (G.orbit_partition(), G._left_moves + G._right_moves),
+        (G.coorbit_partition(), G._co_left_moves + G._co_right_moves),
+    ):
+        covered = 0
+        for k, (rep, size) in enumerate(zip(part.reps, part.sizes)):
+            members = _bfs(G.field, rep, moves)
+            assert min(members) == rep
+            assert len(members) == size
+            assert all(part.class_of(m) == k for m in members)
+            covered += size
+        assert covered == G.order()
 
 
 def test_coorbit_sizes_depend_on_more_than_shape():

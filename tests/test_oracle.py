@@ -7,6 +7,7 @@ from superchar.catalog import (
     class_counterexample_poset,
     full_triangular,
     heisenberg,
+    semidirect_algebra,
     sixteen_group,
     SIXTEEN_CLASS_MEMBERS,
     SIXTEEN_TABLE,
@@ -167,3 +168,44 @@ def test_full_check_passes_on_pattern_and_algebra():
     assert rep.ok and rep.classes == 83
     rep = full_check(sixteen_group())
     assert rep.ok and rep.classes == 7
+
+
+_SOURCES = {
+    "full_u3": lambda F: PatternGroup(full_triangular(3), F),
+    "full_u4": lambda F: PatternGroup(full_triangular(4), F),
+    "heisenberg3": lambda F: PatternGroup(heisenberg(3), F),
+    "heisenberg4": lambda F: PatternGroup(heisenberg(4), F),
+    "semidirect4": lambda F: semidirect_algebra(4, F),
+}
+
+
+@pytest.mark.parametrize(
+    "name, q",
+    [("full_u3", q) for q in (4, 8, 9, 16)]
+    + [("heisenberg3", 9), ("heisenberg4", 4), ("full_u4", 4), ("semidirect4", 4)],
+)
+def test_full_check_passes_over_extension_fields(name, q):
+    report = full_check(_SOURCES[name](Fq.of(q)))
+    assert report.ok, list(report.lines())
+
+
+@pytest.mark.parametrize("name, q", [("full_u3", 4), ("full_u3", 8), ("semidirect4", 4)])
+def test_value_row_is_the_scaled_orbit_sum(name, q):
+    # reference: the orbit sum of theta(mu . phi) over the co-orbit, one
+    # CycInt term per member, scaled by |lambda U| / |U lambda U|
+    F = Fq.of(q)
+    o = Oracle(_SOURCES[name](F))
+    reps = o.superclass_partition().reps
+    digits = np.array(reps, dtype=np.int64).reshape(len(reps), o.dim)
+    for eta in o.coorbit_partition().reps:
+        row = o.value_row(eta, digits)
+        members = o.coorbit_elements(eta)
+        scale = o.right_coorbit_size(eta)
+        for c, phi in enumerate(reps):
+            total = CycInt.zero(F.p)
+            for mu in members:
+                total = total + theta(F, F.dot(mu, phi)).to_cyc(F)
+            scaled = total * scale
+            assert all(x % len(members) == 0 for x in scaled.coeffs)
+            expected = CycInt(F.p, tuple(x // len(members) for x in scaled.coeffs))
+            assert CycInt(F.p, tuple(int(x) for x in row[:, c])) == expected
