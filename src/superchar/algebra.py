@@ -31,7 +31,7 @@ from .errors import (
     SizeCapExceeded,
     SpecMismatch,
 )
-from .gf import CharValue, Fq, FqMatrix, nullspace_basis, perp_to_nullspace, rank, solve
+from .gf import CharValue, Fq, FqMatrix, perp_to_nullspace, rank, solve
 from .core import DEFAULT_ENUM_CAP, Orbit, OrbitPartition, _bfs, orbit_partition_from_moves
 from .poset import ClosedSet, close_covers, format_field_literal, parse_field_literal
 
@@ -261,17 +261,18 @@ class StructureAlgebra:
         zeta = F.trace(F.add(F.dot(b0, b), F.dot(phi, eta)))
         return CharValue.of(corank - r, zeta, F.p)
 
-    def is_irreducible(self, eta) -> bool:
-        """Right plus left annihilator of eta fills F_q**d, via A_eta."""
-        F = self.field
-        d = self.d
+    def is_irreducible(self, eta, corank: int | None = None) -> bool:
+        """Right plus left annihilator of eta fills F_q**d.
+
+        They are the nullspaces of A_eta and its transpose, each of dimension
+        d - rank(A_eta), so their sum is everything iff [A_eta; A_eta^T] has
+        rank 2 * rank(A_eta).  ``corank`` is rank(A_eta) when the caller has it.
+        """
         A = self._eta_matrix(eta)
-        M = FqMatrix.from_rows(F, A, d)
-        MT = FqMatrix.from_rows(F, [list(col) for col in zip(*A)] if d else [], d)
-        basis = nullspace_basis(M) + nullspace_basis(MT)
-        if not basis:
-            return d == 0
-        return rank(FqMatrix.from_rows(F, basis, d)) == d
+        if corank is None:
+            corank = rank(FqMatrix.from_rows(self.field, A, self.d))
+        stacked = A + [list(col) for col in zip(*A)]
+        return rank(FqMatrix.from_rows(self.field, stacked, self.d)) == 2 * corank
 
     # -- orbits ------------------------------------------------------------------
 

@@ -73,11 +73,12 @@ def cmd_validate(args) -> int:
 def cmd_table(args) -> int:
     obj = _load(args.path)
     build = build_pattern_table if isinstance(obj, PatternGroup) else build_algebra_table
-    text = build(obj, cap=args.cap).render(args.format)
+    tab = build(obj, cap=args.cap)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            tab.write(args.format, out)
     else:
-        sys.stdout.write(text)
+        tab.write(args.format, sys.stdout)
     return 0
 
 

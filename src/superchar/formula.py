@@ -351,14 +351,19 @@ def ann_spaces(G: PatternGroup, eta):
     return basis_r, basis_l
 
 
-def is_irreducible(G: PatternGroup, eta) -> bool:
-    """True iff ann_R(eta) + ann_L(eta) fills the whole functional space."""
-    basis_r, basis_l = ann_spaces(G, eta)
-    d = len(G.J)
-    if not basis_r and not basis_l:
-        return d == 0
-    stacked = FqMatrix.from_rows(G.field, list(basis_r) + list(basis_l), d)
-    return rank(stacked) == d
+def is_irreducible(G: PatternGroup, eta, corank: int | None = None) -> bool:
+    """True iff ann_R(eta) + ann_L(eta) fills the whole functional space.
+
+    Both annihilators have dimension d - corank, and their intersection is
+    the nullspace of the two dual action matrices stacked, so the sum is
+    everything iff that stack has rank 2 * corank.  ``corank`` saves its
+    recomputation when the caller already has it.
+    """
+    if corank is None:
+        corank = G.corank(eta)
+    right = G.dual_right_action_matrix(eta)
+    left = G.dual_left_action_matrix(eta)
+    return rank(FqMatrix.from_rows(G.field, right.rows + left.rows, len(G.J))) == 2 * corank
 
 
 def superclass_is_class_sufficient(G: PatternGroup, phi) -> bool:

@@ -327,12 +327,11 @@ class Oracle:
 
     def _check_constancy(self, sc: OrbitPartition, co: OrbitPartition) -> bool:
         F = self.field
-        p = F.p
         total = self.order
         all_digits = _codes_to_digits(np.arange(total, dtype=np.int64), F.q, self.dim)
         sc_codes = sc.canonical_codes()
-        for eta in co.reps:
-            row = self.value_row(eta, all_digits)  # (p-1, |G|)
+        for k, eta in enumerate(co.reps):
+            row = self.value_row(eta, all_digits, elements=co.elements_digits(k))  # (p-1, |G|)
             if not np.array_equal(row, row[:, sc_codes]):
                 return False
         return True

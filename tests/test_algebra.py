@@ -30,7 +30,7 @@ from superchar.catalog import (
 from superchar.core import PatternGroup, _bfs
 from superchar.errors import NotAssociative, NotNilpotent, ParseError
 from superchar.formula import CharacterEvaluator
-from superchar.gf import CharValue, Fq
+from superchar.gf import CharValue, Fq, FqMatrix, nullspace_basis, rank
 from superchar.poset import validate_closed
 
 F2 = Fq.of(2)
@@ -114,6 +114,24 @@ def test_sixteen_group_irreducibility_split():
     alg = sixteen_group()
     flags = sorted(alg.is_irreducible(o.rep) for o in alg.all_coorbit_reps())
     assert flags == [False, False, False, True, True, True, True]
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (None, 2)])
+def test_algebra_is_irreducible_matches_the_annihilators(n, q):
+    """ann_R and ann_L of lambda_eta are the nullspaces of A_eta and its
+    transpose; eta is irreducible iff together they span F_q**d."""
+    alg = sixteen_group() if n is None else _semidirect(n, q)
+    F, d = alg.field, alg.d
+    flags = []
+    for o in alg.all_coorbit_reps():
+        A = alg._eta_matrix(o.rep)
+        basis = nullspace_basis(FqMatrix.from_rows(F, A, d))
+        basis += nullspace_basis(FqMatrix.from_rows(F, list(zip(*A)), d))
+        expected = rank(FqMatrix.from_rows(F, basis, d)) == d
+        assert alg.is_irreducible(o.rep) == expected
+        assert alg.is_irreducible(o.rep, alg.corank(o.rep)) == expected
+        flags.append(expected)
+    assert any(flags) and not all(flags)  # both outcomes occur
 
 
 def test_pattern_envelope_examples():

@@ -42,6 +42,7 @@ from superchar.gf import (
     FqMatrix,
     nullspace_basis,
     perp_to_nullspace,
+    rank,
     solve,
 )
 from superchar.poset import functional, support, validate_closed
@@ -340,6 +341,42 @@ def test_is_irreducible_determinant_poset():
     assert is_irreducible(G, eta)  # 1*1 - 1*1 = 0
     eta2 = functional(J, F3, {(1, 4): 1, (1, 5): 1, (2, 4): 1, (2, 5): 2, (3, 6): 1})
     assert not is_irreducible(G, eta2)  # 2*1 - 1*1 = 1 != 0
+
+
+def _irreducible_by_annihilators(G, eta) -> bool:
+    """The definition: ann_R(eta) + ann_L(eta) spans every functional."""
+    basis_r, basis_l = ann_spaces(G, eta)
+    d = len(G.J)
+    return rank(FqMatrix.from_rows(G.field, basis_r + basis_l, d)) == d
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.sampled_from((2, 3, 4, 5)))
+def test_is_irreducible_matches_the_annihilators_on_random_closed_sets(seed, n, q):
+    rng = random.Random(seed)
+    G = PatternGroup(_random_closed(rng, n), Fq.of(q))
+    for density in (0.3, 0.6, 0.9):
+        eta = _sparse_functional(rng, q, len(G.J), density)
+        expected = _irreducible_by_annihilators(G, eta)
+        assert is_irreducible(G, eta) == expected
+        assert is_irreducible(G, eta, G.corank(eta)) == expected
+
+
+@pytest.mark.parametrize(
+    "J,q",
+    [(determinant_poset(), 2), (annihilator_example_poset(), 3), (full_triangular(5), 2),
+     (full_triangular(4), 4), (class_counterexample_poset(), 2)],
+    ids=["determinant-2", "annihilator_example-3", "u5-2", "u4-4", "class_counterexample-2"],
+)
+def test_is_irreducible_matches_the_annihilators_on_every_character(J, q):
+    G = PatternGroup(J, Fq.of(q))
+    flags = []
+    for ch in G.all_coorbit_reps():
+        expected = _irreducible_by_annihilators(G, ch.rep)
+        assert is_irreducible(G, ch.rep) == expected
+        assert is_irreducible(G, ch.rep, G.corank(ch.rep)) == expected
+        flags.append(expected)
+    assert any(flags) and not all(flags)  # both outcomes occur
 
 
 def test_no_4chain_characters_always_irreducible():

@@ -125,6 +125,22 @@ def test_verify_axioms_passes_on_small_corpus():
         assert report.all_ok, list(report.lines())
 
 
+@pytest.mark.parametrize("name, q", [("full_u4", 2), ("heisenberg4", 3), ("full_u3", 4), ("semidirect4", 3)])
+def test_coorbit_partition_groups_are_the_coorbits(name, q):
+    # the axiom check sums over the partition's element groups instead of
+    # enumerating each co-orbit again; both must give the same rows
+    o = Oracle(_SOURCES[name](Fq.of(q)))
+    reps = o.superclass_partition().reps
+    digits = np.array(reps, dtype=np.int64).reshape(len(reps), o.dim)
+    co = o.coorbit_partition()
+    for k, eta in enumerate(co.reps):
+        grouped = o.value_row(eta, digits, elements=co.elements_digits(k))
+        assert np.array_equal(grouped, o.value_row(eta, digits))
+    # the check passes on the superclasses and fails on a wrong partition
+    assert o._check_constancy(o.superclass_partition(), co)
+    assert not o._check_constancy(co, co)
+
+
 def test_full_u3_counts():
     o = Oracle(PatternGroup(full_triangular(3), F2))
     assert len(o.superclass_partition()) == 5

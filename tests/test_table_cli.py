@@ -1,17 +1,20 @@
 """Table emission formats and the command-line interface."""
 
 import json
+from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from superchar.algebra import emit_algebra_spec
-from superchar.catalog import semidirect_algebra, sixteen_group
+from superchar.catalog import full_triangular, semidirect_algebra, sixteen_group
 from superchar.core import DEFAULT_ENUM_CAP
 from superchar.core import PatternGroup
-from superchar.cli import main
+from superchar.cli import _load, main
+from superchar.formula import CharacterEvaluator
 from superchar.gf import CharValue, Fq
-from superchar.poset import validate_closed
+from superchar.poset import emit_spec, validate_closed
 from superchar.table import SuperTable, build_algebra_table, build_pattern_table
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "superchar" / "data"
@@ -46,10 +49,72 @@ def test_table_degree_is_column_zero():
 
 def test_csv_and_pretty_render():
     tab = build_algebra_table(sixteen_group())
-    csv_text = tab.to_csv()
+    csv_text = tab.render("csv")
     assert "q^2*z^1" in csv_text  # -4 = 4 * zeta_2
-    pretty = tab.to_pretty()
+    pretty = tab.render("pretty")
     assert "-4" in pretty
+
+
+GENERATED = {
+    "full_u4_q4": lambda: PatternGroup(full_triangular(4), Fq.of(4)),
+    "semidirect4_q4": lambda: semidirect_algebra(4, Fq.of(4)),
+    "one_pair_q257": lambda: PatternGroup(validate_closed(2, {(1, 2)}), Fq.of(257)),
+}
+TABLES = sorted(spec.stem for spec in DATA.glob("*.txt")) + sorted(GENERATED)
+
+
+@lru_cache(maxsize=None)
+def _group(name):
+    return GENERATED[name]() if name in GENERATED else _load(str(DATA / f"{name}.txt"))
+
+
+@lru_cache(maxsize=None)
+def _table(name):
+    obj = _group(name)
+    return (build_pattern_table if isinstance(obj, PatternGroup) else build_algebra_table)(obj)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_values_view_matches_the_scalar_evaluator(name):
+    obj, tab = _group(name), _table(name)
+    classes, chars = obj.all_orbit_reps(), obj.all_coorbit_reps()
+    values = tab.values
+    assert len(values) == len(chars)
+    for ch, row in zip(chars, values):
+        ev = CharacterEvaluator(obj, ch.rep)
+        assert row == [ev.value(cl.rep) for cl in classes]
+
+
+def test_value_arrays_are_sized_by_the_field():
+    tab = _table("one_pair_q257")  # zeta exponents up to 256 need 16 bits
+    assert tab.zero.dtype == bool and tab.q_exp.dtype == np.uint8
+    assert tab.zeta_exp.dtype == np.uint16 and int(tab.zeta_exp.max()) == 256
+    assert tab.zero.shape == tab.q_exp.shape == tab.zeta_exp.shape == (257, 257)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_write_to_a_file_matches_render(name, tmp_path):
+    tab = _table(name)
+    for fmt in ("json", "csv", "pretty"):
+        path = tmp_path / f"table.{fmt}"
+        with open(path, "w", encoding="utf-8") as out:
+            tab.write(fmt, out)
+        assert path.read_bytes() == tab.render(fmt).encode("utf-8"), fmt
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_every_table_round_trips_through_json(name):
+    tab = _table(name)
+    text = tab.to_json()
+    back = SuperTable.from_json(text)
+    assert back == tab
+    assert back.to_json() == text
+    assert back.values == tab.values
+
+
+def test_unknown_format_is_rejected():
+    with pytest.raises(ValueError):
+        _table("group16").render("xml")
 
 
 def _run(capsys, *argv):
@@ -89,6 +154,19 @@ def test_cmd_table_json_and_out_file(tmp_path, capsys):
     obj = json.loads(out_file.read_text())
     assert obj["kind"] == "algebra" and len(obj["values"]) == 7
     assert obj["values"][0][0] == {"q_exp": 0, "zeta_exp": 0}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_cmd_table_out_file_equals_stdout(fmt, tmp_path, capsys):
+    u3_q4 = tmp_path / "full_u3_q4.txt"
+    u3_q4.write_text(emit_spec(full_triangular(3), Fq.of(4)), encoding="utf-8")
+    for spec in (DATA / "group16.txt", DATA / "heisenberg4_q3.txt", u3_q4):
+        out_file = tmp_path / f"out.{fmt}"
+        code, out, _ = _run(capsys, "table", str(spec), "--format", fmt)
+        assert code == 0
+        code, empty, _ = _run(capsys, "table", str(spec), "--format", fmt, "--out", str(out_file))
+        assert code == 0 and empty == ""
+        assert out_file.read_bytes() == out.encode("utf-8"), spec.name
 
 
 def test_cmd_table_cap_exceeded(capsys):
