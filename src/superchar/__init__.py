@@ -33,8 +33,6 @@ from .formula import (
     full_un_irreducible,
     irreducible_sufficient,
     is_irreducible,
-    mesh_data,
-    meshes,
     superclass_is_class_sufficient,
     value,
     value_heisenberg,
@@ -46,7 +44,6 @@ from .algebra import (
     constants_from_matrices,
     parse_algebra_spec,
     pattern_envelope,
-    pattern_to_algebra,
     validate_algebra,
 )
 from .oracle import Oracle, full_check

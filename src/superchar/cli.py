@@ -14,12 +14,12 @@ import json
 import sys
 from pathlib import Path
 
-from .algebra import StructureAlgebra, parse_algebra_spec, emit_algebra_spec
-from .core import DEFAULT_ENUM_CAP, PatternGroup
-from .errors import SizeCapExceeded, SuperCharError
-from .formula import CharacterEvaluator, is_irreducible
+from .algebra import parse_algebra_spec, emit_algebra_spec
+from .core import DEFAULT_ENUM_CAP, PatternGroup, StructureAlgebra
+from .errors import ParseError, SizeCapExceeded, SuperCharError
+from .formula import CharacterEvaluator
 from .oracle import DEFAULT_ORACLE_CAP, full_check
-from .poset import emit_spec, format_functional, parse_functional, parse_spec
+from .poset import emit_spec, format_functional, parse_field_literal, parse_functional, parse_spec
 from .table import build_algebra_table, build_pattern_table, _algebra_rep_obj, _pattern_rep_obj
 
 
@@ -43,8 +43,6 @@ def _load(path: str):
 
 def _parse_algebra_functional(alg: StructureAlgebra, text: str):
     """``k=v;...`` items with 1-based coordinate indexes; "0" is zero."""
-    from .poset import parse_field_literal
-
     text = text.strip()
     out = [0] * alg.d
     if text in ("", "0"):
@@ -54,11 +52,22 @@ def _parse_algebra_functional(alg: StructureAlgebra, text: str):
         if not item:
             continue
         idx_s, _, val = item.partition("=")
-        k = int(idx_s)
+        try:
+            k = int(idx_s)
+        except ValueError:
+            raise ParseError(0, f"bad functional item {item!r}") from None
         if not 1 <= k <= alg.d:
             raise SuperCharError(f"coordinate {k} out of range 1..{alg.d}")
         out[k - 1] = parse_field_literal(alg.field, val)
     return tuple(out)
+
+
+def _functional(obj, text: str):
+    """A functional of ``obj`` parsed from ``text``, with its display label."""
+    if isinstance(obj, PatternGroup):
+        f = parse_functional(obj.J, obj.field, text)
+        return f, format_functional(obj.J, obj.field, f)
+    return _parse_algebra_functional(obj, text), text
 
 
 def cmd_validate(args) -> int:
@@ -84,15 +93,8 @@ def cmd_table(args) -> int:
 
 def cmd_value(args) -> int:
     obj = _load(args.path)
-    if isinstance(obj, PatternGroup):
-        eta = parse_functional(obj.J, obj.field, args.eta)
-        phi = parse_functional(obj.J, obj.field, args.phi)
-        eta_s = format_functional(obj.J, obj.field, eta)
-        phi_s = format_functional(obj.J, obj.field, phi)
-    else:
-        eta = _parse_algebra_functional(obj, args.eta)
-        phi = _parse_algebra_functional(obj, args.phi)
-        eta_s, phi_s = args.eta, args.phi
+    eta, eta_s = _functional(obj, args.eta)
+    phi, phi_s = _functional(obj, args.phi)
     val = CharacterEvaluator(obj, eta).value(phi)
     print(f"chi[{eta_s}](x[{phi_s}]) = {val.render(obj.field)}")
     return 0
@@ -100,13 +102,8 @@ def cmd_value(args) -> int:
 
 def cmd_irreducible(args) -> int:
     obj = _load(args.path)
-    if isinstance(obj, PatternGroup):
-        eta = parse_functional(obj.J, obj.field, args.eta)
-        result = is_irreducible(obj, eta)
-    else:
-        eta = _parse_algebra_functional(obj, args.eta)
-        result = obj.is_irreducible(eta)
-    print(f"irreducible: {'true' if result else 'false'}")
+    eta, _ = _functional(obj, args.eta)
+    print(f"irreducible: {'true' if obj.is_irreducible(eta) else 'false'}")
     return 0
 
 

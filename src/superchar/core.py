@@ -1,21 +1,38 @@
-"""Pattern-group elements, the two-sided actions, and orbit enumeration.
+"""The structure-constant engine: algebra groups, their actions and orbits.
 
-Group elements x_phi = 1 + X_phi and functionals lambda_eta are both packed
-tuples over the closed set's canonical order (see :mod:`.poset`).  The action
-update rules all reduce to accumulations over 3- and 4-chains of the poset:
+A nilpotent algebra of dimension d over F_q is given by the constants
+c[i][j][k] with  X_i * X_j = sum_k c_ij^k X_k  on a chosen basis.  The group
+is 1 + the algebra, with (1+X)(1+Y) = 1 + X + Y + XY; group elements and
+dual functionals are coordinate tuples of length d.  Every action, action
+matrix, mesh term and orbit move is read off the constants:
 
-    multiply:   (xy)_il = x_il + y_il + sum_(i,k,l) x_ik * y_kl
-    act_left:   phi'_il = phi_il + sum_(i,j,l) rho_ij * phi_jl
-    act_right:  phi'_il = phi_il + sum_(i,j,l) phi_ij * rho_jl
-    coact:      eta'_jk = eta_jk + sum_(i,j,k) tau_ij * eta_ik
-                        + sum_(j,k,l) eta_jl * rho_kl
-                        + sum_(i,j,k,l) tau_ij * eta_il * rho_kl
+    act_left:   x_rho * X_phi     = X_phi + X_rho X_phi
+    act_right:  X_phi * x_rho     = X_phi + X_phi X_rho
+    coact:      (x_tau**-1 lambda_eta x_rho**-1)(X_k) = lambda_eta(x_tau X_k x_rho)
 
-Orbits are closures under the one-parameter generators x_alpha(t), with t
-running over an additive basis of F_q; a single-generator move touches only
-the chain positions cached on the ClosedSet.  Full-space orbit partitions
-use one vectorized sweep for every F_q, since visiting q**|J| functionals
-one tuple at a time is the only hot spot at desk scale.
+and the right orbit of lambda_eta is an affine space of dimension
+rank(A_eta), where (A_eta)_ij = sum_k c_ij^k eta_k (Diaconis-Isaacs,
+Supercharacters and superclasses for algebra groups).  The mesh data of
+(phi, eta), with (C_i)_jk = c_ij^k and (C^j)_ik = c_ij^k, is
+
+    M[i][j] = phi C_i C^j eta      a[i] = phi C_i eta      b[j] = phi C^j eta
+
+and chi^eta(x_phi) = q**(corank - rank M) * theta(b0.b + phi.eta) when phi
+meshes with eta (M b0 = -a is solvable and b is perpendicular to the
+nullspace of M), zero otherwise.  As sparse terms in phi, which
+:class:`superchar.formula.CharacterEvaluator` evaluates:
+
+    a_i = sum_s phi_s A[i][s]      b_j = sum_s phi_s A[s][j]
+    M[i][j] = sum_s phi_s sum_m c_is^m A[m][j]
+
+A pattern group U_J is the algebra group of its closed set J, with
+c_{(i,j),(j,k)}^{(i,k)} = 1 for each 3-chain of the poset; packed tuples
+follow the closed set's canonical order (see :mod:`.poset`).
+
+Orbits are closures under the one-parameter generators 1 + t X_i, with t
+running over an additive basis of F_q.  Full-space orbit partitions use one
+vectorized sweep for every F_q, since visiting q**d functionals one tuple
+at a time is the only hot spot at desk scale.
 """
 
 from __future__ import annotations
@@ -24,8 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInvariantViolation, SizeCapExceeded, SpecMismatch
-from .gf import Fq, FqMatrix, rank
+from .errors import (
+    InternalInvariantViolation,
+    NotAssociative,
+    NotNilpotent,
+    SizeCapExceeded,
+    SpecMismatch,
+)
+from .gf import CharValue, Fq, FqMatrix, perp_to_nullspace, rank, solve
 from .poset import ClosedSet
 
 DEFAULT_ENUM_CAP = 1 << 20
@@ -201,258 +224,338 @@ def orbit_partition_from_moves(field: Fq, dim: int, moves, cap: int) -> OrbitPar
 
 # ---------------------------------------------------------------------------
 
+Vec = tuple
 
-class PatternGroup:
-    """The pattern group U_J over F_q, acting on its algebra and its dual."""
 
-    def __init__(self, J: ClosedSet, field: Fq):
-        self.J = J
+class StructureAlgebra:
+    """A validated structure-constant presentation of a nilpotent algebra,
+    with its algebra group 1 + A acting on A and on the dual space."""
+
+    __slots__ = ("d", "field", "constants", "_moves")
+
+    def __init__(self, d: int, field: Fq, constants):
+        if d < 0:
+            raise SpecMismatch("dimension must be nonnegative")
+        self.d = d
         self.field = field
-        gens = field.additive_generators()
-        self._right_moves = self._moves(J.right_updates, gens)
-        self._left_moves = self._moves(J.left_updates, gens)
-        self._co_right_moves = self._moves(J.co_right_updates, gens)
-        self._co_left_moves = self._moves(J.co_left_updates, gens)
+        cleaned: dict[tuple[int, int], dict[int, int]] = {}
+        for (i, j), row in constants.items():
+            if not (0 <= i < d and 0 <= j < d):
+                raise SpecMismatch(f"constant index ({i}, {j}) out of range")
+            entry = {}
+            for k, v in row.items():
+                if not 0 <= k < d:
+                    raise SpecMismatch(f"constant target {k} out of range")
+                v = field.check(int(v))
+                if v:
+                    entry[k] = v
+            if entry:
+                cleaned[(i, j)] = entry
+        self.constants = cleaned
+        self._validate_associative()
+        self._validate_nilpotent()
+        self._moves = None
 
-    @staticmethod
-    def _moves(update_table, gens):
-        moves = []
-        for updates in update_table:
-            if updates:
-                for t in gens:
-                    moves.append((t, updates))
-        return tuple(moves)
+    def _vec(self, f) -> Vec:
+        """``f`` as a tuple; SpecMismatch unless it has one coordinate per basis element."""
+        f = tuple(f)
+        if len(f) != self.d:
+            raise SpecMismatch(f"functional of length {len(f)} for dimension {self.d}")
+        return f
 
-    @property
-    def dim(self) -> int:
-        return len(self.J)
+    # -- the algebra product and the group ---------------------------------
 
-    def order(self) -> int:
-        return self.field.q ** len(self.J)
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * len(self.J)
-
-    identity = zero  # x_0 = 1
-
-    def _check_like(self, f):
-        if len(f) != len(self.J):
-            raise SpecMismatch("functional length does not match the closed set")
-        return tuple(f)
-
-    # -- group structure ----------------------------------------------------
-
-    def multiply(self, x, y) -> tuple[int, ...]:
-        x, y = self._check_like(x), self._check_like(y)
+    def product(self, u, v) -> Vec:
+        """Coordinates of X_u * X_v."""
         F = self.field
-        out = [F.add(a, b) for a, b in zip(x, y)]
-        for ab, bc, ac in self.J.chain3_idx:
-            v = x[ab]
-            w = y[bc]
-            if v and w:
-                out[ac] = F.add(out[ac], F.mul(v, w))
-        return tuple(out)
-
-    def nil_product(self, u, v) -> tuple[int, ...]:
-        """X_u * X_v inside the nilpotent algebra (no linear part)."""
-        F = self.field
-        out = [0] * len(self.J)
-        for ab, bc, ac in self.J.chain3_idx:
-            a = u[ab]
-            b = v[bc]
+        u, v = self._vec(u), self._vec(v)
+        out = [0] * self.d
+        for (i, j), row in self.constants.items():
+            a = u[i]
+            b = v[j]
             if a and b:
-                out[ac] = F.add(out[ac], F.mul(a, b))
+                ab = F.mul(a, b)
+                for k, c in row.items():
+                    out[k] = F.add(out[k], F.mul(ab, c))
         return tuple(out)
 
-    def inverse(self, x) -> tuple[int, ...]:
+    def _plus(self, u, v) -> Vec:
+        return tuple(self.field.add(a, b) for a, b in zip(u, v))
+
+    def multiply(self, x, y) -> Vec:
+        """Group product of x = 1 + X and y = 1 + Y."""
+        return self._plus(self._plus(x, y), self.product(x, y))
+
+    def inverse(self, x) -> Vec:
         """(1 + X)**-1 = 1 - X + X**2 - ...; the series stops by nilpotency."""
-        x = self._check_like(x)
         F = self.field
-        out = [0] * len(self.J)
+        x = self._vec(x)
+        out = [0] * self.d
         term = x
         sign = -1
         while any(term):
             for k, v in enumerate(term):
                 if v:
                     out[k] = F.add(out[k], v if sign > 0 else F.neg(v))
-            term = self.nil_product(term, x)
+            term = self.product(term, x)
             sign = -sign
         return tuple(out)
 
+    def zero(self) -> Vec:
+        return (0,) * self.d
+
+    identity = zero  # x_0 = 1
+
+    @property
+    def dim(self) -> int:
+        return self.d
+
+    def order(self) -> int:
+        return self.field.q ** self.d
+
+    # -- validation ----------------------------------------------------------
+
+    def _basis_vec(self, i):
+        return tuple(1 if k == i else 0 for k in range(self.d))
+
+    def _validate_associative(self):
+        """(e_i e_j) e_k = e_i (e_j e_k) on basis triples.  Both sides are 0
+        unless (i, j) or (j, k) carries constants, so only those are checked."""
+        C, F = self.constants, self.field
+        triples = {(i, j, k) for i, j in C for k in range(self.d)}
+        triples |= {(i, j, k) for j, k in C for i in range(self.d)}
+        for i, j, k in sorted(triples):
+            lhs = _combine(F, C.get((i, j), {}), lambda m: C.get((m, k), {}))
+            rhs = _combine(F, C.get((j, k), {}), lambda m: C.get((i, m), {}))
+            if lhs != rhs:
+                l = min(m for m in lhs.keys() | rhs.keys() if lhs.get(m) != rhs.get(m))
+                raise NotAssociative(i, j, k, l)
+
+    def _validate_nilpotent(self):
+        """Products of more than d basis elements must vanish."""
+        F = self.field
+        d = self.d
+        level = [(self._basis_vec(i), (i,)) for i in range(d)]
+        for _ in range(d):
+            echelon: list[tuple] = []
+            nxt = []
+            for i in range(d):
+                e_i = self._basis_vec(i)
+                for vec, seq in level:
+                    w = self.product(e_i, vec)
+                    if not any(w):
+                        continue
+                    red = _reduce_against(F, w, echelon)
+                    if red is not None:
+                        echelon.append(red)
+                        nxt.append((w, (i,) + seq))
+            level = nxt
+            if not level:
+                return
+        if level:  # d = 0 starts with no products at all
+            raise NotNilpotent(level[0][1])
+
     # -- one- and two-sided actions ------------------------------------------
 
-    def act_left(self, rho, phi) -> tuple[int, ...]:
+    def act_left(self, rho, phi) -> Vec:
         """x_rho * X_phi."""
-        F = self.field
-        out = list(self._check_like(phi))
-        rho = self._check_like(rho)
-        for ab, bc, ac in self.J.chain3_idx:
-            r = rho[ab]
-            v = phi[bc]
-            if r and v:
-                out[ac] = F.add(out[ac], F.mul(r, v))
-        return tuple(out)
+        return self._plus(phi, self.product(rho, phi))
 
-    def act_right(self, phi, rho) -> tuple[int, ...]:
+    def act_right(self, phi, rho) -> Vec:
         """X_phi * x_rho."""
-        F = self.field
-        out = list(self._check_like(phi))
-        rho = self._check_like(rho)
-        for ab, bc, ac in self.J.chain3_idx:
-            v = phi[ab]
-            r = rho[bc]
-            if v and r:
-                out[ac] = F.add(out[ac], F.mul(v, r))
-        return tuple(out)
+        return self._plus(phi, self.product(phi, rho))
 
-    def act_two_sided(self, tau, phi, rho) -> tuple[int, ...]:
-        """x_tau * X_phi * x_rho, in one pass."""
-        F = self.field
-        tau, phi, rho = self._check_like(tau), self._check_like(phi), self._check_like(rho)
-        out = list(phi)
-        for ab, bc, ac in self.J.chain3_idx:
-            t = tau[ab]
-            v = phi[bc]
-            if t and v:
-                out[ac] = F.add(out[ac], F.mul(t, v))
-            v = phi[ab]
-            r = rho[bc]
-            if v and r:
-                out[ac] = F.add(out[ac], F.mul(v, r))
-        for ab, bc, cd, ad in self.J.chain4_idx:
-            t = tau[ab]
-            v = phi[bc]
-            r = rho[cd]
-            if t and v and r:
-                out[ad] = F.add(out[ad], F.mul(F.mul(t, v), r))
-        return tuple(out)
+    def act_two_sided(self, tau, phi, rho) -> Vec:
+        """x_tau * X_phi * x_rho."""
+        return self.act_right(self.act_left(tau, phi), rho)
 
-    def coact(self, tau, eta, rho) -> tuple[int, ...]:
-        """x_tau**-1 * lambda_eta * x_rho**-1 on the dual space."""
+    def coact(self, tau, eta, rho) -> Vec:
+        """x_tau**-1 * lambda_eta * x_rho**-1 on the dual space: its value at
+        X_k is lambda_eta(x_tau X_k x_rho)."""
         F = self.field
-        tau, eta, rho = self._check_like(tau), self._check_like(eta), self._check_like(rho)
-        out = list(eta)
-        for ab, bc, ac in self.J.chain3_idx:
-            t = tau[ab]
-            e = eta[ac]
-            if t and e:
-                out[bc] = F.add(out[bc], F.mul(t, e))
-            r = rho[bc]
-            if r and e:
-                out[ab] = F.add(out[ab], F.mul(e, r))
-        for ab, bc, cd, ad in self.J.chain4_idx:
-            t = tau[ab]
-            e = eta[ad]
-            r = rho[cd]
-            if t and e and r:
-                out[bc] = F.add(out[bc], F.mul(F.mul(t, e), r))
-        return tuple(out)
+        eta = self._vec(eta)
+        return tuple(
+            F.dot(eta, self.act_two_sided(tau, self._basis_vec(k), rho)) for k in range(self.d)
+        )
 
-    # -- action matrices and corank -------------------------------------------
+    # -- action matrices -------------------------------------------------------
+
+    def _phi_matrix(self, phi, left: bool) -> FqMatrix:
+        F = self.field
+        phi = self._vec(phi)
+        rows = [[0] * self.d for _ in range(self.d)]
+        for (i, j), row in self.constants.items():
+            col, v = (i, phi[j]) if left else (j, phi[i])
+            if v:
+                for m, c in row.items():
+                    rows[m][col] = F.add(rows[m][col], F.mul(c, v))
+        return FqMatrix.from_rows(F, rows, self.d)
 
     def left_action_matrix(self, phi) -> FqMatrix:
-        """M with row (i,l), column (i,k) entry phi_kl for every chain (i,k,l)."""
-        phi = self._check_like(phi)
-        d = len(self.J)
-        rows = [[0] * d for _ in range(d)]
-        for ab, bc, ac in self.J.chain3_idx:
-            rows[ac][ab] = phi[bc]
-        return FqMatrix.from_rows(self.field, rows, d)
+        """The matrix of rho -> X_rho X_phi: [m][i] = sum_j c_ij^m phi_j."""
+        return self._phi_matrix(phi, left=True)
 
     def right_action_matrix(self, phi) -> FqMatrix:
-        """M with row (i,l), column (j,l) entry phi_ij for every chain (i,j,l)."""
-        phi = self._check_like(phi)
-        d = len(self.J)
-        rows = [[0] * d for _ in range(d)]
-        for ab, bc, ac in self.J.chain3_idx:
-            rows[ac][bc] = phi[ab]
-        return FqMatrix.from_rows(self.field, rows, d)
+        """The matrix of rho -> X_phi X_rho: [m][j] = sum_i phi_i c_ij^m."""
+        return self._phi_matrix(phi, left=False)
 
-    def dual_left_action_matrix(self, eta) -> FqMatrix:
-        """M with row (j,k), column (i,j) entry eta_ik for every chain (i,j,k)."""
-        eta = self._check_like(eta)
-        d = len(self.J)
-        rows = [[0] * d for _ in range(d)]
-        for ab, bc, ac in self.J.chain3_idx:
-            rows[bc][ab] = eta[ac]
-        return FqMatrix.from_rows(self.field, rows, d)
+    def _eta_matrix(self, eta):
+        """A_eta as dense rows: (A_eta)_ij = sum_k c_ij^k eta_k."""
+        F = self.field
+        eta = self._vec(eta)
+        A = [[0] * self.d for _ in range(self.d)]
+        for (i, j), row in self.constants.items():
+            acc = 0
+            for k, c in row.items():
+                if eta[k]:
+                    acc = F.add(acc, F.mul(c, eta[k]))
+            A[i][j] = acc
+        return A
 
     def dual_right_action_matrix(self, eta) -> FqMatrix:
-        """M with row (j,k), column (k,l) entry eta_jl for every chain (j,k,l)."""
-        eta = self._check_like(eta)
-        d = len(self.J)
-        rows = [[0] * d for _ in range(d)]
-        for ab, bc, ac in self.J.chain3_idx:
-            rows[ab][bc] = eta[ac]
-        return FqMatrix.from_rows(self.field, rows, d)
+        """A_eta, whose nullspace is the right annihilator of lambda_eta."""
+        return FqMatrix.from_rows(self.field, self._eta_matrix(eta), self.d)
+
+    def dual_left_action_matrix(self, eta) -> FqMatrix:
+        """The transpose of A_eta, whose nullspace is the left annihilator."""
+        A = self._eta_matrix(eta)
+        return FqMatrix.from_rows(self.field, [list(col) for col in zip(*A)], self.d)
+
+    # -- mesh data and values --------------------------------------------------
+
+    def mesh_data(self, phi, eta):
+        """(M, a, b) with M[i][j] = phi C_i C^j eta, a_i = phi C_i eta and
+        b_j = phi C^j eta, where (C_i)_jk = (C^j)_ik = c_ij^k: the dense
+        definition that :meth:`mesh_terms` is checked against."""
+        F, d = self.field, self.d
+        phi, eta = self._vec(phi), self._vec(eta)
+        u = [[0] * d for _ in range(d)]  # u[i] = phi C_i
+        w = [[0] * d for _ in range(d)]  # w[j] = C^j eta
+        for (i, j), row in self.constants.items():
+            for k, c in row.items():
+                u[i][k] = F.add(u[i][k], F.mul(phi[j], c))
+                w[j][i] = F.add(w[j][i], F.mul(c, eta[k]))
+        rows = [[F.dot(u_i, w_j) for w_j in w] if any(u_i) else [0] * d for u_i in u]
+        a = tuple(F.dot(u_i, eta) for u_i in u)
+        b = tuple(F.dot(phi, w_j) for w_j in w)
+        return FqMatrix.from_rows(F, rows, d), a, b
+
+    def meshes(self, phi, eta):
+        """Whether phi meshes with eta; the deterministic witness b0 when it does."""
+        M, a, b = self.mesh_data(phi, eta)
+        F = self.field
+        b0 = solve(M, tuple(F.neg(x) for x in a))
+        if b0 is None or not perp_to_nullspace(M, b):
+            return False, None
+        return True, b0
 
     def mesh_terms(self, eta):
         """The sparse mesh data of eta: (target, phi-slot, coefficient) terms of
-        a, b and M (targets of M are (row, col) pairs), read off the chains."""
-        eta = self._check_like(eta)
-        a_terms, b_terms, m_terms = [], [], []
-        for ab, bc, ac in self.J.chain3_idx:
-            e = eta[ac]
-            if e:
-                a_terms.append((ab, bc, e))
-                b_terms.append((bc, ab, e))
-        for ab, bc, cd, ad in self.J.chain4_idx:
-            e = eta[ad]
-            if e:
-                m_terms.append(((ab, cd), bc, e))
+        a, b and M (targets of M are (row, col) pairs), read off A_eta."""
+        F = self.field
+        A = self._eta_matrix(eta)
+        a_terms, b_terms = [], []
+        for i, row in enumerate(A):
+            for s, v in enumerate(row):
+                if v:
+                    a_terms.append((i, s, v))
+                    b_terms.append((s, i, v))
+        m_acc: dict = {}
+        for (i, s), row in self.constants.items():
+            for m, c in row.items():
+                for j, v in enumerate(A[m]):
+                    if v:
+                        key = ((i, j), s)
+                        m_acc[key] = F.add(m_acc.get(key, 0), F.mul(c, v))
+        m_terms = [(pos, s, v) for (pos, s), v in m_acc.items() if v]
         return a_terms, b_terms, m_terms
 
-    def corank(self, eta) -> int:
-        rl = rank(self.dual_left_action_matrix(eta))
-        rr = rank(self.dual_right_action_matrix(eta))
-        if rl != rr:
-            raise InternalInvariantViolation(
-                f"dual action matrices disagree on rank: {rl} vs {rr}"
-            )
-        return rl
+    def corank(self, eta, cap: int | None = None) -> int:
+        """rank(A_eta), the dimension of the right orbit of lambda_eta.
 
-    # -- orbits ----------------------------------------------------------------
+        ``cap`` is accepted for compatibility and ignored: nothing is enumerated.
+        """
+        return rank(self.dual_right_action_matrix(eta))
 
-    def _cap_check(self, cap):
+    def value(self, eta, phi, corank: int | None = None) -> CharValue:
+        """chi^eta at the superclass of x_phi."""
+        F = self.field
+        M, a, b = self.mesh_data(phi, eta)
+        b0 = solve(M, tuple(F.neg(x) for x in a))
+        if b0 is None or not perp_to_nullspace(M, b):
+            return CharValue.zero()
+        r = rank(M)
+        if corank is None:
+            corank = self.corank(eta)
+        if corank < r:
+            raise InternalInvariantViolation("rank of the mesh matrix exceeds the corank")
+        zeta = F.trace(F.add(F.dot(b0, b), F.dot(phi, eta)))
+        return CharValue.of(corank - r, zeta, F.p)
+
+    def is_irreducible(self, eta, corank: int | None = None) -> bool:
+        """Right plus left annihilator of eta fills F_q**d.
+
+        They are the nullspaces of A_eta and its transpose, each of dimension
+        d - rank(A_eta), so their sum is everything iff [A_eta; A_eta^T] has
+        rank 2 * rank(A_eta).  ``corank`` is rank(A_eta) when the caller has it.
+        """
+        A = self._eta_matrix(eta)
+        if corank is None:
+            corank = rank(FqMatrix.from_rows(self.field, A, self.d))
+        stacked = A + [list(col) for col in zip(*A)]
+        return rank(FqMatrix.from_rows(self.field, stacked, self.d)) == 2 * corank
+
+    # -- orbits ------------------------------------------------------------------
+
+    def _move_set(self, kind: str):
+        """The moves of one action, per generator 1 + t X_g and t in an additive
+        basis of F_q.  Each constant c = c_ij^k adds one update to each kind:
+
+            left (g = i):     phi'_k += t c phi_j      right (g = j):    phi'_k += t c phi_i
+            co_left (g = i):  eta'_j += t c eta_k      co_right (g = j): eta'_i += t c eta_k
+        """
+        if self._moves is None:
+            gens = self.field.additive_generators()
+            ups = {kind: [[] for _ in range(self.d)] for kind in ("right", "left", "co_right", "co_left")}
+            for (i, j), row in self.constants.items():
+                for k, c in row.items():
+                    ups["left"][i].append((k, j, c))
+                    ups["right"][j].append((k, i, c))
+                    ups["co_left"][i].append((j, k, c))
+                    ups["co_right"][j].append((i, k, c))
+            self._moves = {
+                kind: tuple((t, tuple(u)) for u in per_gen if u for t in gens)
+                for kind, per_gen in ups.items()
+            }
+        return self._moves[kind]
+
+    def _orbit(self, f, kinds, cap) -> Orbit:
         cap = DEFAULT_ENUM_CAP if cap is None else cap
-        total = self.order()
-        if total > cap:
-            raise SizeCapExceeded(total, cap, "orbit materialization")
-        return cap
+        if self.order() > cap:
+            raise SizeCapExceeded(self.order(), cap, "orbit enumeration")
+        moves = sum((self._move_set(kind) for kind in kinds), ())
+        members = _bfs(self.field, self._vec(f), moves)
+        return Orbit(min(members), len(members), frozenset(members))
 
-    def orbit(self, phi, cap: int | None = None, with_elements: bool = True) -> Orbit:
+    def orbit(self, phi, cap: int | None = None) -> Orbit:
         """The two-sided multiplication orbit of X_phi."""
-        self._cap_check(cap)
-        members = _bfs(self.field, self._check_like(phi), self._left_moves + self._right_moves)
-        return Orbit(min(members), len(members), frozenset(members) if with_elements else None)
+        return self._orbit(phi, ("left", "right"), cap)
 
     def orbit_left(self, phi, cap: int | None = None) -> Orbit:
-        self._cap_check(cap)
-        members = _bfs(self.field, self._check_like(phi), self._left_moves)
-        return Orbit(min(members), len(members), frozenset(members))
+        return self._orbit(phi, ("left",), cap)
 
     def orbit_right(self, phi, cap: int | None = None) -> Orbit:
-        self._cap_check(cap)
-        members = _bfs(self.field, self._check_like(phi), self._right_moves)
-        return Orbit(min(members), len(members), frozenset(members))
+        return self._orbit(phi, ("right",), cap)
 
-    def coorbit(self, eta, cap: int | None = None, with_elements: bool = True) -> Orbit:
+    def coorbit(self, eta, cap: int | None = None) -> Orbit:
         """The two-sided orbit of lambda_eta on the dual space."""
-        self._cap_check(cap)
-        members = _bfs(
-            self.field, self._check_like(eta), self._co_left_moves + self._co_right_moves
-        )
-        return Orbit(min(members), len(members), frozenset(members) if with_elements else None)
+        return self._orbit(eta, ("co_left", "co_right"), cap)
 
     def coorbit_left(self, eta, cap: int | None = None) -> Orbit:
-        self._cap_check(cap)
-        members = _bfs(self.field, self._check_like(eta), self._co_left_moves)
-        return Orbit(min(members), len(members), frozenset(members))
+        return self._orbit(eta, ("co_left",), cap)
 
     def coorbit_right(self, eta, cap: int | None = None) -> Orbit:
-        self._cap_check(cap)
-        members = _bfs(self.field, self._check_like(eta), self._co_right_moves)
-        return Orbit(min(members), len(members), frozenset(members))
+        return self._orbit(eta, ("co_right",), cap)
 
     def one_sided_orbit_sizes(self, phi) -> tuple[int, int]:
         """(left, right) orbit sizes of X_phi as q**rank; no enumeration, no cap."""
@@ -469,25 +572,70 @@ class PatternGroup:
     def orbit_partition(self, cap: int | None = None) -> OrbitPartition:
         cap = DEFAULT_ENUM_CAP if cap is None else cap
         return orbit_partition_from_moves(
-            self.field, len(self.J), self._left_moves + self._right_moves, cap
+            self.field, self.d, self._move_set("left") + self._move_set("right"), cap
         )
 
     def coorbit_partition(self, cap: int | None = None) -> OrbitPartition:
         cap = DEFAULT_ENUM_CAP if cap is None else cap
         return orbit_partition_from_moves(
-            self.field, len(self.J), self._co_left_moves + self._co_right_moves, cap
+            self.field, self.d, self._move_set("co_left") + self._move_set("co_right"), cap
         )
 
     def all_orbit_reps(self, cap: int | None = None) -> list[Orbit]:
         """Canonical superclass representatives with sizes, ascending."""
         part = self.orbit_partition(cap)
-        reps = self._adjust_reps(part)
-        return [Orbit(rep, size) for rep, size in zip(reps, part.sizes)]
+        return [Orbit(rep, size) for rep, size in zip(self._adjust_reps(part), part.sizes)]
 
     def all_coorbit_reps(self, cap: int | None = None) -> list[Orbit]:
         part = self.coorbit_partition(cap)
-        reps = self._adjust_reps(part)
-        return [Orbit(rep, size) for rep, size in zip(reps, part.sizes)]
+        return [Orbit(rep, size) for rep, size in zip(self._adjust_reps(part), part.sizes)]
+
+    def _adjust_reps(self, part: OrbitPartition):
+        """The representative of each class: its least member."""
+        return part.reps
+
+
+def _combine(F: Fq, coeffs: dict, vec_of) -> dict:
+    """sum_m coeffs[m] * vec_of(m) for sparse {index: value} vectors, zeros dropped."""
+    out: dict = {}
+    for m, c in coeffs.items():
+        for l, v in vec_of(m).items():
+            out[l] = F.add(out.get(l, 0), F.mul(c, v))
+    return {l: v for l, v in out.items() if v}
+
+
+def _reduce_against(field: Fq, vec, echelon):
+    """Reduce vec against echelon rows (leading-one normal form); append form or None."""
+    v = list(vec)
+    for lead, row in echelon:
+        c = v[lead]
+        if c:
+            for k, x in enumerate(row):
+                if x:
+                    v[k] = field.sub(v[k], field.mul(c, x))
+    for lead, x in enumerate(v):
+        if x:
+            inv = field.inv(x)
+            return (lead, tuple(field.mul(inv, y) for y in v))
+    return None
+
+
+# ---------------------------------------------------------------------------
+
+
+class PatternGroup(StructureAlgebra):
+    """The pattern group U_J over F_q: the algebra group of the closed set J,
+    on the basis indexed by J in canonical order, with the constant
+    c_{(i,j),(j,k)}^{(i,k)} = 1 for every 3-chain (i, j, k)."""
+
+    __slots__ = ("J",)
+
+    def __init__(self, J: ClosedSet, field: Fq):
+        constants: dict = {}
+        for ab, bc, ac in J.chain3_idx:
+            constants[(ab, bc)] = {ac: 1}
+        super().__init__(len(J), field, constants)
+        self.J = J
 
     def _adjust_reps(self, part: OrbitPartition):
         """For the full triangular set, replace each representative by the least

@@ -1,13 +1,14 @@
-"""The closed-form supercharacter formula for pattern groups.
+"""The closed-form supercharacter formula, evaluated in bulk.
 
-For a ClosedSet J with functionals phi (superclass label) and eta
+For a pattern group U_J with functionals phi (superclass label) and eta
 (character label), the mesh data is
 
     M[(i,j),(k,l)] = phi_jk * eta_il   for 4-chains (i,j,k,l), else 0
     a[(i,j)]       = sum over 3-chains (i,j,k) of phi_jk * eta_ik
     b[(j,k)]       = sum over 3-chains (i,j,k) of phi_ij * eta_ik
 
-phi meshes with eta when M x = -a is solvable and b is perpendicular to the
+the algebra-group mesh data of :mod:`.core` for the constants of J.  phi
+meshes with eta when M x = -a is solvable and b is perpendicular to the
 nullspace of M; then
 
     chi^eta(x_phi) = q**(corank(eta) - rank(M)) * theta(b0.b + sum phi*eta)
@@ -16,16 +17,14 @@ with b0 the particular solution, and chi^eta(x_phi) = 0 otherwise.  (The
 orbit-sum definition fixes the sign of the exponent of theta here; the
 brute-force oracle pins it in the tests.)
 
-Everything below is pure; :class:`CharacterEvaluator` just caches the
-eta-dependent parts so table builders don't recompute the corank per entry,
-and knows how to evaluate a whole block of superclass columns at once over
-any F_q.  It serves algebra groups too, from the mesh terms their structure
-constants give (see :mod:`.algebra`).
+:class:`CharacterEvaluator` caches the eta-dependent parts, the corank and
+the sparse mesh terms of any algebra group, so table builders don't
+recompute them per entry, and evaluates a whole block of superclass columns
+at once over any F_q.  The closed-form specializations for pattern groups
+below are independent references the tests compare against.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,61 +34,9 @@ from .errors import (
     ShapeMismatch,
     SpecMismatch,
 )
-from .gf import (
-    CharValue,
-    Fq,
-    FqMatrix,
-    _rref,
-    nullspace_basis,
-    perp_to_nullspace,
-    rank,
-    solve,
-)
+from .gf import CharValue, Fq, FqMatrix, _rref, nullspace_basis, rank
 from .core import PatternGroup
 from .poset import is_monomial, support
-
-
-@dataclass(frozen=True)
-class MeshData:
-    """The matrix M and vectors a, b attached to a pair (phi, eta)."""
-
-    matrix: FqMatrix
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-
-
-def mesh_data(G: PatternGroup, phi, eta) -> MeshData:
-    F = G.field
-    d = len(G.J)
-    rows = [[0] * d for _ in range(d)]
-    a = [0] * d
-    b = [0] * d
-    for ab, bc, cd, ad in G.J.chain4_idx:
-        v = phi[bc]
-        e = eta[ad]
-        if v and e:
-            rows[ab][cd] = F.mul(v, e)
-    for ab, bc, ac in G.J.chain3_idx:
-        e = eta[ac]
-        if not e:
-            continue
-        v = phi[bc]
-        if v:
-            a[ab] = F.add(a[ab], F.mul(v, e))
-        v = phi[ab]
-        if v:
-            b[bc] = F.add(b[bc], F.mul(v, e))
-    return MeshData(FqMatrix.from_rows(F, rows, d), tuple(a), tuple(b))
-
-
-def meshes(G: PatternGroup, phi, eta) -> tuple[bool, tuple[int, ...] | None]:
-    """Whether phi meshes with eta; the deterministic witness b0 when it does."""
-    md = mesh_data(G, phi, eta)
-    F = G.field
-    b0 = solve(md.matrix, tuple(F.neg(x) for x in md.a))
-    if b0 is None or not perp_to_nullspace(md.matrix, md.b):
-        return False, None
-    return True, b0
 
 
 def value(G: PatternGroup, eta, phi) -> CharValue:
@@ -105,18 +52,15 @@ def degree(G: PatternGroup, eta) -> int:
 class CharacterEvaluator:
     """chi^eta as a reusable evaluator over many superclass representatives.
 
-    ``source`` is a :class:`PatternGroup` or a
-    :class:`~superchar.algebra.StructureAlgebra`; either supplies the corank
-    of eta and the sparse (target, phi-slot, coefficient) terms of its mesh
-    data, and nothing below depends on which one it is.  A single value costs
-    O(terms) plus a small solve when the mesh matrix is nonzero.
+    ``source`` is any :class:`~superchar.core.StructureAlgebra` (a
+    :class:`PatternGroup` is one); it supplies the corank of eta and the
+    sparse (target, phi-slot, coefficient) terms of its mesh data.  A single
+    value costs O(terms) plus a small solve when the mesh matrix is nonzero.
     """
 
     def __init__(self, source, eta):
         self.field = source.field
         self.eta = eta = tuple(eta)
-        if len(eta) != source.dim:
-            raise SpecMismatch("functional length does not match the group")
         self.corank = source.corank(eta)
         self._a_terms, self._b_terms, self._m_terms = source.mesh_terms(eta)
         # Fixed submatrix frame for the nonzero-mesh-matrix branch: every
@@ -322,8 +266,8 @@ def value_no4chain(G: PatternGroup, eta, phi) -> CharValue:
     if G.J.has_4chain:
         raise ShapeMismatch("poset has a 4-chain")
     F = G.field
-    md = mesh_data(G, phi, eta)
-    if any(md.a) or any(md.b):
+    _, a, b = G.mesh_data(phi, eta)
+    if any(a) or any(b):
         return CharValue.zero()
     middles = sorted({b for _, b, _ in G.J.chains3})
     exponent = 0
@@ -352,18 +296,9 @@ def ann_spaces(G: PatternGroup, eta):
 
 
 def is_irreducible(G: PatternGroup, eta, corank: int | None = None) -> bool:
-    """True iff ann_R(eta) + ann_L(eta) fills the whole functional space.
-
-    Both annihilators have dimension d - corank, and their intersection is
-    the nullspace of the two dual action matrices stacked, so the sum is
-    everything iff that stack has rank 2 * corank.  ``corank`` saves its
-    recomputation when the caller already has it.
-    """
-    if corank is None:
-        corank = G.corank(eta)
-    right = G.dual_right_action_matrix(eta)
-    left = G.dual_left_action_matrix(eta)
-    return rank(FqMatrix.from_rows(G.field, right.rows + left.rows, len(G.J))) == 2 * corank
+    """True iff ann_R(eta) + ann_L(eta) fills the whole functional space
+    (see :meth:`superchar.core.StructureAlgebra.is_irreducible`)."""
+    return G.is_irreducible(eta, corank)
 
 
 def superclass_is_class_sufficient(G: PatternGroup, phi) -> bool:

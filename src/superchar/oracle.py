@@ -3,8 +3,9 @@
 Everything here is computed from first principles so that agreement with the
 closed-form machinery is meaningful: generator actions are derived by dense
 matrix products (pattern groups) or raw coordinate products (structure
-constants), never from the chain-indexed update rules in :mod:`.core`; the
-only shared code is the generic set-closure plumbing.
+constants), never from the orbit moves or action matrices in :mod:`.core`;
+the only shared code is the generic set-closure plumbing.  A pattern group is
+a StructureAlgebra too, so the dense backend is chosen first.
 
 The supercharacter of eta is the scaled orbit sum
 

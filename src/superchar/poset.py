@@ -26,7 +26,7 @@ def order_key(pair: Pair) -> tuple[int, int]:
 
 
 class ClosedSet:
-    """A validated closed set with eagerly built chain and update caches."""
+    """A validated closed set with eagerly built chain caches."""
 
     __slots__ = (
         "n",
@@ -36,11 +36,6 @@ class ClosedSet:
         "chains3",
         "chains4",
         "chain3_idx",
-        "chain4_idx",
-        "right_updates",
-        "left_updates",
-        "co_left_updates",
-        "co_right_updates",
     )
 
     def __init__(self, n: int, pairs):
@@ -81,28 +76,6 @@ class ClosedSet:
         self.chain3_idx = tuple(
             (idx[(a, b)], idx[(b, c)], idx[(a, c)]) for a, b, c in chains3
         )
-        self.chain4_idx = tuple(
-            (idx[(a, b)], idx[(b, c)], idx[(c, d)], idx[(a, d)]) for a, b, c, d in chains4
-        )
-
-        # Per-root single-generator update lists: applying the one-parameter
-        # element at root beta with parameter t adds t * coeff * value[src] to
-        # value[tgt] for each (tgt, src, coeff) listed under beta.
-        d = len(self.order)
-        right = [[] for _ in range(d)]
-        left = [[] for _ in range(d)]
-        co_left = [[] for _ in range(d)]
-        co_right = [[] for _ in range(d)]
-        for a, b, c in chains3:
-            ab, bc, ac = idx[(a, b)], idx[(b, c)], idx[(a, c)]
-            right[bc].append((ac, ab, 1))  # X_phi * x_(b,c)(t)
-            left[ab].append((ac, bc, 1))  # x_(a,b)(t) * X_phi
-            co_left[ab].append((bc, ac, 1))  # x_(a,b)(-t) acting on lambda from the left
-            co_right[bc].append((ab, ac, 1))  # lambda acted by x_(b,c)(-t) from the right
-        self.right_updates = tuple(tuple(u) for u in right)
-        self.left_updates = tuple(tuple(u) for u in left)
-        self.co_left_updates = tuple(tuple(u) for u in co_left)
-        self.co_right_updates = tuple(tuple(u) for u in co_right)
 
     # -- basic protocol ------------------------------------------------------
 

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StructureAlgebra
-from .core import PatternGroup
+from .core import PatternGroup, StructureAlgebra
 from .errors import InternalInvariantViolation
-from .formula import CharacterEvaluator, is_irreducible
+from .formula import CharacterEvaluator
 from .gf import CharValue, Fq
 from .poset import format_field_literal
 
@@ -205,7 +204,7 @@ def _algebra_rep_obj(alg: StructureAlgebra, f) -> dict:
     return {"coords": [format_field_literal(alg.field, v) for v in f]}
 
 
-def _build_table(kind: str, source, meta: dict, cap, rep_obj, irreducible) -> SuperTable:
+def _build_table(kind: str, source, meta: dict, cap, rep_obj) -> SuperTable:
     """Partition ``source``, then fill each character's row of the value
     arrays with one ``value_block`` call over the digits of every class
     representative."""
@@ -227,7 +226,7 @@ def _build_table(kind: str, source, meta: dict, cap, rep_obj, irreducible) -> Su
                 "rep": rep_obj(o.rep),
                 "corank": ev.corank,
                 "degree": q**ev.corank,
-                "irreducible": irreducible(o.rep, ev.corank),
+                "irreducible": source.is_irreducible(o.rep, ev.corank),
             }
         )
     return SuperTable(
@@ -250,14 +249,7 @@ def _field_meta(F: Fq) -> dict:
 
 def build_pattern_table(G: PatternGroup, cap: int | None = None) -> SuperTable:
     meta = {"n": G.J.n, **_field_meta(G.field), "J": [[i, j] for i, j in G.J.order]}
-    return _build_table(
-        "pattern",
-        G,
-        meta,
-        cap,
-        lambda f: _pattern_rep_obj(G, f),
-        lambda eta, corank: is_irreducible(G, eta, corank),
-    )
+    return _build_table("pattern", G, meta, cap, lambda f: _pattern_rep_obj(G, f))
 
 
 def build_algebra_table(alg: StructureAlgebra, cap: int | None = None) -> SuperTable:
@@ -267,6 +259,4 @@ def build_algebra_table(alg: StructureAlgebra, cap: int | None = None) -> SuperT
         for k, v in sorted(alg.constants[(i, j)].items())
     ]
     meta = {"d": alg.d, **_field_meta(alg.field), "constants": constants}
-    return _build_table(
-        "algebra", alg, meta, cap, lambda f: _algebra_rep_obj(alg, f), alg.is_irreducible
-    )
+    return _build_table("algebra", alg, meta, cap, lambda f: _algebra_rep_obj(alg, f))

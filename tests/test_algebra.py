@@ -14,13 +14,10 @@ from superchar.algebra import (
     emit_algebra_spec,
     parse_algebra_spec,
     pattern_envelope,
-    pattern_to_algebra,
     validate_algebra,
 )
 from superchar.catalog import (
-    annihilator_example_poset,
     full_triangular,
-    heisenberg,
     semidirect_algebra,
     sixteen_group,
     sixteen_group_basis,
@@ -28,7 +25,7 @@ from superchar.catalog import (
     SIXTEEN_CLASS_SIZES,
 )
 from superchar.core import PatternGroup, _bfs
-from superchar.errors import NotAssociative, NotNilpotent, ParseError
+from superchar.errors import NotAssociative, NotNilpotent, ParseError, SpecMismatch
 from superchar.formula import CharacterEvaluator
 from superchar.gf import CharValue, Fq, FqMatrix, nullspace_basis, rank
 from superchar.poset import validate_closed
@@ -51,6 +48,13 @@ def test_non_associative_rejected():
     # (v1 v1) v1 = v2 v1 = v3 but v1 (v1 v1) = v1 v2 = 0
     with pytest.raises(NotAssociative):
         validate_algebra(3, F2, {(0, 0): {1: 1}, (1, 0): {2: 1}})
+
+
+def test_non_associative_rejected_where_only_the_right_pair_has_constants():
+    # v1 v2 = 0, so (v1 v2) v2 = 0, but v1 (v2 v2) = v1 v3 = v4
+    with pytest.raises(NotAssociative) as exc:
+        validate_algebra(4, F2, {(1, 1): {2: 1}, (0, 2): {3: 1}})
+    assert exc.value.indices == (0, 1, 1, 3)
 
 
 def test_sixteen_group_constants_derived_from_matrices():
@@ -145,26 +149,13 @@ def test_pattern_envelope_examples():
     assert pattern_envelope(4, basis_full, F2) == U
 
 
-def test_pattern_to_algebra_constants():
+def test_pattern_group_constants():
     J = validate_closed(3, {(1, 3)})
-    assert pattern_to_algebra(J, F2).constants == {}
+    assert PatternGroup(J, F2).constants == {}
     U3 = full_triangular(3)
-    alg = pattern_to_algebra(U3, F2)
+    alg = PatternGroup(U3, F2)
     i12, i23, i13 = U3.index[(1, 2)], U3.index[(2, 3)], U3.index[(1, 3)]
     assert alg.constants == {(i12, i23): {i13: 1}}
-
-
-def test_pattern_to_algebra_reproduces_pattern_values():
-    for J, q in ((heisenberg(3), 3), (full_triangular(3), 2), (annihilator_example_poset(), 2)):
-        F = Fq.of(q)
-        G = PatternGroup(J, F)
-        alg = pattern_to_algebra(J, F)
-        for ch in G.all_coorbit_reps():
-            ev = CharacterEvaluator(G, ch.rep)
-            ac = alg.corank(ch.rep)
-            assert ac == ev.corank
-            for cl in G.all_orbit_reps():
-                assert alg.value(ch.rep, cl.rep, corank=ac) == ev.value(cl.rep)
 
 
 @lru_cache(maxsize=None)
@@ -197,8 +188,35 @@ def test_algebra_corank_is_the_rank_of_a_eta(n, q):
         assert q ** alg.corank(o.rep) == len(_bfs(alg.field, o.rep, moves))
 
 
+# every public engine method that takes functionals, with its number of them
+_ENGINE_ARITY = {
+    "product": 2, "multiply": 2, "inverse": 1,
+    "act_left": 2, "act_right": 2, "act_two_sided": 3, "coact": 3,
+    "left_action_matrix": 1, "right_action_matrix": 1,
+    "dual_left_action_matrix": 1, "dual_right_action_matrix": 1,
+    "mesh_data": 2, "meshes": 2, "mesh_terms": 1, "corank": 1, "value": 2, "is_irreducible": 1,
+    "orbit": 1, "orbit_left": 1, "orbit_right": 1,
+    "coorbit": 1, "coorbit_left": 1, "coorbit_right": 1,
+    "one_sided_orbit_sizes": 1, "one_sided_coorbit_size": 1,
+}
+
+
+def test_mismatched_length_raises_on_an_algebra():
+    alg = _semidirect(4, 2)
+    assert alg.d == 5
+    for name, arity in _ENGINE_ARITY.items():
+        for length in (4, 6):
+            for k in range(arity):
+                args = [alg.zero()] * arity
+                args[k] = (1,) * length
+                with pytest.raises(SpecMismatch):
+                    getattr(alg, name)(*args)
+    with pytest.raises(SpecMismatch):
+        CharacterEvaluator(alg, (1,) * 6)
+
+
 def test_zero_dimensional_algebra():
-    alg = StructureAlgebra(0, F2, {})  # pattern_to_algebra of an empty closed set
+    alg = StructureAlgebra(0, F2, {})  # the algebra of an empty closed set
     assert alg.order() == 1 and alg.corank(()) == 0
     assert CharacterEvaluator(alg, ()).value(()) == CharValue.of(0, 0, 2)
 

@@ -302,8 +302,8 @@ def test_partition_classes_are_single_orbit_closures(q):
     # U_4 up to q = 4 (4096 functionals), U_3 beyond
     G = PatternGroup(full_triangular(4 if q <= 4 else 3), Fq.of(q))
     for part, moves in (
-        (G.orbit_partition(), G._left_moves + G._right_moves),
-        (G.coorbit_partition(), G._co_left_moves + G._co_right_moves),
+        (G.orbit_partition(), G._move_set("left") + G._move_set("right")),
+        (G.coorbit_partition(), G._move_set("co_left") + G._move_set("co_right")),
     ):
         covered = 0
         for k, (rep, size) in enumerate(zip(part.reps, part.sizes)):

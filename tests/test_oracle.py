@@ -1,7 +1,12 @@
 """Brute-force superclasses, orbit sums, inner products, and axiom checks."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_poset import _random_closed
 
 from superchar.catalog import (
     class_counterexample_poset,
@@ -16,7 +21,7 @@ from superchar.core import PatternGroup
 from superchar.errors import SizeCapExceeded
 from superchar.formula import CharacterEvaluator
 from superchar.gf import CycInt, Fq, theta
-from superchar.oracle import Oracle, full_check
+from superchar.oracle import AlgebraBackend, Oracle, PatternBackend, full_check
 from superchar.poset import functional, validate_closed
 
 F2 = Fq.of(2)
@@ -28,6 +33,23 @@ def test_trivial_supercharacter_is_constant_one():
     o = Oracle(G)
     values = o.supercharacter(G.zero())
     assert all(v == CycInt.integer(2, 1) for v in values.values())
+
+
+def test_pattern_groups_get_the_dense_backend():
+    # a PatternGroup is a StructureAlgebra too; the oracle must still use the
+    # dense matrix realization, not the structure constants it checks
+    G = PatternGroup(full_triangular(3), F2)
+    assert isinstance(Oracle(G).backend, PatternBackend)
+    assert isinstance(Oracle(sixteen_group()).backend, AlgebraBackend)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from((2, 3, 4)))
+def test_full_check_on_random_closed_sets(seed, n, q):
+    J = _random_closed(random.Random(seed), n)
+    assume(q ** len(J) <= 1 << 10)
+    report = full_check(PatternGroup(J, Fq.of(q)))
+    assert report.ok, list(report.lines())
 
 
 def test_oracle_matches_formula_heisenberg3_q3():

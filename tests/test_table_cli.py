@@ -190,6 +190,16 @@ def test_cmd_value_and_irreducible(capsys):
     assert "q^2*z^1" in out  # chi_z(z) = -4
 
 
+def test_cmd_value_bad_algebra_coordinate_is_a_parse_error(capsys):
+    for argv in (
+        ("value", str(DATA / "group16.txt"), "--eta", "x=1", "--phi", "0"),
+        ("irreducible", str(DATA / "group16.txt"), "--eta", "1=1;y=1"),
+    ):
+        code, _, err = _run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and "bad functional item" in err
+
+
 def test_cmd_orbits(capsys):
     code, out, _ = _run(capsys, "orbits", str(DATA / "orbit_shape_q2.txt"))
     assert code == 0
