@@ -26,13 +26,13 @@ nullspace of M), zero otherwise.  As sparse terms in phi, which
     M[i][j] = sum_s phi_s sum_m c_is^m A[m][j]
 
 A pattern group U_J is the algebra group of its closed set J, with
-c_{(i,j),(j,k)}^{(i,k)} = 1 for each 3-chain of the poset; packed tuples
-follow the closed set's canonical order (see :mod:`.poset`).
+c_{(i,j),(j,k)}^{(i,k)} = 1 for each 3-chain; packed tuples follow J's
+canonical order (:mod:`.poset`).  Every class is represented by its least
+member, for U_n its monomial (see :class:`PatternGroup`).
 
-Orbits are closures under the one-parameter generators 1 + t X_i, with t
-running over an additive basis of F_q.  Full-space orbit partitions use one
-vectorized sweep for every F_q, since visiting q**d functionals one tuple
-at a time is the only hot spot at desk scale.
+Orbits are closures under the generators 1 + t X_i, t in an additive basis
+of F_q.  Full-space orbit partitions use one vectorized sweep for every F_q:
+visiting q**d functionals one tuple at a time is the desk-scale hot spot.
 """
 
 from __future__ import annotations
@@ -582,17 +582,13 @@ class StructureAlgebra:
         )
 
     def all_orbit_reps(self, cap: int | None = None) -> list[Orbit]:
-        """Canonical superclass representatives with sizes, ascending."""
+        """Canonical superclass representatives (least members) with sizes, ascending."""
         part = self.orbit_partition(cap)
-        return [Orbit(rep, size) for rep, size in zip(self._adjust_reps(part), part.sizes)]
+        return [Orbit(rep, size) for rep, size in zip(part.reps, part.sizes)]
 
     def all_coorbit_reps(self, cap: int | None = None) -> list[Orbit]:
         part = self.coorbit_partition(cap)
-        return [Orbit(rep, size) for rep, size in zip(self._adjust_reps(part), part.sizes)]
-
-    def _adjust_reps(self, part: OrbitPartition):
-        """The representative of each class: its least member."""
-        return part.reps
+        return [Orbit(rep, size) for rep, size in zip(part.reps, part.sizes)]
 
 
 def _combine(F: Fq, coeffs: dict, vec_of) -> dict:
@@ -626,7 +622,39 @@ def _reduce_against(field: Fq, vec, echelon):
 class PatternGroup(StructureAlgebra):
     """The pattern group U_J over F_q: the algebra group of the closed set J,
     on the basis indexed by J in canonical order, with the constant
-    c_{(i,j),(j,k)}^{(i,k)} = 1 for every 3-chain (i, j, k)."""
+    c_{(i,j),(j,k)}^{(i,k)} = 1 for every 3-chain (i, j, k).
+
+    For U_n each superclass and each co-orbit holds exactly one monomial M,
+    at most one nonzero per row and column (Andre; Diaconis-Isaacs,
+    Supercharacters and superclasses for algebra groups), and M is the class
+    representative, its least member.  The bottom row is most significant in
+    the canonical order, and within a row the right end; 0 is the least code.
+    So M < Y for Y != M in the class once M_ij = 0 at their most significant
+    difference (i, j).  Suppose M_ij != 0: row i and column j of M hold only
+    (i, j), and row i of Y is zero right of j, as that of M is.
+
+    Superclasses.  Multiplying by 1 + t E_ab (a < b) adds t * row b to row a
+    or t * column a to column b.  Reduce Y from the bottom row up: take the
+    leftmost nonzero (r, s) of row r, clear the rest of row r by column
+    moves, then column s above r by row moves.  Column s is zero below r (a
+    pivot there would have cleared (r, s)), so finished rows stay, and the
+    result is a monomial of the class: M.  Rows of Y below i are those of
+    M, so they need row moves only, which change row i only in the columns
+    of lower pivots of M, not in column j.  So at its turn row i holds Y_ij
+    and is zero right of j: its pivot is (i, j) with value Y_ij if Y_ij is
+    its leftmost nonzero, and not at (i, j) otherwise; both contradict M.
+
+    Co-orbits.  The dual moves add t * row a to row b (a < b) on the columns
+    right of b, and t * column b to column a on the rows above a.  Reduce Y
+    from the right column leftwards: take the topmost nonzero (r, s) of
+    column s, clear column s below it by row moves, then row r left of s by
+    column moves.  Row r is zero in finished columns (a pivot there would
+    have cleared (r, s)), so they stay, and the result is M.  Row moves
+    change row i only if (i, s) != 0 for the column s being reduced, and
+    column moves only the pivot's row, so row i, zero right of j, stays
+    until column j.  There the pivot is (i, j) with value Y_ij if Y_ij is
+    the topmost nonzero, and not at (i, j) otherwise; both contradict M.
+    """
 
     __slots__ = ("J",)
 
@@ -636,27 +664,3 @@ class PatternGroup(StructureAlgebra):
             constants[(ab, bc)] = {ac: 1}
         super().__init__(len(J), field, constants)
         self.J = J
-
-    def _adjust_reps(self, part: OrbitPartition):
-        """For the full triangular set, replace each representative by the least
-        monomial member of its class (one exists for every U_n orbit)."""
-        if not self.J.is_full_triangular():
-            return part.reps
-        return [self.monomial_rep(part, k) for k in range(len(part))]
-
-    def monomial_rep(self, part: OrbitPartition, k: int) -> tuple[int, ...]:
-        digits = part.elements_digits(k)
-        n = self.J.n
-        row_inc = np.zeros((len(self.J), n + 1), dtype=np.int64)
-        col_inc = np.zeros((len(self.J), n + 1), dtype=np.int64)
-        for idx, (i, j) in enumerate(self.J.order):
-            row_inc[idx, i] = 1
-            col_inc[idx, j] = 1
-        nz = (digits != 0).astype(np.int64)
-        ok = ((nz @ row_inc) <= 1).all(axis=1) & ((nz @ col_inc) <= 1).all(axis=1)
-        if not ok.any():
-            raise InternalInvariantViolation("orbit has no monomial representative")
-        powers = self.field.q ** np.arange(len(self.J) - 1, -1, -1, dtype=np.int64)
-        codes = digits[ok] @ powers
-        best = digits[ok][int(np.argmin(codes))]
-        return tuple(int(v) for v in best)

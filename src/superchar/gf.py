@@ -99,17 +99,6 @@ def _poly_mod(a, m, p):
     return _poly_trim(a)
 
 
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
 def _irreducible(modulus, p) -> bool:
     """No roots and no monic factor of degree <= deg/2, by trial division."""
     r = len(modulus) - 1
@@ -203,9 +192,6 @@ class Fq:
 
     def elements(self) -> range:
         return range(self.q)
-
-    def units(self) -> range:
-        return range(1, self.q)
 
     def additive_generators(self) -> tuple[int, ...]:
         """A basis of F_q over F_p: 1, X, ..., X**(r-1)."""

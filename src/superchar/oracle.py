@@ -1,11 +1,12 @@
 """Definitional brute force on fully enumerated groups.
 
 Everything here is computed from first principles so that agreement with the
-closed-form machinery is meaningful: generator actions are derived by dense
-matrix products (pattern groups) or raw coordinate products (structure
-constants), never from the orbit moves or action matrices in :mod:`.core`;
-the only shared code is the generic set-closure plumbing.  A pattern group is
-a StructureAlgebra too, so the dense backend is chosen first.
+closed-form machinery is meaningful: one backend derives every generator
+action from a product alone, never from the orbit moves or action matrices in
+:mod:`.core`.  Pattern groups give it dense n x n matrix products, read off
+the closed set and not its structure constants; other algebra groups give it
+their coordinate product.  The only shared code is the generic set-closure
+plumbing.
 
 The supercharacter of eta is the scaled orbit sum
 
@@ -28,164 +29,91 @@ from .errors import (
 )
 from .gf import CycInt, Fq
 from .core import OrbitPartition, PatternGroup, _bfs, _codes_to_digits, orbit_partition_from_moves
-from .algebra import StructureAlgebra
 from .formula import CharacterEvaluator
 
 DEFAULT_ORACLE_CAP = 1 << 12
 
 
 # ---------------------------------------------------------------------------
-# backends: definitional generator actions
+# the backend: definitional generator actions
 
 
-class PatternBackend:
-    """Dense matrix realization of a pattern group's actions."""
+class Backend:
+    """The generator actions of the group 1 + A from the product of A alone.
 
-    def __init__(self, G: PatternGroup):
-        self.field = G.field
-        self.dim = len(G.J)
-        self.J = G.J
-        n = G.J.n
-        F = G.field
-        order = G.J.order
-        index = G.J.index
+    Per generator 1 + X_g, X_g = t e_g with t in an additive basis of F_q,
+    each kind lists the updates (tgt, src, coeff) of X -> (1 + X_g) X, of
+    X -> X (1 + X_g), of conjugation, or, on the dual space, the transposed
+    updates of the multiplications by (1 + X_g)**-1."""
 
-        def dense(pairs):  # strictly upper triangular matrix from {(i,j): v}
-            M = [[0] * n for _ in range(n)]
-            for (i, j), v in pairs.items():
-                M[i - 1][j - 1] = v
-            return M
+    def __init__(self, field: Fq, dim: int, product):
+        self.field = field
+        self.dim = dim
+        F = field
 
-        def mat_mul(A, B):
-            return [
-                [
-                    _dot_dense(F, A[i], [B[k][j] for k in range(n)])
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
+        def plus(u, v):
+            return tuple(F.add(a, b) for a, b in zip(u, v))
 
-        def coords(M):
-            out = [0] * self.dim
-            for k, (i, j) in enumerate(order):
-                out[k] = M[i - 1][j - 1]
-            for i in range(n):
-                for j in range(n):
-                    if M[i][j] and (i + 1, j + 1) not in index:
-                        raise InternalInvariantViolation(
-                            f"dense action left the closed set at ({i + 1}, {j + 1})"
-                        )
+        def inverse(x):  # (1 + X)**-1 - 1 = -X + X**2 - ..., finite by nilpotency
+            neg = tuple(F.neg(v) for v in x)
+            out, term = (0,) * dim, neg
+            while any(term):
+                out, term = plus(out, term), product(term, neg)
             return out
 
-        def delta_updates(f, transpose=False):
-            """Linear map on coordinates from a dense map on basis matrices."""
+        def updates(delta, transpose=False):
+            """The map e -> e + delta(e), or its transpose, as updates."""
             ups = []
-            for src, (i, j) in enumerate(order):
-                e = dense({(i, j): 1})
-                d = coords(f(e))
-                d[src] = F.sub(d[src], 1)
-                for tgt, c in enumerate(d):
-                    if c:
-                        if transpose:
-                            ups.append((src, tgt, c))
-                        else:
-                            ups.append((tgt, src, c))
-            return tuple(ups)
-
-        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-        mult_left, mult_right, dual_left, dual_right, conj = [], [], [], [], []
-        for alpha in order:
-            for t in F.additive_generators():
-                g = [row[:] for row in ident]
-                g[alpha[0] - 1][alpha[1] - 1] = t
-                g_inv = [row[:] for row in ident]
-                g_inv[alpha[0] - 1][alpha[1] - 1] = F.neg(t)
-                mult_left.append((1, delta_updates(lambda e: mat_mul(g, e))))
-                mult_right.append((1, delta_updates(lambda e: mat_mul(e, g))))
-                # (g lambda)(X) = lambda(g^-1 X): transpose of multiplication by g^-1
-                dual_left.append((1, delta_updates(lambda e: mat_mul(g_inv, e), transpose=True)))
-                dual_right.append((1, delta_updates(lambda e: mat_mul(e, g_inv), transpose=True)))
-                conj.append((1, delta_updates(lambda e: mat_mul(g, mat_mul(e, g_inv)))))
-        self.mult_left = tuple(m for m in mult_left if m[1])
-        self.mult_right = tuple(m for m in mult_right if m[1])
-        self.dual_left = tuple(m for m in dual_left if m[1])
-        self.dual_right = tuple(m for m in dual_right if m[1])
-        self.conj = tuple(m for m in conj if m[1])
-
-
-def _dot_dense(F: Fq, row, col) -> int:
-    acc = 0
-    for a, b in zip(row, col):
-        if a and b:
-            acc = F.add(acc, F.mul(a, b))
-    return acc
-
-
-class AlgebraBackend:
-    """Coordinate-product realization of a structure-constant group's actions."""
-
-    def __init__(self, alg: StructureAlgebra):
-        self.field = alg.field
-        self.dim = alg.d
-        self.alg = alg
-        F = alg.field
-        d = alg.d
-
-        def basis(i):
-            return tuple(1 if k == i else 0 for k in range(d))
-
-        def delta_updates(f, transpose=False):
-            ups = []
-            for src in range(d):
-                out = list(f(basis(src)))
-                out[src] = F.sub(out[src], 1)
-                for tgt, c in enumerate(out):
+            for src in range(dim):
+                e = tuple(1 if k == src else 0 for k in range(dim))
+                for tgt, c in enumerate(delta(e)):
                     if c:
                         ups.append((src, tgt, c) if transpose else (tgt, src, c))
             return tuple(ups)
 
-        mult_left, mult_right, dual_left, dual_right, conj = [], [], [], [], []
-        for gidx in range(d):
+        moves = ([], [], [], [], [])
+        for gidx in range(dim):
             for t in F.additive_generators():
-                g = tuple(t if k == gidx else 0 for k in range(d))
-                g_inv = alg.inverse(g)
+                g = tuple(t if k == gidx else 0 for k in range(dim))
+                g_inv = inverse(g)
 
-                def lmul(e, g=g):
-                    return _affine_image(alg, g, e, side="left")
+                def conj(e):  # (1 + X_g) e (1 + X_g)**-1 - e
+                    ge = product(g, e)
+                    return plus(ge, product(plus(e, ge), g_inv))
 
-                def rmul(e, g=g):
-                    return _affine_image(alg, g, e, side="right")
-
-                def lmul_inv(e, g_inv=g_inv):
-                    return _affine_image(alg, g_inv, e, side="left")
-
-                def rmul_inv(e, g_inv=g_inv):
-                    return _affine_image(alg, g_inv, e, side="right")
-
-                def sandwich(e, g=g, g_inv=g_inv):
-                    return _affine_image(alg, g_inv, _affine_image(alg, g, e, side="left"), side="right")
-
-                mult_left.append((1, delta_updates(lmul)))
-                mult_right.append((1, delta_updates(rmul)))
-                dual_left.append((1, delta_updates(lmul_inv, transpose=True)))
-                dual_right.append((1, delta_updates(rmul_inv, transpose=True)))
-                conj.append((1, delta_updates(sandwich)))
-        self.mult_left = tuple(m for m in mult_left if m[1])
-        self.mult_right = tuple(m for m in mult_right if m[1])
-        self.dual_left = tuple(m for m in dual_left if m[1])
-        self.dual_right = tuple(m for m in dual_right if m[1])
-        self.conj = tuple(m for m in conj if m[1])
+                per_kind = (
+                    updates(lambda e: product(g, e)),
+                    updates(lambda e: product(e, g)),
+                    updates(lambda e: product(g_inv, e), transpose=True),
+                    updates(lambda e: product(e, g_inv), transpose=True),
+                    updates(conj),
+                )
+                for out, ups in zip(moves, per_kind):
+                    if ups:
+                        out.append((1, ups))
+        self.mult_left, self.mult_right, self.dual_left, self.dual_right, self.conj = map(tuple, moves)
 
 
-def _affine_image(alg: StructureAlgebra, g, e, side: str):
-    """(1 + X_g) * X_e or X_e * (1 + X_g), as coordinates."""
-    F = alg.field
-    if side == "left":
-        prod = alg.product(g, e)
-    else:
-        prod = alg.product(e, g)
-    return tuple(F.add(a, b) for a, b in zip(e, prod))
+def _dense_product(G: PatternGroup):
+    """X_u * X_v for a pattern group, by multiplying dense n x n matrices
+    built from the closed set alone (never from its structure constants)."""
+    F, J, n = G.field, G.J, G.J.n
+
+    def dense(u):
+        M = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(J.order, u):
+            M[i - 1][j - 1] = v
+        return M
+
+    def product(u, v):
+        cols = list(zip(*dense(v)))
+        C = {(i, j): F.dot(row, col) for i, row in enumerate(dense(u), 1) for j, col in enumerate(cols, 1)}
+        outside = [pair for pair, c in C.items() if c and pair not in J.index]
+        if outside:
+            raise InternalInvariantViolation(f"dense action left the closed set at {outside[0]}")
+        return tuple(C[pair] for pair in J.order)
+
+    return product
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +124,8 @@ class Oracle:
     """Brute-force superclasses, co-orbits, conjugacy classes and orbit sums."""
 
     def __init__(self, source, cap: int | None = None):
-        if isinstance(source, PatternGroup):
-            self.backend = PatternBackend(source)
-        elif isinstance(source, StructureAlgebra):
-            self.backend = AlgebraBackend(source)
-        else:
-            self.backend = source
+        product = _dense_product(source) if isinstance(source, PatternGroup) else source.product
+        self.backend = Backend(source.field, source.dim, product)
         self.field: Fq = self.backend.field
         self.dim: int = self.backend.dim
         self.cap = DEFAULT_ORACLE_CAP if cap is None else cap

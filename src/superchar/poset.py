@@ -8,8 +8,8 @@ A closed set J on {1..n} is a set of pairs (i, j), i < j, with
 
 so for n = 4 the full set reads (3,4) < (2,4) < (2,3) < (1,4) < (1,3) < (1,2).
 Functionals J -> F_q are packed tuples of field codes in that order; the
-helpers at the bottom convert to and from sparse {(i, j): value} form and the
-``i,j=v;...`` literal syntax used on the command line.
+helpers at the bottom pack sparse {(i, j): value} maps and convert to and
+from the ``i,j=v;...`` literal syntax used on the command line.
 """
 
 from __future__ import annotations
@@ -164,10 +164,6 @@ def functional(J: ClosedSet, field: Fq, values: dict) -> tuple[int, ...]:
             raise PairOutOfRange(f"pair {pair} not in the closed set")
         out[J.index[pair]] = field.check(int(v))
     return tuple(out)
-
-
-def functional_to_dict(J: ClosedSet, f) -> dict[Pair, int]:
-    return {pair: v for pair, v in zip(J.order, f) if v}
 
 
 def support(J: ClosedSet, f) -> tuple[Pair, ...]:

@@ -283,10 +283,12 @@ def test_orbit_counts_and_sizes_partition_the_space():
 def test_monomial_representatives_on_full_triangular():
     from superchar.poset import is_monomial
 
-    for q in (2, 3):
-        G = PatternGroup(full_triangular(4), Fq.of(q))
-        for o in G.all_orbit_reps() + G.all_coorbit_reps():
-            assert is_monomial(G.J, o.rep)
+    # the least member of every U_n class is its monomial (PatternGroup docstring)
+    for n, qs in ((3, (16, 27)), (4, (2, 3, 5, 7, 8, 9)), (5, (2, 3, 4)), (6, (2,))):
+        for q in qs:
+            G = PatternGroup(full_triangular(n), Fq.of(q))
+            for o in G.all_orbit_reps() + G.all_coorbit_reps():
+                assert is_monomial(G.J, o.rep)
 
 
 def test_size_cap_enforced():

@@ -289,7 +289,9 @@ def test_value_no4chain_equals_generic_including_row_restriction():
                 pairs = rng.sample(pairs, 4000)
             by_eta = {}
             for ch, cl in pairs:
-                ev = by_eta.setdefault(id(ch), CharacterEvaluator(G, ch.rep))
+                if id(ch) not in by_eta:
+                    by_eta[id(ch)] = CharacterEvaluator(G, ch.rep)
+                ev = by_eta[id(ch)]
                 assert ev.value(cl.rep) == value_no4chain(G, ch.rep, cl.rep)
 
 

@@ -21,7 +21,7 @@ from superchar.core import PatternGroup
 from superchar.errors import SizeCapExceeded
 from superchar.formula import CharacterEvaluator
 from superchar.gf import CycInt, Fq, theta
-from superchar.oracle import AlgebraBackend, Oracle, PatternBackend, full_check
+from superchar.oracle import Oracle, full_check
 from superchar.poset import functional, validate_closed
 
 F2 = Fq.of(2)
@@ -36,11 +36,17 @@ def test_trivial_supercharacter_is_constant_one():
 
 
 def test_pattern_groups_get_the_dense_backend():
-    # a PatternGroup is a StructureAlgebra too; the oracle must still use the
-    # dense matrix realization, not the structure constants it checks
-    G = PatternGroup(full_triangular(3), F2)
-    assert isinstance(Oracle(G).backend, PatternBackend)
-    assert isinstance(Oracle(sixteen_group()).backend, AlgebraBackend)
+    # a PatternGroup is a StructureAlgebra too; the oracle must still build its
+    # actions from dense matrix products, not from the structure constants it checks
+    G = PatternGroup(full_triangular(4), F2)
+
+    def moves():
+        b = Oracle(G).backend
+        return (b.mult_left, b.mult_right, b.dual_left, b.dual_right, b.conj)
+
+    before = moves()
+    G.constants = {}
+    assert moves() == before
 
 
 @settings(max_examples=30, deadline=None)
