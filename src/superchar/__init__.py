@@ -35,6 +35,7 @@ from .formula import (
     is_irreducible,
     superclass_is_class_sufficient,
     value,
+    value_blocks,
     value_heisenberg,
     value_no4chain,
     value_un,

@@ -452,8 +452,11 @@ class StructureAlgebra:
     def mesh_terms(self, eta):
         """The sparse mesh data of eta: (target, phi-slot, coefficient) terms of
         a, b and M (targets of M are (row, col) pairs), read off A_eta."""
+        return self._mesh_terms_of(self._eta_matrix(eta))
+
+    def _mesh_terms_of(self, A):
+        """:meth:`mesh_terms` from A_eta."""
         F = self.field
-        A = self._eta_matrix(eta)
         a_terms, b_terms = [], []
         for i, row in enumerate(A):
             for s, v in enumerate(row):
@@ -475,7 +478,10 @@ class StructureAlgebra:
 
         ``cap`` is accepted for compatibility and ignored: nothing is enumerated.
         """
-        return rank(self.dual_right_action_matrix(eta))
+        return self._corank_of(self._eta_matrix(eta))
+
+    def _corank_of(self, A) -> int:
+        return rank(FqMatrix.from_rows(self.field, A, self.d))
 
     def value(self, eta, phi, corank: int | None = None) -> CharValue:
         """chi^eta at the superclass of x_phi."""
@@ -499,9 +505,12 @@ class StructureAlgebra:
         d - rank(A_eta), so their sum is everything iff [A_eta; A_eta^T] has
         rank 2 * rank(A_eta).  ``corank`` is rank(A_eta) when the caller has it.
         """
-        A = self._eta_matrix(eta)
+        return self._is_irreducible_of(self._eta_matrix(eta), corank)
+
+    def _is_irreducible_of(self, A, corank: int | None = None) -> bool:
+        """:meth:`is_irreducible` from A_eta."""
         if corank is None:
-            corank = rank(FqMatrix.from_rows(self.field, A, self.d))
+            corank = self._corank_of(A)
         stacked = A + [list(col) for col in zip(*A)]
         return rank(FqMatrix.from_rows(self.field, stacked, self.d)) == 2 * corank
 

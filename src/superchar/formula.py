@@ -17,14 +17,35 @@ with b0 the particular solution, and chi^eta(x_phi) = 0 otherwise.  (The
 orbit-sum definition fixes the sign of the exponent of theta here; the
 brute-force oracle pins it in the tests.)
 
-:class:`CharacterEvaluator` caches the eta-dependent parts, the corank and
-the sparse mesh terms of any algebra group, so table builders don't
-recompute them per entry, and evaluates a whole block of superclass columns
-at once over any F_q.  The closed-form specializations for pattern groups
-below are independent references the tests compare against.
+:class:`CharacterEvaluator` builds A_eta once and reads off it the corank,
+the sparse mesh terms of any algebra group and irreducibility.  Its
+:meth:`~CharacterEvaluator.value` is the per-cell reference.  The bulk path
+is :func:`value_blocks`, which evaluates many characters over a block of
+superclass representatives at once, over any F_q and with no field tables:
+
+* Multiplication by a fixed coefficient is F_p-linear on the r base-p
+  digits of an F_q element, and so is the trace.  So every entry of a, b
+  and M, for a chunk of characters padded to one frame, is a column of one
+  integer product over the digit matrix, reduced mod p.  Cells with M = 0
+  are decided from that product alone, and so is a cell with a nonzero
+  entry of a off M's row frame or of b off its column frame: it is zero.
+* The other ("hard") cells are solved together by one Gaussian elimination
+  over F_p.  Entry M_ij becomes the r x r block D(M_ij)^T, where D(c) is
+  the matrix of x -> c x on row digit vectors, and b becomes the
+  functional x -> trace(b . x).  null(M) is an F_q-subspace and the trace
+  form is nondegenerate, so b is perpendicular to null(M) iff that
+  functional vanishes on the F_p nullspace.  rank_Fq(M) = rank_Fp / r.
+* Any particular solution serves: once b is perpendicular to null(M),
+  b . b0 is the same for every solution b0 of M x = -a.  So the pivot order
+  of the elimination is free, and it takes b0 with its free digits 0.
+
+The closed-form specializations for pattern groups below are independent
+references the tests compare against.
 """
 
 from __future__ import annotations
+
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,25 +74,33 @@ class CharacterEvaluator:
     """chi^eta as a reusable evaluator over many superclass representatives.
 
     ``source`` is any :class:`~superchar.core.StructureAlgebra` (a
-    :class:`PatternGroup` is one); it supplies the corank of eta and the
-    sparse (target, phi-slot, coefficient) terms of its mesh data.  A single
-    value costs O(terms) plus a small solve when the mesh matrix is nonzero.
+    :class:`PatternGroup` is one).  A_eta is built once; the corank, the
+    sparse (target, phi-slot, coefficient) mesh terms and irreducibility are
+    all read off it.  :meth:`value` is the per-cell reference;
+    :meth:`value_block` and :func:`value_blocks` are the bulk paths.
     """
 
     def __init__(self, source, eta):
         self.field = source.field
-        self.eta = eta = tuple(eta)
-        self.corank = source.corank(eta)
-        self._a_terms, self._b_terms, self._m_terms = source.mesh_terms(eta)
+        self._source = source
+        self._A = A = source._eta_matrix(eta)
+        self.eta = tuple(eta)
+        self.corank = source._corank_of(A)
+        self._a_terms, self._b_terms, self._m_terms = source._mesh_terms_of(A)
         # Fixed submatrix frame for the nonzero-mesh-matrix branch: every
-        # possibly-nonzero entry of M lives at these row/column slots, so the
-        # small system below never changes shape for a given eta.
+        # possibly-nonzero entry of M lives at these row/column slots.
         self._m_rows = sorted({r for (r, _), _, _ in self._m_terms})
         self._m_cols = sorted({c for (_, c), _, _ in self._m_terms})
         self._row_pos = {r: k for k, r in enumerate(self._m_rows)}
         self._col_pos = {c: k for k, c in enumerate(self._m_cols)}
 
+    def is_irreducible(self) -> bool:
+        """Whether chi^eta is irreducible (read off the shared A_eta)."""
+        return self._source._is_irreducible_of(self._A, self.corank)
+
     def value(self, phi) -> CharValue:
+        """chi^eta(x_phi), one cell at a time: the reference the block paths
+        are tested against."""
         F = self.field
         phi = tuple(phi)
         if len(phi) != len(self.eta):
@@ -132,58 +161,219 @@ class CharacterEvaluator:
                 dot = F.add(dot, F.mul(R[k][ncols], b_active[pc]))
         return CharValue.of(self.corank - r, F.trace(dot) + theta_tr, F.p)
 
-    # -- block evaluation -------------------------------------------------
-
     def value_block(self, digits: np.ndarray):
-        """Values over a block of superclass representatives.
+        """(is_zero, q_exp, zeta_exp) arrays over a (count, dim) block of
+        packed superclass representatives: :func:`value_blocks` for this one
+        character."""
+        zero, q_exp, zeta_exp = value_blocks([self], digits)
+        return zero[0], q_exp[0], zeta_exp[0]
 
-        ``digits`` is a (count, dim) integer array of packed functionals.
-        Returns (is_zero, q_exp, zeta_exp) arrays.
+    @cached_property
+    def _plan(self):
+        """The mesh terms laid out for :func:`value_blocks`.
 
-        Multiplication by a fixed coefficient is F_p-linear on the r base-p
-        digits of an F_q element, and so is the trace.  So every entry of a,
-        b and M, and trace(phi . eta), is one column of a single integer
-        product over the digit matrix, reduced mod p.  The rows whose M
-        vanishes are decided from that product alone; the others go through
-        the small row reduction of :meth:`_value_hard`.
+        Returns the frame shape (rows, cols, off) and one (kind, i, j, phi-slot,
+        coefficient) row per term: kind 0 is an entry of a on frame row i,
+        1 an entry of b on frame column j, 2 the entry (i, j) of M, and 3 an
+        entry of a or b off the frame, in its own slot i.
         """
-        F = self.field
-        p, r = F.p, F.r
-        count, dim = len(digits), len(self.eta)
-        parts = (self._a_terms, self._b_terms, self._m_terms)
-        slots: dict = {}  # (part, target) -> its group of r columns; a, then b, then M
-        for part, terms in enumerate(parts):
-            for tgt, _, _ in terms:
-                slots.setdefault((part, tgt), len(slots))
-        col = len(slots) * r  # the trace column
-        weights = np.zeros((dim, r, col + 1), dtype=np.int64)
-        for part, terms in enumerate(parts):
-            for tgt, src, coeff in terms:
-                k = slots[part, tgt] * r
-                weights[src, :, k : k + r] += F.digit_matrix(coeff)
-        powers = [p**t for t in range(r)]
-        for s, e in enumerate(self.eta):
-            if e:
-                weights[s, :, col] = [F.trace(F.mul(e, x)) for x in powers]
-        weights = weights.reshape(dim * r, col + 1) % p
-        x = (np.asarray(digits, dtype=np.int64).reshape(count, dim, 1) // powers) % p
-        y = (x.reshape(count, dim * r) @ weights) % p
+        row_pos, col_pos = self._row_pos, self._col_pos
+        off: dict = {}
+        plan = []
+        for part, terms, pos in ((0, self._a_terms, row_pos), (1, self._b_terms, col_pos)):
+            for t, s, v in terms:
+                if t not in pos:
+                    plan.append((3, off.setdefault((part, t), len(off)), 0, s, v))
+                elif part == 0:
+                    plan.append((0, pos[t], 0, s, v))
+                else:
+                    plan.append((1, 0, pos[t], s, v))
+        for (r, c), s, v in self._m_terms:
+            plan.append((2, row_pos[r], col_pos[c], s, v))
+        shape = (len(self._m_rows), len(self._m_cols), len(off))
+        return shape, np.array(plan, dtype=np.int64).reshape(len(plan), 5)
 
-        m_start = r * sum(part < 2 for part, _ in slots)
-        hard = y[:, m_start:col].any(axis=1)
-        out_zero = ~hard & y[:, :m_start].any(axis=1)
-        meshed = ~hard & ~out_zero
-        out_q = np.where(meshed, self.corank, 0)
-        out_z = np.where(meshed, y[:, col], 0)
-        hard_idx = np.nonzero(hard)[0]
-        codes = y[hard_idx, :col].reshape(len(hard_idx), len(slots), r) @ powers
-        for k, row, tt in zip(hard_idx.tolist(), codes.tolist(), y[hard_idx, col].tolist()):
-            a, b, m = entries = ({}, {}, {})
-            for (part, tgt), v in zip(slots, row):
-                entries[part][tgt] = v
-            cv = self._value_hard(m, a, b, tt)
-            out_zero[k], out_q[k], out_z[k] = cv.is_zero, cv.q_exp, cv.zeta_exp
-        return out_zero, out_q, out_z
+
+_ROW_CELLS = 1 << 16  # cells per chunk of rows in value_chunks
+_CHUNK_ENTRIES = 1 << 15  # entries of the digit product per chunk of characters
+_BATCH_CELLS = 4096  # hard cells per batched elimination
+
+
+def value_chunks(source, etas, digits: np.ndarray):
+    """Yield (start, evaluators, values) for consecutive chunks of the
+    characters ``etas`` of ``source``, about ``_ROW_CELLS`` cells each:
+    the chunk's evaluators and its :func:`value_blocks` over ``digits``.
+    A chunk's evaluators live only until the next one is made, so memory
+    stays O(chunk x classes)."""
+    step = max(1, _ROW_CELLS // max(1, len(digits)))
+    for start in range(0, len(etas), step):
+        evaluators = [CharacterEvaluator(source, eta) for eta in etas[start : start + step]]
+        yield start, evaluators, value_blocks(evaluators, digits)
+
+
+def value_blocks(evaluators, digits: np.ndarray):
+    """Values of many characters of one group over a block of superclass
+    representatives (the bulk path of the module docstring).
+
+    ``digits`` is a (count, dim) integer array of packed functionals.
+    Returns (is_zero, q_exp, zeta_exp), each of shape (len(evaluators),
+    count), in the smallest dtypes that hold them (:func:`value_arrays`).
+    Characters are taken in chunks whose padded digit product has at most
+    ``_CHUNK_ENTRIES`` entries.
+    """
+    digits = np.asarray(digits, dtype=np.int64)
+    dims = {len(ev.eta) for ev in evaluators}
+    if digits.ndim != 2 or dims - {digits.shape[-1]}:
+        raise SpecMismatch(f"digit block of shape {digits.shape} for functionals of length {dims}")
+    count, dim = digits.shape
+    if not evaluators:
+        return value_arrays((0, count), dim, 2)
+    F = evaluators[0].field
+    p, r = F.p, F.r
+    x = (digits.reshape(count, dim, 1) // p ** np.arange(r) % p).reshape(count, dim * r)
+    out = value_arrays((len(evaluators), count), dim, p)
+    start = 0
+    while start < len(evaluators):
+        # the longest run of characters whose padded digit product fits
+        stop, frame = start + 1, evaluators[start]._plan[0]
+        while stop < len(evaluators):
+            wider = tuple(map(max, frame, evaluators[stop]._plan[0]))
+            if count * (stop + 1 - start) * _width(r, *wider) > _CHUNK_ENTRIES:
+                break
+            stop, frame = stop + 1, wider
+        for arr, block in zip(out, _chunk_values(F, evaluators[start:stop], x, *frame)):
+            arr[start:stop] = block
+        start = stop
+    return out
+
+
+def value_arrays(shape, dim: int, p: int):
+    """Zero mask, q-exponents and zeta-exponents of ``shape``, in the
+    smallest dtypes that hold q_exp <= dim and zeta_exp < p."""
+    return (
+        np.zeros(shape, dtype=bool),
+        np.zeros(shape, dtype=np.min_scalar_type(dim)),
+        np.zeros(shape, dtype=np.min_scalar_type(p - 1)),
+    )
+
+
+def _width(r: int, rows: int, cols: int, off: int) -> int:
+    """Columns of one character in the padded digit product: r digits for
+    each entry of a on the frame rows, of b on the frame columns, of M on
+    the frame, and of the off-frame entries of a and b; then the trace."""
+    return r * (rows + cols + rows * cols + off) + 1
+
+
+@lru_cache(maxsize=None)
+def _field_arrays(F: Fq):
+    """Three arrays of F_q over F_p: the trace form T_uv = trace(p**u * p**v),
+    so that trace(b * x) = digits(b) T digits(x)^T; the digit matrices
+    D(p**v) of the basis, stacked; and the inverses mod p, indexed by
+    residue (0 maps to 0)."""
+    p = F.p
+    powers = [p**t for t in range(F.r)]
+    trace_form = np.array([[F.trace(F.mul(u, v)) for v in powers] for u in powers], dtype=np.int64)
+    basis = np.array([F.digit_matrix(u) for u in powers], dtype=np.int64)
+    inverses = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    return trace_form, basis, inverses
+
+
+def _chunk_values(F: Fq, chunk, x: np.ndarray, rows: int, cols: int, off: int):
+    """(is_zero, q_exp, zeta_exp), each (len(chunk), count), for characters
+    whose frames all fit in rows x cols with at most ``off`` off-frame slots."""
+    p, r = F.p, F.r
+    k, count, dim = len(chunk), len(x), len(chunk[0].eta)
+    width = _width(r, rows, cols, off)
+    plans = [ev._plan[1] for ev in chunk]
+    kind, i, j, src, coeff = np.concatenate(plans).T
+    owner = np.repeat(np.arange(k), [len(plan) for plan in plans])
+    # the first digit column of each term's entry, in units of r
+    base = np.array([0, rows, rows + cols, rows + cols + rows * cols])
+    stride = np.array([1, 0, cols, 1])
+    unit = base[kind] + i * stride[kind] + j
+    uniq, which = np.unique(coeff, return_inverse=True)
+    blocks = np.array([F.digit_matrix(int(c)) for c in uniq], dtype=np.int64).reshape(len(uniq), r, r)
+    weights = np.zeros((dim, r, k, width), dtype=np.int64)
+    digit = np.arange(r)
+    np.add.at(
+        weights,
+        (src[:, None, None], digit[None, :, None], owner[:, None, None], r * unit[:, None, None] + digit),
+        blocks[which],
+    )
+    etas = np.array([ev.eta for ev in chunk], dtype=np.int64).reshape(k, dim, 1)
+    trace_form = _field_arrays(F)[0]
+    weights[:, :, :, -1] = (etas // p**digit % p @ trace_form % p).transpose(1, 2, 0)
+    weights %= p
+    y = x @ weights.reshape(dim * r, k * width)
+    y %= p
+    y = y.reshape(count, k, width)
+
+    m_start, m_stop = r * (rows + cols), r * (rows + cols + rows * cols)
+    hard = y[:, :, m_start:m_stop].any(axis=2)
+    off_frame = y[:, :, m_stop:-1].any(axis=2)
+    zero = off_frame | (~hard & y[:, :, :m_start].any(axis=2))
+    meshed = ~zero & ~hard
+    corank = np.array([ev.corank for ev in chunk])
+    q_exp = np.where(meshed, corank, 0)
+    zeta_exp = np.where(meshed, y[:, :, -1], 0)
+    cls, ch = np.nonzero(hard & ~off_frame)
+    for s in range(0, len(cls), _BATCH_CELLS):
+        c, e = cls[s : s + _BATCH_CELLS], ch[s : s + _BATCH_CELLS]
+        zero[c, e], q_exp[c, e], zeta_exp[c, e] = _solve_hard(F, y[c, e], rows, cols, corank[e])
+    return zero.T, q_exp.T, zeta_exp.T
+
+
+def _solve_hard(F: Fq, y: np.ndarray, rows: int, cols: int, corank: np.ndarray):
+    """Decide a batch of hard cells by one Gaussian elimination over F_p.
+
+    ``y`` holds each cell's row of the digit product (a, b and M on the
+    padded rows x cols frame, then the trace).  Each cell becomes the
+    augmented F_p system [A | digits(-a)] of M x = -a, where entry (i, j)
+    of M is the r x r block D(M_ij)^T (D(c) is the matrix of x -> c x on
+    row digit vectors), plus one extra row [f | 0] for the functional
+    f(x) = trace(b . x).  Pivots are taken only among the system rows, and
+    every column is cleared in every other row, the extra one included.
+    Then the system is inconsistent iff a non-pivot row keeps a nonzero
+    right-hand side; b is perpendicular to null(M) iff the extra row's
+    coefficients all vanish; and its last entry is -f(x0) for the
+    particular solution x0 with free digits 0.
+    """
+    p, r = F.p, F.r
+    h, n, m = len(y), rows * r, cols * r
+    a = y[:, :n]
+    b = y[:, n : n + m].reshape(h, cols, r)
+    mesh = y[:, n + m : n + m + rows * m].reshape(h, rows, cols, r)
+    trace_form, basis, inverses = _field_arrays(F)
+    # D(c) = sum_v digit_v(c) * D(p**v), since D is F_p-linear in c
+    system = np.zeros((h, n + 1, m + 1), dtype=np.int64)
+    system[:, :n, :m] = (np.einsum("hijv,vtu->hiujt", mesh, basis) % p).reshape(h, n, m)
+    system[:, :n, m] = -a % p
+    system[:, n, :m] = (b @ trace_form % p).reshape(h, m)
+    free = np.ones((h, n), dtype=bool)
+    rank = np.zeros(h, dtype=np.int64)
+    for c in range(m):
+        candidates = free & (system[:, :n, c] != 0)
+        cells = np.flatnonzero(candidates.any(axis=1))
+        if not len(cells):
+            continue
+        pivot = candidates[cells].argmax(axis=1)
+        sub = system[cells]
+        prow = sub[np.arange(len(cells)), pivot]
+        prow = prow * inverses[prow[:, c], None] % p
+        sub -= sub[:, :, c, None] * prow[:, None, :]
+        sub %= p
+        sub[np.arange(len(cells)), pivot] = prow
+        system[cells] = sub
+        free[cells, pivot] = False
+        rank[cells] += 1
+    consistent = ~(free & (system[:, :n, m] != 0)).any(axis=1)
+    meshed = consistent & ~system[:, n, :m].any(axis=1)
+    rank //= r  # rank over F_q
+    if (meshed & (corank < rank)).any():
+        raise InternalInvariantViolation("rank of the mesh matrix exceeds the corank")
+    q_exp = np.where(meshed, corank - rank, 0)
+    zeta_exp = np.where(meshed, (y[:, -1] - system[:, n, m]) % p, 0)
+    return ~meshed, q_exp, zeta_exp
 
 
 def _accumulate(F: Fq, terms, phi) -> dict:

@@ -22,22 +22,12 @@ import numpy as np
 
 from .core import PatternGroup, StructureAlgebra
 from .errors import InternalInvariantViolation
-from .formula import CharacterEvaluator
+from .formula import value_arrays, value_chunks
 from .gf import CharValue, Fq
 from .poset import format_field_literal
 
 
 _BLOCK_CELLS = 1 << 20  # cells per block of rows while rendering
-
-
-def _value_arrays(shape, dim: int, p: int):
-    """Zero mask, q-exponents and zeta-exponents of a table of ``shape``, in
-    the smallest dtypes that hold q_exp <= dim and zeta_exp < p."""
-    return (
-        np.zeros(shape, dtype=bool),
-        np.zeros(shape, dtype=np.min_scalar_type(dim)),
-        np.zeros(shape, dtype=np.min_scalar_type(p - 1)),
-    )
 
 
 @dataclass(eq=False)
@@ -84,7 +74,7 @@ class SuperTable:
         chars = obj.pop("chars")
         rows = obj.pop("values")
         dim = obj["d"] if kind == "algebra" else len(obj["J"])
-        zero, q_exp, zeta_exp = _value_arrays((len(chars), len(classes)), dim, obj["p"])
+        zero, q_exp, zeta_exp = value_arrays((len(chars), len(classes)), dim, obj["p"])
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 if v is None:
@@ -205,8 +195,8 @@ def _algebra_rep_obj(alg: StructureAlgebra, f) -> dict:
 
 
 def _build_table(kind: str, source, meta: dict, cap, rep_obj) -> SuperTable:
-    """Partition ``source``, then fill each character's row of the value
-    arrays with one ``value_block`` call over the digits of every class
+    """Partition ``source``, then fill the value arrays a chunk of rows at a
+    time from ``value_chunks`` over the digits of every class
     representative."""
     classes = source.all_orbit_reps(cap)
     chars = source.all_coorbit_reps(cap)
@@ -216,27 +206,26 @@ def _build_table(kind: str, source, meta: dict, cap, rep_obj) -> SuperTable:
         raise InternalInvariantViolation("identity superclass is not in column 0")
     digits = np.array([o.rep for o in classes], dtype=np.int64).reshape(len(classes), source.dim)
     q = source.field.q
-    zero, q_exp, zeta_exp = _value_arrays((len(chars), len(classes)), source.dim, source.field.p)
+    values = value_arrays((len(chars), len(classes)), source.dim, source.field.p)
     entries = []
-    for i, o in enumerate(chars):
-        ev = CharacterEvaluator(source, o.rep)
-        zero[i], q_exp[i], zeta_exp[i] = ev.value_block(digits)
-        entries.append(
+    for start, evaluators, block in value_chunks(source, [o.rep for o in chars], digits):
+        for arr, rows in zip(values, block):
+            arr[start : start + len(rows)] = rows
+        entries += [
             {
-                "rep": rep_obj(o.rep),
+                "rep": rep_obj(ev.eta),
                 "corank": ev.corank,
                 "degree": q**ev.corank,
-                "irreducible": source.is_irreducible(o.rep, ev.corank),
+                "irreducible": ev.is_irreducible(),
             }
-        )
+            for ev in evaluators
+        ]
     return SuperTable(
         kind,
         meta,
         [{"rep": rep_obj(o.rep), "size": o.size} for o in classes],
         entries,
-        zero,
-        q_exp,
-        zeta_exp,
+        *values,
     )
 
 

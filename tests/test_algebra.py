@@ -3,6 +3,7 @@
 import random
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,6 +214,10 @@ def test_mismatched_length_raises_on_an_algebra():
                     getattr(alg, name)(*args)
     with pytest.raises(SpecMismatch):
         CharacterEvaluator(alg, (1,) * 6)
+    ev = CharacterEvaluator(alg, alg.zero())
+    for width in (4, 6):
+        with pytest.raises(SpecMismatch):
+            ev.value_block(np.ones((3, width), dtype=np.int64))
 
 
 def test_zero_dimensional_algebra():

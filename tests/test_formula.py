@@ -1,6 +1,7 @@
 """Mesh data, the character value, specializations, and irreducibility."""
 
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from superchar.catalog import (
     determinant_poset,
     full_triangular,
     heisenberg,
+    semidirect_algebra,
     two_step_poset,
 )
+from superchar import formula
 from superchar.core import PatternGroup
 from superchar.errors import NonMonomialRepresentative, ShapeMismatch
 from superchar.formula import (
@@ -28,6 +31,7 @@ from superchar.formula import (
     is_irreducible,
     superclass_is_class_sufficient,
     value,
+    value_blocks,
     value_heisenberg,
     value_no4chain,
     value_un,
@@ -121,6 +125,77 @@ def test_value_block_matches_scalar_everywhere():
                 assert got.is_zero == bool(zero[c])
                 if not got.is_zero:
                     assert (got.q_exp, got.zeta_exp) == (int(qexp[c]), int(zexp[c]))
+
+
+F512 = Fq.of(512, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))  # x^9 + x^4 + 1 over F_2
+
+
+def _sampled(n, count, seed):
+    """U_n over F_512 (far beyond any sweep): ``count`` random sparse
+    characters and superclass functionals, each list with its zero first."""
+    G = PatternGroup(full_triangular(n), F512)
+    rng = random.Random(seed)
+    etas = [G.zero()] + [_sparse_functional(rng, F512.q, G.dim, 0.7) for _ in range(count)]
+    phis = [G.zero()] + [_sparse_functional(rng, F512.q, G.dim) for _ in range(count)]
+    return G, etas, phis
+
+
+def _swept(source):
+    return source, [o.rep for o in source.all_coorbit_reps()], [o.rep for o in source.all_orbit_reps()]
+
+
+# U_6(2) has frames from 0 x 0 to 4 x 4, and its chunks pad three or four
+# of them to one frame; the counterexample has 1 x 2 frames; F_4, F_512 and
+# the semidirect algebra need digit blocks (only F_512 has multiplication
+# blocks that are not symmetric, so only it sees a missing transpose).
+_BATCH_GROUPS = {
+    "U6(2)": lambda: _swept(PatternGroup(full_triangular(6), F2)),
+    "U5(3)": lambda: _swept(PatternGroup(full_triangular(5), F3)),
+    "class_counterexample(3)": lambda: _swept(PatternGroup(class_counterexample_poset(), F3)),
+    "U4(4)": lambda: _swept(PatternGroup(full_triangular(4), Fq.of(4))),
+    "semidirect5(4)": lambda: _swept(semidirect_algebra(5, Fq.of(4))),
+    "U3(512)": lambda: _sampled(3, 20, 5),
+    "U4(512)": lambda: _sampled(4, 20, 6),
+    "one_pair(257)": lambda: _swept(PatternGroup(validate_closed(2, {(1, 2)}), Fq.of(257))),
+}
+
+
+@lru_cache(maxsize=None)
+def _batch_case(name):
+    """A group of ``_BATCH_GROUPS`` with its digit block and the scalar
+    values of every cell, as (zero, q_exp, zeta_exp) arrays."""
+    source, etas, phis = _BATCH_GROUPS[name]()
+    digits = np.array(phis, dtype=np.int64).reshape(len(phis), source.dim)
+    cells = [[ev.value(phi) for phi in phis] for ev in (CharacterEvaluator(source, eta) for eta in etas)]
+    expected = tuple(
+        np.array([[getattr(v, attr) for v in row] for row in cells]).reshape(len(etas), len(phis))
+        for attr in ("is_zero", "q_exp", "zeta_exp")
+    )
+    return source, etas, digits, expected
+
+
+@pytest.mark.parametrize("small_batches", (False, True))
+@pytest.mark.parametrize("name", sorted(_BATCH_GROUPS))
+def test_value_blocks_match_value_block_and_the_scalar_value(name, small_batches, monkeypatch):
+    source, etas, digits, expected = _batch_case(name)
+    batches = []  # hard cells per elimination, one list per chunk
+    if small_batches:
+        # one character per chunk, and batches of 2 hard cells, so that a
+        # batch boundary falls inside one character's hard cells
+        monkeypatch.setattr(formula, "_BATCH_CELLS", 2)
+        monkeypatch.setattr(formula, "_CHUNK_ENTRIES", 1)
+        chunk_values, solve_hard = formula._chunk_values, formula._solve_hard
+        monkeypatch.setattr(formula, "_chunk_values", lambda *a: batches.append([]) or chunk_values(*a))
+        monkeypatch.setattr(formula, "_solve_hard", lambda F, y, *a: batches[-1].append(len(y)) or solve_hard(F, y, *a))
+    evs = [CharacterEvaluator(source, eta) for eta in etas]
+    got = value_blocks(evs, digits)
+    for arr, want in zip(got, expected):
+        assert arr.shape == want.shape and np.array_equal(arr, want)
+    for i, ev in enumerate(evs):
+        for arr, row in zip(got, ev.value_block(digits)):
+            assert np.array_equal(arr[i], row)
+    if small_batches and name in ("U6(2)", "U5(3)", "class_counterexample(3)", "U4(4)", "semidirect5(4)"):
+        assert any(len(sizes) > 1 for sizes in batches[: len(etas)])
 
 
 def _sparse_functional(rng, q, d, density=0.5):

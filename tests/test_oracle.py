@@ -21,6 +21,7 @@ from superchar.core import PatternGroup
 from superchar.errors import SizeCapExceeded
 from superchar.formula import CharacterEvaluator
 from superchar.gf import CycInt, Fq, theta
+from superchar import formula
 from superchar.oracle import Oracle, full_check
 from superchar.poset import functional, validate_closed
 
@@ -212,6 +213,31 @@ def test_full_check_passes_on_pattern_and_algebra():
     assert rep.ok and rep.classes == 83
     rep = full_check(sixteen_group())
     assert rep.ok and rep.classes == 7
+
+
+def test_full_check_counts_every_mismatching_cell(monkeypatch):
+    G = PatternGroup(heisenberg(4), F3)
+    etas = G.coorbit_partition().reps
+    flipped = {etas[1]: 0, etas[-1]: 5}  # character -> class whose zeta exponent flips
+    value_blocks = formula.value_blocks
+
+    def flip_one_zeta(evaluators, digits):
+        zero, q_exp, zeta_exp = value_blocks(evaluators, digits)
+        for i, ev in enumerate(evaluators):
+            if ev.eta in flipped:
+                c = flipped[ev.eta]
+                zero[i, c] = False
+                zeta_exp[i, c] = (zeta_exp[i, c] + 1) % 3
+        return zero, q_exp, zeta_exp
+
+    monkeypatch.setattr(formula, "value_blocks", flip_one_zeta)
+    monkeypatch.setattr(formula, "_ROW_CELLS", 2 * 83)  # two rows per chunk
+    report = full_check(G)
+    assert report.partitions_match and not report.values_match and not report.ok
+    assert report.mismatches == 2
+    eta, phi, _, _ = report.witness
+    assert eta == etas[1] and phi == G.orbit_partition().reps[0]
+    assert "2 mismatching cells" in "\n".join(report.lines())
 
 
 _SOURCES = {

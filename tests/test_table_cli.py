@@ -10,7 +10,7 @@ import pytest
 from superchar.algebra import emit_algebra_spec
 from superchar.catalog import full_triangular, semidirect_algebra, sixteen_group
 from superchar.core import DEFAULT_ENUM_CAP
-from superchar.core import PatternGroup
+from superchar.core import PatternGroup, StructureAlgebra
 from superchar.cli import _load, main
 from superchar.formula import CharacterEvaluator
 from superchar.gf import CharValue, Fq
@@ -83,6 +83,15 @@ def test_values_view_matches_the_scalar_evaluator(name):
     for ch, row in zip(chars, values):
         ev = CharacterEvaluator(obj, ch.rep)
         assert row == [ev.value(cl.rep) for cl in classes]
+
+
+def test_table_builds_a_eta_once_per_character(monkeypatch):
+    G = PatternGroup(full_triangular(6), Fq.of(2))
+    calls = []
+    eta_matrix = StructureAlgebra._eta_matrix
+    monkeypatch.setattr(StructureAlgebra, "_eta_matrix", lambda self, eta: calls.append(eta) or eta_matrix(self, eta))
+    tab = build_pattern_table(G)
+    assert len(tab.chars) == len(calls) == 203
 
 
 def test_value_arrays_are_sized_by_the_field():
