@@ -498,21 +498,17 @@ class StructureAlgebra:
         zeta = F.trace(F.add(F.dot(b0, b), F.dot(phi, eta)))
         return CharValue.of(corank - r, zeta, F.p)
 
-    def is_irreducible(self, eta, corank: int | None = None) -> bool:
+    def is_irreducible(self, eta) -> bool:
         """Right plus left annihilator of eta fills F_q**d.
 
         They are the nullspaces of A_eta and its transpose, each of dimension
         d - rank(A_eta), so their sum is everything iff [A_eta; A_eta^T] has
-        rank 2 * rank(A_eta).  ``corank`` is rank(A_eta) when the caller has it.
+        rank 2 * rank(A_eta).  Nothing is enumerated, so this works beyond
+        any cap; tables read the same fact off the co-orbit sizes instead.
         """
-        return self._is_irreducible_of(self._eta_matrix(eta), corank)
-
-    def _is_irreducible_of(self, A, corank: int | None = None) -> bool:
-        """:meth:`is_irreducible` from A_eta."""
-        if corank is None:
-            corank = self._corank_of(A)
+        A = self._eta_matrix(eta)
         stacked = A + [list(col) for col in zip(*A)]
-        return rank(FqMatrix.from_rows(self.field, stacked, self.d)) == 2 * corank
+        return rank(FqMatrix.from_rows(self.field, stacked, self.d)) == 2 * self._corank_of(A)
 
     # -- orbits ------------------------------------------------------------------
 

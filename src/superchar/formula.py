@@ -17,8 +17,9 @@ with b0 the particular solution, and chi^eta(x_phi) = 0 otherwise.  (The
 orbit-sum definition fixes the sign of the exponent of theta here; the
 brute-force oracle pins it in the tests.)
 
-:class:`CharacterEvaluator` builds A_eta once and reads off it the corank,
-the sparse mesh terms of any algebra group and irreducibility.  Its
+:class:`CharacterEvaluator` builds A_eta once and reads off it the corank
+and the sparse mesh terms of any algebra group; tables take irreducibility
+from the co-orbit sizes instead.  Its
 :meth:`~CharacterEvaluator.value` is the per-cell reference.  The bulk path
 is :func:`value_blocks`, which evaluates many characters over a block of
 superclass representatives at once, over any F_q and with no field tables:
@@ -74,16 +75,15 @@ class CharacterEvaluator:
     """chi^eta as a reusable evaluator over many superclass representatives.
 
     ``source`` is any :class:`~superchar.core.StructureAlgebra` (a
-    :class:`PatternGroup` is one).  A_eta is built once; the corank, the
-    sparse (target, phi-slot, coefficient) mesh terms and irreducibility are
-    all read off it.  :meth:`value` is the per-cell reference;
+    :class:`PatternGroup` is one).  A_eta is built once; the corank and the
+    sparse (target, phi-slot, coefficient) mesh terms are read off it, but
+    not irreducibility.  :meth:`value` is the per-cell reference;
     :meth:`value_block` and :func:`value_blocks` are the bulk paths.
     """
 
     def __init__(self, source, eta):
         self.field = source.field
-        self._source = source
-        self._A = A = source._eta_matrix(eta)
+        A = source._eta_matrix(eta)
         self.eta = tuple(eta)
         self.corank = source._corank_of(A)
         self._a_terms, self._b_terms, self._m_terms = source._mesh_terms_of(A)
@@ -93,10 +93,6 @@ class CharacterEvaluator:
         self._m_cols = sorted({c for (_, c), _, _ in self._m_terms})
         self._row_pos = {r: k for k, r in enumerate(self._m_rows)}
         self._col_pos = {c: k for k, c in enumerate(self._m_cols)}
-
-    def is_irreducible(self) -> bool:
-        """Whether chi^eta is irreducible (read off the shared A_eta)."""
-        return self._source._is_irreducible_of(self._A, self.corank)
 
     def value(self, phi) -> CharValue:
         """chi^eta(x_phi), one cell at a time: the reference the block paths
@@ -485,10 +481,10 @@ def ann_spaces(G: PatternGroup, eta):
     return basis_r, basis_l
 
 
-def is_irreducible(G: PatternGroup, eta, corank: int | None = None) -> bool:
+def is_irreducible(G: PatternGroup, eta) -> bool:
     """True iff ann_R(eta) + ann_L(eta) fills the whole functional space
     (see :meth:`superchar.core.StructureAlgebra.is_irreducible`)."""
-    return G.is_irreducible(eta, corank)
+    return G.is_irreducible(eta)
 
 
 def superclass_is_class_sufficient(G: PatternGroup, phi) -> bool:

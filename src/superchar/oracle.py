@@ -181,13 +181,13 @@ class Oracle:
         mu = (mu @ T % p).reshape(m, self.dim * r)
         phi = np.asarray(class_digits, dtype=np.int64).reshape(count, self.dim, 1) // powers % p
         phi = phi.reshape(count, self.dim * r)
-        # Entries of both factors are below p, so those of the product are
-        # below dim * r * p**2: exact in float64 (< 2**53, and an order of
-        # magnitude faster than integer matmul) and in int32 while < 2**31.
+        # Entries of both factors are below p, so those of the product are at
+        # most dim * r * (p - 1)**2: exact in float64 (< 2**53, and an order
+        # of magnitude faster than integer matmul) and in int32 while < 2**31.
         # Pf stays alive on purpose: freeing it before the masks below cost
         # 4 MB more peak RSS on full_check of Heisenberg n = 5 at q = 3.
         Pf = mu.astype(np.float64) @ phi.T.astype(np.float64)
-        P = Pf.astype(np.int32)
+        P = Pf.astype(np.int32 if self.dim * r * (p - 1) ** 2 < 2**31 else np.int64)
         P %= p
         counts = np.zeros((p, count), dtype=np.int64)
         for k in range(p):

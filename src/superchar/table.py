@@ -211,14 +211,18 @@ def _build_table(kind: str, source, meta: dict, cap, rep_obj) -> SuperTable:
     for start, evaluators, block in value_chunks(source, [o.rep for o in chars], digits):
         for arr, rows in zip(values, block):
             arr[start : start + len(rows)] = rows
+        # chi^eta = (|eta U| / |U eta U|) * sum of theta o mu over the co-orbit
+        # U eta U, and the theta o mu are orthonormal, so <chi^eta, chi^eta> =
+        # |eta U|**2 / |U eta U| with |eta U| = q**rank(A_eta) = q**corank:
+        # chi^eta is irreducible iff its co-orbit has q**(2 * corank) members.
         entries += [
             {
                 "rep": rep_obj(ev.eta),
                 "corank": ev.corank,
                 "degree": q**ev.corank,
-                "irreducible": ev.is_irreducible(),
+                "irreducible": chars[start + i].size == q ** (2 * ev.corank),
             }
-            for ev in evaluators
+            for i, ev in enumerate(evaluators)
         ]
     return SuperTable(
         kind,

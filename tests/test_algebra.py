@@ -25,11 +25,13 @@ from superchar.catalog import (
     SIXTEEN_CLASS_MEMBERS,
     SIXTEEN_CLASS_SIZES,
 )
+from superchar import formula
 from superchar.core import PatternGroup, _bfs
 from superchar.errors import NotAssociative, NotNilpotent, ParseError, SpecMismatch
 from superchar.formula import CharacterEvaluator
 from superchar.gf import CharValue, Fq, FqMatrix, nullspace_basis, rank
 from superchar.poset import validate_closed
+from superchar.table import build_algebra_table
 
 F2 = Fq.of(2)
 F3 = Fq.of(3)
@@ -122,7 +124,7 @@ def test_sixteen_group_irreducibility_split():
 
 
 @pytest.mark.parametrize("n,q", [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (None, 2)])
-def test_algebra_is_irreducible_matches_the_annihilators(n, q):
+def test_algebra_is_irreducible_matches_the_annihilators(n, q, monkeypatch):
     """ann_R and ann_L of lambda_eta are the nullspaces of A_eta and its
     transpose; eta is irreducible iff together they span F_q**d."""
     alg = sixteen_group() if n is None else _semidirect(n, q)
@@ -134,9 +136,11 @@ def test_algebra_is_irreducible_matches_the_annihilators(n, q):
         basis += nullspace_basis(FqMatrix.from_rows(F, list(zip(*A)), d))
         expected = rank(FqMatrix.from_rows(F, basis, d)) == d
         assert alg.is_irreducible(o.rep) == expected
-        assert alg.is_irreducible(o.rep, alg.corank(o.rep)) == expected
         flags.append(expected)
     assert any(flags) and not all(flags)  # both outcomes occur
+    # the table reads the same flags off the co-orbit sizes, two rows a chunk
+    monkeypatch.setattr(formula, "_ROW_CELLS", 2 * len(alg.all_orbit_reps()))
+    assert [ch["irreducible"] for ch in build_algebra_table(alg).chars] == flags
 
 
 def test_pattern_envelope_examples():

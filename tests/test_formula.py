@@ -47,6 +47,7 @@ from superchar.gf import (
     solve,
 )
 from superchar.poset import functional, support, validate_closed
+from superchar.table import build_pattern_table
 
 F2 = Fq.of(2)
 F3 = Fq.of(3)
@@ -433,7 +434,6 @@ def test_is_irreducible_matches_the_annihilators_on_random_closed_sets(seed, n, 
         eta = _sparse_functional(rng, q, len(G.J), density)
         expected = _irreducible_by_annihilators(G, eta)
         assert is_irreducible(G, eta) == expected
-        assert is_irreducible(G, eta, G.corank(eta)) == expected
 
 
 @pytest.mark.parametrize(
@@ -442,15 +442,17 @@ def test_is_irreducible_matches_the_annihilators_on_random_closed_sets(seed, n, 
      (full_triangular(4), 4), (class_counterexample_poset(), 2)],
     ids=["determinant-2", "annihilator_example-3", "u5-2", "u4-4", "class_counterexample-2"],
 )
-def test_is_irreducible_matches_the_annihilators_on_every_character(J, q):
+def test_is_irreducible_matches_the_annihilators_on_every_character(J, q, monkeypatch):
     G = PatternGroup(J, Fq.of(q))
     flags = []
     for ch in G.all_coorbit_reps():
         expected = _irreducible_by_annihilators(G, ch.rep)
         assert is_irreducible(G, ch.rep) == expected
-        assert is_irreducible(G, ch.rep, G.corank(ch.rep)) == expected
         flags.append(expected)
     assert any(flags) and not all(flags)  # both outcomes occur
+    # the table reads the same flags off the co-orbit sizes, two rows a chunk
+    monkeypatch.setattr(formula, "_ROW_CELLS", 2 * len(G.all_orbit_reps()))
+    assert [ch["irreducible"] for ch in build_pattern_table(G).chars] == flags
 
 
 def test_no_4chain_characters_always_irreducible():

@@ -259,6 +259,17 @@ def test_full_check_passes_over_extension_fields(name, q):
     assert report.ok, list(report.lines())
 
 
+@pytest.mark.parametrize("q", [46349, 65521])
+def test_value_row_is_exact_past_int32(q):
+    # dim * r * (p - 1)**2 passes 2**31 from p = 46349 on; three
+    # representatives, since counts over all q classes would take gigabytes
+    o = Oracle(PatternGroup(validate_closed(2, {(1, 2)}), Fq.of(q)), cap=1 << 17)
+    eta, reps = q - 1, (1, 2, q - 1)
+    row = o.value_row((eta,), np.array(reps, dtype=np.int64).reshape(3, 1))
+    for c, phi in enumerate(reps):
+        assert CycInt(q, tuple(int(x) for x in row[:, c])) == CycInt.root(q, eta * phi)
+
+
 @pytest.mark.parametrize("name, q", [("full_u3", 4), ("full_u3", 8), ("semidirect4", 4)])
 def test_value_row_is_the_scaled_orbit_sum(name, q):
     # reference: the orbit sum of theta(mu . phi) over the co-orbit, one

@@ -11,6 +11,7 @@ from superchar.algebra import emit_algebra_spec
 from superchar.catalog import full_triangular, semidirect_algebra, sixteen_group
 from superchar.core import DEFAULT_ENUM_CAP
 from superchar.core import PatternGroup, StructureAlgebra
+from superchar import gf
 from superchar.cli import _load, main
 from superchar.formula import CharacterEvaluator
 from superchar.gf import CharValue, Fq
@@ -87,11 +88,13 @@ def test_values_view_matches_the_scalar_evaluator(name):
 
 def test_table_builds_a_eta_once_per_character(monkeypatch):
     G = PatternGroup(full_triangular(6), Fq.of(2))
-    calls = []
-    eta_matrix = StructureAlgebra._eta_matrix
+    calls, rrefs = [], []
+    eta_matrix, rref = StructureAlgebra._eta_matrix, gf._rref
     monkeypatch.setattr(StructureAlgebra, "_eta_matrix", lambda self, eta: calls.append(eta) or eta_matrix(self, eta))
+    monkeypatch.setattr(gf, "_rref", lambda *args: rrefs.append(args) or rref(*args))
     tab = build_pattern_table(G)
     assert len(tab.chars) == len(calls) == 203
+    assert len(rrefs) == 203  # one corank per character, no second rank
 
 
 def test_value_arrays_are_sized_by_the_field():
