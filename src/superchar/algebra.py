@@ -12,7 +12,7 @@ from __future__ import annotations
 from .core import StructureAlgebra
 from .errors import ParseError, SpecMismatch
 from .gf import Fq, FqMatrix, solve
-from .poset import ClosedSet, close_covers, format_field_literal, parse_field_literal
+from .poset import ClosedSet, _content_lines, _int_token, close_covers, format_field_literal, parse_field_literal
 
 
 def validate_algebra(d: int, field: Fq, constants) -> StructureAlgebra:
@@ -103,16 +103,16 @@ def parse_algebra_spec(text: str):
     embed_n = None
     constants: dict = {}
     embed_entries: dict[int, dict] = {}
-    for lineno, line in _algebra_lines(text):
+    for lineno, line in _content_lines(text):
         tokens = line.split()
         head = tokens[0]
         if section is None:
             if head == "d" and len(tokens) == 2:
-                d = _int_tok(lineno, tokens[1])
+                d = _int_token(lineno, tokens[1])
             elif head == "q" and len(tokens) == 2:
-                q = _int_tok(lineno, tokens[1])
+                q = _int_token(lineno, tokens[1])
             elif head == "modulus":
-                modulus = tuple(_int_tok(lineno, t) for t in tokens[1:])
+                modulus = tuple(_int_token(lineno, t) for t in tokens[1:])
             elif head == "constants":
                 if d is None or q is None:
                     raise ParseError(lineno, "'d' and 'q' must come before 'constants'")
@@ -123,12 +123,12 @@ def parse_algebra_spec(text: str):
         elif head == "embed":
             if len(tokens) != 3 or tokens[1] != "n":
                 raise ParseError(lineno, "expected 'embed n <int>'")
-            embed_n = _int_tok(lineno, tokens[2])
+            embed_n = _int_token(lineno, tokens[2])
             section = "embed"
         elif section == "constants":
             if len(tokens) != 4:
                 raise ParseError(lineno, f"expected 'i j k v', got {line!r}")
-            i, j, k = (_int_tok(lineno, t) for t in tokens[:3])
+            i, j, k = (_int_token(lineno, t) for t in tokens[:3])
             v = parse_field_literal(field, tokens[3])
             if not (1 <= i <= d and 1 <= j <= d and 1 <= k <= d):
                 raise ParseError(lineno, f"constant index out of range in {line!r}")
@@ -137,7 +137,7 @@ def parse_algebra_spec(text: str):
         else:  # embed section
             if len(tokens) != 4:
                 raise ParseError(lineno, f"expected 'b i j v', got {line!r}")
-            b, i, j = (_int_tok(lineno, t) for t in tokens[:3])
+            b, i, j = (_int_token(lineno, t) for t in tokens[:3])
             v = parse_field_literal(field, tokens[3])
             if not 1 <= b <= d:
                 raise ParseError(lineno, f"basis index out of range in {line!r}")
@@ -151,21 +151,6 @@ def parse_algebra_spec(text: str):
         basis = [embed_entries.get(b, {}) for b in range(d)]
         embedding = (embed_n, basis)
     return alg, embedding
-
-
-def _algebra_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
-
-
-def _int_tok(lineno: int, tok: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(lineno, f"expected an integer, got {tok!r}") from None
 
 
 def emit_algebra_spec(alg: StructureAlgebra) -> str:

@@ -19,22 +19,17 @@ from .core import DEFAULT_ENUM_CAP, PatternGroup, StructureAlgebra
 from .errors import ParseError, SizeCapExceeded, SuperCharError
 from .formula import CharacterEvaluator
 from .oracle import DEFAULT_ORACLE_CAP, full_check
-from .poset import emit_spec, format_functional, parse_field_literal, parse_functional, parse_spec
+from .poset import _content_lines, emit_spec, format_functional, parse_field_literal, parse_functional, parse_spec
 from .table import build_algebra_table, build_pattern_table, _algebra_rep_obj, _pattern_rep_obj
 
 
 def _load(path: str):
     """Parse a spec file into a PatternGroup or StructureAlgebra."""
     text = Path(path).read_text(encoding="utf-8")
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head = line.split()[0]
-        break
-    else:
+    first = next(_content_lines(text), None)
+    if first is None:
         raise SuperCharError(f"{path}: empty spec file")
-    if head == "d":
+    if first[1].split()[0] == "d":
         alg, _embedding = parse_algebra_spec(text)
         return alg
     J, field = parse_spec(text)

@@ -113,6 +113,9 @@ class OrbitPartition:
         return tuple(out)
 
     def class_of(self, f) -> int:
+        """The index of f's class; SpecMismatch unless f lies in F_q**dim."""
+        if len(f) != self.dim or not all(0 <= v < self.field.q for v in f):
+            raise SpecMismatch(f"functional {tuple(f)} is not in F_{self.field.q}^{self.dim}")
         return self._rep_index[self.decode(int(self._labels[self.code(f)]))]
 
     def canonical_codes(self) -> np.ndarray:

@@ -8,6 +8,11 @@ the closed set and not its structure constants; other algebra groups give it
 their coordinate product.  The only shared code is the generic set-closure
 plumbing.
 
+Each orbit space -- superclasses, two-sided co-orbits, right co-orbits and
+conjugacy classes -- is swept once per oracle, on first use, and every
+question about one functional (its class, the size of its right co-orbit,
+the members of its co-orbit) is a lookup in that sweep.
+
 The supercharacter of eta is the scaled orbit sum
 
     chi^eta(x_phi) = (|lambda_eta U| / |U lambda_eta U|)
@@ -28,7 +33,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .gf import CycInt, Fq
-from .core import OrbitPartition, PatternGroup, _bfs, _codes_to_digits, orbit_partition_from_moves
+from .core import OrbitPartition, PatternGroup, _codes_to_digits, orbit_partition_from_moves
 from .formula import value_chunks
 
 DEFAULT_ORACLE_CAP = 1 << 12
@@ -95,23 +100,26 @@ class Backend:
 
 
 def _dense_product(G: PatternGroup):
-    """X_u * X_v for a pattern group, by multiplying dense n x n matrices
-    built from the closed set alone (never from its structure constants)."""
-    F, J, n = G.field, G.J, G.J.n
-
-    def dense(u):
-        M = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(J.order, u):
-            M[i - 1][j - 1] = v
-        return M
+    """X_u * X_v for a pattern group, as the product of the n x n matrices
+    with u and v at the positions of the closed set: read from ``J.order``
+    alone, never from its structure constants.  Only nonzero entries are
+    multiplied, entry (i, j) of X_u against row j of X_v."""
+    F, J = G.field, G.J
 
     def product(u, v):
-        cols = list(zip(*dense(v)))
-        C = {(i, j): F.dot(row, col) for i, row in enumerate(dense(u), 1) for j, col in enumerate(cols, 1)}
+        rows = {}
+        for (j, k), b in zip(J.order, v):
+            if b:
+                rows.setdefault(j, []).append((k, b))
+        C = {}
+        for (i, j), a in zip(J.order, u):
+            if a:
+                for k, b in rows.get(j, ()):
+                    C[i, k] = F.add(C.get((i, k), 0), F.mul(a, b))
         outside = [pair for pair, c in C.items() if c and pair not in J.index]
         if outside:
             raise InternalInvariantViolation(f"dense action left the closed set at {outside[0]}")
-        return tuple(C[pair] for pair in J.order)
+        return tuple(C.get(pair, 0) for pair in J.order)
 
     return product
 
@@ -133,30 +141,40 @@ class Oracle:
         if total > self.cap:
             raise SizeCapExceeded(total, self.cap, "group enumeration")
         self.order = total
+        self._partitions: dict[tuple[str, ...], OrbitPartition] = {}
+        F = self.field
+        # trace(mu . phi) = sum_k d(mu_k)^T T d(phi_k) over the base-p digits,
+        # with the trace form T_ij = tr(p**i * p**j); T = [[1]] for prime fields.
+        self._powers = [F.p**i for i in range(F.r)]
+        self._trace_form = np.array([[F.trace(F.mul(a, c)) for c in self._powers] for a in self._powers])
 
     # -- partitions ---------------------------------------------------------
 
+    def _partition(self, *kinds: str) -> OrbitPartition:
+        """The orbits of the backend's move sets ``kinds``, swept on first use and kept."""
+        if kinds not in self._partitions:
+            moves = sum((getattr(self.backend, kind) for kind in kinds), ())
+            self._partitions[kinds] = orbit_partition_from_moves(self.field, self.dim, moves, self.cap)
+        return self._partitions[kinds]
+
     def superclass_partition(self) -> OrbitPartition:
-        b = self.backend
-        return orbit_partition_from_moves(
-            self.field, self.dim, b.mult_left + b.mult_right, self.cap
-        )
+        return self._partition("mult_left", "mult_right")
 
     def coorbit_partition(self) -> OrbitPartition:
-        b = self.backend
-        return orbit_partition_from_moves(
-            self.field, self.dim, b.dual_left + b.dual_right, self.cap
-        )
+        return self._partition("dual_left", "dual_right")
 
     def conjugacy_partition(self) -> OrbitPartition:
-        return orbit_partition_from_moves(self.field, self.dim, self.backend.conj, self.cap)
+        return self._partition("conj")
 
     def right_coorbit_size(self, eta) -> int:
-        return len(_bfs(self.field, tuple(eta), self.backend.dual_right))
+        """|lambda_eta U|, the size of eta's class in the right-co-orbit sweep."""
+        part = self._partition("dual_right")
+        return int(part.sizes[part.class_of(eta)])
 
     def coorbit_elements(self, eta) -> list[tuple[int, ...]]:
-        b = self.backend
-        return sorted(_bfs(self.field, tuple(eta), b.dual_left + b.dual_right))
+        """The two-sided co-orbit of eta, ascending."""
+        part = self.coorbit_partition()
+        return part.elements(part.class_of(eta))
 
     # -- orbit sums -----------------------------------------------------------
 
@@ -164,21 +182,20 @@ class Oracle:
         """Scaled orbit-sum values of chi^eta at the given representatives,
         as a (p-1, count) array of cyclotomic coefficients.
 
-        ``elements`` can supply the two-sided co-orbit of eta (as a digit
-        array) when the caller already holds the full dual partition.
+        The co-orbit of eta defaults to the members of its class in the
+        co-orbit sweep, which is how everything in this package calls it.
+        ``elements`` (a digit array) overrides it only so that a caller
+        outside the package can time the orbit sum apart from the lookup.
         """
-        F = self.field
-        p, r = F.p, F.r
-        if elements is None:
-            elements = self.coorbit_elements(eta)
-        m, count = len(elements), len(class_digits)
+        p, r = self.field.p, self.field.r
         nright = self.right_coorbit_size(eta)
-        # trace(mu . phi) = sum_k d(mu_k)^T T d(phi_k) over the base-p digits,
-        # with the trace form T_ij = tr(p**i * p**j); T = [[1]] for prime fields.
-        powers = [p**i for i in range(r)]
-        T = np.array([[F.trace(F.mul(a, b)) for b in powers] for a in powers])
+        if elements is None:
+            co = self.coorbit_partition()
+            elements = co.elements_digits(co.class_of(eta))
+        m, count = len(elements), len(class_digits)
+        powers = self._powers
         mu = np.asarray(elements, dtype=np.int64).reshape(m, self.dim, 1) // powers % p
-        mu = (mu @ T % p).reshape(m, self.dim * r)
+        mu = (mu @ self._trace_form % p).reshape(m, self.dim * r)
         phi = np.asarray(class_digits, dtype=np.int64).reshape(count, self.dim, 1) // powers % p
         phi = phi.reshape(count, self.dim * r)
         # Entries of both factors are below p, so those of the product are at
@@ -200,9 +217,7 @@ class Oracle:
     def supercharacter(self, eta) -> dict[tuple, CycInt]:
         """The orbit-sum supercharacter as {superclass representative: value}."""
         part = self.superclass_partition()
-        digits = np.array([list(r) for r in part.reps], dtype=np.int64).reshape(
-            len(part.reps), self.dim
-        )
+        digits = np.array(part.reps, dtype=np.int64).reshape(len(part.reps), self.dim)
         row = self.value_row(tuple(eta), digits)
         p = self.field.p
         return {
@@ -255,8 +270,8 @@ class Oracle:
         total = self.order
         all_digits = _codes_to_digits(np.arange(total, dtype=np.int64), F.q, self.dim)
         sc_codes = sc.canonical_codes()
-        for k, eta in enumerate(co.reps):
-            row = self.value_row(eta, all_digits, elements=co.elements_digits(k))  # (p-1, |G|)
+        for eta in co.reps:
+            row = self.value_row(eta, all_digits)  # (p-1, |G|)
             if not np.array_equal(row, row[:, sc_codes]):
                 return False
         return True
@@ -349,19 +364,14 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool = True) 
     report.characters = len(core_co)
 
     dim = oracle.dim
-    class_digits = np.array([list(r) for r in core_sc.reps], dtype=np.int64).reshape(
-        len(core_sc.reps), dim
-    )
+    class_digits = np.array(core_sc.reps, dtype=np.int64).reshape(len(core_sc.reps), dim)
     F = oracle.field
     # formula values for a chunk of rows at a time, so memory stays
     # O(chunk x classes); every mismatching cell is counted
-    for start, evaluators, (zero, qexp, zexp) in value_chunks(source, core_co.reps, class_digits):
+    for _, evaluators, (zero, qexp, zexp) in value_chunks(source, core_co.reps, class_digits):
         for i, ev in enumerate(evaluators):
             eta = ev.eta
-            # reuse the dual partition's element groups when it agreed;
-            # otherwise enumerate the co-orbit of eta from scratch
-            elements = orc_co.elements_digits(start + i) if report.partitions_match else None
-            oracle_row = oracle.value_row(eta, class_digits, elements=elements)
+            oracle_row = oracle.value_row(eta, class_digits)
             formula_row = charvalue_coeff_rows(F.p, F.q, zero[i], qexp[i], zexp[i])
             bad = np.flatnonzero((formula_row != oracle_row).any(axis=0))
             if len(bad) and report.witness is None:

@@ -1,9 +1,12 @@
-"""Byte-for-byte golden output of ``superchar table``.
+"""Byte-for-byte golden output of ``superchar table`` and ``superchar check``.
 
 Every bundled spec is rendered in all three formats, plus three
 extension-field tables that no bundled spec reaches (generated from the
 catalog), and the sha256 of each output is compared with a recorded digest.
 Any change to the partition, the values or the emitters shows up here.
+The report of ``superchar check`` on every bundled spec is pinned the same
+way: its class counts, cell counts and axiom lines (with the number of
+conjugacy classes) come from the oracle's orbit sweeps.
 """
 
 import hashlib
@@ -105,3 +108,30 @@ def test_table_output_matches_golden_digest(tmp_path, name, fmt):
     out = tmp_path / f"{name}.{fmt}"
     assert main(["table", str(spec), "--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[(name, fmt)]
+
+
+CHECK_DIGESTS = {
+    "annihilator_example_q2": "6af8ad4f6727e75ff1423715a83daa8b5a53eb5734e4ffbd4e3323eba3e624ed",
+    "class_counterexample_q2": "c176d7722da9ff4c8a9042f2aee478e0831504406634195039e322b5ae535d65",
+    "coorbit_shape_q2": "6fd4cecde6d493001eff03204788128f7735586b6a8b3c13b024d87eee36a112",
+    "determinant_q2": "fdecee35b0931a0a66c5949b550a1a971dda0d704b0c771a8c401b66394af191",
+    "full_u3_q2": "88831a84ca6809a8636a0ab03781e3432c09a7194dd1626ecf22abbde162e6bd",
+    "full_u3_q3": "da24c26d8c8fa64da599a7bc7712f59ce52d545d5295fcd30c7be4a403a25d02",
+    "full_u4_q2": "9830a43a3b36ab346d680792c5476dfd2e5b4841646829a881dfd5ce0f29756a",
+    "full_u4_q3": "945ba145d069851e469d64de01c7d6b5199ebfaa512bd41215f34a85618f4d4a",
+    "group16": "3152eb05c5ee84bef95d0e61acf88091a9b5cf167716e14f5b184dd48ae9a5cd",
+    "heisenberg3_q2": "88831a84ca6809a8636a0ab03781e3432c09a7194dd1626ecf22abbde162e6bd",
+    "heisenberg3_q3": "da24c26d8c8fa64da599a7bc7712f59ce52d545d5295fcd30c7be4a403a25d02",
+    "heisenberg4_q2": "df2ae76d2f7380c16a18192fadd9ecb0066d2b0f0d99b862a6551b53a61f704f",
+    "heisenberg4_q3": "308163695654742de79bbcec68ce5da38c38cf081d85cd650742318c7ebac95e",
+    "heisenberg5_q2": "9d4fb446f32ae3dabd69a39513889426e82d261a4306d328c60dbd80a2c0b4c4",
+    "heisenberg5_q3": "fd66eabb35cd3e9b91bfd150abda639c83e0a309cc9aead8af76e74cb2c95635",
+    "orbit_shape_q2": "5477639fe6633bc9c51dd33a9df416fdf7b56ab61f8c14f1d585a032e0d33e38",
+    "two_step_q2": "5477639fe6633bc9c51dd33a9df416fdf7b56ab61f8c14f1d585a032e0d33e38",
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.txt")))
+def test_check_output_matches_golden_digest(capsys, name):
+    assert main(["check", str(DATA / f"{name}.txt")]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHECK_DIGESTS[name]

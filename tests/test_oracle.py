@@ -17,12 +17,13 @@ from superchar.catalog import (
     SIXTEEN_CLASS_MEMBERS,
     SIXTEEN_TABLE,
 )
-from superchar.core import PatternGroup
-from superchar.errors import SizeCapExceeded
+from superchar import oracle as oracle_module
+from superchar.core import PatternGroup, _bfs
+from superchar.errors import SizeCapExceeded, SpecMismatch
 from superchar.formula import CharacterEvaluator
 from superchar.gf import CycInt, Fq, theta
 from superchar import formula
-from superchar.oracle import Oracle, full_check
+from superchar.oracle import Oracle, _dense_product, full_check
 from superchar.poset import functional, validate_closed
 
 F2 = Fq.of(2)
@@ -48,6 +49,37 @@ def test_pattern_groups_get_the_dense_backend():
     before = moves()
     G.constants = {}
     assert moves() == before
+
+
+@pytest.mark.parametrize(
+    "J, q",
+    [(full_triangular(4), 3), (heisenberg(5), 4), (_random_closed(random.Random(7), 6), 3)],
+    ids=["u4_q3", "heisenberg5_q4", "random6_q3"],
+)
+def test_dense_product_is_the_matrix_product(J, q):
+    # the backend only ever multiplies single-entry vectors; here both
+    # factors have several nonzero entries, against X_u X_v written out
+    F = Fq.of(q)
+    product = _dense_product(PatternGroup(J, F))
+    rng = random.Random(q)
+    n = J.n
+
+    def matrix(f):
+        M = [[0] * (n + 1) for _ in range(n + 1)]
+        for (i, j), x in zip(J.order, f):
+            M[i][j] = x
+        return M
+
+    for _ in range(40):
+        u, v = (tuple(rng.randrange(q) for _ in J.order) for _ in range(2))
+        X, Y = matrix(u), matrix(v)
+        expected = []
+        for i, k in J.order:
+            acc = 0
+            for j in range(1, n + 1):
+                acc = F.add(acc, F.mul(X[i][j], Y[j][k]))
+            expected.append(acc)
+        assert product(u, v) == tuple(expected)
 
 
 @settings(max_examples=30, deadline=None)
@@ -215,6 +247,51 @@ def test_full_check_passes_on_pattern_and_algebra():
     assert rep.ok and rep.classes == 7
 
 
+def test_full_check_sweeps_each_orbit_space_once(monkeypatch):
+    # superclasses, co-orbits, right co-orbits and conjugacy classes are each
+    # swept once; every co-orbit and right co-orbit size is a lookup, not a BFS
+    calls = {"sweep": 0, "bfs": 0}
+    sweep = oracle_module.orbit_partition_from_moves
+
+    def counted_sweep(*args):
+        calls["sweep"] += 1
+        return sweep(*args)
+
+    def counted_bfs(*args):
+        calls["bfs"] += 1
+        return _bfs(*args)
+
+    monkeypatch.setattr(oracle_module, "orbit_partition_from_moves", counted_sweep)
+    monkeypatch.setattr(oracle_module, "_bfs", counted_bfs, raising=False)
+    report = full_check(PatternGroup(heisenberg(4), F3), with_axioms=True)
+    assert report.ok and report.axioms is not None
+    assert calls == {"sweep": 4, "bfs": 0}
+
+
+@pytest.mark.parametrize("eta", [(0, 1), (0, 1, 0, 0), (0, 2, 0), (0, -1, 0)])
+def test_functionals_outside_the_space_are_rejected(eta):
+    o = Oracle(PatternGroup(full_triangular(3), F2))
+    digits = np.zeros((1, 3), dtype=np.int64)
+    for lookup in (
+        o.coorbit_partition().class_of,
+        o.right_coorbit_size,
+        o.coorbit_elements,
+        lambda f: o.value_row(f, digits),
+    ):
+        with pytest.raises(SpecMismatch):
+            lookup(eta)
+
+
+def test_full_check_reports_disagreeing_coorbit_partitions(monkeypatch):
+    # core's co-orbits replaced by its superclasses: the partitions differ, and
+    # the oracle still sums each character over its own co-orbit of eta
+    monkeypatch.setattr(PatternGroup, "coorbit_partition", PatternGroup.orbit_partition)
+    report = full_check(PatternGroup(full_triangular(4), F2))
+    assert not report.partitions_match and not report.ok
+    assert report.values_match and report.characters == 15
+    assert "FAIL: orbit partitions agree" in list(report.lines())
+
+
 def test_full_check_counts_every_mismatching_cell(monkeypatch):
     G = PatternGroup(heisenberg(4), F3)
     etas = G.coorbit_partition().reps
@@ -273,15 +350,17 @@ def test_value_row_is_exact_past_int32(q):
 @pytest.mark.parametrize("name, q", [("full_u3", 4), ("full_u3", 8), ("semidirect4", 4)])
 def test_value_row_is_the_scaled_orbit_sum(name, q):
     # reference: the orbit sum of theta(mu . phi) over the co-orbit, one
-    # CycInt term per member, scaled by |lambda U| / |U lambda U|
+    # CycInt term per member, scaled by |lambda U| / |U lambda U|; both
+    # orbits come from a BFS over the backend's moves, not from the sweeps
     F = Fq.of(q)
     o = Oracle(_SOURCES[name](F))
+    b = o.backend
     reps = o.superclass_partition().reps
     digits = np.array(reps, dtype=np.int64).reshape(len(reps), o.dim)
     for eta in o.coorbit_partition().reps:
         row = o.value_row(eta, digits)
-        members = o.coorbit_elements(eta)
-        scale = o.right_coorbit_size(eta)
+        members = _bfs(F, eta, b.dual_left + b.dual_right)
+        scale = len(_bfs(F, eta, b.dual_right))
         for c, phi in enumerate(reps):
             total = CycInt.zero(F.p)
             for mu in members:
