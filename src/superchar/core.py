@@ -38,6 +38,7 @@ visiting q**d functionals one tuple at a time is the desk-scale hot spot.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,14 +89,14 @@ def _codes_to_digits(codes, q: int, dim: int) -> np.ndarray:
 class OrbitPartition:
     """The orbit decomposition of the full functional space F_q**dim."""
 
-    def __init__(self, field: Fq, dim: int, reps, sizes, labels):
+    def __init__(self, field: Fq, dim: int, rep_codes: np.ndarray, sizes, labels):
         self.field = field
         self.dim = dim
-        self.reps = reps  # packed tuples, lexicographically ascending
+        self._rep_codes = rep_codes  # ascending, so class k has the k-th least representative
+        # packed tuples, lexicographically ascending
+        self.reps = tuple(map(tuple, _codes_to_digits(rep_codes, field.q, dim).tolist()))
         self.sizes = sizes
         self._labels = labels  # code -> code of its class minimum, smallest unsigned dtype
-        self._rep_index = {r: k for k, r in enumerate(reps)}
-        self._groups = None
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -112,29 +113,39 @@ class OrbitPartition:
             code, out[k] = divmod(code, self.field.q)
         return tuple(out)
 
+    def classes_of(self, fs) -> np.ndarray:
+        """The class index of every functional in ``fs``, by one label lookup;
+        SpecMismatch unless each lies in F_q**dim."""
+        q, dim = self.field.q, self.dim
+        try:
+            arr = np.array(fs, dtype=np.int64).reshape(len(fs), dim)
+        except (ValueError, OverflowError):  # ragged, of the wrong length, or huge
+            arr = None
+        if arr is None or ((arr < 0) | (arr >= q)).any():
+            bad = next(f for f in fs if len(f) != dim or not all(0 <= v < q for v in f))
+            raise SpecMismatch(f"functional {tuple(bad)} is not in F_{q}^{dim}")
+        codes = arr @ q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        return np.searchsorted(self._rep_codes, self._labels[codes])
+
     def class_of(self, f) -> int:
         """The index of f's class; SpecMismatch unless f lies in F_q**dim."""
-        if len(f) != self.dim or not all(0 <= v < self.field.q for v in f):
-            raise SpecMismatch(f"functional {tuple(f)} is not in F_{self.field.q}^{self.dim}")
-        return self._rep_index[self.decode(int(self._labels[self.code(f)]))]
+        return int(self.classes_of([f])[0])
 
     def canonical_codes(self) -> np.ndarray:
         """For every functional code, the code of its class representative."""
         return np.asarray(self._labels, dtype=np.int64)
 
+    @cached_property
+    def members(self) -> tuple[np.ndarray, np.ndarray]:
+        """(codes, bounds): every functional code grouped by class, ascending
+        within a class, with class k at codes[bounds[k] : bounds[k + 1]]."""
+        codes = np.argsort(self._labels, kind="stable")  # classes are in label order
+        return codes, np.concatenate(([0], np.cumsum(self.sizes)))
+
     def elements_digits(self, k: int) -> np.ndarray:
         """All members of class k as a (size, dim) digit array."""
-        if self._groups is None:
-            codes = self.canonical_codes()
-            order = np.argsort(codes, kind="stable")
-            sorted_codes = codes[order]
-            rep_codes = np.array([self.code(r) for r in self.reps], dtype=np.int64)
-            starts = np.searchsorted(sorted_codes, rep_codes, side="left")
-            ends = np.searchsorted(sorted_codes, rep_codes, side="right")
-            self._groups = (order, starts, ends)
-        order, starts, ends = self._groups
-        member_codes = order[starts[k] : ends[k]]
-        return _codes_to_digits(member_codes, self.field.q, self.dim)
+        codes, bounds = self.members
+        return _codes_to_digits(codes[bounds[k] : bounds[k + 1]], self.field.q, self.dim)
 
     def elements(self, k: int) -> list[tuple[int, ...]]:
         return [tuple(int(v) for v in row) for row in self.elements_digits(k)]
@@ -219,10 +230,7 @@ def orbit_partition_from_moves(field: Fq, dim: int, moves, cap: int) -> OrbitPar
                 np.minimum(labels, pulled, out=labels)
                 changed = True
     rep_codes, counts = np.unique(labels, return_counts=True)
-    reps = tuple(
-        tuple(int(v) for v in row) for row in _codes_to_digits(rep_codes, field.q, dim)
-    )
-    return OrbitPartition(field, dim, reps, tuple(int(c) for c in counts), labels)
+    return OrbitPartition(field, dim, rep_codes, tuple(int(c) for c in counts), labels)
 
 
 # ---------------------------------------------------------------------------

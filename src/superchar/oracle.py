@@ -18,12 +18,20 @@ The supercharacter of eta is the scaled orbit sum
     chi^eta(x_phi) = (|lambda_eta U| / |U lambda_eta U|)
                      * sum over mu in the two-sided co-orbit of theta(mu . phi)
 
-with the scaling division performed exactly (and loudly checked).
+with the scaling division performed exactly (and loudly checked).  Many
+characters are summed at once: co-orbits of equal size m share blocks, each
+one float matmul of the members' base-p digits against the representatives'
+(times the trace form), reduced mod p and counted per residue along the m
+axis.  A block holds at most ``_BLOCK_CELLS`` member x class cells; a larger
+co-orbit is split along its members.  Callers take the characters in chunks
+of about as many cells, so memory stays bounded by the budget.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +45,7 @@ from .core import OrbitPartition, PatternGroup, _codes_to_digits, orbit_partitio
 from .formula import value_chunks
 
 DEFAULT_ORACLE_CAP = 1 << 12
+_BLOCK_CELLS = 1 << 16  # member x class cells per block of an orbit sum
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +152,20 @@ class Oracle:
         self.order = total
         self._partitions: dict[tuple[str, ...], OrbitPartition] = {}
         F = self.field
+        # entries of mu . phi are at most dim * r * (p - 1)**2, exact in
+        # float32 below 2**24 and in float64 (far faster than integer matmul)
+        # below 2**53; residues take the narrowest unsigned dtype
+        self._float = np.float32 if self.dim * F.r * (F.p - 1) ** 2 < 2**24 else np.float64
+        self._residue = np.min_scalar_type(F.p - 1)
         # trace(mu . phi) = sum_k d(mu_k)^T T d(phi_k) over the base-p digits,
-        # with the trace form T_ij = tr(p**i * p**j); T = [[1]] for prime fields.
-        self._powers = [F.p**i for i in range(F.r)]
-        self._trace_form = np.array([[F.trace(F.mul(a, c)) for c in self._powers] for a in self._powers])
+        # with the trace form T_ij = tr(p**i * p**j), one block per coordinate;
+        # T = [[1]] for prime fields.
+        powers = [F.p**i for i in range(F.r)]
+        T = [[F.trace(F.mul(a, c)) for c in powers] for a in powers]
+        self._trace_form = np.kron(np.eye(self.dim), T).astype(self._float)
+        # codes of functionals, and digit u of coordinate k at column k*r + u
+        self._code_weights = F.q ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
+        self._digit_weights = np.outer(self._code_weights, powers).ravel()
 
     # -- partitions ---------------------------------------------------------
 
@@ -166,10 +185,17 @@ class Oracle:
     def conjugacy_partition(self) -> OrbitPartition:
         return self._partition("conj")
 
+    @cached_property
+    def _right_sizes(self) -> np.ndarray:
+        """|lambda U| per co-orbit, read off the right-co-orbit sweep at its
+        representative: left moves commute with the right action, so they
+        carry right co-orbits to right co-orbits of the same size."""
+        right = self._partition("dual_right")
+        return np.asarray(right.sizes)[right.classes_of(self.coorbit_partition().reps)]
+
     def right_coorbit_size(self, eta) -> int:
-        """|lambda_eta U|, the size of eta's class in the right-co-orbit sweep."""
-        part = self._partition("dual_right")
-        return int(part.sizes[part.class_of(eta)])
+        """|lambda_eta U|, looked up by eta's co-orbit."""
+        return int(self._right_sizes[self.coorbit_partition().class_of(eta)])
 
     def coorbit_elements(self, eta) -> list[tuple[int, ...]]:
         """The two-sided co-orbit of eta, ascending."""
@@ -178,41 +204,109 @@ class Oracle:
 
     # -- orbit sums -----------------------------------------------------------
 
-    def value_row(self, eta, class_digits: np.ndarray, elements=None) -> np.ndarray:
-        """Scaled orbit-sum values of chi^eta at the given representatives,
-        as a (p-1, count) array of cyclotomic coefficients.
+    def value_rows(self, etas, class_digits: np.ndarray) -> np.ndarray:
+        """Scaled orbit-sum values of chi^eta for every eta in ``etas`` at the
+        given representatives, as a (p-1, len(etas), count) array of
+        cyclotomic coefficients.
 
-        The co-orbit of eta defaults to the members of its class in the
-        co-orbit sweep, which is how everything in this package calls it.
-        ``elements`` (a digit array) overrides it only so that a caller
-        outside the package can time the orbit sum apart from the lookup.
+        Each eta is summed over its class in the co-orbit sweep, found by
+        label lookup, so it may be any member of its co-orbit.  The result
+        holds len(etas) x count cells: callers take the characters in chunks.
         """
-        p, r = self.field.p, self.field.r
-        nright = self.right_coorbit_size(eta)
+        return self._rows(etas, self._phi_digits(class_digits))
+
+    def value_row(self, eta, class_digits: np.ndarray, elements=None) -> np.ndarray:
+        """:meth:`value_rows` for one character, shape (p-1, count).
+
+        ``elements`` (a digit array) overrides the co-orbit of eta only so
+        that a caller outside the package can time the orbit sum apart from
+        the lookup; nothing in this package passes it.
+        """
+        phi = self._phi_digits(class_digits)
         if elements is None:
-            co = self.coorbit_partition()
-            elements = co.elements_digits(co.class_of(eta))
-        m, count = len(elements), len(class_digits)
-        powers = self._powers
-        mu = np.asarray(elements, dtype=np.int64).reshape(m, self.dim, 1) // powers % p
-        mu = (mu @ self._trace_form % p).reshape(m, self.dim * r)
-        phi = np.asarray(class_digits, dtype=np.int64).reshape(count, self.dim, 1) // powers % p
-        phi = phi.reshape(count, self.dim * r)
-        # Entries of both factors are below p, so those of the product are at
-        # most dim * r * (p - 1)**2: exact in float64 (< 2**53, and an order
-        # of magnitude faster than integer matmul) and in int32 while < 2**31.
-        # Pf stays alive on purpose: freeing it before the masks below cost
-        # 4 MB more peak RSS on full_check of Heisenberg n = 5 at q = 3.
-        Pf = mu.astype(np.float64) @ phi.T.astype(np.float64)
-        P = Pf.astype(np.int32 if self.dim * r * (p - 1) ** 2 < 2**31 else np.int64)
-        P %= p
-        counts = np.zeros((p, count), dtype=np.int64)
-        for k in range(p):
-            counts[k] = (P == k).sum(axis=0)
-        num = (counts[: p - 1] - counts[p - 1]) * nright
-        if (num % m).any():
-            raise NonIntegralScaling(f"co-orbit size {m} does not divide the scaled sum")
-        return num // m
+            return self._rows([eta], phi)[:, 0]
+        k = self.coorbit_partition().class_of(eta)
+        codes = np.asarray(elements, dtype=np.int64).reshape(-1, self.dim) @ self._code_weights
+        sizes = np.array([len(codes)])
+        return self._orbit_sums(codes, np.zeros(1, dtype=np.int64), sizes, self._right_sizes[[k]], phi)[:, 0]
+
+    def _rows(self, etas, phi) -> np.ndarray:
+        """:meth:`value_rows` at representatives given by :meth:`_phi_digits`."""
+        co = self.coorbit_partition()
+        ks = co.classes_of(etas)
+        codes, bounds = co.members
+        starts = bounds[ks]
+        return self._orbit_sums(codes, starts, bounds[ks + 1] - starts, self._right_sizes[ks], phi)
+
+    def _orbit_sums(self, members, starts, sizes, nright, phi) -> np.ndarray:
+        """(nright[i] / m) * sum of theta(mu . phi) over the m = sizes[i]
+        codes members[starts[i] : starts[i] + m], for each row i, as
+        (p-1, rows, count) cyclotomic coefficients.
+
+        Rows of equal (m, nright) are summed together, in blocks of at most
+        ``_BLOCK_CELLS`` member x class cells; a co-orbit larger than a block
+        is split along its members.  Residues are counted with one scatter
+        of the m residues of each cell when m < p, and with one comparison
+        pass per nonzero residue otherwise.
+        """
+        p = self.field.p
+        count = phi.shape[1]
+        out = np.empty((p - 1, len(sizes), count), dtype=np.int64)
+        per_block = max(1, _BLOCK_CELLS // max(1, count))  # members per block
+        for m, nr in sorted(set(zip(sizes.tolist(), nright.tolist()))):
+            rows = np.flatnonzero((sizes == m) & (nright == nr))
+            piece = min(m, per_block)
+            step = per_block // piece  # rows per block
+            for i in range(0, len(rows), step):
+                sel = rows[i : i + step]
+                counts = np.zeros((p, len(sel), count), dtype=np.int64)
+                for lo in range(0, m, piece):
+                    codes = members[starts[sel, None] + np.arange(lo, min(m, lo + piece))]
+                    # (mu . phi) mod p for every member against every representative
+                    P = self._mod_p(self._digits(codes.ravel()) @ phi)
+                    res = P.astype(self._residue).reshape(codes.shape + (count,))
+                    if m < p:
+                        cells = np.arange(counts[0].size).reshape(len(sel), 1, count)
+                        np.add.at(counts.reshape(-1), res.astype(np.intp) * counts[0].size + cells, 1)
+                    else:  # summing bytes, in the narrowest dtype, beats counting bools
+                        acc = np.min_scalar_type(piece)
+                        for k in range(1, p):
+                            counts[k] += (res == k).view(np.uint8).sum(axis=1, dtype=acc)
+                if m >= p:
+                    counts[0] = m - counts[1:].sum(axis=0)
+                num = counts[: p - 1]
+                num -= counts[p - 1]
+                g = math.gcd(m, nr)  # the scale nr / m in lowest terms
+                if nr > g:
+                    num *= nr // g
+                if m > g:
+                    if (num % (m // g)).any():
+                        raise NonIntegralScaling(f"co-orbit size {m} does not divide the scaled sum")
+                    num //= m // g
+                out[:, sel] = num
+        return out
+
+    def _phi_digits(self, class_digits) -> np.ndarray:
+        """The base-p digits of the representatives times the trace form,
+        shape (dim * r, count)."""
+        digits = np.asarray(class_digits, dtype=np.int64).reshape(len(class_digits), self.dim)
+        return self._mod_p(self._digits(digits @ self._code_weights) @ self._trace_form).T
+
+    def _digits(self, codes) -> np.ndarray:
+        """The base-p digits of functional codes, digit u of coordinate k in
+        column k*r + u, in the product's float dtype."""
+        return (codes[:, None] // self._digit_weights % self.field.p).astype(self._float)
+
+    def _mod_p(self, P) -> np.ndarray:
+        """P mod p in place, for integral floats 0 <= P < 2**t (t = 24 or 53
+        bits of precision): P / p rounds by less than 1/p, which keeps
+        floor(P / p) = P // p."""
+        p = self.field.p
+        quotient = P / p
+        np.floor(quotient, out=quotient)
+        quotient *= p
+        P -= quotient
+        return P
 
     def supercharacter(self, eta) -> dict[tuple, CycInt]:
         """The orbit-sum supercharacter as {superclass representative: value}."""
@@ -268,11 +362,12 @@ class Oracle:
     def _check_constancy(self, sc: OrbitPartition, co: OrbitPartition) -> bool:
         F = self.field
         total = self.order
-        all_digits = _codes_to_digits(np.arange(total, dtype=np.int64), F.q, self.dim)
+        phi = self._phi_digits(_codes_to_digits(np.arange(total, dtype=np.int64), F.q, self.dim))
         sc_codes = sc.canonical_codes()
-        for eta in co.reps:
-            row = self.value_row(eta, all_digits)  # (p-1, |G|)
-            if not np.array_equal(row, row[:, sc_codes]):
+        step = max(1, _BLOCK_CELLS // total)
+        for start in range(0, len(co.reps), step):
+            rows = self._rows(co.reps[start : start + step], phi)  # (p-1, step, |G|)
+            if not np.array_equal(rows, rows[:, :, sc_codes]):
                 return False
         return True
 
@@ -331,20 +426,15 @@ class CheckReport:
 
 
 def charvalue_coeff_rows(p: int, q: int, zero, qexp, zexp) -> np.ndarray:
-    """CharValue arrays -> cyclotomic coefficient rows, shape (p-1, count)."""
+    """CharValue arrays of any shape -> cyclotomic coefficients, shape
+    (p-1,) + that shape: q**qexp * zeta**zexp, or 0 where ``zero``."""
     zero = np.asarray(zero, dtype=bool)
     mag = np.where(zero, 0, np.power(np.int64(q), np.asarray(qexp, dtype=np.int64)))
-    zexp = np.asarray(zexp, dtype=np.int64)
-    out = np.zeros((p - 1, len(mag)), dtype=np.int64)
-    for k in range(p):
-        mask = (~zero) & (zexp == k)
-        if not mask.any():
-            continue
-        if k < p - 1:
-            out[k][mask] += mag[mask]
-        else:
-            out[:, mask] -= mag[mask]
-    return out
+    zexp = np.where(zero, 0, np.asarray(zexp, dtype=np.int64))
+    out = np.zeros((p,) + mag.shape, dtype=np.int64)
+    np.put_along_axis(out, zexp[None], mag[None], axis=0)
+    out[: p - 1] -= out[p - 1]  # zeta**(p-1) = -(1 + zeta + ... + zeta**(p-2))
+    return out[: p - 1]
 
 
 def full_check(source, oracle_cap: int | None = None, with_axioms: bool = True) -> CheckReport:
@@ -366,23 +456,22 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool = True) 
     dim = oracle.dim
     class_digits = np.array(core_sc.reps, dtype=np.int64).reshape(len(core_sc.reps), dim)
     F = oracle.field
-    # formula values for a chunk of rows at a time, so memory stays
-    # O(chunk x classes); every mismatching cell is counted
+    # formula and oracle values for a chunk of rows at a time, so memory
+    # stays O(chunk x classes); every mismatching cell is counted
     for _, evaluators, (zero, qexp, zexp) in value_chunks(source, core_co.reps, class_digits):
-        for i, ev in enumerate(evaluators):
-            eta = ev.eta
-            oracle_row = oracle.value_row(eta, class_digits)
-            formula_row = charvalue_coeff_rows(F.p, F.q, zero[i], qexp[i], zexp[i])
-            bad = np.flatnonzero((formula_row != oracle_row).any(axis=0))
-            if len(bad) and report.witness is None:
-                c = int(bad[0])
-                report.witness = (
-                    eta,
-                    core_sc.reps[c],
-                    tuple(int(x) for x in formula_row[:, c]),
-                    tuple(int(x) for x in oracle_row[:, c]),
-                )
-            report.mismatches += len(bad)
+        etas = [ev.eta for ev in evaluators]
+        oracle_rows = oracle.value_rows(etas, class_digits)
+        formula_rows = charvalue_coeff_rows(F.p, F.q, zero, qexp, zexp)
+        bad = (formula_rows != oracle_rows).any(axis=0)
+        if report.witness is None and bad.any():
+            i, c = np.argwhere(bad)[0]  # the first in (eta, class) order
+            report.witness = (
+                etas[i],
+                core_sc.reps[c],
+                tuple(int(x) for x in formula_rows[:, i, c]),
+                tuple(int(x) for x in oracle_rows[:, i, c]),
+            )
+        report.mismatches += int(bad.sum())
     report.values_match = report.mismatches == 0
     if with_axioms:
         report.axioms = oracle.verify_axioms()

@@ -176,17 +176,15 @@ def test_criterion_06_irreducibility_criteria():
     _report(6, "determinant irreducibility criterion and class counterexample", ok, started)
 
 
-def _gram(oracle, values, sizes):
-    """|G| <chi_a, chi_b> for rows of cyclotomic coefficient matrices."""
+def _gram(oracle, V, sizes):
+    """|G| <chi_a, chi_b> for rows given as (p-1, R, C) cyclotomic coefficients."""
     p = oracle.field.p
-    R = len(values)
-    C = len(sizes)
-    V = np.stack(values)  # (R, p-1, C)
+    R = V.shape[1]
     s = np.asarray(sizes, dtype=np.int64)
     buckets = np.zeros((p, R, R), dtype=np.int64)
     for i in range(p - 1):
         for j in range(p - 1):
-            buckets[(i - j) % p] += (V[:, i, :] * s) @ V[:, j, :].T
+            buckets[(i - j) % p] += (V[i] * s) @ V[j].T
     return buckets[: p - 1] - buckets[p - 1]
 
 
@@ -205,19 +203,15 @@ def test_criterion_07_orthogonality():
             digits = np.array([list(r) for r in sc.reps], dtype=np.int64).reshape(
                 len(sc.reps), len(entry.J)
             )
-            rows = [oracle.value_row(eta, digits) for eta in co.reps]
-            gram = _gram(oracle, rows, sc.sizes)
-            coranks = [G.corank(eta) for eta in co.reps]
-            for a in range(len(co.reps)):
-                for b in range(len(co.reps)):
-                    got = gram[:, a, b] * co.sizes[a]
-                    if a == b:
-                        expected = np.zeros(F.p - 1, dtype=np.int64)
-                        expected[0] = F.q ** (2 * coranks[a]) * G.order()
-                    else:
-                        expected = np.zeros(F.p - 1, dtype=np.int64)
-                    if not np.array_equal(got, expected):
-                        ok = False
+            gram = _gram(oracle, oracle.value_rows(co.reps, digits), sc.sizes)
+            coranks = np.array([G.corank(eta) for eta in co.reps], dtype=np.int64)
+            # gram[:, a, b] * |coorbit a| is q^(2 corank a) |G| on the diagonal's
+            # constant coefficient and zero everywhere else
+            got = gram * np.array(co.sizes, dtype=np.int64)[:, None]
+            expected = np.zeros_like(got)
+            np.fill_diagonal(expected[0], F.q ** (2 * coranks) * G.order())
+            if not np.array_equal(got, expected):
+                ok = False
     _report(7, "orbit-sum inner products are delta * q^(2 corank) / |coorbit|", ok, started)
 
 

@@ -1,5 +1,6 @@
 """Brute-force superclasses, orbit sums, inner products, and axiom checks."""
 
+import itertools
 import random
 
 import numpy as np
@@ -18,7 +19,7 @@ from superchar.catalog import (
     SIXTEEN_TABLE,
 )
 from superchar import oracle as oracle_module
-from superchar.core import PatternGroup, _bfs
+from superchar.core import OrbitPartition, PatternGroup, _bfs
 from superchar.errors import SizeCapExceeded, SpecMismatch
 from superchar.formula import CharacterEvaluator
 from superchar.gf import CycInt, Fq, theta
@@ -292,10 +293,9 @@ def test_full_check_reports_disagreeing_coorbit_partitions(monkeypatch):
     assert "FAIL: orbit partitions agree" in list(report.lines())
 
 
-def test_full_check_counts_every_mismatching_cell(monkeypatch):
-    G = PatternGroup(heisenberg(4), F3)
-    etas = G.coorbit_partition().reps
-    flipped = {etas[1]: 0, etas[-1]: 5}  # character -> class whose zeta exponent flips
+def _flip_zetas(monkeypatch, flipped):
+    """Make formula.value_blocks flip the zeta exponent of each (character,
+    class) in ``flipped``, a dict from character to class index."""
     value_blocks = formula.value_blocks
 
     def flip_one_zeta(evaluators, digits):
@@ -308,6 +308,12 @@ def test_full_check_counts_every_mismatching_cell(monkeypatch):
         return zero, q_exp, zeta_exp
 
     monkeypatch.setattr(formula, "value_blocks", flip_one_zeta)
+
+
+def test_full_check_counts_every_mismatching_cell(monkeypatch):
+    G = PatternGroup(heisenberg(4), F3)
+    etas = G.coorbit_partition().reps
+    _flip_zetas(monkeypatch, {etas[1]: 0, etas[-1]: 5})
     monkeypatch.setattr(formula, "_ROW_CELLS", 2 * 83)  # two rows per chunk
     report = full_check(G)
     assert report.partitions_match and not report.values_match and not report.ok
@@ -317,12 +323,26 @@ def test_full_check_counts_every_mismatching_cell(monkeypatch):
     assert "2 mismatching cells" in "\n".join(report.lines())
 
 
+def test_full_check_witness_is_the_first_cell_in_eta_order(monkeypatch):
+    # both mismatches in one chunk of rows: the witness is the earlier
+    # character's, although the later one's class comes first
+    G = PatternGroup(heisenberg(4), F3)
+    etas = G.coorbit_partition().reps
+    _flip_zetas(monkeypatch, {etas[1]: 5, etas[2]: 0})
+    report = full_check(G, with_axioms=False)
+    assert report.mismatches == 2
+    eta, phi, _, _ = report.witness
+    assert eta == etas[1] and phi == G.orbit_partition().reps[5]
+
+
 _SOURCES = {
     "full_u3": lambda F: PatternGroup(full_triangular(3), F),
     "full_u4": lambda F: PatternGroup(full_triangular(4), F),
     "heisenberg3": lambda F: PatternGroup(heisenberg(3), F),
     "heisenberg4": lambda F: PatternGroup(heisenberg(4), F),
     "semidirect4": lambda F: semidirect_algebra(4, F),
+    "sixteen": lambda F: sixteen_group(),
+    "random6": lambda F: PatternGroup(_random_closed(random.Random(8), 5), F),  # |J| = 6
 }
 
 
@@ -347,25 +367,77 @@ def test_value_row_is_exact_past_int32(q):
         assert CycInt(q, tuple(int(x) for x in row[:, c])) == CycInt.root(q, eta * phi)
 
 
+def _scaled_orbit_sums(o, eta, reps):
+    """The reference values of chi^eta at reps: the orbit sum of theta(mu . phi)
+    over the co-orbit, one CycInt term per member, scaled by |lambda U| /
+    |U lambda U|; both orbits come from a BFS over the backend's moves, not
+    from the sweeps."""
+    F, b = o.field, o.backend
+    members = _bfs(F, eta, b.dual_left + b.dual_right)
+    scale = len(_bfs(F, eta, b.dual_right))
+    out = []
+    for phi in reps:
+        total = CycInt.zero(F.p)
+        for mu in members:
+            total = total + theta(F, F.dot(mu, phi)).to_cyc(F)
+        scaled = total * scale
+        assert all(x % len(members) == 0 for x in scaled.coeffs)
+        out.append(CycInt(F.p, tuple(x // len(members) for x in scaled.coeffs)))
+    return out
+
+
 @pytest.mark.parametrize("name, q", [("full_u3", 4), ("full_u3", 8), ("semidirect4", 4)])
 def test_value_row_is_the_scaled_orbit_sum(name, q):
-    # reference: the orbit sum of theta(mu . phi) over the co-orbit, one
-    # CycInt term per member, scaled by |lambda U| / |U lambda U|; both
-    # orbits come from a BFS over the backend's moves, not from the sweeps
     F = Fq.of(q)
     o = Oracle(_SOURCES[name](F))
-    b = o.backend
     reps = o.superclass_partition().reps
     digits = np.array(reps, dtype=np.int64).reshape(len(reps), o.dim)
     for eta in o.coorbit_partition().reps:
         row = o.value_row(eta, digits)
-        members = _bfs(F, eta, b.dual_left + b.dual_right)
-        scale = len(_bfs(F, eta, b.dual_right))
-        for c, phi in enumerate(reps):
-            total = CycInt.zero(F.p)
-            for mu in members:
-                total = total + theta(F, F.dot(mu, phi)).to_cyc(F)
-            scaled = total * scale
-            assert all(x % len(members) == 0 for x in scaled.coeffs)
-            expected = CycInt(F.p, tuple(x // len(members) for x in scaled.coeffs))
+        for c, expected in enumerate(_scaled_orbit_sums(o, eta, reps)):
             assert CycInt(F.p, tuple(int(x) for x in row[:, c])) == expected
+
+
+@pytest.mark.parametrize("per_block", [1, 3])
+@pytest.mark.parametrize(
+    "name, q",
+    [("random6", 3), ("semidirect4", 4), ("sixteen", 2), ("full_u3", 4), ("full_u3", 8), ("full_u3", 9)],
+)
+def test_value_rows_across_block_boundaries(name, q, per_block, monkeypatch):
+    # a budget of per_block members per block: rows of one co-orbit size
+    # straddle blocks, and every larger co-orbit is split along its members
+    F = Fq.of(q)
+    o = Oracle(_SOURCES[name](F))
+    reps = o.superclass_partition().reps
+    monkeypatch.setattr(oracle_module, "_BLOCK_CELLS", per_block * len(reps))
+    digits = np.array(reps, dtype=np.int64).reshape(len(reps), o.dim)
+    etas = o.coorbit_partition().reps
+    assert max(o.coorbit_partition().sizes) > per_block
+    rows = o.value_rows(etas, digits)
+    for i, eta in enumerate(etas):
+        for c, expected in enumerate(_scaled_orbit_sums(o, eta, reps)):
+            assert CycInt(F.p, tuple(int(x) for x in rows[:, i, c])) == expected
+
+
+def test_constancy_check_reads_the_last_block(monkeypatch):
+    # blocks of five characters over U_4(2): merging two superclasses that
+    # only the last block's characters tell apart must fail the check
+    o = Oracle(PatternGroup(full_triangular(4), F2))
+    sc, co = o.superclass_partition(), o.coorbit_partition()
+    digits = np.array(sc.reps, dtype=np.int64).reshape(len(sc), o.dim)
+    table = o.value_rows(co.reps, digits)
+    last = len(co) - 5
+    assert last % 5 == 0
+    a, b = next(
+        (a, b)
+        for a, b in itertools.combinations(range(len(sc)), 2)
+        if np.array_equal(table[:, :last, a], table[:, :last, b])
+        and not np.array_equal(table[:, :, a], table[:, :, b])
+    )
+    labels = sc.canonical_codes()
+    labels[labels == sc.code(sc.reps[b])] = sc.code(sc.reps[a])
+    rep_codes, sizes = np.unique(labels, return_counts=True)
+    merged = OrbitPartition(o.field, o.dim, rep_codes, tuple(sizes), labels)
+    monkeypatch.setattr(oracle_module, "_BLOCK_CELLS", 5 * o.order)
+    assert o._check_constancy(sc, co)
+    assert not o._check_constancy(merged, co)
