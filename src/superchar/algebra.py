@@ -102,16 +102,23 @@ def parse_algebra_spec(text: str):
     section = None
     embed_n = None
     constants: dict = {}
+    seen: set = set()  # (section, indexes) of every constant and embed line
     embed_entries: dict[int, dict] = {}
     for lineno, line in _content_lines(text):
         tokens = line.split()
         head = tokens[0]
         if section is None:
-            if head == "d" and len(tokens) == 2:
+            if head == "d":
+                if d is not None or len(tokens) != 2:
+                    raise ParseError(lineno, "expected a single 'd <int>' header")
                 d = _int_token(lineno, tokens[1])
-            elif head == "q" and len(tokens) == 2:
+            elif head == "q":
+                if q is not None or len(tokens) != 2:
+                    raise ParseError(lineno, "expected a single 'q <int>' header")
                 q = _int_token(lineno, tokens[1])
             elif head == "modulus":
+                if modulus is not None or len(tokens) < 2:
+                    raise ParseError(lineno, "expected 'modulus c0 c1 ... cr'")
                 modulus = tuple(_int_token(lineno, t) for t in tokens[1:])
             elif head == "constants":
                 if d is None or q is None:
@@ -132,6 +139,9 @@ def parse_algebra_spec(text: str):
             v = parse_field_literal(field, tokens[3])
             if not (1 <= i <= d and 1 <= j <= d and 1 <= k <= d):
                 raise ParseError(lineno, f"constant index out of range in {line!r}")
+            if (section, i, j, k) in seen:
+                raise ParseError(lineno, f"repeated constant {i} {j} {k}")
+            seen.add((section, i, j, k))
             if v:
                 constants.setdefault((i - 1, j - 1), {})[k - 1] = v
         else:  # embed section
@@ -141,6 +151,9 @@ def parse_algebra_spec(text: str):
             v = parse_field_literal(field, tokens[3])
             if not 1 <= b <= d:
                 raise ParseError(lineno, f"basis index out of range in {line!r}")
+            if (section, b, i, j) in seen:
+                raise ParseError(lineno, f"repeated entry {b} {i} {j}")
+            seen.add((section, b, i, j))
             if v:
                 embed_entries.setdefault(b - 1, {})[(i, j)] = v
     if section is None:

@@ -4,7 +4,7 @@ A nilpotent algebra of dimension d over F_q is given by the constants
 c[i][j][k] with  X_i * X_j = sum_k c_ij^k X_k  on a chosen basis.  The group
 is 1 + the algebra, with (1+X)(1+Y) = 1 + X + Y + XY; group elements and
 dual functionals are coordinate tuples of length d.  Every action, action
-matrix, mesh term and orbit move is read off the constants:
+matrix, mesh datum and orbit move is read off the constants:
 
     act_left:   x_rho * X_phi     = X_phi + X_rho X_phi
     act_right:  X_phi * x_rho     = X_phi + X_phi X_rho
@@ -19,11 +19,9 @@ Supercharacters and superclasses for algebra groups).  The mesh data of
 
 and chi^eta(x_phi) = q**(corank - rank M) * theta(b0.b + phi.eta) when phi
 meshes with eta (M b0 = -a is solvable and b is perpendicular to the
-nullspace of M), zero otherwise.  As sparse terms in phi, which
-:class:`superchar.formula.CharacterEvaluator` evaluates:
-
-    a_i = sum_s phi_s A[i][s]      b_j = sum_s phi_s A[s][j]
-    M[i][j] = sum_s phi_s sum_m c_is^m A[m][j]
+nullspace of M), zero otherwise.  :meth:`StructureAlgebra.value` is the
+dense reference; :class:`superchar.formula.CharacterEvaluator` reads the
+same data off A_eta as sparse terms in phi.
 
 A pattern group U_J is the algebra group of its closed set J, with
 c_{(i,j),(j,k)}^{(i,k)} = 1 for each 3-chain; packed tuples follow J's
@@ -437,7 +435,7 @@ class StructureAlgebra:
     def mesh_data(self, phi, eta):
         """(M, a, b) with M[i][j] = phi C_i C^j eta, a_i = phi C_i eta and
         b_j = phi C^j eta, where (C_i)_jk = (C^j)_ik = c_ij^k: the dense
-        definition that :meth:`mesh_terms` is checked against."""
+        definition that the evaluator's sparse terms are checked against."""
         F, d = self.field, self.d
         phi, eta = self._vec(phi), self._vec(eta)
         u = [[0] * d for _ in range(d)]  # u[i] = phi C_i
@@ -459,30 +457,6 @@ class StructureAlgebra:
         if b0 is None or not perp_to_nullspace(M, b):
             return False, None
         return True, b0
-
-    def mesh_terms(self, eta):
-        """The sparse mesh data of eta: (target, phi-slot, coefficient) terms of
-        a, b and M (targets of M are (row, col) pairs), read off A_eta."""
-        return self._mesh_terms_of(self._eta_matrix(eta))
-
-    def _mesh_terms_of(self, A):
-        """:meth:`mesh_terms` from A_eta."""
-        F = self.field
-        a_terms, b_terms = [], []
-        for i, row in enumerate(A):
-            for s, v in enumerate(row):
-                if v:
-                    a_terms.append((i, s, v))
-                    b_terms.append((s, i, v))
-        m_acc: dict = {}
-        for (i, s), row in self.constants.items():
-            for m, c in row.items():
-                for j, v in enumerate(A[m]):
-                    if v:
-                        key = ((i, j), s)
-                        m_acc[key] = F.add(m_acc.get(key, 0), F.mul(c, v))
-        m_terms = [(pos, s, v) for (pos, s), v in m_acc.items() if v]
-        return a_terms, b_terms, m_terms
 
     def corank(self, eta, cap: int | None = None) -> int:
         """rank(A_eta), the dimension of the right orbit of lambda_eta.

@@ -18,11 +18,12 @@ orbit-sum definition fixes the sign of the exponent of theta here; the
 brute-force oracle pins it in the tests.)
 
 :class:`CharacterEvaluator` builds A_eta once and reads off it the corank
-and the sparse mesh terms of any algebra group; tables take irreducibility
-from the co-orbit sizes instead.  Its
-:meth:`~CharacterEvaluator.value` is the per-cell reference.  The bulk path
-is :func:`value_blocks`, which evaluates many characters over a block of
-superclass representatives at once, over any F_q and with no field tables:
+and one mesh plan for any algebra group; tables take irreducibility from
+the co-orbit sizes instead.  Its :meth:`~CharacterEvaluator.value` sums the
+plan at one phi: the per-cell reference.  The bulk path is
+:func:`value_blocks`, which evaluates many characters over a block of
+superclass representatives at once from the same plans, over any F_q and
+with no field tables:
 
 * Multiplication by a fixed coefficient is F_p-linear on the r base-p
   digits of an F_q element, and so is the trace.  So every entry of a, b
@@ -46,7 +47,7 @@ references the tests compare against.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,87 +76,94 @@ class CharacterEvaluator:
     """chi^eta as a reusable evaluator over many superclass representatives.
 
     ``source`` is any :class:`~superchar.core.StructureAlgebra` (a
-    :class:`PatternGroup` is one).  A_eta is built once; the corank and the
-    sparse (target, phi-slot, coefficient) mesh terms are read off it, but
-    not irreducibility.  :meth:`value` is the per-cell reference;
-    :meth:`value_block` and :func:`value_blocks` are the bulk paths.
+    :class:`PatternGroup` is one).  A_eta is built once, and the corank and
+    the mesh plan are read off it, but not irreducibility.  Every entry of
+    the mesh data is linear in phi, with (C_i)_jk = c_ij^k as in :mod:`.core`:
+
+        a_i = sum_s phi_s A[i][s]      b_j = sum_s phi_s A[s][j]
+        M[i][j] = sum_s phi_s sum_m c_is^m A[m][j]
+
+    The plan lays these terms out on a frame: the rows and columns where M
+    carries terms, plus one slot for each other entry of a or b.
+    ``frame`` is (rows, cols, off), and ``plan`` holds one (kind, i, j,
+    phi-slot, coefficient) row per term: kind 0 is an entry of a on frame
+    row i, 1 an entry of b on frame column j, 2 the entry (i, j) of M, and
+    3 an entry of a or b off the frame, in its own slot i.  A nonzero
+    off-frame entry makes the value zero: rows of M off the frame vanish,
+    so M x = -a forces a to vanish there, and standard basis vectors at
+    columns off the frame lie in null(M), so b must vanish there.
+
+    :meth:`value` is the per-cell reference; :meth:`value_block` and
+    :func:`value_blocks` are the bulk paths.  All of them read the plan.
     """
 
     def __init__(self, source, eta):
-        self.field = source.field
+        F = self.field = source.field
         A = source._eta_matrix(eta)
         self.eta = tuple(eta)
         self.corank = source._corank_of(A)
-        self._a_terms, self._b_terms, self._m_terms = source._mesh_terms_of(A)
-        # Fixed submatrix frame for the nonzero-mesh-matrix branch: every
-        # possibly-nonzero entry of M lives at these row/column slots.
-        self._m_rows = sorted({r for (r, _), _, _ in self._m_terms})
-        self._m_cols = sorted({c for (_, c), _, _ in self._m_terms})
-        self._row_pos = {r: k for k, r in enumerate(self._m_rows)}
-        self._col_pos = {c: k for k, c in enumerate(self._m_cols)}
+        nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in A]
+        m_terms: dict = {}
+        for (i, s), row in source.constants.items():
+            for m, c in row.items():
+                for j, v in nonzero[m]:
+                    m_terms[i, j, s] = F.add(m_terms.get((i, j, s), 0), F.mul(c, v))
+        m_terms = {key: v for key, v in m_terms.items() if v}
+        rows = {i: k for k, i in enumerate(sorted({i for i, _, _ in m_terms}))}
+        cols = {j: k for k, j in enumerate(sorted({j for _, j, _ in m_terms}))}
+        off: dict = {}
+        plan = [(2, rows[i], cols[j], s, v) for (i, j, s), v in m_terms.items()]
+        for i, row in enumerate(nonzero):
+            for s, v in row:  # A[i][s] is a term of a_i at phi_s and of b_s at phi_i
+                a_at = (0, rows[i], 0) if i in rows else (3, off.setdefault((0, i), len(off)), 0)
+                b_at = (1, 0, cols[s]) if s in cols else (3, off.setdefault((1, s), len(off)), 0)
+                plan += [a_at + (s, v), b_at + (i, v)]
+        self.frame = (len(rows), len(cols), len(off))
+        self.plan = plan
 
     def value(self, phi) -> CharValue:
-        """chi^eta(x_phi), one cell at a time: the reference the block paths
-        are tested against."""
+        """chi^eta(x_phi), one cell at a time: the plan summed at phi, then
+        one small row reduction of [M | -a] on the frame decides
+        solvability, the particular solution, the rank and the nullspace.
+        The reference the block paths are tested against."""
         F = self.field
         phi = tuple(phi)
         if len(phi) != len(self.eta):
             raise SpecMismatch("functional length does not match the group")
-        a = _accumulate(F, self._a_terms, phi)
-        b = _accumulate(F, self._b_terms, phi)
-        m = _accumulate(F, self._m_terms, phi)
-        theta_tr = F.trace(F.dot(phi, self.eta))
-        if not any(m.values()):
-            # M = 0: meshed iff a = 0 and b = 0, and then b0 = 0.
-            if any(a.values()) or any(b.values()):
-                return CharValue.zero()
-            return CharValue.of(self.corank, theta_tr, F.p)
-        return self._value_hard(m, a, b, theta_tr)
-
-    def _value_hard(self, m, a, b, theta_tr) -> CharValue:
-        """The nonzero-mesh-matrix branch: one small row reduction decides
-        solvability, the particular solution, the rank and the nullspace.
-
-        ``m``, ``a`` and ``b`` map positions to their entries, and
-        ``theta_tr`` is trace(phi . eta).  Zero rows of M force the matching
-        entries of a to vanish; standard basis vectors at zero columns lie in
-        the nullspace, so b must vanish off the fixed column frame too.
-        """
-        F = self.field
-        row_pos, col_pos = self._row_pos, self._col_pos
-        if any(v and t not in row_pos for t, v in a.items()):
-            return CharValue.zero()
-        if any(v and t not in col_pos for t, v in b.items()):
-            return CharValue.zero()
-        ncols = len(self._m_cols)
-        rows = [[0] * (ncols + 1) for _ in self._m_rows]
-        for (r, c), v in m.items():
-            rows[row_pos[r]][col_pos[c]] = v
-        for t, v in a.items():
-            if v:
-                rows[row_pos[t]][ncols] = F.neg(v)
-        R, pivots = _rref(F, rows, ncols + 1)
-        if pivots and pivots[-1] == ncols:
-            return CharValue.zero()  # M x = -a is inconsistent
-        b_active = [b.get(t, 0) for t in self._m_cols]
-        pivot_set = set(pivots)
-        for free in range(ncols):
-            if free in pivot_set:
+        rows, cols, off = self.frame
+        add, mul = F.add, F.mul
+        system = [[0] * (cols + 1) for _ in range(rows)]  # [M | a] until negated
+        b, outside = [0] * cols, [0] * off
+        for kind, i, j, s, c in self.plan:
+            v = phi[s]
+            if not v:
                 continue
-            acc = b_active[free]
-            for k, pc in enumerate(pivots):
-                if R[k][free] and b_active[pc]:
-                    acc = F.sub(acc, F.mul(R[k][free], b_active[pc]))
-            if acc:
-                return CharValue.zero()  # b not perpendicular to the nullspace
-        r = len(pivots)
-        if self.corank < r:
+            if kind == 3:
+                vec, k = outside, i
+            else:
+                vec, k = (b, j) if kind == 1 else (system[i], j if kind == 2 else cols)
+            vec[k] = add(vec[k], mul(v, c))
+        if any(outside):
+            return CharValue.zero()
+        theta_tr = F.trace(F.dot(phi, self.eta))
+        if not any(map(any, system)):  # M = 0 and a = 0: meshed iff b = 0
+            return CharValue.zero() if any(b) else CharValue.of(self.corank, theta_tr, F.p)
+        for row in system:
+            row[cols] = F.neg(row[cols])
+        R, pivots = _rref(F, system, cols + 1)
+        if pivots and pivots[-1] == cols:
+            return CharValue.zero()  # M x = -a is inconsistent
+        rank = len(pivots)
+        b_pivots = [b[c] for c in pivots]
+        # b is perpendicular to null(M) iff each free entry of b is the
+        # combination of the pivot entries that its column of R gives
+        for free in set(range(cols)).difference(pivots):
+            if b[free] != F.dot([R[k][free] for k in range(rank)], b_pivots):
+                return CharValue.zero()
+        if self.corank < rank:
             raise InternalInvariantViolation("rank of the mesh matrix exceeds the corank")
-        dot = 0
-        for k, pc in enumerate(pivots):
-            if R[k][ncols] and b_active[pc]:
-                dot = F.add(dot, F.mul(R[k][ncols], b_active[pc]))
-        return CharValue.of(self.corank - r, F.trace(dot) + theta_tr, F.p)
+        dot = F.dot([R[k][cols] for k in range(rank)], b_pivots)
+        return CharValue.of(self.corank - rank, F.trace(dot) + theta_tr, F.p)
 
     def value_block(self, digits: np.ndarray):
         """(is_zero, q_exp, zeta_exp) arrays over a (count, dim) block of
@@ -163,31 +171,6 @@ class CharacterEvaluator:
         character."""
         zero, q_exp, zeta_exp = value_blocks([self], digits)
         return zero[0], q_exp[0], zeta_exp[0]
-
-    @cached_property
-    def _plan(self):
-        """The mesh terms laid out for :func:`value_blocks`.
-
-        Returns the frame shape (rows, cols, off) and one (kind, i, j, phi-slot,
-        coefficient) row per term: kind 0 is an entry of a on frame row i,
-        1 an entry of b on frame column j, 2 the entry (i, j) of M, and 3 an
-        entry of a or b off the frame, in its own slot i.
-        """
-        row_pos, col_pos = self._row_pos, self._col_pos
-        off: dict = {}
-        plan = []
-        for part, terms, pos in ((0, self._a_terms, row_pos), (1, self._b_terms, col_pos)):
-            for t, s, v in terms:
-                if t not in pos:
-                    plan.append((3, off.setdefault((part, t), len(off)), 0, s, v))
-                elif part == 0:
-                    plan.append((0, pos[t], 0, s, v))
-                else:
-                    plan.append((1, 0, pos[t], s, v))
-        for (r, c), s, v in self._m_terms:
-            plan.append((2, row_pos[r], col_pos[c], s, v))
-        shape = (len(self._m_rows), len(self._m_cols), len(off))
-        return shape, np.array(plan, dtype=np.int64).reshape(len(plan), 5)
 
 
 _ROW_CELLS = 1 << 16  # cells per chunk of rows in value_chunks
@@ -231,9 +214,9 @@ def value_blocks(evaluators, digits: np.ndarray):
     start = 0
     while start < len(evaluators):
         # the longest run of characters whose padded digit product fits
-        stop, frame = start + 1, evaluators[start]._plan[0]
+        stop, frame = start + 1, evaluators[start].frame
         while stop < len(evaluators):
-            wider = tuple(map(max, frame, evaluators[stop]._plan[0]))
+            wider = tuple(map(max, frame, evaluators[stop].frame))
             if count * (stop + 1 - start) * _width(r, *wider) > _CHUNK_ENTRIES:
                 break
             stop, frame = stop + 1, wider
@@ -280,24 +263,23 @@ def _chunk_values(F: Fq, chunk, x: np.ndarray, rows: int, cols: int, off: int):
     p, r = F.p, F.r
     k, count, dim = len(chunk), len(x), len(chunk[0].eta)
     width = _width(r, rows, cols, off)
-    plans = [ev._plan[1] for ev in chunk]
-    kind, i, j, src, coeff = np.concatenate(plans).T
-    owner = np.repeat(np.arange(k), [len(plan) for plan in plans])
+    kind, i, j, src, coeff = np.array([t for ev in chunk for t in ev.plan], dtype=np.int64).reshape(-1, 5).T
+    owner = np.repeat(np.arange(k), [len(ev.plan) for ev in chunk])
     # the first digit column of each term's entry, in units of r
     base = np.array([0, rows, rows + cols, rows + cols + rows * cols])
     stride = np.array([1, 0, cols, 1])
     unit = base[kind] + i * stride[kind] + j
-    uniq, which = np.unique(coeff, return_inverse=True)
-    blocks = np.array([F.digit_matrix(int(c)) for c in uniq], dtype=np.int64).reshape(len(uniq), r, r)
-    weights = np.zeros((dim, r, k, width), dtype=np.int64)
+    trace_form, basis, _ = _field_arrays(F)
     digit = np.arange(r)
+    # each coefficient's block D(c) = sum_w digit_w(c) * D(p**w), as in _solve_hard
+    blocks = np.einsum("tw,wuv->tuv", coeff[:, None] // p**digit % p, basis) % p
+    weights = np.zeros((dim, r, k, width), dtype=np.int64)
     np.add.at(
         weights,
         (src[:, None, None], digit[None, :, None], owner[:, None, None], r * unit[:, None, None] + digit),
-        blocks[which],
+        blocks,
     )
     etas = np.array([ev.eta for ev in chunk], dtype=np.int64).reshape(k, dim, 1)
-    trace_form = _field_arrays(F)[0]
     weights[:, :, :, -1] = (etas // p**digit % p @ trace_form % p).transpose(1, 2, 0)
     weights %= p
     y = x @ weights.reshape(dim * r, k * width)
@@ -370,17 +352,6 @@ def _solve_hard(F: Fq, y: np.ndarray, rows: int, cols: int, corank: np.ndarray):
     q_exp = np.where(meshed, corank - rank, 0)
     zeta_exp = np.where(meshed, (y[:, -1] - system[:, n, m]) % p, 0)
     return ~meshed, q_exp, zeta_exp
-
-
-def _accumulate(F: Fq, terms, phi) -> dict:
-    """Sum (target, phi-slot, coefficient) terms at phi, by target."""
-    out = {}
-    add, mul = F.add, F.mul
-    for tgt, src, coeff in terms:
-        v = phi[src]
-        if v:
-            out[tgt] = add(out.get(tgt, 0), mul(v, coeff))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@ characters are summed at once: co-orbits of equal size m share blocks, each
 one float matmul of the members' base-p digits against the representatives'
 (times the trace form), reduced mod p and counted per residue along the m
 axis.  A block holds at most ``_BLOCK_CELLS`` member x class cells; a larger
-co-orbit is split along its members.  Callers take the characters in chunks
-of about as many cells, so memory stays bounded by the budget.
+co-orbit is split along its members.  The result and the residue counts hold
+p coefficients per cell, so one call holds at most ``_COEFF_CELLS``
+coefficients (SizeCapExceeded beyond), and callers take the characters in
+chunks of at most ``_BLOCK_CELLS`` cells and that many coefficients.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .formula import value_chunks
 
 DEFAULT_ORACLE_CAP = 1 << 12
 _BLOCK_CELLS = 1 << 16  # member x class cells per block of an orbit sum
+_COEFF_CELLS = 1 << 22  # coefficients x rows x classes per orbit-sum call
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +214,8 @@ class Oracle:
 
         Each eta is summed over its class in the co-orbit sweep, found by
         label lookup, so it may be any member of its co-orbit.  The result
-        holds len(etas) x count cells: callers take the characters in chunks.
+        holds len(etas) x count cells of p - 1 coefficients: callers take
+        the characters in chunks of :func:`_rows_per_call`.
         """
         return self._rows(etas, self._phi_digits(class_digits))
 
@@ -247,10 +251,13 @@ class Oracle:
         ``_BLOCK_CELLS`` member x class cells; a co-orbit larger than a block
         is split along its members.  Residues are counted with one scatter
         of the m residues of each cell when m < p, and with one comparison
-        pass per nonzero residue otherwise.
+        pass per nonzero residue otherwise.  SizeCapExceeded, before
+        anything is allocated, when p x rows x count passes ``_COEFF_CELLS``.
         """
         p = self.field.p
         count = phi.shape[1]
+        if p * len(sizes) * count > _COEFF_CELLS:
+            raise SizeCapExceeded(p * len(sizes) * count, _COEFF_CELLS, "orbit-sum coefficients")
         out = np.empty((p - 1, len(sizes), count), dtype=np.int64)
         per_block = max(1, _BLOCK_CELLS // max(1, count))  # members per block
         for m, nr in sorted(set(zip(sizes.tolist(), nright.tolist()))):
@@ -364,12 +371,18 @@ class Oracle:
         total = self.order
         phi = self._phi_digits(_codes_to_digits(np.arange(total, dtype=np.int64), F.q, self.dim))
         sc_codes = sc.canonical_codes()
-        step = max(1, _BLOCK_CELLS // total)
+        step = _rows_per_call(F.p, total)
         for start in range(0, len(co.reps), step):
             rows = self._rows(co.reps[start : start + step], phi)  # (p-1, step, |G|)
             if not np.array_equal(rows, rows[:, :, sc_codes]):
                 return False
         return True
+
+
+def _rows_per_call(p: int, count: int) -> int:
+    """Characters per orbit-sum call over ``count`` classes: at most
+    ``_BLOCK_CELLS`` cells and ``_COEFF_CELLS`` coefficients, but at least one."""
+    return max(1, min(_BLOCK_CELLS, _COEFF_CELLS // p) // count)
 
 
 @dataclass
@@ -402,6 +415,7 @@ class CheckReport:
     mismatches: int = 0  # cells where the formula and the orbit sum differ
     witness: tuple | None = None  # (eta, phi, formula coeffs, oracle coeffs) of the first
     axioms: AxiomReport | None = None
+    order: int = 0  # |G|
 
     @property
     def ok(self) -> bool:
@@ -423,6 +437,8 @@ class CheckReport:
             yield f"  first mismatch: eta={eta} phi={phi} formula={f_val} oracle={o_val}"
         if self.axioms is not None:
             yield from self.axioms.lines()
+        elif self.order > DEFAULT_ORACLE_CAP:
+            yield f"skipped: axioms (|G| = {self.order} > {DEFAULT_ORACLE_CAP})"
 
 
 def charvalue_coeff_rows(p: int, q: int, zero, qexp, zexp) -> np.ndarray:
@@ -437,11 +453,14 @@ def charvalue_coeff_rows(p: int, q: int, zero, qexp, zexp) -> np.ndarray:
     return out[: p - 1]
 
 
-def full_check(source, oracle_cap: int | None = None, with_axioms: bool = True) -> CheckReport:
+def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None = None) -> CheckReport:
     """Compare the closed-form values against orbit sums on every
-    representative pair, after checking the two orbit decompositions agree."""
-    report = CheckReport()
+    representative pair, after checking the two orbit decompositions agree.
+
+    The axioms cost |G|**2 products; unless ``with_axioms`` says otherwise
+    they are verified only when |G| <= DEFAULT_ORACLE_CAP."""
     oracle = Oracle(source, cap=oracle_cap)
+    report = CheckReport(order=oracle.order)
     core_sc = source.orbit_partition(oracle.cap)
     core_co = source.coorbit_partition(oracle.cap)
     orc_sc = oracle.superclass_partition()
@@ -457,22 +476,26 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool = True) 
     class_digits = np.array(core_sc.reps, dtype=np.int64).reshape(len(core_sc.reps), dim)
     F = oracle.field
     # formula and oracle values for a chunk of rows at a time, so memory
-    # stays O(chunk x classes); every mismatching cell is counted
-    for _, evaluators, (zero, qexp, zexp) in value_chunks(source, core_co.reps, class_digits):
-        etas = [ev.eta for ev in evaluators]
-        oracle_rows = oracle.value_rows(etas, class_digits)
-        formula_rows = charvalue_coeff_rows(F.p, F.q, zero, qexp, zexp)
-        bad = (formula_rows != oracle_rows).any(axis=0)
-        if report.witness is None and bad.any():
-            i, c = np.argwhere(bad)[0]  # the first in (eta, class) order
-            report.witness = (
-                etas[i],
-                core_sc.reps[c],
-                tuple(int(x) for x in formula_rows[:, i, c]),
-                tuple(int(x) for x in oracle_rows[:, i, c]),
-            )
-        report.mismatches += int(bad.sum())
+    # stays O(chunk x classes x p); every mismatching cell is counted
+    step = _rows_per_call(F.p, len(class_digits))
+    for _, evaluators, values in value_chunks(source, core_co.reps, class_digits):
+        for lo in range(0, len(evaluators), step):
+            etas = [ev.eta for ev in evaluators[lo : lo + step]]
+            oracle_rows = oracle.value_rows(etas, class_digits)
+            formula_rows = charvalue_coeff_rows(F.p, F.q, *(arr[lo : lo + step] for arr in values))
+            bad = (formula_rows != oracle_rows).any(axis=0)
+            if report.witness is None and bad.any():
+                i, c = np.argwhere(bad)[0]  # the first in (eta, class) order
+                report.witness = (
+                    etas[i],
+                    core_sc.reps[c],
+                    tuple(int(x) for x in formula_rows[:, i, c]),
+                    tuple(int(x) for x in oracle_rows[:, i, c]),
+                )
+            report.mismatches += int(bad.sum())
     report.values_match = report.mismatches == 0
+    if with_axioms is None:
+        with_axioms = oracle.order <= DEFAULT_ORACLE_CAP
     if with_axioms:
         report.axioms = oracle.verify_axioms()
     return report

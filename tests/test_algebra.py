@@ -199,7 +199,7 @@ _ENGINE_ARITY = {
     "act_left": 2, "act_right": 2, "act_two_sided": 3, "coact": 3,
     "left_action_matrix": 1, "right_action_matrix": 1,
     "dual_left_action_matrix": 1, "dual_right_action_matrix": 1,
-    "mesh_data": 2, "meshes": 2, "mesh_terms": 1, "corank": 1, "value": 2, "is_irreducible": 1,
+    "mesh_data": 2, "meshes": 2, "corank": 1, "value": 2, "is_irreducible": 1,
     "orbit": 1, "orbit_left": 1, "orbit_right": 1,
     "coorbit": 1, "coorbit_left": 1, "coorbit_right": 1,
     "one_sided_orbit_sizes": 1, "one_sided_coorbit_size": 1,
@@ -326,3 +326,21 @@ def test_algebra_spec_errors():
         parse_algebra_spec("d 2\nq 2\nconstants\n3 1 1 1\n")  # index out of range
     with pytest.raises(ParseError):
         parse_algebra_spec("d 2\nq 2\n")  # no constants section
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("d 2\nd 3\nq 2\nconstants\n", 2),
+        ("d 2\nq 2\nq 3\nconstants\n", 3),
+        ("d 2\nq 4\nmodulus 1 1 1\nmodulus 1 1 1\nconstants\n", 4),
+        ("d 2\nq 2\nconstants\n1 1 2 1\n1 1 2 0\n", 5),  # would override a nonzero value
+        ("d 2\nq 2\nconstants\n1 1 2 0\n1 1 2 1\n", 5),  # a zero line would be ignored
+        ("d 2\nq 2\nconstants\n1 1 2 1\nembed n 3\n1 1 2 1\n1 1 2 1\n", 7),
+    ],
+    ids=["d", "q", "modulus", "constant", "zero_constant", "embed"],
+)
+def test_algebra_spec_rejects_repeated_lines(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_algebra_spec(text)
+    assert info.value.line == line

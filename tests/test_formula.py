@@ -1,5 +1,6 @@
 """Mesh data, the character value, specializations, and irreducibility."""
 
+import itertools
 import random
 from functools import lru_cache
 
@@ -195,8 +196,41 @@ def test_value_blocks_match_value_block_and_the_scalar_value(name, small_batches
     for i, ev in enumerate(evs):
         for arr, row in zip(got, ev.value_block(digits)):
             assert np.array_equal(arr[i], row)
+    if not small_batches:
+        # the dense mesh data, the third side: it shares no plan or frame
+        for e, c in _dense_cells(len(etas), len(digits)):
+            want = source.value(etas[e], tuple(int(v) for v in digits[c]))
+            assert (want.is_zero, want.q_exp, want.zeta_exp) == tuple(arr[e, c] for arr in expected)
     if small_batches and name in ("U6(2)", "U5(3)", "class_counterexample(3)", "U4(4)", "semidirect5(4)"):
         assert any(len(sizes) > 1 for sizes in batches[: len(etas)])
+
+
+def _dense_cells(rows, cols, sample=400):
+    """Every (character, class) cell, or a fixed sample of ``sample`` of
+    them where :meth:`StructureAlgebra.value` on all of them would be slow."""
+    cells = [(e, c) for e in range(rows) for c in range(cols)]
+    return cells if len(cells) <= sample else random.Random(rows * cols).sample(cells, sample)
+
+
+def test_an_off_frame_entry_of_a_is_zero_where_m_is_not():
+    # U_4(2) at eta = E_14: M carries terms only in row (1, 2), from the one
+    # 4-chain.  At phi = E_23 + E_34, M != 0 and a_13 != 0 off that frame,
+    # so M x = -a has no solution; every phi of the group is checked
+    G = PatternGroup(full_triangular(4), F2)
+    row = G.J.index[(1, 3)]
+    eta = functional(G.J, F2, {(1, 4): 1})
+    phi = functional(G.J, F2, {(2, 3): 1, (3, 4): 1})
+    M, a, _ = G.mesh_data(phi, eta)
+    assert any(map(any, M.rows)) and a[row]
+    # M is linear in phi, so its row (1, 3) has no terms if it vanishes on a basis
+    units = [tuple(int(k == s) for k in range(G.dim)) for s in range(G.dim)]
+    assert not any(any(G.mesh_data(u, eta)[0].rows[row]) for u in units)
+    ev = CharacterEvaluator(G, eta)
+    phis = list(itertools.product(range(2), repeat=G.dim))
+    expected = [G.value(eta, f) for f in phis]
+    assert expected[phis.index(phi)].is_zero
+    assert [ev.value(f) for f in phis] == expected
+    assert _block_values(ev, phis) == expected
 
 
 def _sparse_functional(rng, q, d, density=0.5):

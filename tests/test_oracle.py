@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -365,6 +366,38 @@ def test_value_row_is_exact_past_int32(q):
     row = o.value_row((eta,), np.array(reps, dtype=np.int64).reshape(3, 1))
     for c, phi in enumerate(reps):
         assert CycInt(q, tuple(int(x) for x in row[:, c])) == CycInt.root(q, eta * phi)
+
+
+def test_orbit_sums_past_the_coefficient_budget_raise_before_allocating():
+    # one row over all q classes of the one-pair set would hold p * q int64
+    # coefficients, about 34 GB, in each of two arrays
+    o = Oracle(PatternGroup(validate_closed(2, {(1, 2)}), Fq.of(65521)), cap=1 << 17)
+    started = time.perf_counter()
+    with pytest.raises(SizeCapExceeded):
+        o.supercharacter((1,))
+    assert time.perf_counter() - started < 10
+
+
+def test_full_check_splits_its_rows_to_the_coefficient_budget(monkeypatch):
+    # U_3(3): 27 elements, 11 classes; a budget of two constancy rows is
+    # four rows of the formula check, and one below a row raises
+    G = PatternGroup(full_triangular(3), F3)
+    budget = 3 * G.order() * 2
+    held = []
+    orbit_sums = Oracle._orbit_sums
+
+    def recorded(self, members, starts, sizes, nright, phi):
+        held.append(self.field.p * len(sizes) * phi.shape[1])
+        return orbit_sums(self, members, starts, sizes, nright, phi)
+
+    monkeypatch.setattr(Oracle, "_orbit_sums", recorded)
+    monkeypatch.setattr(oracle_module, "_COEFF_CELLS", budget)
+    report = full_check(G)
+    assert report.ok and report.axioms is not None and report.classes == 11
+    assert max(held) == budget and 3 * 4 * 11 in held
+    monkeypatch.setattr(oracle_module, "_COEFF_CELLS", 3 * 11 - 1)
+    with pytest.raises(SizeCapExceeded):
+        full_check(G)
 
 
 def _scaled_orbit_sums(o, eta, reps):

@@ -251,6 +251,24 @@ def test_cmd_check_ok_and_parse_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_cmd_check_exits_2_past_the_coefficient_budget(capsys, tmp_path):
+    # the group fits the raised cap, but one orbit-sum row would take p * q
+    # coefficients, about 34 GB
+    spec = tmp_path / "one_pair_q65521.txt"
+    spec.write_text(emit_spec(validate_closed(2, {(1, 2)}), Fq.of(65521)))
+    code, _, err = _run(capsys, "check", str(spec), "--oracle-cap", "131072")
+    assert code == 2 and "orbit-sum coefficients" in err
+
+
+def test_cmd_check_skips_the_axioms_past_the_default_cap(capsys, tmp_path):
+    spec = tmp_path / "full_u3_q17.txt"
+    spec.write_text(emit_spec(full_triangular(3), Fq.of(17)))
+    code, out, _ = _run(capsys, "check", str(spec), "--oracle-cap", "4913")
+    assert code == 0
+    assert "skipped: axioms (|G| = 4913 > 4096)" in out.splitlines()
+    assert "supercharacters_constant_on_superclasses" not in out
+
+
 def test_missing_file(capsys):
     code, _, err = _run(capsys, "validate", "no_such_file.txt")
     assert code == 1
