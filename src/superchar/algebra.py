@@ -12,7 +12,16 @@ from __future__ import annotations
 from .core import StructureAlgebra
 from .errors import ParseError, SpecMismatch
 from .gf import Fq, FqMatrix, solve
-from .poset import ClosedSet, _content_lines, _int_token, close_covers, format_field_literal, parse_field_literal
+from .poset import (
+    ClosedSet,
+    _content_lines,
+    _emit_header,
+    _header_line,
+    _int_token,
+    close_covers,
+    format_field_literal,
+    parse_field_literal,
+)
 
 
 def validate_algebra(d: int, field: Fq, constants) -> StructureAlgebra:
@@ -95,9 +104,7 @@ def parse_algebra_spec(text: str):
     Returns (StructureAlgebra, embedding) where embedding is None or
     (n, [basis matrices as {(i, j): value} dicts]).
     """
-    d = None
-    q = None
-    modulus = None
+    header: dict = {}
     field = None
     section = None
     embed_n = None
@@ -108,25 +115,15 @@ def parse_algebra_spec(text: str):
         tokens = line.split()
         head = tokens[0]
         if section is None:
-            if head == "d":
-                if d is not None or len(tokens) != 2:
-                    raise ParseError(lineno, "expected a single 'd <int>' header")
-                d = _int_token(lineno, tokens[1])
-            elif head == "q":
-                if q is not None or len(tokens) != 2:
-                    raise ParseError(lineno, "expected a single 'q <int>' header")
-                q = _int_token(lineno, tokens[1])
-            elif head == "modulus":
-                if modulus is not None or len(tokens) < 2:
-                    raise ParseError(lineno, "expected 'modulus c0 c1 ... cr'")
-                modulus = tuple(_int_token(lineno, t) for t in tokens[1:])
-            elif head == "constants":
-                if d is None or q is None:
-                    raise ParseError(lineno, "'d' and 'q' must come before 'constants'")
-                field = Fq.of(q, modulus)
-                section = "constants"
-            else:
+            if _header_line(lineno, tokens, header, "d"):
+                continue
+            if head != "constants":
                 raise ParseError(lineno, f"unexpected {head!r} in header")
+            if "d" not in header or "q" not in header:
+                raise ParseError(lineno, "'d' and 'q' must come before 'constants'")
+            d = header["d"]
+            field = Fq.of(header["q"], header.get("modulus"))
+            section = "constants"
         elif head == "embed":
             if len(tokens) != 3 or tokens[1] != "n":
                 raise ParseError(lineno, "expected 'embed n <int>'")
@@ -167,9 +164,7 @@ def parse_algebra_spec(text: str):
 
 
 def emit_algebra_spec(alg: StructureAlgebra) -> str:
-    lines = [f"d {alg.d}", f"q {alg.field.q}"]
-    if alg.field.r > 1:
-        lines.append("modulus " + " ".join(str(c) for c in alg.field.modulus))
+    lines = _emit_header("d", alg.d, alg.field)
     lines.append("constants")
     for (i, j) in sorted(alg.constants):
         for k, v in sorted(alg.constants[(i, j)].items()):

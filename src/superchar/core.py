@@ -75,13 +75,13 @@ def _apply_move(field: Fq, f, t: int, updates) -> tuple[int, ...]:
 
 
 def _codes_to_digits(codes, q: int, dim: int) -> np.ndarray:
-    codes = np.asarray(codes, dtype=np.int64)
-    out = np.empty((len(codes), dim), dtype=np.int64)
-    rem = codes.copy()
-    for k in range(dim - 1, -1, -1):
-        out[:, k] = rem % q
-        rem //= q
-    return out
+    """The (count, dim) functionals of base-q codes, first coordinate most significant."""
+    return np.asarray(codes, dtype=np.int64).reshape(-1, 1) // q ** np.arange(dim - 1, -1, -1) % q
+
+
+def _digits_to_codes(digits, q: int) -> np.ndarray:
+    """The inverse of :func:`_codes_to_digits`, over the last axis."""
+    return np.asarray(digits, dtype=np.int64) @ q ** np.arange(np.shape(digits)[-1] - 1, -1, -1)
 
 
 class OrbitPartition:
@@ -100,16 +100,10 @@ class OrbitPartition:
         return len(self.reps)
 
     def code(self, f) -> int:
-        acc = 0
-        for v in f:
-            acc = acc * self.field.q + v
-        return acc
+        return int(_digits_to_codes(f, self.field.q))
 
     def decode(self, code: int) -> tuple[int, ...]:
-        out = [0] * self.dim
-        for k in range(self.dim - 1, -1, -1):
-            code, out[k] = divmod(code, self.field.q)
-        return tuple(out)
+        return tuple(_codes_to_digits(code, self.field.q, self.dim)[0].tolist())
 
     def classes_of(self, fs) -> np.ndarray:
         """The class index of every functional in ``fs``, by one label lookup;
@@ -122,8 +116,7 @@ class OrbitPartition:
         if arr is None or ((arr < 0) | (arr >= q)).any():
             bad = next(f for f in fs if len(f) != dim or not all(0 <= v < q for v in f))
             raise SpecMismatch(f"functional {tuple(bad)} is not in F_{q}^{dim}")
-        codes = arr @ q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-        return np.searchsorted(self._rep_codes, self._labels[codes])
+        return np.searchsorted(self._rep_codes, self._labels[_digits_to_codes(arr, q)])
 
     def class_of(self, f) -> int:
         """The index of f's class; SpecMismatch unless f lies in F_q**dim."""
@@ -200,7 +193,7 @@ def orbit_partition_from_moves(field: Fq, dim: int, moves, cap: int) -> OrbitPar
     """
     total = field.q ** dim
     if total > cap:
-        raise SizeCapExceeded(total, cap, "orbit enumeration")
+        raise SizeCapExceeded(total, cap, "functionals to sweep")
     p, n = field.p, dim * field.r
     dtype = np.min_scalar_type(total - 1)
     codes = np.arange(total, dtype=dtype).reshape((p,) * n)
@@ -522,7 +515,7 @@ class StructureAlgebra:
     def _orbit(self, f, kinds, cap) -> Orbit:
         cap = DEFAULT_ENUM_CAP if cap is None else cap
         if self.order() > cap:
-            raise SizeCapExceeded(self.order(), cap, "orbit enumeration")
+            raise SizeCapExceeded(self.order(), cap, "functionals to search")
         moves = sum((self._move_set(kind) for kind in kinds), ())
         members = _bfs(self.field, self._vec(f), moves)
         return Orbit(min(members), len(members), frozenset(members))

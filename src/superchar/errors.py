@@ -43,12 +43,12 @@ class ParseError(SuperCharError):
 
 
 class SizeCapExceeded(SuperCharError):
-    """An enumeration would exceed the configured cap."""
+    """An enumeration or allocation would exceed its cap, counted in ``what``."""
 
-    def __init__(self, needed: int, cap: int, what: str = "enumeration"):
+    def __init__(self, needed: int, cap: int, what: str = "items"):
         self.needed = needed
         self.cap = cap
-        super().__init__(f"{what} needs {needed} states, cap is {cap}")
+        super().__init__(f"{needed} {what} exceed the cap of {cap}")
 
 
 class InternalInvariantViolation(SuperCharError):

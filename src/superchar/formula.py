@@ -28,9 +28,9 @@ with no field tables:
 * Multiplication by a fixed coefficient is F_p-linear on the r base-p
   digits of an F_q element, and so is the trace.  So every entry of a, b
   and M, for a chunk of characters padded to one frame, is a column of one
-  integer product over the digit matrix, reduced mod p.  Cells with M = 0
-  are decided from that product alone, and so is a cell with a nonzero
-  entry of a off M's row frame or of b off its column frame: it is zero.
+  mod-p product over the digit matrix.  Cells with M = 0 are decided from
+  that product alone, and so is a cell with a nonzero entry of a off M's
+  row frame or of b off its column frame: it is zero.
 * The other ("hard") cells are solved together by one Gaussian elimination
   over F_p.  Entry M_ij becomes the r x r block D(M_ij)^T, where D(c) is
   the matrix of x -> c x on row digit vectors, and b becomes the
@@ -41,13 +41,16 @@ with no field tables:
   b . b0 is the same for every solution b0 of M x = -a.  So the pivot order
   of the elimination is free, and it takes b0 with its free digits 0.
 
+The digit arithmetic -- base-p digits, the blocks D(c), the trace form,
+the inverses mod p and the exact mod-p product -- is the F_p layer of
+:class:`~superchar.gf.Fq`; this module only lays out the plans and runs
+the elimination.
+
 The closed-form specializations for pattern groups below are independent
 references the tests compare against.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -209,7 +212,7 @@ def value_blocks(evaluators, digits: np.ndarray):
         return value_arrays((0, count), dim, 2)
     F = evaluators[0].field
     p, r = F.p, F.r
-    x = (digits.reshape(count, dim, 1) // p ** np.arange(r) % p).reshape(count, dim * r)
+    x = F.p_digits(digits).reshape(count, dim * r)
     out = value_arrays((len(evaluators), count), dim, p)
     start = 0
     while start < len(evaluators):
@@ -243,24 +246,10 @@ def _width(r: int, rows: int, cols: int, off: int) -> int:
     return r * (rows + cols + rows * cols + off) + 1
 
 
-@lru_cache(maxsize=None)
-def _field_arrays(F: Fq):
-    """Three arrays of F_q over F_p: the trace form T_uv = trace(p**u * p**v),
-    so that trace(b * x) = digits(b) T digits(x)^T; the digit matrices
-    D(p**v) of the basis, stacked; and the inverses mod p, indexed by
-    residue (0 maps to 0)."""
-    p = F.p
-    powers = [p**t for t in range(F.r)]
-    trace_form = np.array([[F.trace(F.mul(u, v)) for v in powers] for u in powers], dtype=np.int64)
-    basis = np.array([F.digit_matrix(u) for u in powers], dtype=np.int64)
-    inverses = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
-    return trace_form, basis, inverses
-
-
 def _chunk_values(F: Fq, chunk, x: np.ndarray, rows: int, cols: int, off: int):
     """(is_zero, q_exp, zeta_exp), each (len(chunk), count), for characters
     whose frames all fit in rows x cols with at most ``off`` off-frame slots."""
-    p, r = F.p, F.r
+    r = F.r
     k, count, dim = len(chunk), len(x), len(chunk[0].eta)
     width = _width(r, rows, cols, off)
     kind, i, j, src, coeff = np.array([t for ev in chunk for t in ev.plan], dtype=np.int64).reshape(-1, 5).T
@@ -269,22 +258,15 @@ def _chunk_values(F: Fq, chunk, x: np.ndarray, rows: int, cols: int, off: int):
     base = np.array([0, rows, rows + cols, rows + cols + rows * cols])
     stride = np.array([1, 0, cols, 1])
     unit = base[kind] + i * stride[kind] + j
-    trace_form, basis, _ = _field_arrays(F)
     digit = np.arange(r)
-    # each coefficient's block D(c) = sum_w digit_w(c) * D(p**w), as in _solve_hard
-    blocks = np.einsum("tw,wuv->tuv", coeff[:, None] // p**digit % p, basis) % p
+    # a character's plan holds each (phi-slot, entry) pair once, so every
+    # block lands on its own weights
     weights = np.zeros((dim, r, k, width), dtype=np.int64)
-    np.add.at(
-        weights,
-        (src[:, None, None], digit[None, :, None], owner[:, None, None], r * unit[:, None, None] + digit),
-        blocks,
-    )
-    etas = np.array([ev.eta for ev in chunk], dtype=np.int64).reshape(k, dim, 1)
-    weights[:, :, :, -1] = (etas // p**digit % p @ trace_form % p).transpose(1, 2, 0)
-    weights %= p
-    y = x @ weights.reshape(dim * r, k * width)
-    y %= p
-    y = y.reshape(count, k, width)
+    idx = (src[:, None, None], digit[None, :, None], owner[:, None, None], r * unit[:, None, None] + digit)
+    weights[idx] = F.digit_blocks(F.p_digits(coeff))
+    etas = np.array([ev.eta for ev in chunk], dtype=np.int64).reshape(k, dim)
+    weights[:, :, :, -1] = F.matmul_mod_p(F.p_digits(etas), F.trace_form).transpose(1, 2, 0)
+    y = F.matmul_mod_p(x, weights.reshape(dim * r, k * width)).reshape(count, k, width)
 
     m_start, m_stop = r * (rows + cols), r * (rows + cols + rows * cols)
     hard = y[:, :, m_start:m_stop].any(axis=2)
@@ -321,12 +303,11 @@ def _solve_hard(F: Fq, y: np.ndarray, rows: int, cols: int, corank: np.ndarray):
     a = y[:, :n]
     b = y[:, n : n + m].reshape(h, cols, r)
     mesh = y[:, n + m : n + m + rows * m].reshape(h, rows, cols, r)
-    trace_form, basis, inverses = _field_arrays(F)
-    # D(c) = sum_v digit_v(c) * D(p**v), since D is F_p-linear in c
     system = np.zeros((h, n + 1, m + 1), dtype=np.int64)
-    system[:, :n, :m] = (np.einsum("hijv,vtu->hiujt", mesh, basis) % p).reshape(h, n, m)
-    system[:, :n, m] = -a % p
-    system[:, n, :m] = (b @ trace_form % p).reshape(h, m)
+    # block (i, j) holds D(M_ij)^T
+    system[:, :n, :m] = F.digit_blocks(mesh).transpose(0, 1, 4, 2, 3).reshape(h, n, m)
+    system[:, :n, m] = (p - a) % p
+    system[:, n, :m] = F.matmul_mod_p(b, F.trace_form).reshape(h, m)
     free = np.ones((h, n), dtype=bool)
     rank = np.zeros(h, dtype=np.int64)
     for c in range(m):
@@ -337,7 +318,7 @@ def _solve_hard(F: Fq, y: np.ndarray, rows: int, cols: int, corank: np.ndarray):
         pivot = candidates[cells].argmax(axis=1)
         sub = system[cells]
         prow = sub[np.arange(len(cells)), pivot]
-        prow = prow * inverses[prow[:, c], None] % p
+        prow = prow * F.fp_inverses[prow[:, c], None] % p
         sub -= sub[:, :, c, None] * prow[:, None, :]
         sub %= p
         sub[np.arange(len(cells)), pivot] = prow

@@ -8,6 +8,11 @@ reference, so layers above never mix encodings from different fields
 (matrices, groups and algebras each hold a single field and raise
 ``SpecMismatch`` when combined across fields).
 
+Bulk code works on base-p digits instead, where multiplication by a fixed
+element and the trace are F_p-linear: :class:`Fq` holds that view as arrays
+(digits, digit blocks, trace form, inverses mod p) and one exact mod-p
+matrix product, the only digit arithmetic of the evaluator and the oracle.
+
 Character values live in the ring of cyclotomic integers Z[zeta_p].
 :class:`CycInt` is the full ring, used by brute-force orbit sums;
 :class:`CharValue` is the closed multiplicative form ``q**m * zeta_p**k``
@@ -21,6 +26,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import BadField, InternalInvariantViolation, SpecMismatch
 
@@ -356,6 +363,52 @@ class Fq:
         if any(cs[1:]):  # pragma: no cover - theory guarantees
             raise InternalInvariantViolation(f"trace left the prime field: {acc}")
         return cs[0]
+
+    # -- the vectorized F_p view: arrays of base-p digits ---------------------
+
+    def p_digits(self, codes) -> np.ndarray:
+        """The base-p digits of an integer array of element codes, least
+        significant first, on a new last axis of length r."""
+        return np.asarray(codes, dtype=np.int64)[..., None] // self.p ** np.arange(self.r) % self.p
+
+    def digit_blocks(self, digits) -> np.ndarray:
+        """D(c) for the digit vectors of c on the last axis of ``digits``, on
+        two new last axes: the matrix of x -> c x on row digit vectors,
+        D(c) = sum_v digit_v(c) * D(p**v) since D is F_p-linear in c."""
+        return np.einsum("...w,wuv->...uv", digits, self._basis_blocks) % self.p
+
+    @cached_property
+    def _basis_blocks(self) -> np.ndarray:
+        return np.array([self.digit_matrix(self.p**v) for v in range(self.r)], dtype=np.int64)
+
+    @cached_property
+    def trace_form(self) -> np.ndarray:
+        """T_uv = trace(p**u * p**v), so trace(b * x) = digits(b) T digits(x)^T."""
+        powers = [self.p**v for v in range(self.r)]
+        return np.array([[self.trace(self.mul(u, v)) for v in powers] for u in powers], dtype=np.int64)
+
+    @cached_property
+    def fp_inverses(self) -> np.ndarray:
+        """The inverses mod p, indexed by residue (0 maps to 0)."""
+        return np.array([0] + [pow(v, -1, self.p) for v in range(1, self.p)], dtype=np.int64)
+
+    def matmul_mod_p(self, a, b) -> np.ndarray:
+        """a @ b mod p for entries in range(p), in the narrowest unsigned dtype.
+
+        Entries of a @ b are at most inner * (p-1)**2, so a float (BLAS)
+        product is exact: float32 below 2**24, float64 below 2**53.  So is
+        P - p * floor(P / p): P / p rounds by less than 1/p."""
+        p, inner = self.p, np.shape(a)[-1]
+        bound = inner * (p - 1) ** 2
+        if bound >= 2**53:
+            raise InternalInvariantViolation(f"a product of inner length {inner} is not exact mod {p}")
+        dtype = np.float32 if bound < 2**24 else np.float64
+        P = np.asarray(a).astype(dtype, copy=False) @ np.asarray(b).astype(dtype, copy=False)
+        quotient = P / p
+        np.floor(quotient, out=quotient)
+        quotient *= p
+        P -= quotient
+        return P.astype(np.min_scalar_type(p - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,17 @@ The supercharacter of eta is the scaled orbit sum
 
 with the scaling division performed exactly (and loudly checked).  Many
 characters are summed at once: co-orbits of equal size m share blocks, each
-one float matmul of the members' base-p digits against the representatives'
-(times the trace form), reduced mod p and counted per residue along the m
-axis.  A block holds at most ``_BLOCK_CELLS`` member x class cells; a larger
-co-orbit is split along its members.  The result and the residue counts hold
-p coefficients per cell, so one call holds at most ``_COEFF_CELLS``
+one mod-p product of the members' base-p digits against the representatives'
+(times the trace form), counted per residue along the m axis.  A block
+holds at most ``_BLOCK_CELLS`` member x class cells; a larger co-orbit is
+split along its members.  The result and the residue counts hold p
+coefficients per cell, so one call holds at most ``_COEFF_CELLS``
 coefficients (SizeCapExceeded beyond), and callers take the characters in
 chunks of at most ``_BLOCK_CELLS`` cells and that many coefficients.
+
+The digits, the trace form and the exact mod-p product are the F_p layer of
+:class:`~superchar.gf.Fq`.  From :mod:`.formula` the oracle takes only the
+values it checks (``value_chunks``), none of its arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .gf import CycInt, Fq
-from .core import OrbitPartition, PatternGroup, _codes_to_digits, orbit_partition_from_moves
+from .core import OrbitPartition, PatternGroup, _codes_to_digits, _digits_to_codes, orbit_partition_from_moves
 from .formula import value_chunks
 
 DEFAULT_ORACLE_CAP = 1 << 12
@@ -151,24 +155,9 @@ class Oracle:
         self.cap = DEFAULT_ORACLE_CAP if cap is None else cap
         total = self.field.q ** self.dim
         if total > self.cap:
-            raise SizeCapExceeded(total, self.cap, "group enumeration")
+            raise SizeCapExceeded(total, self.cap, "group elements to enumerate")
         self.order = total
         self._partitions: dict[tuple[str, ...], OrbitPartition] = {}
-        F = self.field
-        # entries of mu . phi are at most dim * r * (p - 1)**2, exact in
-        # float32 below 2**24 and in float64 (far faster than integer matmul)
-        # below 2**53; residues take the narrowest unsigned dtype
-        self._float = np.float32 if self.dim * F.r * (F.p - 1) ** 2 < 2**24 else np.float64
-        self._residue = np.min_scalar_type(F.p - 1)
-        # trace(mu . phi) = sum_k d(mu_k)^T T d(phi_k) over the base-p digits,
-        # with the trace form T_ij = tr(p**i * p**j), one block per coordinate;
-        # T = [[1]] for prime fields.
-        powers = [F.p**i for i in range(F.r)]
-        T = [[F.trace(F.mul(a, c)) for c in powers] for a in powers]
-        self._trace_form = np.kron(np.eye(self.dim), T).astype(self._float)
-        # codes of functionals, and digit u of coordinate k at column k*r + u
-        self._code_weights = F.q ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
-        self._digit_weights = np.outer(self._code_weights, powers).ravel()
 
     # -- partitions ---------------------------------------------------------
 
@@ -230,7 +219,7 @@ class Oracle:
         if elements is None:
             return self._rows([eta], phi)[:, 0]
         k = self.coorbit_partition().class_of(eta)
-        codes = np.asarray(elements, dtype=np.int64).reshape(-1, self.dim) @ self._code_weights
+        codes = _digits_to_codes(np.asarray(elements).reshape(-1, self.dim), self.field.q)
         sizes = np.array([len(codes)])
         return self._orbit_sums(codes, np.zeros(1, dtype=np.int64), sizes, self._right_sizes[[k]], phi)[:, 0]
 
@@ -254,7 +243,8 @@ class Oracle:
         pass per nonzero residue otherwise.  SizeCapExceeded, before
         anything is allocated, when p x rows x count passes ``_COEFF_CELLS``.
         """
-        p = self.field.p
+        F = self.field
+        p = F.p
         count = phi.shape[1]
         if p * len(sizes) * count > _COEFF_CELLS:
             raise SizeCapExceeded(p * len(sizes) * count, _COEFF_CELLS, "orbit-sum coefficients")
@@ -269,9 +259,10 @@ class Oracle:
                 counts = np.zeros((p, len(sel), count), dtype=np.int64)
                 for lo in range(0, m, piece):
                     codes = members[starts[sel, None] + np.arange(lo, min(m, lo + piece))]
-                    # (mu . phi) mod p for every member against every representative
-                    P = self._mod_p(self._digits(codes.ravel()) @ phi)
-                    res = P.astype(self._residue).reshape(codes.shape + (count,))
+                    # (mu . phi) mod p for every member against every representative,
+                    # digit u of coordinate k of mu in column k*r + u
+                    mu = F.p_digits(_codes_to_digits(codes.ravel(), F.q, self.dim))
+                    res = F.matmul_mod_p(mu.reshape(codes.size, -1), phi).reshape(codes.shape + (count,))
                     if m < p:
                         cells = np.arange(counts[0].size).reshape(len(sel), 1, count)
                         np.add.at(counts.reshape(-1), res.astype(np.intp) * counts[0].size + cells, 1)
@@ -295,25 +286,11 @@ class Oracle:
 
     def _phi_digits(self, class_digits) -> np.ndarray:
         """The base-p digits of the representatives times the trace form,
-        shape (dim * r, count)."""
+        shape (dim * r, count): trace(mu . phi) = sum_k d(mu_k) T d(phi_k)^T
+        over the coordinates k, with T the trace form of :class:`~superchar.gf.Fq`."""
+        F = self.field
         digits = np.asarray(class_digits, dtype=np.int64).reshape(len(class_digits), self.dim)
-        return self._mod_p(self._digits(digits @ self._code_weights) @ self._trace_form).T
-
-    def _digits(self, codes) -> np.ndarray:
-        """The base-p digits of functional codes, digit u of coordinate k in
-        column k*r + u, in the product's float dtype."""
-        return (codes[:, None] // self._digit_weights % self.field.p).astype(self._float)
-
-    def _mod_p(self, P) -> np.ndarray:
-        """P mod p in place, for integral floats 0 <= P < 2**t (t = 24 or 53
-        bits of precision): P / p rounds by less than 1/p, which keeps
-        floor(P / p) = P // p."""
-        p = self.field.p
-        quotient = P / p
-        np.floor(quotient, out=quotient)
-        quotient *= p
-        P -= quotient
-        return P
+        return F.matmul_mod_p(F.p_digits(digits), F.trace_form).reshape(len(digits), self.dim * F.r).T
 
     def supercharacter(self, eta) -> dict[tuple, CycInt]:
         """The orbit-sum supercharacter as {superclass representative: value}."""
@@ -477,11 +454,12 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
     F = oracle.field
     # formula and oracle values for a chunk of rows at a time, so memory
     # stays O(chunk x classes x p); every mismatching cell is counted
+    phi = oracle._phi_digits(class_digits)
     step = _rows_per_call(F.p, len(class_digits))
     for _, evaluators, values in value_chunks(source, core_co.reps, class_digits):
         for lo in range(0, len(evaluators), step):
             etas = [ev.eta for ev in evaluators[lo : lo + step]]
-            oracle_rows = oracle.value_rows(etas, class_digits)
+            oracle_rows = oracle._rows(etas, phi)
             formula_rows = charvalue_coeff_rows(F.p, F.q, *(arr[lo : lo + step] for arr in values))
             bad = (formula_rows != oracle_rows).any(axis=0)
             if report.witness is None and bad.any():

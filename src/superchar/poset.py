@@ -244,46 +244,58 @@ def _content_lines(text: str):
         yield lineno, line
 
 
+def _header_line(lineno: int, tokens, header: dict, size: str) -> bool:
+    """Read a ``<size> <int>``, ``q <int>`` or ``modulus c0 c1 ... cr`` header
+    line into ``header``, once each; False for any other line."""
+    head = tokens[0]
+    if head in (size, "q"):
+        if head in header or len(tokens) != 2:
+            raise ParseError(lineno, f"expected a single '{head} <int>' header")
+        header[head] = _int_token(lineno, tokens[1])
+    elif head == "modulus":
+        if head in header or len(tokens) < 2:
+            raise ParseError(lineno, "expected 'modulus c0 c1 ... cr'")
+        header[head] = tuple(_int_token(lineno, t) for t in tokens[1:])
+    else:
+        return False
+    return True
+
+
+def _emit_header(size: str, value: int, field: Fq) -> list[str]:
+    """The header lines that :func:`_header_line` reads."""
+    lines = [f"{size} {value}", f"q {field.q}"]
+    if field.r > 1:
+        lines.append("modulus " + " ".join(str(c) for c in field.modulus))
+    return lines
+
+
 def parse_spec(text: str) -> tuple[ClosedSet, Fq]:
     """Parse the closed-set file format; see the package README for the grammar."""
-    n = None
-    q = None
-    modulus = None
+    header: dict = {}
     mode = None
     raw_pairs = []
     for lineno, line in _content_lines(text):
         tokens = line.split()
         head = tokens[0]
         if mode is None:
-            if head == "n":
-                if n is not None or len(tokens) != 2:
-                    raise ParseError(lineno, "expected a single 'n <int>' header")
-                n = _int_token(lineno, tokens[1])
-            elif head == "q":
-                if q is not None or len(tokens) != 2:
-                    raise ParseError(lineno, "expected a single 'q <int>' header")
-                q = _int_token(lineno, tokens[1])
-            elif head == "modulus":
-                if modulus is not None or len(tokens) < 2:
-                    raise ParseError(lineno, "expected 'modulus c0 c1 ... cr'")
-                modulus = tuple(_int_token(lineno, t) for t in tokens[1:])
-            elif head in ("pairs", "covers"):
-                if n is None or q is None:
-                    raise ParseError(lineno, "'n' and 'q' must come before the mode line")
-                mode = head
-            else:
+            if _header_line(lineno, tokens, header, "n"):
+                continue
+            if head not in ("pairs", "covers"):
                 raise ParseError(lineno, f"unexpected {head!r} in header")
+            if "n" not in header or "q" not in header:
+                raise ParseError(lineno, "'n' and 'q' must come before the mode line")
+            mode = head
         else:
             if len(tokens) != 2:
                 raise ParseError(lineno, f"expected 'i j', got {line!r}")
             raw_pairs.append((_int_token(lineno, tokens[0]), _int_token(lineno, tokens[1])))
     if mode is None:
         raise ParseError(0, "missing mode line ('pairs' or 'covers')")
-    field = Fq.of(q, modulus)
+    field = Fq.of(header["q"], header.get("modulus"))
     if mode == "pairs":
-        J = validate_closed(n, raw_pairs)
+        J = validate_closed(header["n"], raw_pairs)
     else:
-        J = close_covers(n, raw_pairs)
+        J = close_covers(header["n"], raw_pairs)
     return J, field
 
 
@@ -295,9 +307,7 @@ def _int_token(lineno: int, tok: str) -> int:
 
 
 def emit_spec(J: ClosedSet, field: Fq) -> str:
-    lines = [f"n {J.n}", f"q {field.q}"]
-    if field.r > 1:
-        lines.append("modulus " + " ".join(str(c) for c in field.modulus))
+    lines = _emit_header("n", J.n, field)
     lines.append("pairs")
     lines.extend(f"{i} {j}" for i, j in J.order)
     return "\n".join(lines) + "\n"

@@ -46,8 +46,7 @@ def test_criterion_01_oracle_equivalence_master():
     for entry in corpus():
         for q in entry.qs:
             G = PatternGroup(entry.J, Fq.of(q))
-            with_axioms = G.order() <= DEFAULT_ORACLE_CAP
-            report = full_check(G, oracle_cap=1 << 21, with_axioms=with_axioms)
+            report = full_check(G, oracle_cap=1 << 21)
             if not report.ok:
                 print(f"  {entry.name} q={q}:")
                 for line in report.lines():

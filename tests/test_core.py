@@ -293,9 +293,9 @@ def test_monomial_representatives_on_full_triangular():
 
 def test_size_cap_enforced():
     G = PatternGroup(full_triangular(4), F3)
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match="^729 functionals to search exceed the cap of 100$"):
         G.orbit(G.zero(), cap=100)
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match="^729 functionals to sweep exceed the cap of 100$"):
         G.all_orbit_reps(cap=100)
 
 

@@ -3,11 +3,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superchar.errors import BadField, SpecMismatch
+from superchar.errors import BadField, InternalInvariantViolation, SpecMismatch
 from superchar.gf import (
     CharValue,
     CycInt,
@@ -129,6 +130,66 @@ def test_theta_is_a_nontrivial_homomorphism():
         for v in vals:
             total = total + v
         assert not total  # sum over the field vanishes, so theta is nontrivial
+
+
+# -- the vectorized F_p view ---------------------------------------------------
+
+_VIEW_FIELDS = [Fq.of(q) for q in sorted(DEFAULT_MODULI)] + [
+    Fq.of(512, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)),  # x^9 + x^4 + 1, no op tables
+    Fq.of(65521),
+]
+
+
+@pytest.mark.parametrize("F", _VIEW_FIELDS, ids=lambda F: f"q{F.q}")
+def test_the_digit_view_matches_the_scalar_ops(F):
+    rng = random.Random(F.q)
+    codes = sorted({*range(min(F.q, 32)), F.q - 1, *(rng.randrange(F.q) for _ in range(64))})
+    digits = F.p_digits(codes)
+    assert digits.tolist() == [list(F.coeffs(c)) for c in codes]
+    # any shape: the digits go on a new last axis
+    assert F.p_digits(np.array(codes[:4]).reshape(2, 2)).tolist() == digits[:4].reshape(2, 2, F.r).tolist()
+    assert F.digit_blocks(digits).tolist() == [[list(row) for row in F.digit_matrix(c)] for c in codes]
+    powers = [F.p**v for v in range(F.r)]
+    assert F.trace_form.tolist() == [[F.trace(F.mul(u, v)) for v in powers] for u in powers]
+    for b, x in zip(codes, reversed(codes)):
+        assert digits[codes.index(b)] @ F.trace_form @ F.p_digits(x) % F.p == F.trace(F.mul(b, x))
+    residues = np.arange(F.p)
+    assert F.fp_inverses[0] == 0
+    assert (residues[1:] * F.fp_inverses[1:] % F.p == 1).all()
+
+
+def _exact_mod_p(a, b, p):
+    """a @ b mod p in Python ints."""
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+# inner * (p - 1)**2 against the float32 limit 2**24: 257 at 255 and 4093 at 1
+# are just below it, 257 at 256 and 4093 at 2 just above; 257 at 300 and every
+# p = 65521 product run far past it, where float32 would round
+@pytest.mark.parametrize(
+    "p, inner", [(257, 255), (257, 256), (257, 300), (4093, 1), (4093, 2), (65521, 1), (65521, 40)]
+)
+def test_matmul_mod_p_is_exact_on_both_sides_of_the_float32_limit(p, inner):
+    F = Fq.of(p)
+    rng = np.random.default_rng(p + inner)
+    # entries near p - 1 keep every product near inner * (p - 1)**2
+    a = rng.integers(p - 3, p, size=(6, inner))
+    b = rng.integers(p - 3, p, size=(inner, 7))
+    a[0], b[:, 0] = p - 1, p - 1
+    a[1] = rng.integers(0, p, size=inner)
+    out = F.matmul_mod_p(a, b)
+    assert out.dtype == np.min_scalar_type(p - 1)
+    assert out.tolist() == _exact_mod_p(a.tolist(), b.tolist(), p)
+    # stacked left operands, as for many digit vectors against one trace form
+    assert F.matmul_mod_p(a.reshape(2, 3, inner), b).tolist() == np.reshape(out, (2, 3, 7)).tolist()
+
+
+def test_matmul_mod_p_refuses_a_product_past_float64():
+    F = Fq.of(65521)
+    inner = 2**53 // 65520**2 + 1
+    a = np.broadcast_to(np.uint8(0), (1, inner))  # no memory behind it
+    with pytest.raises(InternalInvariantViolation):
+        F.matmul_mod_p(a, a.T)
 
 
 # -- linear algebra ----------------------------------------------------------

@@ -1,8 +1,10 @@
 """Brute-force superclasses, orbit sums, inner products, and axiom checks."""
 
+import ast
 import itertools
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,7 +213,7 @@ def test_full_u3_counts():
 
 
 def test_oracle_cap():
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match="^729 group elements to enumerate exceed the cap of 100$"):
         Oracle(PatternGroup(full_triangular(4), F3), cap=100)
 
 
@@ -474,3 +476,32 @@ def test_constancy_check_reads_the_last_block(monkeypatch):
     monkeypatch.setattr(oracle_module, "_BLOCK_CELLS", 5 * o.order)
     assert o._check_constancy(sc, co)
     assert not o._check_constancy(merged, co)
+
+
+# the oracle's whole share of core: its orbit-sweep plumbing, the pattern
+# group type it reads J off, and the conversion between functionals and codes
+_ORACLE_CORE_IMPORTS = {
+    "OrbitPartition",
+    "PatternGroup",
+    "_codes_to_digits",
+    "_digits_to_codes",
+    "orbit_partition_from_moves",
+}
+
+
+def test_the_oracle_takes_no_arithmetic_from_formula_or_core():
+    """From formula the oracle takes only the values it checks; from core no
+    action, mesh or elimination helper.  Shared arithmetic lives in gf."""
+    tree = ast.parse(Path(oracle_module.__file__).read_text())
+    imports: dict = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # a module object would reach every helper
+            assert not any(a.name.split(".")[0] == "superchar" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "superchar":
+                module = module.removeprefix("superchar").lstrip(".")
+                imports.setdefault(module, set()).update(a.name for a in node.names)
+    assert not imports.get("", set()) & {"core", "formula"}
+    assert imports["formula"] == {"value_chunks"}
+    assert imports["core"] <= _ORACLE_CORE_IMPORTS

@@ -258,6 +258,8 @@ def test_cmd_check_exits_2_past_the_coefficient_budget(capsys, tmp_path):
     spec.write_text(emit_spec(validate_closed(2, {(1, 2)}), Fq.of(65521)))
     code, _, err = _run(capsys, "check", str(spec), "--oracle-cap", "131072")
     assert code == 2 and "orbit-sum coefficients" in err
+    # the message names the unit it counts
+    assert "4293001441 orbit-sum coefficients exceed the cap of 4194304" in err and "states" not in err
 
 
 def test_cmd_check_skips_the_axioms_past_the_default_cap(capsys, tmp_path):
