@@ -16,10 +16,10 @@ from pathlib import Path
 
 from .algebra import parse_algebra_spec, emit_algebra_spec
 from .core import DEFAULT_ENUM_CAP, PatternGroup, StructureAlgebra
-from .errors import ParseError, SizeCapExceeded, SuperCharError
+from .errors import SizeCapExceeded, SuperCharError
 from .formula import CharacterEvaluator
 from .oracle import DEFAULT_ORACLE_CAP, full_check
-from .poset import _content_lines, emit_spec, format_functional, parse_field_literal, parse_functional, parse_spec
+from .poset import _content_lines, _functional_items, emit_spec, format_functional, parse_field_literal, parse_functional, parse_spec
 from .table import build_algebra_table, build_pattern_table, _algebra_rep_obj, _pattern_rep_obj
 
 
@@ -38,19 +38,8 @@ def _load(path: str):
 
 def _parse_algebra_functional(alg: StructureAlgebra, text: str):
     """``k=v;...`` items with 1-based coordinate indexes; "0" is zero."""
-    text = text.strip()
     out = [0] * alg.d
-    if text in ("", "0"):
-        return tuple(out)
-    for item in text.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        idx_s, _, val = item.partition("=")
-        try:
-            k = int(idx_s)
-        except ValueError:
-            raise ParseError(0, f"bad functional item {item!r}") from None
+    for k, val in _functional_items(text, int).items():
         if not 1 <= k <= alg.d:
             raise SuperCharError(f"coordinate {k} out of range 1..{alg.d}")
         out[k - 1] = parse_field_literal(alg.field, val)

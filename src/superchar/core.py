@@ -21,7 +21,10 @@ and chi^eta(x_phi) = q**(corank - rank M) * theta(b0.b + phi.eta) when phi
 meshes with eta (M b0 = -a is solvable and b is perpendicular to the
 nullspace of M), zero otherwise.  :meth:`StructureAlgebra.value` is the
 dense reference; :class:`superchar.formula.CharacterEvaluator` reads the
-same data off A_eta as sparse terms in phi.
+same data off A_eta as sparse terms in phi.  Both decide a cell by the one
+scalar mesh solve of :mod:`.gf`: one row reduction of [M | -a] gives
+solvability, rank M, b0 and whether b is perpendicular to null(M).  Coranks
+and the nilpotency check call the same row reduction, ``gf._rref``.
 
 A pattern group U_J is the algebra group of its closed set J, with
 c_{(i,j),(j,k)}^{(i,k)} = 1 for each 3-chain; packed tuples follow J's
@@ -47,7 +50,8 @@ from .errors import (
     SizeCapExceeded,
     SpecMismatch,
 )
-from .gf import CharValue, Fq, FqMatrix, perp_to_nullspace, rank, solve
+from . import gf
+from .gf import CharValue, Fq, FqMatrix, _solve_perp, rank
 from .poset import ClosedSet
 
 DEFAULT_ENUM_CAP = 1 << 20
@@ -334,26 +338,24 @@ class StructureAlgebra:
                 raise NotAssociative(i, j, k, l)
 
     def _validate_nilpotent(self):
-        """Products of more than d basis elements must vanish."""
-        F = self.field
+        """Products of more than d basis elements must vanish.  Each level
+        keeps the products e_i * v (v of the level before) that the pivot
+        columns of one row reduction pick: in order, each one outside the
+        span of those before it."""
         d = self.d
         level = [(self._basis_vec(i), (i,)) for i in range(d)]
         for _ in range(d):
-            echelon: list[tuple] = []
-            nxt = []
+            products = []
             for i in range(d):
                 e_i = self._basis_vec(i)
                 for vec, seq in level:
                     w = self.product(e_i, vec)
-                    if not any(w):
-                        continue
-                    red = _reduce_against(F, w, echelon)
-                    if red is not None:
-                        echelon.append(red)
-                        nxt.append((w, (i,) + seq))
-            level = nxt
-            if not level:
+                    if any(w):
+                        products.append((w, (i,) + seq))
+            if not products:
                 return
+            _, pivots = gf._rref(self.field, list(zip(*(w for w, _ in products))), len(products))
+            level = [products[c] for c in pivots]
         if level:  # d = 0 starts with no products at all
             raise NotNilpotent(level[0][1])
 
@@ -442,14 +444,16 @@ class StructureAlgebra:
         b = tuple(F.dot(phi, w_j) for w_j in w)
         return FqMatrix.from_rows(F, rows, d), a, b
 
+    def _mesh_solve(self, phi, eta):
+        """b and the one scalar mesh solve of :mod:`.gf` for M x = -a."""
+        M, a, b = self.mesh_data(phi, eta)
+        neg = self.field.neg
+        return b, _solve_perp(self.field, [row + (neg(x),) for row, x in zip(M.rows, a)], self.d, b)
+
     def meshes(self, phi, eta):
         """Whether phi meshes with eta; the deterministic witness b0 when it does."""
-        M, a, b = self.mesh_data(phi, eta)
-        F = self.field
-        b0 = solve(M, tuple(F.neg(x) for x in a))
-        if b0 is None or not perp_to_nullspace(M, b):
-            return False, None
-        return True, b0
+        _, solved = self._mesh_solve(phi, eta)
+        return (False, None) if solved is None else (True, solved[1])
 
     def corank(self, eta, cap: int | None = None) -> int:
         """rank(A_eta), the dimension of the right orbit of lambda_eta.
@@ -459,16 +463,15 @@ class StructureAlgebra:
         return self._corank_of(self._eta_matrix(eta))
 
     def _corank_of(self, A) -> int:
-        return rank(FqMatrix.from_rows(self.field, A, self.d))
+        return len(gf._rref(self.field, A, self.d)[1])
 
     def value(self, eta, phi, corank: int | None = None) -> CharValue:
         """chi^eta at the superclass of x_phi."""
         F = self.field
-        M, a, b = self.mesh_data(phi, eta)
-        b0 = solve(M, tuple(F.neg(x) for x in a))
-        if b0 is None or not perp_to_nullspace(M, b):
+        b, solved = self._mesh_solve(phi, eta)
+        if solved is None:
             return CharValue.zero()
-        r = rank(M)
+        r, b0 = solved
         if corank is None:
             corank = self.corank(eta)
         if corank < r:
@@ -486,7 +489,7 @@ class StructureAlgebra:
         """
         A = self._eta_matrix(eta)
         stacked = A + [list(col) for col in zip(*A)]
-        return rank(FqMatrix.from_rows(self.field, stacked, self.d)) == 2 * self._corank_of(A)
+        return len(gf._rref(self.field, stacked, self.d)[1]) == 2 * self._corank_of(A)
 
     # -- orbits ------------------------------------------------------------------
 
@@ -581,22 +584,6 @@ def _combine(F: Fq, coeffs: dict, vec_of) -> dict:
         for l, v in vec_of(m).items():
             out[l] = F.add(out.get(l, 0), F.mul(c, v))
     return {l: v for l, v in out.items() if v}
-
-
-def _reduce_against(field: Fq, vec, echelon):
-    """Reduce vec against echelon rows (leading-one normal form); append form or None."""
-    v = list(vec)
-    for lead, row in echelon:
-        c = v[lead]
-        if c:
-            for k, x in enumerate(row):
-                if x:
-                    v[k] = field.sub(v[k], field.mul(c, x))
-    for lead, x in enumerate(v):
-        if x:
-            inv = field.inv(x)
-            return (lead, tuple(field.mul(inv, y) for y in v))
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,11 @@ brute-force oracle pins it in the tests.)
 :class:`CharacterEvaluator` builds A_eta once and reads off it the corank
 and one mesh plan for any algebra group; tables take irreducibility from
 the co-orbit sizes instead.  Its :meth:`~CharacterEvaluator.value` sums the
-plan at one phi: the per-cell reference.  The bulk path is
-:func:`value_blocks`, which evaluates many characters over a block of
-superclass representatives at once from the same plans, over any F_q and
-with no field tables:
+plan at one phi and solves the cell by the one scalar mesh solve of
+:mod:`.gf`, as the dense reference in :mod:`.core` does: the per-cell
+reference.  The bulk path is :func:`value_blocks`, which evaluates many
+characters over a block of superclass representatives at once from the
+same plans, over any F_q and with no field tables:
 
 * Multiplication by a fixed coefficient is F_p-linear on the r base-p
   digits of an F_q element, and so is the trace.  So every entry of a, b
@@ -60,7 +61,7 @@ from .errors import (
     ShapeMismatch,
     SpecMismatch,
 )
-from .gf import CharValue, Fq, FqMatrix, _rref, nullspace_basis, rank
+from .gf import CharValue, Fq, FqMatrix, _solve_perp, nullspace_basis, rank
 from .core import PatternGroup
 from .poset import is_monomial, support
 
@@ -126,9 +127,8 @@ class CharacterEvaluator:
 
     def value(self, phi) -> CharValue:
         """chi^eta(x_phi), one cell at a time: the plan summed at phi, then
-        one small row reduction of [M | -a] on the frame decides
-        solvability, the particular solution, the rank and the nullspace.
-        The reference the block paths are tested against."""
+        the one scalar mesh solve of :mod:`.gf` on the frame.  The reference
+        the block paths are tested against."""
         F = self.field
         phi = tuple(phi)
         if len(phi) != len(self.eta):
@@ -148,25 +148,15 @@ class CharacterEvaluator:
             vec[k] = add(vec[k], mul(v, c))
         if any(outside):
             return CharValue.zero()
-        theta_tr = F.trace(F.dot(phi, self.eta))
-        if not any(map(any, system)):  # M = 0 and a = 0: meshed iff b = 0
-            return CharValue.zero() if any(b) else CharValue.of(self.corank, theta_tr, F.p)
         for row in system:
             row[cols] = F.neg(row[cols])
-        R, pivots = _rref(F, system, cols + 1)
-        if pivots and pivots[-1] == cols:
-            return CharValue.zero()  # M x = -a is inconsistent
-        rank = len(pivots)
-        b_pivots = [b[c] for c in pivots]
-        # b is perpendicular to null(M) iff each free entry of b is the
-        # combination of the pivot entries that its column of R gives
-        for free in set(range(cols)).difference(pivots):
-            if b[free] != F.dot([R[k][free] for k in range(rank)], b_pivots):
-                return CharValue.zero()
+        solved = _solve_perp(F, system, cols, b)
+        if solved is None:
+            return CharValue.zero()
+        rank, b0 = solved
         if self.corank < rank:
             raise InternalInvariantViolation("rank of the mesh matrix exceeds the corank")
-        dot = F.dot([R[k][cols] for k in range(rank)], b_pivots)
-        return CharValue.of(self.corank - rank, F.trace(dot) + theta_tr, F.p)
+        return CharValue.of(self.corank - rank, F.trace(F.add(F.dot(b0, b), F.dot(phi, self.eta))), F.p)
 
     def value_block(self, digits: np.ndarray):
         """(is_zero, q_exp, zeta_exp) arrays over a (count, dim) block of

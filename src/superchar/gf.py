@@ -13,6 +13,10 @@ element and the trace are F_p-linear: :class:`Fq` holds that view as arrays
 (digits, digit blocks, trace form, inverses mod p) and one exact mod-p
 matrix product, the only digit arithmetic of the evaluator and the oracle.
 
+Dense matrices reduce by ``_rref``, the package's only scalar pivoting, and
+``_solve_perp``, the one scalar mesh solve, reads one reduction of [M | rhs]:
+consistency, rank M, a particular solution, and whether b is in rowspace(M).
+
 Character values live in the ring of cyclotomic integers Z[zeta_p].
 :class:`CycInt` is the full ring, used by brute-force orbit sums;
 :class:`CharValue` is the closed multiplicative form ``q**m * zeta_p**k``
@@ -157,13 +161,11 @@ class Fq:
     @classmethod
     def of(cls, q: int, modulus=None) -> "Fq":
         p, r = _prime_power(q)
-        if r == 1:
-            return cls(p, 1, None)
-        if modulus is None:
+        if modulus is None and r > 1:
             if q not in DEFAULT_MODULI:
                 raise BadField(f"no built-in modulus for q = {q}; supply one")
             modulus = DEFAULT_MODULI[q]
-        return cls(p, r, tuple(int(c) % p for c in modulus))
+        return cls(p, r, None if modulus is None else tuple(int(c) % p for c in modulus))
 
     @property
     def q(self) -> int:
@@ -504,29 +506,43 @@ def nullspace_basis(M: FqMatrix) -> list[tuple[int, ...]]:
     return basis
 
 
+def _solve_perp(field: Fq, system, ncols: int, b):
+    """The one scalar mesh solve, by one reduction of ``system`` = [M | rhs]
+    (M has ``ncols`` columns): None if M x = rhs is inconsistent or b is not
+    in the rowspace of M (not perpendicular to null(M)), else (rank M, x0)
+    with the free variables of x0 zero.  The reduced rows of M span its
+    rowspace, so b is in it iff each free entry of b is the combination of
+    b's pivot entries that the free column gives."""
+    if not any(map(any, system)):
+        return None if any(b) else (0, (0,) * ncols)
+    R, pivots = _rref(field, system, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    b_pivots = [b[c] for c in pivots]
+    for free in set(range(ncols)).difference(pivots):
+        if b[free] != field.dot([row[free] for row in R], b_pivots):
+            return None
+    x = [0] * ncols
+    for row, c in zip(R, pivots):
+        x[c] = row[ncols]
+    return len(pivots), tuple(x)
+
+
 def solve(M: FqMatrix, rhs) -> tuple[int, ...] | None:
     """A particular solution of M x = rhs with free variables set to 0, or None."""
     rhs = tuple(rhs)
     if len(rhs) != M.nrows:
         raise ValueError("right-hand side has the wrong length")
-    F = M.field
-    aug = [row + (c,) for row, c in zip(M.rows, rhs)]
-    R, pivots = _rref(F, aug, M.ncols + 1)
-    if pivots and pivots[-1] == M.ncols:
-        return None
-    x = [0] * M.ncols
-    for k, pc in enumerate(pivots):
-        x[pc] = R[k][M.ncols]
-    return tuple(x)
+    solved = _solve_perp(M.field, [row + (c,) for row, c in zip(M.rows, rhs)], M.ncols, (0,) * M.ncols)
+    return None if solved is None else solved[1]
 
 
 def perp_to_nullspace(M: FqMatrix, b) -> bool:
-    """True iff b is orthogonal to every nullspace basis vector (i.e. b in rowspace)."""
+    """True iff b is orthogonal to the nullspace of M (i.e. b in rowspace)."""
     b = tuple(b)
     if len(b) != M.ncols:
         raise ValueError("vector has the wrong length")
-    F = M.field
-    return all(F.dot(b, v) == 0 for v in nullspace_basis(M))
+    return _solve_perp(M.field, [row + (0,) for row in M.rows], M.ncols, b) is not None
 
 
 # ---------------------------------------------------------------------------

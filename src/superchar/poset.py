@@ -151,10 +151,6 @@ def has_4chain(J: ClosedSet) -> bool:
 # functionals as packed tuples
 
 
-def zero_functional(J: ClosedSet) -> tuple[int, ...]:
-    return (0,) * len(J)
-
-
 def functional(J: ClosedSet, field: Fq, values: dict) -> tuple[int, ...]:
     """Pack a sparse {(i, j): code} mapping; absent pairs are zero."""
     out = [0] * len(J)
@@ -203,26 +199,40 @@ def format_field_literal(field: Fq, a: int) -> str:
     return ":".join(str(c) for c in field.coeffs(a))
 
 
-def parse_functional(J: ClosedSet, field: Fq, text: str) -> tuple[int, ...]:
-    """Parse ``i,j=v;i,j=v;...``; "0" or the empty string is the zero functional."""
+def _functional_items(text: str, position) -> dict:
+    """{position(k): v} over the items ``k=v`` of ``k=v;k=v;...``, each v still
+    a literal; "0" or the empty string has none.  ``position`` raises
+    ValueError on a malformed k; that and a repeated k are ParseErrors."""
     text = text.strip()
+    items: dict = {}
     if text in ("", "0"):
-        return zero_functional(J)
-    values = {}
+        return items
     for item in text.split(";"):
         item = item.strip()
         if not item:
             continue
+        pos, _, val = item.partition("=")
         try:
-            pos, _, val = item.partition("=")
-            i_s, j_s = pos.split(",")
-            pair = (int(i_s), int(j_s))
+            k = position(pos)
         except ValueError as exc:
             raise ParseError(0, f"bad functional item {item!r}") from exc
         if not val:
             raise ParseError(0, f"bad functional item {item!r}")
-        values[pair] = parse_field_literal(field, val)
-    return functional(J, field, values)
+        if k in items:
+            raise ParseError(0, f"repeated position {pos.strip()} in functional")
+        items[k] = val
+    return items
+
+
+def _pair(pos: str) -> Pair:
+    i_s, j_s = pos.split(",")
+    return int(i_s), int(j_s)
+
+
+def parse_functional(J: ClosedSet, field: Fq, text: str) -> tuple[int, ...]:
+    """Parse ``i,j=v;i,j=v;...``; "0" or the empty string is the zero functional."""
+    items = _functional_items(text, _pair)
+    return functional(J, field, {pair: parse_field_literal(field, v) for pair, v in items.items()})
 
 
 def format_functional(J: ClosedSet, field: Fq, f) -> str:

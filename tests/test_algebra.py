@@ -47,6 +47,35 @@ def test_idempotent_direction_rejected():
         validate_algebra(2, F2, {(0, 0): {0: 1}})
 
 
+@pytest.mark.parametrize(
+    "d, field, constants, witness, message",
+    [
+        (2, F2, {(0, 0): {0: 1}}, (0, 0, 0), "nonzero product of 3 basis elements: v1*v1*v1"),
+        # v3 is a two-sided unit on v1, so v3 v1 = v1 repeats v1 v3 at every
+        # level and is dropped: the witness keeps the first independent product
+        (
+            3,
+            F3,
+            {(2, 2): {2: 1}, (2, 0): {0: 1}, (0, 2): {0: 1}},
+            (0, 2, 2, 2),
+            "nonzero product of 4 basis elements: v1*v3*v3*v3",
+        ),
+        (
+            3,
+            Fq.of(4),
+            {(2, 2): {2: 1}, (2, 0): {0: 1}, (0, 2): {0: 1}, (2, 1): {1: 1}, (1, 2): {1: 1}},
+            (0, 2, 2, 2),
+            "nonzero product of 4 basis elements: v1*v3*v3*v3",
+        ),
+    ],
+)
+def test_not_nilpotent_names_the_first_independent_long_product(d, field, constants, witness, message):
+    with pytest.raises(NotNilpotent) as exc:
+        validate_algebra(d, field, constants)
+    assert exc.value.witness == witness
+    assert str(exc.value) == message
+
+
 def test_non_associative_rejected():
     # (v1 v1) v1 = v2 v1 = v3 but v1 (v1 v1) = v1 v2 = 0
     with pytest.raises(NotAssociative):

@@ -15,6 +15,7 @@ from superchar.gf import (
     DEFAULT_MODULI,
     Fq,
     FqMatrix,
+    _solve_perp,
     nullspace_basis,
     perp_to_nullspace,
     rank,
@@ -71,6 +72,8 @@ def test_bad_fields_rejected():
         Fq.of(4, modulus=(1, 1))  # wrong degree
     with pytest.raises(BadField):
         Fq(2, 17)  # q > 2**16
+    with pytest.raises(BadField, match="only meaningful for proper prime powers"):
+        Fq.of(5, (1, 1))  # a modulus for a prime field
 
 
 def test_default_moduli_are_irreducible():
@@ -270,6 +273,41 @@ def test_perp_agrees_with_enumerated_nullspace():
             brute = all(F.dot(b, v) == 0 for v in full)
             assert perp_to_nullspace(M, b) == brute
             done += 1
+
+
+def test_solve_perp_against_enumeration():
+    """None exactly when no x solves [M | rhs] or b is not orthogonal to all
+    of null(M), both found by enumerating F_q**n; else x0 solves the system
+    and q**(n - rank) counts null(M)."""
+    rng = random.Random(17)
+    solved = unsolved = 0
+    for F in (F2, F3, F4):
+        for _ in range(60):
+            m, n = rng.randrange(0, 4), rng.randrange(1, 5)
+            M = [[rng.choice((0, rng.randrange(F.q))) for _ in range(n)] for _ in range(m)]
+            space = list(itertools.product(F.elements(), repeat=n))
+
+            def image(x):
+                return [F.dot(row, x) for row in M]
+
+            # half the time a consistent rhs and a b in the rowspace of M
+            rhs = image(rng.choice(space)) if rng.random() < 0.5 else [rng.randrange(F.q) for _ in range(m)]
+            if rng.random() < 0.5:
+                y = [rng.randrange(F.q) for _ in range(m)]
+                b = tuple(F.dot(y, col) for col in zip(*M)) if m else (0,) * n
+            else:
+                b = tuple(rng.randrange(F.q) for _ in range(n))
+            null = [x for x in space if not any(image(x))]
+            got = _solve_perp(F, [row + [c] for row, c in zip(M, rhs)], n, b)
+            if all(image(x) != rhs for x in space) or any(F.dot(b, x) for x in null):
+                assert got is None
+                unsolved += 1
+            else:
+                rank_M, x0 = got
+                assert image(x0) == rhs
+                assert F.q ** (n - rank_M) == len(null)
+                solved += 1
+    assert solved > 30 and unsolved > 30
 
 
 # -- cyclotomic integers ------------------------------------------------------

@@ -183,6 +183,8 @@ def test_functional_literals_round_trip():
         parse_functional(J, F, "1,4")
     with pytest.raises(PairOutOfRange):
         parse_functional(J, F, "4,1=1")
+    with pytest.raises(ParseError, match="repeated position 1,4"):
+        parse_functional(J, F, "1,4=1;1,4=0")
 
 
 def test_functional_literals_extension_field():

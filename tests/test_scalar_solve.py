@@ -1,0 +1,72 @@
+"""The scalar mesh solve lives in one place: gf's one row reduction."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import superchar
+from superchar import gf
+from superchar.catalog import full_triangular
+from superchar.core import PatternGroup
+from superchar.formula import CharacterEvaluator
+from superchar.gf import Fq
+from superchar.poset import functional
+
+SRC = Path(superchar.__file__).parent
+
+
+def _tree(name):
+    return ast.parse((SRC / name).read_text(encoding="utf-8"))
+
+
+def _names(tree):
+    """Every identifier a module reads, imports or takes as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def test_scalar_pivoting_lives_in_gf():
+    inv_calls = {}
+    for path in sorted(SRC.glob("*.py")):
+        calls = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "inv"
+        ]
+        if calls:
+            inv_calls[path.name] = calls
+    assert set(inv_calls) == {"gf.py"}, inv_calls
+    assert "_rref" not in _names(_tree("formula.py"))
+    assert not _names(_tree("core.py")) & {"solve", "perp_to_nullspace", "nullspace_basis"}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_one_row_reduction_per_meshed_cell(q, monkeypatch):
+    G = PatternGroup(full_triangular(4), Fq.of(q))
+    eta = functional(G.J, G.field, {(1, 4): 1})
+    phi = functional(G.J, G.field, {(2, 3): 1})  # M[(1,2),(3,4)] = phi_23 eta_14
+    M, a, b = G.mesh_data(phi, eta)
+    assert any(map(any, M.rows)) and not any(a) and not any(b)
+    ev = CharacterEvaluator(G, eta)
+    rrefs, rref = [], gf._rref
+    monkeypatch.setattr(gf, "_rref", lambda *args: rrefs.append(args) or rref(*args))
+
+    def count(run):
+        before = len(rrefs)
+        out = run()
+        return len(rrefs) - before, out
+
+    calls, value = count(lambda: G.value(eta, phi, corank=ev.corank))
+    assert calls == 1 and not value.is_zero
+    calls, (meshed, b0) = count(lambda: G.meshes(phi, eta))
+    assert calls == 1 and meshed and b0 == (0,) * len(phi)
+    calls, ev_value = count(lambda: ev.value(phi))
+    assert calls == 1 and ev_value == value

@@ -157,6 +157,14 @@ def test_cmd_validate_reducible_modulus(tmp_path, capsys):
     assert "reducible" in err
 
 
+def test_cmd_validate_modulus_on_a_prime_field(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("n 3\nq 5\nmodulus 1 1\npairs\n1 3\n")
+    code, out, err = _run(capsys, "validate", str(bad))
+    assert code == 1 and out == ""
+    assert "only meaningful for proper prime powers" in err
+
+
 def test_cmd_table_json_and_out_file(tmp_path, capsys):
     out_file = tmp_path / "t.json"
     code, out, _ = _run(
@@ -210,6 +218,16 @@ def test_cmd_value_bad_algebra_coordinate_is_a_parse_error(capsys):
         code, _, err = _run(capsys, *argv)
         assert code == 1
         assert err.startswith("error: ") and "bad functional item" in err
+
+
+def test_cmd_value_rejects_a_repeated_functional_position(capsys):
+    for argv in (
+        ("value", str(DATA / "full_u3_q2.txt"), "--eta", "1,3=1", "--phi", "1,3=1;1,3=0"),
+        ("value", str(DATA / "group16.txt"), "--eta", "1=1;1=0", "--phi", "0"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "repeated" in err
 
 
 def test_cmd_orbits(capsys):
