@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -67,11 +68,21 @@ def cmd_table(args) -> int:
     obj = _load(args.path)
     build = build_pattern_table if isinstance(obj, PatternGroup) else build_algebra_table
     tab = build(obj, cap=args.cap)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as out:
-            tab.write(args.format, out)
-    else:
+    if not args.out:
         tab.write(args.format, sys.stdout)
+        return 0
+    # a sibling temporary file replaces --out only once it is complete, so a
+    # failed write leaves the old file as it was and no temporary behind
+    out = Path(args.out)
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    stream = open(tmp, "x", encoding="utf-8")
+    try:
+        with stream:
+            tab.write(args.format, stream)
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return 0
 
 

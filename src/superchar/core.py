@@ -166,17 +166,19 @@ def _digit_moves(field: Fq, moves) -> list[dict]:
     from target digit position to its (source position, coefficient) terms.
 
     An update (tgt, src, coeff) adds c * f[src] to f[tgt] with c = t * coeff,
-    which on digits is the r x r block of x -> c * x.  Digit u of coordinate
-    k sits at position k*r + (r-1-u), most significant first, so the base-p
-    code of a digit vector is the base-q code of its functional.
+    which on digits is the r x r block D(c) of x -> c * x; one
+    ``digit_blocks`` call gives the blocks of the whole move set.  Digit u of
+    coordinate k sits at position k*r + (r-1-u), most significant first, so
+    the base-p code of a digit vector is the base-q code of its functional.
     """
     r = field.r
+    cs = [field.mul(t, coeff) for t, updates in moves for _, _, coeff in updates]
+    blocks = iter(field.digit_blocks(field.p_digits(cs)).tolist())
     out = []
-    for t, updates in moves:
+    for _, updates in moves:
         terms: dict = {}
-        for tgt, src, coeff in updates:
-            block = field.digit_matrix(field.mul(t, coeff))
-            for s, row in enumerate(block):
+        for tgt, src, _ in updates:
+            for s, row in enumerate(next(blocks)):
                 for u, c in enumerate(row):
                     if c:
                         terms.setdefault(tgt * r + r - 1 - u, []).append((src * r + r - 1 - s, c))
@@ -267,6 +269,14 @@ class StructureAlgebra:
         f = tuple(f)
         if len(f) != self.d:
             raise SpecMismatch(f"functional of length {len(f)} for dimension {self.d}")
+        return f
+
+    def _functional(self, f) -> Vec:
+        """``f`` as a tuple; SpecMismatch unless it lies in F_q**d.  The range
+        check stays out of ``_vec``, which ``product`` calls in loops."""
+        f, q = self._vec(f), self.field.q
+        if not all(0 <= v < q for v in f):
+            raise SpecMismatch(f"functional {f} is not in F_{q}^{self.d}")
         return f
 
     # -- the algebra product and the group ---------------------------------
@@ -432,7 +442,7 @@ class StructureAlgebra:
         b_j = phi C^j eta, where (C_i)_jk = (C^j)_ik = c_ij^k: the dense
         definition that the evaluator's sparse terms are checked against."""
         F, d = self.field, self.d
-        phi, eta = self._vec(phi), self._vec(eta)
+        phi, eta = self._functional(phi), self._functional(eta)
         u = [[0] * d for _ in range(d)]  # u[i] = phi C_i
         w = [[0] * d for _ in range(d)]  # w[j] = C^j eta
         for (i, j), row in self.constants.items():

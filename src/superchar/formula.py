@@ -103,8 +103,9 @@ class CharacterEvaluator:
 
     def __init__(self, source, eta):
         F = self.field = source.field
-        A = source._eta_matrix(eta)
-        self.eta = tuple(eta)
+        self.source = source
+        self.eta = source._functional(eta)
+        A = source._eta_matrix(self.eta)
         self.corank = source._corank_of(A)
         nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in A]
         m_terms: dict = {}
@@ -130,9 +131,7 @@ class CharacterEvaluator:
         the one scalar mesh solve of :mod:`.gf` on the frame.  The reference
         the block paths are tested against."""
         F = self.field
-        phi = tuple(phi)
-        if len(phi) != len(self.eta):
-            raise SpecMismatch("functional length does not match the group")
+        phi = self.source._functional(phi)
         rows, cols, off = self.frame
         add, mul = F.add, F.mul
         system = [[0] * (cols + 1) for _ in range(rows)]  # [M | a] until negated
@@ -201,6 +200,9 @@ def value_blocks(evaluators, digits: np.ndarray):
     if not evaluators:
         return value_arrays((0, count), dim, 2)
     F = evaluators[0].field
+    outside = ((digits < 0) | (digits >= F.q)).any(axis=1)
+    if outside.any():
+        raise SpecMismatch(f"functional {tuple(digits[outside.argmax()].tolist())} is not in F_{F.q}^{dim}")
     p, r = F.p, F.r
     x = F.p_digits(digits).reshape(count, dim * r)
     out = value_arrays((len(evaluators), count), dim, p)

@@ -13,6 +13,13 @@ element and the trace are F_p-linear: :class:`Fq` holds that view as arrays
 (digits, digit blocks, trace form, inverses mod p) and one exact mod-p
 matrix product, the only digit arithmetic of the evaluator and the oracle.
 
+There is one multiplication, ``Fq._mul_slow``.  Its r**2 products of the
+basis 1, X, ..., X**(r-1) give the blocks D(X**v), and everything
+F_p-linear is read from them: every block D(c), the trace form (matrix
+traces of D(X**u) D(X**v)), :meth:`Fq.trace` (a linear form on digits) and,
+for q <= ``_TABLE_LIMIT``, the op tables in one numpy pass.  Beyond that
+limit the four slow ops serve each scalar call.
+
 Dense matrices reduce by ``_rref``, the package's only scalar pivoting, and
 ``_solve_perp``, the one scalar mesh solve, reads one reduction of [M | rhs]:
 consistency, rank M, a particular solution, and whether b is in rowspace(M).
@@ -206,23 +213,22 @@ class Fq:
         """A basis of F_q over F_p: 1, X, ..., X**(r-1)."""
         return tuple(self.p ** i for i in range(self.r))
 
-    def digit_matrix(self, c: int) -> list:
-        """The r x r matrix over F_p of x -> c * x on base-p digits: row t holds
-        the digits of c * X**t."""
-        return [self.coeffs(self.mul(c, self.p**t)) for t in range(self.r)]
-
     # -- arithmetic --------------------------------------------------------
 
     @cached_property
     def _tables(self):
+        """The add, mul, neg and inv tables for q <= ``_TABLE_LIMIT``, in one
+        numpy pass over all of F_q: digit sums mod p, digits(a) D(b) (the
+        blocks read ``_mul_slow``), and each inverse as the one b with
+        a b = 1 (0 for 0).  Beyond the limit the slow ops serve each call."""
         if self.q > _TABLE_LIMIT:
             return None
-        q = self.q
-        add = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
-        mul = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        neg = [self._neg_slow(a) for a in range(q)]
-        inv = [0] + [self._inv_slow(a) for a in range(1, q)]
-        return add, mul, neg, inv
+        p, digits = self.p, self.p_digits(self.elements())
+        place = p ** np.arange(self.r)
+        add = (digits[:, None] + digits) % p @ place
+        mul = np.einsum("au,buv->abv", digits, self.digit_blocks(digits)) % p @ place
+        inv = (mul == 1).argmax(axis=1)
+        return add.tolist(), mul.tolist(), (-digits % p @ place).tolist(), inv.tolist()
 
     @cached_property
     def _xk_reduction(self):
@@ -353,18 +359,12 @@ class Fq:
     # -- trace and the fixed additive character ----------------------------
 
     def trace(self, a: int) -> int:
-        """Tr(a) = a + a**p + ... + a**(p**(r-1)), an element of F_p."""
+        """Tr(a) = a + a**p + ... + a**(p**(r-1)), an element of F_p: the
+        matrix trace of x -> a x, so the F_p-linear form digits(a)
+        ``trace_form[0]``, and a itself when r = 1."""
         if self.r == 1:
             return a % self.p
-        acc = a
-        frob = a
-        for _ in range(self.r - 1):
-            frob = self.power(frob, self.p)
-            acc = self.add(acc, frob)
-        cs = self.coeffs(acc)
-        if any(cs[1:]):  # pragma: no cover - theory guarantees
-            raise InternalInvariantViolation(f"trace left the prime field: {acc}")
-        return cs[0]
+        return int(sum(c * t for c, t in zip(self.coeffs(a), self.trace_form[0].tolist())) % self.p)
 
     # -- the vectorized F_p view: arrays of base-p digits ---------------------
 
@@ -381,13 +381,17 @@ class Fq:
 
     @cached_property
     def _basis_blocks(self) -> np.ndarray:
-        return np.array([self.digit_matrix(self.p**v) for v in range(self.r)], dtype=np.int64)
+        """D(X**v) for v < r: row u of block v holds the digits of
+        ``_mul_slow(X**u, X**v)``, the r**2 products everything else reads."""
+        basis = self.additive_generators()
+        return self.p_digits([[self._mul_slow(x, y) for y in basis] for x in basis])
 
     @cached_property
     def trace_form(self) -> np.ndarray:
-        """T_uv = trace(p**u * p**v), so trace(b * x) = digits(b) T digits(x)^T."""
-        powers = [self.p**v for v in range(self.r)]
-        return np.array([[self.trace(self.mul(u, v)) for v in powers] for u in powers], dtype=np.int64)
+        """T_uv = trace(X**u * X**v), the matrix trace of D(X**u) D(X**v),
+        so trace(b * x) = digits(b) T digits(x)^T."""
+        B = self._basis_blocks
+        return np.einsum("uij,vji->uv", B, B) % self.p
 
     @cached_property
     def fp_inverses(self) -> np.ndarray:

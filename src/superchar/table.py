@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PatternGroup, StructureAlgebra
-from .errors import InternalInvariantViolation
+from .errors import InternalInvariantViolation, SpecMismatch
 from .formula import value_arrays, value_chunks
 from .gf import CharValue, Fq
 from .poset import format_field_literal
@@ -73,14 +73,18 @@ class SuperTable:
         classes = obj.pop("classes")
         chars = obj.pop("chars")
         rows = obj.pop("values")
-        dim = obj["d"] if kind == "algebra" else len(obj["J"])
-        zero, q_exp, zeta_exp = value_arrays((len(chars), len(classes)), dim, obj["p"])
+        dim, p = obj["d"] if kind == "algebra" else len(obj["J"]), obj["p"]
+        if len(rows) != len(chars) or any(len(row) != len(classes) for row in rows):
+            raise SpecMismatch(f"values are not {len(chars)} characters x {len(classes)} classes")
+        zero, q_exp, zeta_exp = value_arrays((len(chars), len(classes)), dim, p)
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 if v is None:
                     zero[i, j] = True
-                else:
+                elif 0 <= v["q_exp"] <= dim and 0 <= v["zeta_exp"] < p:
                     q_exp[i, j], zeta_exp[i, j] = v["q_exp"], v["zeta_exp"]
+                else:
+                    raise SpecMismatch(f"value {v} at ({i}, {j}) is not q^m*z^k with m <= {dim}, k < {p}")
         return cls(kind, obj, classes, chars, zero, q_exp, zeta_exp)
 
     # -- rendering ---------------------------------------------------------

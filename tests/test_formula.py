@@ -22,7 +22,7 @@ from superchar.catalog import (
 )
 from superchar import formula
 from superchar.core import PatternGroup
-from superchar.errors import NonMonomialRepresentative, ShapeMismatch
+from superchar.errors import NonMonomialRepresentative, ShapeMismatch, SpecMismatch
 from superchar.formula import (
     CharacterEvaluator,
     ann_spaces,
@@ -203,6 +203,29 @@ def test_value_blocks_match_value_block_and_the_scalar_value(name, small_batches
             assert (want.is_zero, want.q_exp, want.zeta_exp) == tuple(arr[e, c] for arr in expected)
     if small_batches and name in ("U6(2)", "U5(3)", "class_counterexample(3)", "U4(4)", "semidirect5(4)"):
         assert any(len(sizes) > 1 for sizes in batches[: len(etas)])
+
+
+@pytest.mark.parametrize("bad", (3, -1))
+@pytest.mark.parametrize("source", [PatternGroup(full_triangular(4), F3), semidirect_algebra(5, F3)], ids=("U4", "semidirect5"))
+def test_an_entry_outside_the_field_is_a_spec_mismatch(source, bad):
+    # over F_3 an entry 3 or -1 once read as 0 or 2 (or raised IndexError)
+    eta = (0,) * (source.dim - 1) + (1,)
+    ev = CharacterEvaluator(source, eta)
+    for k in range(source.dim):
+        f = tuple(bad if i == k else 0 for i in range(source.dim))
+        for call in (
+            lambda: value_blocks([ev], np.array([source.zero(), f])),
+            lambda: ev.value_block(np.array([f])),
+            lambda: ev.value(f),
+            lambda: CharacterEvaluator(source, f),
+            lambda: source.mesh_data(f, eta),
+            lambda: source.mesh_data(eta, f),
+            lambda: source.meshes(f, eta),
+            lambda: source.value(eta, f),
+            lambda: source.value(f, eta),
+        ):
+            with pytest.raises(SpecMismatch, match="is not in F_3"):
+                call()
 
 
 def _dense_cells(rows, cols, sample=400):

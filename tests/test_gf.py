@@ -26,6 +26,12 @@ from superchar.gf import (
 F2 = Fq.of(2)
 F3 = Fq.of(3)
 F4 = Fq.of(4)
+F256 = Fq.of(256, (1, 1, 0, 1, 1, 0, 0, 0, 1))  # x^8 + x^4 + x^3 + x + 1, the largest tabled q
+F512 = Fq.of(512, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))  # x^9 + x^4 + 1, no op tables
+
+
+def _field_id(F):
+    return f"q{F.q}" if F.r == 1 else f"q{F.q}-" + "".join(map(str, F.modulus))
 
 
 def test_prime_field_arithmetic():
@@ -87,6 +93,72 @@ def test_custom_modulus_accepted():
     assert F9.mul(3, 3) != 0  # X * X reduced by the custom modulus
 
 
+def _schoolbook_mul(F, a, b):
+    """a * b as polynomials over F_p, reduced mod the monic modulus by long division."""
+    p, r = F.p, F.r
+    prod = [0] * (2 * r - 1)
+    for i, u in enumerate(F.coeffs(a)):
+        for j, v in enumerate(F.coeffs(b)):
+            prod[i + j] = (prod[i + j] + u * v) % p
+    for top in range(2 * r - 2, r - 1, -1):  # subtract prod[top] * X**(top - r) * modulus
+        c = prod[top]
+        for k, m in enumerate(F.modulus):
+            prod[top - r + k] = (prod[top - r + k] - c * m) % p
+    return F.from_coeffs(prod[:r])
+
+
+_EXTENSIONS = [Fq.of(q) for q in sorted(DEFAULT_MODULI)] + [Fq.of(9, (2, 2, 1)), F256, F512]
+
+
+@pytest.mark.parametrize("F", _EXTENSIONS, ids=_field_id)
+def test_mul_matches_schoolbook_polynomial_multiplication(F):
+    if F.q <= 32:
+        pairs = list(itertools.product(F.elements(), repeat=2))
+    else:
+        rng = random.Random(F.q)
+        pairs = [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(2000)]
+    assert [F.mul(a, b) for a, b in pairs] == [_schoolbook_mul(F, a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("F", _EXTENSIONS, ids=_field_id)
+def test_mul_is_associative_and_distributes_over_add(F):
+    rng = random.Random(F.q + 1)
+    for _ in range(300):
+        a, b, c = (rng.randrange(F.q) for _ in range(3))
+        assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+def _frobenius_trace(F, a):
+    """a + a**p + ... + a**(p**(r-1)) through the slow ops alone."""
+    acc = frob = a
+    for _ in range(F.r - 1):
+        x = frob
+        for _ in range(F.p - 1):
+            x = F._mul_slow(x, frob)
+        frob = x
+        acc = F._add_slow(acc, frob)
+    assert F.coeffs(acc)[1:] == (0,) * (F.r - 1)
+    return F.coeffs(acc)[0]
+
+
+@pytest.mark.parametrize("F", [F3, Fq.of(251)] + [Fq.of(q) for q in sorted(DEFAULT_MODULI)] + [F256], ids=_field_id)
+def test_derived_arrays_match_the_slow_ops_entry_by_entry(F):
+    """The op tables, the blocks D(X**v), the trace form and the trace, all
+    derived from the r**2 products of the basis, against the four slow ops
+    and the Frobenius sum, on every element of each field with op tables."""
+    q, elements = F.q, F.elements()
+    add, mul, neg, inv = F._tables
+    assert add == [[F._add_slow(a, b) for b in elements] for a in elements]
+    assert mul == [[F._mul_slow(a, b) for b in elements] for a in elements]
+    assert neg == [F._neg_slow(a) for a in elements]
+    assert inv == [0] + [F._inv_slow(a) for a in range(1, q)]
+    basis = F.additive_generators()
+    assert F._basis_blocks.tolist() == [[list(F.coeffs(F._mul_slow(x, y))) for y in basis] for x in basis]
+    assert F.trace_form.tolist() == [[_frobenius_trace(F, F._mul_slow(x, y)) for y in basis] for x in basis]
+    assert [F.trace(a) for a in elements] == [_frobenius_trace(F, a) for a in elements]
+
+
 def test_trace_examples():
     assert F3.trace(2) == 2  # r = 1: identity
     assert F4.trace(F4.from_coeffs([0, 1])) == 1
@@ -96,10 +168,12 @@ def test_trace_examples():
 
 
 def test_trace_matches_frobenius_sum():
-    # independent recomputation: sum the r Frobenius images via power()
-    for q in (4, 8, 9):
-        F = Fq.of(q)
-        for a in F.elements():
+    # independent recomputation: sum the r Frobenius images via power(),
+    # over every element of the small fields and a sample of F_256 and F_512
+    rng = random.Random(5)
+    for F in [Fq.of(q) for q in (4, 8, 9, 16, 25, 27)] + [F256, F512]:
+        sample = F.elements() if F.q <= 27 else [0, 1, F.q - 1] + [rng.randrange(F.q) for _ in range(40)]
+        for a in sample:
             expected = 0
             for i in range(F.r):
                 expected = F.add(expected, F.power(a, F.p ** i))
@@ -137,10 +211,7 @@ def test_theta_is_a_nontrivial_homomorphism():
 
 # -- the vectorized F_p view ---------------------------------------------------
 
-_VIEW_FIELDS = [Fq.of(q) for q in sorted(DEFAULT_MODULI)] + [
-    Fq.of(512, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)),  # x^9 + x^4 + 1, no op tables
-    Fq.of(65521),
-]
+_VIEW_FIELDS = [Fq.of(q) for q in sorted(DEFAULT_MODULI)] + [F512, Fq.of(65521)]
 
 
 @pytest.mark.parametrize("F", _VIEW_FIELDS, ids=lambda F: f"q{F.q}")
@@ -151,7 +222,7 @@ def test_the_digit_view_matches_the_scalar_ops(F):
     assert digits.tolist() == [list(F.coeffs(c)) for c in codes]
     # any shape: the digits go on a new last axis
     assert F.p_digits(np.array(codes[:4]).reshape(2, 2)).tolist() == digits[:4].reshape(2, 2, F.r).tolist()
-    assert F.digit_blocks(digits).tolist() == [[list(row) for row in F.digit_matrix(c)] for c in codes]
+    assert F.digit_blocks(digits).tolist() == [[list(F.coeffs(F.mul(c, F.p**t))) for t in range(F.r)] for c in codes]
     powers = [F.p**v for v in range(F.r)]
     assert F.trace_form.tolist() == [[F.trace(F.mul(u, v)) for v in powers] for u in powers]
     for b, x in zip(codes, reversed(codes)):

@@ -13,6 +13,7 @@ from superchar.core import DEFAULT_ENUM_CAP
 from superchar.core import PatternGroup, StructureAlgebra
 from superchar import gf
 from superchar.cli import _load, main
+from superchar.errors import SpecMismatch
 from superchar.formula import CharacterEvaluator
 from superchar.gf import CharValue, Fq
 from superchar.poset import emit_spec, validate_closed
@@ -124,6 +125,27 @@ def test_every_table_round_trips_through_json(name):
     assert back.values == tab.values
 
 
+def test_from_json_rejects_values_of_the_wrong_shape_or_range():
+    text = _table("heisenberg3_q2").to_json()
+    assert SuperTable.from_json(text).to_json() == text
+
+    def edited(edit):
+        obj = json.loads(text)
+        edit(obj["values"])
+        return json.dumps(obj)
+
+    for edit in (
+        lambda v: v[1].pop(),  # a short row
+        lambda v: v.pop(),  # a missing row
+        lambda v: v[0].append(None),  # a long row
+        lambda v: v[1].__setitem__(0, {"q_exp": 0, "zeta_exp": 2}),  # zeta_exp = p
+        lambda v: v[1].__setitem__(0, {"q_exp": 4, "zeta_exp": 0}),  # q_exp > dim = 3
+        lambda v: v[1].__setitem__(0, {"q_exp": -1, "zeta_exp": 0}),
+    ):
+        with pytest.raises(SpecMismatch):
+            SuperTable.from_json(edited(edit))
+
+
 def test_unknown_format_is_rejected():
     with pytest.raises(ValueError):
         _table("group16").render("xml")
@@ -187,6 +209,27 @@ def test_cmd_table_out_file_equals_stdout(fmt, tmp_path, capsys):
         code, empty, _ = _run(capsys, "table", str(spec), "--format", fmt, "--out", str(out_file))
         assert code == 0 and empty == ""
         assert out_file.read_bytes() == out.encode("utf-8"), spec.name
+
+
+def test_cmd_table_out_keeps_the_old_file_when_the_write_fails(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "t.csv"
+    out_file.write_text("old table\n", encoding="utf-8")
+    text = _table("group16").render("csv")
+
+    def failing_write(self, fmt, stream):
+        stream.write(text[: len(text) // 2])  # some rows, then the disk fills
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(SuperTable, "write", failing_write)
+    code, out, err = _run(capsys, "table", str(DATA / "group16.txt"), "--format", "csv", "--out", str(out_file))
+    assert code == 1 and out == "" and "No space left on device" in err
+    assert out_file.read_text(encoding="utf-8") == "old table\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    monkeypatch.undo()
+    code, _, _ = _run(capsys, "table", str(DATA / "group16.txt"), "--format", "csv", "--out", str(out_file))
+    assert code == 0 and out_file.read_text(encoding="utf-8") == text
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 def test_cmd_table_cap_exceeded(capsys):
