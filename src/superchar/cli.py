@@ -75,7 +75,10 @@ def cmd_table(args) -> int:
     # failed write leaves the old file as it was and no temporary behind
     out = Path(args.out)
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
-    stream = open(tmp, "x", encoding="utf-8")
+    try:
+        stream = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:  # name --out, not the hidden temporary beside it
+        raise OSError(exc.errno, exc.strerror, args.out) from exc
     try:
         with stream:
             tab.write(args.format, stream)

@@ -13,12 +13,13 @@ element and the trace are F_p-linear: :class:`Fq` holds that view as arrays
 (digits, digit blocks, trace form, inverses mod p) and one exact mod-p
 matrix product, the only digit arithmetic of the evaluator and the oracle.
 
-There is one multiplication, ``Fq._mul_slow``.  Its r**2 products of the
-basis 1, X, ..., X**(r-1) give the blocks D(X**v), and everything
-F_p-linear is read from them: every block D(c), the trace form (matrix
-traces of D(X**u) D(X**v)), :meth:`Fq.trace` (a linear form on digits) and,
-for q <= ``_TABLE_LIMIT``, the op tables in one numpy pass.  Beyond that
-limit the four slow ops serve each scalar call.
+There is one scalar arithmetic for every q.  Multiplication by X is the
+companion matrix C of the modulus, so the blocks D(X**v) are C**v mod p, and
+everything F_p-linear is read from them: every block D(c), the trace form
+(matrix traces of D(X**u) D(X**v)) and :meth:`Fq.trace` (a linear form on
+digits).  The powers of the least unit g that generates F_q*, taken by
+doubling with those blocks, give the exp, log and Zech logarithm tables, so
+each scalar op (add, neg, sub, mul, inv, power) is a few list lookups.
 
 Dense matrices reduce by ``_rref``, the package's only scalar pivoting, and
 ``_solve_perp``, the one scalar mesh solve, reads one reduction of [M | rhs]:
@@ -54,9 +55,6 @@ DEFAULT_MODULI = {
     25: (2, 0, 1),
     27: (1, 2, 0, 1),
 }
-
-_TABLE_LIMIT = 256  # precompute op tables up to this q
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -216,138 +214,79 @@ class Fq:
     # -- arithmetic --------------------------------------------------------
 
     @cached_property
-    def _tables(self):
-        """The add, mul, neg and inv tables for q <= ``_TABLE_LIMIT``, in one
-        numpy pass over all of F_q: digit sums mod p, digits(a) D(b) (the
-        blocks read ``_mul_slow``), and each inverse as the one b with
-        a b = 1 (0 for 0).  Beyond the limit the slow ops serve each call."""
-        if self.q > _TABLE_LIMIT:
-            return None
-        p, digits = self.p, self.p_digits(self.elements())
-        place = p ** np.arange(self.r)
-        add = (digits[:, None] + digits) % p @ place
-        mul = np.einsum("au,buv->abv", digits, self.digit_blocks(digits)) % p @ place
-        inv = (mul == 1).argmax(axis=1)
-        return add.tolist(), mul.tolist(), (-digits % p @ place).tolist(), inv.tolist()
+    def _logs(self):
+        """exp[k] = g**k, log and zech[k] = log(1 + g**k) (-1 where
+        1 + g**k = 0) for the least code g whose powers reach every unit, and
+        log(-1).  exp and zech are stored twice over, with length 2(q - 1), so
+        a sum or difference of two logs indexes them directly (Python reads a
+        negative index mod the length); log[0] is never read."""
+        p, n = self.p, self.q - 1
+        digits = next(d for d in map(self._unit_powers, range(1, n + 1)) if d is not None)
+        codes = digits @ p ** np.arange(self.r)
+        log = np.zeros(n + 1, dtype=np.int64)
+        log[codes] = np.arange(n)
+        one_plus = codes + np.where(digits[:, 0] == p - 1, 1 - p, 1)  # add 1 to digit 0
+        zech = np.where(one_plus == 0, -1, log[one_plus])
+        return np.tile(codes, 2).tolist(), log.tolist(), np.tile(zech, 2).tolist(), int(log[p - 1])
 
-    @cached_property
-    def _xk_reduction(self):
-        # X**(r+i) reduced mod the modulus, for i = 0 .. r-2
-        p, r, m = self.p, self.r, self.modulus
-        red = []
-        cur = tuple((-c) % p for c in m[:r])  # X**r
-        red.append(cur)
-        for _ in range(r - 2):
-            nxt = [0] * r
-            for k in range(r - 1):
-                nxt[k + 1] = cur[k]
-            if cur[r - 1]:
-                hi = cur[r - 1]
-                for k in range(r):
-                    nxt[k] = (nxt[k] + hi * red[0][k]) % p
-            cur = tuple(nxt)
-            red.append(cur)
-        return red
-
-    def _add_slow(self, a, b):
-        if self.r == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.r):
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def _neg_slow(self, a):
-        if self.r == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.r):
-            out += ((-(a % p)) % p) * mult
-            a //= p
-            mult *= p
-        return out
-
-    def _mul_slow(self, a, b):
-        p = self.p
-        if self.r == 1:
-            return (a * b) % p
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        r = self.r
-        conv = [0] * (2 * r - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-        out = conv[:r]
-        red = self._xk_reduction
-        for i in range(r, 2 * r - 1):
-            c = conv[i]
-            if c:
-                rr = red[i - r]
-                for k in range(r):
-                    out[k] = (out[k] + c * rr[k]) % p
-        return self.from_coeffs(out)
-
-    def _inv_slow(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in a finite field")
-        if self.r == 1:
-            return pow(a, self.p - 2, self.p)
-        out, base, e = 1, a, self.q - 2
-        while e:
-            if e & 1:
-                out = self._mul_slow(out, base)
-            base = self._mul_slow(base, base)
-            e >>= 1
-        return out
+    def _unit_powers(self, g):
+        """The digits of g**0, ..., g**(q-2), or None if g returns to 1
+        before them: by doubling, digits(g**(m..2m-1)) = digits(g**(0..m-1))
+        D(g**m), stopped at the first power that is 1."""
+        p, n, place = self.p, self.q - 1, self.p ** np.arange(self.r)
+        digits, block = self.p_digits([1]), self.digit_blocks(self.p_digits(g))
+        while len(digits) < n:
+            new = digits[: n - len(digits)] @ block % p
+            if (new @ place == 1).any():
+                return None
+            digits, block = np.concatenate([digits, new]), block @ block % p
+        return digits
 
     def add(self, a: int, b: int) -> int:
-        t = self._tables
-        if t is not None:
-            return t[0][a][b]
-        return self._add_slow(a, b)
+        if not (a and b):
+            return a or b
+        exp, log, zech, _ = self._logs
+        la = log[a]
+        z = zech[log[b] - la]  # a + b = a (1 + b / a)
+        return exp[la + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
-        t = self._tables
-        if t is not None:
-            return t[2][a]
-        return self._neg_slow(a)
+        if not a:
+            return 0
+        exp, log, _, log_minus_one = self._logs
+        return exp[log[a] + log_minus_one]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        # one Zech step on log(-b), not add(a, neg(b)): _rref subtracts per entry
+        if not b:
+            return a
+        exp, log, zech, log_minus_one = self._logs
+        lb = log[b] + log_minus_one  # log(-b)
+        if not a:
+            return exp[lb]
+        la = log[a]
+        z = zech[lb - la]
+        return exp[la + z] if z >= 0 else 0
 
     def mul(self, a: int, b: int) -> int:
-        t = self._tables
-        if t is not None:
-            return t[1][a][b]
-        return self._mul_slow(a, b)
+        if not (a and b):
+            return 0
+        exp, log, _, _ = self._logs
+        return exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in a finite field")
-        t = self._tables
-        if t is not None:
-            return t[3][a]
-        return self._inv_slow(a)
+        exp, log, _, _ = self._logs
+        return exp[-log[a]]
 
     def power(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.power(self.inv(a), -e)
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        if not a:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero in a finite field")
+            return 1 if e == 0 else 0
+        exp, log, _, _ = self._logs
+        return exp[log[a] * e % (self.q - 1)]
 
     def dot(self, u, v) -> int:
         acc = 0
@@ -381,10 +320,17 @@ class Fq:
 
     @cached_property
     def _basis_blocks(self) -> np.ndarray:
-        """D(X**v) for v < r: row u of block v holds the digits of
-        ``_mul_slow(X**u, X**v)``, the r**2 products everything else reads."""
-        basis = self.additive_generators()
-        return self.p_digits([[self._mul_slow(x, y) for y in basis] for x in basis])
+        """D(X**v) = C**v mod p for v < r, where C = D(X) is the companion
+        matrix of the modulus: row u < r - 1 of C holds the digits of
+        X**(u+1), and row r - 1 those of X**r = -(m_0 + ... + m_(r-1) X**(r-1))."""
+        p, r = self.p, self.r
+        C = np.eye(r, k=1, dtype=np.int64)
+        if r > 1:
+            C[-1] = np.negative(self.modulus[:r]) % p
+        blocks = [np.eye(r, dtype=np.int64)]
+        for _ in range(1, r):
+            blocks.append(blocks[-1] @ C % p)
+        return np.array(blocks)
 
     @cached_property
     def trace_form(self) -> np.ndarray:

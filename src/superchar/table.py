@@ -68,23 +68,37 @@ class SuperTable:
 
     @classmethod
     def from_json(cls, text: str) -> "SuperTable":
-        obj = json.loads(text)
-        kind = obj.pop("kind")
-        classes = obj.pop("classes")
-        chars = obj.pop("chars")
-        rows = obj.pop("values")
+        """The table ``to_json`` wrote; any other input raises SpecMismatch."""
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SpecMismatch(f"a table is JSON: {exc}") from exc
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        if kind not in ("pattern", "algebra"):
+            raise SpecMismatch(f"a table is a JSON object of kind pattern or algebra, not {kind!r}")
+        size = ("d", int) if kind == "algebra" else ("J", list)
+        for key, want in (size, ("p", int), ("classes", list), ("chars", list), ("values", list)):
+            if type(obj.get(key)) is not want:  # so a bool is no int
+                raise SpecMismatch(f"the table's {key!r} is not a JSON {want.__name__}")
+        kind, classes, chars, rows = (obj.pop(key) for key in ("kind", "classes", "chars", "values"))
         dim, p = obj["d"] if kind == "algebra" else len(obj["J"]), obj["p"]
-        if len(rows) != len(chars) or any(len(row) != len(classes) for row in rows):
+        if len(rows) != len(chars) or any(type(row) is not list or len(row) != len(classes) for row in rows):
             raise SpecMismatch(f"values are not {len(chars)} characters x {len(classes)} classes")
         zero, q_exp, zeta_exp = value_arrays((len(chars), len(classes)), dim, p)
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 if v is None:
                     zero[i, j] = True
-                elif 0 <= v["q_exp"] <= dim and 0 <= v["zeta_exp"] < p:
+                elif (
+                    type(v) is dict
+                    and v.keys() == {"q_exp", "zeta_exp"}
+                    and all(type(x) is int for x in v.values())
+                    and 0 <= v["q_exp"] <= dim
+                    and 0 <= v["zeta_exp"] < p
+                ):
                     q_exp[i, j], zeta_exp[i, j] = v["q_exp"], v["zeta_exp"]
                 else:
-                    raise SpecMismatch(f"value {v} at ({i}, {j}) is not q^m*z^k with m <= {dim}, k < {p}")
+                    raise SpecMismatch(f"value {v!r} at ({i}, {j}) is not q^m*z^k with m <= {dim}, k < {p}")
         return cls(kind, obj, classes, chars, zero, q_exp, zeta_exp)
 
     # -- rendering ---------------------------------------------------------

@@ -38,7 +38,6 @@ from superchar.formula import (
     value_un,
 )
 from superchar.gf import (
-    _TABLE_LIMIT,
     CharValue,
     Fq,
     FqMatrix,
@@ -130,15 +129,16 @@ def test_value_block_matches_scalar_everywhere():
 
 
 F512 = Fq.of(512, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))  # x^9 + x^4 + 1 over F_2
+F65536 = Fq.of(65536, (1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1))  # x^16 + x^5 + x^3 + x^2 + 1
 
 
-def _sampled(n, count, seed):
-    """U_n over F_512 (far beyond any sweep): ``count`` random sparse
+def _sampled(F, n, count, seed):
+    """U_n over F, where a sweep would be too large: ``count`` random sparse
     characters and superclass functionals, each list with its zero first."""
-    G = PatternGroup(full_triangular(n), F512)
+    G = PatternGroup(full_triangular(n), F)
     rng = random.Random(seed)
-    etas = [G.zero()] + [_sparse_functional(rng, F512.q, G.dim, 0.7) for _ in range(count)]
-    phis = [G.zero()] + [_sparse_functional(rng, F512.q, G.dim) for _ in range(count)]
+    etas = [G.zero()] + [_sparse_functional(rng, F.q, G.dim, 0.7) for _ in range(count)]
+    phis = [G.zero()] + [_sparse_functional(rng, F.q, G.dim) for _ in range(count)]
     return G, etas, phis
 
 
@@ -147,17 +147,22 @@ def _swept(source):
 
 
 # U_6(2) has frames from 0 x 0 to 4 x 4, and its chunks pad three or four
-# of them to one frame; the counterexample has 1 x 2 frames; F_4, F_512 and
-# the semidirect algebra need digit blocks (only F_512 has multiplication
-# blocks that are not symmetric, so only it sees a missing transpose).
+# of them to one frame; the counterexample has 1 x 2 frames; F_4, F_9, F_512,
+# F_2^16 and the semidirect algebra need digit blocks (those of F_4 are
+# symmetric, so only F_9, F_512 and F_2^16 see a missing transpose); U_4(9)
+# has odd-characteristic digit blocks under hard meshes, and U_4 over F_65521
+# and F_2^16 solves hard meshes with p or q past 256.
 _BATCH_GROUPS = {
     "U6(2)": lambda: _swept(PatternGroup(full_triangular(6), F2)),
     "U5(3)": lambda: _swept(PatternGroup(full_triangular(5), F3)),
     "class_counterexample(3)": lambda: _swept(PatternGroup(class_counterexample_poset(), F3)),
     "U4(4)": lambda: _swept(PatternGroup(full_triangular(4), Fq.of(4))),
     "semidirect5(4)": lambda: _swept(semidirect_algebra(5, Fq.of(4))),
-    "U3(512)": lambda: _sampled(3, 20, 5),
-    "U4(512)": lambda: _sampled(4, 20, 6),
+    "U3(512)": lambda: _sampled(F512, 3, 20, 5),
+    "U4(512)": lambda: _sampled(F512, 4, 20, 6),
+    "U4(9)": lambda: _sampled(Fq.of(9), 4, 20, 7),
+    "U4(65521)": lambda: _sampled(Fq.of(65521), 4, 20, 8),
+    "U4(2^16)": lambda: _sampled(F65536, 4, 20, 9),
     "one_pair(257)": lambda: _swept(PatternGroup(validate_closed(2, {(1, 2)}), Fq.of(257))),
 }
 
@@ -289,16 +294,14 @@ def test_value_block_matches_scalar_and_dense_algebra_on_random_closed_sets(seed
         assert [alg.value(eta, phi) for phi in phis] == expected
 
 
-def test_value_block_beyond_the_field_table_limit():
-    F = Fq.of(512, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))  # x^9 + x^4 + 1 over F_2
-    assert F.q > _TABLE_LIMIT
+def test_value_block_matches_scalar_over_f512():
     rng = random.Random(13)
     for n in (3, 4):  # U_4 also reaches the nonzero-mesh-matrix branch
-        G = PatternGroup(full_triangular(n), F)
+        G = PatternGroup(full_triangular(n), F512)
         d = len(G.J)
         for _ in range(4):
-            eta = _sparse_functional(rng, F.q, d, density=0.7)
-            phis = [_sparse_functional(rng, F.q, d) for _ in range(16)]
+            eta = _sparse_functional(rng, F512.q, d, density=0.7)
+            phis = [_sparse_functional(rng, F512.q, d) for _ in range(16)]
             ev = CharacterEvaluator(G, eta)
             assert _block_values(ev, phis) == [ev.value(phi) for phi in phis]
 

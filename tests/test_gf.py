@@ -26,8 +26,10 @@ from superchar.gf import (
 F2 = Fq.of(2)
 F3 = Fq.of(3)
 F4 = Fq.of(4)
-F256 = Fq.of(256, (1, 1, 0, 1, 1, 0, 0, 0, 1))  # x^8 + x^4 + x^3 + x + 1, the largest tabled q
-F512 = Fq.of(512, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))  # x^9 + x^4 + 1, no op tables
+F256 = Fq.of(256, (1, 1, 0, 1, 1, 0, 0, 0, 1))  # x^8 + x^4 + x^3 + x + 1
+F512 = Fq.of(512, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))  # x^9 + x^4 + 1
+F65521 = Fq.of(65521)  # the largest prime field
+F65536 = Fq.of(65536, (1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1))  # x^16 + x^5 + x^3 + x^2 + 1
 
 
 def _field_id(F):
@@ -96,9 +98,9 @@ def test_custom_modulus_accepted():
 def _schoolbook_mul(F, a, b):
     """a * b as polynomials over F_p, reduced mod the monic modulus by long division."""
     p, r = F.p, F.r
-    prod = [0] * (2 * r - 1)
+    prod, cb = [0] * (2 * r - 1), F.coeffs(b)
     for i, u in enumerate(F.coeffs(a)):
-        for j, v in enumerate(F.coeffs(b)):
+        for j, v in enumerate(cb):
             prod[i + j] = (prod[i + j] + u * v) % p
     for top in range(2 * r - 2, r - 1, -1):  # subtract prod[top] * X**(top - r) * modulus
         c = prod[top]
@@ -107,7 +109,15 @@ def _schoolbook_mul(F, a, b):
     return F.from_coeffs(prod[:r])
 
 
-_EXTENSIONS = [Fq.of(q) for q in sorted(DEFAULT_MODULI)] + [Fq.of(9, (2, 2, 1)), F256, F512]
+def _add_digitwise(F, a, b):
+    return F.from_coeffs([(x + y) % F.p for x, y in zip(F.coeffs(a), F.coeffs(b))])
+
+
+def _neg_digitwise(F, a):
+    return F.from_coeffs([-x % F.p for x in F.coeffs(a)])
+
+
+_EXTENSIONS = [Fq.of(q) for q in sorted(DEFAULT_MODULI)] + [Fq.of(9, (2, 2, 1)), F256, F512, F65536]
 
 
 @pytest.mark.parametrize("F", _EXTENSIONS, ids=_field_id)
@@ -130,33 +140,66 @@ def test_mul_is_associative_and_distributes_over_add(F):
 
 
 def _frobenius_trace(F, a):
-    """a + a**p + ... + a**(p**(r-1)) through the slow ops alone."""
+    """a + a**p + ... + a**(p**(r-1)) through the schoolbook references alone."""
     acc = frob = a
     for _ in range(F.r - 1):
         x = frob
         for _ in range(F.p - 1):
-            x = F._mul_slow(x, frob)
+            x = _schoolbook_mul(F, x, frob)
         frob = x
-        acc = F._add_slow(acc, frob)
+        acc = _add_digitwise(F, acc, frob)
     assert F.coeffs(acc)[1:] == (0,) * (F.r - 1)
     return F.coeffs(acc)[0]
 
 
-@pytest.mark.parametrize("F", [F3, Fq.of(251)] + [Fq.of(q) for q in sorted(DEFAULT_MODULI)] + [F256], ids=_field_id)
+@pytest.mark.parametrize(
+    "F",
+    [F3, Fq.of(251)] + [Fq.of(q) for q in sorted(DEFAULT_MODULI)] + [F256, F512, F65521, F65536],
+    ids=_field_id,
+)
 def test_derived_arrays_match_the_slow_ops_entry_by_entry(F):
-    """The op tables, the blocks D(X**v), the trace form and the trace, all
-    derived from the r**2 products of the basis, against the four slow ops
-    and the Frobenius sum, on every element of each field with op tables."""
-    q, elements = F.q, F.elements()
-    add, mul, neg, inv = F._tables
-    assert add == [[F._add_slow(a, b) for b in elements] for a in elements]
-    assert mul == [[F._mul_slow(a, b) for b in elements] for a in elements]
-    assert neg == [F._neg_slow(a) for a in elements]
-    assert inv == [0] + [F._inv_slow(a) for a in range(1, q)]
+    """Every scalar op, the blocks D(X**v), the trace form and the trace
+    against slow test-local references: schoolbook multiplication, digitwise
+    add and neg, the inverse as the b with a b = 1 by schoolbook, powers by
+    repeated schoolbook products, and the Frobenius sum.  Every pair and
+    element of each field up to q = 256, and 2000 sampled pairs beyond."""
+    q = F.q
+    if q <= 256:
+        elements = list(F.elements())
+        pairs = list(itertools.product(elements, repeat=2))
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)] + [(0, 0), (0, 1), (1, 0), (q - 1, q - 1)]
+        elements = sorted({a for pair in pairs for a in pair})
+    mul = {pair: _schoolbook_mul(F, *pair) for pair in pairs}
+    assert [F.mul(a, b) for a, b in pairs] == [mul[pair] for pair in pairs]
+    assert [F.add(a, b) for a, b in pairs] == [_add_digitwise(F, a, b) for a, b in pairs]
+    assert [F.sub(a, b) for a, b in pairs] == [_add_digitwise(F, a, _neg_digitwise(F, b)) for a, b in pairs]
+    assert [F.neg(a) for a in elements] == [_neg_digitwise(F, a) for a in elements]
+    units = [a for a in elements if a]
+    if q <= 256:
+        assert [F.inv(a) for a in units] == [next(b for b in elements if mul[a, b] == 1) for a in units]
+        for a in elements:  # a**e for e in -(q - 1) .. q, with 0**e only for e >= 0
+            power = 1
+            for e in range(q + 1):
+                assert F.power(a, e) == power
+                if a:
+                    assert F.power(a, -e) == F.power(F.inv(a), e)
+                power = mul[power, a]
+    else:
+        assert all(_schoolbook_mul(F, a, F.inv(a)) == 1 for a in units)
+        for a, e in pairs:
+            assert F.power(a, e + 1) == _schoolbook_mul(F, F.power(a, e), a)
+            if a:
+                assert _schoolbook_mul(F, F.power(a, e), F.power(a, -e)) == 1
+    assert F.power(0, 0) == 1 and F.power(0, q) == 0
+    with pytest.raises(ZeroDivisionError):
+        F.power(0, -1)
     basis = F.additive_generators()
-    assert F._basis_blocks.tolist() == [[list(F.coeffs(F._mul_slow(x, y))) for y in basis] for x in basis]
-    assert F.trace_form.tolist() == [[_frobenius_trace(F, F._mul_slow(x, y)) for y in basis] for x in basis]
-    assert [F.trace(a) for a in elements] == [_frobenius_trace(F, a) for a in elements]
+    assert F._basis_blocks.tolist() == [[list(F.coeffs(_schoolbook_mul(F, x, y))) for y in basis] for x in basis]
+    assert F.trace_form.tolist() == [[_frobenius_trace(F, _schoolbook_mul(F, x, y)) for y in basis] for x in basis]
+    traced = elements if q <= 256 else elements[:: len(elements) // 100]
+    assert [F.trace(a) for a in traced] == [_frobenius_trace(F, a) for a in traced]
 
 
 def test_trace_examples():

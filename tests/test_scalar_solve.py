@@ -48,6 +48,12 @@ def test_scalar_pivoting_lives_in_gf():
     assert not _names(_tree("core.py")) & {"solve", "perp_to_nullspace", "nullspace_basis"}
 
 
+def test_one_scalar_arithmetic_for_every_q():
+    """No slow path beside the log tables, and no size threshold between them."""
+    assert not [name for name in vars(Fq) if name.endswith("_slow")]
+    assert "_TABLE_LIMIT" not in vars(gf)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_one_row_reduction_per_meshed_cell(q, monkeypatch):
     G = PatternGroup(full_triangular(4), Fq.of(q))

@@ -131,19 +131,43 @@ def test_from_json_rejects_values_of_the_wrong_shape_or_range():
 
     def edited(edit):
         obj = json.loads(text)
-        edit(obj["values"])
+        edit(obj)
         return json.dumps(obj)
 
+    def cell(value):
+        return lambda t: t["values"][1].__setitem__(0, value)
+
     for edit in (
-        lambda v: v[1].pop(),  # a short row
-        lambda v: v.pop(),  # a missing row
-        lambda v: v[0].append(None),  # a long row
-        lambda v: v[1].__setitem__(0, {"q_exp": 0, "zeta_exp": 2}),  # zeta_exp = p
-        lambda v: v[1].__setitem__(0, {"q_exp": 4, "zeta_exp": 0}),  # q_exp > dim = 3
-        lambda v: v[1].__setitem__(0, {"q_exp": -1, "zeta_exp": 0}),
+        lambda t: t["values"][1].pop(),  # a short row
+        lambda t: t["values"].pop(),  # a missing row
+        lambda t: t["values"][0].append(None),  # a long row
+        cell({"q_exp": 0, "zeta_exp": 2}),  # zeta_exp = p
+        cell({"q_exp": 4, "zeta_exp": 0}),  # q_exp > dim = 3
+        cell({"q_exp": -1, "zeta_exp": 0}),
+        cell({"q_exp": 1}),  # no zeta_exp
+        cell({"q_exp": 1, "zeta_exp": 0, "x": 0}),
+        cell({"q_exp": "1", "zeta_exp": 0}),
+        cell({"q_exp": 0.5, "zeta_exp": 0}),
+        cell({"q_exp": True, "zeta_exp": 0}),
+        cell(1),
+        cell(True),
+        cell([1, 0]),
+        lambda t: t["values"].__setitem__(1, 5),  # a row that is no list
+        lambda t: t.__setitem__("values", 5),
+        lambda t: t.pop("p"),
+        lambda t: t.__setitem__("p", "2"),
+        lambda t: t.pop("J"),
+        lambda t: t.__setitem__("J", 3),
+        lambda t: t.pop("chars"),
+        lambda t: t.pop("kind"),
+        lambda t: t.__setitem__("kind", "group"),
+        lambda t: t.clear() or t.update(kind="algebra"),
     ):
         with pytest.raises(SpecMismatch):
             SuperTable.from_json(edited(edit))
+    for bad in ("[]", "5", "null", '{"kind": "pattern"', ""):
+        with pytest.raises(SpecMismatch):
+            SuperTable.from_json(bad)
 
 
 def test_unknown_format_is_rejected():
@@ -230,6 +254,14 @@ def test_cmd_table_out_keeps_the_old_file_when_the_write_fails(tmp_path, capsys,
     code, _, _ = _run(capsys, "table", str(DATA / "group16.txt"), "--format", "csv", "--out", str(out_file))
     assert code == 0 and out_file.read_text(encoding="utf-8") == text
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_cmd_table_out_in_a_missing_directory_names_the_out_path(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "t.json"
+    code, out, err = _run(capsys, "table", str(DATA / "group16.txt"), "--out", str(out_file))
+    assert code == 1 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(out_file)!r}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cmd_table_cap_exceeded(capsys):
