@@ -21,10 +21,12 @@ and chi^eta(x_phi) = q**(corank - rank M) * theta(b0.b + phi.eta) when phi
 meshes with eta (M b0 = -a is solvable and b is perpendicular to the
 nullspace of M), zero otherwise.  :meth:`StructureAlgebra.value` is the
 dense reference; :class:`superchar.formula.CharacterEvaluator` reads the
-same data off A_eta as sparse terms in phi.  Both decide a cell by the one
-scalar mesh solve of :mod:`.gf`: one row reduction of [M | -a] gives
-solvability, rank M, b0 and whether b is perpendicular to null(M).  Coranks
-and the nilpotency check call the same row reduction, ``gf._rref``.
+same data off A_eta as sparse terms in phi, for a batch of characters at
+once through the constant blocks of :meth:`StructureAlgebra._constant_blocks`.
+Both decide a single cell by the one scalar mesh solve of :mod:`.gf`: one
+row reduction of [M | -a] gives solvability, rank M, b0 and whether b is
+perpendicular to null(M).  :meth:`StructureAlgebra.corank` and the
+nilpotency check call the same row reduction, ``gf._rref``.
 
 A pattern group U_J is the algebra group of its closed set J, with
 c_{(i,j),(j,k)}^{(i,k)} = 1 for each 3-chain; packed tuples follow J's
@@ -239,7 +241,7 @@ class StructureAlgebra:
     """A validated structure-constant presentation of a nilpotent algebra,
     with its algebra group 1 + A acting on A and on the dual space."""
 
-    __slots__ = ("d", "field", "constants", "_moves")
+    __slots__ = ("d", "field", "constants", "_moves", "_blocks")
 
     def __init__(self, d: int, field: Fq, constants):
         if d < 0:
@@ -263,6 +265,7 @@ class StructureAlgebra:
         self._validate_associative()
         self._validate_nilpotent()
         self._moves = None
+        self._blocks = None
 
     def _vec(self, f) -> Vec:
         """``f`` as a tuple; SpecMismatch unless it has one coordinate per basis element."""
@@ -275,7 +278,7 @@ class StructureAlgebra:
         """``f`` as a tuple; SpecMismatch unless it lies in F_q**d.  The range
         check stays out of ``_vec``, which ``product`` calls in loops."""
         f, q = self._vec(f), self.field.q
-        if not all(0 <= v < q for v in f):
+        if f and (min(f) < 0 or max(f) >= q):
             raise SpecMismatch(f"functional {f} is not in F_{q}^{self.d}")
         return f
 
@@ -425,6 +428,26 @@ class StructureAlgebra:
                     acc = F.add(acc, F.mul(c, eta[k]))
             A[i][j] = acc
         return A
+
+    def _constant_blocks(self):
+        """(pairs, W): the (i, j) that carry constants, as a (pairs, 2) array
+        in ascending order, and the (d * r, pairs * r) F_p matrix with
+        W[(m, u), (n, v)] = D(c_(pairs[n])^m)[u, v], D(c) the block of
+        x -> c x on row digit vectors.  D is F_p-linear, so for any x in
+        F_q**d the digits of sum_m c_ij^m x_m at every pair are digits(x) W:
+        one mod-p product contracts the constants with a batch of vectors,
+        A_eta on the pairs for x = eta among them."""
+        if self._blocks is None:
+            F, d, r = self.field, self.d, self.field.r
+            pairs = sorted(self.constants)
+            terms = [(m, n, c) for n, pair in enumerate(pairs) for m, c in self.constants[pair].items()]
+            W = np.zeros((d, r, len(pairs), r), dtype=np.int64)
+            if terms:
+                m, n, c = np.array(terms, dtype=np.int64).T
+                W[m, :, n, :] = F.digit_blocks(F.p_digits(c))
+            pairs = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+            self._blocks = pairs, W.reshape(d * r, len(pairs) * r)
+        return self._blocks
 
     def dual_right_action_matrix(self, eta) -> FqMatrix:
         """A_eta, whose nullspace is the right annihilator of lambda_eta."""

@@ -17,14 +17,19 @@ with b0 the particular solution, and chi^eta(x_phi) = 0 otherwise.  (The
 orbit-sum definition fixes the sign of the exponent of theta here; the
 brute-force oracle pins it in the tests.)
 
-:class:`CharacterEvaluator` builds A_eta once and reads off it the corank
-and one mesh plan for any algebra group; tables take irreducibility from
-the co-orbit sizes instead.  Its :meth:`~CharacterEvaluator.value` sums the
-plan at one phi and solves the cell by the one scalar mesh solve of
-:mod:`.gf`, as the dense reference in :mod:`.core` does: the per-cell
-reference.  The bulk path is :func:`value_blocks`, which evaluates many
-characters over a block of superclass representatives at once from the
-same plans, over any F_q and with no field tables:
+:class:`CharacterEvaluator` sets up a whole batch of characters of any
+algebra group at once, as arrays: A_eta for every eta of the batch is one
+mod-p product of their digits with the constant blocks of the algebra, the
+coranks come from one batched elimination over F_p, and the mesh plans of
+the batch are one array of terms, read off A_eta by masks and cumulative
+sums (no loop per character).  Tables take irreducibility from the
+co-orbit sizes instead.  A one-character evaluator is the batch of one;
+its :meth:`~CharacterEvaluator.value` sums the plan at one phi and solves
+the cell by the one scalar mesh solve of :mod:`.gf`, as the dense
+reference in :mod:`.core` does: the per-cell reference.  The bulk path is
+:func:`value_blocks`, which evaluates a batch over a block of superclass
+representatives at once from the same plans, over any F_q and with no
+field tables:
 
 * Multiplication by a fixed coefficient is F_p-linear on the r base-p
   digits of an F_q element, and so is the trace.  So every entry of a, b
@@ -43,15 +48,18 @@ same plans, over any F_q and with no field tables:
   of the elimination is free, and it takes b0 with its free digits 0.
 
 The digit arithmetic -- base-p digits, the blocks D(c), the trace form,
-the inverses mod p and the exact mod-p product -- is the F_p layer of
-:class:`~superchar.gf.Fq`; this module only lays out the plans and runs
-the elimination.
+the exact mod-p product and the batched elimination mod p that serves the
+coranks and the hard cells alike -- is the F_p layer of
+:class:`~superchar.gf.Fq`; this module only lays out the plans and the
+systems it reduces.
 
 The closed-form specializations for pattern groups below are independent
 references the tests compare against.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -77,54 +85,134 @@ def degree(G: PatternGroup, eta) -> int:
 
 
 class CharacterEvaluator:
-    """chi^eta as a reusable evaluator over many superclass representatives.
+    """chi^eta for a batch of characters eta of one algebra group, set up
+    together: ``CharacterEvaluator(source, eta)`` is the batch of one
+    character, :meth:`batch` the batch of many, and both run one setup.
 
     ``source`` is any :class:`~superchar.core.StructureAlgebra` (a
-    :class:`PatternGroup` is one).  A_eta is built once, and the corank and
-    the mesh plan are read off it, but not irreducibility.  Every entry of
-    the mesh data is linear in phi, with (C_i)_jk = c_ij^k as in :mod:`.core`:
+    :class:`PatternGroup` is one).  Every entry of the mesh data is linear
+    in phi, with (C_i)_jk = c_ij^k as in :mod:`.core`:
 
         a_i = sum_s phi_s A[i][s]      b_j = sum_s phi_s A[s][j]
-        M[i][j] = sum_s phi_s sum_m c_is^m A[m][j]
+        M[i][j] = sum_s phi_s T[j][(i, s)]      T[j][(i, s)] = sum_m c_is^m A[m][j]
 
-    The plan lays these terms out on a frame: the rows and columns where M
-    carries terms, plus one slot for each other entry of a or b.
-    ``frame`` is (rows, cols, off), and ``plan`` holds one (kind, i, j,
-    phi-slot, coefficient) row per term: kind 0 is an entry of a on frame
-    row i, 1 an entry of b on frame column j, 2 the entry (i, j) of M, and
-    3 an entry of a or b off the frame, in its own slot i.  A nonzero
-    off-frame entry makes the value zero: rows of M off the frame vanish,
-    so M x = -a forces a to vanish there, and standard basis vectors at
-    columns off the frame lie in null(M), so b must vanish there.
+    The setup reads all of it off the digits of the whole batch at once,
+    through the constant blocks W of the source (the pairs (i, j) that
+    carry constants, and digits(sum_m c_ij^m x_m) = digits(x) W):
 
-    :meth:`value` is the per-cell reference; :meth:`value_block` and
+    * A_eta on those pairs is one mod-p product, digits(eta) W, and T is
+      the same W applied to the digits of the columns of A_eta;
+    * the coranks rank(A_eta) come from one batched elimination over F_p,
+      :meth:`~superchar.gf.Fq.row_reduce_mod_p`, of the matrices whose
+      block (i, j) is D(A_ij): the rank over F_q is the rank over F_p / r;
+    * the frame of a character is the rows and columns where M carries
+      terms, plus one slot for each other nonzero entry of a or b, placed
+      by cumulative sums over those masks.
+
+    ``frames`` holds one (rows, cols, off) per character, and ``plan`` one
+    (owner, kind, i, j, phi-slot, coefficient) row per term, sorted by
+    owner: kind 0 is an entry of a on frame row i, 1 an entry of b on frame
+    column j, 2 the entry (i, j) of M, and 3 an entry of a or b off the
+    frame, in its own slot i.  A nonzero off-frame entry makes the value
+    zero: rows of M off the frame vanish, so M x = -a forces a to vanish
+    there, and standard basis vectors at columns off the frame lie in
+    null(M), so b must vanish there.  Irreducibility is not read off:
+    tables take it from the co-orbit sizes.
+
+    Indexing gives the evaluator of one character (an int) or of a run of
+    them (a slice), on the same arrays.  :meth:`value` is the per-cell
+    reference of a one-character evaluator; :meth:`value_block` and
     :func:`value_blocks` are the bulk paths.  All of them read the plan.
     """
 
     def __init__(self, source, eta):
-        F = self.field = source.field
-        self.source = source
-        self.eta = source._functional(eta)
-        A = source._eta_matrix(self.eta)
-        self.corank = source._corank_of(A)
-        nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in A]
-        m_terms: dict = {}
-        for (i, s), row in source.constants.items():
-            for m, c in row.items():
-                for j, v in nonzero[m]:
-                    m_terms[i, j, s] = F.add(m_terms.get((i, j, s), 0), F.mul(c, v))
-        m_terms = {key: v for key, v in m_terms.items() if v}
-        rows = {i: k for k, i in enumerate(sorted({i for i, _, _ in m_terms}))}
-        cols = {j: k for k, j in enumerate(sorted({j for _, j, _ in m_terms}))}
-        off: dict = {}
-        plan = [(2, rows[i], cols[j], s, v) for (i, j, s), v in m_terms.items()]
-        for i, row in enumerate(nonzero):
-            for s, v in row:  # A[i][s] is a term of a_i at phi_s and of b_s at phi_i
-                a_at = (0, rows[i], 0) if i in rows else (3, off.setdefault((0, i), len(off)), 0)
-                b_at = (1, 0, cols[s]) if s in cols else (3, off.setdefault((1, s), len(off)), 0)
-                plan += [a_at + (s, v), b_at + (i, v)]
-        self.frame = (len(rows), len(cols), len(off))
-        self.plan = plan
+        self._setup(source, [eta])
+
+    @classmethod
+    def batch(cls, source, etas) -> "CharacterEvaluator":
+        """The evaluator of every character in ``etas`` at once."""
+        self = cls.__new__(cls)
+        self._setup(source, etas)
+        return self
+
+    def _setup(self, source, etas):
+        F, d = source.field, source.d
+        p, r = F.p, F.r
+        self.field, self.source = F, source
+        self.etas = etas = _functionals(source, etas)
+        k, place = len(etas), p ** np.arange(r)
+        pairs, W = source._constant_blocks()
+        A = np.zeros((k, d, d, r), dtype=np.int64)  # digits of A_eta
+        A[:, pairs[:, 0], pairs[:, 1]] = F.matmul_mod_p(F.p_digits(etas).reshape(k, d * r), W).reshape(k, len(pairs), r)
+        # block (i, j) = D(A_ij) is the F_p matrix of x -> A^T x, of rank
+        # r * rank(A_eta); rows and columns where every A_eta vanishes go
+        nonzero = A.any(axis=3)
+        used = A[:, nonzero.any(axis=(0, 2))][:, :, nonzero.any(axis=(0, 1))]
+        _, rows, cols, _ = used.shape
+        blocks = F.digit_blocks(used).transpose(0, 1, 3, 2, 4).reshape(k, rows * r, cols * r)
+        self.coranks = F.row_reduce_mod_p(blocks, rows * r, cols * r)[1] // r
+        # T[k, j, n] = sum_m c_(pairs[n])^m A[k, m, j], digits by the same W
+        T = F.matmul_mod_p(A.transpose(0, 2, 1, 3).reshape(k * d, d * r), W).reshape(k, d, len(pairs), r)
+        owner, j, n = np.nonzero(T.any(axis=3))
+        i, s = pairs[n].T
+        on_rows, on_cols = np.zeros((2, k, d), dtype=bool)
+        on_rows[owner, i] = on_cols[owner, j] = True
+        row_at, col_at = np.cumsum(on_rows, axis=1) - 1, np.cumsum(on_cols, axis=1) - 1
+        m_terms = [owner, np.full_like(owner, 2), row_at[owner, i], col_at[owner, j], s, T[owner, j, n] @ place]
+        # A[i][s] is a term of a_i at phi_s and of b_s at phi_i; the a-slots
+        # off the frame come first, then the b-slots
+        off = np.concatenate([nonzero.any(axis=2) & ~on_rows, nonzero.any(axis=1) & ~on_cols], axis=1)
+        off_at = np.cumsum(off, axis=1) - 1
+        owner, i, s = np.nonzero(nonzero)
+        coeff, zero = A[owner, i, s] @ place, np.zeros_like(owner)
+        a_on, b_on = on_rows[owner, i], on_cols[owner, s]
+        a_slot = np.where(a_on, row_at[owner, i], off_at[owner, i])
+        b_slot, b_col = np.where(b_on, 0, off_at[owner, d + s]), np.where(b_on, col_at[owner, s], 0)
+        a_terms = [owner, np.where(a_on, 0, 3), a_slot, zero, s, coeff]
+        b_terms = [owner, np.where(b_on, 1, 3), b_slot, b_col, i, coeff]
+        plan = np.stack([np.concatenate(column) for column in zip(m_terms, a_terms, b_terms)], axis=1)
+        self.plan = plan[np.argsort(plan[:, 0], kind="stable")]
+        self.frames = np.stack([on_rows.sum(axis=1), on_cols.sum(axis=1), off.sum(axis=1)], axis=1)
+
+    def __len__(self) -> int:
+        return len(self.etas)
+
+    def __getitem__(self, index) -> "CharacterEvaluator":
+        span = range(len(self))[index]
+        if isinstance(span, int):
+            span = range(span, span + 1)
+        if span.step != 1:
+            raise IndexError("a run of characters is a slice with step 1")
+        lo, hi = span.start, span.stop
+        sub = CharacterEvaluator.__new__(CharacterEvaluator)
+        sub.field, sub.source = self.field, self.source
+        sub.etas, sub.coranks, sub.frames = self.etas[lo:hi], self.coranks[lo:hi], self.frames[lo:hi]
+        first, last = np.searchsorted(self.plan[:, 0], [lo, hi])
+        sub.plan = self.plan[first:last] - np.array([lo, 0, 0, 0, 0, 0])
+        return sub
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def eta(self) -> tuple:
+        """The character of a one-character evaluator."""
+        (eta,) = self.etas.tolist()
+        return tuple(eta)
+
+    @property
+    def corank(self) -> int:
+        """rank(A_eta) of a one-character evaluator."""
+        (corank,) = self.coranks.tolist()
+        return corank
+
+    @cached_property
+    def _scalar(self):
+        """The frame, the (kind, i, j, phi-slot, coefficient) plan rows, the
+        corank and eta of a one-character evaluator, as Python ints for
+        :meth:`value`."""
+        (frame,) = self.frames.tolist()
+        return frame, self.plan[:, 1:].tolist(), self.corank, self.eta
 
     def value(self, phi) -> CharValue:
         """chi^eta(x_phi), one cell at a time: the plan summed at phi, then
@@ -132,11 +220,11 @@ class CharacterEvaluator:
         the block paths are tested against."""
         F = self.field
         phi = self.source._functional(phi)
-        rows, cols, off = self.frame
+        (rows, cols, off), terms, corank, eta = self._scalar
         add, mul = F.add, F.mul
         system = [[0] * (cols + 1) for _ in range(rows)]  # [M | a] until negated
         b, outside = [0] * cols, [0] * off
-        for kind, i, j, s, c in self.plan:
+        for kind, i, j, s, c in terms:
             v = phi[s]
             if not v:
                 continue
@@ -153,16 +241,31 @@ class CharacterEvaluator:
         if solved is None:
             return CharValue.zero()
         rank, b0 = solved
-        if self.corank < rank:
+        if corank < rank:
             raise InternalInvariantViolation("rank of the mesh matrix exceeds the corank")
-        return CharValue.of(self.corank - rank, F.trace(F.add(F.dot(b0, b), F.dot(phi, self.eta))), F.p)
+        return CharValue.of(corank - rank, F.trace(F.add(F.dot(b0, b), F.dot(phi, eta))), F.p)
 
     def value_block(self, digits: np.ndarray):
         """(is_zero, q_exp, zeta_exp) arrays over a (count, dim) block of
         packed superclass representatives: :func:`value_blocks` for this one
         character."""
-        zero, q_exp, zeta_exp = value_blocks([self], digits)
+        zero, q_exp, zeta_exp = value_blocks(self, digits)
         return zero[0], q_exp[0], zeta_exp[0]
+
+
+def _functionals(source, etas) -> np.ndarray:
+    """``etas`` as a (count, d) int64 array; SpecMismatch unless each lies
+    in F_q**d, with the message of the first that does not."""
+    d, q = source.d, source.field.q
+    try:
+        arr = np.array(etas, dtype=np.int64).reshape(len(etas), d)
+    except (ValueError, TypeError, OverflowError):  # ragged, of the wrong length, or huge
+        arr = None
+    if arr is None or ((arr < 0) | (arr >= q)).any():
+        for eta in etas:
+            source._functional(eta)
+        raise SpecMismatch(f"functionals must lie in F_{q}^{d}")
+    return arr
 
 
 _ROW_CELLS = 1 << 16  # cells per chunk of rows in value_chunks
@@ -173,49 +276,46 @@ _BATCH_CELLS = 4096  # hard cells per batched elimination
 def value_chunks(source, etas, digits: np.ndarray):
     """Yield (start, evaluators, values) for consecutive chunks of the
     characters ``etas`` of ``source``, about ``_ROW_CELLS`` cells each:
-    the chunk's evaluators and its :func:`value_blocks` over ``digits``.
-    A chunk's evaluators live only until the next one is made, so memory
-    stays O(chunk x classes)."""
+    the chunk's evaluator, set up as one :meth:`CharacterEvaluator.batch`,
+    and its :func:`value_blocks` over ``digits``.  A chunk's evaluator
+    lives only until the next one is made, so memory stays O(chunk x
+    classes)."""
     step = max(1, _ROW_CELLS // max(1, len(digits)))
     for start in range(0, len(etas), step):
-        evaluators = [CharacterEvaluator(source, eta) for eta in etas[start : start + step]]
+        evaluators = CharacterEvaluator.batch(source, etas[start : start + step])
         yield start, evaluators, value_blocks(evaluators, digits)
 
 
-def value_blocks(evaluators, digits: np.ndarray):
-    """Values of many characters of one group over a block of superclass
+def value_blocks(evaluators: CharacterEvaluator, digits: np.ndarray):
+    """Values of the characters of an evaluator over a block of superclass
     representatives (the bulk path of the module docstring).
 
     ``digits`` is a (count, dim) integer array of packed functionals.
     Returns (is_zero, q_exp, zeta_exp), each of shape (len(evaluators),
     count), in the smallest dtypes that hold them (:func:`value_arrays`).
-    Characters are taken in chunks whose padded digit product has at most
+    Characters are taken in runs whose padded digit product has at most
     ``_CHUNK_ENTRIES`` entries.
     """
+    F, dim = evaluators.field, evaluators.source.d
     digits = np.asarray(digits, dtype=np.int64)
-    dims = {len(ev.eta) for ev in evaluators}
-    if digits.ndim != 2 or dims - {digits.shape[-1]}:
-        raise SpecMismatch(f"digit block of shape {digits.shape} for functionals of length {dims}")
-    count, dim = digits.shape
-    if not evaluators:
-        return value_arrays((0, count), dim, 2)
-    F = evaluators[0].field
+    if digits.ndim != 2 or digits.shape[-1] != dim:
+        raise SpecMismatch(f"digit block of shape {digits.shape} for functionals of length {dim}")
+    count = len(digits)
     outside = ((digits < 0) | (digits >= F.q)).any(axis=1)
     if outside.any():
         raise SpecMismatch(f"functional {tuple(digits[outside.argmax()].tolist())} is not in F_{F.q}^{dim}")
-    p, r = F.p, F.r
+    r = F.r
     x = F.p_digits(digits).reshape(count, dim * r)
-    out = value_arrays((len(evaluators), count), dim, p)
+    out = value_arrays((len(evaluators), count), dim, F.p)
     start = 0
     while start < len(evaluators):
-        # the longest run of characters whose padded digit product fits
-        stop, frame = start + 1, evaluators[start].frame
-        while stop < len(evaluators):
-            wider = tuple(map(max, frame, evaluators[stop].frame))
-            if count * (stop + 1 - start) * _width(r, *wider) > _CHUNK_ENTRIES:
-                break
-            stop, frame = stop + 1, wider
-        for arr, block in zip(out, _chunk_values(F, evaluators[start:stop], x, *frame)):
+        # the longest run of characters whose padded digit product fits:
+        # the frame of a run is the running maximum of its frames
+        frame = np.maximum.accumulate(evaluators.frames[start:], axis=0)
+        entries = count * np.arange(1, len(frame) + 1) * _width(r, *frame.T)
+        stop = start + max(1, int(np.count_nonzero(entries <= _CHUNK_ENTRIES)))
+        chunk = _chunk_values(F, evaluators[start:stop], x, *frame[stop - start - 1].tolist())
+        for arr, block in zip(out, chunk):
             arr[start:stop] = block
         start = stop
     return out
@@ -231,21 +331,20 @@ def value_arrays(shape, dim: int, p: int):
     )
 
 
-def _width(r: int, rows: int, cols: int, off: int) -> int:
+def _width(r: int, rows, cols, off):
     """Columns of one character in the padded digit product: r digits for
     each entry of a on the frame rows, of b on the frame columns, of M on
     the frame, and of the off-frame entries of a and b; then the trace."""
     return r * (rows + cols + rows * cols + off) + 1
 
 
-def _chunk_values(F: Fq, chunk, x: np.ndarray, rows: int, cols: int, off: int):
+def _chunk_values(F: Fq, chunk: CharacterEvaluator, x: np.ndarray, rows: int, cols: int, off: int):
     """(is_zero, q_exp, zeta_exp), each (len(chunk), count), for characters
     whose frames all fit in rows x cols with at most ``off`` off-frame slots."""
     r = F.r
-    k, count, dim = len(chunk), len(x), len(chunk[0].eta)
+    (k, dim), count = chunk.etas.shape, len(x)
     width = _width(r, rows, cols, off)
-    kind, i, j, src, coeff = np.array([t for ev in chunk for t in ev.plan], dtype=np.int64).reshape(-1, 5).T
-    owner = np.repeat(np.arange(k), [len(ev.plan) for ev in chunk])
+    owner, kind, i, j, src, coeff = chunk.plan.T
     # the first digit column of each term's entry, in units of r
     base = np.array([0, rows, rows + cols, rows + cols + rows * cols])
     stride = np.array([1, 0, cols, 1])
@@ -256,8 +355,7 @@ def _chunk_values(F: Fq, chunk, x: np.ndarray, rows: int, cols: int, off: int):
     weights = np.zeros((dim, r, k, width), dtype=np.int64)
     idx = (src[:, None, None], digit[None, :, None], owner[:, None, None], r * unit[:, None, None] + digit)
     weights[idx] = F.digit_blocks(F.p_digits(coeff))
-    etas = np.array([ev.eta for ev in chunk], dtype=np.int64).reshape(k, dim)
-    weights[:, :, :, -1] = F.matmul_mod_p(F.p_digits(etas), F.trace_form).transpose(1, 2, 0)
+    weights[:, :, :, -1] = F.matmul_mod_p(F.p_digits(chunk.etas), F.trace_form).transpose(1, 2, 0)
     y = F.matmul_mod_p(x, weights.reshape(dim * r, k * width)).reshape(count, k, width)
 
     m_start, m_stop = r * (rows + cols), r * (rows + cols + rows * cols)
@@ -265,7 +363,7 @@ def _chunk_values(F: Fq, chunk, x: np.ndarray, rows: int, cols: int, off: int):
     off_frame = y[:, :, m_stop:-1].any(axis=2)
     zero = off_frame | (~hard & y[:, :, :m_start].any(axis=2))
     meshed = ~zero & ~hard
-    corank = np.array([ev.corank for ev in chunk])
+    corank = chunk.coranks
     q_exp = np.where(meshed, corank, 0)
     zeta_exp = np.where(meshed, y[:, :, -1], 0)
     cls, ch = np.nonzero(hard & ~off_frame)
@@ -283,12 +381,12 @@ def _solve_hard(F: Fq, y: np.ndarray, rows: int, cols: int, corank: np.ndarray):
     augmented F_p system [A | digits(-a)] of M x = -a, where entry (i, j)
     of M is the r x r block D(M_ij)^T (D(c) is the matrix of x -> c x on
     row digit vectors), plus one extra row [f | 0] for the functional
-    f(x) = trace(b . x).  Pivots are taken only among the system rows, and
-    every column is cleared in every other row, the extra one included.
-    Then the system is inconsistent iff a non-pivot row keeps a nonzero
-    right-hand side; b is perpendicular to null(M) iff the extra row's
-    coefficients all vanish; and its last entry is -f(x0) for the
-    particular solution x0 with free digits 0.
+    f(x) = trace(b . x).  :meth:`~superchar.gf.Fq.row_reduce_mod_p` takes
+    pivots only among the system rows and clears every column in every
+    other row, the extra one included.  Then the system is inconsistent
+    iff a non-pivot row keeps a nonzero right-hand side; b is perpendicular
+    to null(M) iff the extra row's coefficients all vanish; and its last
+    entry is -f(x0) for the particular solution x0 with free digits 0.
     """
     p, r = F.p, F.r
     h, n, m = len(y), rows * r, cols * r
@@ -300,23 +398,7 @@ def _solve_hard(F: Fq, y: np.ndarray, rows: int, cols: int, corank: np.ndarray):
     system[:, :n, :m] = F.digit_blocks(mesh).transpose(0, 1, 4, 2, 3).reshape(h, n, m)
     system[:, :n, m] = (p - a) % p
     system[:, n, :m] = F.matmul_mod_p(b, F.trace_form).reshape(h, m)
-    free = np.ones((h, n), dtype=bool)
-    rank = np.zeros(h, dtype=np.int64)
-    for c in range(m):
-        candidates = free & (system[:, :n, c] != 0)
-        cells = np.flatnonzero(candidates.any(axis=1))
-        if not len(cells):
-            continue
-        pivot = candidates[cells].argmax(axis=1)
-        sub = system[cells]
-        prow = sub[np.arange(len(cells)), pivot]
-        prow = prow * F.fp_inverses[prow[:, c], None] % p
-        sub -= sub[:, :, c, None] * prow[:, None, :]
-        sub %= p
-        sub[np.arange(len(cells)), pivot] = prow
-        system[cells] = sub
-        free[cells, pivot] = False
-        rank[cells] += 1
+    free, rank = F.row_reduce_mod_p(system, n, m)
     consistent = ~(free & (system[:, :n, m] != 0)).any(axis=1)
     meshed = consistent & ~system[:, n, :m].any(axis=1)
     rank //= r  # rank over F_q

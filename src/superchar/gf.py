@@ -10,8 +10,9 @@ reference, so layers above never mix encodings from different fields
 
 Bulk code works on base-p digits instead, where multiplication by a fixed
 element and the trace are F_p-linear: :class:`Fq` holds that view as arrays
-(digits, digit blocks, trace form, inverses mod p) and one exact mod-p
-matrix product, the only digit arithmetic of the evaluator and the oracle.
+(digits, digit blocks, trace form, inverses mod p), one exact mod-p matrix
+product and one batched Gauss-Jordan elimination mod p, the only digit
+arithmetic of the evaluator and the oracle.
 
 There is one scalar arithmetic for every q.  Multiplication by X is the
 companion matrix C of the modulus, so the blocks D(X**v) are C**v mod p, and
@@ -67,6 +68,18 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -221,7 +234,7 @@ class Fq:
         a sum or difference of two logs indexes them directly (Python reads a
         negative index mod the length); log[0] is never read."""
         p, n = self.p, self.q - 1
-        digits = next(d for d in map(self._unit_powers, range(1, n + 1)) if d is not None)
+        digits = self._unit_powers(next(g for g in range(1, n + 1) if self._generates(g)))
         codes = digits @ p ** np.arange(self.r)
         log = np.zeros(n + 1, dtype=np.int64)
         log[codes] = np.arange(n)
@@ -229,17 +242,30 @@ class Fq:
         zech = np.where(one_plus == 0, -1, log[one_plus])
         return np.tile(codes, 2).tolist(), log.tolist(), np.tile(zech, 2).tolist(), int(log[p - 1])
 
-    def _unit_powers(self, g):
-        """The digits of g**0, ..., g**(q-2), or None if g returns to 1
-        before them: by doubling, digits(g**(m..2m-1)) = digits(g**(0..m-1))
-        D(g**m), stopped at the first power that is 1."""
-        p, n, place = self.p, self.q - 1, self.p ** np.arange(self.r)
+    def _generates(self, g: int) -> bool:
+        """Whether g generates F_q*: g**((q-1)/l) != 1 for every prime l
+        dividing q - 1.  The power of g is row 0 of the block power
+        D(g)**((q-1)/l), taken by square-and-multiply."""
+        p, n, one = self.p, self.q - 1, self.p_digits(1)
+        block = self.digit_blocks(self.p_digits(g))
+        for l in _prime_factors(n):
+            power, base, e = np.eye(self.r, dtype=np.int64), block, n // l
+            while e:
+                if e & 1:
+                    power = power @ base % p
+                base, e = base @ base % p, e >> 1
+            if (power[0] == one).all():
+                return False
+        return True
+
+    def _unit_powers(self, g: int) -> np.ndarray:
+        """The digits of g**0, ..., g**(q-2), by doubling:
+        digits(g**(m..2m-1)) = digits(g**(0..m-1)) D(g**m)."""
+        p, n = self.p, self.q - 1
         digits, block = self.p_digits([1]), self.digit_blocks(self.p_digits(g))
         while len(digits) < n:
-            new = digits[: n - len(digits)] @ block % p
-            if (new @ place == 1).any():
-                return None
-            digits, block = np.concatenate([digits, new]), block @ block % p
+            digits = np.concatenate([digits, digits[: n - len(digits)] @ block % p])
+            block = block @ block % p
         return digits
 
     def add(self, a: int, b: int) -> int:
@@ -361,6 +387,39 @@ class Fq:
         quotient *= p
         P -= quotient
         return P.astype(np.min_scalar_type(p - 1))
+
+    def row_reduce_mod_p(self, system: np.ndarray, rows: int, cols: int):
+        """Gauss-Jordan elimination mod p of a batch of matrices, in place:
+        the one F_p elimination of the block evaluator, for coranks and hard
+        cells alike.
+
+        ``system`` is a (batch, R, C) int64 array with entries in range(p).
+        For each of the first ``cols`` columns in turn, the first row among
+        the first ``rows`` that holds no pivot yet and is nonzero there
+        becomes the pivot: it is scaled to 1 and the column is cleared in
+        every other row, rows past ``rows`` included.  Returns (free, rank):
+        the (batch, rows) mask of rows that hold no pivot, and the number of
+        pivots of each matrix, its rank over F_p when rows = R and cols = C.
+        """
+        p, h = self.p, len(system)
+        free = np.ones((h, rows), dtype=bool)
+        rank = np.zeros(h, dtype=np.int64)
+        for c in range(cols):
+            candidates = free & (system[:, :rows, c] != 0)
+            cells = np.flatnonzero(candidates.any(axis=1))
+            if not len(cells):
+                continue
+            pivot = candidates[cells].argmax(axis=1)
+            sub = system[cells]
+            prow = sub[np.arange(len(cells)), pivot]
+            prow = prow * self.fp_inverses[prow[:, c], None] % p
+            sub -= sub[:, :, c, None] * prow[:, None, :]
+            sub %= p
+            sub[np.arange(len(cells)), pivot] = prow
+            system[cells] = sub
+            free[cells, pivot] = False
+            rank[cells] += 1
+        return free, rank
 
 
 # ---------------------------------------------------------------------------

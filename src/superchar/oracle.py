@@ -458,14 +458,14 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
     step = _rows_per_call(F.p, len(class_digits))
     for _, evaluators, values in value_chunks(source, core_co.reps, class_digits):
         for lo in range(0, len(evaluators), step):
-            etas = [ev.eta for ev in evaluators[lo : lo + step]]
+            etas = evaluators.etas[lo : lo + step]
             oracle_rows = oracle._rows(etas, phi)
             formula_rows = charvalue_coeff_rows(F.p, F.q, *(arr[lo : lo + step] for arr in values))
             bad = (formula_rows != oracle_rows).any(axis=0)
             if report.witness is None and bad.any():
                 i, c = np.argwhere(bad)[0]  # the first in (eta, class) order
                 report.witness = (
-                    etas[i],
+                    tuple(etas[i].tolist()),
                     core_sc.reps[c],
                     tuple(int(x) for x in formula_rows[:, i, c]),
                     tuple(int(x) for x in oracle_rows[:, i, c]),

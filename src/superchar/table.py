@@ -235,12 +235,12 @@ def _build_table(kind: str, source, meta: dict, cap, rep_obj) -> SuperTable:
         # chi^eta is irreducible iff its co-orbit has q**(2 * corank) members.
         entries += [
             {
-                "rep": rep_obj(ev.eta),
-                "corank": ev.corank,
-                "degree": q**ev.corank,
-                "irreducible": chars[start + i].size == q ** (2 * ev.corank),
+                "rep": rep_obj(eta),
+                "corank": corank,
+                "degree": q**corank,
+                "irreducible": ch.size == q ** (2 * corank),
             }
-            for i, ev in enumerate(evaluators)
+            for eta, corank, ch in zip(evaluators.etas.tolist(), evaluators.coranks.tolist(), chars[start:])
         ]
     return SuperTable(
         kind,

@@ -95,8 +95,7 @@ def test_criterion_03_heisenberg_closed_form():
             G = PatternGroup(heisenberg(n), F)
             chars = G.all_coorbit_reps()
             classes = G.all_orbit_reps()
-            for ch in chars:
-                ev = CharacterEvaluator(G, ch.rep)
+            for ch, ev in zip(chars, CharacterEvaluator.batch(G, [ch.rep for ch in chars])):
                 if not is_irreducible(G, ch.rep):
                     ok = False
                 for cl in classes:
@@ -126,8 +125,7 @@ def test_criterion_04_full_triangular_specialization():
         G = PatternGroup(full_triangular(4), Fq.of(q))
         chars = G.all_coorbit_reps()
         classes = G.all_orbit_reps()
-        for ch in chars:
-            ev = CharacterEvaluator(G, ch.rep)
+        for ch, ev in zip(chars, CharacterEvaluator.batch(G, [ch.rep for ch in chars])):
             supp = support(G.J, ch.rep)
             if ev.corank != sum(k - i - 1 for i, k in supp):
                 ok = False
@@ -224,8 +222,7 @@ def test_criterion_08_value_shape():
             if G.order() > DEFAULT_ORACLE_CAP:
                 continue
             classes = G.all_orbit_reps()
-            for ch in G.all_coorbit_reps():
-                ev = CharacterEvaluator(G, ch.rep)
+            for ev in CharacterEvaluator.batch(G, [ch.rep for ch in G.all_coorbit_reps()]):
                 for cl in classes:
                     v = ev.value(cl.rep)
                     if v.is_zero:

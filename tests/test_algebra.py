@@ -222,6 +222,63 @@ def test_algebra_corank_is_the_rank_of_a_eta(n, q):
         assert q ** alg.corank(o.rep) == len(_bfs(alg.field, o.rep, moves))
 
 
+def _matrix_product(F, x, y):
+    out = {}
+    for (i, j), a in x.items():
+        for (jj, k), b in y.items():
+            if j == jj:
+                out[i, k] = F.add(out.get((i, k), 0), F.mul(a, b))
+    return {pos: v for pos, v in out.items() if v}
+
+
+def _random_matrix_algebra(seed):
+    """The span of 2-4 random strictly upper triangular n x n matrices over
+    F_q (each entry nonzero with probability 0.3), closed under products,
+    as a StructureAlgebra; None unless q**d <= 2**12 and some structure
+    constant is not 1."""
+    rng = random.Random(seed)
+    F, n = Fq.of(rng.choice((3, 4, 5, 7, 8, 9))), rng.choice((4, 5, 6))
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    basis = []
+    queue = [{pos: rng.randrange(1, F.q) for pos in cells if rng.random() < 0.3} for _ in range(rng.randint(2, 4))]
+    while queue and F.q ** len(basis) <= 2**12:
+        m = queue.pop(0)  # kept when it raises the rank of the span
+        if rank(FqMatrix.from_rows(F, [[b.get(pos, 0) for pos in cells] for b in basis + [m]], len(cells))) > len(basis):
+            basis.append(m)
+            queue += [_matrix_product(F, m, b) for b in basis] + [_matrix_product(F, b, m) for b in basis[:-1]]
+    if F.q ** len(basis) > 2**12:
+        return None
+    alg = StructureAlgebra(len(basis), F, constants_from_matrices(n, F, basis))
+    return alg if any(c != 1 for row in alg.constants.values() for c in row.values()) else None
+
+
+def test_non_unit_structure_constants_match_the_dense_reference():
+    """On random matrix algebras whose structure constants are not all 1,
+    the batched coranks equal the scalar rank of A_eta and the block values
+    equal the dense StructureAlgebra.value on every cell.  Algebras of more
+    than 100 classes are left out, to bound the dense reference's cost."""
+    checked = set()
+    for seed in range(60):
+        alg = _random_matrix_algebra(seed)
+        if alg is None:
+            continue
+        etas, phis = [o.rep for o in alg.all_coorbit_reps()], [o.rep for o in alg.all_orbit_reps()]
+        if len(etas) > 100:
+            continue
+        evs = CharacterEvaluator.batch(alg, etas)
+        assert evs.coranks.tolist() == [alg.corank(eta) for eta in etas]
+        zero, q_exp, zeta_exp = formula.value_blocks(evs, np.array(phis, dtype=np.int64).reshape(len(phis), alg.d))
+        for e, eta in enumerate(etas):
+            for c, phi in enumerate(phis):
+                want = alg.value(eta, phi, corank=evs.coranks[e])
+                if want.is_zero:
+                    assert zero[e, c], (seed, eta, phi)
+                else:
+                    assert (zero[e, c], q_exp[e, c], zeta_exp[e, c]) == (False, want.q_exp, want.zeta_exp), (seed, eta, phi)
+        checked.add((alg.field.q, alg.d))
+    assert len(checked) >= 8  # several fields and dimensions
+
+
 # every public engine method that takes functionals, with its number of them
 _ENGINE_ARITY = {
     "product": 2, "multiply": 2, "inverse": 1,

@@ -173,7 +173,7 @@ def _batch_case(name):
     values of every cell, as (zero, q_exp, zeta_exp) arrays."""
     source, etas, phis = _BATCH_GROUPS[name]()
     digits = np.array(phis, dtype=np.int64).reshape(len(phis), source.dim)
-    cells = [[ev.value(phi) for phi in phis] for ev in (CharacterEvaluator(source, eta) for eta in etas)]
+    cells = [[ev.value(phi) for phi in phis] for ev in CharacterEvaluator.batch(source, etas)]
     expected = tuple(
         np.array([[getattr(v, attr) for v in row] for row in cells]).reshape(len(etas), len(phis))
         for attr in ("is_zero", "q_exp", "zeta_exp")
@@ -194,12 +194,11 @@ def test_value_blocks_match_value_block_and_the_scalar_value(name, small_batches
         chunk_values, solve_hard = formula._chunk_values, formula._solve_hard
         monkeypatch.setattr(formula, "_chunk_values", lambda *a: batches.append([]) or chunk_values(*a))
         monkeypatch.setattr(formula, "_solve_hard", lambda F, y, *a: batches[-1].append(len(y)) or solve_hard(F, y, *a))
-    evs = [CharacterEvaluator(source, eta) for eta in etas]
-    got = value_blocks(evs, digits)
+    got = value_blocks(CharacterEvaluator.batch(source, etas), digits)
     for arr, want in zip(got, expected):
         assert arr.shape == want.shape and np.array_equal(arr, want)
-    for i, ev in enumerate(evs):
-        for arr, row in zip(got, ev.value_block(digits)):
+    for i, eta in enumerate(etas):  # each character set up on its own
+        for arr, row in zip(got, CharacterEvaluator(source, eta).value_block(digits)):
             assert np.array_equal(arr[i], row)
     if not small_batches:
         # the dense mesh data, the third side: it shares no plan or frame
@@ -219,7 +218,7 @@ def test_an_entry_outside_the_field_is_a_spec_mismatch(source, bad):
     for k in range(source.dim):
         f = tuple(bad if i == k else 0 for i in range(source.dim))
         for call in (
-            lambda: value_blocks([ev], np.array([source.zero(), f])),
+            lambda: value_blocks(ev, np.array([source.zero(), f])),
             lambda: ev.value_block(np.array([f])),
             lambda: ev.value(f),
             lambda: CharacterEvaluator(source, f),
@@ -415,20 +414,16 @@ def test_value_no4chain_equals_generic_including_row_restriction():
             G = PatternGroup(J, Fq.of(q))
             chars = G.all_coorbit_reps()
             classes = G.all_orbit_reps()
-            for ch in chars:
+            evs = list(CharacterEvaluator.batch(G, [ch.rep for ch in chars]))
+            for ch, ev in zip(chars, evs):
                 # the block-rank exponent must reproduce the corank exactly
-                ev = CharacterEvaluator(G, ch.rep)
                 v = value_no4chain(G, ch.rep, G.zero())
                 assert (v.q_exp, v.zeta_exp, v.is_zero) == (ev.corank, 0, False)
-            pairs = [(ch, cl) for ch in chars for cl in classes]
+            pairs = [(e, cl) for e in range(len(chars)) for cl in classes]
             if len(pairs) > 4000:
                 pairs = rng.sample(pairs, 4000)
-            by_eta = {}
-            for ch, cl in pairs:
-                if id(ch) not in by_eta:
-                    by_eta[id(ch)] = CharacterEvaluator(G, ch.rep)
-                ev = by_eta[id(ch)]
-                assert ev.value(cl.rep) == value_no4chain(G, ch.rep, cl.rep)
+            for e, cl in pairs:
+                assert evs[e].value(cl.rep) == value_no4chain(G, chars[e].rep, cl.rep)
 
 
 # -- annihilators and irreducibility -------------------------------------------

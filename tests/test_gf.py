@@ -202,6 +202,43 @@ def test_derived_arrays_match_the_slow_ops_entry_by_entry(F):
     assert [F.trace(a) for a in traced] == [_frobenius_trace(F, a) for a in traced]
 
 
+def _order(F, a):
+    """The multiplicative order of a unit a by schoolbook products alone:
+    start from q - 1 and divide out each prime while the power stays 1."""
+    def power(x, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = _schoolbook_mul(F, out, x)
+            x, e = _schoolbook_mul(F, x, x), e >> 1
+        return out
+
+    order, m, l = F.q - 1, F.q - 1, 2
+    while m > 1:
+        if m % l:
+            l += 1
+            continue
+        m //= l
+        if power(a, order // l) == 1:
+            order //= l
+    return order
+
+
+F3_10 = Fq(3, 10, (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1))  # x^10 + 2x^2 + 1
+
+
+@pytest.mark.parametrize("F", [F3_10, Fq.of(25), Fq.of(73)], ids=_field_id)
+def test_the_log_tables_use_the_least_generator(F):
+    """exp[1] is the least code of order q - 1; every code before it (at
+    least four here) has a smaller order, and its powers are q - 1 units."""
+    exp, log, _, _ = F._logs
+    n, g = F.q - 1, exp[1]
+    orders = [_order(F, a) for a in range(1, g + 1)]
+    assert g > 4 and orders[-1] == n and max(orders[:-1]) < n
+    assert sorted(exp[:n]) == list(range(1, F.q)) and [log[a] for a in exp[:n]] == list(range(n))
+    assert _schoolbook_mul(F, exp[n - 1], g) == 1
+
+
 def test_trace_examples():
     assert F3.trace(2) == 2  # r = 1: identity
     assert F4.trace(F4.from_coeffs([0, 1])) == 1

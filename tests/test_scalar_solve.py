@@ -48,6 +48,21 @@ def test_scalar_pivoting_lives_in_gf():
     assert not _names(_tree("core.py")) & {"solve", "perp_to_nullspace", "nullspace_basis"}
 
 
+def test_one_fp_elimination_and_one_batched_setup():
+    """formula runs no elimination mod p of its own: the hard cells and the
+    evaluator setup both call gf's one batched elimination, and the setup
+    reads the structure constants only through their blocks, never in a
+    loop per character."""
+    tree = _tree("formula.py")
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for name in ("_solve_hard", "_setup"):
+        assert name in functions and "row_reduce_mod_p" in _names(functions[name]), name
+    assert "fp_inverses" not in _names(tree)  # every pivot is scaled in gf
+    evaluator = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "CharacterEvaluator")
+    assert "constants" not in _names(evaluator)
+    assert "_eta_matrix" not in _names(tree) and "_corank_of" not in _names(tree)
+
+
 def test_one_scalar_arithmetic_for_every_q():
     """No slow path beside the log tables, and no size threshold between them."""
     assert not [name for name in vars(Fq) if name.endswith("_slow")]

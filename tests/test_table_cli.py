@@ -11,7 +11,7 @@ from superchar.algebra import emit_algebra_spec
 from superchar.catalog import full_triangular, semidirect_algebra, sixteen_group
 from superchar.core import DEFAULT_ENUM_CAP
 from superchar.core import PatternGroup, StructureAlgebra
-from superchar import gf
+from superchar import formula, gf
 from superchar.cli import _load, main
 from superchar.errors import SpecMismatch
 from superchar.formula import CharacterEvaluator
@@ -82,20 +82,24 @@ def test_values_view_matches_the_scalar_evaluator(name):
     classes, chars = obj.all_orbit_reps(), obj.all_coorbit_reps()
     values = tab.values
     assert len(values) == len(chars)
-    for ch, row in zip(chars, values):
-        ev = CharacterEvaluator(obj, ch.rep)
+    for ev, row in zip(CharacterEvaluator.batch(obj, [ch.rep for ch in chars]), values):
         assert row == [ev.value(cl.rep) for cl in classes]
 
 
 def test_table_builds_a_eta_once_per_character(monkeypatch):
+    """Each character enters exactly one batched setup, which builds A_eta
+    and the corank for the whole chunk: no per-character A_eta or rank."""
     G = PatternGroup(full_triangular(6), Fq.of(2))
-    calls, rrefs = [], []
-    eta_matrix, rref = StructureAlgebra._eta_matrix, gf._rref
+    monkeypatch.setattr(formula, "_ROW_CELLS", 50 * 203)  # 50 characters a chunk
+    setups, calls, rrefs = [], [], []
+    setup, eta_matrix, rref = CharacterEvaluator._setup, StructureAlgebra._eta_matrix, gf._rref
+    monkeypatch.setattr(CharacterEvaluator, "_setup", lambda self, source, etas: setups.append(list(etas)) or setup(self, source, etas))
     monkeypatch.setattr(StructureAlgebra, "_eta_matrix", lambda self, eta: calls.append(eta) or eta_matrix(self, eta))
     monkeypatch.setattr(gf, "_rref", lambda *args: rrefs.append(args) or rref(*args))
     tab = build_pattern_table(G)
-    assert len(tab.chars) == len(calls) == 203
-    assert len(rrefs) == 203  # one corank per character, no second rank
+    assert len(tab.chars) == 203 and [len(etas) for etas in setups] == [50, 50, 50, 50, 3]
+    assert sum(setups, []) == [o.rep for o in G.all_coorbit_reps()]
+    assert not calls and not rrefs
 
 
 def test_value_arrays_are_sized_by_the_field():
