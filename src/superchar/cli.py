@@ -109,10 +109,7 @@ def cmd_orbits(args) -> int:
     obj = _load(args.path)
     classes = obj.all_orbit_reps(args.cap)
     coorbits = obj.all_coorbit_reps(args.cap)
-    if isinstance(obj, PatternGroup):
-        rep_obj = lambda f: _pattern_rep_obj(obj, f)  # noqa: E731
-    else:
-        rep_obj = lambda f: _algebra_rep_obj(obj, f)  # noqa: E731
+    rep_obj = (_pattern_rep_obj if isinstance(obj, PatternGroup) else _algebra_rep_obj)(obj)
     coranks = [obj.corank(o.rep) for o in coorbits]
     payload = {
         "classes": [{"rep": rep_obj(o.rep), "size": o.size} for o in classes],

@@ -189,6 +189,16 @@ def _digit_moves(field: Fq, moves) -> list[dict]:
     return out
 
 
+def sweep_size(field: Fq, dim: int, cap: int | None) -> int:
+    """q**dim, the functionals a sweep of F_q**dim visits; SizeCapExceeded
+    when that passes ``cap`` (DEFAULT_ENUM_CAP when None)."""
+    total = field.q ** dim
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
+    if total > cap:
+        raise SizeCapExceeded(total, cap, "functionals to sweep")
+    return total
+
+
 def orbit_partition_from_moves(field: Fq, dim: int, moves, cap: int) -> OrbitPartition:
     """The orbits of the moves on F_q**dim; the oracle calls it with its own moves.
 
@@ -199,9 +209,7 @@ def orbit_partition_from_moves(field: Fq, dim: int, moves, cap: int) -> OrbitPar
     everywhere since orbits are strongly connected (the moves generate a
     group action).
     """
-    total = field.q ** dim
-    if total > cap:
-        raise SizeCapExceeded(total, cap, "functionals to sweep")
+    total = sweep_size(field, dim, cap)
     p, n = field.p, dim * field.r
     dtype = np.min_scalar_type(total - 1)
     codes = np.arange(total, dtype=dtype).reshape((p,) * n)
@@ -657,6 +665,10 @@ class PatternGroup(StructureAlgebra):
     column moves only the pivot's row, so row i, zero right of j, stays
     until column j.  There the pivot is (i, j) with value Y_ij if Y_ij is
     the topmost nonzero, and not at (i, j) otherwise; both contradict M.
+
+    So a U_n table lists the monomials in code order instead of sweeping,
+    and counts sizes and values off their arcs
+    (:func:`superchar.formula.un_value_chunks`).
     """
 
     __slots__ = ("J",)

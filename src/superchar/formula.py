@@ -53,12 +53,16 @@ coranks and the hard cells alike -- is the F_p layer of
 :class:`~superchar.gf.Fq`; this module only lays out the plans and the
 systems it reduces.
 
-The closed-form specializations for pattern groups below are independent
-references the tests compare against.
+Tables of the full triangular group U_n take a kernel of their own,
+:func:`un_value_chunks`, which counts the values off the arcs of the
+monomial representatives and needs no plans; :func:`value_un` is its
+one-cell case.  The other closed-form specializations for pattern groups
+below are independent references the tests compare against.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
 import numpy as np
@@ -410,6 +414,130 @@ def _solve_hard(F: Fq, y: np.ndarray, rows: int, cols: int, corank: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
+# the full triangular group U_n: monomials and arc counts
+
+
+def un_monomials(G: PatternGroup) -> np.ndarray:
+    """Every monomial of U_n as a (count, d) array of codes, ascending in
+    the canonical code order: the representatives of the superclasses and
+    of the co-orbits alike.  There are sum over set partitions of
+    (q - 1)**arcs of them."""
+    J, q, d = G.J, G.field.q, G.d
+    supports = [()]
+    for i in range(1, J.n):  # each start takes one free end, or none
+        supports = [
+            s + arc
+            for s in supports
+            for arc in [()] + [((i, l),) for l in range(i + 1, J.n + 1) if all(l != e for _, e in s)]
+        ]
+    blocks = []
+    for s in supports:
+        block = np.zeros(((q - 1) ** len(s), d), dtype=np.int64)
+        block[:, [J.index[arc] for arc in s]] = list(itertools.product(range(1, q), repeat=len(s)))
+        blocks.append(block)
+    monomials = np.concatenate(blocks)
+    return monomials[np.lexsort(monomials.T[::-1])] if d else monomials
+
+
+def _arcs(J):
+    """The starts and ends of J's positions in canonical order, as columns
+    (i, l) for the arcs of a character or of a first monomial, and as rows
+    (j, k) for the arcs of a class or of a second monomial."""
+    i, l = np.array(J.order, dtype=np.int64).reshape(len(J), 2).T
+    return i[:, None], l[:, None], i[None, :], l[None, :]
+
+
+def un_arc_counts(G: PatternGroup, monomials: np.ndarray):
+    """(e, corank, irreducible) for each monomial in the (count, d) array
+    ``monomials`` of U_n: its superclass has q**e members, and its character
+    has degree q**corank and is irreducible iff no two of its arcs cross
+    (the rules of :func:`un_value_chunks`)."""
+    i, l, j, k = _arcs(G.J)
+    on = (monomials != 0).astype(np.int64)
+
+    def pairs(relation):
+        return ((on @ relation) * on).sum(axis=1)
+
+    e = on @ (i - 1 + G.J.n - l)[:, 0] - pairs((i < j) & (l < k))
+    return e, on @ (l - i - 1)[:, 0], pairs((i < j) & (j < l) & (l < k)) == 0
+
+
+def un_value_chunks(G: PatternGroup, etas, phis):
+    """Yield (start, (is_zero, q_exp, zeta_exp)) for consecutive chunks of
+    the monomial characters ``etas`` of U_n at the monomial classes
+    ``phis``, about ``_ROW_CELLS`` cells each, in the dtypes of
+    :func:`value_arrays`: the U_n kernel, with no sweep and no mesh plans.
+
+    Every superclass and every co-orbit of U_n holds exactly one monomial,
+    its least member (:class:`~superchar.core.PatternGroup`; Andre;
+    Diaconis-Isaacs, Supercharacters and superclasses for algebra groups;
+    Aguiar et al., Supercharacters, symmetric functions in noncommuting
+    variables, and related Hopf algebras).  A monomial is a set of arcs
+    (i, l), i < l, no two sharing a start or an end -- the arcs of a set
+    partition of {1..n} -- each labelled by an element of F_q^*.  The rest
+    is counted off the arcs:
+
+    * Class sizes.  Multiplying by 1 + t E_ab (a < b) on the left adds
+      t * row b to row a, on the right t * column a to column b.  So the
+      left moves fill the i - 1 positions above an arc (i, l) in its column
+      and the right moves the n - l positions right of it in its row; no
+      filled position is an arc, since each row and column holds one.  Two
+      arcs (i, l), (j, k) with i < j share exactly one filled position,
+      (i, k), when l < k, and none when they nest (k < l).  So the class has
+      q**e members with e = sum over arcs (i - 1 + n - l) - #{arc pairs
+      (i, l), (j, k): i < j, l < k}.
+    * Coranks.  (A_eta)_((i,j),(j,l)) = eta_il for each arc (i, l) and
+      i < j < l, and distinct arcs take distinct rows (their starts) and
+      columns (their ends), so A_eta is monomial of rank sum over arcs
+      (l - i - 1).
+    * Irreducibility.  The co-orbit moves add t * row a to row b (a < b)
+      right of column b, and t * column b to column a above row a.  They
+      fill the l - i - 1 positions below an arc (i, l) in its column and the
+      l - i - 1 left of it in its row, and two arcs (i, l), (j, k) share one
+      of them, (j, l), exactly when they cross: i < j < l < k.  So the
+      co-orbit has q**(2 corank - crossings) members, and <chi^eta,
+      chi^eta> = q**(2 corank) / |U eta U| (see :mod:`.table`) is 1 iff no
+      two arcs cross: :func:`full_un_irreducible`.
+    * Values, the paper's U_n corollary.  chi^eta(x_phi) = 0 iff an arc of
+      phi starts with a longer arc of eta, (i, j) against (i, l) with
+      j < l, or ends with an arc of eta that starts before it, (j, k)
+      against (i, k) with i < j; each leaves a nonzero entry of b or a.
+      Otherwise it is q**(corank - nested) * zeta**trace(eta . phi), where
+      nested counts the pairs of an eta arc (i, l) and a phi arc (j, k)
+      with i < j and k < l.
+
+    :func:`un_arc_counts` reads the first three rules off the arcs; the
+    tests hold all four to the sweep, the oracle and the mesh evaluator.
+    Here, with S the 0/1 arc supports, the zero test is S_eta Z S_phi^T > 0
+    and the q-exponent S_eta (w - N S_phi^T), with Z and N the (d, d)
+    relations of the value rule and w_(i,l) = l - i - 1; the phi side is
+    multiplied out once.  The zeta-exponent is one mod-p product of the
+    eta digits with the phi digits times the trace form, as in the oracle."""
+    F, d = G.field, G.d
+    r = F.r
+    etas = np.asarray(etas, dtype=np.int64).reshape(len(etas), d)
+    phis = np.asarray(phis, dtype=np.int64).reshape(len(phis), d)
+    count = len(phis)
+    i, l, j, k = _arcs(G.J)
+    on_phi = (phis != 0).T.astype(np.float32)
+    zero_at = (((i == j) & (k < l)) | ((l == k) & (i < j))).astype(np.float32) @ on_phi
+    exp_at = (l - i - 1) - ((i < j) & (k < l)).astype(np.float32) @ on_phi
+    trace = F.matmul_mod_p(F.p_digits(phis), F.trace_form).reshape(count, d * r).T
+    step = max(1, _ROW_CELLS // max(1, count))
+    for start in range(0, len(etas), step):
+        chunk = etas[start : start + step]
+        on = (chunk != 0).astype(np.float32)
+        zero, q_exp, zeta_exp = value_arrays((len(chunk), count), d, F.p)
+        zero[:] = on @ zero_at > 0
+        exp = np.where(zero, 0, on @ exp_at)
+        if (exp < 0).any():
+            raise InternalInvariantViolation("negative exponent in the monomial formula")
+        q_exp[:] = exp
+        zeta_exp[:] = np.where(zero, 0, F.matmul_mod_p(F.p_digits(chunk).reshape(len(chunk), d * r), trace))
+        yield start, (zero, q_exp, zeta_exp)
+
+
+# ---------------------------------------------------------------------------
 # closed-form specializations
 
 
@@ -435,36 +563,15 @@ def value_heisenberg(G: PatternGroup, eta, phi) -> CharValue:
 
 
 def value_un(G: PatternGroup, eta, phi) -> CharValue:
-    """chi^eta(x_phi) on the full triangular group, for monomial representatives.
-
-    Meshing reduces to two support conditions, and the q-exponent counts, for
-    each (i, l) in supp(eta), the interior positions i < j < k < l minus the
-    support of phi strictly inside that interval.
-    """
+    """chi^eta(x_phi) on the full triangular group, for monomial
+    representatives: the one-cell case of :func:`un_value_chunks`."""
     if not G.J.is_full_triangular():
         raise ShapeMismatch("closed set is not the full triangular position set")
+    eta, phi = G._functional(eta), G._functional(phi)
     if not is_monomial(G.J, eta) or not is_monomial(G.J, phi):
         raise NonMonomialRepresentative("representatives must be monomial in rows and columns")
-    F = G.field
-    supp_eta = support(G.J, eta)
-    supp_phi = support(G.J, phi)
-    # In a shared row, eta must sit weakly left of phi; in a shared column,
-    # weakly below: each strict violation leaves a nonzero entry in b or a.
-    for i, j in supp_phi:
-        for ii, l in supp_eta:
-            if i == ii and j < l:
-                return CharValue.zero()
-    for j, k in supp_phi:
-        for i, kk in supp_eta:
-            if k == kk and i < j:
-                return CharValue.zero()
-    exponent = 0
-    for i, l in supp_eta:
-        exponent += l - i - 1
-        exponent -= sum(1 for j, k in supp_phi if i < j and k < l)
-    if exponent < 0:
-        raise InternalInvariantViolation("negative exponent in the monomial formula")
-    return CharValue.of(exponent, F.trace(F.dot(phi, eta)), F.p)
+    _, ((zero,), (q_exp,), (zeta_exp,)) = next(un_value_chunks(G, [eta], [phi]))
+    return CharValue.zero() if zero[0] else CharValue.of(int(q_exp[0]), int(zeta_exp[0]), G.field.p)
 
 
 def value_no4chain(G: PatternGroup, eta, phi) -> CharValue:

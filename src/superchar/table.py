@@ -9,6 +9,14 @@ stream one by one.  The JSON layout is fixed and emitted with deterministic
 key order; CSV renders values as ``q^m*z^k`` strings; the pretty format
 renders plain integers whenever p = 2 (where zeta_2 = -1 makes every value a
 signed power of q).
+
+Tables are built one of two ways.  Any algebra group is partitioned by the
+orbit sweep of :mod:`.core` and evaluated by the batched evaluator of
+:mod:`.formula`; the full triangular U_n lists its monomials, the least
+members of its superclasses and co-orbits alike, and counts sizes, coranks,
+irreducibility and values off their arcs, with no sweep.  Both write the
+same bytes.  Labels render their "i,j" keys once per table and each field
+literal once per value.
 """
 
 from __future__ import annotations
@@ -20,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PatternGroup, StructureAlgebra
+from .core import PatternGroup, StructureAlgebra, sweep_size
 from .errors import InternalInvariantViolation, SpecMismatch
-from .formula import value_arrays, value_chunks
+from .formula import un_arc_counts, un_monomials, un_value_chunks, value_arrays, value_chunks
 from .gf import CharValue, Fq
 from .poset import format_field_literal
 
@@ -200,22 +208,73 @@ class SuperTable:
         return out.getvalue()
 
 
-def _pattern_rep_obj(G: PatternGroup, f) -> dict:
-    return {
-        f"{i},{j}": format_field_literal(G.field, v)
-        for (i, j), v in zip(G.J.order, f)
-        if v
-    }
+class _Literals(dict):
+    """Field literals by element code, each rendered on first use."""
+
+    def __init__(self, field: Fq):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, v: int) -> str:
+        self[v] = literal = format_field_literal(self.field, v)
+        return literal
 
 
-def _algebra_rep_obj(alg: StructureAlgebra, f) -> dict:
-    return {"coords": [format_field_literal(alg.field, v) for v in f]}
+def _pattern_rep_obj(G: PatternGroup):
+    """The JSON rep object of a functional of ``G``, as a function: its
+    nonzero entries under the "i,j" keys, which are built once."""
+    keys, literals = [f"{i},{j}" for i, j in G.J.order], _Literals(G.field)
+    return lambda f: {key: literals[v] for key, v in zip(keys, f) if v}
 
 
-def _build_table(kind: str, source, meta: dict, cap, rep_obj) -> SuperTable:
-    """Partition ``source``, then fill the value arrays a chunk of rows at a
-    time from ``value_chunks`` over the digits of every class
-    representative."""
+def _algebra_rep_obj(alg: StructureAlgebra):
+    """The JSON rep object of a functional of ``alg``, as a function."""
+    literals = _Literals(alg.field)
+    return lambda f: {"coords": [literals[v] for v in f]}
+
+
+def _head(source) -> tuple:
+    """(kind, meta, rep_obj) of the table of ``source``."""
+    F = source.field
+    field = {"q": F.q, "p": F.p}
+    if F.r > 1:
+        field["modulus"] = list(F.modulus)
+    if isinstance(source, PatternGroup):
+        J = source.J
+        return "pattern", {"n": J.n, **field, "J": [[i, j] for i, j in J.order]}, _pattern_rep_obj(source)
+    constants = [
+        [i + 1, j + 1, k + 1, format_field_literal(F, v)]
+        for (i, j) in sorted(source.constants)
+        for k, v in sorted(source.constants[(i, j)].items())
+    ]
+    return "algebra", {"d": source.d, **field, "constants": constants}, _algebra_rep_obj(source)
+
+
+def _table(source, class_reps, sizes, char_reps, coranks, irreducible, values) -> SuperTable:
+    """The table of ``source`` from its class and character representatives
+    (one list, rendered once, when they are the same list), the class
+    sizes, the character coranks and irreducibility flags, and the value
+    arrays."""
+    kind, meta, rep_obj = _head(source)
+    classes = [rep_obj(rep) for rep in class_reps]
+    chars = classes if char_reps is class_reps else [rep_obj(rep) for rep in char_reps]
+    q = source.field.q
+    return SuperTable(
+        kind,
+        meta,
+        [{"rep": rep, "size": size} for rep, size in zip(classes, sizes)],
+        [
+            {"rep": rep, "corank": c, "degree": q**c, "irreducible": irr}
+            for rep, c, irr in zip(chars, coranks, irreducible)
+        ],
+        *values,
+    )
+
+
+def _build_table(source, cap: int | None = None) -> SuperTable:
+    """The table of any algebra group: partition ``source`` by the sweep,
+    then fill the value arrays a chunk of rows at a time from
+    ``value_chunks`` over the digits of every class representative."""
     classes = source.all_orbit_reps(cap)
     chars = source.all_coorbit_reps(cap)
     if len(classes) != len(chars):
@@ -223,51 +282,50 @@ def _build_table(kind: str, source, meta: dict, cap, rep_obj) -> SuperTable:
     if classes and any(classes[0].rep):
         raise InternalInvariantViolation("identity superclass is not in column 0")
     digits = np.array([o.rep for o in classes], dtype=np.int64).reshape(len(classes), source.dim)
-    q = source.field.q
     values = value_arrays((len(chars), len(classes)), source.dim, source.field.p)
-    entries = []
+    coranks = []
     for start, evaluators, block in value_chunks(source, [o.rep for o in chars], digits):
         for arr, rows in zip(values, block):
             arr[start : start + len(rows)] = rows
-        # chi^eta = (|eta U| / |U eta U|) * sum of theta o mu over the co-orbit
-        # U eta U, and the theta o mu are orthonormal, so <chi^eta, chi^eta> =
-        # |eta U|**2 / |U eta U| with |eta U| = q**rank(A_eta) = q**corank:
-        # chi^eta is irreducible iff its co-orbit has q**(2 * corank) members.
-        entries += [
-            {
-                "rep": rep_obj(eta),
-                "corank": corank,
-                "degree": q**corank,
-                "irreducible": ch.size == q ** (2 * corank),
-            }
-            for eta, corank, ch in zip(evaluators.etas.tolist(), evaluators.coranks.tolist(), chars[start:])
-        ]
-    return SuperTable(
-        kind,
-        meta,
-        [{"rep": rep_obj(o.rep), "size": o.size} for o in classes],
-        entries,
-        *values,
+        coranks += evaluators.coranks.tolist()
+    # chi^eta = (|eta U| / |U eta U|) * sum of theta o mu over the co-orbit
+    # U eta U, and the theta o mu are orthonormal, so <chi^eta, chi^eta> =
+    # |eta U|**2 / |U eta U| with |eta U| = q**rank(A_eta) = q**corank:
+    # chi^eta is irreducible iff its co-orbit has q**(2 * corank) members.
+    q = source.field.q
+    irreducible = [o.size == q ** (2 * c) for o, c in zip(chars, coranks)]
+    return _table(
+        source,
+        [o.rep for o in classes],
+        [o.size for o in classes],
+        [o.rep for o in chars],
+        coranks,
+        irreducible,
+        values,
     )
 
 
-def _field_meta(F: Fq) -> dict:
-    meta = {"q": F.q, "p": F.p}
-    if F.r > 1:
-        meta["modulus"] = list(F.modulus)
-    return meta
+def _build_un_table(G: PatternGroup, cap: int | None = None) -> SuperTable:
+    """The table of U_n with no sweep and no evaluator: the monomials are
+    the classes and the characters, in the sweep's order, and sizes,
+    coranks, irreducibility and values are counted off their arcs
+    (:func:`~superchar.formula.un_value_chunks`).  The cap is the sweep's."""
+    sweep_size(G.field, G.d, cap)
+    monomials = un_monomials(G)
+    e, coranks, irreducible = un_arc_counts(G, monomials)
+    values = value_arrays((len(monomials),) * 2, G.d, G.field.p)
+    for start, block in un_value_chunks(G, monomials, monomials):
+        for arr, rows in zip(values, block):
+            arr[start : start + len(rows)] = rows
+    reps, q = monomials.tolist(), G.field.q
+    return _table(G, reps, [q**k for k in e.tolist()], reps, coranks.tolist(), irreducible.tolist(), values)
 
 
 def build_pattern_table(G: PatternGroup, cap: int | None = None) -> SuperTable:
-    meta = {"n": G.J.n, **_field_meta(G.field), "J": [[i, j] for i, j in G.J.order]}
-    return _build_table("pattern", G, meta, cap, lambda f: _pattern_rep_obj(G, f))
+    """The table of U_J; for the full triangular J, by its monomials."""
+    build = _build_un_table if G.J.is_full_triangular() else _build_table
+    return build(G, cap)
 
 
 def build_algebra_table(alg: StructureAlgebra, cap: int | None = None) -> SuperTable:
-    constants = [
-        [i + 1, j + 1, k + 1, format_field_literal(alg.field, v)]
-        for (i, j) in sorted(alg.constants)
-        for k, v in sorted(alg.constants[(i, j)].items())
-    ]
-    meta = {"d": alg.d, **_field_meta(alg.field), "constants": constants}
-    return _build_table("algebra", alg, meta, cap, lambda f: _algebra_rep_obj(alg, f))
+    return _build_table(alg, cap)

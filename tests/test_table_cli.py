@@ -11,11 +11,12 @@ from superchar.algebra import emit_algebra_spec
 from superchar.catalog import full_triangular, semidirect_algebra, sixteen_group
 from superchar.core import DEFAULT_ENUM_CAP
 from superchar.core import PatternGroup, StructureAlgebra
-from superchar import formula, gf
+from superchar import core, formula, gf, table
 from superchar.cli import _load, main
 from superchar.errors import SpecMismatch
-from superchar.formula import CharacterEvaluator
+from superchar.formula import CharacterEvaluator, un_monomials
 from superchar.gf import CharValue, Fq
+from superchar.oracle import Oracle, charvalue_coeff_rows
 from superchar.poset import emit_spec, validate_closed
 from superchar.table import SuperTable, build_algebra_table, build_pattern_table
 
@@ -88,18 +89,56 @@ def test_values_view_matches_the_scalar_evaluator(name):
 
 def test_table_builds_a_eta_once_per_character(monkeypatch):
     """Each character enters exactly one batched setup, which builds A_eta
-    and the corank for the whole chunk: no per-character A_eta or rank."""
+    and the corank for the whole chunk: no per-character A_eta or rank.
+    That is the general builder; the U_n table sets up no evaluator and
+    sweeps nothing."""
     G = PatternGroup(full_triangular(6), Fq.of(2))
     monkeypatch.setattr(formula, "_ROW_CELLS", 50 * 203)  # 50 characters a chunk
-    setups, calls, rrefs = [], [], []
+    setups, calls, rrefs, sweeps = [], [], [], []
     setup, eta_matrix, rref = CharacterEvaluator._setup, StructureAlgebra._eta_matrix, gf._rref
+    sweep = core.orbit_partition_from_moves
     monkeypatch.setattr(CharacterEvaluator, "_setup", lambda self, source, etas: setups.append(list(etas)) or setup(self, source, etas))
     monkeypatch.setattr(StructureAlgebra, "_eta_matrix", lambda self, eta: calls.append(eta) or eta_matrix(self, eta))
     monkeypatch.setattr(gf, "_rref", lambda *args: rrefs.append(args) or rref(*args))
-    tab = build_pattern_table(G)
+    monkeypatch.setattr(core, "orbit_partition_from_moves", lambda *args: sweeps.append(args) or sweep(*args))
+    un_tab = build_pattern_table(G)
+    assert not setups and not sweeps
+    tab = table._build_table(G)
     assert len(tab.chars) == 203 and [len(etas) for etas in setups] == [50, 50, 50, 50, 3]
     assert sum(setups, []) == [o.rep for o in G.all_coorbit_reps()]
     assert not calls and not rrefs
+    assert un_tab == tab
+
+
+UN_GROUPS = [(3, q) for q in (2, 3, 4, 5, 8, 9, 16, 27)] + [(4, q) for q in (2, 3, 4, 5, 8)] + [(5, 2), (5, 3), (6, 2)]
+
+
+@pytest.mark.parametrize("n, q", UN_GROUPS, ids=[f"U{n}({q})" for n, q in UN_GROUPS])
+def test_un_table_equals_the_swept_table(n, q):
+    """The monomial U_n table against the general builder: the sweep's
+    classes and sizes, the evaluator's coranks and values, the co-orbit
+    sizes' irreducibility flags, and the bytes of every format."""
+    G = PatternGroup(full_triangular(n), Fq.of(q))
+    un, swept = build_pattern_table(G), table._build_table(G)
+    assert [c["size"] for c in un.classes] == [c["size"] for c in swept.classes]
+    assert un == swept
+    for fmt in ("json", "csv", "pretty"):
+        assert un.render(fmt) == swept.render(fmt), fmt
+
+
+@pytest.mark.parametrize("n, q", [(4, 3), (3, 4)])
+def test_un_table_matches_the_oracle(n, q):
+    G = PatternGroup(full_triangular(n), Fq.of(q))
+    tab, oracle = build_pattern_table(G), Oracle(G)
+    reps = un_monomials(G)
+    assert [c["size"] for c in tab.classes] == list(oracle.superclass_partition().sizes)
+    rows = charvalue_coeff_rows(G.field.p, q, tab.zero, tab.q_exp, tab.zeta_exp)
+    assert np.array_equal(oracle.value_rows(reps, reps), rows)
+
+
+def test_un_table_keeps_the_sweep_cap(capsys):
+    code, out, err = _run(capsys, "table", str(DATA / "full_u4_q3.txt"), "--cap", "728")
+    assert (code, out, err) == (2, "", "error: 729 functionals to sweep exceed the cap of 728\n")
 
 
 def test_value_arrays_are_sized_by_the_field():
