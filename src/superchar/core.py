@@ -90,6 +90,32 @@ def _digits_to_codes(digits, q: int) -> np.ndarray:
     return np.asarray(digits, dtype=np.int64) @ q ** np.arange(np.shape(digits)[-1] - 1, -1, -1)
 
 
+def _check_functional(field: Fq, dim: int, f) -> tuple:
+    """``f`` as a tuple; SpecMismatch unless it lies in F_q**dim.  The one
+    scalar check of a functional, by ``min`` and ``max``: the per-cell
+    paths call it once per cell."""
+    f, q = tuple(f), field.q
+    if len(f) != dim:
+        raise SpecMismatch(f"functional of length {len(f)} for dimension {dim}")
+    if f and (min(f) < 0 or max(f) >= q):
+        raise SpecMismatch(f"functional {f} is not in F_{q}^{dim}")
+    return f
+
+
+def _check_functionals(field: Fq, dim: int, fs) -> np.ndarray:
+    """``fs`` as a (count, dim) int64 array; SpecMismatch unless each lies in
+    F_q**dim, with the message of :func:`_check_functional` for the first
+    that does not.  The one array check of functionals and digit blocks."""
+    try:
+        arr = np.array(fs, dtype=np.int64).reshape(len(fs), dim)
+    except (ValueError, TypeError, OverflowError):  # ragged, of the wrong length, or huge
+        arr = None
+    if arr is None or ((arr < 0) | (arr >= field.q)).any():
+        for f in fs:
+            _check_functional(field, dim, np.ravel(f).tolist())
+    return arr
+
+
 class OrbitPartition:
     """The orbit decomposition of the full functional space F_q**dim."""
 
@@ -106,7 +132,7 @@ class OrbitPartition:
         return len(self.reps)
 
     def code(self, f) -> int:
-        return int(_digits_to_codes(f, self.field.q))
+        return int(_digits_to_codes(_check_functional(self.field, self.dim, f), self.field.q))
 
     def decode(self, code: int) -> tuple[int, ...]:
         return tuple(_codes_to_digits(code, self.field.q, self.dim)[0].tolist())
@@ -114,15 +140,8 @@ class OrbitPartition:
     def classes_of(self, fs) -> np.ndarray:
         """The class index of every functional in ``fs``, by one label lookup;
         SpecMismatch unless each lies in F_q**dim."""
-        q, dim = self.field.q, self.dim
-        try:
-            arr = np.array(fs, dtype=np.int64).reshape(len(fs), dim)
-        except (ValueError, OverflowError):  # ragged, of the wrong length, or huge
-            arr = None
-        if arr is None or ((arr < 0) | (arr >= q)).any():
-            bad = next(f for f in fs if len(f) != dim or not all(0 <= v < q for v in f))
-            raise SpecMismatch(f"functional {tuple(bad)} is not in F_{q}^{dim}")
-        return np.searchsorted(self._rep_codes, self._labels[_digits_to_codes(arr, q)])
+        arr = _check_functionals(self.field, self.dim, fs)
+        return np.searchsorted(self._rep_codes, self._labels[_digits_to_codes(arr, self.field.q)])
 
     def class_of(self, f) -> int:
         """The index of f's class; SpecMismatch unless f lies in F_q**dim."""
@@ -275,27 +294,17 @@ class StructureAlgebra:
         self._moves = None
         self._blocks = None
 
-    def _vec(self, f) -> Vec:
-        """``f`` as a tuple; SpecMismatch unless it has one coordinate per basis element."""
-        f = tuple(f)
-        if len(f) != self.d:
-            raise SpecMismatch(f"functional of length {len(f)} for dimension {self.d}")
-        return f
-
     def _functional(self, f) -> Vec:
-        """``f`` as a tuple; SpecMismatch unless it lies in F_q**d.  The range
-        check stays out of ``_vec``, which ``product`` calls in loops."""
-        f, q = self._vec(f), self.field.q
-        if f and (min(f) < 0 or max(f) >= q):
-            raise SpecMismatch(f"functional {f} is not in F_{q}^{self.d}")
-        return f
+        """``f`` as a tuple by the scalar check: SpecMismatch unless it lies
+        in F_q**d.  Every method that takes a functional calls it."""
+        return _check_functional(self.field, self.d, f)
 
     # -- the algebra product and the group ---------------------------------
 
     def product(self, u, v) -> Vec:
         """Coordinates of X_u * X_v."""
         F = self.field
-        u, v = self._vec(u), self._vec(v)
+        u, v = self._functional(u), self._functional(v)
         out = [0] * self.d
         for (i, j), row in self.constants.items():
             a = u[i]
@@ -311,12 +320,13 @@ class StructureAlgebra:
 
     def multiply(self, x, y) -> Vec:
         """Group product of x = 1 + X and y = 1 + Y."""
-        return self._plus(self._plus(x, y), self.product(x, y))
+        xy = self.product(x, y)  # checks x and y before they are added
+        return self._plus(self._plus(x, y), xy)
 
     def inverse(self, x) -> Vec:
         """(1 + X)**-1 = 1 - X + X**2 - ...; the series stops by nilpotency."""
         F = self.field
-        x = self._vec(x)
+        x = self._functional(x)
         out = [0] * self.d
         term = x
         sign = -1
@@ -398,7 +408,7 @@ class StructureAlgebra:
         """x_tau**-1 * lambda_eta * x_rho**-1 on the dual space: its value at
         X_k is lambda_eta(x_tau X_k x_rho)."""
         F = self.field
-        eta = self._vec(eta)
+        tau, eta, rho = map(self._functional, (tau, eta, rho))
         return tuple(
             F.dot(eta, self.act_two_sided(tau, self._basis_vec(k), rho)) for k in range(self.d)
         )
@@ -407,7 +417,7 @@ class StructureAlgebra:
 
     def _phi_matrix(self, phi, left: bool) -> FqMatrix:
         F = self.field
-        phi = self._vec(phi)
+        phi = self._functional(phi)
         rows = [[0] * self.d for _ in range(self.d)]
         for (i, j), row in self.constants.items():
             col, v = (i, phi[j]) if left else (j, phi[i])
@@ -427,7 +437,7 @@ class StructureAlgebra:
     def _eta_matrix(self, eta):
         """A_eta as dense rows: (A_eta)_ij = sum_k c_ij^k eta_k."""
         F = self.field
-        eta = self._vec(eta)
+        eta = self._functional(eta)
         A = [[0] * self.d for _ in range(self.d)]
         for (i, j), row in self.constants.items():
             acc = 0
@@ -557,11 +567,12 @@ class StructureAlgebra:
         return self._moves[kind]
 
     def _orbit(self, f, kinds, cap) -> Orbit:
+        f = self._functional(f)
         cap = DEFAULT_ENUM_CAP if cap is None else cap
         if self.order() > cap:
             raise SizeCapExceeded(self.order(), cap, "functionals to search")
         moves = sum((self._move_set(kind) for kind in kinds), ())
-        members = _bfs(self.field, self._vec(f), moves)
+        members = _bfs(self.field, f, moves)
         return Orbit(min(members), len(members), frozenset(members))
 
     def orbit(self, phi, cap: int | None = None) -> Orbit:
@@ -674,8 +685,9 @@ class PatternGroup(StructureAlgebra):
     __slots__ = ("J",)
 
     def __init__(self, J: ClosedSet, field: Fq):
-        constants: dict = {}
-        for ab, bc, ac in J.chain3_idx:
-            constants[(ab, bc)] = {ac: 1}
-        super().__init__(len(J), field, constants)
-        self.J = J
+        # E_ab E_bc = E_ac over a validated closed set: the constants are in
+        # range, associative and strictly upper triangular by construction,
+        # so the checks of StructureAlgebra.__init__ have nothing to find
+        self.J, self.d, self.field = J, len(J), field
+        self.constants = {(ab, bc): {ac: 1} for ab, bc, ac in J.chain3_idx}
+        self._moves = self._blocks = None

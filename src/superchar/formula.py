@@ -71,10 +71,9 @@ from .errors import (
     InternalInvariantViolation,
     NonMonomialRepresentative,
     ShapeMismatch,
-    SpecMismatch,
 )
 from .gf import CharValue, Fq, FqMatrix, _solve_perp, nullspace_basis, rank
-from .core import PatternGroup
+from .core import PatternGroup, _check_functionals
 from .poset import is_monomial, support
 
 
@@ -143,7 +142,7 @@ class CharacterEvaluator:
         F, d = source.field, source.d
         p, r = F.p, F.r
         self.field, self.source = F, source
-        self.etas = etas = _functionals(source, etas)
+        self.etas = etas = _check_functionals(F, d, etas)
         k, place = len(etas), p ** np.arange(r)
         pairs, W = source._constant_blocks()
         A = np.zeros((k, d, d, r), dtype=np.int64)  # digits of A_eta
@@ -257,21 +256,6 @@ class CharacterEvaluator:
         return zero[0], q_exp[0], zeta_exp[0]
 
 
-def _functionals(source, etas) -> np.ndarray:
-    """``etas`` as a (count, d) int64 array; SpecMismatch unless each lies
-    in F_q**d, with the message of the first that does not."""
-    d, q = source.d, source.field.q
-    try:
-        arr = np.array(etas, dtype=np.int64).reshape(len(etas), d)
-    except (ValueError, TypeError, OverflowError):  # ragged, of the wrong length, or huge
-        arr = None
-    if arr is None or ((arr < 0) | (arr >= q)).any():
-        for eta in etas:
-            source._functional(eta)
-        raise SpecMismatch(f"functionals must lie in F_{q}^{d}")
-    return arr
-
-
 _ROW_CELLS = 1 << 16  # cells per chunk of rows in value_chunks
 _CHUNK_ENTRIES = 1 << 15  # entries of the digit product per chunk of characters
 _BATCH_CELLS = 4096  # hard cells per batched elimination
@@ -301,14 +285,8 @@ def value_blocks(evaluators: CharacterEvaluator, digits: np.ndarray):
     ``_CHUNK_ENTRIES`` entries.
     """
     F, dim = evaluators.field, evaluators.source.d
-    digits = np.asarray(digits, dtype=np.int64)
-    if digits.ndim != 2 or digits.shape[-1] != dim:
-        raise SpecMismatch(f"digit block of shape {digits.shape} for functionals of length {dim}")
-    count = len(digits)
-    outside = ((digits < 0) | (digits >= F.q)).any(axis=1)
-    if outside.any():
-        raise SpecMismatch(f"functional {tuple(digits[outside.argmax()].tolist())} is not in F_{F.q}^{dim}")
-    r = F.r
+    digits = _check_functionals(F, dim, digits)
+    count, r = len(digits), F.r
     x = F.p_digits(digits).reshape(count, dim * r)
     out = value_arrays((len(evaluators), count), dim, F.p)
     start = 0
@@ -453,7 +431,7 @@ def un_arc_counts(G: PatternGroup, monomials: np.ndarray):
     has degree q**corank and is irreducible iff no two of its arcs cross
     (the rules of :func:`un_value_chunks`)."""
     i, l, j, k = _arcs(G.J)
-    on = (monomials != 0).astype(np.int64)
+    on = (_check_functionals(G.field, G.d, monomials) != 0).astype(np.int64)
 
     def pairs(relation):
         return ((on @ relation) * on).sum(axis=1)
@@ -515,8 +493,7 @@ def un_value_chunks(G: PatternGroup, etas, phis):
     eta digits with the phi digits times the trace form, as in the oracle."""
     F, d = G.field, G.d
     r = F.r
-    etas = np.asarray(etas, dtype=np.int64).reshape(len(etas), d)
-    phis = np.asarray(phis, dtype=np.int64).reshape(len(phis), d)
+    etas, phis = _check_functionals(F, d, etas), _check_functionals(F, d, phis)
     count = len(phis)
     i, l, j, k = _arcs(G.J)
     on_phi = (phis != 0).T.astype(np.float32)
@@ -554,6 +531,7 @@ def value_heisenberg(G: PatternGroup, eta, phi) -> CharValue:
     the top row and last column, everything indexed by the corner (1, n)."""
     n = _heisenberg_n(G)
     F = G.field
+    eta, phi = G._functional(eta), G._functional(phi)
     corner = G.J.index[(1, n)]
     if eta[corner] == 0:
         return CharValue.of(0, F.trace(F.dot(phi, eta)), F.p)
@@ -623,7 +601,7 @@ def is_irreducible(G: PatternGroup, eta) -> bool:
 def superclass_is_class_sufficient(G: PatternGroup, phi) -> bool:
     """No 4-chain hits supp(phi) at both ends: the superclass of x_phi is then
     a single conjugacy class.  (Sufficient, not necessary.)"""
-    supp = set(support(G.J, phi))
+    supp = set(support(G.J, G._functional(phi)))
     return not any(
         ((i, j) in supp and (k, l) in supp) for i, j, k, l in G.J.chains4
     )
@@ -632,7 +610,7 @@ def superclass_is_class_sufficient(G: PatternGroup, phi) -> bool:
 def irreducible_sufficient(G: PatternGroup, eta) -> bool:
     """No 4-chain (i,j,k,l) with (i,k) and (j,l) in supp(eta): chi^eta is then
     irreducible.  (Sufficient, not necessary.)"""
-    supp = set(support(G.J, eta))
+    supp = set(support(G.J, G._functional(eta)))
     return not any(
         ((i, k) in supp and (j, l) in supp) for i, j, k, l in G.J.chains4
     )
@@ -643,6 +621,6 @@ def full_un_irreducible(G: PatternGroup, eta) -> bool:
     is also necessary."""
     if not G.J.is_full_triangular():
         raise ShapeMismatch("closed set is not the full triangular position set")
-    if not is_monomial(G.J, eta):
+    if not is_monomial(G.J, G._functional(eta)):
         raise NonMonomialRepresentative("eta must be monomial in rows and columns")
     return irreducible_sufficient(G, eta)

@@ -47,7 +47,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .gf import CycInt, Fq
-from .core import OrbitPartition, PatternGroup, _codes_to_digits, _digits_to_codes, orbit_partition_from_moves
+from .core import OrbitPartition, PatternGroup, _check_functionals, _codes_to_digits, _digits_to_codes, orbit_partition_from_moves
 from .formula import value_chunks
 
 DEFAULT_ORACLE_CAP = 1 << 12
@@ -219,7 +219,7 @@ class Oracle:
         if elements is None:
             return self._rows([eta], phi)[:, 0]
         k = self.coorbit_partition().class_of(eta)
-        codes = _digits_to_codes(np.asarray(elements).reshape(-1, self.dim), self.field.q)
+        codes = _digits_to_codes(_check_functionals(self.field, self.dim, elements), self.field.q)
         sizes = np.array([len(codes)])
         return self._orbit_sums(codes, np.zeros(1, dtype=np.int64), sizes, self._right_sizes[[k]], phi)[:, 0]
 
@@ -289,7 +289,7 @@ class Oracle:
         shape (dim * r, count): trace(mu . phi) = sum_k d(mu_k) T d(phi_k)^T
         over the coordinates k, with T the trace form of :class:`~superchar.gf.Fq`."""
         F = self.field
-        digits = np.asarray(class_digits, dtype=np.int64).reshape(len(class_digits), self.dim)
+        digits = _check_functionals(F, self.dim, class_digits)
         return F.matmul_mod_p(F.p_digits(digits), F.trace_form).reshape(len(digits), self.dim * F.r).T
 
     def supercharacter(self, eta) -> dict[tuple, CycInt]:

@@ -24,8 +24,8 @@ from superchar.catalog import (
 )
 from superchar.cli import main
 from superchar.core import PatternGroup
-from superchar.formula import CharacterEvaluator, is_irreducible, value_heisenberg, value_un
-from superchar.gf import Fq, rank
+from superchar.formula import CharacterEvaluator, is_irreducible, value_chunks, value_heisenberg, value_un
+from superchar.gf import CharValue, Fq, rank
 from superchar.oracle import DEFAULT_ORACLE_CAP, Oracle, full_check
 from superchar.poset import functional, support
 
@@ -86,6 +86,15 @@ def _sixteen_chars(alg):
     ]
 
 
+def _table_rows(G, chars, classes):
+    """Each character's row of ``value_chunks`` (what ``superchar table``
+    emits) at the class representatives, as CharValues."""
+    digits = np.array([cl.rep for cl in classes], dtype=np.int64).reshape(len(classes), G.dim)
+    for _, _, (zero, q_exp, zeta_exp) in value_chunks(G, [ch.rep for ch in chars], digits):
+        for row in zip(zero.tolist(), q_exp.tolist(), zeta_exp.tolist()):
+            yield [CharValue.zero() if z else CharValue(m, k, False) for z, m, k in zip(*row)]
+
+
 def test_criterion_03_heisenberg_closed_form():
     started = time.time()
     ok = True
@@ -95,11 +104,11 @@ def test_criterion_03_heisenberg_closed_form():
             G = PatternGroup(heisenberg(n), F)
             chars = G.all_coorbit_reps()
             classes = G.all_orbit_reps()
-            for ch, ev in zip(chars, CharacterEvaluator.batch(G, [ch.rep for ch in chars])):
+            for ch, row in zip(chars, _table_rows(G, chars, classes), strict=True):
                 if not is_irreducible(G, ch.rep):
                     ok = False
-                for cl in classes:
-                    if ev.value(cl.rep) != value_heisenberg(G, ch.rep, cl.rep):
+                for cl, v in zip(classes, row, strict=True):
+                    if v != value_heisenberg(G, ch.rep, cl.rep):
                         ok = False
             # character census: q^(2n-4) linear plus q-1 of degree q^(n-2)
             degrees = sorted(q ** G.corank(ch.rep) for ch in chars)
@@ -221,10 +230,8 @@ def test_criterion_08_value_shape():
             G = PatternGroup(entry.J, F)
             if G.order() > DEFAULT_ORACLE_CAP:
                 continue
-            classes = G.all_orbit_reps()
-            for ev in CharacterEvaluator.batch(G, [ch.rep for ch in G.all_coorbit_reps()]):
-                for cl in classes:
-                    v = ev.value(cl.rep)
+            for row in _table_rows(G, G.all_coorbit_reps(), G.all_orbit_reps()):
+                for v in row:
                     if v.is_zero:
                         continue
                     # nonzero values factor as q^m * zeta_p^k with m >= 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_formula import _sparse_functional, _block_values
+from test_formula import _ENGINE_ARITY, _sparse_functional, _block_values
 
 from superchar.algebra import (
     StructureAlgebra,
@@ -18,19 +18,21 @@ from superchar.algebra import (
     validate_algebra,
 )
 from superchar.catalog import (
+    corpus,
     full_triangular,
+    heisenberg,
     semidirect_algebra,
     sixteen_group,
     sixteen_group_basis,
     SIXTEEN_CLASS_MEMBERS,
     SIXTEEN_CLASS_SIZES,
 )
-from superchar import formula
+from superchar import cli, formula
 from superchar.core import PatternGroup, _bfs
 from superchar.errors import NotAssociative, NotNilpotent, ParseError, SpecMismatch
 from superchar.formula import CharacterEvaluator
 from superchar.gf import CharValue, Fq, FqMatrix, nullspace_basis, rank
-from superchar.poset import validate_closed
+from superchar.poset import emit_spec, validate_closed
 from superchar.table import build_algebra_table
 
 F2 = Fq.of(2)
@@ -87,6 +89,32 @@ def test_non_associative_rejected_where_only_the_right_pair_has_constants():
     with pytest.raises(NotAssociative) as exc:
         validate_algebra(4, F2, {(1, 1): {2: 1}, (0, 2): {3: 1}})
     assert exc.value.indices == (0, 1, 1, 3)
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_pattern_group_constants_pass_both_validators(q):
+    """A PatternGroup sets its chain constants unchecked; both validators
+    accept them on every corpus closed set, U_n and Heisenberg for n <= 7."""
+    F = Fq.of(q)
+    sets = [entry.J for entry in corpus()]
+    sets += [make(n) for make in (full_triangular, heisenberg) for n in range(2, 8)]
+    for J in sets:
+        G = PatternGroup(J, F)
+        assert validate_algebra(len(J), F, G.constants).constants == G.constants
+
+
+def test_only_constants_from_outside_are_validated(monkeypatch, tmp_path):
+    pattern, algebra = tmp_path / "u4.txt", tmp_path / "sixteen.txt"
+    pattern.write_text(emit_spec(full_triangular(4), F3))
+    algebra.write_text(emit_algebra_spec(sixteen_group()))
+    calls = []
+    for name in ("_validate_associative", "_validate_nilpotent"):
+        check = getattr(StructureAlgebra, name)
+        monkeypatch.setattr(StructureAlgebra, name, lambda self, name=name, check=check: calls.append(name) or check(self))
+    assert isinstance(cli._load(str(pattern)), PatternGroup) and calls == []
+    cli._load(str(algebra))
+    StructureAlgebra(2, F3, {})
+    assert calls == ["_validate_associative", "_validate_nilpotent"] * 2
 
 
 def test_sixteen_group_constants_derived_from_matrices():
@@ -277,19 +305,6 @@ def test_non_unit_structure_constants_match_the_dense_reference():
                     assert (zero[e, c], q_exp[e, c], zeta_exp[e, c]) == (False, want.q_exp, want.zeta_exp), (seed, eta, phi)
         checked.add((alg.field.q, alg.d))
     assert len(checked) >= 8  # several fields and dimensions
-
-
-# every public engine method that takes functionals, with its number of them
-_ENGINE_ARITY = {
-    "product": 2, "multiply": 2, "inverse": 1,
-    "act_left": 2, "act_right": 2, "act_two_sided": 3, "coact": 3,
-    "left_action_matrix": 1, "right_action_matrix": 1,
-    "dual_left_action_matrix": 1, "dual_right_action_matrix": 1,
-    "mesh_data": 2, "meshes": 2, "corank": 1, "value": 2, "is_irreducible": 1,
-    "orbit": 1, "orbit_left": 1, "orbit_right": 1,
-    "coorbit": 1, "coorbit_left": 1, "coorbit_right": 1,
-    "one_sided_orbit_sizes": 1, "one_sided_coorbit_size": 1,
-}
 
 
 def test_mismatched_length_raises_on_an_algebra():

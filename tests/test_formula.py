@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -31,6 +31,8 @@ from superchar.formula import (
     irreducible_sufficient,
     is_irreducible,
     superclass_is_class_sufficient,
+    un_arc_counts,
+    un_value_chunks,
     value,
     value_blocks,
     value_heisenberg,
@@ -46,6 +48,7 @@ from superchar.gf import (
     rank,
     solve,
 )
+from superchar.oracle import Oracle
 from superchar.poset import functional, support, validate_closed
 from superchar.table import build_pattern_table
 
@@ -209,26 +212,75 @@ def test_value_blocks_match_value_block_and_the_scalar_value(name, small_batches
         assert any(len(sizes) > 1 for sizes in batches[: len(etas)])
 
 
+# every public engine method that takes functionals, with its number of them
+_ENGINE_ARITY = {
+    "product": 2, "multiply": 2, "inverse": 1,
+    "act_left": 2, "act_right": 2, "act_two_sided": 3, "coact": 3,
+    "left_action_matrix": 1, "right_action_matrix": 1,
+    "dual_left_action_matrix": 1, "dual_right_action_matrix": 1,
+    "mesh_data": 2, "meshes": 2, "corank": 1, "value": 2, "is_irreducible": 1,
+    "orbit": 1, "orbit_left": 1, "orbit_right": 1,
+    "coorbit": 1, "coorbit_left": 1, "coorbit_right": 1,
+    "one_sided_orbit_sizes": 1, "one_sided_coorbit_size": 1,
+}
+
+
 @pytest.mark.parametrize("bad", (3, -1))
 @pytest.mark.parametrize("source", [PatternGroup(full_triangular(4), F3), semidirect_algebra(5, F3)], ids=("U4", "semidirect5"))
 def test_an_entry_outside_the_field_is_a_spec_mismatch(source, bad):
     # over F_3 an entry 3 or -1 once read as 0 or 2 (or raised IndexError)
-    eta = (0,) * (source.dim - 1) + (1,)
+    eta, zero = (0,) * (source.dim - 1) + (1,), source.zero()
     ev = CharacterEvaluator(source, eta)
+    partition, oracle = source.orbit_partition(), Oracle(source)
+    digits = np.array([zero, eta])
     for k in range(source.dim):
         f = tuple(bad if i == k else 0 for i in range(source.dim))
-        for call in (
-            lambda: value_blocks(ev, np.array([source.zero(), f])),
+        calls = [
+            lambda: value_blocks(ev, np.array([zero, f])),
             lambda: ev.value_block(np.array([f])),
             lambda: ev.value(f),
             lambda: CharacterEvaluator(source, f),
-            lambda: source.mesh_data(f, eta),
-            lambda: source.mesh_data(eta, f),
-            lambda: source.meshes(f, eta),
-            lambda: source.value(eta, f),
-            lambda: source.value(f, eta),
-        ):
+            lambda: partition.class_of(f),
+            lambda: partition.classes_of([zero, f]),
+            lambda: partition.code(f),
+            lambda: oracle.value_rows([eta], np.array([zero, f])),
+            lambda: oracle.value_rows([zero, f], digits),
+            lambda: oracle.value_row(eta, np.array([f])),
+            lambda: oracle.value_row(f, digits),
+            lambda: oracle.value_row(eta, digits, elements=np.array([eta, f])),
+        ]
+        for name, arity in _ENGINE_ARITY.items():
+            for slot in range(arity):
+                args = [zero] * arity
+                args[slot] = f
+                calls.append(partial(getattr(source, name), *args))
+        if isinstance(source, PatternGroup):  # the pattern-group formulas, on U_4
+            one = (degree, full_un_irreducible, irreducible_sufficient, superclass_is_class_sufficient)
+            calls += [partial(fn, source, f) for fn in one]
+            calls += [partial(fn, source, *pair) for fn in (value, value_un) for pair in ((f, zero), (zero, f))]
+            calls += [
+                lambda: un_arc_counts(source, np.array([f])),
+                lambda: next(un_value_chunks(source, [f], [zero])),
+                lambda: next(un_value_chunks(source, [zero], [f])),
+            ]
+        for call in calls:
             with pytest.raises(SpecMismatch, match="is not in F_3"):
+                call()
+    H = PatternGroup(heisenberg(3), F3)
+    for pair in (((bad, 0, 0), H.zero()), (H.zero(), (0, bad, 0))):
+        with pytest.raises(SpecMismatch, match="is not in F_3"):
+            value_heisenberg(H, *pair)
+    # a block of the wrong length is a spec mismatch too, not a ValueError
+    for width in (source.dim - 1, source.dim + 1):
+        block = np.zeros((2, width), dtype=np.int64)
+        for call in (
+            lambda: value_blocks(ev, block),
+            lambda: partition.classes_of(block),
+            lambda: oracle.value_rows([eta], block),
+            lambda: oracle.value_row(eta, block),
+            lambda: oracle.value_row(eta, digits, elements=block),
+        ):
+            with pytest.raises(SpecMismatch, match=f"functional of length {width} for dimension {source.dim}"):
                 call()
 
 

@@ -479,10 +479,12 @@ def test_constancy_check_reads_the_last_block(monkeypatch):
 
 
 # the oracle's whole share of core: its orbit-sweep plumbing, the pattern
-# group type it reads J off, and the conversion between functionals and codes
+# group type it reads J off, the conversion between functionals and codes,
+# and the one array check of functionals (input validation, no arithmetic)
 _ORACLE_CORE_IMPORTS = {
     "OrbitPartition",
     "PatternGroup",
+    "_check_functionals",
     "_codes_to_digits",
     "_digits_to_codes",
     "orbit_partition_from_moves",

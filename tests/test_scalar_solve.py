@@ -1,4 +1,5 @@
-"""The scalar mesh solve lives in one place: gf's one row reduction."""
+"""One place per job: the scalar mesh solve is gf's one row reduction, and
+the check of a functional is core's one scalar and one array check."""
 
 import ast
 from pathlib import Path
@@ -91,3 +92,52 @@ def test_one_row_reduction_per_meshed_cell(q, monkeypatch):
     assert calls == 1 and meshed and b0 == (0,) * len(phi)
     calls, ev_value = count(lambda: ev.value(phi))
     assert calls == 1 and ev_value == value
+
+
+def _functions(tree):
+    """Every function of a module by its dotted name, methods under their class."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            out.update((f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef))
+    return out
+
+
+def _order_tests_against_q(node):
+    """Every <, <=, > or >= in ``node`` with ``q`` or ``<x>.q`` as an operand."""
+
+    def is_q(o):
+        return isinstance(o, ast.Name) and o.id == "q" or isinstance(o, ast.Attribute) and o.attr == "q"
+
+    return [
+        n
+        for n in ast.walk(node)
+        if isinstance(n, ast.Compare)
+        and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in n.ops)
+        and any(map(is_q, (n.left, *n.comparators)))
+    ]
+
+
+def test_one_scalar_and_one_array_check_of_a_functional():
+    """core decides whether a functional lies in F_q**d: its scalar check
+    backs StructureAlgebra._functional, and every array path calls its
+    array check.  No other module tests entries against q; gf, which holds
+    no functionals, tests q itself and single field elements."""
+    core, formula, oracle = (_functions(_tree(name)) for name in ("core.py", "formula.py", "oracle.py"))
+    assert "_functionals" not in formula
+    assert "_vec" not in _names(_tree("core.py"))
+    assert "_check_functional" in _names(core["StructureAlgebra._functional"])
+    for functions, name in (
+        (formula, "CharacterEvaluator._setup"),
+        (formula, "value_blocks"),
+        (formula, "un_value_chunks"),
+        (core, "OrbitPartition.classes_of"),
+        (oracle, "Oracle._phi_digits"),
+    ):
+        assert "_check_functionals" in _names(functions[name]), name
+    assert {name for name, f in core.items() if _order_tests_against_q(f)} == {"_check_functional", "_check_functionals"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name not in ("core.py", "gf.py"):
+            assert not _order_tests_against_q(_tree(path.name)), path.name
