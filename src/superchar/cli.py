@@ -10,6 +10,7 @@ All configuration is flags and files; no environment variables.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -133,7 +134,9 @@ def cmd_check(args) -> int:
     return 3
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it holds no state of a call."""
     parser = argparse.ArgumentParser(
         prog="superchar",
         description="Supercharacter tables of pattern groups and algebra groups, exactly.",
@@ -171,8 +174,11 @@ def main(argv=None) -> int:
     p.add_argument("path")
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(func=cmd_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SizeCapExceeded as exc:

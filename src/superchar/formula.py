@@ -63,7 +63,7 @@ below are independent references the tests compare against.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -74,7 +74,7 @@ from .errors import (
 )
 from .gf import CharValue, Fq, FqMatrix, _solve_perp, nullspace_basis, rank
 from .core import PatternGroup, _check_functionals
-from .poset import is_monomial, support
+from .poset import ClosedSet, is_monomial, support
 
 
 def value(G: PatternGroup, eta, phi) -> CharValue:
@@ -518,10 +518,12 @@ def un_value_chunks(G: PatternGroup, etas, phis):
 # closed-form specializations
 
 
-def _heisenberg_n(G: PatternGroup) -> int:
-    n = G.J.n
+@cache
+def _heisenberg_n(J: ClosedSet) -> int:
+    """n for the Heisenberg pattern on n points, checked once per closed set."""
+    n = J.n
     expected = {(1, j) for j in range(2, n + 1)} | {(i, n) for i in range(2, n)}
-    if G.J.pairs != frozenset(expected):
+    if J.pairs != frozenset(expected):
         raise ShapeMismatch("closed set is not the Heisenberg pattern (top row and last column)")
     return n
 
@@ -529,7 +531,7 @@ def _heisenberg_n(G: PatternGroup) -> int:
 def value_heisenberg(G: PatternGroup, eta, phi) -> CharValue:
     """chi^eta(x_phi) for the Heisenberg pattern: nonzero entries confined to
     the top row and last column, everything indexed by the corner (1, n)."""
-    n = _heisenberg_n(G)
+    n = _heisenberg_n(G.J)
     F = G.field
     eta, phi = G._functional(eta), G._functional(phi)
     corner = G.J.index[(1, n)]

@@ -19,18 +19,28 @@ The supercharacter of eta is the scaled orbit sum
                      * sum over mu in the two-sided co-orbit of theta(mu . phi)
 
 with the scaling division performed exactly (and loudly checked).  Many
-characters are summed at once: co-orbits of equal size m share blocks, each
-one mod-p product of the members' base-p digits against the representatives'
-(times the trace form), counted per residue along the m axis.  A block
-holds at most ``_BLOCK_CELLS`` member x class cells; a larger co-orbit is
-split along its members.  The result and the residue counts hold p
-coefficients per cell, so one call holds at most ``_COEFF_CELLS``
-coefficients (SizeCapExceeded beyond), and callers take the characters in
-chunks of at most ``_BLOCK_CELLS`` cells and that many coefficients.
+characters are summed at once.  trace(mu . phi) is F_p-linear in the base-p
+digits of the code of mu, so those digits split into runs and, per run, a
+table holds the residue of every digit combination against every
+representative: the fewest runs, at least two, whose tables hold at most
+``_COEFF_CELLS`` entries each, built by additions once per call.  The
+residues of a block of members are then one row gather per run, added in
+the narrowest unsigned dtype and folded back below p by
+minimum(res, res - p), where res - p wraps when res < p.
+Co-orbits of equal size m share blocks, counted per residue along the m
+axis in counters of the narrowest dtype that holds m: by one comparison pass
+per residue when a block holds at least p cells, and by one scatter of its
+cells otherwise.  A block holds at most ``_BLOCK_CELLS`` member x class
+cells; a larger co-orbit is split along its members.  The result and the
+residue counts hold p coefficients per cell, so one call holds at most
+``_COEFF_CELLS`` coefficients (SizeCapExceeded beyond, before the tables are
+built), and callers take the characters in chunks of at most
+``_BLOCK_CELLS`` cells and that many coefficients.
 
-The digits, the trace form and the exact mod-p product are the F_p layer of
-:class:`~superchar.gf.Fq`.  From :mod:`.formula` the oracle takes only the
-values it checks (``value_chunks``), none of its arithmetic.
+The representatives' digit rows come from the F_p layer of
+:class:`~superchar.gf.Fq`: base-p digits, the trace form and one exact mod-p
+product per set of representatives.  From :mod:`.formula` the oracle takes
+only the values it checks (``value_chunks``), none of its arithmetic.
 """
 
 from __future__ import annotations
@@ -236,19 +246,31 @@ class Oracle:
         codes members[starts[i] : starts[i] + m], for each row i, as
         (p-1, rows, count) cyclotomic coefficients.
 
+        The residues (mu . phi) mod p of a block are one row gather per run
+        of digits from :meth:`_residue_tables`, added in the narrowest
+        unsigned dtype that holds 2(p-1) and folded after each addition by
+        minimum(res, res - p), where res - p wraps when res < p.
+
         Rows of equal (m, nright) are summed together, in blocks of at most
         ``_BLOCK_CELLS`` member x class cells; a co-orbit larger than a block
-        is split along its members.  Residues are counted with one scatter
-        of the m residues of each cell when m < p, and with one comparison
-        pass per nonzero residue otherwise.  SizeCapExceeded, before
-        anything is allocated, when p x rows x count passes ``_COEFF_CELLS``.
+        is split along its members.  Residues are counted per cell in
+        counters of the narrowest dtype that holds m, with one comparison
+        pass per nonzero residue when a block holds at least p cells and
+        with one scatter of its cells otherwise, then widened once per row
+        group for the exact scaling.  SizeCapExceeded, before anything is
+        allocated, when p x rows x count passes ``_COEFF_CELLS``: that bound
+        also keeps a table of one digit, p x count entries, within it.
         """
-        F = self.field
-        p = F.p
-        count = phi.shape[1]
+        p = self.field.p
+        n, count = phi.shape
         if p * len(sizes) * count > _COEFF_CELLS:
             raise SizeCapExceeded(p * len(sizes) * count, _COEFF_CELLS, "orbit-sum coefficients")
         out = np.empty((p - 1, len(sizes), count), dtype=np.int64)
+        if not len(sizes):
+            return out
+        (_, low), *higher = self._residue_tables(phi)
+        wrap = low.dtype.type(p)
+
         per_block = max(1, _BLOCK_CELLS // max(1, count))  # members per block
         for m, nr in sorted(set(zip(sizes.tolist(), nright.tolist()))):
             rows = np.flatnonzero((sizes == m) & (nright == nr))
@@ -256,41 +278,77 @@ class Oracle:
             step = per_block // piece  # rows per block
             for i in range(0, len(rows), step):
                 sel = rows[i : i + step]
-                counts = np.zeros((p, len(sel), count), dtype=np.int64)
+                compare = len(sel) * piece * count >= p
+                counts = np.zeros((p, len(sel), count), dtype=np.min_scalar_type(m))
                 for lo in range(0, m, piece):
                     codes = members[starts[sel, None] + np.arange(lo, min(m, lo + piece))]
-                    # (mu . phi) mod p for every member against every representative,
-                    # digit u of coordinate k of mu in column k*r + u
-                    mu = F.p_digits(_codes_to_digits(codes.ravel(), F.q, self.dim))
-                    res = F.matmul_mod_p(mu.reshape(codes.size, -1), phi).reshape(codes.shape + (count,))
-                    if m < p:
-                        cells = np.arange(counts[0].size).reshape(len(sel), 1, count)
-                        np.add.at(counts.reshape(-1), res.astype(np.intp) * counts[0].size + cells, 1)
-                    else:  # summing bytes, in the narrowest dtype, beats counting bools
+                    res = low[codes % len(low)]
+                    for scale, table in higher:
+                        res += table[codes // scale % len(table)]
+                        np.minimum(res, res - wrap, out=res)
+                    if compare:  # summing bytes, in the narrowest dtype, beats counting bools
                         acc = np.min_scalar_type(piece)
                         for k in range(1, p):
                             counts[k] += (res == k).view(np.uint8).sum(axis=1, dtype=acc)
-                if m >= p:
-                    counts[0] = m - counts[1:].sum(axis=0)
-                num = counts[: p - 1]
-                num -= counts[p - 1]
+                    else:
+                        cells = np.arange(counts[0].size).reshape(len(sel), 1, count)
+                        np.add.at(counts.reshape(-1), res.astype(np.intp) * counts[0].size + cells, 1)
+                if compare:
+                    counts[0] = m - counts[1:].sum(axis=0, dtype=counts.dtype)
+                num = np.subtract(counts[: p - 1], counts[p - 1], dtype=np.int64)
                 g = math.gcd(m, nr)  # the scale nr / m in lowest terms
                 if nr > g:
                     num *= nr // g
-                if m > g:
-                    if (num % (m // g)).any():
+                if m > g:  # a floor division by a constant is far faster than a remainder
+                    quotient = num // (m // g)
+                    if (quotient * (m // g) != num).any():
                         raise NonIntegralScaling(f"co-orbit size {m} does not divide the scaled sum")
-                    num //= m // g
+                    num = quotient
                 out[:, sel] = num
         return out
 
+    def _residue_tables(self, phi) -> list:
+        """The residue tables of :meth:`_orbit_sums` against ``phi``: (p**lo,
+        table) per run of base-p digits lo..hi-1 of a code, row a of the
+        table holding the residues against every representative of the
+        digits a on that run, in the narrowest unsigned dtype that holds
+        2(p-1).  The n digits split into the fewest runs, at least two when
+        n >= 2, whose tables hold at most ``_COEFF_CELLS`` entries each: one
+        run of all n digits would hold a row per element of the group."""
+        p = self.field.p
+        n, count = phi.shape
+        runs = next((g for g in range(2, n + 1) if p ** -(-n // g) * count <= _COEFF_CELLS), 1)
+        bounds = [n * i // runs for i in range(runs + 1)]
+        dtype = np.min_scalar_type(2 * (p - 1))
+        wrap = dtype.type(p)
+        tables = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            # d * phi_j mod p for every digit value d < p, by doubling: with
+            # rows d < s known, row s + d is row d plus row s
+            multiples = np.zeros((1, hi - lo, count), dtype=dtype)
+            while len(multiples) < p:
+                shift = multiples[-1] + phi[lo:hi]
+                np.minimum(shift, shift - wrap, out=shift)
+                more = multiples + shift
+                np.minimum(more, more - wrap, out=more)
+                multiples = np.concatenate([multiples, more])
+            table = np.zeros((1, count), dtype=dtype)
+            for j in range(hi - lo - 1, -1, -1):  # row a * p + d: d on digit lo + j, a on those above
+                table = (table[:, None] + multiples[:p, j]).reshape(-1, count)
+                np.minimum(table, table - wrap, out=table)
+            tables.append((p**lo, table))
+        return tables
+
     def _phi_digits(self, class_digits) -> np.ndarray:
-        """The base-p digits of the representatives times the trace form,
-        shape (dim * r, count): trace(mu . phi) = sum_k d(mu_k) T d(phi_k)^T
-        over the coordinates k, with T the trace form of :class:`~superchar.gf.Fq`."""
+        """The representatives times the trace form, one row per base-p
+        digit of a code, least significant first, shape (dim * r, count):
+        trace(mu . phi) = sum_k d(mu_k) T d(phi_k)^T over the coordinates k,
+        with T the trace form of :class:`~superchar.gf.Fq`, and digit u of
+        coordinate k is digit (dim - 1 - k) * r + u of the code of mu."""
         F = self.field
-        digits = _check_functionals(F, self.dim, class_digits)
-        return F.matmul_mod_p(F.p_digits(digits), F.trace_form).reshape(len(digits), self.dim * F.r).T
+        digits = _check_functionals(F, self.dim, class_digits)[:, ::-1]
+        rows = F.matmul_mod_p(F.p_digits(digits), F.trace_form).reshape(len(digits), self.dim * F.r)
+        return np.ascontiguousarray(rows.T)
 
     def supercharacter(self, eta) -> dict[tuple, CycInt]:
         """The orbit-sum supercharacter as {superclass representative: value}."""

@@ -14,7 +14,7 @@ from the ``i,j=v;...`` literal syntax used on the command line.
 
 from __future__ import annotations
 
-from .errors import BadField, NotClosed, PairOutOfRange, ParseError
+from .errors import BadField, NotClosed, PairOutOfRange, ParseError, SpecMismatch
 from .gf import Fq
 
 Pair = tuple[int, int]
@@ -162,15 +162,24 @@ def functional(J: ClosedSet, field: Fq, values: dict) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _sized(J: ClosedSet, f) -> tuple:
+    """``f`` as a tuple; SpecMismatch, with core's message, unless it has one
+    entry per pair of J."""
+    f = tuple(f)
+    if len(f) != len(J):
+        raise SpecMismatch(f"functional of length {len(f)} for dimension {len(J)}")
+    return f
+
+
 def support(J: ClosedSet, f) -> tuple[Pair, ...]:
-    return tuple(pair for pair, v in zip(J.order, f) if v)
+    return tuple(pair for pair, v in zip(J.order, _sized(J, f)) if v)
 
 
 def is_monomial(J: ClosedSet, f) -> bool:
     """At most one nonzero entry in every matrix row and every column."""
     rows = set()
     cols = set()
-    for (i, j), v in zip(J.order, f):
+    for (i, j), v in zip(J.order, _sized(J, f)):
         if v:
             if i in rows or j in cols:
                 return False
@@ -236,6 +245,14 @@ def parse_functional(J: ClosedSet, field: Fq, text: str) -> tuple[int, ...]:
 
 
 def format_functional(J: ClosedSet, field: Fq, f) -> str:
+    """The ``i,j=v;...`` literal of f; SpecMismatch, with core's messages,
+    unless f lies in F_q**len(J)."""
+    f = _sized(J, f)
+    try:
+        for v in f:
+            field.check(v)
+    except BadField:
+        raise SpecMismatch(f"functional {f} is not in F_{field.q}^{len(J)}") from None
     items = [
         f"{i},{j}={format_field_literal(field, v)}" for (i, j), v in zip(J.order, f) if v
     ]

@@ -454,6 +454,38 @@ def test_value_rows_across_block_boundaries(name, q, per_block, monkeypatch):
             assert CycInt(F.p, tuple(int(x) for x in rows[:, i, c])) == expected
 
 
+@pytest.mark.parametrize("q, per_run", [(8, 1), (8, 3), (9, 1), (9, 2)])
+def test_value_row_over_short_digit_runs(q, per_run, monkeypatch):
+    # U_3 has dim * r = 9 base-p digits over F_8 and 6 over F_9; a budget of
+    # one row's table of per_run digits splits them into n / per_run runs,
+    # each residue table gathered and folded into the sum of the others
+    F = Fq.of(q)
+    o = Oracle(_SOURCES["full_u3"](F))
+    reps = o.superclass_partition().reps
+    digits = np.array(reps, dtype=np.int64).reshape(len(reps), o.dim)
+    monkeypatch.setattr(oracle_module, "_COEFF_CELLS", F.p**per_run * len(reps))
+    for eta in o.coorbit_partition().reps:
+        row = o.value_row(eta, digits)
+        for c, expected in enumerate(_scaled_orbit_sums(o, eta, reps)):
+            assert CycInt(F.p, tuple(int(x) for x in row[:, c])) == expected
+
+
+@pytest.mark.parametrize("count", [50, 200])
+def test_value_row_past_a_byte_of_residues(count):
+    # p = 131: a sum of two residues needs uint16, and at eta = (1, 1) the
+    # representatives near (p-1, p-1) sum past 255.  One character over 50
+    # representatives is a block of fewer cells than p, counted by one
+    # scatter; over 200 it is counted by one comparison pass per residue
+    q = 131
+    o = Oracle(PatternGroup(validate_closed(3, {(1, 2), (1, 3)}), Fq.of(q)), cap=1 << 15)
+    reps = [(q - 1 - i % 10, q - 1 - i // 10 * 3) for i in range(count)]
+    digits = np.array(reps, dtype=np.int64)
+    for eta in [(0, 0), (1, 0), (1, 1), (0, q - 1), (57, 99)]:
+        row = o.value_row(eta, digits)
+        for c, expected in enumerate(_scaled_orbit_sums(o, eta, reps)):
+            assert CycInt(q, tuple(int(x) for x in row[:, c])) == expected
+
+
 def test_constancy_check_reads_the_last_block(monkeypatch):
     # blocks of five characters over U_4(2): merging two superclasses that
     # only the last block's characters tell apart must fail the check

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from superchar.errors import BadField, NotClosed, PairOutOfRange, ParseError
+from superchar.errors import BadField, NotClosed, PairOutOfRange, ParseError, SpecMismatch
 from superchar.gf import Fq
 from superchar.poset import (
     ClosedSet,
@@ -200,3 +200,21 @@ def test_monomial_predicate():
     assert is_monomial(J, functional(J, F, {(1, 4): 1, (2, 3): 1}))
     assert not is_monomial(J, functional(J, F, {(1, 4): 1, (1, 2): 1}))
     assert not is_monomial(J, functional(J, F, {(1, 4): 1, (2, 4): 1}))
+
+
+@pytest.mark.parametrize("f", [(1,), (0,) * 7, ()])
+def test_functionals_of_the_wrong_length_are_rejected(f):
+    J, F = validate_closed(4, full_pairs(4)), Fq.of(3)
+    message = f"functional of length {len(f)} for dimension 6"
+    for call in (lambda: support(J, f), lambda: is_monomial(J, f), lambda: format_functional(J, F, f)):
+        with pytest.raises(SpecMismatch, match=message):
+            call()
+
+
+@pytest.mark.parametrize("v", [5, 3, -1])
+def test_format_functional_rejects_entries_outside_the_field(v):
+    J, F = validate_closed(4, full_pairs(4)), Fq.of(3)
+    f = (v, 0, 0, 0, 0, 0)
+    with pytest.raises(SpecMismatch, match=rf"functional \({v}, 0, 0, 0, 0, 0\) is not in F_3\^6"):
+        format_functional(J, F, f)
+    assert format_functional(J, F, (2, 0, 0, 0, 0, 0)) == "3,4=2"

@@ -1,5 +1,6 @@
-"""One place per job: the scalar mesh solve is gf's one row reduction, and
-the check of a functional is core's one scalar and one array check."""
+"""One place per job: the scalar mesh solve is gf's one row reduction, the
+check of a functional is core's one scalar and one array check, and the
+oracle's orbit sums gather residues from tables."""
 
 import ast
 from pathlib import Path
@@ -141,3 +142,17 @@ def test_one_scalar_and_one_array_check_of_a_functional():
     for path in sorted(SRC.glob("*.py")):
         if path.name not in ("core.py", "gf.py"):
             assert not _order_tests_against_q(_tree(path.name)), path.name
+
+
+@pytest.mark.parametrize("name", ["Oracle._orbit_sums", "Oracle._residue_tables"])
+def test_orbit_sums_take_no_product_per_block(name):
+    """The oracle's orbit sums gather the residues of every block from
+    tables built by additions: no mod-p product and no digit expansion per
+    block, so the float product per block cannot come back."""
+    kernel = _functions(_tree("oracle.py"))[name]
+    assert not _names(kernel) & {"matmul_mod_p", "_codes_to_digits", "p_digits", "matmul", "dot", "einsum"}
+    assert not [
+        node
+        for node in ast.walk(kernel)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]

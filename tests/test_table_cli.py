@@ -1,5 +1,6 @@
 """Table emission formats and the command-line interface."""
 
+import argparse
 import json
 from functools import lru_cache
 from pathlib import Path
@@ -11,7 +12,7 @@ from superchar.algebra import emit_algebra_spec
 from superchar.catalog import full_triangular, semidirect_algebra, sixteen_group
 from superchar.core import DEFAULT_ENUM_CAP
 from superchar.core import PatternGroup, StructureAlgebra
-from superchar import core, formula, gf, table
+from superchar import cli, core, formula, gf, table
 from superchar.cli import _load, main
 from superchar.errors import SpecMismatch
 from superchar.formula import CharacterEvaluator, un_monomials
@@ -222,6 +223,26 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # the parser and each of its subcommand parsers are built by the first call only
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
+    cli._parser.cache_clear()
+    try:
+        first = _run(capsys, "validate", str(DATA / "heisenberg3_q2.txt"))
+        after_first = list(built)
+        second = _run(capsys, "validate", str(DATA / "heisenberg3_q2.txt"))
+    finally:
+        cli._parser.cache_clear()
+    assert first == second and first[0] == 0
+    assert after_first.count("superchar") == 1 and built == after_first
 
 
 def test_cmd_validate_ok(capsys):
