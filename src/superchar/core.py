@@ -25,8 +25,9 @@ same data off A_eta as sparse terms in phi, for a batch of characters at
 once through the constant blocks of :meth:`StructureAlgebra._constant_blocks`.
 Both decide a single cell by the one scalar mesh solve of :mod:`.gf`: one
 row reduction of [M | -a] gives solvability, rank M, b0 and whether b is
-perpendicular to null(M).  :meth:`StructureAlgebra.corank` and the
-nilpotency check call the same row reduction, ``gf._rref``.
+perpendicular to null(M), and :func:`_mesh_value` reads the value off it.
+:meth:`StructureAlgebra.corank` and the nilpotency check call the same row
+reduction, ``gf._rref``.
 
 A pattern group U_J is the algebra group of its closed set J, with
 c_{(i,j),(j,k)}^{(i,k)} = 1 for each 3-chain; packed tuples follow J's
@@ -34,8 +35,11 @@ canonical order (:mod:`.poset`).  Every class is represented by its least
 member, for U_n its monomial (see :class:`PatternGroup`).
 
 Orbits are closures under the generators 1 + t X_i, t in an additive basis
-of F_q.  Full-space orbit partitions use one vectorized sweep for every F_q:
-visiting q**d functionals one tuple at a time is the desk-scale hot spot.
+of F_q.  A move is the tuple of updates (tgt, src, c), each adding c times
+coordinate src to coordinate tgt, with t folded into c; the oracle writes
+its moves the same way.  One vectorized sweep over F_q**d partitions every
+orbit space, and a single orbit is a lookup in the sweep of its action,
+kept by the algebra after its first use.
 """
 
 from __future__ import annotations
@@ -66,18 +70,6 @@ class Orbit:
     rep: tuple[int, ...]
     size: int
     elements: frozenset | None = None
-
-
-def _apply_move(field: Fq, f, t: int, updates) -> tuple[int, ...]:
-    out = list(f)
-    add, mul = field.add, field.mul
-    for tgt, src, coeff in updates:
-        v = f[src]
-        if v:
-            if coeff != 1:
-                v = mul(coeff, v)
-            out[tgt] = add(out[tgt], mul(t, v))
-    return tuple(out)
 
 
 def _codes_to_digits(codes, q: int, dim: int) -> np.ndarray:
@@ -123,13 +115,19 @@ class OrbitPartition:
         self.field = field
         self.dim = dim
         self._rep_codes = rep_codes  # ascending, so class k has the k-th least representative
-        # packed tuples, lexicographically ascending
-        self.reps = tuple(map(tuple, _codes_to_digits(rep_codes, field.q, dim).tolist()))
         self.sizes = sizes
         self._labels = labels  # code -> code of its class minimum, smallest unsigned dtype
 
+    @cached_property
+    def reps(self) -> tuple[tuple[int, ...], ...]:
+        """Every class representative as a tuple, lexicographically ascending."""
+        return tuple(map(tuple, _codes_to_digits(self._rep_codes, self.field.q, self.dim).tolist()))
+
     def __len__(self) -> int:
-        return len(self.reps)
+        return len(self._rep_codes)
+
+    def rep(self, k: int) -> tuple[int, ...]:
+        return self.decode(int(self._rep_codes[k]))
 
     def code(self, f) -> int:
         return int(_digits_to_codes(_check_functional(self.field, self.dim, f), self.field.q))
@@ -167,36 +165,22 @@ class OrbitPartition:
         return [tuple(int(v) for v in row) for row in self.elements_digits(k)]
 
 
-def _bfs(field: Fq, start, moves) -> set:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for t, updates in moves:
-                g = _apply_move(field, f, t, updates)
-                if g not in seen:
-                    seen.add(g)
-                    nxt.append(g)
-        frontier = nxt
-    return seen
-
-
 def _digit_moves(field: Fq, moves) -> list[dict]:
-    """Each move (t, updates) as an F_p-linear map on base-p digits: a dict
-    from target digit position to its (source position, coefficient) terms.
+    """Each move, a tuple of updates, as an F_p-linear map on base-p digits:
+    a dict from target digit position to its (source position, coefficient)
+    terms.
 
-    An update (tgt, src, coeff) adds c * f[src] to f[tgt] with c = t * coeff,
-    which on digits is the r x r block D(c) of x -> c * x; one
-    ``digit_blocks`` call gives the blocks of the whole move set.  Digit u of
-    coordinate k sits at position k*r + (r-1-u), most significant first, so
-    the base-p code of a digit vector is the base-q code of its functional.
+    An update (tgt, src, c) adds c * f[src] to f[tgt], which on digits is
+    the r x r block D(c) of x -> c * x; one ``digit_blocks`` call gives the
+    blocks of the whole move set.  Digit u of coordinate k sits at position
+    k*r + (r-1-u), most significant first, so the base-p code of a digit
+    vector is the base-q code of its functional.
     """
     r = field.r
-    cs = [field.mul(t, coeff) for t, updates in moves for _, _, coeff in updates]
+    cs = [c for updates in moves for _, _, c in updates]
     blocks = iter(field.digit_blocks(field.p_digits(cs)).tolist())
     out = []
-    for _, updates in moves:
+    for updates in moves:
         terms: dict = {}
         for tgt, src, _ in updates:
             for s, row in enumerate(next(blocks)):
@@ -218,7 +202,7 @@ def sweep_size(field: Fq, dim: int, cap: int | None) -> int:
     return total
 
 
-def orbit_partition_from_moves(field: Fq, dim: int, moves, cap: int) -> OrbitPartition:
+def orbit_partition_from_moves(field: Fq, dim: int, moves, cap: int | None) -> OrbitPartition:
     """The orbits of the moves on F_q**dim; the oracle calls it with its own moves.
 
     Each move becomes one permutation of the codes, shaped (p,) * (dim * r)
@@ -259,6 +243,17 @@ def orbit_partition_from_moves(field: Fq, dim: int, moves, cap: int) -> OrbitPar
     return OrbitPartition(field, dim, rep_codes, tuple(int(c) for c in counts), labels)
 
 
+def _mesh_value(field: Fq, solved, corank, b, phi, eta) -> CharValue:
+    """The scalar formula after the mesh solve ``solved`` of :mod:`.gf`:
+    zero when it is None, else q**(corank - rank M) * theta(b0.b + phi.eta)."""
+    if solved is None:
+        return CharValue.zero()
+    rank_m, b0 = solved
+    if corank < rank_m:
+        raise InternalInvariantViolation("rank of the mesh matrix exceeds the corank")
+    return CharValue.of(corank - rank_m, field.trace(field.add(field.dot(b0, b), field.dot(phi, eta))), field.p)
+
+
 # ---------------------------------------------------------------------------
 
 Vec = tuple
@@ -268,7 +263,7 @@ class StructureAlgebra:
     """A validated structure-constant presentation of a nilpotent algebra,
     with its algebra group 1 + A acting on A and on the dual space."""
 
-    __slots__ = ("d", "field", "constants", "_moves", "_blocks")
+    __slots__ = ("d", "field", "constants", "_moves", "_blocks", "_sweeps")
 
     def __init__(self, d: int, field: Fq, constants):
         if d < 0:
@@ -293,6 +288,7 @@ class StructureAlgebra:
         self._validate_nilpotent()
         self._moves = None
         self._blocks = None
+        self._sweeps: dict[tuple[str, ...], OrbitPartition] = {}
 
     def _functional(self, f) -> Vec:
         """``f`` as a tuple by the scalar check: SpecMismatch unless it lies
@@ -518,17 +514,10 @@ class StructureAlgebra:
 
     def value(self, eta, phi, corank: int | None = None) -> CharValue:
         """chi^eta at the superclass of x_phi."""
-        F = self.field
         b, solved = self._mesh_solve(phi, eta)
-        if solved is None:
-            return CharValue.zero()
-        r, b0 = solved
-        if corank is None:
+        if solved is not None and corank is None:
             corank = self.corank(eta)
-        if corank < r:
-            raise InternalInvariantViolation("rank of the mesh matrix exceeds the corank")
-        zeta = F.trace(F.add(F.dot(b0, b), F.dot(phi, eta)))
-        return CharValue.of(corank - r, zeta, F.p)
+        return _mesh_value(self.field, solved, corank, b, phi, eta)
 
     def is_irreducible(self, eta) -> bool:
         """Right plus left annihilator of eta fills F_q**d.
@@ -546,13 +535,14 @@ class StructureAlgebra:
 
     def _move_set(self, kind: str):
         """The moves of one action, per generator 1 + t X_g and t in an additive
-        basis of F_q.  Each constant c = c_ij^k adds one update to each kind:
+        basis of F_q, each the tuple of its updates (tgt, src, t c).  Each
+        constant c = c_ij^k adds one update to each kind:
 
             left (g = i):     phi'_k += t c phi_j      right (g = j):    phi'_k += t c phi_i
             co_left (g = i):  eta'_j += t c eta_k      co_right (g = j): eta'_i += t c eta_k
         """
         if self._moves is None:
-            gens = self.field.additive_generators()
+            F, gens = self.field, self.field.additive_generators()
             ups = {kind: [[] for _ in range(self.d)] for kind in ("right", "left", "co_right", "co_left")}
             for (i, j), row in self.constants.items():
                 for k, c in row.items():
@@ -561,22 +551,32 @@ class StructureAlgebra:
                     ups["co_left"][i].append((j, k, c))
                     ups["co_right"][j].append((i, k, c))
             self._moves = {
-                kind: tuple((t, tuple(u)) for u in per_gen if u for t in gens)
+                kind: tuple(tuple((tgt, src, F.mul(t, c)) for tgt, src, c in u) for u in per_gen if u for t in gens)
                 for kind, per_gen in ups.items()
             }
         return self._moves[kind]
 
+    def _sweep(self, kinds, cap) -> OrbitPartition:
+        """The orbits of the move sets ``kinds`` on F_q**d, swept anew."""
+        moves = sum((self._move_set(kind) for kind in kinds), ())
+        return orbit_partition_from_moves(self.field, self.d, moves, cap)
+
     def _orbit(self, f, kinds, cap) -> Orbit:
+        """The orbit of f, looked up in the sweep of ``kinds``, swept on the
+        first query of those kinds and kept: O(q**d) time and memory whatever
+        the orbit's size, about 12 MiB a kind kept at q**d = 2**20."""
         f = self._functional(f)
         cap = DEFAULT_ENUM_CAP if cap is None else cap
         if self.order() > cap:
             raise SizeCapExceeded(self.order(), cap, "functionals to search")
-        moves = sum((self._move_set(kind) for kind in kinds), ())
-        members = _bfs(self.field, f, moves)
-        return Orbit(min(members), len(members), frozenset(members))
+        if kinds not in self._sweeps:
+            self._sweeps[kinds] = self._sweep(kinds, cap)
+        part = self._sweeps[kinds]
+        k = part.class_of(f)
+        return Orbit(part.rep(k), part.sizes[k], frozenset(part.elements(k)))
 
     def orbit(self, phi, cap: int | None = None) -> Orbit:
-        """The two-sided multiplication orbit of X_phi."""
+        """The two-sided multiplication orbit of X_phi; costs as :meth:`_orbit`."""
         return self._orbit(phi, ("left", "right"), cap)
 
     def orbit_left(self, phi, cap: int | None = None) -> Orbit:
@@ -608,16 +608,10 @@ class StructureAlgebra:
         return self.field.q ** self.corank(eta)
 
     def orbit_partition(self, cap: int | None = None) -> OrbitPartition:
-        cap = DEFAULT_ENUM_CAP if cap is None else cap
-        return orbit_partition_from_moves(
-            self.field, self.d, self._move_set("left") + self._move_set("right"), cap
-        )
+        return self._sweep(("left", "right"), cap)
 
     def coorbit_partition(self, cap: int | None = None) -> OrbitPartition:
-        cap = DEFAULT_ENUM_CAP if cap is None else cap
-        return orbit_partition_from_moves(
-            self.field, self.d, self._move_set("co_left") + self._move_set("co_right"), cap
-        )
+        return self._sweep(("co_left", "co_right"), cap)
 
     def all_orbit_reps(self, cap: int | None = None) -> list[Orbit]:
         """Canonical superclass representatives (least members) with sizes, ascending."""
@@ -691,3 +685,4 @@ class PatternGroup(StructureAlgebra):
         self.J, self.d, self.field = J, len(J), field
         self.constants = {(ab, bc): {ac: 1} for ab, bc, ac in J.chain3_idx}
         self._moves = self._blocks = None
+        self._sweeps = {}

@@ -73,7 +73,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .gf import CharValue, Fq, FqMatrix, _solve_perp, nullspace_basis, rank
-from .core import PatternGroup, _check_functionals
+from .core import PatternGroup, _check_functionals, _mesh_value
 from .poset import ClosedSet, is_monomial, support
 
 
@@ -240,13 +240,7 @@ class CharacterEvaluator:
             return CharValue.zero()
         for row in system:
             row[cols] = F.neg(row[cols])
-        solved = _solve_perp(F, system, cols, b)
-        if solved is None:
-            return CharValue.zero()
-        rank, b0 = solved
-        if corank < rank:
-            raise InternalInvariantViolation("rank of the mesh matrix exceeds the corank")
-        return CharValue.of(corank - rank, F.trace(F.add(F.dot(b0, b), F.dot(phi, eta))), F.p)
+        return _mesh_value(F, _solve_perp(F, system, cols, b), corank, b, phi, eta)
 
     def value_block(self, digits: np.ndarray):
         """(is_zero, q_exp, zeta_exp) arrays over a (count, dim) block of

@@ -178,6 +178,8 @@ class Fq:
 
     @classmethod
     def of(cls, q: int, modulus=None) -> "Fq":
+        if q > MAX_Q:  # before factoring q, which takes sqrt(q) steps for a prime
+            raise BadField(f"q = {q} exceeds the supported limit {MAX_Q}")
         p, r = _prime_power(q)
         if modulus is None and r > 1:
             if q not in DEFAULT_MODULI:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PatternGroup, StructureAlgebra, sweep_size
-from .errors import InternalInvariantViolation, SpecMismatch
+from .errors import BadField, InternalInvariantViolation, SpecMismatch
 from .formula import un_arc_counts, un_monomials, un_value_chunks, value_arrays, value_chunks
 from .gf import CharValue, Fq
 from .poset import format_field_literal
@@ -85,11 +85,22 @@ class SuperTable:
         if kind not in ("pattern", "algebra"):
             raise SpecMismatch(f"a table is a JSON object of kind pattern or algebra, not {kind!r}")
         size = ("d", int) if kind == "algebra" else ("J", list)
-        for key, want in (size, ("p", int), ("classes", list), ("chars", list), ("values", list)):
+        for key, want in (size, ("q", int), ("p", int), ("classes", list), ("chars", list), ("values", list)):
             if type(obj.get(key)) is not want:  # so a bool is no int
                 raise SpecMismatch(f"the table's {key!r} is not a JSON {want.__name__}")
+        modulus = obj.get("modulus")
+        if "modulus" in obj and not (type(modulus) is list and all(type(c) is int and 0 <= c < obj["p"] for c in modulus)):
+            raise SpecMismatch(f"the table's modulus {modulus!r} is not a list of ints below p")
+        try:
+            field = Fq.of(obj["q"], modulus)
+        except BadField as exc:
+            raise SpecMismatch(f"the table's field is unusable: {exc}") from exc
         kind, classes, chars, rows = (obj.pop(key) for key in ("kind", "classes", "chars", "values"))
         dim, p = obj["d"] if kind == "algebra" else len(obj["J"]), obj["p"]
+        if field.p != p:
+            raise SpecMismatch(f"the table's p = {p} is not the characteristic of F_{field.q}")
+        if len(classes) != len(chars):
+            raise SpecMismatch(f"a table is square, not {len(chars)} characters x {len(classes)} classes")
         if len(rows) != len(chars) or any(type(row) is not list or len(row) != len(classes) for row in rows):
             raise SpecMismatch(f"values are not {len(chars)} characters x {len(classes)} classes")
         zero, q_exp, zeta_exp = value_arrays((len(chars), len(classes)), dim, p)

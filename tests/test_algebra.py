@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from orbit_closure import bfs
 from test_formula import _ENGINE_ARITY, _sparse_functional, _block_values
 
 from superchar.algebra import (
@@ -28,7 +29,7 @@ from superchar.catalog import (
     SIXTEEN_CLASS_SIZES,
 )
 from superchar import cli, formula
-from superchar.core import PatternGroup, _bfs
+from superchar.core import PatternGroup
 from superchar.errors import NotAssociative, NotNilpotent, ParseError, SpecMismatch
 from superchar.formula import CharacterEvaluator
 from superchar.gf import CharValue, Fq, FqMatrix, nullspace_basis, rank
@@ -247,7 +248,7 @@ def test_algebra_corank_is_the_rank_of_a_eta(n, q):
     alg = sixteen_group() if n is None else _semidirect(n, q)
     moves = alg._move_set("co_right")
     for o in alg.all_coorbit_reps():
-        assert q ** alg.corank(o.rep) == len(_bfs(alg.field, o.rep, moves))
+        assert q ** alg.corank(o.rep) == len(bfs(alg.field, o.rep, moves))
 
 
 def _matrix_product(F, x, y):

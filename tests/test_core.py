@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from orbit_closure import bfs
 
 from superchar.catalog import (
     coorbit_shape_poset,
@@ -11,9 +12,11 @@ from superchar.catalog import (
     heisenberg,
     orbit_shape_poset,
 )
-from superchar.core import PatternGroup, _bfs
+from superchar import core
+from superchar.core import Orbit, PatternGroup
 from superchar.errors import SizeCapExceeded, SpecMismatch
 from superchar.gf import Fq, rank
+from superchar.oracle import Oracle
 from superchar.poset import functional, support, validate_closed
 
 F2 = Fq.of(2)
@@ -309,12 +312,72 @@ def test_partition_classes_are_single_orbit_closures(q):
     ):
         covered = 0
         for k, (rep, size) in enumerate(zip(part.reps, part.sizes)):
-            members = _bfs(G.field, rep, moves)
+            members = bfs(G.field, rep, moves)
             assert min(members) == rep
             assert len(members) == size
             assert all(part.class_of(m) == k for m in members)
             covered += size
         assert covered == G.order()
+
+
+# each single-orbit method and the backend move sets whose closure it is
+_SINGLE_ORBITS = {
+    "orbit": ("mult_left", "mult_right"),
+    "orbit_left": ("mult_left",),
+    "orbit_right": ("mult_right",),
+    "coorbit": ("dual_left", "dual_right"),
+    "coorbit_left": ("dual_left",),
+    "coorbit_right": ("dual_right",),
+}
+
+
+def _first_non_unit_matrix_algebra():
+    from test_algebra import _random_matrix_algebra
+
+    return next(alg for alg in map(_random_matrix_algebra, range(60)) if alg is not None)
+
+
+@pytest.mark.parametrize("case", ["U4_q2", "U4_q3", "U4_q4", "U3_q8", "U3_q9", "matrix_algebra"])
+def test_single_orbits_equal_the_reference_closure(case):
+    """Each single-orbit method, a lookup in a kept sweep, equals the closure
+    of the oracle's backend moves, read off the product alone, from random
+    functionals."""
+    if case == "matrix_algebra":
+        G = _first_non_unit_matrix_algebra()
+        assert any(c != 1 for row in G.constants.values() for c in row.values())
+    else:
+        n, q = map(int, case[1:].split("_q"))
+        G = PatternGroup(full_triangular(n), Fq.of(q))
+    backend = Oracle(G).backend
+    rng = random.Random(case)
+    for _ in range(8):
+        f = tuple(rng.randrange(G.field.q) for _ in range(G.dim))
+        for method, kinds in _SINGLE_ORBITS.items():
+            members = bfs(G.field, f, sum((getattr(backend, kind) for kind in kinds), ()))
+            assert getattr(G, method)(f) == Orbit(min(members), len(members), frozenset(members)), (method, f)
+
+
+def test_single_orbits_sweep_once_and_partitions_sweep_every_call(monkeypatch):
+    sweeps = []
+    sweep = core.orbit_partition_from_moves
+    monkeypatch.setattr(core, "orbit_partition_from_moves", lambda *args: sweeps.append(args) or sweep(*args))
+    G = PatternGroup(full_triangular(4), F3)
+    rng = random.Random(5)
+    phis = [tuple(rng.randrange(3) for _ in range(G.dim)) for _ in range(5)]
+    for phi in phis:
+        G.orbit(phi)
+    assert len(sweeps) == 1
+    for phi in phis:
+        G.coorbit(phi)
+    assert len(sweeps) == 2
+    for calls in range(3, 6):
+        G.orbit_partition()
+        assert len(sweeps) == calls
+    G.coorbit_partition()
+    G.orbit(phis[0])
+    assert len(sweeps) == 6
+    with pytest.raises(SizeCapExceeded, match="functionals to search"):  # a kept sweep keeps the cap check
+        G.orbit(phis[0], cap=100)
 
 
 def test_coorbit_sizes_depend_on_more_than_shape():

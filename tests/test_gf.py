@@ -80,6 +80,8 @@ def test_bad_fields_rejected():
         Fq.of(4, modulus=(1, 1))  # wrong degree
     with pytest.raises(BadField):
         Fq(2, 17)  # q > 2**16
+    with pytest.raises(BadField, match="exceeds the supported limit"):
+        Fq.of(10**30 + 57)  # refused before sqrt(q) trial divisions
     with pytest.raises(BadField, match="only meaningful for proper prime powers"):
         Fq.of(5, (1, 1))  # a modulus for a prime field
 

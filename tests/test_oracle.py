@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from orbit_closure import bfs
 from test_poset import _random_closed
 
 from superchar.catalog import (
@@ -22,7 +23,7 @@ from superchar.catalog import (
     SIXTEEN_TABLE,
 )
 from superchar import oracle as oracle_module
-from superchar.core import OrbitPartition, PatternGroup, _bfs
+from superchar.core import OrbitPartition, PatternGroup
 from superchar.errors import SizeCapExceeded, SpecMismatch
 from superchar.formula import CharacterEvaluator
 from superchar.gf import CycInt, Fq, theta
@@ -263,7 +264,7 @@ def test_full_check_sweeps_each_orbit_space_once(monkeypatch):
 
     def counted_bfs(*args):
         calls["bfs"] += 1
-        return _bfs(*args)
+        return bfs(*args)
 
     monkeypatch.setattr(oracle_module, "orbit_partition_from_moves", counted_sweep)
     monkeypatch.setattr(oracle_module, "_bfs", counted_bfs, raising=False)
@@ -408,8 +409,8 @@ def _scaled_orbit_sums(o, eta, reps):
     |U lambda U|; both orbits come from a BFS over the backend's moves, not
     from the sweeps."""
     F, b = o.field, o.backend
-    members = _bfs(F, eta, b.dual_left + b.dual_right)
-    scale = len(_bfs(F, eta, b.dual_right))
+    members = bfs(F, eta, b.dual_left + b.dual_right)
+    scale = len(bfs(F, eta, b.dual_right))
     out = []
     for phi in reps:
         total = CycInt.zero(F.p)

@@ -1,6 +1,7 @@
 """One place per job: the scalar mesh solve is gf's one row reduction, the
-check of a functional is core's one scalar and one array check, and the
-oracle's orbit sums gather residues from tables."""
+check of a functional is core's one scalar and one array check, the
+oracle's orbit sums gather residues from tables, and every orbit comes from
+the one sweep."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,7 @@ from superchar.catalog import full_triangular
 from superchar.core import PatternGroup
 from superchar.formula import CharacterEvaluator
 from superchar.gf import Fq
+from superchar.oracle import Oracle
 from superchar.poset import functional
 
 SRC = Path(superchar.__file__).parent
@@ -156,3 +158,36 @@ def test_orbit_sums_take_no_product_per_block(name):
         for node in ast.walk(kernel)
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
     ]
+
+
+def test_one_orbit_engine_and_one_move_format():
+    """Orbits come from the one vectorized sweep: no module defines a
+    closure search, and core and the oracle each call the sweep from one
+    method, which every orbit query of theirs goes through.  Every move of
+    either is one tuple of (tgt, src, c) updates with c a nonzero element."""
+    for path in sorted(SRC.glob("*.py")):
+        defined = {node.name for node in ast.walk(_tree(path.name)) if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"_bfs", "_apply_move"}, path.name
+    core, oracle = (_functions(_tree(name)) for name in ("core.py", "oracle.py"))
+    for functions, caller, queries in (
+        (
+            core,
+            "StructureAlgebra._sweep",
+            ("StructureAlgebra._orbit", "StructureAlgebra.orbit_partition", "StructureAlgebra.coorbit_partition"),
+        ),
+        (oracle, "Oracle._partition", ("Oracle.superclass_partition", "Oracle.coorbit_partition", "Oracle._right_sizes")),
+    ):
+        assert [name for name, f in functions.items() if "orbit_partition_from_moves" in _names(f)] == [caller]
+        short = caller.split(".")[1]
+        assert all(short in _names(functions[name]) for name in queries)
+    assert [name for name, f in core.items() if "_digit_moves" in _names(f)] == ["orbit_partition_from_moves"]
+
+    G = PatternGroup(full_triangular(4), Fq.of(4))
+    backend = Oracle(G).backend
+    move_sets = [G._move_set(kind) for kind in ("left", "right", "co_left", "co_right")]
+    move_sets += [backend.mult_left, backend.mult_right, backend.dual_left, backend.dual_right, backend.conj]
+    for moves in move_sets:
+        assert moves and all(
+            type(move) is tuple and all(type(u) is tuple and len(u) == 3 and 0 < u[2] < G.field.q for u in move)
+            for move in moves
+        )

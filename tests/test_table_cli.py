@@ -200,6 +200,19 @@ def test_from_json_rejects_values_of_the_wrong_shape_or_range():
         lambda t: t.__setitem__("values", 5),
         lambda t: t.pop("p"),
         lambda t: t.__setitem__("p", "2"),
+        lambda t: t.pop("q"),
+        lambda t: t.__setitem__("q", "2"),
+        lambda t: t.__setitem__("q", 6),  # no prime power
+        lambda t: t.__setitem__("q", 9),  # p = 3, not the table's 2
+        lambda t: t.update(q=4, modulus=[1, 0, 1]),  # x^2 + 1 = (x + 1)^2 over F_2
+        lambda t: t.update(q=4, modulus=5),
+        lambda t: t.update(q=4, modulus=["1", "1", "1"]),  # string coefficients
+        lambda t: t.update(q=4, modulus=[1.5, 1, 1]),
+        lambda t: t.update(q=4, modulus="111"),
+        lambda t: t.update(q=4, modulus=[3, 1, 1]),  # x^2 + x + 1 with an unreduced coefficient
+        lambda t: t.update(q=4, modulus=None),  # to_json writes no null
+        lambda t: t.__setitem__("modulus", [1, 1]),  # a modulus for a prime q
+        lambda t: t["chars"].pop() and t["values"].pop(),  # a character and its row gone: not square
         lambda t: t.pop("J"),
         lambda t: t.__setitem__("J", 3),
         lambda t: t.pop("chars"),
