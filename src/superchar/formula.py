@@ -33,10 +33,13 @@ field tables:
 
 * Multiplication by a fixed coefficient is F_p-linear on the r base-p
   digits of an F_q element, and so is the trace.  So every entry of a, b
-  and M, for a chunk of characters padded to one frame, is a column of one
-  mod-p product over the digit matrix.  Cells with M = 0 are decided from
-  that product alone, and so is a cell with a nonzero entry of a off M's
-  row frame or of b off its column frame: it is zero.
+  and M, for a chunk of characters padded to one frame, is one mod-p
+  product of weights and the digit matrix, laid out entry-major: each
+  digit of each entry is a (characters, classes) plane, and the a, b, M
+  and off-frame sections are runs of planes, each reduced over its run.
+  Cells with M = 0 are decided from that product alone, and so is a cell
+  with a nonzero entry of a off M's row frame or of b off its column frame:
+  it is zero.
 * The other ("hard") cells are solved together by one Gaussian elimination
   over F_p.  Entry M_ij becomes the r x r block D(M_ij)^T, where D(c) is
   the matrix of x -> c x on row digit vectors, and b becomes the
@@ -327,26 +330,27 @@ def _chunk_values(F: Fq, chunk: CharacterEvaluator, x: np.ndarray, rows: int, co
     unit = base[kind] + i * stride[kind] + j
     digit = np.arange(r)
     # a character's plan holds each (phi-slot, entry) pair once, so every
-    # block lands on its own weights
-    weights = np.zeros((dim, r, k, width), dtype=np.int64)
-    idx = (src[:, None, None], digit[None, :, None], owner[:, None, None], r * unit[:, None, None] + digit)
+    # block lands on its own weights; entry-major, so that each section of
+    # the product below is a run of whole (characters, classes) planes
+    weights = np.zeros((width, k, dim, r), dtype=np.int64)
+    idx = (r * unit[:, None, None] + digit, owner[:, None, None], src[:, None, None], digit[None, :, None])
     weights[idx] = F.digit_blocks(F.p_digits(coeff))
-    weights[:, :, :, -1] = F.matmul_mod_p(F.p_digits(chunk.etas), F.trace_form).transpose(1, 2, 0)
-    y = F.matmul_mod_p(x, weights.reshape(dim * r, k * width)).reshape(count, k, width)
+    weights[-1] = F.matmul_mod_p(F.p_digits(chunk.etas), F.trace_form)
+    y = F.matmul_mod_p(weights.reshape(width * k, dim * r), x.T).reshape(width, k, count)
 
     m_start, m_stop = r * (rows + cols), r * (rows + cols + rows * cols)
-    hard = y[:, :, m_start:m_stop].any(axis=2)
-    off_frame = y[:, :, m_stop:-1].any(axis=2)
-    zero = off_frame | (~hard & y[:, :, :m_start].any(axis=2))
+    hard = y[m_start:m_stop].any(axis=0)
+    off_frame = y[m_stop:-1].any(axis=0)
+    zero = off_frame | (~hard & y[:m_start].any(axis=0))
     meshed = ~zero & ~hard
     corank = chunk.coranks
-    q_exp = np.where(meshed, corank, 0)
-    zeta_exp = np.where(meshed, y[:, :, -1], 0)
-    cls, ch = np.nonzero(hard & ~off_frame)
-    for s in range(0, len(cls), _BATCH_CELLS):
-        c, e = cls[s : s + _BATCH_CELLS], ch[s : s + _BATCH_CELLS]
-        zero[c, e], q_exp[c, e], zeta_exp[c, e] = _solve_hard(F, y[c, e], rows, cols, corank[e])
-    return zero.T, q_exp.T, zeta_exp.T
+    q_exp = np.where(meshed, corank[:, None], 0)
+    zeta_exp = np.where(meshed, y[-1], 0)
+    ch, cls = np.nonzero(hard & ~off_frame)
+    for s in range(0, len(ch), _BATCH_CELLS):
+        e, c = ch[s : s + _BATCH_CELLS], cls[s : s + _BATCH_CELLS]
+        zero[e, c], q_exp[e, c], zeta_exp[e, c] = _solve_hard(F, y[:, e, c].T, rows, cols, corank[e])
+    return zero, q_exp, zeta_exp
 
 
 def _solve_hard(F: Fq, y: np.ndarray, rows: int, cols: int, corank: np.ndarray):

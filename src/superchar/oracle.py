@@ -2,11 +2,11 @@
 
 Everything here is computed from first principles so that agreement with the
 closed-form machinery is meaningful: one backend derives every generator
-action from a product alone, never from the orbit moves or action matrices in
-:mod:`.core`.  Pattern groups give it dense n x n matrix products, read off
-the closed set and not its structure constants; other algebra groups give it
-their coordinate product.  The only shared code is the generic set-closure
-plumbing.
+action from a product alone, called once per pair of basis vectors, never
+from the orbit moves or action matrices in :mod:`.core`.  Pattern groups
+give it dense n x n matrix products, read off the closed set and not its
+structure constants; other algebra groups give it their coordinate
+product.  The only shared code is the generic set-closure plumbing.
 
 Each orbit space -- superclasses, two-sided co-orbits, right co-orbits and
 conjugacy classes -- is swept once per oracle, on first use, and every
@@ -23,7 +23,8 @@ characters are summed at once.  trace(mu . phi) is F_p-linear in the base-p
 digits of the code of mu, so those digits split into runs and, per run, a
 table holds the residue of every digit combination against every
 representative: the fewest runs, at least two, whose tables hold at most
-``_COEFF_CELLS`` entries each, built by additions once per call.  The
+``_COEFF_CELLS`` entries each, built by additions once per set of
+representatives and passed to every orbit-sum call against it.  The
 residues of a block of members are then one row gather per run, added in
 the narrowest unsigned dtype and folded back below p by
 minimum(res, res - p), where res - p wraps when res < p.
@@ -32,11 +33,12 @@ axis in counters of the narrowest dtype that holds m: by one comparison pass
 per nonzero residue or by one bincount of a block's cells, whichever a
 measured cost model of p and the block's residues, cells and rows finds
 cheaper.  A block holds at most ``_BLOCK_CELLS`` member x class cells; a
-larger co-orbit is split along its members.  The result and the
-residue counts hold p coefficients per cell, so one call holds at most
-``_COEFF_CELLS`` coefficients (SizeCapExceeded beyond, before the tables are
-built), and callers take the characters in chunks of at most
-``_BLOCK_CELLS`` cells and that many coefficients.
+larger co-orbit is split along its members, and the exact scaling runs on
+the narrow counters.  The result and the residue counts hold p coefficients
+per cell, so one call holds at most ``_COEFF_CELLS`` coefficients
+(SizeCapExceeded beyond, before anything is allocated, and from the table
+builder when not even one row fits), and callers take the characters in
+chunks of at most ``_BLOCK_CELLS`` cells and that many coefficients.
 
 The representatives' digit rows come from the F_p layer of
 :class:`~superchar.gf.Fq`: base-p digits, the trace form and one exact mod-p
@@ -73,9 +75,11 @@ _COEFF_CELLS = 1 << 22  # coefficients x rows x classes per orbit-sum call
 class Backend:
     """The generator actions of the group 1 + A from the product of A alone.
 
-    Per generator 1 + X_g, X_g = t e_g with t in an additive basis of F_q,
-    each kind lists one move: the tuple of updates (tgt, src, c) of
-    X -> (1 + X_g) X, of X -> X (1 + X_g), of conjugation, or, on the dual
+    The product is called once per pair of basis vectors, and e_i e_j is
+    kept as a sparse table; every other product is read off that table by
+    bilinearity.  Per generator 1 + X_g, X_g = t e_g with t in an additive
+    basis of F_q, each kind lists one move: the tuple of updates (tgt, src, c)
+    of X -> (1 + X_g) X, of X -> X (1 + X_g), of conjugation, or, on the dual
     space, the transposed updates of the multiplications by (1 + X_g)**-1,
     in the move format of :mod:`.core`."""
 
@@ -83,42 +87,50 @@ class Backend:
         self.field = field
         self.dim = dim
         F = field
+        basis = [tuple(1 if k == i else 0 for k in range(dim)) for i in range(dim)]
+        table = [[{k: c for k, c in enumerate(product(u, v)) if c} for v in basis] for u in basis]
 
+        # vectors below are sparse: {coordinate: nonzero value}
         def plus(u, v):
-            return tuple(F.add(a, b) for a, b in zip(u, v))
+            out = dict(u)
+            for k, c in v.items():
+                out[k] = F.add(out.get(k, 0), c)
+            return {k: c for k, c in out.items() if c}
 
-        def inverse(x):  # (1 + X)**-1 - 1 = -X + X**2 - ..., finite by nilpotency
-            neg = tuple(F.neg(v) for v in x)
-            out, term = (0,) * dim, neg
-            while any(term):
-                out, term = plus(out, term), product(term, neg)
-            return out
+        def mul(u, v):
+            out = {}
+            for i, a in u.items():
+                for j, b in v.items():
+                    ab = F.mul(a, b)
+                    for k, c in table[i][j].items():
+                        out[k] = F.add(out.get(k, 0), F.mul(ab, c))
+            return {k: c for k, c in out.items() if c}
 
         def updates(delta, transpose=False):
             """The map e -> e + delta(e), or its transpose, as updates."""
             ups = []
             for src in range(dim):
-                e = tuple(1 if k == src else 0 for k in range(dim))
-                for tgt, c in enumerate(delta(e)):
-                    if c:
-                        ups.append((src, tgt, c) if transpose else (tgt, src, c))
+                for tgt, c in sorted(delta({src: 1}).items()):
+                    ups.append((src, tgt, c) if transpose else (tgt, src, c))
             return tuple(ups)
 
         moves = ([], [], [], [], [])
         for gidx in range(dim):
             for t in F.additive_generators():
-                g = tuple(t if k == gidx else 0 for k in range(dim))
-                g_inv = inverse(g)
+                g, neg = {gidx: t}, {gidx: F.neg(t)}
+                g_inv, term = {}, neg  # (1 + X)**-1 - 1 = -X + X**2 - ..., finite by nilpotency
+                while term:
+                    g_inv, term = plus(g_inv, term), mul(term, neg)
 
                 def conj(e):  # (1 + X_g) e (1 + X_g)**-1 - e
-                    ge = product(g, e)
-                    return plus(ge, product(plus(e, ge), g_inv))
+                    ge = mul(g, e)
+                    return plus(ge, mul(plus(e, ge), g_inv))
 
                 per_kind = (
-                    updates(lambda e: product(g, e)),
-                    updates(lambda e: product(e, g)),
-                    updates(lambda e: product(g_inv, e), transpose=True),
-                    updates(lambda e: product(e, g_inv), transpose=True),
+                    updates(lambda e: mul(g, e)),
+                    updates(lambda e: mul(e, g)),
+                    updates(lambda e: mul(g_inv, e), transpose=True),
+                    updates(lambda e: mul(e, g_inv), transpose=True),
                     updates(conj),
                 )
                 for out, ups in zip(moves, per_kind):
@@ -218,7 +230,7 @@ class Oracle:
         holds len(etas) x count cells of p - 1 coefficients: callers take
         the characters in chunks of :func:`_rows_per_call`.
         """
-        return self._rows(etas, self._phi_digits(class_digits))
+        return self._rows(etas, self._residue_tables(self._phi_digits(class_digits)))
 
     def value_row(self, eta, class_digits: np.ndarray, elements=None) -> np.ndarray:
         """:meth:`value_rows` for one character, shape (p-1, count).
@@ -227,54 +239,57 @@ class Oracle:
         that a caller outside the package can time the orbit sum apart from
         the lookup; nothing in this package passes it.
         """
-        phi = self._phi_digits(class_digits)
+        tables = self._residue_tables(self._phi_digits(class_digits))
         if elements is None:
-            return self._rows([eta], phi)[:, 0]
+            return self._rows([eta], tables)[:, 0]
         k = self.coorbit_partition().class_of(eta)
         codes = _digits_to_codes(_check_functionals(self.field, self.dim, elements), self.field.q)
         sizes = np.array([len(codes)])
-        return self._orbit_sums(codes, np.zeros(1, dtype=np.int64), sizes, self._right_sizes[[k]], phi)[:, 0]
+        return self._orbit_sums(codes, np.zeros(1, dtype=np.int64), sizes, self._right_sizes[[k]], tables)[:, 0]
 
-    def _rows(self, etas, phi) -> np.ndarray:
-        """:meth:`value_rows` at representatives given by :meth:`_phi_digits`."""
+    def _rows(self, etas, tables) -> np.ndarray:
+        """:meth:`value_rows` against the :meth:`_residue_tables` of a set of
+        representatives."""
         co = self.coorbit_partition()
         ks = co.classes_of(etas)
         codes, bounds = co.members
         starts = bounds[ks]
-        return self._orbit_sums(codes, starts, bounds[ks + 1] - starts, self._right_sizes[ks], phi)
+        return self._orbit_sums(codes, starts, bounds[ks + 1] - starts, self._right_sizes[ks], tables)
 
-    def _orbit_sums(self, members, starts, sizes, nright, phi) -> np.ndarray:
+    def _orbit_sums(self, members, starts, sizes, nright, tables) -> np.ndarray:
         """(nright[i] / m) * sum of theta(mu . phi) over the m = sizes[i]
         codes members[starts[i] : starts[i] + m], for each row i, as
-        (p-1, rows, count) cyclotomic coefficients.
+        (p-1, rows, count) cyclotomic coefficients, with ``tables`` the
+        :meth:`_residue_tables` of the representatives phi.
 
         The residues (mu . phi) mod p of a block are one row gather per run
-        of digits from :meth:`_residue_tables`, added in the narrowest
-        unsigned dtype that holds 2(p-1) and folded after each addition by
+        of digits from those tables, added in the narrowest unsigned dtype
+        that holds 2(p-1) and folded after each addition by
         minimum(res, res - p), where res - p wraps when res < p.
 
         Rows of equal (m, nright) are summed together, in blocks of at most
         ``_BLOCK_CELLS`` member x class cells; a co-orbit larger than a block
         is split along its members.  Residues are counted per cell in
-        counters of the narrowest dtype that holds m, then widened once per
-        row group for the exact scaling.  A block of n residues over W cells
-        takes the cheaper counter, in units of one residue compared once:
+        counters of the narrowest dtype that holds m, and the scaling runs on
+        them: each coefficient, a difference of two counts, is taken in the
+        narrowest signed dtype that holds +-m and divided exactly by m / g,
+        g = gcd(m, nright[i]), then widened once per row group, when it is
+        written into the result, and multiplied there by nright[i] / g.  A
+        block of n residues over W cells takes the cheaper counter, in units
+        of one residue compared once:
         p - 1 comparison passes at n + 128 per row reduced + 32768 each, or
         one bincount at 24 n + 8 p W.  The constants minimise the worst
         slowdown on timed blocks (p <= 65521, 3 to 2^16 residues, rows of 3
         to 16129 classes): 1.22x on rows of 64 or more, 10x on rows of 3.
         SizeCapExceeded, before anything is allocated, when p x rows x count
-        passes ``_COEFF_CELLS``: that bound also keeps a table of one digit,
-        p x count entries, within it.
+        passes ``_COEFF_CELLS``.
         """
         p = self.field.p
-        n, count = phi.shape
+        (_, low), *higher = tables
+        count = low.shape[1]
         if p * len(sizes) * count > _COEFF_CELLS:
             raise SizeCapExceeded(p * len(sizes) * count, _COEFF_CELLS, "orbit-sum coefficients")
         out = np.empty((p - 1, len(sizes), count), dtype=np.int64)
-        if not len(sizes):
-            return out
-        (_, low), *higher = self._residue_tables(phi)
         wrap = low.dtype.type(p)
 
         per_block = max(1, _BLOCK_CELLS // max(1, count))  # members per block
@@ -303,16 +318,16 @@ class Oracle:
                         counts += np.bincount(index, minlength=counts.size).reshape(counts.shape).astype(counts.dtype)
                 if compare:
                     counts[0] = m - counts[1:].sum(axis=0, dtype=counts.dtype)
-                num = np.subtract(counts[: p - 1], counts[p - 1], dtype=np.int64)
+                num = np.subtract(counts[: p - 1], counts[p - 1], dtype=np.min_scalar_type(-m - 1))
                 g = math.gcd(m, nr)  # the scale nr / m in lowest terms
-                if nr > g:
-                    num *= nr // g
                 if m > g:  # a floor division by a constant is far faster than a remainder
                     quotient = num // (m // g)
                     if (quotient * (m // g) != num).any():
                         raise NonIntegralScaling(f"co-orbit size {m} does not divide the scaled sum")
                     num = quotient
                 out[:, sel] = num
+                if nr > g:
+                    out[:, sel] *= nr // g
         return out
 
     def _residue_tables(self, phi) -> list:
@@ -322,9 +337,15 @@ class Oracle:
         digits a on that run, in the narrowest unsigned dtype that holds
         2(p-1).  The n digits split into the fewest runs, at least two when
         n >= 2, whose tables hold at most ``_COEFF_CELLS`` entries each: one
-        run of all n digits would hold a row per element of the group."""
+        run of all n digits would hold a row per element of the group.
+        Built once per set of representatives by the callers of
+        :meth:`_rows`.  SizeCapExceeded, before anything is allocated, when
+        one row of orbit sums, p x count coefficients, passes
+        ``_COEFF_CELLS``: that bound also keeps a table of one digit within it."""
         p = self.field.p
         n, count = phi.shape
+        if p * count > _COEFF_CELLS:
+            raise SizeCapExceeded(p * count, _COEFF_CELLS, "orbit-sum coefficients")
         runs = next((g for g in range(2, n + 1) if p ** -(-n // g) * count <= _COEFF_CELLS), 1)
         bounds = [n * i // runs for i in range(runs + 1)]
         dtype = np.min_scalar_type(2 * (p - 1))
@@ -412,11 +433,12 @@ class Oracle:
     def _check_constancy(self, sc: OrbitPartition, co: OrbitPartition) -> bool:
         F = self.field
         total = self.order
-        phi = self._phi_digits(_codes_to_digits(np.arange(total, dtype=np.int64), F.q, self.dim))
+        every = _codes_to_digits(np.arange(total, dtype=np.int64), F.q, self.dim)
+        tables = self._residue_tables(self._phi_digits(every))
         sc_codes = sc.canonical_codes()
         step = _rows_per_call(F.p, total)
         for start in range(0, len(co.reps), step):
-            rows = self._rows(co.reps[start : start + step], phi)  # (p-1, step, |G|)
+            rows = self._rows(co.reps[start : start + step], tables)  # (p-1, step, |G|)
             if not np.array_equal(rows, rows[:, :, sc_codes]):
                 return False
         return True
@@ -486,14 +508,22 @@ class CheckReport:
 
 def charvalue_coeff_rows(p: int, q: int, zero, qexp, zexp) -> np.ndarray:
     """CharValue arrays of any shape -> cyclotomic coefficients, shape
-    (p-1,) + that shape: q**qexp * zeta**zexp, or 0 where ``zero``."""
-    zero = np.asarray(zero, dtype=bool)
-    mag = np.where(zero, 0, np.power(np.int64(q), np.asarray(qexp, dtype=np.int64)))
-    zexp = np.where(zero, 0, np.asarray(zexp, dtype=np.int64))
-    out = np.zeros((p,) + mag.shape, dtype=np.int64)
-    np.put_along_axis(out, zexp[None], mag[None], axis=0)
-    out[: p - 1] -= out[p - 1]  # zeta**(p-1) = -(1 + zeta + ... + zeta**(p-2))
-    return out[: p - 1]
+    (p-1,) + that shape: q**qexp * zeta**zexp, or 0 where ``zero``.
+
+    With E q-exponents in use, each cell is one of p * E + 1 coefficient
+    columns, looked up by its key: zexp * E + qexp, or p * E, the zero
+    column, where ``zero``."""
+    qexp = np.asarray(qexp)
+    E = int(qexp.max(initial=0)) + 1
+    powers, z = np.int64(q) ** np.arange(E), np.arange(p)[:, None]
+    # column z * E + e holds q**e * zeta**z: q**e at coefficient z, and -q**e
+    # at every coefficient when z = p - 1, as zeta**(p-1) = -(1 + ... + zeta**(p-2))
+    columns = np.zeros((p - 1, p * E + 1), dtype=np.int64)
+    at_z = np.arange(p - 1)[:, None, None] == z
+    columns[:, :-1] = np.where(at_z, powers, np.where(z == p - 1, -powers, 0)).reshape(p - 1, p * E)
+    key = np.asarray(zexp).astype(np.intp) * E + qexp
+    key[np.asarray(zero, dtype=bool)] = p * E
+    return np.take(columns, key, axis=1)
 
 
 def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None = None) -> CheckReport:
@@ -520,12 +550,12 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
     F = oracle.field
     # formula and oracle values for a chunk of rows at a time, so memory
     # stays O(chunk x classes x p); every mismatching cell is counted
-    phi = oracle._phi_digits(class_digits)
+    tables = oracle._residue_tables(oracle._phi_digits(class_digits))
     step = _rows_per_call(F.p, len(class_digits))
     for _, evaluators, values in value_chunks(source, core_co.reps, class_digits):
         for lo in range(0, len(evaluators), step):
             etas = evaluators.etas[lo : lo + step]
-            oracle_rows = oracle._rows(etas, phi)
+            oracle_rows = oracle._rows(etas, tables)
             formula_rows = charvalue_coeff_rows(F.p, F.q, *(arr[lo : lo + step] for arr in values))
             bad = (formula_rows != oracle_rows).any(axis=0)
             if report.witness is None and bad.any():

@@ -10,13 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from backend_reference import reference_moves
 from orbit_closure import bfs
+from test_algebra import _random_matrix_algebra
 from test_poset import _random_closed
 
 from superchar.catalog import (
     class_counterexample_poset,
+    corpus,
     full_triangular,
     heisenberg,
+    orbit_shape_poset,
     semidirect_algebra,
     sixteen_group,
     SIXTEEN_CLASS_MEMBERS,
@@ -24,11 +28,11 @@ from superchar.catalog import (
 )
 from superchar import oracle as oracle_module
 from superchar.core import OrbitPartition, PatternGroup
-from superchar.errors import SizeCapExceeded, SpecMismatch
+from superchar.errors import NonIntegralScaling, SizeCapExceeded, SpecMismatch
 from superchar.formula import CharacterEvaluator
-from superchar.gf import CycInt, Fq, theta
+from superchar.gf import CharValue, CycInt, Fq, theta
 from superchar import formula
-from superchar.oracle import Oracle, _dense_product, full_check
+from superchar.oracle import Backend, Oracle, _dense_product, charvalue_coeff_rows, full_check
 from superchar.poset import functional, validate_closed
 
 F2 = Fq.of(2)
@@ -85,6 +89,38 @@ def test_dense_product_is_the_matrix_product(J, q):
                 acc = F.add(acc, F.mul(X[i][j], Y[j][k]))
             expected.append(acc)
         assert product(u, v) == tuple(expected)
+
+
+def _backend_sources():
+    """(name, source): every corpus set at q = 2, 3, U_3 over F_4, F_8 and
+    F_9, the semidirect algebras at q = 2, 3, 4, the group of order 16, and
+    the seeded matrix algebras with structure constants other than 1."""
+    for q in (2, 3):
+        for entry in corpus():
+            yield f"{entry.name}_q{q}", PatternGroup(entry.J, Fq.of(q))
+    for q in (4, 8, 9):
+        yield f"full_u3_q{q}", PatternGroup(full_triangular(3), Fq.of(q))
+    for n in (4, 5, 6):
+        for q in (2, 3, 4):
+            yield f"semidirect{n}_q{q}", semidirect_algebra(n, Fq.of(q))
+    yield "sixteen", sixteen_group()
+    for seed in range(60):
+        alg = _random_matrix_algebra(seed)
+        if alg is not None:
+            yield f"matrix_algebra_{seed}", alg
+
+
+def test_backend_moves_equal_the_per_generator_reference():
+    """The moves read off the basis-pair table equal, tuple for tuple and in
+    order, the moves of fresh whole-vector products per generator."""
+    checked = []
+    for name, source in _backend_sources():
+        product = _dense_product(source) if isinstance(source, PatternGroup) else source.product
+        backend = Backend(source.field, source.dim, product)
+        moves = (backend.mult_left, backend.mult_right, backend.dual_left, backend.dual_right, backend.conj)
+        assert moves == reference_moves(source.field, source.dim, product), name
+        checked.append(name)
+    assert len(checked) > 40 and sum(name.startswith("matrix_algebra") for name in checked) >= 8
 
 
 @settings(max_examples=30, deadline=None)
@@ -389,9 +425,9 @@ def test_full_check_splits_its_rows_to_the_coefficient_budget(monkeypatch):
     held = []
     orbit_sums = Oracle._orbit_sums
 
-    def recorded(self, members, starts, sizes, nright, phi):
-        held.append(self.field.p * len(sizes) * phi.shape[1])
-        return orbit_sums(self, members, starts, sizes, nright, phi)
+    def recorded(self, members, starts, sizes, nright, tables):
+        held.append(self.field.p * len(sizes) * tables[0][1].shape[1])
+        return orbit_sums(self, members, starts, sizes, nright, tables)
 
     monkeypatch.setattr(Oracle, "_orbit_sums", recorded)
     monkeypatch.setattr(oracle_module, "_COEFF_CELLS", budget)
@@ -401,6 +437,63 @@ def test_full_check_splits_its_rows_to_the_coefficient_budget(monkeypatch):
     monkeypatch.setattr(oracle_module, "_COEFF_CELLS", 3 * 11 - 1)
     with pytest.raises(SizeCapExceeded):
         full_check(G)
+
+
+def test_full_check_builds_the_residue_tables_once_per_set_of_representatives(monkeypatch):
+    # orbit_shape at q = 3 takes about ten chunks of rows in the formula
+    # check and several in the constancy check; the tables are built once
+    # for the superclass representatives and once for all of G
+    G = PatternGroup(orbit_shape_poset(), F3)
+    builds, calls = [], []
+    residue_tables, rows = Oracle._residue_tables, Oracle._rows
+    monkeypatch.setattr(Oracle, "_residue_tables", lambda o, phi: builds.append(phi.shape) or residue_tables(o, phi))
+    monkeypatch.setattr(Oracle, "_rows", lambda o, etas, tables: calls.append(len(etas)) or rows(o, etas, tables))
+    report = full_check(G, oracle_cap=1 << 13, with_axioms=True)
+    assert report.ok and report.axioms is not None
+    assert len(calls) >= 10
+    assert builds == [(G.dim, report.classes), (G.dim, G.order())]
+
+
+def test_orbit_sums_raise_on_a_member_run_that_is_not_a_co_orbit():
+    # three members that are no co-orbit, summed as the zero character's,
+    # whose right co-orbit has one member (nright = 1): at a representative
+    # with phi_23 != 0 (the first coordinate) the residues are 0, phi_23 and
+    # phi_13, so one count is 1 or 2 out of 3 and the sum is not divisible by 3
+    o = Oracle(PatternGroup(full_triangular(3), F2))
+    reps = o.superclass_partition().reps
+    digits = np.array(reps, dtype=np.int64).reshape(len(reps), o.dim)
+    elements = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0)], dtype=np.int64)
+    assert any(phi[0] for phi in reps)
+    with pytest.raises(NonIntegralScaling):
+        o.value_row((0, 0, 0), digits, elements=elements)
+
+
+@pytest.mark.parametrize("m", [127, 128, 255, 256, 32767, 32768])
+def test_orbit_sums_scale_plus_and_minus_m_exactly(m):
+    # m copies of one member, summed as the zero character's (nright = 1):
+    # the differences of counts are +m at phi = 0 and -m at phi = 1, the
+    # edges of the narrowest signed dtype that holds them
+    o = Oracle(PatternGroup(validate_closed(2, {(1, 2)}), F2))
+    row = o.value_row((0,), np.array([[0], [1]]), elements=np.ones((m, 1), dtype=np.int64))
+    assert row.tolist() == [[1, -1]]
+
+
+@pytest.mark.parametrize("q", [2, 4, 3, 9, 5, 7])
+@pytest.mark.parametrize("shape", [(13,), (4, 6), (2, 3, 5)])
+def test_charvalue_coeff_rows_is_to_cyc_cell_by_cell(q, shape):
+    F = Fq.of(q)
+    p = F.p
+    rng = np.random.default_rng(q * 100 + len(shape))
+    zero = rng.random(shape) < 0.3
+    qexp = rng.integers(0, 6, shape).astype(np.uint8)
+    zexp = rng.integers(0, p, shape).astype(np.uint8)
+    zexp.flat[0], zero.flat[0] = p - 1, False  # zeta**(p-1), which spreads over every coefficient
+    zero.flat[-1] = True
+    rows = charvalue_coeff_rows(p, q, zero, qexp, zexp)
+    assert rows.shape == (p - 1,) + shape
+    for cell in np.ndindex(shape):
+        value = CharValue.zero() if zero[cell] else CharValue.of(int(qexp[cell]), int(zexp[cell]), p)
+        assert CycInt(p, tuple(int(x) for x in rows[(slice(None),) + cell])) == value.to_cyc(F), cell
 
 
 def _scaled_orbit_sums(o, eta, reps):

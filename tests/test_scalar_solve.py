@@ -160,6 +160,14 @@ def test_orbit_sums_take_no_product_per_block(name):
     ]
 
 
+def test_orbit_sums_take_their_residue_tables_from_the_caller():
+    """The tables are built once per set of representatives, next to
+    _phi_digits, and passed down: the orbit-sum kernel never builds them."""
+    oracle = _functions(_tree("oracle.py"))
+    assert "_residue_tables" not in _names(oracle["Oracle._orbit_sums"])
+    assert "_residue_tables" not in _names(oracle["Oracle._rows"])
+
+
 def test_one_orbit_engine_and_one_move_format():
     """Orbits come from the one vectorized sweep: no module defines a
     closure search, and core and the oracle each call the sweep from one
