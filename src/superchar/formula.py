@@ -284,7 +284,7 @@ def value_blocks(evaluators: CharacterEvaluator, digits: np.ndarray):
     F, dim = evaluators.field, evaluators.source.d
     digits = _check_functionals(F, dim, digits)
     count, r = len(digits), F.r
-    x = F.p_digits(digits).reshape(count, dim * r)
+    x = F.p_digits(digits).reshape(count, dim * r).astype(np.min_scalar_type(F.p - 1))
     out = value_arrays((len(evaluators), count), dim, F.p)
     start = 0
     while start < len(evaluators):
@@ -293,9 +293,8 @@ def value_blocks(evaluators: CharacterEvaluator, digits: np.ndarray):
         frame = np.maximum.accumulate(evaluators.frames[start:], axis=0)
         entries = count * np.arange(1, len(frame) + 1) * _width(r, *frame.T)
         stop = start + max(1, int(np.count_nonzero(entries <= _CHUNK_ENTRIES)))
-        chunk = _chunk_values(F, evaluators[start:stop], x, *frame[stop - start - 1].tolist())
-        for arr, block in zip(out, chunk):
-            arr[start:stop] = block
+        rows, cols, off = frame[stop - start - 1].tolist()
+        _chunk_values(F, evaluators[start:stop], x, rows, cols, off, *(arr[start:stop] for arr in out))
         start = stop
     return out
 
@@ -317,9 +316,14 @@ def _width(r: int, rows, cols, off):
     return r * (rows + cols + rows * cols + off) + 1
 
 
-def _chunk_values(F: Fq, chunk: CharacterEvaluator, x: np.ndarray, rows: int, cols: int, off: int):
-    """(is_zero, q_exp, zeta_exp), each (len(chunk), count), for characters
-    whose frames all fit in rows x cols with at most ``off`` off-frame slots."""
+def _chunk_values(F: Fq, chunk: CharacterEvaluator, x: np.ndarray, rows: int, cols: int, off: int, zero, q_exp, zeta_exp):
+    """Write is_zero, q_exp and zeta_exp of the characters of ``chunk``,
+    whose frames all fit in rows x cols with at most ``off`` off-frame slots,
+    at the count classes of ``x`` into ``zero``, ``q_exp`` and ``zeta_exp``:
+    (len(chunk), count) slices of :func:`value_arrays`, all zero on entry,
+    written in place in their own dtypes.  A section of the digit product
+    with no planes (M on a frame with no rows or no columns, as on a set
+    with no 4-chains, or no off-frame slots) is not reduced."""
     r = F.r
     (k, dim), count = chunk.etas.shape, len(x)
     width = _width(r, rows, cols, off)
@@ -331,26 +335,36 @@ def _chunk_values(F: Fq, chunk: CharacterEvaluator, x: np.ndarray, rows: int, co
     digit = np.arange(r)
     # a character's plan holds each (phi-slot, entry) pair once, so every
     # block lands on its own weights; entry-major, so that each section of
-    # the product below is a run of whole (characters, classes) planes
-    weights = np.zeros((width, k, dim, r), dtype=np.int64)
+    # the product below is a run of whole (characters, classes) planes;
+    # digits in the narrow dtype of x
+    weights = np.zeros((width, k, dim, r), dtype=x.dtype)
     idx = (r * unit[:, None, None] + digit, owner[:, None, None], src[:, None, None], digit[None, :, None])
     weights[idx] = F.digit_blocks(F.p_digits(coeff))
     weights[-1] = F.matmul_mod_p(F.p_digits(chunk.etas), F.trace_form)
     y = F.matmul_mod_p(weights.reshape(width * k, dim * r), x.T).reshape(width, k, count)
 
+    # zero: a nonzero entry off the frame, or of a or b where M = 0; the
+    # cells where M != 0 and no entry is off the frame are hard
     m_start, m_stop = r * (rows + cols), r * (rows + cols + rows * cols)
-    hard = y[m_start:m_stop].any(axis=0)
-    off_frame = y[m_stop:-1].any(axis=0)
-    zero = off_frame | (~hard & y[:m_start].any(axis=0))
-    meshed = ~zero & ~hard
+    np.any(y[:m_start], axis=0, out=zero)
+    hard = y[m_start:m_stop].any(axis=0) if m_stop > m_start else None
+    if hard is not None:
+        np.greater(zero, hard, out=zero)  # zero &= ~hard, in place
+    if off:
+        off_frame = y[m_stop:-1].any(axis=0)
+        zero |= off_frame
+        if hard is not None:
+            np.greater(hard, off_frame, out=hard)  # hard &= ~off_frame
+    meshed = ~zero if hard is None else ~(zero | hard)
     corank = chunk.coranks
-    q_exp = np.where(meshed, corank[:, None], 0)
-    zeta_exp = np.where(meshed, y[-1], 0)
-    ch, cls = np.nonzero(hard & ~off_frame)
+    np.copyto(q_exp, corank[:, None], casting="unsafe", where=meshed)
+    np.copyto(zeta_exp, y[-1], casting="unsafe", where=meshed)
+    if hard is None:
+        return
+    ch, cls = np.nonzero(hard)
     for s in range(0, len(ch), _BATCH_CELLS):
         e, c = ch[s : s + _BATCH_CELLS], cls[s : s + _BATCH_CELLS]
         zero[e, c], q_exp[e, c], zeta_exp[e, c] = _solve_hard(F, y[:, e, c].T, rows, cols, corank[e])
-    return zero, q_exp, zeta_exp
 
 
 def _solve_hard(F: Fq, y: np.ndarray, rows: int, cols: int, corank: np.ndarray):

@@ -81,7 +81,14 @@ class Backend:
     basis of F_q, each kind lists one move: the tuple of updates (tgt, src, c)
     of X -> (1 + X_g) X, of X -> X (1 + X_g), of conjugation, or, on the dual
     space, the transposed updates of the multiplications by (1 + X_g)**-1,
-    in the move format of :mod:`.core`."""
+    in the move format of :mod:`.core`.
+
+    Every action is a linear map, kept as {src: image of e_src} over the
+    sources with a nonzero image: left multiplication by e_a is row a of the
+    table and right multiplication column a, each listed once over its
+    nonzero entries.  (1 + X_g)**-1, the maps of the dual kinds and
+    conjugation are built from those maps, so no product meets an empty
+    entry."""
 
     def __init__(self, field: Fq, dim: int, product):
         self.field = field
@@ -89,48 +96,63 @@ class Backend:
         F = field
         basis = [tuple(1 if k == i else 0 for k in range(dim)) for i in range(dim)]
         table = [[{k: c for k, c in enumerate(product(u, v)) if c} for v in basis] for u in basis]
+        # e_a e_src and e_src e_a over the sources src where they are nonzero
+        rows = [[(src, table[a][src]) for src in range(dim) if table[a][src]] for a in range(dim)]
+        cols = [[(src, table[src][a]) for src in range(dim) if table[src][a]] for a in range(dim)]
 
-        # vectors below are sparse: {coordinate: nonzero value}
-        def plus(u, v):
-            out = dict(u)
-            for k, c in v.items():
-                out[k] = F.add(out.get(k, 0), c)
-            return {k: c for k, c in out.items() if c}
+        # vectors below are sparse, {coordinate: nonzero value}, and so are
+        # the images of a map
+        def combine(terms):
+            """sum of c * v over the (c, v) pairs of ``terms``."""
+            out: dict = {}
+            for c, v in terms:
+                for k, x in v.items():
+                    out[k] = F.add(out.get(k, 0), F.mul(c, x))
+            return {k: x for k, x in out.items() if x}
 
-        def mul(u, v):
-            out = {}
-            for i, a in u.items():
-                for j, b in v.items():
-                    ab = F.mul(a, b)
-                    for k, c in table[i][j].items():
-                        out[k] = F.add(out.get(k, 0), F.mul(ab, c))
-            return {k: c for k, c in out.items() if c}
+        def multiplication(u, entries):
+            """x -> u x (entries = rows) or x -> x u (entries = cols)."""
+            images: dict = {}
+            for a, c in u.items():
+                for src, v in entries[a]:
+                    images.setdefault(src, []).append((c, v))
+            return {src: image for src, terms in images.items() if (image := combine(terms))}
 
-        def updates(delta, transpose=False):
-            """The map e -> e + delta(e), or its transpose, as updates."""
-            ups = []
-            for src in range(dim):
-                for tgt, c in sorted(delta({src: 1}).items()):
-                    ups.append((src, tgt, c) if transpose else (tgt, src, c))
-            return tuple(ups)
+        def plus(*vs):
+            return combine((1, v) for v in vs)
+
+        def apply(action, v):
+            return combine((c, action[k]) for k, c in v.items() if k in action)
+
+        def updates(action, transpose=False):
+            """The map e -> e + action(e), or its transpose, as updates."""
+            return tuple(
+                (src, tgt, c) if transpose else (tgt, src, c)
+                for src in sorted(action)
+                for tgt, c in sorted(action[src].items())
+            )
 
         moves = ([], [], [], [], [])
         for gidx in range(dim):
             for t in F.additive_generators():
                 g, neg = {gidx: t}, {gidx: F.neg(t)}
+                left, right_neg = multiplication(g, rows), multiplication(neg, cols)
                 g_inv, term = {}, neg  # (1 + X)**-1 - 1 = -X + X**2 - ..., finite by nilpotency
                 while term:
-                    g_inv, term = plus(g_inv, term), mul(term, neg)
-
-                def conj(e):  # (1 + X_g) e (1 + X_g)**-1 - e
-                    ge = mul(g, e)
-                    return plus(ge, mul(plus(e, ge), g_inv))
-
+                    g_inv, term = plus(g_inv, term), apply(right_neg, term)
+                right_inv = multiplication(g_inv, cols)
+                # conjugation, e -> (1 + X_g) e (1 + X_g)**-1 - e, is
+                # g e + e g_inv + (g e) g_inv, nonzero only where g e or e g_inv is
+                conj = {}
+                for src in left.keys() | right_inv.keys():
+                    ge = left.get(src, {})
+                    if image := plus(ge, right_inv.get(src, {}), apply(right_inv, ge)):
+                        conj[src] = image
                 per_kind = (
-                    updates(lambda e: mul(g, e)),
-                    updates(lambda e: mul(e, g)),
-                    updates(lambda e: mul(g_inv, e), transpose=True),
-                    updates(lambda e: mul(e, g_inv), transpose=True),
+                    updates(left),
+                    updates(multiplication(g, cols)),
+                    updates(multiplication(g_inv, rows), transpose=True),
+                    updates(right_inv, transpose=True),
                     updates(conj),
                 )
                 for out, ups in zip(moves, per_kind):
@@ -250,11 +272,16 @@ class Oracle:
     def _rows(self, etas, tables) -> np.ndarray:
         """:meth:`value_rows` against the :meth:`_residue_tables` of a set of
         representatives."""
+        return self._orbit_sums(*self._runs(etas), tables)
+
+    def _runs(self, etas):
+        """(members, starts, sizes, nright) of the co-orbits of ``etas``: the
+        runs of co-orbit members the orbit sums take, and |lambda U| per run."""
         co = self.coorbit_partition()
         ks = co.classes_of(etas)
         codes, bounds = co.members
         starts = bounds[ks]
-        return self._orbit_sums(codes, starts, bounds[ks + 1] - starts, self._right_sizes[ks], tables)
+        return codes, starts, bounds[ks + 1] - starts, self._right_sizes[ks]
 
     def _orbit_sums(self, members, starts, sizes, nright, tables) -> np.ndarray:
         """(nright[i] / m) * sum of theta(mu . phi) over the m = sizes[i]
@@ -262,73 +289,82 @@ class Oracle:
         (p-1, rows, count) cyclotomic coefficients, with ``tables`` the
         :meth:`_residue_tables` of the representatives phi.
 
-        The residues (mu . phi) mod p of a block are one row gather per run
-        of digits from those tables, added in the narrowest unsigned dtype
-        that holds 2(p-1) and folded after each addition by
-        minimum(res, res - p), where res - p wraps when res < p.
+        The scaling runs on the narrow counters of :meth:`_residue_counts`:
+        each coefficient, a difference of two counts, is divided exactly by
+        m / g, g = gcd(m, nright[i]) (:func:`_divided`), then widened once per
+        block, when it is written into the result, and multiplied there by
+        nright[i] / g.  SizeCapExceeded, before anything is allocated, when
+        p x rows x count passes ``_COEFF_CELLS``.
+        """
+        blocks = self._residue_counts(members, starts, sizes, nright, tables)
+        out = np.empty((self.field.p - 1, len(sizes), tables[0][1].shape[1]), dtype=np.int64)
+        for sel, m, nr, counts in blocks:
+            num, factor = _divided(counts, m, nr)
+            out[:, sel] = num
+            if factor > 1:
+                out[:, sel] *= factor
+        return out
 
-        Rows of equal (m, nright) are summed together, in blocks of at most
-        ``_BLOCK_CELLS`` member x class cells; a co-orbit larger than a block
-        is split along its members.  Residues are counted per cell in
-        counters of the narrowest dtype that holds m, and the scaling runs on
-        them: each coefficient, a difference of two counts, is taken in the
-        narrowest signed dtype that holds +-m and divided exactly by m / g,
-        g = gcd(m, nright[i]), then widened once per row group, when it is
-        written into the result, and multiplied there by nright[i] / g.  A
-        block of n residues over W cells takes the cheaper counter, in units
-        of one residue compared once:
-        p - 1 comparison passes at n + 128 per row reduced + 32768 each, or
-        one bincount at 24 n + 8 p W.  The constants minimise the worst
-        slowdown on timed blocks (p <= 65521, 3 to 2^16 residues, rows of 3
-        to 16129 classes): 1.22x on rows of 64 or more, 10x on rows of 3.
-        SizeCapExceeded, before anything is allocated, when p x rows x count
-        passes ``_COEFF_CELLS``.
+    def _residue_counts(self, members, starts, sizes, nright, tables):
+        """Count the residues (mu . phi) mod p of the orbit sums of
+        :meth:`_orbit_sums`: an iterator of (sel, m, nr, counts), one per
+        block, where the rows ``sel`` all have m = sizes[i] and nr =
+        nright[i], and counts[k, j, c] is how many of the m members of row
+        sel[j] have residue k against representative c.
+
+        The residues of a block are one row gather per run of digits from
+        ``tables``, added in the narrowest unsigned dtype that holds 2(p-1)
+        and folded after each addition by minimum(res, res - p), where
+        res - p wraps when res < p.  Rows of equal (m, nr) are counted
+        together, in blocks of at most ``_BLOCK_CELLS`` member x class cells;
+        a co-orbit larger than a block is split along its members.  Counters
+        have the narrowest dtype that holds m.  A block of n residues over W
+        cells takes the cheaper counter, in units of one residue compared
+        once: p - 1 comparison passes at n + 128 per row reduced + 32768
+        each, or one bincount at 24 n + 8 p W.  The constants minimise the
+        worst slowdown on timed blocks (p <= 65521, 3 to 2^16 residues, rows
+        of 3 to 16129 classes): 1.22x on rows of 64 or more, 10x on rows of
+        3.  SizeCapExceeded, when this is called and before anything is
+        allocated, when p x rows x count passes ``_COEFF_CELLS``: the
+        callers hold that many coefficients.
         """
         p = self.field.p
         (_, low), *higher = tables
         count = low.shape[1]
         if p * len(sizes) * count > _COEFF_CELLS:
             raise SizeCapExceeded(p * len(sizes) * count, _COEFF_CELLS, "orbit-sum coefficients")
-        out = np.empty((p - 1, len(sizes), count), dtype=np.int64)
         wrap = low.dtype.type(p)
-
         per_block = max(1, _BLOCK_CELLS // max(1, count))  # members per block
-        for m, nr in sorted(set(zip(sizes.tolist(), nright.tolist()))):
-            rows = np.flatnonzero((sizes == m) & (nright == nr))
-            piece = min(m, per_block)
-            step = per_block // piece  # rows per block
-            for i in range(0, len(rows), step):
-                sel = rows[i : i + step]
-                width, n = len(sel) * count, len(sel) * piece * count  # cells, residues
-                compare = (p - 1) * (n + 128 * len(sel) * piece + 32768) <= 24 * n + 8 * p * width
-                counts = np.zeros((p, len(sel), count), dtype=np.min_scalar_type(m))
-                for lo in range(0, m, piece):
-                    codes = members[starts[sel, None] + np.arange(lo, min(m, lo + piece))]
-                    res = low[codes % len(low)]
-                    for scale, table in higher:
-                        res += table[codes // scale % len(table)]
-                        np.minimum(res, res - wrap, out=res)
-                    if compare:  # summing bytes, in the narrowest dtype, beats counting bools
-                        acc = np.min_scalar_type(piece)
-                        for k in range(1, p):
-                            counts[k] += (res == k).view(np.uint8).sum(axis=1, dtype=acc)
-                    else:
-                        cells = np.arange(counts[0].size).reshape(len(sel), 1, count)
-                        index = (res.astype(np.intp) * counts[0].size + cells).ravel()
-                        counts += np.bincount(index, minlength=counts.size).reshape(counts.shape).astype(counts.dtype)
-                if compare:
-                    counts[0] = m - counts[1:].sum(axis=0, dtype=counts.dtype)
-                num = np.subtract(counts[: p - 1], counts[p - 1], dtype=np.min_scalar_type(-m - 1))
-                g = math.gcd(m, nr)  # the scale nr / m in lowest terms
-                if m > g:  # a floor division by a constant is far faster than a remainder
-                    quotient = num // (m // g)
-                    if (quotient * (m // g) != num).any():
-                        raise NonIntegralScaling(f"co-orbit size {m} does not divide the scaled sum")
-                    num = quotient
-                out[:, sel] = num
-                if nr > g:
-                    out[:, sel] *= nr // g
-        return out
+
+        def blocks():
+            for m, nr in sorted(set(zip(sizes.tolist(), nright.tolist()))):
+                rows = np.flatnonzero((sizes == m) & (nright == nr))
+                piece = min(m, per_block)
+                step = per_block // piece  # rows per block
+                for i in range(0, len(rows), step):
+                    sel = rows[i : i + step]
+                    width, n = len(sel) * count, len(sel) * piece * count  # cells, residues
+                    compare = (p - 1) * (n + 128 * len(sel) * piece + 32768) <= 24 * n + 8 * p * width
+                    counts = np.zeros((p, len(sel), count), dtype=np.min_scalar_type(m))
+                    for lo in range(0, m, piece):
+                        codes = members[starts[sel, None] + np.arange(lo, min(m, lo + piece))]
+                        res = low[codes % len(low)]
+                        for scale, table in higher:
+                            res += table[codes // scale % len(table)]
+                            np.minimum(res, res - wrap, out=res)
+                        if compare:  # summing bytes, in the narrowest dtype, beats counting bools
+                            acc = np.min_scalar_type(piece)
+                            for k in range(1, p):
+                                counts[k] += (res == k).view(np.uint8).sum(axis=1, dtype=acc)
+                        else:
+                            cells = np.arange(counts[0].size).reshape(len(sel), 1, count)
+                            index = (res.astype(np.intp) * counts[0].size + cells).ravel()
+                            counts += np.bincount(index, minlength=counts.size).reshape(counts.shape).astype(counts.dtype)
+                    if compare:
+                        counts[0] = m - counts[1:].sum(axis=0, dtype=counts.dtype)
+                    yield sel, m, nr, counts
+
+        return blocks()
 
     def _residue_tables(self, phi) -> list:
         """The residue tables of :meth:`_orbit_sums` against ``phi``: (p**lo,
@@ -431,17 +467,43 @@ class Oracle:
         return report
 
     def _check_constancy(self, sc: OrbitPartition, co: OrbitPartition) -> bool:
+        """Every supercharacter is constant on every superclass, judged on
+        the residue counters of :meth:`_residue_counts` over all of G before
+        any scaling: each element's counts must equal its superclass
+        representative's.  For a fixed row the counts, which sum to m,
+        determine the scaled value and are determined by it, so this is the
+        axiom itself.  The exact scaling (NonIntegralScaling) is checked on
+        the representatives' columns, which then stand for every element."""
         F = self.field
         total = self.order
         every = _codes_to_digits(np.arange(total, dtype=np.int64), F.q, self.dim)
         tables = self._residue_tables(self._phi_digits(every))
         sc_codes = sc.canonical_codes()
+        reps = np.flatnonzero(sc_codes == np.arange(total))  # each its own representative
         step = _rows_per_call(F.p, total)
         for start in range(0, len(co.reps), step):
-            rows = self._rows(co.reps[start : start + step], tables)  # (p-1, step, |G|)
-            if not np.array_equal(rows, rows[:, :, sc_codes]):
-                return False
+            for _, m, nr, counts in self._residue_counts(*self._runs(co.reps[start : start + step]), tables):
+                if not np.array_equal(counts, counts.take(sc_codes, axis=2)):
+                    return False
+                _divided(counts.take(reps, axis=2), m, nr)  # raises NonIntegralScaling if inexact
         return True
+
+
+def _divided(counts, m: int, nr: int):
+    """(num, factor): the scaled coefficients (nr / m)(counts[k] - counts[p-1]),
+    k < p - 1, of a block's residue counts as num * factor.  num is taken in
+    the narrowest signed dtype that holds +-m and divided exactly by m / g,
+    g = gcd(m, nr), factor = nr / g; NonIntegralScaling when m / g does not
+    divide a difference."""
+    p = len(counts)
+    num = np.subtract(counts[: p - 1], counts[p - 1], dtype=np.min_scalar_type(-m - 1))
+    g = math.gcd(m, nr)  # the scale nr / m in lowest terms
+    if m > g:  # a floor division by a constant is far faster than a remainder
+        quotient = num // (m // g)
+        if (quotient * (m // g) != num).any():
+            raise NonIntegralScaling(f"co-orbit size {m} does not divide the scaled sum")
+        num = quotient
+    return num, nr // g
 
 
 def _rows_per_call(p: int, count: int) -> int:

@@ -2,11 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
 from orbit_closure import bfs
+from sweep_reference import reference_partition
 
 from superchar.catalog import (
+    class_counterexample_poset,
     coorbit_shape_poset,
+    corpus,
     full_pairs,
     full_triangular,
     heisenberg,
@@ -318,6 +322,35 @@ def test_partition_classes_are_single_orbit_closures(q):
             assert all(part.class_of(m) == k for m in members)
             covered += size
         assert covered == G.order()
+
+
+# every corpus set at q = 2 (labels of up to 16 bits), where one pass of
+# the fixpoint settles every label; two sets at q = 3, where it takes two;
+# and the Heisenberg set with n = 10, whose 2**17 functionals take 32-bit labels
+_SWEEP_CASES = {f"{entry.name}_q2": (entry.J, 2) for entry in corpus()} | {
+    "full_u4_q3": (full_triangular(4), 3),
+    "class_counterexample_q3": (class_counterexample_poset(), 3),
+    "heisenberg10_q2": (heisenberg(10), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_CASES))
+def test_sweep_equals_the_fancy_index_reference(name):
+    """Both sweeps of core equal the reference fixpoint over whole functional
+    arrays: labels, representatives and sizes, in the label dtype of the
+    code count."""
+    J, q = _SWEEP_CASES[name]
+    G = PatternGroup(J, Fq.of(q))
+    dtype = np.min_scalar_type(G.order() - 1)
+    assert (dtype == np.uint32) == (name == "heisenberg10_q2")
+    for kinds in (("left", "right"), ("co_left", "co_right")):
+        moves = sum((G._move_set(kind) for kind in kinds), ())
+        part = core.orbit_partition_from_moves(G.field, G.dim, moves, None)
+        labels, rep_codes, sizes = reference_partition(G.field, G.dim, moves)
+        assert part._labels.dtype == dtype
+        assert np.array_equal(part.canonical_codes(), labels)
+        assert [part.code(rep) for rep in part.reps] == rep_codes.tolist()
+        assert part.sizes == tuple(sizes.tolist())
 
 
 # each single-orbit method and the backend move sets whose closure it is

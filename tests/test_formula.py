@@ -154,7 +154,8 @@ def _swept(source):
 # F_2^16 and the semidirect algebra need digit blocks (those of F_4 are
 # symmetric, so only F_9, F_512 and F_2^16 see a missing transpose); U_4(9)
 # has odd-characteristic digit blocks under hard meshes, and U_4 over F_65521
-# and F_2^16 solves hard meshes with p or q past 256.
+# and F_2^16 solves hard meshes with p or q past 256.  The Heisenberg set
+# with n = 4 has no 4-chains, so no frame has an M section to reduce.
 _BATCH_GROUPS = {
     "U6(2)": lambda: _swept(PatternGroup(full_triangular(6), F2)),
     "U5(3)": lambda: _swept(PatternGroup(full_triangular(5), F3)),
@@ -167,6 +168,7 @@ _BATCH_GROUPS = {
     "U4(65521)": lambda: _sampled(Fq.of(65521), 4, 20, 8),
     "U4(2^16)": lambda: _sampled(F65536, 4, 20, 9),
     "one_pair(257)": lambda: _swept(PatternGroup(validate_closed(2, {(1, 2)}), Fq.of(257))),
+    "heisenberg4(3)": lambda: _swept(PatternGroup(heisenberg(4), F3)),
 }
 
 
@@ -197,7 +199,12 @@ def test_value_blocks_match_value_block_and_the_scalar_value(name, small_batches
         chunk_values, solve_hard = formula._chunk_values, formula._solve_hard
         monkeypatch.setattr(formula, "_chunk_values", lambda *a: batches.append([]) or chunk_values(*a))
         monkeypatch.setattr(formula, "_solve_hard", lambda F, y, *a: batches[-1].append(len(y)) or solve_hard(F, y, *a))
-    got = value_blocks(CharacterEvaluator.batch(source, etas), digits)
+    evaluators = CharacterEvaluator.batch(source, etas)
+    if name == "heisenberg4(3)":
+        assert len(etas) == len(digits) == 83 and not evaluators.frames[:, :2].any()
+    got = value_blocks(evaluators, digits)
+    dtypes = [np.dtype(bool), np.min_scalar_type(source.dim), np.min_scalar_type(source.field.p - 1)]
+    assert [arr.dtype for arr in got] == dtypes
     for arr, want in zip(got, expected):
         assert arr.shape == want.shape and np.array_equal(arr, want)
     for i, eta in enumerate(etas):  # each character set up on its own

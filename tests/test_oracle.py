@@ -423,13 +423,13 @@ def test_full_check_splits_its_rows_to_the_coefficient_budget(monkeypatch):
     G = PatternGroup(full_triangular(3), F3)
     budget = 3 * G.order() * 2
     held = []
-    orbit_sums = Oracle._orbit_sums
+    residue_counts = Oracle._residue_counts
 
     def recorded(self, members, starts, sizes, nright, tables):
         held.append(self.field.p * len(sizes) * tables[0][1].shape[1])
-        return orbit_sums(self, members, starts, sizes, nright, tables)
+        return residue_counts(self, members, starts, sizes, nright, tables)
 
-    monkeypatch.setattr(Oracle, "_orbit_sums", recorded)
+    monkeypatch.setattr(Oracle, "_residue_counts", recorded)
     monkeypatch.setattr(oracle_module, "_COEFF_CELLS", budget)
     report = full_check(G)
     assert report.ok and report.axioms is not None and report.classes == 11
@@ -445,9 +445,9 @@ def test_full_check_builds_the_residue_tables_once_per_set_of_representatives(mo
     # for the superclass representatives and once for all of G
     G = PatternGroup(orbit_shape_poset(), F3)
     builds, calls = [], []
-    residue_tables, rows = Oracle._residue_tables, Oracle._rows
+    residue_tables, runs = Oracle._residue_tables, Oracle._runs
     monkeypatch.setattr(Oracle, "_residue_tables", lambda o, phi: builds.append(phi.shape) or residue_tables(o, phi))
-    monkeypatch.setattr(Oracle, "_rows", lambda o, etas, tables: calls.append(len(etas)) or rows(o, etas, tables))
+    monkeypatch.setattr(Oracle, "_runs", lambda o, etas: calls.append(len(etas)) or runs(o, etas))
     report = full_check(G, oracle_cap=1 << 13, with_axioms=True)
     assert report.ok and report.axioms is not None
     assert len(calls) >= 10

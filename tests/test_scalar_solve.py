@@ -146,7 +146,7 @@ def test_one_scalar_and_one_array_check_of_a_functional():
             assert not _order_tests_against_q(_tree(path.name)), path.name
 
 
-@pytest.mark.parametrize("name", ["Oracle._orbit_sums", "Oracle._residue_tables"])
+@pytest.mark.parametrize("name", ["Oracle._orbit_sums", "Oracle._residue_counts", "Oracle._residue_tables"])
 def test_orbit_sums_take_no_product_per_block(name):
     """The oracle's orbit sums gather the residues of every block from
     tables built by additions: no mod-p product and no digit expansion per
@@ -164,8 +164,8 @@ def test_orbit_sums_take_their_residue_tables_from_the_caller():
     """The tables are built once per set of representatives, next to
     _phi_digits, and passed down: the orbit-sum kernel never builds them."""
     oracle = _functions(_tree("oracle.py"))
-    assert "_residue_tables" not in _names(oracle["Oracle._orbit_sums"])
-    assert "_residue_tables" not in _names(oracle["Oracle._rows"])
+    for name in ("Oracle._orbit_sums", "Oracle._residue_counts", "Oracle._rows", "Oracle._runs"):
+        assert "_residue_tables" not in _names(oracle[name]), name
 
 
 def test_one_orbit_engine_and_one_move_format():
