@@ -125,8 +125,9 @@ class CharacterEvaluator:
     null(M), so b must vanish there.  Irreducibility is not read off:
     tables take it from the co-orbit sizes.
 
-    Indexing gives the evaluator of one character (an int) or of a run of
-    them (a slice), on the same arrays.  :meth:`value` is the per-cell
+    Indexing gives the evaluator of one character (an int), of a run of
+    them (a slice), on the same arrays, or of any selection of them in any
+    order (an index array without repeats).  :meth:`value` is the per-cell
     reference of a one-character evaluator; :meth:`value_block` and
     :func:`value_blocks` are the bulk paths.  All of them read the plan.
     """
@@ -148,7 +149,7 @@ class CharacterEvaluator:
         self.etas = etas = _check_functionals(F, d, etas)
         k, place = len(etas), p ** np.arange(r)
         pairs, W = source._constant_blocks()
-        A = np.zeros((k, d, d, r), dtype=np.int64)  # digits of A_eta
+        A = np.zeros((k, d, d, r), dtype=np.min_scalar_type(p - 1))  # digits of A_eta
         A[:, pairs[:, 0], pairs[:, 1]] = F.matmul_mod_p(F.p_digits(etas).reshape(k, d * r), W).reshape(k, len(pairs), r)
         # block (i, j) = D(A_ij) is the F_p matrix of x -> A^T x, of rank
         # r * rank(A_eta); rows and columns where every A_eta vanishes go
@@ -184,14 +185,24 @@ class CharacterEvaluator:
         return len(self.etas)
 
     def __getitem__(self, index) -> "CharacterEvaluator":
+        sub = CharacterEvaluator.__new__(CharacterEvaluator)
+        sub.field, sub.source = self.field, self.source
+        if isinstance(index, np.ndarray):
+            # any selection, in its order: the plan rows of each character,
+            # renumbered by its place in the selection and regrouped by it
+            place = np.full(len(self), -1)
+            place[index] = np.arange(len(index))
+            plan = self.plan[place[self.plan[:, 0]] >= 0]
+            plan[:, 0] = place[plan[:, 0]]
+            sub.plan = plan[np.argsort(plan[:, 0], kind="stable")]
+            sub.etas, sub.coranks, sub.frames = self.etas[index], self.coranks[index], self.frames[index]
+            return sub
         span = range(len(self))[index]
         if isinstance(span, int):
             span = range(span, span + 1)
         if span.step != 1:
             raise IndexError("a run of characters is a slice with step 1")
         lo, hi = span.start, span.stop
-        sub = CharacterEvaluator.__new__(CharacterEvaluator)
-        sub.field, sub.source = self.field, self.source
         sub.etas, sub.coranks, sub.frames = self.etas[lo:hi], self.coranks[lo:hi], self.frames[lo:hi]
         first, last = np.searchsorted(self.plan[:, 0], [lo, hi])
         sub.plan = self.plan[first:last] - np.array([lo, 0, 0, 0, 0, 0])
@@ -254,21 +265,28 @@ class CharacterEvaluator:
 
 
 _ROW_CELLS = 1 << 16  # cells per chunk of rows in value_chunks
-_CHUNK_ENTRIES = 1 << 15  # entries of the digit product per chunk of characters
+_SETUP_ENTRIES = 1 << 16  # entries of A_eta, k * d**2 * r, per batched setup in value_chunks
+_CHUNK_ENTRIES = 1 << 16  # entries of the digit product per run of characters
 _BATCH_CELLS = 4096  # hard cells per batched elimination
 
 
 def value_chunks(source, etas, digits: np.ndarray):
     """Yield (start, evaluators, values) for consecutive chunks of the
     characters ``etas`` of ``source``, about ``_ROW_CELLS`` cells each:
-    the chunk's evaluator, set up as one :meth:`CharacterEvaluator.batch`,
-    and its :func:`value_blocks` over ``digits``.  A chunk's evaluator
-    lives only until the next one is made, so memory stays O(chunk x
-    classes)."""
+    the chunk's evaluator and its :func:`value_blocks` over ``digits``.
+
+    The characters are set up in batches of at most ``_SETUP_ENTRIES``
+    entries of A_eta (k * d**2 * r for k characters, but at least one
+    character), one :meth:`CharacterEvaluator.batch` each, sized before it
+    allocates; the chunks are runs of a batch.  A batch lives only until
+    the next one is made, so memory stays O(batch + chunk x classes)."""
     step = max(1, _ROW_CELLS // max(1, len(digits)))
-    for start in range(0, len(etas), step):
-        evaluators = CharacterEvaluator.batch(source, etas[start : start + step])
-        yield start, evaluators, value_blocks(evaluators, digits)
+    size = max(1, _SETUP_ENTRIES // max(1, source.d**2 * source.field.r))
+    for lo in range(0, len(etas), size):
+        batch = CharacterEvaluator.batch(source, etas[lo : lo + size])
+        for start in range(0, len(batch), step):
+            evaluators = batch[start : start + step]
+            yield lo + start, evaluators, value_blocks(evaluators, digits)
 
 
 def value_blocks(evaluators: CharacterEvaluator, digits: np.ndarray):
@@ -278,25 +296,32 @@ def value_blocks(evaluators: CharacterEvaluator, digits: np.ndarray):
     ``digits`` is a (count, dim) integer array of packed functionals.
     Returns (is_zero, q_exp, zeta_exp), each of shape (len(evaluators),
     count), in the smallest dtypes that hold them (:func:`value_arrays`).
-    Characters are taken in runs whose padded digit product has at most
-    ``_CHUNK_ENTRIES`` entries.
+    The characters are ordered by frame (rows, then columns, then off-frame
+    slots), so that equal frames are neighbours and a run pads little, and
+    taken in runs of that order whose padded digit product has at most
+    ``_CHUNK_ENTRIES`` entries; the values go back to the evaluator's order
+    through the inverse permutation.
     """
     F, dim = evaluators.field, evaluators.source.d
     digits = _check_functionals(F, dim, digits)
     count, r = len(digits), F.r
     x = F.p_digits(digits).reshape(count, dim * r).astype(np.min_scalar_type(F.p - 1))
+    order = np.lexsort(evaluators.frames.T[::-1])
+    ordered = evaluators[order]
     out = value_arrays((len(evaluators), count), dim, F.p)
     start = 0
-    while start < len(evaluators):
+    while start < len(ordered):
         # the longest run of characters whose padded digit product fits:
         # the frame of a run is the running maximum of its frames
-        frame = np.maximum.accumulate(evaluators.frames[start:], axis=0)
+        frame = np.maximum.accumulate(ordered.frames[start:], axis=0)
         entries = count * np.arange(1, len(frame) + 1) * _width(r, *frame.T)
         stop = start + max(1, int(np.count_nonzero(entries <= _CHUNK_ENTRIES)))
         rows, cols, off = frame[stop - start - 1].tolist()
-        _chunk_values(F, evaluators[start:stop], x, rows, cols, off, *(arr[start:stop] for arr in out))
+        _chunk_values(F, ordered[start:stop], x, rows, cols, off, *(arr[start:stop] for arr in out))
         start = stop
-    return out
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order))
+    return tuple(arr[inverse] for arr in out)
 
 
 def value_arrays(shape, dim: int, p: int):

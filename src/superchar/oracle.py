@@ -40,6 +40,11 @@ per cell, so one call holds at most ``_COEFF_CELLS`` coefficients
 builder when not even one row fits), and callers take the characters in
 chunks of at most ``_BLOCK_CELLS`` cells and that many coefficients.
 
+:meth:`Oracle.value_rows` widens the scaled counters to int64 cyclotomic
+coefficients.  :func:`full_check` does not: it judges each block of
+counters as it comes, against the formula's coefficient columns divided by
+the block's scale factor in the counters' own dtype (:class:`_Expected`).
+
 The representatives' digit rows come from the F_p layer of
 :class:`~superchar.gf.Fq`: base-p digits, the trace form and one exact mod-p
 product per set of representatives.  From :mod:`.formula` the oracle takes
@@ -588,9 +593,72 @@ def charvalue_coeff_rows(p: int, q: int, zero, qexp, zexp) -> np.ndarray:
     return np.take(columns, key, axis=1)
 
 
+class _Expected:
+    """The formula's values in the domain of the oracle's narrow counters.
+
+    Each cell has a key, zexp * E + qexp plus p * E where it is zero, with
+    E = dim + 2: the q-exponents 0..dim, and one for every exponent past
+    dim.  For the (num, factor) of a block (:func:`_divided`),
+    :meth:`divided` holds the coefficients of each key divided by factor,
+    in num's dtype, one column per key: column z * E + e holds q**e *
+    zeta**z, the columns from p * E on hold 0 (so no mask is needed for
+    the zero cells), and num matches a cell iff it equals the cell's column.
+
+    A column whose value factor does not divide, or whose quotient falls
+    outside num's dtype, holds the dtype's minimum at every coefficient.
+    num never holds it (|num| <= m < -minimum), so those cells mismatch, as
+    they must: the oracle value num * factor is a multiple of factor within
+    that range.  So do the columns of exponents past dim, since no
+    orbit-sum coefficient passes |lambda U| <= q**dim in absolute value."""
+
+    def __init__(self, p: int, q: int, dim: int):
+        self.p, self.q, self.dim, self.E = p, q, dim, dim + 2
+        self.key_dtype = np.min_scalar_type(2 * p * self.E)
+        self._columns: dict = {}
+
+    def keys(self, zero, qexp, zexp) -> np.ndarray:
+        """The key of each cell, in the narrowest unsigned dtype, by
+        arithmetic alone."""
+        p, E = self.p, self.E
+        if qexp.max(initial=0) >= E:
+            qexp = np.minimum(qexp, E - 1)
+        if zexp.max(initial=0) >= p:  # zeta**z = zeta**(z mod p)
+            zexp = zexp % p
+        key = np.multiply(zexp, E, dtype=self.key_dtype)
+        key += qexp
+        key += np.multiply(zero, p * E, dtype=self.key_dtype)
+        return key
+
+    def divided(self, factor: int, dtype) -> np.ndarray:
+        """The (p-1, 2 p E) columns divided by ``factor``, in ``dtype``,
+        built once per pair."""
+        if (factor, dtype) not in self._columns:
+            p, E = self.p, self.E
+            lowest = np.iinfo(dtype).min
+            quotients = [divmod(self.q**e, factor) for e in range(self.dim + 1)]
+            exact = [not rest and value < -lowest for value, rest in quotients] + [False]
+            values = np.array([value if ok else 0 for (value, _), ok in zip(quotients, exact)] + [0], dtype=dtype)
+            columns = np.zeros((p - 1, 2 * p * E), dtype=dtype)
+            block = columns[:, : p * E].reshape(p - 1, p, E)  # [coefficient, z, e]
+            k = np.arange(p - 1)
+            block[k, k] = values  # q**e at coefficient z
+            block[:, p - 1] = -values  # zeta**(p-1) = -(1 + ... + zeta**(p-2))
+            block[:, :, ~np.array(exact)] = lowest
+            self._columns[factor, dtype] = columns
+        return self._columns[factor, dtype]
+
+
 def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None = None) -> CheckReport:
     """Compare the closed-form values against orbit sums on every
     representative pair, after checking the two orbit decompositions agree.
+
+    The comparison runs in the domain of the oracle's narrow residue
+    counters: each block of :meth:`Oracle._residue_counts` is scaled by
+    :func:`_divided` to num * factor, and num is compared with the formula's
+    coefficient columns divided by factor (:class:`_Expected`), gathered by
+    each cell's key.  No int64 coefficient row is built for either side.
+    Every mismatching cell is counted; the witness is the first in (eta,
+    class) order, with both sides' coefficients.
 
     The axioms cost |G|**2 products; unless ``with_axioms`` says otherwise
     they are verified only when |G| <= DEFAULT_ORACLE_CAP."""
@@ -610,25 +678,35 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
     dim = oracle.dim
     class_digits = np.array(core_sc.reps, dtype=np.int64).reshape(len(core_sc.reps), dim)
     F = oracle.field
-    # formula and oracle values for a chunk of rows at a time, so memory
-    # stays O(chunk x classes x p); every mismatching cell is counted
+    # formula values and oracle counters for a chunk of rows at a time, so
+    # memory stays O(chunk x classes x p)
     tables = oracle._residue_tables(oracle._phi_digits(class_digits))
+    expected = _Expected(F.p, F.q, dim)
     step = _rows_per_call(F.p, len(class_digits))
     for _, evaluators, values in value_chunks(source, core_co.reps, class_digits):
         for lo in range(0, len(evaluators), step):
             etas = evaluators.etas[lo : lo + step]
-            oracle_rows = oracle._rows(etas, tables)
-            formula_rows = charvalue_coeff_rows(F.p, F.q, *(arr[lo : lo + step] for arr in values))
-            bad = (formula_rows != oracle_rows).any(axis=0)
-            if report.witness is None and bad.any():
-                i, c = np.argwhere(bad)[0]  # the first in (eta, class) order
+            rows = [arr[lo : lo + step] for arr in values]
+            key = expected.keys(*rows)
+            first = None  # (row, class, oracle coefficients) of the first mismatch
+            for sel, m, nr, counts in oracle._residue_counts(*oracle._runs(etas), tables):
+                num, factor = _divided(counts, m, nr)
+                bad = (num != expected.divided(factor, num.dtype).take(key[sel], axis=1)).any(axis=0)
+                mismatches = int(np.count_nonzero(bad))
+                report.mismatches += mismatches
+                if mismatches and report.witness is None:
+                    j, c = np.argwhere(bad)[0]  # sel ascends: the block's first in (eta, class) order
+                    if first is None or (sel[j], c) < first[:2]:
+                        first = (sel[j], c, tuple(int(x) * factor for x in num[:, j, c]))
+            if first is not None:
+                i, c, oracle_coeffs = first
+                formula_coeffs = charvalue_coeff_rows(F.p, F.q, *(arr[i, c : c + 1] for arr in rows))
                 report.witness = (
                     tuple(etas[i].tolist()),
                     core_sc.reps[c],
-                    tuple(int(x) for x in formula_rows[:, i, c]),
-                    tuple(int(x) for x in oracle_rows[:, i, c]),
+                    tuple(int(x) for x in formula_coeffs[:, 0]),
+                    oracle_coeffs,
                 )
-            report.mismatches += int(bad.sum())
     report.values_match = report.mismatches == 0
     if with_axioms is None:
         with_axioms = oracle.order <= DEFAULT_ORACLE_CAP

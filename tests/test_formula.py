@@ -219,6 +219,36 @@ def test_value_blocks_match_value_block_and_the_scalar_value(name, small_batches
         assert any(len(sizes) > 1 for sizes in batches[: len(etas)])
 
 
+@pytest.mark.parametrize("name", ["class_counterexample(3)", "U4(4)"])
+def test_value_blocks_do_not_depend_on_the_order_of_the_characters(name, monkeypatch):
+    """value_blocks runs its characters grouped by frame and writes the
+    rows back in their own order: shuffled characters, set up shuffled or
+    picked out of one batch by an index array, give the rows shuffled
+    alike; and value_chunks gives the same arrays however its setups are
+    split."""
+    source, etas, digits, expected = _batch_case(name)
+    etas = np.array(etas, dtype=np.int64).reshape(len(etas), source.dim)
+    evaluators = CharacterEvaluator.batch(source, etas)
+    frames = evaluators.frames
+    assert len(np.unique(frames, axis=0)) > 2 and frames[:, 0].any()  # several frames, some with hard cells
+    assert (np.lexsort(frames.T[::-1]) != np.arange(len(etas))).any()  # not in frame order already
+    perm = np.random.default_rng(len(etas)).permutation(len(etas))
+    for got in (value_blocks(CharacterEvaluator.batch(source, etas[perm]), digits), value_blocks(evaluators[perm], digits)):
+        for arr, want in zip(got, expected):
+            assert np.array_equal(arr, want[perm])
+
+    setups = []
+    setup = CharacterEvaluator._setup
+    monkeypatch.setattr(CharacterEvaluator, "_setup", lambda self, src, e: setups.append(len(e)) or setup(self, src, e))
+    monkeypatch.setattr(formula, "_SETUP_ENTRIES", 3 * source.dim**2 * source.field.r)  # 3 characters a setup
+    monkeypatch.setattr(formula, "_ROW_CELLS", 2 * len(digits))  # 2 rows a chunk
+    chunks = list(formula.value_chunks(source, etas, digits))
+    assert setups == [len(etas[k : k + 3]) for k in range(0, len(etas), 3)]
+    assert [start for start, _, _ in chunks] == [k + j for k in range(0, len(etas), 3) for j in (0, 2) if k + j < len(etas)]
+    for arrays, want in zip(zip(*(values for _, _, values in chunks)), expected):
+        assert np.array_equal(np.concatenate(arrays), want)
+
+
 # every public engine method that takes functionals, with its number of them
 _ENGINE_ARITY = {
     "product": 2, "multiply": 2, "inverse": 1,

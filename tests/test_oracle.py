@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from backend_reference import reference_moves
+from compare_reference import reference_verdict
 from orbit_closure import bfs
 from test_algebra import _random_matrix_algebra
 from test_poset import _random_closed
@@ -32,7 +33,7 @@ from superchar.errors import NonIntegralScaling, SizeCapExceeded, SpecMismatch
 from superchar.formula import CharacterEvaluator
 from superchar.gf import CharValue, CycInt, Fq, theta
 from superchar import formula
-from superchar.oracle import Backend, Oracle, _dense_product, charvalue_coeff_rows, full_check
+from superchar.oracle import Backend, Oracle, _dense_product, _Expected, charvalue_coeff_rows, full_check
 from superchar.poset import functional, validate_closed
 
 F2 = Fq.of(2)
@@ -374,6 +375,123 @@ def test_full_check_witness_is_the_first_cell_in_eta_order(monkeypatch):
     eta, phi, _, _ = report.witness
     assert eta == etas[1] and phi == G.orbit_partition().reps[5]
 
+
+def _mutate_values(monkeypatch, mutation, targets, raise_q=()):
+    """Make formula.value_blocks apply ``mutation`` to every other cell it
+    can take in the rows of the characters ``targets``, and add 1 to the
+    q-exponent of every nonzero cell in the rows of ``raise_q``."""
+    value_blocks = formula.value_blocks
+
+    def mutated(evaluators, digits):
+        zero, q_exp, zeta_exp = value_blocks(evaluators, digits)
+        p = evaluators.field.p
+        for i, eta in enumerate(map(tuple, evaluators.etas.tolist())):
+            if eta in raise_q:
+                q_exp[i][~zero[i]] += 1
+            if eta not in targets or mutation == "none":
+                continue
+            cells = np.flatnonzero(zero[i] if mutation == "zero_to_nonzero" else ~zero[i])[::2]
+            if mutation == "flip_zeta":
+                zeta_exp[i, cells] = (zeta_exp[i, cells] + 1) % p
+            elif mutation == "q_exp_to_dim":
+                q_exp[i, cells] = evaluators.source.d
+            else:  # the zero mask flips; q_exp and zeta_exp stay as they were
+                zero[i, cells] = mutation == "nonzero_to_zero"
+        return zero, q_exp, zeta_exp
+
+    monkeypatch.setattr(formula, "value_blocks", mutated)
+
+
+@pytest.mark.parametrize("mutation", ["none", "flip_zeta", "q_exp_to_dim", "nonzero_to_zero", "zero_to_nonzero"])
+@pytest.mark.parametrize("case", ["heisenberg4-3", "full_u4-2", "semidirect4-4", "factor-2"])
+def test_full_check_verdict_equals_the_int64_reference(case, mutation, monkeypatch):
+    """full_check compares in the domain of the oracle's narrow counters;
+    the reference widens both sides to int64 coefficient rows.  Mutated
+    cells of four characters, spread over co-orbits of different sizes
+    (so over different counter blocks), must give the same count and the
+    same first witness.  In the factor case the zero character's right
+    co-orbit size is doubled, so its block scales by factor 2, and its
+    formula row by q = 2 to match, before the mutation."""
+    name, q = case.split("-")
+    G = _SOURCES[name if name != "factor" else "heisenberg4"](Fq.of(int(q)))
+    etas = G.coorbit_partition().reps
+    digits = np.array(G.orbit_partition().reps, dtype=np.int64).reshape(-1, G.dim)
+    zero, _, _ = formula.value_blocks(CharacterEvaluator.batch(G, etas), digits)
+    # the first, second, middle and last of the characters with a cell to mutate
+    eligible = [eta for eta, row in zip(etas, zero) if (row if mutation == "zero_to_nonzero" else ~row).any()]
+    targets = set(eligible[:2] + eligible[len(eligible) // 2 :][:1] + eligible[-1:])
+    factors = []
+    if name == "factor":
+        zero = etas[0]
+        assert not any(zero)
+        runs, divided = Oracle._runs, oracle_module._divided
+
+        def doubled(self, rows):
+            members, starts, sizes, nright = runs(self, rows)
+            return members, starts, sizes, np.where(np.asarray(rows).any(axis=1), nright, 2 * nright)
+
+        monkeypatch.setattr(Oracle, "_runs", doubled)
+        monkeypatch.setattr(oracle_module, "_divided", lambda *a: factors.append(divided(*a)[1]) or divided(*a))
+    _mutate_values(monkeypatch, mutation, targets, raise_q={etas[0]} if name == "factor" else ())
+    want = reference_verdict(G)
+    assert (want == (0, None)) == (mutation == "none")
+    report = full_check(G, with_axioms=False)
+    assert (report.mismatches, report.witness) == want
+    assert report.values_match == (mutation == "none")
+    if name == "factor":
+        assert 2 in factors
+
+
+@pytest.mark.parametrize("q_exp", [8, 200])
+def test_an_expected_value_past_the_counter_dtype_never_matches(q_exp):
+    # class_counterexample at q = 2 (dim 9): a zero cell of a character
+    # whose co-orbit has m <= 127 members, so its counters are int8, set to
+    # q**8 = 256, which narrowed to int8 is 0, the oracle's value there; or
+    # to q**200, past dim, which int64 wraps to 0 as well
+    G = PatternGroup(class_counterexample_poset(), F2)
+    co = Oracle(G).coorbit_partition()
+    etas, classes = G.coorbit_partition().reps, G.orbit_partition().reps
+    digits = np.array(classes, dtype=np.int64).reshape(-1, G.dim)
+    zero, _, _ = formula.value_blocks(CharacterEvaluator.batch(G, etas), digits)
+    k = next(k for k, eta in enumerate(etas) if co.sizes[co.class_of(eta)] <= 127 and zero[k].any())
+    c = int(np.flatnonzero(zero[k])[0])
+    E = G.dim + 2
+    columns = _Expected(2, 2, G.dim).divided(1, np.dtype(np.int8))
+    assert np.int64(2**8).astype(np.int8) == 0 and (columns[:, [8, E + 8, E - 1, 2 * E - 1]] == -128).all()
+
+    value_blocks = formula.value_blocks
+
+    def raised(evaluators, digits):
+        zero, q_exp_, zeta_exp = value_blocks(evaluators, digits)
+        for i, eta in enumerate(map(tuple, evaluators.etas.tolist())):
+            if eta == etas[k]:
+                zero[i, c], q_exp_[i, c], zeta_exp[i, c] = False, q_exp, 0
+        return zero, q_exp_, zeta_exp
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formula, "value_blocks", raised)
+        report = full_check(G, with_axioms=False)
+        reference = reference_verdict(G)
+    assert report.mismatches == 1 and report.witness[:2] == (etas[k], classes[c])
+    if q_exp == 8:
+        assert (report.mismatches, report.witness) == reference
+        assert report.witness[2:] == ((256,), (0,))
+
+
+
+def test_a_zeta_exponent_past_p_is_read_mod_p(monkeypatch):
+    # zeta**(z + p) = zeta**z: raising every zeta exponent by p changes no
+    # value, and must neither wrap the narrow cell keys nor miss a match
+    value_blocks = formula.value_blocks
+
+    def raised(evaluators, digits):
+        zero, q_exp, zeta_exp = value_blocks(evaluators, digits)
+        zeta_exp[~zero] += evaluators.field.p
+        return zero, q_exp, zeta_exp
+
+    monkeypatch.setattr(formula, "value_blocks", raised)
+    report = full_check(PatternGroup(heisenberg(4), F3), with_axioms=False)
+    assert report.values_match and report.mismatches == 0
 
 _SOURCES = {
     "full_u3": lambda F: PatternGroup(full_triangular(3), F),

@@ -199,3 +199,27 @@ def test_one_orbit_engine_and_one_move_format():
             type(move) is tuple and all(type(u) is tuple and len(u) == 3 and 0 < u[2] < G.field.q for u in move)
             for move in moves
         )
+
+
+def test_full_check_compares_on_the_narrow_counters():
+    """full_check judges each block of residue counters as it comes, scaled
+    by _divided, and never builds the int64 orbit-sum rows (_rows,
+    _orbit_sums); charvalue_coeff_rows widens only the witness, one cell
+    of one row (arr[i, c : c + 1]), never a whole chunk."""
+    check = _functions(_tree("oracle.py"))["full_check"]
+    names = _names(check)
+    assert {"_residue_counts", "_divided"} <= names
+    assert not names & {"_rows", "_orbit_sums", "value_rows", "value_row"}
+    calls = [
+        node
+        for node in ast.walk(check)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "charvalue_coeff_rows"
+    ]
+    assert calls
+    for call in calls:
+        subscripts = [node for node in ast.walk(call) if isinstance(node, ast.Subscript)]
+        assert subscripts
+        for node in subscripts:
+            row, cls = node.slice.elts  # arr[i, c : c + 1]
+            assert not isinstance(row, ast.Slice)
+            assert isinstance(cls, ast.Slice) and ast.unparse(cls.upper) == f"{ast.unparse(cls.lower)} + 1"

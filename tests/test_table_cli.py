@@ -90,11 +90,11 @@ def test_values_view_matches_the_scalar_evaluator(name):
 
 def test_table_builds_a_eta_once_per_character(monkeypatch):
     """Each character enters exactly one batched setup, which builds A_eta
-    and the corank for the whole chunk: no per-character A_eta or rank.
+    and the corank for the whole batch: no per-character A_eta or rank.
     That is the general builder; the U_n table sets up no evaluator and
     sweeps nothing."""
     G = PatternGroup(full_triangular(6), Fq.of(2))
-    monkeypatch.setattr(formula, "_ROW_CELLS", 50 * 203)  # 50 characters a chunk
+    monkeypatch.setattr(formula, "_SETUP_ENTRIES", 50 * 15**2)  # 50 characters a setup, d = 15
     setups, calls, rrefs, sweeps = [], [], [], []
     setup, eta_matrix, rref = CharacterEvaluator._setup, StructureAlgebra._eta_matrix, gf._rref
     sweep = core.orbit_partition_from_moves
