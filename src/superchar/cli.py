@@ -119,7 +119,7 @@ def cmd_orbits(args) -> int:
             for o, c in zip(coorbits, coranks)
         ],
     }
-    sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+    sys.stdout.write(json.dumps(payload, separators=(",", ":"), check_circular=False) + "\n")
     return 0
 
 

@@ -242,8 +242,10 @@ def orbit_partition_from_moves(field: Fq, dim: int, moves, cap: int | None) -> O
         for perm in perms:
             np.minimum(labels, labels.take(perm), out=labels)
         weight, before = int(labels.sum(dtype=np.int64)), weight
-    rep_codes, counts = np.unique(labels, return_counts=True)
-    return OrbitPartition(field, dim, rep_codes, tuple(counts.tolist()), labels)
+    # each orbit's representative is the one code that is its own label
+    rep_codes = np.flatnonzero(labels == codes.ravel()).astype(dtype)
+    sizes = np.bincount(labels, minlength=total)[rep_codes]
+    return OrbitPartition(field, dim, rep_codes, tuple(sizes.tolist()), labels)
 
 
 def _mesh_value(field: Fq, solved, corank, b, phi, eta) -> CharValue:

@@ -384,6 +384,10 @@ class Fq:
             raise InternalInvariantViolation(f"a product of inner length {inner} is not exact mod {p}")
         dtype = np.float32 if bound < 2**24 else np.float64
         P = np.asarray(a).astype(dtype, copy=False) @ np.asarray(b).astype(dtype, copy=False)
+        # The quotient array costs a second product's worth of memory, but
+        # np.fmod(P, p, out=P) runs libm's fmod per entry: on a (64, 65536)
+        # float32 product it took 223 ms against 5.8 ms for this floor
+        # reduction, and np.remainder 79 ms (numpy 2.4, one x86-64 core).
         quotient = P / p
         np.floor(quotient, out=quotient)
         quotient *= p

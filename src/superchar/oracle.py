@@ -579,17 +579,20 @@ def charvalue_coeff_rows(p: int, q: int, zero, qexp, zexp) -> np.ndarray:
 
     With E q-exponents in use, each cell is one of p * E + 1 coefficient
     columns, looked up by its key: zexp * E + qexp, or p * E, the zero
-    column, where ``zero``."""
-    qexp = np.asarray(qexp)
-    E = int(qexp.max(initial=0)) + 1
-    powers, z = np.int64(q) ** np.arange(E), np.arange(p)[:, None]
+    column, where ``zero``.  OverflowError when the q**qexp of a nonzero
+    cell passes int64."""
+    qexp, zero = np.asarray(qexp), np.asarray(zero, dtype=bool)
+    E = int(qexp.max(initial=0, where=~zero)) + 1
+    if q ** (E - 1) > np.iinfo(np.int64).max:
+        raise OverflowError(f"q**{E - 1} with q = {q} does not fit in int64")
+    powers, z = np.array([q**e for e in range(E)], dtype=np.int64), np.arange(p)[:, None]
     # column z * E + e holds q**e * zeta**z: q**e at coefficient z, and -q**e
     # at every coefficient when z = p - 1, as zeta**(p-1) = -(1 + ... + zeta**(p-2))
     columns = np.zeros((p - 1, p * E + 1), dtype=np.int64)
     at_z = np.arange(p - 1)[:, None, None] == z
     columns[:, :-1] = np.where(at_z, powers, np.where(z == p - 1, -powers, 0)).reshape(p - 1, p * E)
     key = np.asarray(zexp).astype(np.intp) * E + qexp
-    key[np.asarray(zero, dtype=bool)] = p * E
+    key[zero] = p * E
     return np.take(columns, key, axis=1)
 
 
@@ -700,13 +703,13 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
                         first = (sel[j], c, tuple(int(x) * factor for x in num[:, j, c]))
             if first is not None:
                 i, c, oracle_coeffs = first
-                formula_coeffs = charvalue_coeff_rows(F.p, F.q, *(arr[i, c : c + 1] for arr in rows))
-                report.witness = (
-                    tuple(etas[i].tolist()),
-                    core_sc.reps[c],
-                    tuple(int(x) for x in formula_coeffs[:, 0]),
-                    oracle_coeffs,
-                )
+                try:
+                    cell = charvalue_coeff_rows(F.p, F.q, *(arr[i, c : c + 1] for arr in rows))
+                    formula_coeffs = tuple(cell[:, 0].tolist())
+                except OverflowError:  # a nonzero cell's q**q_exp past int64, so q_exp past dim
+                    power, z = F.q ** int(rows[1][i, c]), int(rows[2][i, c]) % F.p
+                    formula_coeffs = tuple(-power if z == F.p - 1 else power * (k == z) for k in range(F.p - 1))
+                report.witness = (tuple(etas[i].tolist()), core_sc.reps[c], formula_coeffs, oracle_coeffs)
     report.values_match = report.mismatches == 0
     if with_axioms is None:
         with_axioms = oracle.order <= DEFAULT_ORACLE_CAP

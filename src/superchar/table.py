@@ -3,12 +3,16 @@
 A table is rows of characters against columns of superclasses, both in the
 canonical representative order, with column 0 the identity superclass (so
 column 0 of every row is the character's degree).  Every value is 0 or
-q**m * zeta_p**k, so the values are kept as three arrays (zero mask, m, k),
-and the emitters render each distinct value once and write the rows to a
-stream one by one.  The JSON layout is fixed and emitted with deterministic
-key order; CSV renders values as ``q^m*z^k`` strings; the pretty format
-renders plain integers whenever p = 2 (where zeta_2 = -1 makes every value a
-signed power of q).
+q**m * zeta_p**k, so the values are kept as three arrays (zero mask, m, k).
+The emitters code a block of rows at a time, one narrow unsigned code per
+cell, and look the text up by code in one lookup kept for the whole table,
+which renders each distinct value once.  JSON and CSV rows take their text
+two cells at a time, already joined by a comma, from code pairs, unless the
+pairs outnumber the table's cells; ``values`` and the pretty format take
+one cell at a time.  Rows go to the stream one by one.  The JSON layout
+is fixed and emitted with deterministic key order; CSV renders values as
+``q^m*z^k`` strings; the pretty format renders plain integers whenever
+p = 2 (where zeta_2 = -1 makes every value a signed power of q).
 
 Tables are built one of two ways.  Any algebra group is partitioned by the
 orbit sweep of :mod:`.core` and evaluated by the batched evaluator of
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -32,10 +37,13 @@ from .core import PatternGroup, StructureAlgebra, sweep_size
 from .errors import BadField, InternalInvariantViolation, SpecMismatch
 from .formula import un_arc_counts, un_monomials, un_value_chunks, value_arrays, value_chunks
 from .gf import CharValue, Fq
-from .poset import format_field_literal
+from .poset import format_field_literal, parse_field_literal
 
 
-_BLOCK_CELLS = 1 << 20  # cells per block of rows while rendering
+# Cells per block of rows while rendering.  Measured on U_8(2) (17.1 M
+# cells): 2^16 writes JSON and CSV as fast as any of 2^14..2^20 and holds
+# the least memory per block.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(eq=False)
@@ -61,7 +69,7 @@ class SuperTable:
     @property
     def values(self) -> list:
         """Rows of CharValue, one shared instance per distinct value."""
-        return list(self._cells(self._lookup(lambda v: v)))
+        return list(self._rows(lambda v: v))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SuperTable):
@@ -103,6 +111,30 @@ class SuperTable:
             raise SpecMismatch(f"a table is square, not {len(chars)} characters x {len(classes)} classes")
         if len(rows) != len(chars) or any(type(row) is not list or len(row) != len(classes) for row in rows):
             raise SpecMismatch(f"values are not {len(chars)} characters x {len(classes)} classes")
+        is_rep = _rep_check(kind, obj, field)
+        for k, c in enumerate(classes):
+            if not (
+                type(c) is dict
+                and c.keys() == {"rep", "size"}
+                and is_rep(c["rep"])
+                and type(c["size"]) is int
+                and c["size"] > 0
+            ):
+                raise SpecMismatch(f"class {k} {c!r} is not a rep and a positive size")
+        for k, c in enumerate(chars):
+            if not (
+                type(c) is dict
+                and c.keys() == {"rep", "corank", "degree", "irreducible"}
+                and is_rep(c["rep"])
+                and type(c["corank"]) is int
+                and 0 <= c["corank"] <= dim
+                and type(c["degree"]) is int
+                and c["degree"] == field.q ** c["corank"]
+                and type(c["irreducible"]) is bool
+            ):
+                raise SpecMismatch(
+                    f"character {k} {c!r} is not a rep, a corank <= {dim}, its degree q**corank and a bool"
+                )
         zero, q_exp, zeta_exp = value_arrays((len(chars), len(classes)), dim, p)
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
@@ -128,30 +160,66 @@ class SuperTable:
         for start in range(0, len(self.chars), step):
             yield slice(start, start + step)
 
-    def _codes(self, rows: slice) -> np.ndarray:
-        """Cell codes of a block of rows: 0 for a zero cell and
-        1 + q_exp * p + zeta_exp otherwise."""
-        codes = self.q_exp[rows].astype(np.int64) * self.meta["p"] + self.zeta_exp[rows] + 1
-        codes[self.zero[rows]] = 0
-        return codes
+    def _blocks(self, show, pairs: bool = False):
+        """The rows in blocks, each as (items, lookup): row i of a block is
+        ``lookup[items[i]]``, its cells in order one or two at a time.
 
-    def _lookup(self, show) -> np.ndarray:
-        """An object array indexed by cell code: ``show(CharValue)`` for every
-        code that occurs in the table, computed once per code."""
-        p = self.meta["p"]
-        present = np.zeros(1 + (int(self.q_exp.max(initial=0)) + 1) * p, dtype=bool)
-        for rows in self._row_blocks():
-            present[self._codes(rows)] = True
-        lookup = np.empty(len(present), dtype=object)
-        for code in np.flatnonzero(present).tolist():
-            q_exp, zeta_exp = divmod(code - 1, p)
-            lookup[code] = show(CharValue.zero() if code == 0 else CharValue(q_exp, zeta_exp, False))
-        return lookup
+        A cell's code is 0 for a zero cell and 1 + q_exp * p + zeta_exp
+        otherwise, one of n codes.  An item is one cell, shown as
+        ``show(CharValue)``; with ``pairs``, when the n**2 pairs are no more
+        than the table's cells, it is two, the pair c1 * n + c2 (or n**2 + c
+        for an odd last cell), shown as the two texts joined by a comma.
+        Item codes are computed once per block, in the narrowest unsigned
+        dtype that holds them.  ``lookup`` lasts the whole table: a block
+        renders only the items no earlier block held, each cell code shown
+        once."""
+        p, width = self.meta["p"], len(self.classes)
+        n = 1 + (int(self.q_exp.max(initial=0)) + 1) * p
+        k = 2 if pairs and n * n <= self.zero.size else 1
+        size = n * n + n if k == 2 else n
+        dtype = np.min_scalar_type(size - 1)
+        lookup, unseen, shown = np.empty(size, dtype=object), np.ones(size, dtype=bool), {}
 
-    def _cells(self, lookup: np.ndarray):
-        """Each row as the list of its cells looked up in ``lookup``."""
+        def cell(code: int):
+            if code not in shown:
+                shown[code] = show(CharValue(*divmod(code - 1, p), False) if code else CharValue.zero())
+            return shown[code]
+
+        def text(item: int):
+            if k == 1:
+                return cell(item)
+            if item >= n * n:
+                return cell(item - n * n)
+            first, second = divmod(item, n)
+            return cell(first) + "," + cell(second)
+
+        half = width // 2
         for rows in self._row_blocks():
-            yield from lookup[self._codes(rows)].tolist()
+            codes = self.q_exp[rows].astype(dtype)
+            codes *= p
+            codes += self.zeta_exp[rows]
+            codes += 1
+            codes *= ~self.zero[rows]
+            items = codes
+            if k == 2:
+                items = np.empty((len(codes), width - half), dtype=dtype)
+                np.multiply(codes[:, 0 : 2 * half : 2], n, out=items[:, :half])
+                items[:, :half] += codes[:, 1 : 2 * half : 2]
+                if width % 2:
+                    np.add(codes[:, -1], n * n, out=items[:, half])
+            fresh = items[unseen.take(items)]  # the items no earlier block held
+            if len(fresh):
+                new = np.zeros(size, dtype=bool)
+                new[fresh] = True
+                unseen[new] = False
+                for item in np.flatnonzero(new).tolist():
+                    lookup[item] = text(item)
+            yield items, lookup
+
+    def _rows(self, show, pairs: bool = False):
+        """Each row as the list of its items (:meth:`_blocks`)."""
+        for items, lookup in self._blocks(show, pairs):
+            yield from lookup[items].tolist()
 
     def _rep_label(self, rep) -> str:
         if self.kind == "pattern":
@@ -161,10 +229,10 @@ class SuperTable:
 
     def _write_json(self, stream) -> None:
         head = {"kind": self.kind, **self.meta, "classes": self.classes, "chars": self.chars}
-        stream.write(json.dumps(head, separators=(",", ":"))[:-1] + ',"values":[')
-        lookup = self._lookup(lambda v: json.dumps(v.to_json(), separators=(",", ":")))
-        for i, cells in enumerate(self._cells(lookup)):
-            stream.write(("[" if i == 0 else ",[") + ",".join(cells) + "]")
+        stream.write(json.dumps(head, separators=(",", ":"), check_circular=False)[:-1] + ',"values":[')
+        show = lambda v: json.dumps(v.to_json(), separators=(",", ":"))
+        for i, items in enumerate(self._rows(show, pairs=True)):
+            stream.write(("[" if i == 0 else ",[") + ",".join(items) + "]")
         stream.write("]}\n")
 
     def _write_csv(self, stream) -> None:
@@ -176,33 +244,31 @@ class SuperTable:
         writer.writerow(["char\\class"] + [self._rep_label(c["rep"]) for c in self.classes])
         writer.writerow(["size"] + [str(c["size"]) for c in self.classes])
         field = self.field
-        lookup = self._lookup(lambda v: v.render(field))
         # The values never need quoting, so csv.writer writes only each row's
         # label and its comma, and the values follow joined by commas.
         label_writer = csv.writer(stream, lineterminator="")
-        for ch, cells in zip(self.chars, self._cells(lookup)):
+        for ch, items in zip(self.chars, self._rows(lambda v: v.render(field), pairs=True)):
             label_writer.writerow([self._rep_label(ch["rep"]), ""])
-            stream.write(",".join(cells) + "\n")
+            stream.write(",".join(items) + "\n")
 
     def _write_pretty(self, stream) -> None:
         field = self.field
         if self.meta["p"] == 2:
-            lookup = self._lookup(lambda v: str(v.as_int(field)))
+            show = lambda v: str(v.as_int(field))
         else:
-            lookup = self._lookup(lambda v: v.render(field))
+            show = lambda v: v.render(field)
         headers = ["chi \\ class"] + [self._rep_label(c["rep"]) for c in self.classes]
         sizes = ["size"] + [str(c["size"]) for c in self.classes]
         labels = [self._rep_label(ch["rep"]) for ch in self.chars]
         widths = [max(len(h), len(s)) for h, s in zip(headers, sizes)]
         widths[0] = max([widths[0]] + [len(s) for s in labels])
-        lengths = np.array([0 if s is None else len(s) for s in lookup])
-        for rows in self._row_blocks():
-            widest = lengths[self._codes(rows)].max(axis=0)
-            widths[1:] = np.maximum(widths[1:], widest).tolist()
+        for items, lookup in self._blocks(show):
+            lengths = np.array([0 if s is None else len(s) for s in lookup.tolist()])
+            widths[1:] = np.maximum(widths[1:], lengths[items].max(axis=0)).tolist()
         stream.write(f"# kind={self.kind} q={self.meta['q']} classes={len(self.classes)}\n")
         for row in (headers, sizes):
             stream.write("  ".join(map(str.rjust, row, widths)) + "\n")
-        for label, cells in zip(labels, self._cells(lookup)):
+        for label, cells in zip(labels, self._rows(show)):
             stream.write("  ".join(map(str.rjust, [label, *cells], widths)) + "\n")
 
     def write(self, fmt: str, stream) -> None:
@@ -231,11 +297,45 @@ class _Literals(dict):
         return literal
 
 
+def _rep_check(kind: str, meta: dict, field: Fq):
+    """A test of the JSON rep objects of a table read back: "i,j" keys of J
+    mapped to literals of nonzero elements for a pattern group, and
+    {"coords": [d literals]} for an algebra group.  Literals are the ones
+    :func:`format_field_literal` writes; SpecMismatch when J is no list of
+    int pairs."""
+    elements = {}  # each string tested -> the element it is the literal of, or None
+
+    def element(s):
+        if type(s) is not str:
+            return None
+        if s not in elements:
+            try:
+                a = parse_field_literal(field, s)
+            except BadField:
+                a = None
+            elements[s] = a if a is not None and format_field_literal(field, a) == s else None
+        return elements[s]
+
+    if kind == "algebra":
+        d = meta["d"]
+        return lambda rep: (
+            type(rep) is dict
+            and rep.keys() == {"coords"}
+            and type(rep["coords"]) is list
+            and len(rep["coords"]) == d
+            and all(element(s) is not None for s in rep["coords"])
+        )
+    if not all(type(pair) is list and len(pair) == 2 and all(type(i) is int for i in pair) for pair in meta["J"]):
+        raise SpecMismatch(f"the table's J {meta['J']!r} is not a list of [i, j] pairs")
+    keys = {f"{i},{j}" for i, j in meta["J"]}
+    return lambda rep: type(rep) is dict and rep.keys() <= keys and all(map(element, rep.values()))
+
+
 def _pattern_rep_obj(G: PatternGroup):
     """The JSON rep object of a functional of ``G``, as a function: its
     nonzero entries under the "i,j" keys, which are built once."""
     keys, literals = [f"{i},{j}" for i, j in G.J.order], _Literals(G.field)
-    return lambda f: {key: literals[v] for key, v in zip(keys, f) if v}
+    return lambda f: dict(itertools.compress(zip(keys, map(literals.__getitem__, f)), f))
 
 
 def _algebra_rep_obj(alg: StructureAlgebra):

@@ -149,6 +149,38 @@ def test_value_arrays_are_sized_by_the_field():
     assert tab.zero.shape == tab.q_exp.shape == tab.zeta_exp.shape == (257, 257)
 
 
+@pytest.mark.parametrize(
+    "rows, cols, p, dim, pairs",
+    [(40, 41, 3, 4, True), (40, 42, 2, 5, True), (200, 1, 2, 1, True), (7, 1, 3, 2, False), (20, 21, 257, 3, False)],
+    ids=["odd", "even", "one-class-pairs", "one-class", "p257-cells"],
+)
+def test_emitted_rows_are_the_cells_joined(monkeypatch, rows, cols, p, dim, pairs):
+    """JSON and CSV rows equal their cells rendered one by one and joined by
+    commas: two cells an item when the n**2 code pairs are no more than the
+    cells (n = 1 + (dim + 1) * p codes), one otherwise, over blocks of four
+    rows that share one lookup; zero cells carry stray exponents."""
+    monkeypatch.setattr(table, "_BLOCK_CELLS", 4 * cols)
+    rng = np.random.default_rng(rows * cols * p)
+    zero, q_exp, zeta_exp = formula.value_arrays((rows, cols), dim, p)
+    zero[:] = rng.random((rows, cols)) < 0.3
+    q_exp[:] = rng.integers(0, dim + 1, (rows, cols))
+    zeta_exp[:] = rng.integers(0, p, (rows, cols))
+    q_exp[0, 0], zeta_exp[0, 0], zero[0, 0] = dim, p - 1, False  # so n is as above
+    classes = [{"rep": {}, "size": 1}] * cols
+    chars = [{"rep": {}, "corank": 0, "degree": 1, "irreducible": True}] * rows
+    tab = SuperTable("pattern", {"n": 1, "q": p, "p": p, "J": []}, classes, chars, zero, q_exp, zeta_exp)
+    assert {items.shape[1] for items, _ in tab._blocks(str, pairs=True)} == {(cols + 1) // 2 if pairs else cols}
+    cells = [
+        [CharValue.zero() if zero[i, j] else CharValue(int(q_exp[i, j]), int(zeta_exp[i, j]), False) for j in range(cols)]
+        for i in range(rows)
+    ]
+    as_json = (",".join(json.dumps(v.to_json(), separators=(",", ":")) for v in row) for row in cells)
+    assert tab.to_json().endswith(',"values":[' + ",".join(f"[{row}]" for row in as_json) + "]}\n")
+    as_csv = (",".join(v.render(tab.field) for v in row) for row in cells)
+    assert tab.render("csv").splitlines()[3:] == [f"0,{row}" for row in as_csv]
+    assert tab.values == cells
+
+
 @pytest.mark.parametrize("name", TABLES)
 def test_write_to_a_file_matches_render(name, tmp_path):
     tab = _table(name)
@@ -173,7 +205,7 @@ def test_from_json_rejects_values_of_the_wrong_shape_or_range():
     text = _table("heisenberg3_q2").to_json()
     assert SuperTable.from_json(text).to_json() == text
 
-    def edited(edit):
+    def edited(edit, text=text):
         obj = json.loads(text)
         edit(obj)
         return json.dumps(obj)
@@ -181,7 +213,49 @@ def test_from_json_rejects_values_of_the_wrong_shape_or_range():
     def cell(value):
         return lambda t: t["values"][1].__setitem__(0, value)
 
+    def entry(part, key, value, k=1):
+        return lambda t: t[part][k].__setitem__(key, value)
+
+    def rep(value, part="classes"):
+        return entry(part, "rep", value)
+
     for edit in (
+        lambda t: t["classes"].__setitem__(1, {"rep": 5, "bogus": True}),
+        entry("classes", "bogus", True),  # a key past rep and size
+        lambda t: t["classes"][1].pop("size"),
+        lambda t: t["classes"].__setitem__(1, [{}, 2]),
+        entry("classes", "size", 0),
+        entry("classes", "size", -2),
+        entry("classes", "size", True),
+        entry("classes", "size", 2.0),
+        entry("classes", "size", "2"),
+        entry("chars", "corank", "x"),
+        entry("chars", "corank", -1, k=0),
+        entry("chars", "corank", 4),  # corank > dim = 3
+        entry("chars", "corank", 1),  # degree 1 is not q**1
+        entry("chars", "degree", 3),
+        entry("chars", "degree", True, k=0),
+        entry("chars", "corank", False, k=0),
+        entry("chars", "irreducible", 1),
+        entry("chars", "irreducible", "true"),
+        entry("chars", "extra", 0),
+        lambda t: t["chars"][1].pop("irreducible"),
+        rep({"9,9": "1"}),  # no pair of J
+        rep({"1,2 ": "1"}),
+        rep({"2,1": "1"}),
+        rep({"1,2": "0"}),  # a zero entry is left out
+        rep({"1,2": "3"}),  # 3 is 1 in F_2, written "1"
+        rep({"1,2": " 1"}),
+        rep({"1,2": "1:0"}),
+        rep({"1,2": 1}),
+        rep({"1,2": None}),
+        rep([["1,2", "1"]]),
+        rep("1,2=1"),
+        rep({"1,2": "0"}, part="chars"),
+        lambda t: t.__setitem__("J", [[1, 2, 3]]),
+        lambda t: t.__setitem__("J", [["1", "2"]]),
+        lambda t: t.__setitem__("J", [[True, 2]]),
+
         lambda t: t["values"][1].pop(),  # a short row
         lambda t: t["values"].pop(),  # a missing row
         lambda t: t["values"][0].append(None),  # a long row
@@ -222,6 +296,15 @@ def test_from_json_rejects_values_of_the_wrong_shape_or_range():
     ):
         with pytest.raises(SpecMismatch):
             SuperTable.from_json(edited(edit))
+    algebra = _table("semidirect4_q4").to_json()  # d = 5 over F_4, literals "c0:c1"
+    assert SuperTable.from_json(algebra).to_json() == algebra
+    for coords in (["0:0"] * 4, ["0:0"] * 6, ["0:0"] * 4 + ["1"], ["0:0"] * 4 + ["2:0"], ["0:0"] * 4 + [1], "0:0"):
+        for part in ("classes", "chars"):
+            with pytest.raises(SpecMismatch):
+                SuperTable.from_json(edited(rep({"coords": coords}, part), algebra))
+    for bad_rep in ({"coords": ["0:0"] * 5, "x": 0}, {}, ["0:0"] * 5):
+        with pytest.raises(SpecMismatch):
+            SuperTable.from_json(edited(rep(bad_rep), algebra))
     for bad in ("[]", "5", "null", '{"kind": "pattern"', ""):
         with pytest.raises(SpecMismatch):
             SuperTable.from_json(bad)
