@@ -22,7 +22,7 @@ from .errors import SizeCapExceeded, SuperCharError
 from .formula import CharacterEvaluator
 from .oracle import DEFAULT_ORACLE_CAP, full_check
 from .poset import _content_lines, _functional_items, emit_spec, format_functional, parse_field_literal, parse_functional, parse_spec
-from .table import build_algebra_table, build_pattern_table, _algebra_rep_obj, _pattern_rep_obj
+from .table import build_table, _algebra_rep_obj, _pattern_rep_obj
 
 
 def _load(path: str):
@@ -66,9 +66,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_table(args) -> int:
-    obj = _load(args.path)
-    build = build_pattern_table if isinstance(obj, PatternGroup) else build_algebra_table
-    tab = build(obj, cap=args.cap)
+    tab = build_table(_load(args.path), cap=args.cap)
     if not args.out:
         tab.write(args.format, sys.stdout)
         return 0

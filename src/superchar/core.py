@@ -119,9 +119,16 @@ class OrbitPartition:
         self._labels = labels  # code -> code of its class minimum, smallest unsigned dtype
 
     @cached_property
+    def digits(self) -> np.ndarray:
+        """Every class representative, ascending, as a read-only (count, dim) array."""
+        digits = _codes_to_digits(self._rep_codes, self.field.q, self.dim)
+        digits.flags.writeable = False
+        return digits
+
+    @cached_property
     def reps(self) -> tuple[tuple[int, ...], ...]:
-        """Every class representative as a tuple, lexicographically ascending."""
-        return tuple(map(tuple, _codes_to_digits(self._rep_codes, self.field.q, self.dim).tolist()))
+        """:attr:`digits` as tuples."""
+        return tuple(map(tuple, self.digits.tolist()))
 
     def __len__(self) -> int:
         return len(self._rep_codes)

@@ -58,9 +58,9 @@ systems it reduces.
 
 Tables of the full triangular group U_n take a kernel of their own,
 :func:`un_value_chunks`, which counts the values off the arcs of the
-monomial representatives and needs no plans; :func:`value_un` is its
-one-cell case.  The other closed-form specializations for pattern groups
-below are independent references the tests compare against.
+monomial representatives and needs no plans; :func:`table_rows` alone
+chooses between the two.  The closed-form specializations for pattern
+groups below, :func:`value_un` among them, are references for the tests.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .gf import CharValue, Fq, FqMatrix, _solve_perp, nullspace_basis, rank
-from .core import PatternGroup, _check_functionals, _mesh_value
+from .core import PatternGroup, _check_functionals, _mesh_value, sweep_size
 from .poset import ClosedSet, is_monomial, support
 
 
@@ -511,7 +511,7 @@ def un_value_chunks(G: PatternGroup, etas, phis):
       l - i - 1 left of it in its row, and two arcs (i, l), (j, k) share one
       of them, (j, l), exactly when they cross: i < j < l < k.  So the
       co-orbit has q**(2 corank - crossings) members, and <chi^eta,
-      chi^eta> = q**(2 corank) / |U eta U| (see :mod:`.table`) is 1 iff no
+      chi^eta> = q**(2 corank) / |U eta U| (see :func:`table_rows`) is 1 iff no
       two arcs cross: :func:`full_un_irreducible`.
     * Values, the paper's U_n corollary.  chi^eta(x_phi) = 0 iff an arc of
       phi starts with a longer arc of eta, (i, j) against (i, l) with
@@ -552,6 +552,51 @@ def un_value_chunks(G: PatternGroup, etas, phis):
 
 
 # ---------------------------------------------------------------------------
+# the one row source of tables and checks
+
+
+def table_rows(source, cap: int | None):
+    """(classes, sizes, chars, chunks, partitions): the one source of the
+    rows that ``superchar table`` emits and ``superchar check`` judges.
+
+    ``classes`` and ``chars`` are the ascending representatives as (count,
+    d) digit arrays (one array when they are the same), ``sizes`` the class
+    sizes, and ``chunks`` yields (start, coranks, irreducible, (is_zero,
+    q_exp, zeta_exp)) for consecutive chunks of the characters.  ``cap``
+    bounds q**d.  On U_n the monomials are both lists, counted off their
+    arcs with no sweep (:func:`un_arc_counts`, :func:`un_value_chunks`),
+    and ``partitions`` is None.  Any other group is swept, ``partitions``
+    is its (superclass, co-orbit) pair, and the values are
+    :func:`value_chunks`; chi^eta = (|eta U| / |U eta U|) * sum of the
+    orthonormal theta o mu over its co-orbit U eta U, so <chi^eta, chi^eta>
+    = |eta U|**2 / |U eta U|, and with |eta U| = q**corank it is
+    irreducible iff its co-orbit has q**(2 * corank) members."""
+    q = source.field.q
+    if isinstance(source, PatternGroup) and source.J.is_full_triangular():
+        sweep_size(source.field, source.d, cap)
+        monomials = un_monomials(source)
+        e, coranks, irreducible = un_arc_counts(source, monomials)
+
+        def un_chunks():
+            for start, values in un_value_chunks(source, monomials, monomials):
+                rows = slice(start, start + len(values[0]))
+                yield start, coranks[rows], irreducible[rows], values
+
+        return monomials, q**e, monomials, un_chunks(), None
+    sc, co = source.orbit_partition(cap), source.coorbit_partition(cap)
+    if len(sc) != len(co):
+        raise InternalInvariantViolation("superclass and character counts differ")
+    co_sizes = np.asarray(co.sizes, dtype=np.int64)
+
+    def swept_chunks():
+        for start, evaluators, values in value_chunks(source, co.digits, sc.digits):
+            coranks = evaluators.coranks
+            yield start, coranks, co_sizes[start : start + len(coranks)] == q ** (2 * coranks), values
+
+    return sc.digits, np.asarray(sc.sizes, dtype=np.int64), co.digits, swept_chunks(), (sc, co)
+
+
+# ---------------------------------------------------------------------------
 # closed-form specializations
 
 
@@ -581,14 +626,18 @@ def value_heisenberg(G: PatternGroup, eta, phi) -> CharValue:
 
 def value_un(G: PatternGroup, eta, phi) -> CharValue:
     """chi^eta(x_phi) on the full triangular group, for monomial
-    representatives: the one-cell case of :func:`un_value_chunks`."""
+    representatives: the value rule of :func:`un_value_chunks`, read one
+    cell at a time off the arcs, a reference for that kernel."""
     if not G.J.is_full_triangular():
         raise ShapeMismatch("closed set is not the full triangular position set")
     eta, phi = G._functional(eta), G._functional(phi)
     if not is_monomial(G.J, eta) or not is_monomial(G.J, phi):
         raise NonMonomialRepresentative("representatives must be monomial in rows and columns")
-    _, ((zero,), (q_exp,), (zeta_exp,)) = next(un_value_chunks(G, [eta], [phi]))
-    return CharValue.zero() if zero[0] else CharValue.of(int(q_exp[0]), int(zeta_exp[0]), G.field.p)
+    arcs, class_arcs = support(G.J, eta), support(G.J, phi)
+    if any((i == j and k < l) or (l == k and i < j) for i, l in arcs for j, k in class_arcs):
+        return CharValue.zero()
+    exponent = sum(l - i - 1 - sum(i < j and k < l for j, k in class_arcs) for i, l in arcs)
+    return CharValue.of(exponent, G.field.trace(G.field.dot(phi, eta)), G.field.p)
 
 
 def value_no4chain(G: PatternGroup, eta, phi) -> CharValue:

@@ -48,7 +48,8 @@ the block's scale factor in the counters' own dtype (:class:`_Expected`).
 The representatives' digit rows come from the F_p layer of
 :class:`~superchar.gf.Fq`: base-p digits, the trace form and one exact mod-p
 product per set of representatives.  From :mod:`.formula` the oracle takes
-only the values it checks (``value_chunks``), none of its arithmetic.
+only the rows it checks (``table_rows``, the rows ``superchar table``
+emits), none of its arithmetic.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .errors import (
 )
 from .gf import CycInt, Fq
 from .core import OrbitPartition, PatternGroup, _check_functionals, _codes_to_digits, _digits_to_codes, orbit_partition_from_moves
-from .formula import value_chunks
+from .formula import table_rows
 
 DEFAULT_ORACLE_CAP = 1 << 12
 _BLOCK_CELLS = 1 << 16  # member x class cells per block of an orbit sum
@@ -234,7 +235,7 @@ class Oracle:
         representative: left moves commute with the right action, so they
         carry right co-orbits to right co-orbits of the same size."""
         right = self._partition("dual_right")
-        return np.asarray(right.sizes)[right.classes_of(self.coorbit_partition().reps)]
+        return np.asarray(right.sizes)[right.classes_of(self.coorbit_partition().digits)]
 
     def right_coorbit_size(self, eta) -> int:
         """|lambda_eta U|, looked up by eta's co-orbit."""
@@ -423,8 +424,7 @@ class Oracle:
     def supercharacter(self, eta) -> dict[tuple, CycInt]:
         """The orbit-sum supercharacter as {superclass representative: value}."""
         part = self.superclass_partition()
-        digits = np.array(part.reps, dtype=np.int64).reshape(len(part.reps), self.dim)
-        row = self.value_row(tuple(eta), digits)
+        row = self.value_row(tuple(eta), part.digits)
         p = self.field.p
         return {
             rep: CycInt(p, tuple(int(row[k][c]) for k in range(p - 1)))
@@ -486,8 +486,8 @@ class Oracle:
         sc_codes = sc.canonical_codes()
         reps = np.flatnonzero(sc_codes == np.arange(total))  # each its own representative
         step = _rows_per_call(F.p, total)
-        for start in range(0, len(co.reps), step):
-            for _, m, nr, counts in self._residue_counts(*self._runs(co.reps[start : start + step]), tables):
+        for start in range(0, len(co), step):
+            for _, m, nr, counts in self._residue_counts(*self._runs(co.digits[start : start + step]), tables):
                 if not np.array_equal(counts, counts.take(sc_codes, axis=2)):
                     return False
                 _divided(counts.take(reps, axis=2), m, nr)  # raises NonIntegralScaling if inexact
@@ -652,47 +652,54 @@ class _Expected:
 
 
 def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None = None) -> CheckReport:
-    """Compare the closed-form values against orbit sums on every
-    representative pair, after checking the two orbit decompositions agree.
+    """Judge the rows of :func:`~superchar.formula.table_rows`, the ones
+    ``superchar table`` emits, against the oracle.  The orbit partitions
+    agree when core's label maps (swept for the rows, or here on U_n), the
+    listed representatives and the class sizes equal the oracle's, and each
+    character has q**corank = |lambda_eta U| and its irreducibility flag
+    set iff |U lambda_eta U| = |lambda_eta U|**2.
 
-    The comparison runs in the domain of the oracle's narrow residue
-    counters: each block of :meth:`Oracle._residue_counts` is scaled by
-    :func:`_divided` to num * factor, and num is compared with the formula's
+    Values are compared on every representative pair in the domain of the
+    oracle's narrow counters: each block of :meth:`Oracle._residue_counts`,
+    scaled by :func:`_divided` to num * factor, against the formula's
     coefficient columns divided by factor (:class:`_Expected`), gathered by
-    each cell's key.  No int64 coefficient row is built for either side.
-    Every mismatching cell is counted; the witness is the first in (eta,
-    class) order, with both sides' coefficients.
+    each cell's key, so no int64 coefficient row is built.  Every
+    mismatching cell is counted; the witness is the first in (eta, class)
+    order, with both sides' coefficients.
 
     The axioms cost |G|**2 products; unless ``with_axioms`` says otherwise
     they are verified only when |G| <= DEFAULT_ORACLE_CAP."""
     oracle = Oracle(source, cap=oracle_cap)
     report = CheckReport(order=oracle.order)
-    core_sc = source.orbit_partition(oracle.cap)
-    core_co = source.coorbit_partition(oracle.cap)
-    orc_sc = oracle.superclass_partition()
-    orc_co = oracle.coorbit_partition()
-    report.partitions_match = bool(
+    classes, sizes, chars, chunks, swept = table_rows(source, oracle.cap)
+    core_sc, core_co = swept or (source.orbit_partition(oracle.cap), source.coorbit_partition(oracle.cap))
+    orc_sc, orc_co = oracle.superclass_partition(), oracle.coorbit_partition()
+    agree = (
         np.array_equal(core_sc.canonical_codes(), orc_sc.canonical_codes())
         and np.array_equal(core_co.canonical_codes(), orc_co.canonical_codes())
+        and np.array_equal(classes, orc_sc.digits)
+        and np.array_equal(sizes, orc_sc.sizes)
+        and np.array_equal(chars, orc_co.digits)
     )
-    report.classes = len(core_sc)
-    report.characters = len(core_co)
+    report.classes, report.characters = len(classes), len(chars)
 
-    dim = oracle.dim
-    class_digits = np.array(core_sc.reps, dtype=np.int64).reshape(len(core_sc.reps), dim)
     F = oracle.field
     # formula values and oracle counters for a chunk of rows at a time, so
     # memory stays O(chunk x classes x p)
-    tables = oracle._residue_tables(oracle._phi_digits(class_digits))
-    expected = _Expected(F.p, F.q, dim)
-    step = _rows_per_call(F.p, len(class_digits))
-    for _, evaluators, values in value_chunks(source, core_co.reps, class_digits):
-        for lo in range(0, len(evaluators), step):
-            etas = evaluators.etas[lo : lo + step]
+    tables = oracle._residue_tables(oracle._phi_digits(classes))
+    expected = _Expected(F.p, F.q, oracle.dim)
+    step = _rows_per_call(F.p, len(classes))
+    for start, coranks, irreducible, values in chunks:
+        chunk = chars[start : start + len(coranks)]
+        for lo in range(0, len(chunk), step):
+            etas = chunk[lo : lo + step]
             rows = [arr[lo : lo + step] for arr in values]
+            members, starts, co_sizes, nright = oracle._runs(etas)
+            agree = agree and np.array_equal(F.q ** coranks[lo : lo + step], nright)
+            agree = agree and np.array_equal(irreducible[lo : lo + step], co_sizes == nright**2)
             key = expected.keys(*rows)
             first = None  # (row, class, oracle coefficients) of the first mismatch
-            for sel, m, nr, counts in oracle._residue_counts(*oracle._runs(etas), tables):
+            for sel, m, nr, counts in oracle._residue_counts(members, starts, co_sizes, nright, tables):
                 num, factor = _divided(counts, m, nr)
                 bad = (num != expected.divided(factor, num.dtype).take(key[sel], axis=1)).any(axis=0)
                 mismatches = int(np.count_nonzero(bad))
@@ -709,7 +716,8 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
                 except OverflowError:  # a nonzero cell's q**q_exp past int64, so q_exp past dim
                     power, z = F.q ** int(rows[1][i, c]), int(rows[2][i, c]) % F.p
                     formula_coeffs = tuple(-power if z == F.p - 1 else power * (k == z) for k in range(F.p - 1))
-                report.witness = (tuple(etas[i].tolist()), core_sc.reps[c], formula_coeffs, oracle_coeffs)
+                report.witness = (tuple(etas[i].tolist()), tuple(classes[c].tolist()), formula_coeffs, oracle_coeffs)
+    report.partitions_match = bool(agree)
     report.values_match = report.mismatches == 0
     if with_axioms is None:
         with_axioms = oracle.order <= DEFAULT_ORACLE_CAP

@@ -14,13 +14,11 @@ is fixed and emitted with deterministic key order; CSV renders values as
 ``q^m*z^k`` strings; the pretty format renders plain integers whenever
 p = 2 (where zeta_2 = -1 makes every value a signed power of q).
 
-Tables are built one of two ways.  Any algebra group is partitioned by the
-orbit sweep of :mod:`.core` and evaluated by the batched evaluator of
-:mod:`.formula`; the full triangular U_n lists its monomials, the least
-members of its superclasses and co-orbits alike, and counts sizes, coranks,
-irreducibility and values off their arcs, with no sweep.  Both write the
-same bytes.  Labels render their "i,j" keys once per table and each field
-literal once per value.
+One builder, :func:`build_table` (also named ``build_pattern_table`` and
+``build_algebra_table``), makes every table from the rows of
+:func:`~superchar.formula.table_rows`, the rows ``superchar check`` judges.
+Labels render their "i,j" keys once per table and each field literal once
+per value.
 """
 
 from __future__ import annotations
@@ -33,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PatternGroup, StructureAlgebra, sweep_size
-from .errors import BadField, InternalInvariantViolation, SpecMismatch
-from .formula import un_arc_counts, un_monomials, un_value_chunks, value_arrays, value_chunks
+from .core import PatternGroup, StructureAlgebra
+from .errors import BadField, SpecMismatch
+from .formula import table_rows, value_arrays
 from .gf import CharValue, Fq
 from .poset import format_field_literal, parse_field_literal
 
@@ -361,82 +359,24 @@ def _head(source) -> tuple:
     return "algebra", {"d": source.d, **field, "constants": constants}, _algebra_rep_obj(source)
 
 
-def _table(source, class_reps, sizes, char_reps, coranks, irreducible, values) -> SuperTable:
-    """The table of ``source`` from its class and character representatives
-    (one list, rendered once, when they are the same list), the class
-    sizes, the character coranks and irreducibility flags, and the value
-    arrays."""
-    kind, meta, rep_obj = _head(source)
-    classes = [rep_obj(rep) for rep in class_reps]
-    chars = classes if char_reps is class_reps else [rep_obj(rep) for rep in char_reps]
-    q = source.field.q
-    return SuperTable(
-        kind,
-        meta,
-        [{"rep": rep, "size": size} for rep, size in zip(classes, sizes)],
-        [
-            {"rep": rep, "corank": c, "degree": q**c, "irreducible": irr}
-            for rep, c, irr in zip(chars, coranks, irreducible)
-        ],
-        *values,
-    )
-
-
-def _build_table(source, cap: int | None = None) -> SuperTable:
-    """The table of any algebra group: partition ``source`` by the sweep,
-    then fill the value arrays a chunk of rows at a time from
-    ``value_chunks`` over the digits of every class representative."""
-    classes = source.all_orbit_reps(cap)
-    chars = source.all_coorbit_reps(cap)
-    if len(classes) != len(chars):
-        raise InternalInvariantViolation("superclass and character counts differ")
-    if classes and any(classes[0].rep):
-        raise InternalInvariantViolation("identity superclass is not in column 0")
-    digits = np.array([o.rep for o in classes], dtype=np.int64).reshape(len(classes), source.dim)
+def build_table(source, cap: int | None = None) -> SuperTable:
+    """The table of any algebra group, from the rows of
+    :func:`~superchar.formula.table_rows`."""
+    classes, sizes, chars, chunks, _ = table_rows(source, cap)
     values = value_arrays((len(chars), len(classes)), source.dim, source.field.p)
-    coranks = []
-    for start, evaluators, block in value_chunks(source, [o.rep for o in chars], digits):
+    kind, meta, rep_obj = _head(source)
+    class_reps = [rep_obj(rep) for rep in classes.tolist()]
+    char_reps = class_reps if chars is classes else [rep_obj(rep) for rep in chars.tolist()]
+    q, char_rows = source.field.q, []
+    for start, coranks, irreducible, block in chunks:
         for arr, rows in zip(values, block):
             arr[start : start + len(rows)] = rows
-        coranks += evaluators.coranks.tolist()
-    # chi^eta = (|eta U| / |U eta U|) * sum of theta o mu over the co-orbit
-    # U eta U, and the theta o mu are orthonormal, so <chi^eta, chi^eta> =
-    # |eta U|**2 / |U eta U| with |eta U| = q**rank(A_eta) = q**corank:
-    # chi^eta is irreducible iff its co-orbit has q**(2 * corank) members.
-    q = source.field.q
-    irreducible = [o.size == q ** (2 * c) for o, c in zip(chars, coranks)]
-    return _table(
-        source,
-        [o.rep for o in classes],
-        [o.size for o in classes],
-        [o.rep for o in chars],
-        coranks,
-        irreducible,
-        values,
-    )
+        char_rows += [
+            {"rep": char_reps[start + i], "corank": c, "degree": q**c, "irreducible": irr}
+            for i, (c, irr) in enumerate(zip(coranks.tolist(), irreducible.tolist()))
+        ]
+    class_rows = [{"rep": rep, "size": size} for rep, size in zip(class_reps, sizes.tolist())]
+    return SuperTable(kind, meta, class_rows, char_rows, *values)
 
 
-def _build_un_table(G: PatternGroup, cap: int | None = None) -> SuperTable:
-    """The table of U_n with no sweep and no evaluator: the monomials are
-    the classes and the characters, in the sweep's order, and sizes,
-    coranks, irreducibility and values are counted off their arcs
-    (:func:`~superchar.formula.un_value_chunks`).  The cap is the sweep's."""
-    sweep_size(G.field, G.d, cap)
-    monomials = un_monomials(G)
-    e, coranks, irreducible = un_arc_counts(G, monomials)
-    values = value_arrays((len(monomials),) * 2, G.d, G.field.p)
-    for start, block in un_value_chunks(G, monomials, monomials):
-        for arr, rows in zip(values, block):
-            arr[start : start + len(rows)] = rows
-    reps, q = monomials.tolist(), G.field.q
-    return _table(G, reps, [q**k for k in e.tolist()], reps, coranks.tolist(), irreducible.tolist(), values)
-
-
-def build_pattern_table(G: PatternGroup, cap: int | None = None) -> SuperTable:
-    """The table of U_J; for the full triangular J, by its monomials."""
-    build = _build_un_table if G.J.is_full_triangular() else _build_table
-    return build(G, cap)
-
-
-def build_algebra_table(alg: StructureAlgebra, cap: int | None = None) -> SuperTable:
-    return _build_table(alg, cap)
+build_pattern_table = build_algebra_table = build_table

@@ -4,8 +4,9 @@ cell, independent of the counter-domain comparison that
 :func:`superchar.oracle.full_check` runs.
 
 The formula side is :func:`superchar.oracle.charvalue_coeff_rows` on the
-values of :func:`superchar.formula.value_chunks`, looked up through the
-module at call time so that a test's patch of ``formula.value_blocks``
+rows of :func:`superchar.formula.table_rows`, the rows ``superchar table``
+emits, looked up through the module at call time so that a test's patch of
+a value kernel (``formula.value_blocks`` or ``formula.un_value_chunks``)
 reaches both verdicts; the oracle side is the scaled orbit-sum rows of
 :meth:`superchar.oracle.Oracle._rows`."""
 
@@ -21,16 +22,15 @@ def reference_verdict(source, oracle_cap=None):
     coefficients, oracle coefficients) of the first in (eta, class) order,
     or None."""
     oracle = Oracle(source, cap=oracle_cap)
-    classes = source.orbit_partition(oracle.cap).reps
-    etas = source.coorbit_partition(oracle.cap).reps
+    classes, _, chars, chunks, _ = formula.table_rows(source, oracle.cap)
     F = oracle.field
-    digits = np.array(classes, dtype=np.int64).reshape(len(classes), oracle.dim)
-    tables = oracle._residue_tables(oracle._phi_digits(digits))
-    step = _rows_per_call(F.p, len(digits))
+    tables = oracle._residue_tables(oracle._phi_digits(classes))
+    step = _rows_per_call(F.p, len(classes))
     mismatches, witness = 0, None
-    for _, evaluators, values in formula.value_chunks(source, etas, digits):
-        for lo in range(0, len(evaluators), step):
-            rows = evaluators.etas[lo : lo + step]
+    for start, coranks, _, values in chunks:
+        chunk = chars[start : start + len(coranks)]
+        for lo in range(0, len(chunk), step):
+            rows = chunk[lo : lo + step]
             oracle_rows = oracle._rows(rows, tables)
             formula_rows = charvalue_coeff_rows(F.p, F.q, *(arr[lo : lo + step] for arr in values))
             bad = (formula_rows != oracle_rows).any(axis=0)
@@ -38,7 +38,7 @@ def reference_verdict(source, oracle_cap=None):
                 i, c = np.argwhere(bad)[0]
                 witness = (
                     tuple(rows[i].tolist()),
-                    classes[c],
+                    tuple(classes[c].tolist()),
                     tuple(int(x) for x in formula_rows[:, i, c]),
                     tuple(int(x) for x in oracle_rows[:, i, c]),
                 )

@@ -27,10 +27,11 @@ from superchar.catalog import (
     SIXTEEN_CLASS_MEMBERS,
     SIXTEEN_TABLE,
 )
-from superchar import oracle as oracle_module
+from superchar import core, oracle as oracle_module
+from superchar.cli import main
 from superchar.core import OrbitPartition, PatternGroup
 from superchar.errors import NonIntegralScaling, SizeCapExceeded, SpecMismatch
-from superchar.formula import CharacterEvaluator
+from superchar.formula import CharacterEvaluator, un_monomials
 from superchar.gf import CharValue, CycInt, Fq, theta
 from superchar import formula
 from superchar.oracle import Backend, Oracle, _dense_product, _Expected, charvalue_coeff_rows, full_check
@@ -376,30 +377,40 @@ def test_full_check_witness_is_the_first_cell_in_eta_order(monkeypatch):
     assert eta == etas[1] and phi == G.orbit_partition().reps[5]
 
 
-def _mutate_values(monkeypatch, mutation, targets, raise_q=()):
-    """Make formula.value_blocks apply ``mutation`` to every other cell it
-    can take in the rows of the characters ``targets``, and add 1 to the
-    q-exponent of every nonzero cell in the rows of ``raise_q``."""
-    value_blocks = formula.value_blocks
+def _mutate_values(monkeypatch, mutation, targets, raise_q=(), un=False):
+    """Make the value kernel apply ``mutation`` to every other cell it can
+    take in the rows of the characters ``targets``, and add 1 to the
+    q-exponent of every nonzero cell in the rows of ``raise_q``.  The
+    kernel is formula.value_blocks, or with ``un`` formula.un_value_chunks,
+    the one U_n tables take."""
 
-    def mutated(evaluators, digits):
-        zero, q_exp, zeta_exp = value_blocks(evaluators, digits)
-        p = evaluators.field.p
-        for i, eta in enumerate(map(tuple, evaluators.etas.tolist())):
+    def mutate(G, etas, values):
+        zero, q_exp, zeta_exp = values
+        for i, eta in enumerate(map(tuple, np.asarray(etas).tolist())):
             if eta in raise_q:
                 q_exp[i][~zero[i]] += 1
             if eta not in targets or mutation == "none":
                 continue
             cells = np.flatnonzero(zero[i] if mutation == "zero_to_nonzero" else ~zero[i])[::2]
             if mutation == "flip_zeta":
-                zeta_exp[i, cells] = (zeta_exp[i, cells] + 1) % p
+                zeta_exp[i, cells] = (zeta_exp[i, cells] + 1) % G.field.p
             elif mutation == "q_exp_to_dim":
-                q_exp[i, cells] = evaluators.source.d
+                q_exp[i, cells] = G.d
             else:  # the zero mask flips; q_exp and zeta_exp stay as they were
                 zero[i, cells] = mutation == "nonzero_to_zero"
-        return zero, q_exp, zeta_exp
+        return values
 
-    monkeypatch.setattr(formula, "value_blocks", mutated)
+    if un:
+        un_value_chunks = formula.un_value_chunks
+
+        def mutated_un(G, etas, phis):
+            for start, values in un_value_chunks(G, etas, phis):
+                yield start, mutate(G, etas[start : start + len(values[0])], values)
+
+        monkeypatch.setattr(formula, "un_value_chunks", mutated_un)
+    else:
+        value_blocks = formula.value_blocks
+        monkeypatch.setattr(formula, "value_blocks", lambda ev, digits: mutate(ev.source, ev.etas, value_blocks(ev, digits)))
 
 
 @pytest.mark.parametrize("mutation", ["none", "flip_zeta", "q_exp_to_dim", "nonzero_to_zero", "zero_to_nonzero"])
@@ -409,7 +420,8 @@ def test_full_check_verdict_equals_the_int64_reference(case, mutation, monkeypat
     the reference widens both sides to int64 coefficient rows.  Mutated
     cells of four characters, spread over co-orbits of different sizes
     (so over different counter blocks), must give the same count and the
-    same first witness.  In the factor case the zero character's right
+    same first witness.  On U_4 the mutated kernel is the U_n one, which
+    the table takes there.  In the factor case the zero character's right
     co-orbit size is doubled, so its block scales by factor 2, and its
     formula row by q = 2 to match, before the mutation."""
     name, q = case.split("-")
@@ -432,7 +444,7 @@ def test_full_check_verdict_equals_the_int64_reference(case, mutation, monkeypat
 
         monkeypatch.setattr(Oracle, "_runs", doubled)
         monkeypatch.setattr(oracle_module, "_divided", lambda *a: factors.append(divided(*a)[1]) or divided(*a))
-    _mutate_values(monkeypatch, mutation, targets, raise_q={etas[0]} if name == "factor" else ())
+    _mutate_values(monkeypatch, mutation, targets, raise_q={etas[0]} if name == "factor" else (), un=name == "full_u4")
     want = reference_verdict(G)
     assert (want == (0, None)) == (mutation == "none")
     report = full_check(G, with_axioms=False)
@@ -440,6 +452,62 @@ def test_full_check_verdict_equals_the_int64_reference(case, mutation, monkeypat
     assert report.values_match == (mutation == "none")
     if name == "factor":
         assert 2 in factors
+
+
+@pytest.mark.parametrize("n, q, cap", [(4, 2, None), (5, 3, 1 << 16)])
+def test_full_check_judges_the_un_kernel_the_table_takes(n, q, cap, monkeypatch, capsys):
+    """One corrupted cell of the U_n kernel, the degree of the last
+    character, is one mismatch: full_check judges the rows the table
+    emits, and superchar check exits 3."""
+    G = PatternGroup(full_triangular(n), Fq.of(q))
+    un_value_chunks = formula.un_value_chunks
+
+    def corrupted(G, etas, phis):
+        for start, (zero, q_exp, zeta_exp) in un_value_chunks(G, etas, phis):
+            if start + len(zero) == len(etas):
+                zeta_exp[-1, 0] = (zeta_exp[-1, 0] + 1) % q
+            yield start, (zero, q_exp, zeta_exp)
+
+    monkeypatch.setattr(formula, "un_value_chunks", corrupted)
+    report = full_check(G, oracle_cap=cap, with_axioms=False)
+    assert report.partitions_match and not report.values_match and report.mismatches == 1
+    assert report.witness[:2] == (tuple(un_monomials(G)[-1].tolist()), G.zero())
+    if cap is None:
+        spec = Path(__file__).resolve().parents[1] / "src" / "superchar" / "data" / f"full_u{n}_q{q}.txt"
+        assert main(["check", str(spec)]) == 3
+        assert "FAIL: formula matches orbit sums" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count", ["size", "corank", "irreducible"])
+def test_full_check_judges_the_arc_counts_the_table_takes(count, monkeypatch):
+    """The class sizes, coranks and irreducibility flags of a U_n table
+    come from un_arc_counts, not from the values: one wrong count of the
+    last monomial fails "orbit partitions agree", with every value right."""
+    G = PatternGroup(full_triangular(4), F3)
+    arc_counts = formula.un_arc_counts
+
+    def wrong(G, monomials):
+        counts = dict(zip(["size", "corank", "irreducible"], arc_counts(G, monomials)))
+        counts[count][-1] = not counts[count][-1] if count == "irreducible" else counts[count][-1] + 1
+        return tuple(counts.values())
+
+    assert full_check(G, with_axioms=False).ok
+    monkeypatch.setattr(formula, "un_arc_counts", wrong)
+    report = full_check(G, with_axioms=False)
+    assert not report.partitions_match and report.values_match and not report.ok
+    assert "FAIL: orbit partitions agree" in list(report.lines())
+
+
+@pytest.mark.parametrize("J", [full_triangular(4), heisenberg(4)], ids=["U_4", "heisenberg4"])
+def test_full_check_sweeps_each_core_partition_once(J, monkeypatch):
+    """A check job sweeps core's superclasses and co-orbits once each: for
+    the rows on any group but U_n, and for the label maps alone on U_n,
+    whose rows need no sweep."""
+    sweeps = []
+    sweep = core.orbit_partition_from_moves
+    monkeypatch.setattr(core, "orbit_partition_from_moves", lambda *args: sweeps.append(args) or sweep(*args))
+    assert full_check(PatternGroup(J, F2), with_axioms=False).ok
+    assert len(sweeps) == 2
 
 
 @pytest.mark.parametrize("q_exp", [8, 200])
@@ -747,7 +815,7 @@ _ORACLE_CORE_IMPORTS = {
 
 
 def test_the_oracle_takes_no_arithmetic_from_formula_or_core():
-    """From formula the oracle takes only the values it checks; from core no
+    """From formula the oracle takes only the rows it checks; from core no
     action, mesh or elimination helper.  Shared arithmetic lives in gf."""
     tree = ast.parse(Path(oracle_module.__file__).read_text())
     imports: dict = {}
@@ -760,5 +828,5 @@ def test_the_oracle_takes_no_arithmetic_from_formula_or_core():
                 module = module.removeprefix("superchar").lstrip(".")
                 imports.setdefault(module, set()).update(a.name for a in node.names)
     assert not imports.get("", set()) & {"core", "formula"}
-    assert imports["formula"] == {"value_chunks"}
+    assert imports["formula"] == {"table_rows"}
     assert imports["core"] <= _ORACLE_CORE_IMPORTS

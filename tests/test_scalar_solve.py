@@ -223,3 +223,22 @@ def test_full_check_compares_on_the_narrow_counters():
             row, cls = node.slice.elts  # arr[i, c : c + 1]
             assert not isinstance(row, ast.Slice)
             assert isinstance(cls, ast.Slice) and ast.unparse(cls.upper) == f"{ast.unparse(cls.lower)} + 1"
+
+
+def test_one_row_source_for_tables_and_checks():
+    """formula.table_rows alone makes the rows that superchar table emits
+    and superchar check judges: each value kernel that makes rows is
+    called from it and from no other function, and no module but formula
+    chooses a route by whether J is full triangular."""
+    callers = {"value_chunks": set(), "un_value_chunks": set()}
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path.name)
+        for name, function in _functions(tree).items():
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call):
+                    called = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                    if called in callers:
+                        callers[called].add(f"{path.stem}.{name}")
+        if path.name != "formula.py":
+            assert "is_full_triangular" not in _names(tree), path.name
+    assert callers == {"value_chunks": {"formula.table_rows"}, "un_value_chunks": {"formula.table_rows"}}

@@ -18,7 +18,7 @@ from superchar.errors import SpecMismatch
 from superchar.formula import CharacterEvaluator, un_monomials
 from superchar.gf import CharValue, Fq
 from superchar.oracle import Oracle, charvalue_coeff_rows
-from superchar.poset import emit_spec, validate_closed
+from superchar.poset import ClosedSet, emit_spec, validate_closed
 from superchar.table import SuperTable, build_algebra_table, build_pattern_table
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "superchar" / "data"
@@ -88,23 +88,33 @@ def test_values_view_matches_the_scalar_evaluator(name):
         assert row == [ev.value(cl.rep) for cl in classes]
 
 
+def _swept_table(G):
+    """The table of ``G`` by the sweep and the evaluator, the route of
+    every group but U_n, taken on U_n too by hiding that J is full
+    triangular."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ClosedSet, "is_full_triangular", lambda self: False)
+        return build_pattern_table(G)
+
+
 def test_table_builds_a_eta_once_per_character(monkeypatch):
     """Each character enters exactly one batched setup, which builds A_eta
     and the corank for the whole batch: no per-character A_eta or rank.
-    That is the general builder; the U_n table sets up no evaluator and
+    That is the swept route; the U_n route sets up no evaluator and
     sweeps nothing."""
     G = PatternGroup(full_triangular(6), Fq.of(2))
     monkeypatch.setattr(formula, "_SETUP_ENTRIES", 50 * 15**2)  # 50 characters a setup, d = 15
     setups, calls, rrefs, sweeps = [], [], [], []
     setup, eta_matrix, rref = CharacterEvaluator._setup, StructureAlgebra._eta_matrix, gf._rref
     sweep = core.orbit_partition_from_moves
-    monkeypatch.setattr(CharacterEvaluator, "_setup", lambda self, source, etas: setups.append(list(etas)) or setup(self, source, etas))
+    record = lambda etas: setups.append(list(map(tuple, np.asarray(etas).tolist())))  # the swept route passes digit rows
+    monkeypatch.setattr(CharacterEvaluator, "_setup", lambda self, source, etas: record(etas) or setup(self, source, etas))
     monkeypatch.setattr(StructureAlgebra, "_eta_matrix", lambda self, eta: calls.append(eta) or eta_matrix(self, eta))
     monkeypatch.setattr(gf, "_rref", lambda *args: rrefs.append(args) or rref(*args))
     monkeypatch.setattr(core, "orbit_partition_from_moves", lambda *args: sweeps.append(args) or sweep(*args))
     un_tab = build_pattern_table(G)
     assert not setups and not sweeps
-    tab = table._build_table(G)
+    tab = _swept_table(G)
     assert len(tab.chars) == 203 and [len(etas) for etas in setups] == [50, 50, 50, 50, 3]
     assert sum(setups, []) == [o.rep for o in G.all_coorbit_reps()]
     assert not calls and not rrefs
@@ -116,11 +126,11 @@ UN_GROUPS = [(3, q) for q in (2, 3, 4, 5, 8, 9, 16, 27)] + [(4, q) for q in (2, 
 
 @pytest.mark.parametrize("n, q", UN_GROUPS, ids=[f"U{n}({q})" for n, q in UN_GROUPS])
 def test_un_table_equals_the_swept_table(n, q):
-    """The monomial U_n table against the general builder: the sweep's
+    """The monomial U_n table against the swept route: the sweep's
     classes and sizes, the evaluator's coranks and values, the co-orbit
     sizes' irreducibility flags, and the bytes of every format."""
     G = PatternGroup(full_triangular(n), Fq.of(q))
-    un, swept = build_pattern_table(G), table._build_table(G)
+    un, swept = build_pattern_table(G), _swept_table(G)
     assert [c["size"] for c in un.classes] == [c["size"] for c in swept.classes]
     assert un == swept
     for fmt in ("json", "csv", "pretty"):
