@@ -45,7 +45,7 @@ kept by the algebra after its first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -172,33 +172,6 @@ class OrbitPartition:
         return [tuple(int(v) for v in row) for row in self.elements_digits(k)]
 
 
-def _digit_moves(field: Fq, moves) -> list[dict]:
-    """Each move, a tuple of updates, as an F_p-linear map on base-p digits:
-    a dict from target digit position to its (source position, coefficient)
-    terms.
-
-    An update (tgt, src, c) adds c * f[src] to f[tgt], which on digits is
-    the r x r block D(c) of x -> c * x; one ``digit_blocks`` call gives the
-    blocks of the whole move set.  Digit u of coordinate k sits at position
-    k*r + (r-1-u), most significant first, so the base-p code of a digit
-    vector is the base-q code of its functional.
-    """
-    r = field.r
-    cs = [c for updates in moves for _, _, c in updates]
-    blocks = iter(field.digit_blocks(field.p_digits(cs)).tolist())
-    out = []
-    for updates in moves:
-        terms: dict = {}
-        for tgt, src, _ in updates:
-            for s, row in enumerate(next(blocks)):
-                for u, c in enumerate(row):
-                    if c:
-                        terms.setdefault(tgt * r + r - 1 - u, []).append((src * r + r - 1 - s, c))
-        if terms:
-            out.append(terms)
-    return out
-
-
 def sweep_size(field: Fq, dim: int, cap: int | None) -> int:
     """q**dim, the functionals a sweep of F_q**dim visits; SizeCapExceeded
     when that passes ``cap`` (DEFAULT_ENUM_CAP when None)."""
@@ -212,35 +185,43 @@ def sweep_size(field: Fq, dim: int, cap: int | None) -> int:
 def orbit_partition_from_moves(field: Fq, dim: int, moves, cap: int | None) -> OrbitPartition:
     """The orbits of the moves on F_q**dim; the oracle calls it with its own moves.
 
-    Each move becomes one permutation of the codes, shaped (p,) * (dim * r)
-    with one axis per base-p digit: digit w of every code is arange(p) along
-    axis w, so no digit array is materialized.  Permutations and labels are
-    kept in the smallest unsigned dtype that holds a code.  Labels then pull
-    the minimum backward through every permutation to a fixpoint, the orbit
-    minimum everywhere since orbits are strongly connected (the moves
+    Each move becomes one permutation of the codes, shaped (q,) * dim with
+    one axis per coordinate: coordinate k of every code is arange(q) along
+    axis k, so no coordinate array is materialized.  A target gains c times
+    each source, read before the move, on the axes they span only: residues
+    mod p when q = p, else O(q) rows c * arange(q), one per distinct
+    constant per sweep (never a q x q table: q goes up to 2**16), added
+    digit-wise.  Permutations and labels are kept in the smallest unsigned
+    dtype that holds a code, since a wider permutation is a fresh mapping
+    that page-faults in at a cost the wider gather does not repay.  Labels
+    pull the minimum backward through every permutation to a fixpoint, the
+    orbit minimum everywhere since orbits are strongly connected (the moves
     generate a group action).  Each pull is one ``labels.take(perm)``, a
     plain gather that costs about 0.6 of the fancy index ``labels[perm]`` on
     these narrow index arrays, and one in-place minimum; the fixpoint is
     the first pass after which the sum of the labels has not fallen.
     """
     total = sweep_size(field, dim, cap)
-    p, n = field.p, dim * field.r
+    q = field.q
     dtype = np.min_scalar_type(total - 1)
-    codes = np.arange(total, dtype=dtype).reshape((p,) * n)
-
-    # digit w of every code, with trailing axes of length 1 that broadcast
-    digit = [np.arange(p).reshape((p,) + (1,) * (n - 1 - w)) for w in range(n)]
+    codes = np.arange(total, dtype=dtype).reshape((q,) * dim)
+    # coordinate k of every code, with trailing axes of length 1 that broadcast
+    coord = [np.arange(q).reshape((q,) + (1,) * (dim - 1 - k)) for k in range(dim)]
+    multiples = cache(field.multiples)  # for this sweep only
 
     perms = []
-    for terms in _digit_moves(field, moves):
+    for updates in moves:
+        terms: dict = {}
+        for tgt, src, c in updates:
+            term = c * coord[src] if field.r == 1 else multiples(c).reshape(coord[src].shape)
+            terms.setdefault(tgt, [coord[tgt]]).append(term)
         # the change of code, summed over the targets on the axes they read
         # only; shifts wrap modulo the unsigned dtype, and so does their sum,
         # which brings every code to its image
         shift = dtype.type(0)
-        for tgt, srcs in terms.items():
-            d = digit[tgt]
-            new = (d + sum(c * digit[src] for src, c in srcs)) % p
-            shift = shift + ((new - d) * p ** (n - 1 - tgt)).astype(dtype)
+        for tgt, values in terms.items():
+            new = sum(values) % q if field.r == 1 else field.add_codes(values)
+            shift = shift + ((new - coord[tgt]) * q ** (dim - 1 - tgt)).astype(dtype)
         perms.append((codes + shift).ravel())
     labels = np.arange(total, dtype=dtype)
     # labels only fall, so a pass that leaves their sum alone changed none

@@ -463,9 +463,9 @@ def _arcs(J):
 
 
 def un_arc_counts(G: PatternGroup, monomials: np.ndarray):
-    """(e, corank, irreducible) for each monomial in the (count, d) array
+    """(e, corank, crossings) for each monomial in the (count, d) array
     ``monomials`` of U_n: its superclass has q**e members, and its character
-    has degree q**corank and is irreducible iff no two of its arcs cross
+    has degree q**corank and a co-orbit of q**(2 corank - crossings) members
     (the rules of :func:`un_value_chunks`)."""
     i, l, j, k = _arcs(G.J)
     on = (_check_functionals(G.field, G.d, monomials) != 0).astype(np.int64)
@@ -474,7 +474,7 @@ def un_arc_counts(G: PatternGroup, monomials: np.ndarray):
         return ((on @ relation) * on).sum(axis=1)
 
     e = on @ (i - 1 + G.J.n - l)[:, 0] - pairs((i < j) & (l < k))
-    return e, on @ (l - i - 1)[:, 0], pairs((i < j) & (j < l) & (l < k)) == 0
+    return e, on @ (l - i - 1)[:, 0], pairs((i < j) & (j < l) & (l < k))
 
 
 def un_value_chunks(G: PatternGroup, etas, phis):
@@ -575,12 +575,12 @@ def table_rows(source, cap: int | None):
     if isinstance(source, PatternGroup) and source.J.is_full_triangular():
         sweep_size(source.field, source.d, cap)
         monomials = un_monomials(source)
-        e, coranks, irreducible = un_arc_counts(source, monomials)
+        e, coranks, crossings = un_arc_counts(source, monomials)
 
         def un_chunks():
             for start, values in un_value_chunks(source, monomials, monomials):
                 rows = slice(start, start + len(values[0]))
-                yield start, coranks[rows], irreducible[rows], values
+                yield start, coranks[rows], crossings[rows] == 0, values
 
         return monomials, q**e, monomials, un_chunks(), None
     sc, co = source.orbit_partition(cap), source.coorbit_partition(cap)

@@ -12,7 +12,8 @@ Bulk code works on base-p digits instead, where multiplication by a fixed
 element and the trace are F_p-linear: :class:`Fq` holds that view as arrays
 (digits, digit blocks, trace form, inverses mod p), one exact mod-p matrix
 product and one batched Gauss-Jordan elimination mod p, the only digit
-arithmetic of the evaluator and the oracle.
+arithmetic of the evaluator and the oracle.  The orbit sweep of :mod:`.core`
+adds codes digit-wise and reads rows of multiples off the log tables.
 
 There is one scalar arithmetic for every q.  Multiplication by X is the
 companion matrix C of the modulus, so the blocks D(X**v) are C**v mod p, and
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -345,6 +346,19 @@ class Fq:
         two new last axes: the matrix of x -> c x on row digit vectors,
         D(c) = sum_v digit_v(c) * D(p**v) since D is F_p-linear in c."""
         return np.einsum("...w,wuv->...uv", digits, self._basis_blocks) % self.p
+
+    def multiples(self, c: int) -> np.ndarray:
+        """c * x for every code x in range(q), indexed by x, for a unit c:
+        O(q) lookups in the log tables, never a q x q table."""
+        exp, log = map(np.array, self._logs[:2])
+        return np.concatenate(([0], exp[log[c] + log[1:]]))
+
+    def add_codes(self, terms) -> np.ndarray:
+        """The sum of broadcastable arrays of element codes, digit-wise mod p."""
+        p = self.p
+        if p == 2:
+            return reduce(np.bitwise_xor, terms)
+        return sum(sum(t // v % p for t in terms) % p * v for v in (p ** np.arange(self.r)).tolist())
 
     @cached_property
     def _basis_blocks(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 """The tests' reference orbit sweep: the fancy-index fixpoint over whole
-functional arrays, independent of the base-p digit permutations and the
-``take`` gathers of :func:`superchar.core.orbit_partition_from_moves`.
+functional arrays, independent of the coordinate-axis permutations, the
+rows of multiples, the digit-wise sums and the ``take`` gathers of
+:func:`superchar.core.orbit_partition_from_moves`.
 
 Each move, a tuple of updates (tgt, src, c) that add c * f[src] to f[tgt]
 with every f[src] read before the move, is applied to the base-q digits of

@@ -1,6 +1,7 @@
 """Pattern-group multiplication, actions, action matrices, and orbits."""
 
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from superchar.catalog import (
     full_triangular,
     heisenberg,
     orbit_shape_poset,
+    semidirect_algebra,
 )
 from superchar import core
-from superchar.core import Orbit, PatternGroup
+from superchar.core import Orbit, PatternGroup, StructureAlgebra
 from superchar.errors import SizeCapExceeded, SpecMismatch
 from superchar.gf import Fq, rank
 from superchar.oracle import Oracle
@@ -324,27 +326,54 @@ def test_partition_classes_are_single_orbit_closures(q):
         assert covered == G.order()
 
 
+def _first_non_unit_matrix_algebra():
+    from test_algebra import _random_matrix_algebra
+
+    return next(alg for alg in map(_random_matrix_algebra, range(60)) if alg is not None)
+
+
+F256 = Fq.of(256, (1, 1, 0, 1, 1, 0, 0, 0, 1))  # x^8 + x^4 + x^3 + x + 1
+F243 = Fq.of(243, (1, 0, 0, 0, 2, 1))  # x^5 + 2 x^4 + 1
+
 # every corpus set at q = 2 (labels of up to 16 bits), where one pass of
 # the fixpoint settles every label; two sets at q = 3, where it takes two;
-# and the Heisenberg set with n = 10, whose 2**17 functionals take 32-bit labels
-_SWEEP_CASES = {f"{entry.name}_q2": (entry.J, 2) for entry in corpus()} | {
-    "full_u4_q3": (full_triangular(4), 3),
-    "class_counterexample_q3": (class_counterexample_poset(), 3),
-    "heisenberg10_q2": (heisenberg(10), 2),
+# the Heisenberg set with n = 10, whose 2**17 functionals take 32-bit labels;
+# the full triangular and Heisenberg sets over F_4, F_8, F_9 and F_16 (H_3 is
+# U_3, and H_4 over F_16 has 2**20 functionals, past the reference's reach);
+# a semidirect algebra over F_4, a random matrix algebra with a constant
+# other than 1, and one-constant algebras over F_2**8 and F_3**5
+_SWEEP_CASES = {f"{entry.name}_q2": partial(PatternGroup, entry.J, F2) for entry in corpus()} | {
+    "full_u4_q3": partial(PatternGroup, full_triangular(4), F3),
+    "class_counterexample_q3": partial(PatternGroup, class_counterexample_poset(), F3),
+    "heisenberg10_q2": partial(PatternGroup, heisenberg(10), F2),
+    "full_u4_q4": partial(PatternGroup, full_triangular(4), Fq.of(4)),
+    **{f"full_u3_q{q}": partial(PatternGroup, full_triangular(3), Fq.of(q)) for q in (8, 9, 16)},
+    **{f"heisenberg4_q{q}": partial(PatternGroup, heisenberg(4), Fq.of(q)) for q in (4, 8, 9)},
+    "semidirect4_q4": partial(semidirect_algebra, 4, Fq.of(4)),
+    "matrix_algebra": _first_non_unit_matrix_algebra,
+    "one_constant_q256": partial(StructureAlgebra, 2, F256, {(0, 0): {1: 0x53}}),
+    "one_constant_q243": partial(StructureAlgebra, 2, F243, {(0, 0): {1: 100}}),
 }
+# the oracle's backend moves on two of those: both multiplications, both
+# dual maps, the right dual map alone, and conjugation
+_ORACLE_SWEEPS = ("full_u4_q4", "matrix_algebra")
 
 
-@pytest.mark.parametrize("name", sorted(_SWEEP_CASES))
+@pytest.mark.parametrize("name", sorted(_SWEEP_CASES) + [f"oracle_{name}" for name in _ORACLE_SWEEPS])
 def test_sweep_equals_the_fancy_index_reference(name):
-    """Both sweeps of core equal the reference fixpoint over whole functional
-    arrays: labels, representatives and sizes, in the label dtype of the
+    """The sweep of core equals the reference fixpoint over whole functional
+    arrays on both actions of a group, or on the oracle backend's move
+    kinds: labels, representatives and sizes, in the label dtype of the
     code count."""
-    J, q = _SWEEP_CASES[name]
-    G = PatternGroup(J, Fq.of(q))
+    G = _SWEEP_CASES[name.removeprefix("oracle_")]()
+    kinds, moves_of = (("left", "right"), ("co_left", "co_right")), G._move_set
+    if name.startswith("oracle_"):
+        kinds = (("mult_left", "mult_right"), ("dual_left", "dual_right"), ("dual_right",), ("conj",))
+        moves_of = partial(getattr, Oracle(G).backend)
     dtype = np.min_scalar_type(G.order() - 1)
     assert (dtype == np.uint32) == (name == "heisenberg10_q2")
-    for kinds in (("left", "right"), ("co_left", "co_right")):
-        moves = sum((G._move_set(kind) for kind in kinds), ())
+    for kind in kinds:
+        moves = sum(map(moves_of, kind), ())
         part = core.orbit_partition_from_moves(G.field, G.dim, moves, None)
         labels, rep_codes, sizes = reference_partition(G.field, G.dim, moves)
         assert part._labels.dtype == dtype
@@ -362,12 +391,6 @@ _SINGLE_ORBITS = {
     "coorbit_left": ("dual_left",),
     "coorbit_right": ("dual_right",),
 }
-
-
-def _first_non_unit_matrix_algebra():
-    from test_algebra import _random_matrix_algebra
-
-    return next(alg for alg in map(_random_matrix_algebra, range(60)) if alg is not None)
 
 
 @pytest.mark.parametrize("case", ["U4_q2", "U4_q3", "U4_q4", "U3_q8", "U3_q9", "matrix_algebra"])

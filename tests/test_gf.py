@@ -160,9 +160,9 @@ def _frobenius_trace(F, a):
     ids=_field_id,
 )
 def test_derived_arrays_match_the_slow_ops_entry_by_entry(F):
-    """Every scalar op, the blocks D(X**v), the trace form and the trace
-    against slow test-local references: schoolbook multiplication, digitwise
-    add and neg, the inverse as the b with a b = 1 by schoolbook, powers by
+    """Every scalar op, the array sums and rows of multiples, the blocks
+    D(X**v), the trace form and the trace against slow test-local
+    references: schoolbook multiplication, digitwise add and neg, the inverse as the b with a b = 1 by schoolbook, powers by
     repeated schoolbook products, and the Frobenius sum.  Every pair and
     element of each field up to q = 256, and 2000 sampled pairs beyond."""
     q = F.q
@@ -178,7 +178,12 @@ def test_derived_arrays_match_the_slow_ops_entry_by_entry(F):
     assert [F.add(a, b) for a, b in pairs] == [_add_digitwise(F, a, b) for a, b in pairs]
     assert [F.sub(a, b) for a, b in pairs] == [_add_digitwise(F, a, _neg_digitwise(F, b)) for a, b in pairs]
     assert [F.neg(a) for a in elements] == [_neg_digitwise(F, a) for a in elements]
+    a, b = np.array(pairs).T
+    assert F.add_codes([a, b, a]).tolist() == [_add_digitwise(F, _add_digitwise(F, x, y), x) for x, y in pairs]
     units = [a for a in elements if a]
+    traced = elements if q <= 256 else elements[:: len(elements) // 100]
+    for c in units[:: max(1, len(units) // 8)]:
+        assert F.multiples(c)[traced].tolist() == [_schoolbook_mul(F, c, x) for x in traced]
     if q <= 256:
         assert [F.inv(a) for a in units] == [next(b for b in elements if mul[a, b] == 1) for a in units]
         for a in elements:  # a**e for e in -(q - 1) .. q, with 0**e only for e >= 0
@@ -200,7 +205,6 @@ def test_derived_arrays_match_the_slow_ops_entry_by_entry(F):
     basis = F.additive_generators()
     assert F._basis_blocks.tolist() == [[list(F.coeffs(_schoolbook_mul(F, x, y))) for y in basis] for x in basis]
     assert F.trace_form.tolist() == [[_frobenius_trace(F, _schoolbook_mul(F, x, y)) for y in basis] for x in basis]
-    traced = elements if q <= 256 else elements[:: len(elements) // 100]
     assert [F.trace(a) for a in traced] == [_frobenius_trace(F, a) for a in traced]
 
 

@@ -171,8 +171,10 @@ def test_orbit_sums_take_their_residue_tables_from_the_caller():
 def test_one_orbit_engine_and_one_move_format():
     """Orbits come from the one vectorized sweep: no module defines a
     closure search, and core and the oracle each call the sweep from one
-    method, which every orbit query of theirs goes through.  Every move of
-    either is one tuple of (tgt, src, c) updates with c a nonzero element."""
+    method, which every orbit query of theirs goes through.  The sweep
+    builds its permutations from F_q coordinates, not base-p digit blocks.
+    Every move of either is one tuple of (tgt, src, c) updates with c a
+    nonzero element."""
     for path in sorted(SRC.glob("*.py")):
         defined = {node.name for node in ast.walk(_tree(path.name)) if isinstance(node, ast.FunctionDef)}
         assert not defined & {"_bfs", "_apply_move"}, path.name
@@ -188,7 +190,7 @@ def test_one_orbit_engine_and_one_move_format():
         assert [name for name, f in functions.items() if "orbit_partition_from_moves" in _names(f)] == [caller]
         short = caller.split(".")[1]
         assert all(short in _names(functions[name]) for name in queries)
-    assert [name for name, f in core.items() if "_digit_moves" in _names(f)] == ["orbit_partition_from_moves"]
+    assert not _names(core["orbit_partition_from_moves"]) & {"p_digits", "digit_blocks"}
 
     G = PatternGroup(full_triangular(4), Fq.of(4))
     backend = Oracle(G).backend

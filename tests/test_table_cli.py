@@ -483,6 +483,44 @@ def test_cmd_orbits(capsys):
     assert payload["classes"][0] == {"rep": {}, "size": 1}
 
 
+def _orbits_by_the_sweep(G) -> str:
+    """The listing of ``superchar orbits`` read off the two sweeps of core:
+    least members and sizes, with each co-orbit's corank by rank(A_eta)."""
+    rep_obj = table._head(G)[2]
+    payload = {
+        "classes": [{"rep": rep_obj(o.rep), "size": o.size} for o in G.all_orbit_reps()],
+        "coorbits": [{"rep": rep_obj(o.rep), "size": o.size, "corank": G.corank(o.rep)} for o in G.all_coorbit_reps()],
+    }
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+ORBIT_LISTINGS = [(n, q) for n in (3, 4, 5) for q in (2, 3)] + [(4, 4), "orbit_shape_q2", "group16"]
+
+
+@pytest.mark.parametrize("case", ORBIT_LISTINGS, ids=lambda case: case if isinstance(case, str) else "U%d(%d)" % case)
+def test_cmd_orbits_equals_the_swept_listing(case, tmp_path, capsys, monkeypatch):
+    """superchar orbits prints the bytes of the swept listing.  On U_n it
+    sweeps nothing, lists the monomials with their arc counts, and keeps
+    the sweep's cap on q**d."""
+    if isinstance(case, str):
+        spec = DATA / f"{case}.txt"
+    else:
+        spec = tmp_path / "un.txt"
+        spec.write_text(emit_spec(full_triangular(case[0]), Fq.of(case[1])), encoding="utf-8")
+    G = _load(str(spec))
+    want = _orbits_by_the_sweep(G)
+    sweeps, sweep = [], core.orbit_partition_from_moves
+    monkeypatch.setattr(core, "orbit_partition_from_moves", lambda *args: sweeps.append(args) or sweep(*args))
+    assert _run(capsys, "orbits", str(spec)) == (0, want, "")
+    assert len(sweeps) == (0 if isinstance(case, tuple) else 2)
+    small = str(G.order() - 1)
+    assert _run(capsys, "orbits", str(spec), "--cap", small) == (
+        2,
+        "",
+        f"error: {G.order()} functionals to sweep exceed the cap of {small}\n",
+    )
+
+
 def test_cmd_orbits_reports_the_shape_example_sizes(tmp_path, capsys):
     spec = tmp_path / "orbit_shape_q3.txt"
     spec.write_text(
