@@ -188,12 +188,12 @@ def orbit_partition_from_moves(field: Fq, dim: int, moves, cap: int | None) -> O
     Each move becomes one permutation of the codes, shaped (q,) * dim with
     one axis per coordinate: coordinate k of every code is arange(q) along
     axis k, so no coordinate array is materialized.  A target gains c times
-    each source, read before the move, on the axes they span only: residues
-    mod p when q = p, else O(q) rows c * arange(q), one per distinct
-    constant per sweep (never a q x q table: q goes up to 2**16), added
-    digit-wise.  Permutations and labels are kept in the smallest unsigned
-    dtype that holds a code, since a wider permutation is a fresh mapping
-    that page-faults in at a cost the wider gather does not repay.  Labels
+    each source, read before the move, on the axes they span only: O(q) rows
+    c * arange(q), one per distinct constant per sweep (never a q x q table:
+    q goes up to 2**16), added by :meth:`~superchar.gf.Fq.add_codes`.
+    Permutations and labels are kept in the smallest unsigned dtype that
+    holds a code, since a wider permutation is a fresh mapping that
+    page-faults in at a cost the wider gather does not repay.  Labels
     pull the minimum backward through every permutation to a fixpoint, the
     orbit minimum everywhere since orbits are strongly connected (the moves
     generate a group action).  Each pull is one ``labels.take(perm)``, a
@@ -213,15 +213,13 @@ def orbit_partition_from_moves(field: Fq, dim: int, moves, cap: int | None) -> O
     for updates in moves:
         terms: dict = {}
         for tgt, src, c in updates:
-            term = c * coord[src] if field.r == 1 else multiples(c).reshape(coord[src].shape)
-            terms.setdefault(tgt, [coord[tgt]]).append(term)
+            terms.setdefault(tgt, [coord[tgt]]).append(multiples(c).reshape(coord[src].shape))
         # the change of code, summed over the targets on the axes they read
         # only; shifts wrap modulo the unsigned dtype, and so does their sum,
         # which brings every code to its image
         shift = dtype.type(0)
         for tgt, values in terms.items():
-            new = sum(values) % q if field.r == 1 else field.add_codes(values)
-            shift = shift + ((new - coord[tgt]) * q ** (dim - 1 - tgt)).astype(dtype)
+            shift = shift + ((field.add_codes(values) - coord[tgt]) * q ** (dim - 1 - tgt)).astype(dtype)
         perms.append((codes + shift).ravel())
     labels = np.arange(total, dtype=dtype)
     # labels only fall, so a pass that leaves their sum alone changed none

@@ -30,9 +30,11 @@ consistency, rank M, a particular solution, and whether b is in rowspace(M).
 Character values live in the ring of cyclotomic integers Z[zeta_p].
 :class:`CycInt` is the full ring, used by brute-force orbit sums;
 :class:`CharValue` is the closed multiplicative form ``q**m * zeta_p**k``
-that the character formulas produce.  The additive character is fixed once
-and for all as ``theta(t) = zeta_p ** trace(t)``: any nontrivial character
-would do, and this one makes every emitted table reproducible.
+that the character formulas produce, and :func:`cell_codes` packs arrays of
+such values into one small code per cell, which :func:`cell_value` reads
+back.  The additive character is fixed once and for all as
+``theta(t) = zeta_p ** trace(t)``: any nontrivial character would do, and
+this one makes every emitted table reproducible.
 """
 
 from __future__ import annotations
@@ -58,21 +60,9 @@ DEFAULT_MODULI = {
     27: (1, 2, 0, 1),
 }
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    """The distinct prime factors of n >= 1, ascending, by trial division:
+    the package's only factoring."""
     out, d = [], 2
     while d * d <= n:
         if n % d == 0:
@@ -83,26 +73,21 @@ def _prime_factors(n: int) -> list[int]:
     return out + ([n] if n > 1 else [])
 
 
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
+
+
 def _prime_power(q: int) -> tuple[int, int]:
     """Split q = p**r or raise BadField."""
     if q < 2:
         raise BadField(f"q must be at least 2, got {q}")
-    p = None
-    for d in itertools.chain([2], range(3, q + 1, 2)):
-        if d * d > q:
-            break
-        if q % d == 0:
-            p = d
-            break
-    if p is None:
-        return q, 1  # q itself is prime
-    r = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        r += 1
-    if m != 1:
+    factors = _prime_factors(q)
+    if len(factors) > 1:
         raise BadField(f"{q} is not a prime power")
+    p, r = factors[0], 0
+    while q > 1:
+        q //= p
+        r += 1
     return p, r
 
 
@@ -155,12 +140,12 @@ class Fq:
     modulus: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise BadField(f"{self.p} is not prime")
         if self.r < 1:
             raise BadField(f"extension degree must be positive, got {self.r}")
-        if self.p ** self.r > MAX_Q:
+        if self.p ** self.r > MAX_Q:  # before factoring p, which takes sqrt(p) steps
             raise BadField(f"q = {self.p}**{self.r} exceeds the supported limit {MAX_Q}")
+        if not _is_prime(self.p):
+            raise BadField(f"{self.p} is not prime")
         if self.r == 1:
             if self.modulus is not None:
                 raise BadField("a modulus is only meaningful for proper prime powers")
@@ -358,6 +343,8 @@ class Fq:
         p = self.p
         if p == 2:
             return reduce(np.bitwise_xor, terms)
+        if self.r == 1:
+            return sum(terms) % p
         return sum(sum(t // v % p for t in terms) % p * v for v in (p ** np.arange(self.r)).tolist())
 
     @cached_property
@@ -731,6 +718,39 @@ class CharValue:
         if obj is None:
             return cls.zero()
         return cls(int(obj["q_exp"]), int(obj["zeta_exp"]), False)
+
+
+# A cell code is one small integer per value: 0 for zero, and
+# 1 + q_exp * p + (zeta_exp mod p) for q**q_exp * zeta_p**zeta_exp.  Tables
+# store it, the emitters look text up by it, and the oracle keys its expected
+# columns on it; these three functions are the only place that computes it.
+
+
+def cell_code_dtype(dim: int, p: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds the code of every value with
+    q_exp <= dim, the largest being (dim + 1) * p."""
+    return np.min_scalar_type((dim + 1) * p)
+
+
+def cell_codes(zero, q_exp, zeta_exp, p: int, dim: int) -> np.ndarray:
+    """The codes of (zero, q_exp, zeta_exp) arrays of one shape, with
+    q_exp <= dim, in :func:`cell_code_dtype`: 0 where ``zero`` is set,
+    whatever the exponents there, and 1 + q_exp * p + (zeta_exp mod p)
+    elsewhere."""
+    zeta_exp = np.asarray(zeta_exp)
+    if zeta_exp.max(initial=0) >= p:  # zeta**k = zeta**(k mod p)
+        zeta_exp = zeta_exp % p
+    codes = np.asarray(q_exp).astype(cell_code_dtype(dim, p))
+    codes *= p
+    np.add(codes, zeta_exp, out=codes, casting="unsafe")
+    codes += 1
+    codes *= ~np.asarray(zero, dtype=bool)
+    return codes
+
+
+def cell_value(code: int, p: int) -> CharValue:
+    """The value of a cell code: the inverse of :func:`cell_codes`."""
+    return CharValue(*divmod(code - 1, p), False) if code else CharValue.zero()
 
 
 def theta(field: Fq, t: int) -> CharValue:

@@ -65,7 +65,7 @@ from .errors import (
     NonIntegralScaling,
     SizeCapExceeded,
 )
-from .gf import CycInt, Fq
+from .gf import CycInt, Fq, cell_codes
 from .core import OrbitPartition, PatternGroup, _check_functionals, _codes_to_digits, _digits_to_codes, orbit_partition_from_moves
 from .formula import table_rows
 
@@ -573,80 +573,72 @@ class CheckReport:
             yield f"skipped: axioms (|G| = {self.order} > {DEFAULT_ORACLE_CAP})"
 
 
+def _code_columns(values: np.ndarray, p: int) -> np.ndarray:
+    """The cyclotomic coefficients of every cell code with a q-exponent
+    below len(values) (:func:`~superchar.gf.cell_codes`), one column per
+    code, shape (p-1, 1 + len(values) * p): column 0 is zero, and column
+    1 + e * p + z holds values[e] * zeta**z, so values[e] at coefficient z,
+    and -values[e] at every coefficient when z = p - 1, as zeta**(p-1) =
+    -(1 + ... + zeta**(p-2))."""
+    columns = np.zeros((p - 1, 1 + len(values) * p), dtype=values.dtype)
+    block = columns[:, 1:].reshape(p - 1, len(values), p)  # [coefficient, e, z], a view
+    k = np.arange(p - 1)
+    block[k, :, k] = values
+    block[:, :, p - 1] = -values
+    return columns
+
+
 def charvalue_coeff_rows(p: int, q: int, zero, qexp, zexp) -> np.ndarray:
     """CharValue arrays of any shape -> cyclotomic coefficients, shape
-    (p-1,) + that shape: q**qexp * zeta**zexp, or 0 where ``zero``.
-
-    With E q-exponents in use, each cell is one of p * E + 1 coefficient
-    columns, looked up by its key: zexp * E + qexp, or p * E, the zero
-    column, where ``zero``.  OverflowError when the q**qexp of a nonzero
-    cell passes int64."""
+    (p-1,) + that shape: q**qexp * zeta**zexp, or 0 where ``zero``, each
+    cell's column looked up by its code (:func:`_code_columns`).
+    OverflowError when the q**qexp of a nonzero cell passes int64."""
     qexp, zero = np.asarray(qexp), np.asarray(zero, dtype=bool)
-    E = int(qexp.max(initial=0, where=~zero)) + 1
-    if q ** (E - 1) > np.iinfo(np.int64).max:
-        raise OverflowError(f"q**{E - 1} with q = {q} does not fit in int64")
-    powers, z = np.array([q**e for e in range(E)], dtype=np.int64), np.arange(p)[:, None]
-    # column z * E + e holds q**e * zeta**z: q**e at coefficient z, and -q**e
-    # at every coefficient when z = p - 1, as zeta**(p-1) = -(1 + ... + zeta**(p-2))
-    columns = np.zeros((p - 1, p * E + 1), dtype=np.int64)
-    at_z = np.arange(p - 1)[:, None, None] == z
-    columns[:, :-1] = np.where(at_z, powers, np.where(z == p - 1, -powers, 0)).reshape(p - 1, p * E)
-    key = np.asarray(zexp).astype(np.intp) * E + qexp
-    key[zero] = p * E
-    return np.take(columns, key, axis=1)
+    top = int(qexp.max(initial=0, where=~zero))
+    if q**top > np.iinfo(np.int64).max:
+        raise OverflowError(f"q**{top} with q = {q} does not fit in int64")
+    columns = _code_columns(np.array([q**e for e in range(top + 1)], dtype=np.int64), p)
+    return np.take(columns, cell_codes(zero, qexp, zexp, p, top), axis=1)
 
 
 class _Expected:
     """The formula's values in the domain of the oracle's narrow counters.
 
-    Each cell has a key, zexp * E + qexp plus p * E where it is zero, with
-    E = dim + 2: the q-exponents 0..dim, and one for every exponent past
-    dim.  For the (num, factor) of a block (:func:`_divided`),
-    :meth:`divided` holds the coefficients of each key divided by factor,
-    in num's dtype, one column per key: column z * E + e holds q**e *
-    zeta**z, the columns from p * E on hold 0 (so no mask is needed for
-    the zero cells), and num matches a cell iff it equals the cell's column.
+    Each cell's key is its code (:func:`~superchar.gf.cell_codes`) once a
+    q-exponent past dim is clamped to dim + 1, which stands for them all.
+    For the (num, factor) of a block (:func:`_divided`), :meth:`divided`
+    holds the coefficients of each key divided by factor, in num's dtype,
+    one column per key (:func:`_code_columns`): column 0, the zero cells'
+    key, holds 0 (so no mask is needed for them), and num matches a cell iff
+    it equals the cell's column.
 
     A column whose value factor does not divide, or whose quotient falls
     outside num's dtype, holds the dtype's minimum at every coefficient.
     num never holds it (|num| <= m < -minimum), so those cells mismatch, as
     they must: the oracle value num * factor is a multiple of factor within
-    that range.  So do the columns of exponents past dim, since no
+    that range.  So do the sentinel columns of q-exponent dim + 1, since no
     orbit-sum coefficient passes |lambda U| <= q**dim in absolute value."""
 
     def __init__(self, p: int, q: int, dim: int):
-        self.p, self.q, self.dim, self.E = p, q, dim, dim + 2
-        self.key_dtype = np.min_scalar_type(2 * p * self.E)
+        self.p, self.q, self.dim = p, q, dim
         self._columns: dict = {}
 
     def keys(self, zero, qexp, zexp) -> np.ndarray:
-        """The key of each cell, in the narrowest unsigned dtype, by
-        arithmetic alone."""
-        p, E = self.p, self.E
-        if qexp.max(initial=0) >= E:
-            qexp = np.minimum(qexp, E - 1)
-        if zexp.max(initial=0) >= p:  # zeta**z = zeta**(z mod p)
-            zexp = zexp % p
-        key = np.multiply(zexp, E, dtype=self.key_dtype)
-        key += qexp
-        key += np.multiply(zero, p * E, dtype=self.key_dtype)
-        return key
+        """The key of each cell, in the narrowest unsigned dtype."""
+        if qexp.max(initial=0) > self.dim + 1:
+            qexp = np.minimum(qexp, self.dim + 1)
+        return cell_codes(zero, qexp, zexp, self.p, self.dim + 1)
 
     def divided(self, factor: int, dtype) -> np.ndarray:
-        """The (p-1, 2 p E) columns divided by ``factor``, in ``dtype``,
-        built once per pair."""
+        """The (p-1, 1 + (dim + 2) p) columns divided by ``factor``, in
+        ``dtype``, built once per pair."""
         if (factor, dtype) not in self._columns:
-            p, E = self.p, self.E
-            lowest = np.iinfo(dtype).min
+            p, lowest = self.p, np.iinfo(dtype).min
             quotients = [divmod(self.q**e, factor) for e in range(self.dim + 1)]
-            exact = [not rest and value < -lowest for value, rest in quotients] + [False]
+            exact = np.array([not rest and value < -lowest for value, rest in quotients] + [False])
             values = np.array([value if ok else 0 for (value, _), ok in zip(quotients, exact)] + [0], dtype=dtype)
-            columns = np.zeros((p - 1, 2 * p * E), dtype=dtype)
-            block = columns[:, : p * E].reshape(p - 1, p, E)  # [coefficient, z, e]
-            k = np.arange(p - 1)
-            block[k, k] = values  # q**e at coefficient z
-            block[:, p - 1] = -values  # zeta**(p-1) = -(1 + ... + zeta**(p-2))
-            block[:, :, ~np.array(exact)] = lowest
+            columns = _code_columns(values, p)
+            columns[:, 1:].reshape(p - 1, len(values), p)[:, ~exact] = lowest
             self._columns[factor, dtype] = columns
         return self._columns[factor, dtype]
 

@@ -135,18 +135,6 @@ def derived_subgroup(J: ClosedSet) -> ClosedSet:
     return ClosedSet(J.n, {(a, c) for a, _, c in J.chains3})
 
 
-def chains3(J: ClosedSet):
-    return J.chains3
-
-
-def chains4(J: ClosedSet):
-    return J.chains4
-
-
-def has_4chain(J: ClosedSet) -> bool:
-    return J.has_4chain
-
-
 # ---------------------------------------------------------------------------
 # functionals as packed tuples
 

@@ -3,9 +3,10 @@
 A table is rows of characters against columns of superclasses, both in the
 canonical representative order, with column 0 the identity superclass (so
 column 0 of every row is the character's degree).  Every value is 0 or
-q**m * zeta_p**k, so the values are kept as three arrays (zero mask, m, k).
-The emitters code a block of rows at a time, one narrow unsigned code per
-cell, and look the text up by code in one lookup kept for the whole table,
+q**m * zeta_p**k with m <= dim, so the table keeps one narrow unsigned cell
+code per value (:func:`~superchar.gf.cell_codes`), one byte per cell unless
+(dim + 1) * p passes 255.  The emitters read the codes a block of rows at a
+time and look the text up by code in one lookup kept for the whole table,
 which renders each distinct value once.  JSON and CSV rows take their text
 two cells at a time, already joined by a comma, from code pairs, unless the
 pairs outnumber the table's cells; ``values`` and the pretty format take
@@ -34,7 +35,7 @@ import numpy as np
 from .core import PatternGroup, StructureAlgebra
 from .errors import BadField, SpecMismatch
 from .formula import table_rows, value_arrays
-from .gf import CharValue, Fq
+from .gf import Fq, cell_code_dtype, cell_codes, cell_value
 from .poset import format_field_literal, parse_field_literal
 
 
@@ -46,18 +47,18 @@ _BLOCK_CELLS = 1 << 16
 
 @dataclass(eq=False)
 class SuperTable:
-    """The table is stored as three (characters, classes) arrays: cell
-    (i, j) is 0 where ``zero`` is set and q**q_exp * zeta_p**zeta_exp
-    otherwise.  The emitters render each distinct value once and stream the
-    rows; ``values`` builds CharValue rows on demand."""
+    """The values are one (characters, classes) array of cell codes:
+    ``codes[i, j]`` is 0 for a zero cell and 1 + q_exp * p + zeta_exp for
+    q**q_exp * zeta_p**zeta_exp (:func:`~superchar.gf.cell_codes`), in the
+    narrowest unsigned dtype that holds (dim + 1) * p.  The emitters render
+    each distinct code once and stream the rows; ``values`` decodes
+    CharValue rows on demand."""
 
     kind: str  # "pattern" | "algebra"
     meta: dict
     classes: list  # {"rep": obj, "size": int}
     chars: list  # {"rep": obj, "corank": int, "degree": int, "irreducible": bool}
-    zero: np.ndarray
-    q_exp: np.ndarray
-    zeta_exp: np.ndarray
+    codes: np.ndarray
 
     @property
     def field(self) -> Fq:
@@ -73,9 +74,7 @@ class SuperTable:
         if not isinstance(other, SuperTable):
             return NotImplemented
         head = (self.kind, self.meta, self.classes, self.chars)
-        return head == (other.kind, other.meta, other.classes, other.chars) and all(
-            np.array_equal(getattr(self, a), getattr(other, a)) for a in ("zero", "q_exp", "zeta_exp")
-        )
+        return head == (other.kind, other.meta, other.classes, other.chars) and np.array_equal(self.codes, other.codes)
 
     def to_json(self) -> str:
         return self.render("json")
@@ -148,7 +147,7 @@ class SuperTable:
                     q_exp[i, j], zeta_exp[i, j] = v["q_exp"], v["zeta_exp"]
                 else:
                     raise SpecMismatch(f"value {v!r} at ({i}, {j}) is not q^m*z^k with m <= {dim}, k < {p}")
-        return cls(kind, obj, classes, chars, zero, q_exp, zeta_exp)
+        return cls(kind, obj, classes, chars, cell_codes(zero, q_exp, zeta_exp, p, dim))
 
     # -- rendering ---------------------------------------------------------
 
@@ -162,25 +161,23 @@ class SuperTable:
         """The rows in blocks, each as (items, lookup): row i of a block is
         ``lookup[items[i]]``, its cells in order one or two at a time.
 
-        A cell's code is 0 for a zero cell and 1 + q_exp * p + zeta_exp
-        otherwise, one of n codes.  An item is one cell, shown as
-        ``show(CharValue)``; with ``pairs``, when the n**2 pairs are no more
-        than the table's cells, it is two, the pair c1 * n + c2 (or n**2 + c
-        for an odd last cell), shown as the two texts joined by a comma.
-        Item codes are computed once per block, in the narrowest unsigned
-        dtype that holds them.  ``lookup`` lasts the whole table: a block
-        renders only the items no earlier block held, each cell code shown
-        once."""
+        The cells are the table's codes, n of them up to its largest.  An
+        item is one cell, its code, shown as ``show(CharValue)``; with
+        ``pairs``, when the n**2 pairs are no more than the table's cells, it
+        is two, the pair c1 * n + c2 (or n**2 + c for an odd last cell), in
+        the narrowest unsigned dtype that holds it, shown as the two texts
+        joined by a comma.  ``lookup`` lasts the whole table: a block renders
+        only the items no earlier block held, each cell code shown once."""
         p, width = self.meta["p"], len(self.classes)
-        n = 1 + (int(self.q_exp.max(initial=0)) + 1) * p
-        k = 2 if pairs and n * n <= self.zero.size else 1
+        n = int(self.codes.max(initial=0)) + 1
+        k = 2 if pairs and n * n <= self.codes.size else 1
         size = n * n + n if k == 2 else n
         dtype = np.min_scalar_type(size - 1)
         lookup, unseen, shown = np.empty(size, dtype=object), np.ones(size, dtype=bool), {}
 
         def cell(code: int):
             if code not in shown:
-                shown[code] = show(CharValue(*divmod(code - 1, p), False) if code else CharValue.zero())
+                shown[code] = show(cell_value(code, p))
             return shown[code]
 
         def text(item: int):
@@ -193,18 +190,13 @@ class SuperTable:
 
         half = width // 2
         for rows in self._row_blocks():
-            codes = self.q_exp[rows].astype(dtype)
-            codes *= p
-            codes += self.zeta_exp[rows]
-            codes += 1
-            codes *= ~self.zero[rows]
-            items = codes
+            items = codes = self.codes[rows]
             if k == 2:
                 items = np.empty((len(codes), width - half), dtype=dtype)
-                np.multiply(codes[:, 0 : 2 * half : 2], n, out=items[:, :half])
+                np.multiply(codes[:, 0 : 2 * half : 2], n, out=items[:, :half], dtype=dtype)
                 items[:, :half] += codes[:, 1 : 2 * half : 2]
                 if width % 2:
-                    np.add(codes[:, -1], n * n, out=items[:, half])
+                    np.add(codes[:, -1], n * n, out=items[:, half], dtype=dtype)
             fresh = items[unseen.take(items)]  # the items no earlier block held
             if len(fresh):
                 new = np.zeros(size, dtype=bool)
@@ -363,20 +355,20 @@ def build_table(source, cap: int | None = None) -> SuperTable:
     """The table of any algebra group, from the rows of
     :func:`~superchar.formula.table_rows`."""
     classes, sizes, chars, chunks, _ = table_rows(source, cap)
-    values = value_arrays((len(chars), len(classes)), source.dim, source.field.p)
+    dim, p = source.dim, source.field.p
+    codes = np.zeros((len(chars), len(classes)), dtype=cell_code_dtype(dim, p))
     kind, meta, rep_obj = _head(source)
     class_reps = [rep_obj(rep) for rep in classes.tolist()]
     char_reps = class_reps if chars is classes else [rep_obj(rep) for rep in chars.tolist()]
     q, char_rows = source.field.q, []
     for start, coranks, irreducible, block in chunks:
-        for arr, rows in zip(values, block):
-            arr[start : start + len(rows)] = rows
+        codes[start : start + len(coranks)] = cell_codes(*block, p, dim)
         char_rows += [
             {"rep": char_reps[start + i], "corank": c, "degree": q**c, "irreducible": irr}
             for i, (c, irr) in enumerate(zip(coranks.tolist(), irreducible.tolist()))
         ]
     class_rows = [{"rep": rep, "size": size} for rep, size in zip(class_reps, sizes.tolist())]
-    return SuperTable(kind, meta, class_rows, char_rows, *values)
+    return SuperTable(kind, meta, class_rows, char_rows, codes)
 
 
 build_pattern_table = build_algebra_table = build_table

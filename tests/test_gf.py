@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superchar import gf
 from superchar.errors import BadField, InternalInvariantViolation, SpecMismatch
 from superchar.gf import (
     CharValue,
@@ -84,6 +85,20 @@ def test_bad_fields_rejected():
         Fq.of(10**30 + 57)  # refused before sqrt(q) trial divisions
     with pytest.raises(BadField, match="only meaningful for proper prime powers"):
         Fq.of(5, (1, 1))  # a modulus for a prime field
+
+
+def test_a_field_past_the_limit_is_refused_before_factoring(monkeypatch):
+    """Fq checks p**r against MAX_Q before it factors p: trial division of
+    the Mersenne prime 2**61 - 1 would take about 2**30 steps."""
+    calls = []
+    factors = gf._prime_factors
+    monkeypatch.setattr(gf, "_prime_factors", lambda n: calls.append(n) or factors(n))
+    with pytest.raises(BadField, match="exceeds the supported limit"):
+        Fq(2**61 - 1, 1)
+    assert calls == []
+    assert Fq(65521, 1).q == 65521 and calls == [65521]  # the largest prime below 2**16
+    with pytest.raises(BadField, match="is not prime"):
+        Fq(65535, 1)
 
 
 def test_default_moduli_are_irreducible():

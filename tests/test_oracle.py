@@ -27,7 +27,7 @@ from superchar.catalog import (
     SIXTEEN_CLASS_MEMBERS,
     SIXTEEN_TABLE,
 )
-from superchar import core, oracle as oracle_module
+from superchar import core, gf, oracle as oracle_module
 from superchar.cli import main
 from superchar.core import OrbitPartition, PatternGroup
 from superchar.errors import NonIntegralScaling, SizeCapExceeded, SpecMismatch
@@ -523,9 +523,9 @@ def test_an_expected_value_past_the_counter_dtype_never_matches(q_exp):
     zero, _, _ = formula.value_blocks(CharacterEvaluator.batch(G, etas), digits)
     k = next(k for k, eta in enumerate(etas) if co.sizes[co.class_of(eta)] <= 127 and zero[k].any())
     c = int(np.flatnonzero(zero[k])[0])
-    E = G.dim + 2
     columns = _Expected(2, 2, G.dim).divided(1, np.dtype(np.int8))
-    assert np.int64(2**8).astype(np.int8) == 0 and (columns[:, [8, E + 8, E - 1, 2 * E - 1]] == -128).all()
+    sentinels = gf.cell_codes([False] * 4, [8, 8, G.dim + 1, G.dim + 1], [0, 1, 0, 1], 2, G.dim + 1)
+    assert np.int64(2**8).astype(np.int8) == 0 and (columns[:, sentinels] == -128).all()
 
     value_blocks = formula.value_blocks
 

@@ -10,13 +10,10 @@ from superchar.gf import Fq
 from superchar.poset import (
     ClosedSet,
     close_covers,
-    chains3,
-    chains4,
     derived_subgroup,
     emit_spec,
     format_functional,
     functional,
-    has_4chain,
     is_monomial,
     order_key,
     parse_functional,
@@ -104,12 +101,12 @@ def test_derived_subgroup_properties_random():
 
 def test_chain_examples():
     H = validate_closed(5, heisenberg_pairs(5))
-    assert chains4(H) == ()
-    assert not has_4chain(H)
+    assert H.chains4 == ()
+    assert not H.has_4chain
     U4 = validate_closed(4, full_pairs(4))
-    assert chains4(U4) == ((1, 2, 3, 4),)
+    assert U4.chains4 == ((1, 2, 3, 4),)
     U3 = validate_closed(3, full_pairs(3))
-    assert chains3(U3) == ((1, 2, 3),)
+    assert U3.chains3 == ((1, 2, 3),)
 
 
 def test_chains_match_brute_force_random():

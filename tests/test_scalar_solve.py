@@ -1,9 +1,10 @@
 """One place per job: the scalar mesh solve is gf's one row reduction, the
 check of a functional is core's one scalar and one array check, the
-oracle's orbit sums gather residues from tables, and every orbit comes from
-the one sweep."""
+oracle's orbit sums gather residues from tables, every orbit comes from
+the one sweep, and every cell code from gf's one encoder."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -244,3 +245,52 @@ def test_one_row_source_for_tables_and_checks():
         if path.name != "formula.py":
             assert "is_full_triangular" not in _names(tree), path.name
     assert callers == {"value_chunks": {"formula.table_rows"}, "un_value_chunks": {"formula.table_rows"}}
+
+
+def _exponent_arithmetic(tree):
+    """The lines of every sum or product in ``tree`` (a + or * expression,
+    += or *=, np.add or np.multiply) with a q- or zeta-exponent array as an
+    operand: a name like q_exp, qexp, zeta_exp or zexp, read directly,
+    indexed or converted (``self.zeta_exp[rows]``, ``np.asarray(zexp).astype(t)``)."""
+
+    def is_exponent(node):
+        while True:
+            if isinstance(node, ast.Subscript):
+                node = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+                node = node.func.value
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "asarray" and node.args:
+                node = node.args[0]
+            else:
+                break
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else ""
+        return re.fullmatch(r"(q|zeta|z)_?exp_?", name) is not None
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mult)):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Add, ast.Mult)):
+            operands = (node.value,)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("add", "multiply"):
+            operands = node.args[:2]
+        else:
+            continue
+        if any(map(is_exponent, operands)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_cell_codes_live_in_gf():
+    """A cell code, 1 + q_exp * p + zeta_exp, is computed by gf alone: no
+    other module adds or multiplies an exponent array, and the table
+    builder, the emitters, the oracle's keys and its coefficient rows all
+    take their codes from gf.cell_codes and gf.cell_value."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "gf.py":
+            assert _exponent_arithmetic(_tree(path.name)) == [], path.name
+    assert _exponent_arithmetic(_functions(_tree("gf.py"))["cell_codes"])
+    table, oracle = (_functions(_tree(name)) for name in ("table.py", "oracle.py"))
+    for function in (table["build_table"], table["SuperTable.from_json"], oracle["_Expected.keys"], oracle["charvalue_coeff_rows"]):
+        assert "cell_codes" in _names(function), function.name
+    assert {"codes", "cell_value"} <= _names(table["SuperTable._blocks"])

@@ -143,7 +143,8 @@ def test_un_table_matches_the_oracle(n, q):
     tab, oracle = build_pattern_table(G), Oracle(G)
     reps = un_monomials(G)
     assert [c["size"] for c in tab.classes] == list(oracle.superclass_partition().sizes)
-    rows = charvalue_coeff_rows(G.field.p, q, tab.zero, tab.q_exp, tab.zeta_exp)
+    decoded = [np.array([[getattr(v, a) for v in row] for row in tab.values]) for a in ("is_zero", "q_exp", "zeta_exp")]
+    rows = charvalue_coeff_rows(G.field.p, q, *decoded)
     assert np.array_equal(oracle.value_rows(reps, reps), rows)
 
 
@@ -152,11 +153,16 @@ def test_un_table_keeps_the_sweep_cap(capsys):
     assert (code, out, err) == (2, "", "error: 729 functionals to sweep exceed the cap of 728\n")
 
 
-def test_value_arrays_are_sized_by_the_field():
-    tab = _table("one_pair_q257")  # zeta exponents up to 256 need 16 bits
-    assert tab.zero.dtype == bool and tab.q_exp.dtype == np.uint8
-    assert tab.zeta_exp.dtype == np.uint16 and int(tab.zeta_exp.max()) == 256
-    assert tab.zero.shape == tab.q_exp.shape == tab.zeta_exp.shape == (257, 257)
+def test_cell_codes_are_sized_by_the_field():
+    tab = _table("one_pair_q257")  # codes up to (dim + 1) * p = 514 need 16 bits
+    assert tab.codes.dtype == np.uint16 and tab.codes.shape == (257, 257)
+    assert max(v.zeta_exp for row in tab.values for v in row) == 256
+
+
+@pytest.mark.parametrize("name", ["full_u4_q2", "full_u4_q3", "heisenberg5_q3", "determinant_q2", "semidirect4_q4"])
+def test_a_table_holds_one_byte_per_cell_at_p_2_and_3(name):
+    tab = _table(name)
+    assert tab.codes.nbytes == len(tab.chars) * len(tab.classes)
 
 
 @pytest.mark.parametrize(
@@ -168,7 +174,8 @@ def test_emitted_rows_are_the_cells_joined(monkeypatch, rows, cols, p, dim, pair
     """JSON and CSV rows equal their cells rendered one by one and joined by
     commas: two cells an item when the n**2 code pairs are no more than the
     cells (n = 1 + (dim + 1) * p codes), one otherwise, over blocks of four
-    rows that share one lookup; zero cells carry stray exponents."""
+    rows that share one lookup.  The codes are encoded from triples whose
+    zero cells carry stray exponents, and those cells encode to 0."""
     monkeypatch.setattr(table, "_BLOCK_CELLS", 4 * cols)
     rng = np.random.default_rng(rows * cols * p)
     zero, q_exp, zeta_exp = formula.value_arrays((rows, cols), dim, p)
@@ -178,7 +185,10 @@ def test_emitted_rows_are_the_cells_joined(monkeypatch, rows, cols, p, dim, pair
     q_exp[0, 0], zeta_exp[0, 0], zero[0, 0] = dim, p - 1, False  # so n is as above
     classes = [{"rep": {}, "size": 1}] * cols
     chars = [{"rep": {}, "corank": 0, "degree": 1, "irreducible": True}] * rows
-    tab = SuperTable("pattern", {"n": 1, "q": p, "p": p, "J": []}, classes, chars, zero, q_exp, zeta_exp)
+    codes = gf.cell_codes(zero, q_exp, zeta_exp, p, dim)
+    assert codes.dtype == gf.cell_code_dtype(dim, p) and int(codes.max()) == (dim + 1) * p
+    assert (q_exp[zero] | zeta_exp[zero]).any() and not codes[zero].any()
+    tab = SuperTable("pattern", {"n": 1, "q": p, "p": p, "J": []}, classes, chars, codes)
     assert {items.shape[1] for items, _ in tab._blocks(str, pairs=True)} == {(cols + 1) // 2 if pairs else cols}
     cells = [
         [CharValue.zero() if zero[i, j] else CharValue(int(q_exp[i, j]), int(zeta_exp[i, j]), False) for j in range(cols)]
