@@ -59,7 +59,9 @@ systems it reduces.
 Tables of the full triangular group U_n take a kernel of their own,
 :func:`un_value_chunks`, which counts the values off the arcs of the
 monomial representatives and needs no plans; :func:`table_rows` alone
-chooses between the two.  The closed-form specializations for pattern
+chooses between the two.  Both kernels write each value as its cell code
+(:func:`~superchar.gf.cell_codes`), the one format that tables store and
+the check keys on.  The closed-form specializations for pattern
 groups below, :func:`value_un` among them, are references for the tests.
 """
 
@@ -75,7 +77,7 @@ from .errors import (
     NonMonomialRepresentative,
     ShapeMismatch,
 )
-from .gf import CharValue, Fq, FqMatrix, _solve_perp, nullspace_basis, rank
+from .gf import CharValue, Fq, FqMatrix, _solve_perp, cell_code_dtype, cell_codes, cell_exponents, nullspace_basis, rank
 from .core import PatternGroup, _check_functionals, _mesh_value, sweep_size
 from .poset import ClosedSet, is_monomial, support
 
@@ -258,10 +260,10 @@ class CharacterEvaluator:
 
     def value_block(self, digits: np.ndarray):
         """(is_zero, q_exp, zeta_exp) arrays over a (count, dim) block of
-        packed superclass representatives: :func:`value_blocks` for this one
-        character."""
-        zero, q_exp, zeta_exp = value_blocks(self, digits)
-        return zero[0], q_exp[0], zeta_exp[0]
+        packed superclass representatives: the codes of :func:`value_blocks`
+        for this one character, read back by
+        :func:`~superchar.gf.cell_exponents`."""
+        return cell_exponents(value_blocks(self, digits)[0], self.field.p)
 
 
 _ROW_CELLS = 1 << 16  # cells per chunk of rows in value_chunks
@@ -271,7 +273,7 @@ _BATCH_CELLS = 4096  # hard cells per batched elimination
 
 
 def value_chunks(source, etas, digits: np.ndarray):
-    """Yield (start, evaluators, values) for consecutive chunks of the
+    """Yield (start, evaluators, codes) for consecutive chunks of the
     characters ``etas`` of ``source``, about ``_ROW_CELLS`` cells each:
     the chunk's evaluator and its :func:`value_blocks` over ``digits``.
 
@@ -294,13 +296,13 @@ def value_blocks(evaluators: CharacterEvaluator, digits: np.ndarray):
     representatives (the bulk path of the module docstring).
 
     ``digits`` is a (count, dim) integer array of packed functionals.
-    Returns (is_zero, q_exp, zeta_exp), each of shape (len(evaluators),
-    count), in the smallest dtypes that hold them (:func:`value_arrays`).
+    Returns the cell codes (:func:`~superchar.gf.cell_codes`) of shape
+    (len(evaluators), count), in :func:`~superchar.gf.cell_code_dtype`.
     The characters are ordered by frame (rows, then columns, then off-frame
     slots), so that equal frames are neighbours and a run pads little, and
     taken in runs of that order whose padded digit product has at most
-    ``_CHUNK_ENTRIES`` entries; the values go back to the evaluator's order
-    through the inverse permutation.
+    ``_CHUNK_ENTRIES`` entries; each run's codes are written to its
+    characters' own rows.
     """
     F, dim = evaluators.field, evaluators.source.d
     digits = _check_functionals(F, dim, digits)
@@ -308,7 +310,7 @@ def value_blocks(evaluators: CharacterEvaluator, digits: np.ndarray):
     x = F.p_digits(digits).reshape(count, dim * r).astype(np.min_scalar_type(F.p - 1))
     order = np.lexsort(evaluators.frames.T[::-1])
     ordered = evaluators[order]
-    out = value_arrays((len(evaluators), count), dim, F.p)
+    codes = np.empty((len(evaluators), count), dtype=cell_code_dtype(dim, F.p))
     start = 0
     while start < len(ordered):
         # the longest run of characters whose padded digit product fits:
@@ -317,21 +319,9 @@ def value_blocks(evaluators: CharacterEvaluator, digits: np.ndarray):
         entries = count * np.arange(1, len(frame) + 1) * _width(r, *frame.T)
         stop = start + max(1, int(np.count_nonzero(entries <= _CHUNK_ENTRIES)))
         rows, cols, off = frame[stop - start - 1].tolist()
-        _chunk_values(F, ordered[start:stop], x, rows, cols, off, *(arr[start:stop] for arr in out))
+        codes[order[start:stop]] = _chunk_values(F, ordered[start:stop], x, rows, cols, off)
         start = stop
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(len(order))
-    return tuple(arr[inverse] for arr in out)
-
-
-def value_arrays(shape, dim: int, p: int):
-    """Zero mask, q-exponents and zeta-exponents of ``shape``, in the
-    smallest dtypes that hold q_exp <= dim and zeta_exp < p."""
-    return (
-        np.zeros(shape, dtype=bool),
-        np.zeros(shape, dtype=np.min_scalar_type(dim)),
-        np.zeros(shape, dtype=np.min_scalar_type(p - 1)),
-    )
+    return codes
 
 
 def _width(r: int, rows, cols, off):
@@ -341,14 +331,14 @@ def _width(r: int, rows, cols, off):
     return r * (rows + cols + rows * cols + off) + 1
 
 
-def _chunk_values(F: Fq, chunk: CharacterEvaluator, x: np.ndarray, rows: int, cols: int, off: int, zero, q_exp, zeta_exp):
-    """Write is_zero, q_exp and zeta_exp of the characters of ``chunk``,
-    whose frames all fit in rows x cols with at most ``off`` off-frame slots,
-    at the count classes of ``x`` into ``zero``, ``q_exp`` and ``zeta_exp``:
-    (len(chunk), count) slices of :func:`value_arrays`, all zero on entry,
-    written in place in their own dtypes.  A section of the digit product
-    with no planes (M on a frame with no rows or no columns, as on a set
-    with no 4-chains, or no off-frame slots) is not reduced."""
+def _chunk_values(F: Fq, chunk: CharacterEvaluator, x: np.ndarray, rows: int, cols: int, off: int) -> np.ndarray:
+    """The cell codes of the characters of ``chunk``, whose frames all fit
+    in rows x cols with at most ``off`` off-frame slots, at the count
+    classes of ``x``, shape (len(chunk), count): the easy cells encoded at
+    once, then each batch of hard cells as :func:`_solve_hard` decides it.
+    A section of the digit product with no planes (M on a frame with no
+    rows or no columns, as on a set with no 4-chains, or no off-frame slots)
+    reduces to no nonzero entry."""
     r = F.r
     (k, dim), count = chunk.etas.shape, len(x)
     width = _width(r, rows, cols, off)
@@ -368,28 +358,18 @@ def _chunk_values(F: Fq, chunk: CharacterEvaluator, x: np.ndarray, rows: int, co
     weights[-1] = F.matmul_mod_p(F.p_digits(chunk.etas), F.trace_form)
     y = F.matmul_mod_p(weights.reshape(width * k, dim * r), x.T).reshape(width, k, count)
 
-    # zero: a nonzero entry off the frame, or of a or b where M = 0; the
-    # cells where M != 0 and no entry is off the frame are hard
+    # a cell with a nonzero entry of a, b, M or off the frame is not
+    # q**corank * theta: it is zero when an entry is off the frame, or of a
+    # or b where M = 0, and hard when M != 0 and no entry is off the frame
     m_start, m_stop = r * (rows + cols), r * (rows + cols + rows * cols)
-    np.any(y[:m_start], axis=0, out=zero)
-    hard = y[m_start:m_stop].any(axis=0) if m_stop > m_start else None
-    if hard is not None:
-        np.greater(zero, hard, out=zero)  # zero &= ~hard, in place
-    if off:
-        off_frame = y[m_stop:-1].any(axis=0)
-        zero |= off_frame
-        if hard is not None:
-            np.greater(hard, off_frame, out=hard)  # hard &= ~off_frame
-    meshed = ~zero if hard is None else ~(zero | hard)
-    corank = chunk.coranks
-    np.copyto(q_exp, corank[:, None], casting="unsafe", where=meshed)
-    np.copyto(zeta_exp, y[-1], casting="unsafe", where=meshed)
-    if hard is None:
-        return
-    ch, cls = np.nonzero(hard)
+    mesh, off_frame = y[m_start:m_stop].any(axis=0), y[m_stop:-1].any(axis=0)
+    codes = cell_codes(y[:m_start].any(axis=0) | mesh | off_frame, chunk.coranks[:, None], y[-1], F.p, dim)
+    # the hard cells, mesh & ~off_frame: a flat search is the faster of the two
+    ch, cls = np.divmod(np.flatnonzero(mesh > off_frame), count)
     for s in range(0, len(ch), _BATCH_CELLS):
         e, c = ch[s : s + _BATCH_CELLS], cls[s : s + _BATCH_CELLS]
-        zero[e, c], q_exp[e, c], zeta_exp[e, c] = _solve_hard(F, y[:, e, c].T, rows, cols, corank[e])
+        codes[e, c] = cell_codes(*_solve_hard(F, y[:, e, c].T, rows, cols, chunk.coranks[e]), F.p, dim)
+    return codes
 
 
 def _solve_hard(F: Fq, y: np.ndarray, rows: int, cols: int, corank: np.ndarray):
@@ -478,10 +458,11 @@ def un_arc_counts(G: PatternGroup, monomials: np.ndarray):
 
 
 def un_value_chunks(G: PatternGroup, etas, phis):
-    """Yield (start, (is_zero, q_exp, zeta_exp)) for consecutive chunks of
-    the monomial characters ``etas`` of U_n at the monomial classes
-    ``phis``, about ``_ROW_CELLS`` cells each, in the dtypes of
-    :func:`value_arrays`: the U_n kernel, with no sweep and no mesh plans.
+    """Yield (start, codes) for consecutive chunks of the monomial
+    characters ``etas`` of U_n at the monomial classes ``phis``, about
+    ``_ROW_CELLS`` cells each, as cell codes
+    (:func:`~superchar.gf.cell_codes`): the U_n kernel, with no sweep and
+    no mesh plans.
 
     Every superclass and every co-orbit of U_n holds exactly one monomial,
     its least member (:class:`~superchar.core.PatternGroup`; Andre;
@@ -541,14 +522,11 @@ def un_value_chunks(G: PatternGroup, etas, phis):
     for start in range(0, len(etas), step):
         chunk = etas[start : start + step]
         on = (chunk != 0).astype(np.float32)
-        zero, q_exp, zeta_exp = value_arrays((len(chunk), count), d, F.p)
-        zero[:] = on @ zero_at > 0
+        zero = on @ zero_at > 0
         exp = np.where(zero, 0, on @ exp_at)
         if (exp < 0).any():
             raise InternalInvariantViolation("negative exponent in the monomial formula")
-        q_exp[:] = exp
-        zeta_exp[:] = np.where(zero, 0, F.matmul_mod_p(F.p_digits(chunk).reshape(len(chunk), d * r), trace))
-        yield start, (zero, q_exp, zeta_exp)
+        yield start, cell_codes(zero, exp, F.matmul_mod_p(F.p_digits(chunk).reshape(len(chunk), d * r), trace), F.p, d)
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +539,9 @@ def table_rows(source, cap: int | None):
 
     ``classes`` and ``chars`` are the ascending representatives as (count,
     d) digit arrays (one array when they are the same), ``sizes`` the class
-    sizes, and ``chunks`` yields (start, coranks, irreducible, (is_zero,
-    q_exp, zeta_exp)) for consecutive chunks of the characters.  ``cap``
+    sizes, and ``chunks`` yields (start, coranks, irreducible, codes) for
+    consecutive chunks of the characters, the codes one array of
+    :func:`~superchar.gf.cell_codes` that the kernel wrote.  ``cap``
     bounds q**d.  On U_n the monomials are both lists, counted off their
     arcs with no sweep (:func:`un_arc_counts`, :func:`un_value_chunks`),
     and ``partitions`` is None.  Any other group is swept, ``partitions``
@@ -578,9 +557,9 @@ def table_rows(source, cap: int | None):
         e, coranks, crossings = un_arc_counts(source, monomials)
 
         def un_chunks():
-            for start, values in un_value_chunks(source, monomials, monomials):
-                rows = slice(start, start + len(values[0]))
-                yield start, coranks[rows], crossings[rows] == 0, values
+            for start, codes in un_value_chunks(source, monomials, monomials):
+                rows = slice(start, start + len(codes))
+                yield start, coranks[rows], crossings[rows] == 0, codes
 
         return monomials, q**e, monomials, un_chunks(), None
     sc, co = source.orbit_partition(cap), source.coorbit_partition(cap)
@@ -589,9 +568,9 @@ def table_rows(source, cap: int | None):
     co_sizes = np.asarray(co.sizes, dtype=np.int64)
 
     def swept_chunks():
-        for start, evaluators, values in value_chunks(source, co.digits, sc.digits):
+        for start, evaluators, codes in value_chunks(source, co.digits, sc.digits):
             coranks = evaluators.coranks
-            yield start, coranks, co_sizes[start : start + len(coranks)] == q ** (2 * coranks), values
+            yield start, coranks, co_sizes[start : start + len(coranks)] == q ** (2 * coranks), codes
 
     return sc.digits, np.asarray(sc.sizes, dtype=np.int64), co.digits, swept_chunks(), (sc, co)
 

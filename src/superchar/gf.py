@@ -31,10 +31,10 @@ Character values live in the ring of cyclotomic integers Z[zeta_p].
 :class:`CycInt` is the full ring, used by brute-force orbit sums;
 :class:`CharValue` is the closed multiplicative form ``q**m * zeta_p**k``
 that the character formulas produce, and :func:`cell_codes` packs arrays of
-such values into one small code per cell, which :func:`cell_value` reads
-back.  The additive character is fixed once and for all as
-``theta(t) = zeta_p ** trace(t)``: any nontrivial character would do, and
-this one makes every emitted table reproducible.
+such values into one small code per cell, which :func:`cell_value` and
+:func:`cell_exponents` read back.  The additive character is fixed once and
+for all as ``theta(t) = zeta_p ** trace(t)``: any nontrivial character would
+do, and this one makes every emitted table reproducible.
 """
 
 from __future__ import annotations
@@ -332,10 +332,15 @@ class Fq:
         D(c) = sum_v digit_v(c) * D(p**v) since D is F_p-linear in c."""
         return np.einsum("...w,wuv->...uv", digits, self._basis_blocks) % self.p
 
+    @cached_property
+    def _log_arrays(self):
+        """The exp and log tables of :attr:`_logs` as numpy arrays."""
+        return tuple(map(np.array, self._logs[:2]))
+
     def multiples(self, c: int) -> np.ndarray:
         """c * x for every code x in range(q), indexed by x, for a unit c:
         O(q) lookups in the log tables, never a q x q table."""
-        exp, log = map(np.array, self._logs[:2])
+        exp, log = self._log_arrays
         return np.concatenate(([0], exp[log[c] + log[1:]]))
 
     def add_codes(self, terms) -> np.ndarray:
@@ -721,9 +726,10 @@ class CharValue:
 
 
 # A cell code is one small integer per value: 0 for zero, and
-# 1 + q_exp * p + (zeta_exp mod p) for q**q_exp * zeta_p**zeta_exp.  Tables
-# store it, the emitters look text up by it, and the oracle keys its expected
-# columns on it; these three functions are the only place that computes it.
+# 1 + q_exp * p + (zeta_exp mod p) for q**q_exp * zeta_p**zeta_exp.  The
+# value kernels write it, tables store it, the emitters look text up by it,
+# and the oracle keys its expected columns on it; the functions below are the
+# only place that computes it or reads it back.
 
 
 def cell_code_dtype(dim: int, p: int) -> np.dtype:
@@ -733,19 +739,32 @@ def cell_code_dtype(dim: int, p: int) -> np.dtype:
 
 
 def cell_codes(zero, q_exp, zeta_exp, p: int, dim: int) -> np.ndarray:
-    """The codes of (zero, q_exp, zeta_exp) arrays of one shape, with
-    q_exp <= dim, in :func:`cell_code_dtype`: 0 where ``zero`` is set,
-    whatever the exponents there, and 1 + q_exp * p + (zeta_exp mod p)
-    elsewhere."""
-    zeta_exp = np.asarray(zeta_exp)
+    """The codes of broadcastable (zero, q_exp, zeta_exp) arrays, in
+    :func:`cell_code_dtype`: 0 where ``zero`` is set, whatever the exponents
+    there, and 1 + q_exp * p + (zeta_exp mod p) elsewhere.
+    InternalInvariantViolation when a nonzero cell has q_exp > dim, which
+    no character value of dimension dim has."""
+    zero, q_exp, zeta_exp = np.asarray(zero, dtype=bool), np.asarray(q_exp), np.asarray(zeta_exp)
+    shape = np.broadcast_shapes(zero.shape, q_exp.shape, zeta_exp.shape)
+    # a plain max first: a masked one costs far more, and zero cells may carry any exponent
+    if q_exp.max(initial=0) > dim and (top := np.broadcast_to(q_exp, shape)[~zero].max(initial=0)) > dim:
+        raise InternalInvariantViolation(f"a character value q**{int(top)} passes q**{dim}, the largest of dimension {dim}")
     if zeta_exp.max(initial=0) >= p:  # zeta**k = zeta**(k mod p)
         zeta_exp = zeta_exp % p
-    codes = np.asarray(q_exp).astype(cell_code_dtype(dim, p))
-    codes *= p
-    np.add(codes, zeta_exp, out=codes, casting="unsafe")
-    codes += 1
-    codes *= ~np.asarray(zero, dtype=bool)
+    dtype = cell_code_dtype(dim, p)
+    base = np.multiply(q_exp, p, dtype=dtype, casting="unsafe")  # in q_exp's own shape
+    base += 1
+    codes = np.add(base, zeta_exp, out=np.empty(shape, dtype), casting="unsafe")
+    codes *= ~zero
     return codes
+
+
+def cell_exponents(codes, p: int):
+    """(is_zero, q_exp, zeta_exp) arrays of an array of cell codes, both
+    exponents 0 at a zero cell: the inverse of :func:`cell_codes`."""
+    codes = np.asarray(codes)
+    q_exp, zeta_exp = np.divmod(np.maximum(codes, 1) - 1, p)
+    return codes == 0, q_exp, zeta_exp
 
 
 def cell_value(code: int, p: int) -> CharValue:

@@ -602,41 +602,34 @@ def charvalue_coeff_rows(p: int, q: int, zero, qexp, zexp) -> np.ndarray:
 
 
 class _Expected:
-    """The formula's values in the domain of the oracle's narrow counters.
+    """The formula's values in the domain of the oracle's narrow counters,
+    keyed by the cell codes the kernels write
+    (:func:`~superchar.gf.cell_codes`).
 
-    Each cell's key is its code (:func:`~superchar.gf.cell_codes`) once a
-    q-exponent past dim is clamped to dim + 1, which stands for them all.
     For the (num, factor) of a block (:func:`_divided`), :meth:`divided`
-    holds the coefficients of each key divided by factor, in num's dtype,
-    one column per key (:func:`_code_columns`): column 0, the zero cells'
-    key, holds 0 (so no mask is needed for them), and num matches a cell iff
-    it equals the cell's column.
+    holds the coefficients of each code divided by factor, in num's dtype,
+    one column per code (:func:`_code_columns`): column 0, the zero cells'
+    code, holds 0 (so no mask is needed for them), and num matches a cell
+    iff it equals the column of the cell's code.
 
     A column whose value factor does not divide, or whose quotient falls
     outside num's dtype, holds the dtype's minimum at every coefficient.
     num never holds it (|num| <= m < -minimum), so those cells mismatch, as
     they must: the oracle value num * factor is a multiple of factor within
-    that range.  So do the sentinel columns of q-exponent dim + 1, since no
-    orbit-sum coefficient passes |lambda U| <= q**dim in absolute value."""
+    that range."""
 
     def __init__(self, p: int, q: int, dim: int):
         self.p, self.q, self.dim = p, q, dim
         self._columns: dict = {}
 
-    def keys(self, zero, qexp, zexp) -> np.ndarray:
-        """The key of each cell, in the narrowest unsigned dtype."""
-        if qexp.max(initial=0) > self.dim + 1:
-            qexp = np.minimum(qexp, self.dim + 1)
-        return cell_codes(zero, qexp, zexp, self.p, self.dim + 1)
-
     def divided(self, factor: int, dtype) -> np.ndarray:
-        """The (p-1, 1 + (dim + 2) p) columns divided by ``factor``, in
+        """The (p-1, 1 + (dim + 1) p) columns divided by ``factor``, in
         ``dtype``, built once per pair."""
         if (factor, dtype) not in self._columns:
             p, lowest = self.p, np.iinfo(dtype).min
             quotients = [divmod(self.q**e, factor) for e in range(self.dim + 1)]
-            exact = np.array([not rest and value < -lowest for value, rest in quotients] + [False])
-            values = np.array([value if ok else 0 for (value, _), ok in zip(quotients, exact)] + [0], dtype=dtype)
+            exact = np.array([not rest and value < -lowest for value, rest in quotients])
+            values = np.array([value if ok else 0 for (value, _), ok in zip(quotients, exact)], dtype=dtype)
             columns = _code_columns(values, p)
             columns[:, 1:].reshape(p - 1, len(values), p)[:, ~exact] = lowest
             self._columns[factor, dtype] = columns
@@ -655,9 +648,10 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
     oracle's narrow counters: each block of :meth:`Oracle._residue_counts`,
     scaled by :func:`_divided` to num * factor, against the formula's
     coefficient columns divided by factor (:class:`_Expected`), gathered by
-    each cell's key, so no int64 coefficient row is built.  Every
+    each cell's code, so no int64 coefficient row is built.  Every
     mismatching cell is counted; the witness is the first in (eta, class)
-    order, with both sides' coefficients.
+    order, with both sides' coefficients, the formula's read off its code
+    over exact powers of q.
 
     The axioms cost |G|**2 products; unless ``with_axioms`` says otherwise
     they are verified only when |G| <= DEFAULT_ORACLE_CAP."""
@@ -681,15 +675,13 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
     tables = oracle._residue_tables(oracle._phi_digits(classes))
     expected = _Expected(F.p, F.q, oracle.dim)
     step = _rows_per_call(F.p, len(classes))
-    for start, coranks, irreducible, values in chunks:
+    for start, coranks, irreducible, codes in chunks:
         chunk = chars[start : start + len(coranks)]
         for lo in range(0, len(chunk), step):
-            etas = chunk[lo : lo + step]
-            rows = [arr[lo : lo + step] for arr in values]
+            etas, key = chunk[lo : lo + step], codes[lo : lo + step]
             members, starts, co_sizes, nright = oracle._runs(etas)
             agree = agree and np.array_equal(F.q ** coranks[lo : lo + step], nright)
             agree = agree and np.array_equal(irreducible[lo : lo + step], co_sizes == nright**2)
-            key = expected.keys(*rows)
             first = None  # (row, class, oracle coefficients) of the first mismatch
             for sel, m, nr, counts in oracle._residue_counts(members, starts, co_sizes, nright, tables):
                 num, factor = _divided(counts, m, nr)
@@ -702,12 +694,8 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
                         first = (sel[j], c, tuple(int(x) * factor for x in num[:, j, c]))
             if first is not None:
                 i, c, oracle_coeffs = first
-                try:
-                    cell = charvalue_coeff_rows(F.p, F.q, *(arr[i, c : c + 1] for arr in rows))
-                    formula_coeffs = tuple(cell[:, 0].tolist())
-                except OverflowError:  # a nonzero cell's q**q_exp past int64, so q_exp past dim
-                    power, z = F.q ** int(rows[1][i, c]), int(rows[2][i, c]) % F.p
-                    formula_coeffs = tuple(-power if z == F.p - 1 else power * (k == z) for k in range(F.p - 1))
+                powers = np.array([F.q**e for e in range(oracle.dim + 1)], dtype=object)
+                formula_coeffs = tuple(_code_columns(powers, F.p)[:, key[i, c]].tolist())
                 report.witness = (tuple(etas[i].tolist()), tuple(classes[c].tolist()), formula_coeffs, oracle_coeffs)
     report.partitions_match = bool(agree)
     report.values_match = report.mismatches == 0

@@ -5,7 +5,8 @@ canonical representative order, with column 0 the identity superclass (so
 column 0 of every row is the character's degree).  Every value is 0 or
 q**m * zeta_p**k with m <= dim, so the table keeps one narrow unsigned cell
 code per value (:func:`~superchar.gf.cell_codes`), one byte per cell unless
-(dim + 1) * p passes 255.  The emitters read the codes a block of rows at a
+(dim + 1) * p passes 255: the codes the value kernels write, stored as
+they come.  The emitters read the codes a block of rows at a
 time and look the text up by code in one lookup kept for the whole table,
 which renders each distinct value once.  JSON and CSV rows take their text
 two cells at a time, already joined by a comma, from code pairs, unless the
@@ -34,7 +35,7 @@ import numpy as np
 
 from .core import PatternGroup, StructureAlgebra
 from .errors import BadField, SpecMismatch
-from .formula import table_rows, value_arrays
+from .formula import table_rows
 from .gf import Fq, cell_code_dtype, cell_codes, cell_value
 from .poset import format_field_literal, parse_field_literal
 
@@ -132,7 +133,7 @@ class SuperTable:
                 raise SpecMismatch(
                     f"character {k} {c!r} is not a rep, a corank <= {dim}, its degree q**corank and a bool"
                 )
-        zero, q_exp, zeta_exp = value_arrays((len(chars), len(classes)), dim, p)
+        zero, q_exp, zeta_exp = np.zeros((3, len(chars), len(classes)), dtype=cell_code_dtype(dim, p))
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 if v is None:
@@ -362,7 +363,7 @@ def build_table(source, cap: int | None = None) -> SuperTable:
     char_reps = class_reps if chars is classes else [rep_obj(rep) for rep in chars.tolist()]
     q, char_rows = source.field.q, []
     for start, coranks, irreducible, block in chunks:
-        codes[start : start + len(coranks)] = cell_codes(*block, p, dim)
+        codes[start : start + len(coranks)] = block
         char_rows += [
             {"rep": char_reps[start + i], "corank": c, "degree": q**c, "irreducible": irr}
             for i, (c, irr) in enumerate(zip(coranks.tolist(), irreducible.tolist()))

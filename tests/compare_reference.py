@@ -7,12 +7,14 @@ The formula side is :func:`superchar.oracle.charvalue_coeff_rows` on the
 rows of :func:`superchar.formula.table_rows`, the rows ``superchar table``
 emits, looked up through the module at call time so that a test's patch of
 a value kernel (``formula.value_blocks`` or ``formula.un_value_chunks``)
-reaches both verdicts; the oracle side is the scaled orbit-sum rows of
+reaches both verdicts, its cell codes read back by
+:func:`superchar.gf.cell_exponents`; the oracle side is the scaled orbit-sum rows of
 :meth:`superchar.oracle.Oracle._rows`."""
 
 import numpy as np
 
 from superchar import formula
+from superchar.gf import cell_exponents
 from superchar.oracle import Oracle, _rows_per_call, charvalue_coeff_rows
 
 
@@ -27,12 +29,12 @@ def reference_verdict(source, oracle_cap=None):
     tables = oracle._residue_tables(oracle._phi_digits(classes))
     step = _rows_per_call(F.p, len(classes))
     mismatches, witness = 0, None
-    for start, coranks, _, values in chunks:
+    for start, coranks, _, codes in chunks:
         chunk = chars[start : start + len(coranks)]
         for lo in range(0, len(chunk), step):
             rows = chunk[lo : lo + step]
             oracle_rows = oracle._rows(rows, tables)
-            formula_rows = charvalue_coeff_rows(F.p, F.q, *(arr[lo : lo + step] for arr in values))
+            formula_rows = charvalue_coeff_rows(F.p, F.q, *cell_exponents(codes[lo : lo + step], F.p))
             bad = (formula_rows != oracle_rows).any(axis=0)
             if witness is None and bad.any():
                 i, c = np.argwhere(bad)[0]

@@ -25,7 +25,7 @@ from superchar.catalog import (
 from superchar.cli import main
 from superchar.core import PatternGroup
 from superchar.formula import CharacterEvaluator, is_irreducible, value_chunks, value_heisenberg, value_un
-from superchar.gf import CharValue, Fq, rank
+from superchar.gf import CharValue, Fq, cell_exponents, rank
 from superchar.oracle import DEFAULT_ORACLE_CAP, Oracle, full_check
 from superchar.poset import functional, support
 
@@ -90,7 +90,8 @@ def _table_rows(G, chars, classes):
     """Each character's row of ``value_chunks`` (what ``superchar table``
     emits) at the class representatives, as CharValues."""
     digits = np.array([cl.rep for cl in classes], dtype=np.int64).reshape(len(classes), G.dim)
-    for _, _, (zero, q_exp, zeta_exp) in value_chunks(G, [ch.rep for ch in chars], digits):
+    for _, _, codes in value_chunks(G, [ch.rep for ch in chars], digits):
+        zero, q_exp, zeta_exp = cell_exponents(codes, G.field.p)
         for row in zip(zero.tolist(), q_exp.tolist(), zeta_exp.tolist()):
             yield [CharValue.zero() if z else CharValue(m, k, False) for z, m, k in zip(*row)]
 

@@ -32,7 +32,7 @@ from superchar import cli, formula
 from superchar.core import PatternGroup
 from superchar.errors import NotAssociative, NotNilpotent, ParseError, SpecMismatch
 from superchar.formula import CharacterEvaluator
-from superchar.gf import CharValue, Fq, FqMatrix, nullspace_basis, rank
+from superchar.gf import CharValue, Fq, FqMatrix, cell_exponents, nullspace_basis, rank
 from superchar.poset import emit_spec, validate_closed
 from superchar.table import build_algebra_table
 
@@ -296,7 +296,8 @@ def test_non_unit_structure_constants_match_the_dense_reference():
             continue
         evs = CharacterEvaluator.batch(alg, etas)
         assert evs.coranks.tolist() == [alg.corank(eta) for eta in etas]
-        zero, q_exp, zeta_exp = formula.value_blocks(evs, np.array(phis, dtype=np.int64).reshape(len(phis), alg.d))
+        codes = formula.value_blocks(evs, np.array(phis, dtype=np.int64).reshape(len(phis), alg.d))
+        zero, q_exp, zeta_exp = cell_exponents(codes, alg.field.p)
         for e, eta in enumerate(etas):
             for c, phi in enumerate(phis):
                 want = alg.value(eta, phi, corank=evs.coranks[e])

@@ -43,6 +43,8 @@ from superchar.gf import (
     CharValue,
     Fq,
     FqMatrix,
+    cell_code_dtype,
+    cell_exponents,
     nullspace_basis,
     perp_to_nullspace,
     rank,
@@ -202,9 +204,9 @@ def test_value_blocks_match_value_block_and_the_scalar_value(name, small_batches
     evaluators = CharacterEvaluator.batch(source, etas)
     if name == "heisenberg4(3)":
         assert len(etas) == len(digits) == 83 and not evaluators.frames[:, :2].any()
-    got = value_blocks(evaluators, digits)
-    dtypes = [np.dtype(bool), np.min_scalar_type(source.dim), np.min_scalar_type(source.field.p - 1)]
-    assert [arr.dtype for arr in got] == dtypes
+    codes = value_blocks(evaluators, digits)
+    assert codes.dtype == cell_code_dtype(source.dim, source.field.p)
+    got = cell_exponents(codes, source.field.p)
     for arr, want in zip(got, expected):
         assert arr.shape == want.shape and np.array_equal(arr, want)
     for i, eta in enumerate(etas):  # each character set up on its own
@@ -233,8 +235,8 @@ def test_value_blocks_do_not_depend_on_the_order_of_the_characters(name, monkeyp
     assert len(np.unique(frames, axis=0)) > 2 and frames[:, 0].any()  # several frames, some with hard cells
     assert (np.lexsort(frames.T[::-1]) != np.arange(len(etas))).any()  # not in frame order already
     perm = np.random.default_rng(len(etas)).permutation(len(etas))
-    for got in (value_blocks(CharacterEvaluator.batch(source, etas[perm]), digits), value_blocks(evaluators[perm], digits)):
-        for arr, want in zip(got, expected):
+    for codes in (value_blocks(CharacterEvaluator.batch(source, etas[perm]), digits), value_blocks(evaluators[perm], digits)):
+        for arr, want in zip(cell_exponents(codes, source.field.p), expected):
             assert np.array_equal(arr, want[perm])
 
     setups = []
@@ -245,8 +247,9 @@ def test_value_blocks_do_not_depend_on_the_order_of_the_characters(name, monkeyp
     chunks = list(formula.value_chunks(source, etas, digits))
     assert setups == [len(etas[k : k + 3]) for k in range(0, len(etas), 3)]
     assert [start for start, _, _ in chunks] == [k + j for k in range(0, len(etas), 3) for j in (0, 2) if k + j < len(etas)]
-    for arrays, want in zip(zip(*(values for _, _, values in chunks)), expected):
-        assert np.array_equal(np.concatenate(arrays), want)
+    got = cell_exponents(np.concatenate([codes for _, _, codes in chunks]), source.field.p)
+    for arr, want in zip(got, expected):
+        assert np.array_equal(arr, want)
 
 
 # every public engine method that takes functionals, with its number of them

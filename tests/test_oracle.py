@@ -30,7 +30,7 @@ from superchar.catalog import (
 from superchar import core, gf, oracle as oracle_module
 from superchar.cli import main
 from superchar.core import OrbitPartition, PatternGroup
-from superchar.errors import NonIntegralScaling, SizeCapExceeded, SpecMismatch
+from superchar.errors import InternalInvariantViolation, NonIntegralScaling, SizeCapExceeded, SpecMismatch
 from superchar.formula import CharacterEvaluator, un_monomials
 from superchar.gf import CharValue, CycInt, Fq, theta
 from superchar import formula
@@ -337,17 +337,19 @@ def test_full_check_reports_disagreeing_coorbit_partitions(monkeypatch):
 
 def _flip_zetas(monkeypatch, flipped):
     """Make formula.value_blocks flip the zeta exponent of each (character,
-    class) in ``flipped``, a dict from character to class index."""
+    class) in ``flipped``, a dict from character to class index: its codes
+    read back, mutated and encoded again."""
     value_blocks = formula.value_blocks
 
     def flip_one_zeta(evaluators, digits):
-        zero, q_exp, zeta_exp = value_blocks(evaluators, digits)
+        p = evaluators.field.p
+        zero, q_exp, zeta_exp = gf.cell_exponents(value_blocks(evaluators, digits), p)
         for i, ev in enumerate(evaluators):
             if ev.eta in flipped:
                 c = flipped[ev.eta]
                 zero[i, c] = False
-                zeta_exp[i, c] = (zeta_exp[i, c] + 1) % 3
-        return zero, q_exp, zeta_exp
+                zeta_exp[i, c] = (zeta_exp[i, c] + 1) % p
+        return gf.cell_codes(zero, q_exp, zeta_exp, p, evaluators.source.dim)
 
     monkeypatch.setattr(formula, "value_blocks", flip_one_zeta)
 
@@ -382,10 +384,11 @@ def _mutate_values(monkeypatch, mutation, targets, raise_q=(), un=False):
     take in the rows of the characters ``targets``, and add 1 to the
     q-exponent of every nonzero cell in the rows of ``raise_q``.  The
     kernel is formula.value_blocks, or with ``un`` formula.un_value_chunks,
-    the one U_n tables take."""
+    the one U_n tables take; its codes are read back, mutated and encoded
+    again."""
 
-    def mutate(G, etas, values):
-        zero, q_exp, zeta_exp = values
+    def mutate(G, etas, codes):
+        zero, q_exp, zeta_exp = gf.cell_exponents(codes, G.field.p)
         for i, eta in enumerate(map(tuple, np.asarray(etas).tolist())):
             if eta in raise_q:
                 q_exp[i][~zero[i]] += 1
@@ -398,14 +401,14 @@ def _mutate_values(monkeypatch, mutation, targets, raise_q=(), un=False):
                 q_exp[i, cells] = G.d
             else:  # the zero mask flips; q_exp and zeta_exp stay as they were
                 zero[i, cells] = mutation == "nonzero_to_zero"
-        return values
+        return gf.cell_codes(zero, q_exp, zeta_exp, G.field.p, G.dim)
 
     if un:
         un_value_chunks = formula.un_value_chunks
 
         def mutated_un(G, etas, phis):
-            for start, values in un_value_chunks(G, etas, phis):
-                yield start, mutate(G, etas[start : start + len(values[0])], values)
+            for start, codes in un_value_chunks(G, etas, phis):
+                yield start, mutate(G, etas[start : start + len(codes)], codes)
 
         monkeypatch.setattr(formula, "un_value_chunks", mutated_un)
     else:
@@ -428,7 +431,7 @@ def test_full_check_verdict_equals_the_int64_reference(case, mutation, monkeypat
     G = _SOURCES[name if name != "factor" else "heisenberg4"](Fq.of(int(q)))
     etas = G.coorbit_partition().reps
     digits = np.array(G.orbit_partition().reps, dtype=np.int64).reshape(-1, G.dim)
-    zero, _, _ = formula.value_blocks(CharacterEvaluator.batch(G, etas), digits)
+    zero = formula.value_blocks(CharacterEvaluator.batch(G, etas), digits) == 0
     # the first, second, middle and last of the characters with a cell to mutate
     eligible = [eta for eta, row in zip(etas, zero) if (row if mutation == "zero_to_nonzero" else ~row).any()]
     targets = set(eligible[:2] + eligible[len(eligible) // 2 :][:1] + eligible[-1:])
@@ -463,10 +466,11 @@ def test_full_check_judges_the_un_kernel_the_table_takes(n, q, cap, monkeypatch,
     un_value_chunks = formula.un_value_chunks
 
     def corrupted(G, etas, phis):
-        for start, (zero, q_exp, zeta_exp) in un_value_chunks(G, etas, phis):
-            if start + len(zero) == len(etas):
+        for start, codes in un_value_chunks(G, etas, phis):
+            zero, q_exp, zeta_exp = gf.cell_exponents(codes, q)
+            if start + len(codes) == len(etas):
                 zeta_exp[-1, 0] = (zeta_exp[-1, 0] + 1) % q
-            yield start, (zero, q_exp, zeta_exp)
+            yield start, gf.cell_codes(zero, q_exp, zeta_exp, q, G.dim)
 
     monkeypatch.setattr(formula, "un_value_chunks", corrupted)
     report = full_check(G, oracle_cap=cap, with_axioms=False)
@@ -510,53 +514,79 @@ def test_full_check_sweeps_each_core_partition_once(J, monkeypatch):
     assert len(sweeps) == 2
 
 
-@pytest.mark.parametrize("q_exp", [8, 200])
+@pytest.mark.parametrize("q_exp", [8])
 def test_an_expected_value_past_the_counter_dtype_never_matches(q_exp):
     # class_counterexample at q = 2 (dim 9): a zero cell of a character
     # whose co-orbit has m <= 127 members, so its counters are int8, set to
-    # q**8 = 256, which narrowed to int8 is 0, the oracle's value there; or
-    # to q**200, past dim, which int64 wraps to 0 as well
+    # q**8 = 256, which narrowed to int8 is 0, the oracle's value there
     G = PatternGroup(class_counterexample_poset(), F2)
     co = Oracle(G).coorbit_partition()
     etas, classes = G.coorbit_partition().reps, G.orbit_partition().reps
     digits = np.array(classes, dtype=np.int64).reshape(-1, G.dim)
-    zero, _, _ = formula.value_blocks(CharacterEvaluator.batch(G, etas), digits)
+    zero = formula.value_blocks(CharacterEvaluator.batch(G, etas), digits) == 0
     k = next(k for k, eta in enumerate(etas) if co.sizes[co.class_of(eta)] <= 127 and zero[k].any())
     c = int(np.flatnonzero(zero[k])[0])
     columns = _Expected(2, 2, G.dim).divided(1, np.dtype(np.int8))
-    sentinels = gf.cell_codes([False] * 4, [8, 8, G.dim + 1, G.dim + 1], [0, 1, 0, 1], 2, G.dim + 1)
+    sentinels = gf.cell_codes([False] * 2, [q_exp] * 2, [0, 1], 2, G.dim)
     assert np.int64(2**8).astype(np.int8) == 0 and (columns[:, sentinels] == -128).all()
 
     value_blocks = formula.value_blocks
 
     def raised(evaluators, digits):
-        zero, q_exp_, zeta_exp = value_blocks(evaluators, digits)
+        zero, q_exp_, zeta_exp = gf.cell_exponents(value_blocks(evaluators, digits), 2)
         for i, eta in enumerate(map(tuple, evaluators.etas.tolist())):
             if eta == etas[k]:
                 zero[i, c], q_exp_[i, c], zeta_exp[i, c] = False, q_exp, 0
-        return zero, q_exp_, zeta_exp
+        return gf.cell_codes(zero, q_exp_, zeta_exp, 2, G.dim)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formula, "value_blocks", raised)
         report = full_check(G, with_axioms=False)
-        if q_exp == 8:
-            assert (report.mismatches, report.witness) == reference_verdict(G)
-        else:  # q**200 has no int64 coefficient: the reference raises, where it wrapped to 0
-            with pytest.raises(OverflowError):
-                reference_verdict(G)
+        assert (report.mismatches, report.witness) == reference_verdict(G)
     assert report.mismatches == 1 and report.witness == (etas[k], classes[c], (2**q_exp,), (0,))
 
+
+@pytest.mark.parametrize("q_exp", [4, 200])
+def test_cell_codes_refuse_a_q_exponent_past_dim(q_exp):
+    # dim 3, p = 2: a nonzero q**4 once took code 1 + 4 * 2 = 9, past the
+    # largest value of the dimension, and q**200 wrapped in uint8 to code
+    # 145, which reads as q**72; a zero cell's exponents are never read
+    with pytest.raises(InternalInvariantViolation, match=f"q\\*\\*{q_exp} passes q\\*\\*3"):
+        gf.cell_codes([False], [q_exp], [0], 2, 3)
+    with pytest.raises(InternalInvariantViolation):
+        gf.cell_codes([[True, False]], [[q_exp]], [[0, 0]], 2, 3)  # one exponent a row
+    assert gf.cell_codes([True, False], [q_exp, 3], [1, 1], 2, 3).tolist() == [0, 8]
+
+
+@pytest.mark.parametrize("command", ["table", "check"])
+def test_a_kernel_q_exponent_past_dim_fails_table_and_check(command, monkeypatch, capsys):
+    """A value kernel that hands out a q-exponent past dim (here the hard
+    cells' solve) stops superchar table and superchar check with exit code
+    1 and one error line, before any row is written or judged."""
+    solve_hard = formula._solve_hard
+
+    def past_dim(F, y, rows, cols, corank):
+        zero, q_exp, zeta_exp = solve_hard(F, y, rows, cols, corank)
+        return zero, q_exp + 200, zeta_exp
+
+    monkeypatch.setattr(formula, "_solve_hard", past_dim)
+    spec = Path(__file__).resolve().parents[1] / "src" / "superchar" / "data" / "class_counterexample_q2.txt"
+    assert main([command, str(spec)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: a character value q**") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_a_zeta_exponent_past_p_is_read_mod_p(monkeypatch):
     # zeta**(z + p) = zeta**z: raising every zeta exponent by p changes no
-    # value, and must neither wrap the narrow cell keys nor miss a match
+    # value, and must neither wrap the narrow cell codes nor miss a match
     value_blocks = formula.value_blocks
 
     def raised(evaluators, digits):
-        zero, q_exp, zeta_exp = value_blocks(evaluators, digits)
-        zeta_exp[~zero] += evaluators.field.p
-        return zero, q_exp, zeta_exp
+        p = evaluators.field.p
+        zero, q_exp, zeta_exp = gf.cell_exponents(value_blocks(evaluators, digits), p)
+        zeta_exp[~zero] += p
+        return gf.cell_codes(zero, q_exp, zeta_exp, p, evaluators.source.dim)
 
     monkeypatch.setattr(formula, "value_blocks", raised)
     report = full_check(PatternGroup(heisenberg(4), F3), with_axioms=False)

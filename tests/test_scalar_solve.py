@@ -207,25 +207,23 @@ def test_one_orbit_engine_and_one_move_format():
 def test_full_check_compares_on_the_narrow_counters():
     """full_check judges each block of residue counters as it comes, scaled
     by _divided, and never builds the int64 orbit-sum rows (_rows,
-    _orbit_sums); charvalue_coeff_rows widens only the witness, one cell
-    of one row (arr[i, c : c + 1]), never a whole chunk."""
+    _orbit_sums) nor the formula's (charvalue_coeff_rows); the witness reads
+    one column of _code_columns, at one cell's code (key[i, c]), never a
+    whole chunk."""
     check = _functions(_tree("oracle.py"))["full_check"]
     names = _names(check)
     assert {"_residue_counts", "_divided"} <= names
-    assert not names & {"_rows", "_orbit_sums", "value_rows", "value_row"}
-    calls = [
+    assert not names & {"_rows", "_orbit_sums", "value_rows", "value_row", "charvalue_coeff_rows"}
+    lookups = [
         node
         for node in ast.walk(check)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "charvalue_coeff_rows"
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == "_code_columns"
     ]
-    assert calls
-    for call in calls:
-        subscripts = [node for node in ast.walk(call) if isinstance(node, ast.Subscript)]
-        assert subscripts
-        for node in subscripts:
-            row, cls = node.slice.elts  # arr[i, c : c + 1]
-            assert not isinstance(row, ast.Slice)
-            assert isinstance(cls, ast.Slice) and ast.unparse(cls.upper) == f"{ast.unparse(cls.lower)} + 1"
+    assert lookups
+    for node in lookups:
+        coefficients, code = node.slice.elts  # [:, key[i, c]]
+        assert isinstance(coefficients, ast.Slice) and isinstance(code, ast.Subscript)
+        assert not [index for index in code.slice.elts if isinstance(index, ast.Slice)]
 
 
 def test_one_row_source_for_tables_and_checks():
@@ -283,14 +281,20 @@ def _exponent_arithmetic(tree):
 
 def test_cell_codes_live_in_gf():
     """A cell code, 1 + q_exp * p + zeta_exp, is computed by gf alone: no
-    other module adds or multiplies an exponent array, and the table
-    builder, the emitters, the oracle's keys and its coefficient rows all
-    take their codes from gf.cell_codes and gf.cell_value."""
+    other module adds or multiplies an exponent array.  The value kernels
+    and the table reader encode through gf.cell_codes, as do the oracle's
+    coefficient rows; the table builder and the check only move the codes
+    the kernels wrote, and the emitters and value_block read them back
+    through gf.cell_value and gf.cell_exponents."""
     for path in sorted(SRC.glob("*.py")):
         if path.name != "gf.py":
             assert _exponent_arithmetic(_tree(path.name)) == [], path.name
     assert _exponent_arithmetic(_functions(_tree("gf.py"))["cell_codes"])
-    table, oracle = (_functions(_tree(name)) for name in ("table.py", "oracle.py"))
-    for function in (table["build_table"], table["SuperTable.from_json"], oracle["_Expected.keys"], oracle["charvalue_coeff_rows"]):
+    formula, table, oracle = (_functions(_tree(name)) for name in ("formula.py", "table.py", "oracle.py"))
+    for function in (formula["_chunk_values"], formula["un_value_chunks"], table["SuperTable.from_json"], oracle["charvalue_coeff_rows"]):
         assert "cell_codes" in _names(function), function.name
+    for function in (table["build_table"], oracle["full_check"]):
+        assert "cell_codes" not in _names(function), function.name
+    assert "value_arrays" not in formula
     assert {"codes", "cell_value"} <= _names(table["SuperTable._blocks"])
+    assert "cell_exponents" in _names(formula["CharacterEvaluator.value_block"])
