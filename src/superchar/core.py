@@ -146,7 +146,12 @@ class OrbitPartition:
         """The class index of every functional in ``fs``, by one label lookup;
         SpecMismatch unless each lies in F_q**dim."""
         arr = _check_functionals(self.field, self.dim, fs)
-        return np.searchsorted(self._rep_codes, self._labels[_digits_to_codes(arr, self.field.q)])
+        return self.classes_of_codes(_digits_to_codes(arr, self.field.q))
+
+    def classes_of_codes(self, codes) -> np.ndarray:
+        """The class index of every code in ``codes``, each below q**dim, by
+        one label lookup."""
+        return np.searchsorted(self._rep_codes, self._labels[codes])
 
     def class_of(self, f) -> int:
         """The index of f's class; SpecMismatch unless f lies in F_q**dim."""

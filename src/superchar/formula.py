@@ -61,7 +61,10 @@ Tables of the full triangular group U_n take a kernel of their own,
 monomial representatives and needs no plans; :func:`table_rows` alone
 chooses between the two.  Both kernels write each value as its cell code
 (:func:`~superchar.gf.cell_codes`), the one format that tables store and
-the check keys on.  The closed-form specializations for pattern
+the check keys on.  :func:`table_rows` runs a kernel on one character of
+each orbit under the scalars F_q^* and fills the other rows of the orbit
+by a gather, as chi^(t eta)(x_phi) = chi^eta(x_(t phi))
+(:func:`_orbit_chunks`).  The closed-form specializations for pattern
 groups below, :func:`value_un` among them, are references for the tests.
 """
 
@@ -78,7 +81,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .gf import CharValue, Fq, FqMatrix, _solve_perp, cell_code_dtype, cell_codes, cell_exponents, nullspace_basis, rank
-from .core import PatternGroup, _check_functionals, _mesh_value, sweep_size
+from .core import PatternGroup, _check_functionals, _digits_to_codes, _mesh_value, sweep_size
 from .poset import ClosedSet, is_monomial, support
 
 
@@ -539,40 +542,115 @@ def table_rows(source, cap: int | None):
 
     ``classes`` and ``chars`` are the ascending representatives as (count,
     d) digit arrays (one array when they are the same), ``sizes`` the class
-    sizes, and ``chunks`` yields (start, coranks, irreducible, codes) for
-    consecutive chunks of the characters, the codes one array of
-    :func:`~superchar.gf.cell_codes` that the kernel wrote.  ``cap``
-    bounds q**d.  On U_n the monomials are both lists, counted off their
-    arcs with no sweep (:func:`un_arc_counts`, :func:`un_value_chunks`),
-    and ``partitions`` is None.  Any other group is swept, ``partitions``
-    is its (superclass, co-orbit) pair, and the values are
-    :func:`value_chunks`; chi^eta = (|eta U| / |U eta U|) * sum of the
-    orthonormal theta o mu over its co-orbit U eta U, so <chi^eta, chi^eta>
-    = |eta U|**2 / |U eta U|, and with |eta U| = q**corank it is
-    irreducible iff its co-orbit has q**(2 * corank) members."""
-    q = source.field.q
+    sizes, and ``chunks`` yields (rows, coranks, irreducible, codes) for
+    whole orbits of characters under the scalars F_q^* (:func:`_orbit_chunks`):
+    ``rows`` the ascending character indices, the codes one array of
+    :func:`~superchar.gf.cell_codes`.  ``cap`` bounds q**d.  On U_n the
+    monomials are both lists, counted off their arcs with no sweep
+    (:func:`un_arc_counts`, :func:`un_value_chunks`), and ``partitions`` is
+    None.  Any other group is swept, ``partitions`` is its (superclass,
+    co-orbit) pair, and the values are :func:`value_chunks`; chi^eta =
+    (|eta U| / |U eta U|) * sum of the orthonormal theta o mu over its
+    co-orbit U eta U, so <chi^eta, chi^eta> = |eta U|**2 / |U eta U|, and
+    with |eta U| = q**corank it is irreducible iff its co-orbit has
+    q**(2 * corank) members."""
+    F = source.field
+    q, times_g = F.q, F.multiples(F.generator)
     if isinstance(source, PatternGroup) and source.J.is_full_triangular():
-        sweep_size(source.field, source.d, cap)
+        sweep_size(F, source.d, cap)
         monomials = un_monomials(source)
         e, coranks, crossings = un_arc_counts(source, monomials)
+        step = np.searchsorted(_digits_to_codes(monomials, q), _digits_to_codes(times_g[monomials], q))
 
-        def un_chunks():
-            for start, codes in un_value_chunks(source, monomials, monomials):
-                rows = slice(start, start + len(codes))
-                yield start, coranks[rows], crossings[rows] == 0, codes
+        def un_sources(rows):
+            for start, codes in un_value_chunks(source, monomials[rows], monomials):
+                at = rows[start : start + len(codes)]
+                yield coranks[at], crossings[at] == 0, codes
 
-        return monomials, q**e, monomials, un_chunks(), None
+        return monomials, q**e, monomials, _orbit_chunks(q, step, step, un_sources), None
     sc, co = source.orbit_partition(cap), source.coorbit_partition(cap)
     if len(sc) != len(co):
         raise InternalInvariantViolation("superclass and character counts differ")
     co_sizes = np.asarray(co.sizes, dtype=np.int64)
 
-    def swept_chunks():
-        for start, evaluators, codes in value_chunks(source, co.digits, sc.digits):
+    def swept_sources(rows):
+        for start, evaluators, codes in value_chunks(source, co.digits[rows], sc.digits):
             coranks = evaluators.coranks
-            yield start, coranks, co_sizes[start : start + len(coranks)] == q ** (2 * coranks), codes
+            yield coranks, co_sizes[rows[start : start + len(coranks)]] == q ** (2 * coranks), codes
 
-    return sc.digits, np.asarray(sc.sizes, dtype=np.int64), co.digits, swept_chunks(), (sc, co)
+    steps = co.classes_of(times_g[co.digits]), sc.classes_of(times_g[sc.digits])
+    return sc.digits, np.asarray(sc.sizes, dtype=np.int64), co.digits, _orbit_chunks(q, *steps, swept_sources), (sc, co)
+
+
+def _orbit_chunks(q: int, char_step: np.ndarray, class_step: np.ndarray, evaluate):
+    """Yield (rows, coranks, irreducible, codes) for consecutive runs of
+    whole orbits of characters under the scalars F_q^*, about ``_ROW_CELLS``
+    cells each but at least one orbit (of at most q - 1 rows).
+
+    A scalar t commutes with both actions, so the co-orbit of t eta is t
+    times that of eta, the superclass of t phi is t times that of phi, and
+    chi^(t eta)(x_phi) = chi^eta(x_(t phi)).  With g the generator of F_q^*
+    (:attr:`~superchar.gf.Fq.generator`), ``char_step[k]`` is the character
+    of g eta_k and ``class_step[c]`` the class of g phi_c: the orbits are
+    the cycles of char_step, each found at its least character, its source,
+    by pointer doubling, and walked from it to give each character k the
+    power with g**power[k] eta_source in its co-orbit.  Only the sources are
+    evaluated, by one pass of a value kernel: ``evaluate(sources)`` yields
+    (coranks, irreducible, codes) for consecutive runs of them, which are
+    cut to the chunks' sources as the chunks take them, so that the kernel
+    sets up its batches once.  :func:`_orbit_rows` fills the other rows.
+    InternalInvariantViolation when char_step does not move every
+    character in a cycle of at most q - 1 through its source."""
+    every = np.arange(len(char_step))
+    source, power, by_orbit = every, np.zeros(len(every), dtype=np.int64), every
+    if not np.array_equal(char_step, every):  # else every orbit is one character, as at q = 2
+        jump = char_step
+        for _ in range((q - 2).bit_length()):  # source[k]: least of g**i eta_k, i < 2**rounds
+            source, jump = np.minimum(source, source[jump]), jump[jump]
+        start = np.flatnonzero(source == every)
+        at = char_step[start]
+        for i in range(1, q):  # g**i times each source not yet back at itself
+            open_ = at != start
+            start, at = start[open_], at[open_]
+            if not len(at):
+                break
+            power[at] = i
+            at = char_step[at]
+        if len(start) or ((power == 0) != (source == every)).any():
+            raise InternalInvariantViolation("the scalars do not move the characters in cycles")
+        by_orbit = np.argsort(source, kind="stable")
+    sources = np.flatnonzero(source == every)
+    ends = np.cumsum(np.bincount(source)[sources])  # rows through each orbit
+    per_chunk = max(1, _ROW_CELLS // max(1, len(class_step)))
+    pieces, held = evaluate(sources), []  # held: the kernel's output not yet taken, per field
+    lo = 0
+    while lo < len(sources):
+        first = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, first + per_chunk, side="right")))
+        while not held or len(held[0]) < hi - lo:
+            held = [np.concatenate(pair) for pair in zip(held, next(pieces))] if held else list(next(pieces))
+        rows = np.sort(by_orbit[first : ends[hi - 1]])
+        owner = np.searchsorted(sources[lo:hi], source[rows])
+        yield _orbit_rows(rows, owner, power[rows], class_step, *(part[: hi - lo] for part in held))
+        held = [part[hi - lo :] for part in held]
+        lo = hi
+
+
+def _orbit_rows(rows, owner, power, class_step, coranks, irreducible, codes):
+    """(rows, coranks, irreducible, codes) of the ascending ``rows`` from
+    the (coranks, irreducible, codes) of their sources: row k is row
+    owner[k] of the sources read at class_step applied power[k] times, and
+    copies its corank and irreducibility flag, as an orbit shares them (see
+    :func:`_orbit_chunks`)."""
+    if not power.any():  # every orbit is its source alone
+        return rows, coranks, irreducible, codes
+    out = np.empty((len(rows), codes.shape[1]), dtype=codes.dtype)
+    classes = np.arange(codes.shape[1])
+    for k in range(int(power.max()) + 1):
+        at = np.flatnonzero(power == k)
+        out[at] = codes[owner[at]].take(classes, axis=1) if k else codes[owner[at]]
+        classes = class_step[classes]
+    return rows, coranks[owner], irreducible[owner], out
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,12 @@ class Fq:
         """The exp and log tables of :attr:`_logs` as numpy arrays."""
         return tuple(map(np.array, self._logs[:2]))
 
+    @property
+    def generator(self) -> int:
+        """The generator of F_q* that the log tables are built on: the least
+        code whose powers reach every unit (1 when q = 2)."""
+        return self._logs[0][1]
+
     def multiples(self, c: int) -> np.ndarray:
         """c * x for every code x in range(q), indexed by x, for a unit c:
         O(q) lookups in the log tables, never a q x q table."""

@@ -45,6 +45,15 @@ coefficients.  :func:`full_check` does not: it judges each block of
 counters as it comes, against the formula's coefficient columns divided by
 the block's scale factor in the counters' own dtype (:class:`_Expected`).
 
+The scalars t in F_p^* commute with both two-sided actions, so t maps the
+co-orbit O of eta onto the co-orbit of t eta, and trace(t mu . phi) =
+t trace(mu . phi): the counts of t O at residue k are the counts of O at
+k / t.  :func:`full_check` and the constancy check count the residues of
+one co-orbit per orbit of F_p^* (:attr:`Oracle._scalar_orbits`, read off
+the oracle's own co-orbit sweep and checked member by member before any
+count is relabelled) and relabel them for the others; :func:`full_check`
+still judges every row.  At p = 2 there is nothing to relabel.
+
 The representatives' digit rows come from the F_p layer of
 :class:`~superchar.gf.Fq`: base-p digits, the trace form and one exact mod-p
 product per set of representatives.  From :mod:`.formula` the oracle takes
@@ -56,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -246,6 +255,53 @@ class Oracle:
         part = self.coorbit_partition()
         return part.elements(part.class_of(eta))
 
+    @cached_property
+    def _scalar_orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """(source, scalar): co-orbit k is scalar[k] times co-orbit
+        source[k], the least co-orbit of its orbit under the scalars F_p^*
+        (:func:`_scale_codes`); scalar is 1 at a source.
+
+        With g a generator of F_p^*, the orbits are the cycles of
+        k -> the co-orbit of g eta_k in the co-orbit sweep, each found at its
+        least member by pointer doubling and walked from it.  Before any
+        count is relabelled, every co-orbit k off its source is checked
+        against the sweep: t = scalar[k] maps every member of the source
+        into co-orbit k, and both have the same size and the same right
+        co-orbit size, so t maps the one onto the other;
+        InternalInvariantViolation if not."""
+        F, co = self.field, self.coorbit_partition()
+        p, digits = F.p, self.dim * F.r
+        g = F.power(F.generator, (F.q - 1) // (p - 1))  # generates F_p^*, the units of order p - 1
+        codes, bounds = co.members
+        reps, sizes = codes[bounds[:-1]], bounds[1:] - bounds[:-1]
+        step = co.classes_of_codes(_scale_codes(reps, g, p, digits))
+        every = np.arange(len(co))
+        source, scalar = every, np.ones(len(co), dtype=np.int64)
+        if np.array_equal(step, every):  # every orbit is one co-orbit, as at p = 2
+            return source, scalar
+        jump = step
+        for _ in range((p - 2).bit_length()):  # source[k]: least of g**i eta_k, i < 2**rounds
+            source, jump = np.minimum(source, source[jump]), jump[jump]
+        start = np.flatnonzero(source == every)
+        at, t = step[start], g
+        for _ in range(p - 1):  # t = g**i times each source not yet back at itself
+            open_ = at != start
+            start, at = start[open_], at[open_]
+            if not len(at):
+                break
+            scalar[at] = t
+            if (sizes[at] != sizes[start]).any() or (self._right_sizes[at] != self._right_sizes[start]).any():
+                raise InternalInvariantViolation("a scalar multiple of a co-orbit differs from it in size")
+            lengths = sizes[at]
+            # the members of each source, run after run
+            members = codes[np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - bounds[start], lengths)]
+            if (co.classes_of_codes(_scale_codes(members, t, p, digits)) != np.repeat(at, lengths)).any():
+                raise InternalInvariantViolation(f"{t} times a co-orbit is no co-orbit of the sweep")
+            at, t = step[at], t * g % p
+        if len(start) or ((scalar == 1) != (source == every)).any():
+            raise InternalInvariantViolation("the scalars do not move the co-orbits of the sweep in cycles")
+        return source, scalar
+
     # -- orbit sums -----------------------------------------------------------
 
     def value_rows(self, etas, class_digits: np.ndarray) -> np.ndarray:
@@ -278,14 +334,13 @@ class Oracle:
     def _rows(self, etas, tables) -> np.ndarray:
         """:meth:`value_rows` against the :meth:`_residue_tables` of a set of
         representatives."""
-        return self._orbit_sums(*self._runs(etas), tables)
+        return self._orbit_sums(*self._runs(self.coorbit_partition().classes_of(etas)), tables)
 
-    def _runs(self, etas):
-        """(members, starts, sizes, nright) of the co-orbits of ``etas``: the
-        runs of co-orbit members the orbit sums take, and |lambda U| per run."""
-        co = self.coorbit_partition()
-        ks = co.classes_of(etas)
-        codes, bounds = co.members
+    def _runs(self, ks):
+        """(members, starts, sizes, nright) of the co-orbits ``ks``, indices
+        into the co-orbit sweep: the runs of co-orbit members the orbit sums
+        take, and |lambda U| per run."""
+        codes, bounds = self.coorbit_partition().members
         starts = bounds[ks]
         return codes, starts, bounds[ks + 1] - starts, self._right_sizes[ks]
 
@@ -321,7 +376,9 @@ class Oracle:
         The residues of a block are one row gather per run of digits from
         ``tables``, added in the narrowest unsigned dtype that holds 2(p-1)
         and folded after each addition by minimum(res, res - p), where
-        res - p wraps when res < p.  Rows of equal (m, nr) are counted
+        res - p wraps when res < p.  At p = 2 the runs combine by exclusive
+        or, and the count of residue 1 is the sum of the residues, each its
+        own 0/1 indicator.  Rows of equal (m, nr) are counted
         together, in blocks of at most ``_BLOCK_CELLS`` member x class cells;
         a co-orbit larger than a block is split along its members.  Counters
         have the narrowest dtype that holds m.  A block of n residues over W
@@ -356,17 +413,22 @@ class Oracle:
                         codes = members[starts[sel, None] + np.arange(lo, min(m, lo + piece))]
                         res = low[codes % len(low)]
                         for scale, table in higher:
-                            res += table[codes // scale % len(table)]
-                            np.minimum(res, res - wrap, out=res)
-                        if compare:  # summing bytes, in the narrowest dtype, beats counting bools
-                            acc = np.min_scalar_type(piece)
+                            if p == 2:  # a sum mod 2 is an exclusive or
+                                res ^= table[codes // scale % len(table)]
+                            else:
+                                res += table[codes // scale % len(table)]
+                                np.minimum(res, res - wrap, out=res)
+                        acc = np.min_scalar_type(piece)
+                        if p == 2:  # a residue mod 2 is its own indicator
+                            counts[1] += res.sum(axis=1, dtype=acc)
+                        elif compare:  # summing bytes, in the narrowest dtype, beats counting bools
                             for k in range(1, p):
                                 counts[k] += (res == k).view(np.uint8).sum(axis=1, dtype=acc)
                         else:
                             cells = np.arange(counts[0].size).reshape(len(sel), 1, count)
                             index = (res.astype(np.intp) * counts[0].size + cells).ravel()
                             counts += np.bincount(index, minlength=counts.size).reshape(counts.shape).astype(counts.dtype)
-                    if compare:
+                    if compare or p == 2:
                         counts[0] = m - counts[1:].sum(axis=0, dtype=counts.dtype)
                     yield sel, m, nr, counts
 
@@ -474,23 +536,34 @@ class Oracle:
     def _check_constancy(self, sc: OrbitPartition, co: OrbitPartition) -> bool:
         """Every supercharacter is constant on every superclass, judged on
         the residue counters of :meth:`_residue_counts` over all of G before
-        any scaling: each element's counts must equal its superclass
-        representative's.  For a fixed row the counts, which sum to m,
-        determine the scaled value and are determined by it, so this is the
-        axiom itself.  The exact scaling (NonIntegralScaling) is checked on
-        the representatives' columns, which then stand for every element."""
+        any scaling, with G in ``sc.members`` order, class after class: each
+        element's counts must equal its neighbour's within its class run.
+        For a fixed row the counts, which sum to m, determine the scaled
+        value and are determined by it, so this is the axiom itself.  The
+        exact scaling (NonIntegralScaling) is checked on the
+        representatives' columns, each the first of its run, which then
+        stand for every element.
+
+        Only the source of each orbit of co-orbits under F_p^*
+        (:attr:`_scalar_orbits`) is counted: a co-orbit t O has the counts
+        of O with the residues relabelled, k -> t k, so its counts are
+        constant where those of O are, and their differences, which the
+        scaling divides, are differences of those of O."""
         F = self.field
-        total = self.order
-        every = _codes_to_digits(np.arange(total, dtype=np.int64), F.q, self.dim)
-        tables = self._residue_tables(self._phi_digits(every))
-        sc_codes = sc.canonical_codes()
-        reps = np.flatnonzero(sc_codes == np.arange(total))  # each its own representative
-        step = _rows_per_call(F.p, total)
-        for start in range(0, len(co), step):
-            for _, m, nr, counts in self._residue_counts(*self._runs(co.digits[start : start + step]), tables):
-                if not np.array_equal(counts, counts.take(sc_codes, axis=2)):
+        members, bounds = sc.members
+        tables = self._residue_tables(self._phi_digits(_codes_to_digits(members, F.q, self.dim)))
+        inner = np.ones(self.order - 1, dtype=bool)  # neighbours in one class run
+        inner[bounds[1:-1] - 1] = False
+        own = self.coorbit_partition()
+        taken = np.zeros(len(own), dtype=bool)
+        taken[self._scalar_orbits[0][own.classes_of(co.digits)]] = True
+        counted = np.flatnonzero(taken)
+        step = _rows_per_call(F.p, self.order)
+        for start in range(0, len(counted), step):
+            for _, m, nr, counts in self._residue_counts(*self._runs(counted[start : start + step]), tables):
+                if (counts[:, :, 1:] != counts[:, :, :-1]).any(axis=(0, 1))[inner].any():
                     return False
-                _divided(counts.take(reps, axis=2), m, nr)  # raises NonIntegralScaling if inexact
+                _divided(counts[:, :, bounds[:-1]], m, nr)  # raises NonIntegralScaling if inexact
         return True
 
 
@@ -515,6 +588,29 @@ def _rows_per_call(p: int, count: int) -> int:
     """Characters per orbit-sum call over ``count`` classes: at most
     ``_BLOCK_CELLS`` cells and ``_COEFF_CELLS`` coefficients, but at least one."""
     return max(1, min(_BLOCK_CELLS, _COEFF_CELLS // p) // count)
+
+
+def _scale_codes(codes, t: int, p: int, digits: int) -> np.ndarray:
+    """The codes of t * mu for the codes of functionals mu with ``digits``
+    base-p digits, t in F_p^*: F_p acts on F_q = F_p[X]/(m) coefficient by
+    coefficient, so t multiplies every base-p digit of a code mod p.  Two
+    lookups, one per half of the digits, in tables of the scaled codes of
+    every half (:func:`_scaled_digits`)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if t == 1:
+        return codes
+    split = p ** (digits // 2)
+    return _scaled_digits(t, p, digits - digits // 2)[codes // split] * split + _scaled_digits(t, p, digits // 2)[codes % split]
+
+
+@lru_cache(maxsize=64)
+def _scaled_digits(t: int, p: int, width: int) -> np.ndarray:
+    """The code of t * x for every code x of ``width`` base-p digits, as a
+    read-only array kept for the next call."""
+    place = p ** np.arange(width)
+    table = np.arange(p**width)[:, None] // place % p * t % p @ place
+    table.flags.writeable = False
+    return table
 
 
 @dataclass
@@ -644,13 +740,19 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
     character has q**corank = |lambda_eta U| and its irreducibility flag
     set iff |U lambda_eta U| = |lambda_eta U|**2.
 
-    Values are compared on every representative pair in the domain of the
-    oracle's narrow counters: each block of :meth:`Oracle._residue_counts`,
-    scaled by :func:`_divided` to num * factor, against the formula's
-    coefficient columns divided by factor (:class:`_Expected`), gathered by
-    each cell's code, so no int64 coefficient row is built.  Every
-    mismatching cell is counted; the witness is the first in (eta, class)
-    order, with both sides' coefficients, the formula's read off its code
+    The rows come in chunks of whole orbits under the scalars F_q^* (see
+    :func:`~superchar.formula.table_rows`), each chunk's rows in any order
+    among the chunks.  In each chunk the residues are counted once per orbit
+    of co-orbits under F_p^*, for its least co-orbit
+    (:attr:`Oracle._scalar_orbits`), and every row of the chunk is judged on
+    its own counts, those of its source relabelled, k -> k / t.  Values are
+    compared on every representative pair in the domain of the oracle's
+    narrow counters: each block of :meth:`Oracle._residue_counts`, scaled by
+    :func:`_divided` to num * factor, against the formula's coefficient
+    columns divided by factor (:class:`_Expected`), gathered by each cell's
+    code, so no int64 coefficient row is built.  Every mismatching cell is
+    counted; the witness is the least in (eta, class) order over all
+    chunks, with both sides' coefficients, the formula's read off its code
     over exact powers of q.
 
     The axioms cost |G|**2 products; unless ``with_axioms`` says otherwise
@@ -669,34 +771,50 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
     )
     report.classes, report.characters = len(classes), len(chars)
 
-    F = oracle.field
+    F, orc_co = oracle.field, oracle.coorbit_partition()
+    p = F.p
+    tables = oracle._residue_tables(oracle._phi_digits(classes))
+    expected = _Expected(p, F.q, oracle.dim)
+    powers = np.array([F.q**e for e in range(oracle.dim + 1)], dtype=object)
+    step = _rows_per_call(p, len(classes))
+    source, scalar = oracle._scalar_orbits
+    unscale = F.fp_inverses[scalar]  # co-orbit t O -> 1 / t
+    bounds, nright = orc_co.members[1], oracle._right_sizes
+    co_sizes = bounds[1:] - bounds[:-1]
+    first = None  # (row, class, formula coefficients, oracle coefficients) of the least mismatch
     # formula values and oracle counters for a chunk of rows at a time, so
     # memory stays O(chunk x classes x p)
-    tables = oracle._residue_tables(oracle._phi_digits(classes))
-    expected = _Expected(F.p, F.q, oracle.dim)
-    step = _rows_per_call(F.p, len(classes))
-    for start, coranks, irreducible, codes in chunks:
-        chunk = chars[start : start + len(coranks)]
-        for lo in range(0, len(chunk), step):
-            etas, key = chunk[lo : lo + step], codes[lo : lo + step]
-            members, starts, co_sizes, nright = oracle._runs(etas)
-            agree = agree and np.array_equal(F.q ** coranks[lo : lo + step], nright)
-            agree = agree and np.array_equal(irreducible[lo : lo + step], co_sizes == nright**2)
-            first = None  # (row, class, oracle coefficients) of the first mismatch
-            for sel, m, nr, counts in oracle._residue_counts(members, starts, co_sizes, nright, tables):
+    for rows, coranks, irreducible, codes in chunks:
+        ks = orc_co.classes_of(chars[rows])
+        agree = agree and np.array_equal(F.q**coranks, nright[ks]) and np.array_equal(irreducible, co_sizes[ks] == nright[ks] ** 2)
+        # each row's co-orbit is t times a source's, whose counts alone are taken
+        taken = np.zeros(len(orc_co), dtype=bool)
+        taken[source[ks]] = True
+        counted = np.flatnonzero(taken)
+        of_row = np.searchsorted(counted, source[ks])  # each row's source among the counted
+        at = np.full(len(counted), -1)  # the column of each counted source in the current block
+        for lo in range(0, len(counted), step):
+            for sel, m, nr, counts in oracle._residue_counts(*oracle._runs(counted[lo : lo + step]), tables):
+                at[lo + sel] = np.arange(len(sel))
+                these = np.flatnonzero(at[of_row] >= 0)  # the rows counted in this block, ascending
+                column, inverse = at[of_row[these]], unscale[ks[these]]
+                at[lo + sel] = -1
+                if not np.array_equal(column, np.arange(len(sel))) or inverse.max() > 1:
+                    # t O has at residue k the counts of O at k / t
+                    counts = counts[(np.arange(p) * inverse[:, None] % p).T, column]
                 num, factor = _divided(counts, m, nr)
-                bad = (num != expected.divided(factor, num.dtype).take(key[sel], axis=1)).any(axis=0)
+                bad = (num != expected.divided(factor, num.dtype).take(codes[these], axis=1)).any(axis=0)
                 mismatches = int(np.count_nonzero(bad))
                 report.mismatches += mismatches
-                if mismatches and report.witness is None:
-                    j, c = np.argwhere(bad)[0]  # sel ascends: the block's first in (eta, class) order
-                    if first is None or (sel[j], c) < first[:2]:
-                        first = (sel[j], c, tuple(int(x) * factor for x in num[:, j, c]))
-            if first is not None:
-                i, c, oracle_coeffs = first
-                powers = np.array([F.q**e for e in range(oracle.dim + 1)], dtype=object)
-                formula_coeffs = tuple(_code_columns(powers, F.p)[:, key[i, c]].tolist())
-                report.witness = (tuple(etas[i].tolist()), tuple(classes[c].tolist()), formula_coeffs, oracle_coeffs)
+                if mismatches:
+                    j, c = np.argwhere(bad)[0]  # these ascend: the block's least (row, class)
+                    i = these[j]
+                    if first is None or (rows[i], c) < first[:2]:
+                        formula_coeffs = tuple(_code_columns(powers, p)[:, codes[i, c]].tolist())
+                        first = (rows[i], c, formula_coeffs, tuple(int(x) * factor for x in num[:, j, c]))
+    if first is not None:
+        i, c, formula_coeffs, oracle_coeffs = first
+        report.witness = (tuple(chars[i].tolist()), tuple(classes[c].tolist()), formula_coeffs, oracle_coeffs)
     report.partitions_match = bool(agree)
     report.values_match = report.mismatches == 0
     if with_axioms is None:

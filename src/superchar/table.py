@@ -354,20 +354,19 @@ def _head(source) -> tuple:
 
 def build_table(source, cap: int | None = None) -> SuperTable:
     """The table of any algebra group, from the rows of
-    :func:`~superchar.formula.table_rows`."""
+    :func:`~superchar.formula.table_rows`, each chunk written into its own
+    rows."""
     classes, sizes, chars, chunks, _ = table_rows(source, cap)
     dim, p = source.dim, source.field.p
     codes = np.zeros((len(chars), len(classes)), dtype=cell_code_dtype(dim, p))
     kind, meta, rep_obj = _head(source)
     class_reps = [rep_obj(rep) for rep in classes.tolist()]
     char_reps = class_reps if chars is classes else [rep_obj(rep) for rep in chars.tolist()]
-    q, char_rows = source.field.q, []
-    for start, coranks, irreducible, block in chunks:
-        codes[start : start + len(coranks)] = block
-        char_rows += [
-            {"rep": char_reps[start + i], "corank": c, "degree": q**c, "irreducible": irr}
-            for i, (c, irr) in enumerate(zip(coranks.tolist(), irreducible.tolist()))
-        ]
+    q, char_rows = source.field.q, [None] * len(chars)
+    for rows, coranks, irreducible, block in chunks:
+        codes[rows] = block
+        for i, c, irr in zip(rows.tolist(), coranks.tolist(), irreducible.tolist()):
+            char_rows[i] = {"rep": char_reps[i], "corank": c, "degree": q**c, "irreducible": irr}
     class_rows = [{"rep": rep, "size": size} for rep, size in zip(class_reps, sizes.tolist())]
     return SuperTable(kind, meta, class_rows, char_rows, codes)
 

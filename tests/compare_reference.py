@@ -8,8 +8,9 @@ rows of :func:`superchar.formula.table_rows`, the rows ``superchar table``
 emits, looked up through the module at call time so that a test's patch of
 a value kernel (``formula.value_blocks`` or ``formula.un_value_chunks``)
 reaches both verdicts, its cell codes read back by
-:func:`superchar.gf.cell_exponents`; the oracle side is the scaled orbit-sum rows of
-:meth:`superchar.oracle.Oracle._rows`."""
+:func:`superchar.gf.cell_exponents`; the oracle side is the scaled orbit-sum
+rows of :meth:`superchar.oracle.Oracle._rows`, one brute-force sum per row,
+with no use of the scalar symmetry."""
 
 import numpy as np
 
@@ -21,28 +22,27 @@ from superchar.oracle import Oracle, _rows_per_call, charvalue_coeff_rows
 def reference_verdict(source, oracle_cap=None):
     """(mismatches, witness) of the value check on ``source``: how many
     (character, superclass) cells differ, and (eta, phi, formula
-    coefficients, oracle coefficients) of the first in (eta, class) order,
-    or None."""
+    coefficients, oracle coefficients) of the least in (eta, class) order
+    over all chunks, or None.  Every row, whether the formula evaluated it
+    or filled it from its scalar orbit's source, is summed over its own
+    co-orbit."""
     oracle = Oracle(source, cap=oracle_cap)
     classes, _, chars, chunks, _ = formula.table_rows(source, oracle.cap)
     F = oracle.field
     tables = oracle._residue_tables(oracle._phi_digits(classes))
     step = _rows_per_call(F.p, len(classes))
-    mismatches, witness = 0, None
-    for start, coranks, _, codes in chunks:
-        chunk = chars[start : start + len(coranks)]
-        for lo in range(0, len(chunk), step):
-            rows = chunk[lo : lo + step]
-            oracle_rows = oracle._rows(rows, tables)
+    mismatches, first = 0, None
+    for rows, _, _, codes in chunks:
+        for lo in range(0, len(rows), step):
+            oracle_rows = oracle._rows(chars[rows[lo : lo + step]], tables)
             formula_rows = charvalue_coeff_rows(F.p, F.q, *cell_exponents(codes[lo : lo + step], F.p))
             bad = (formula_rows != oracle_rows).any(axis=0)
-            if witness is None and bad.any():
-                i, c = np.argwhere(bad)[0]
-                witness = (
-                    tuple(rows[i].tolist()),
-                    tuple(classes[c].tolist()),
-                    tuple(int(x) for x in formula_rows[:, i, c]),
-                    tuple(int(x) for x in oracle_rows[:, i, c]),
-                )
+            for i, c in np.argwhere(bad):
+                cell = (int(rows[lo + i]), int(c))
+                if first is None or cell < first[:2]:
+                    first = cell + (tuple(int(x) for x in formula_rows[:, i, c]), tuple(int(x) for x in oracle_rows[:, i, c]))
             mismatches += int(bad.sum())
-    return mismatches, witness
+    if first is None:
+        return mismatches, None
+    row, c, formula_coeffs, oracle_coeffs = first
+    return mismatches, (tuple(chars[row].tolist()), tuple(classes[c].tolist()), formula_coeffs, oracle_coeffs)

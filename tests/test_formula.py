@@ -6,7 +6,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_poset import _random_closed
 
@@ -31,7 +31,9 @@ from superchar.formula import (
     irreducible_sufficient,
     is_irreducible,
     superclass_is_class_sufficient,
+    table_rows,
     un_arc_counts,
+    un_monomials,
     un_value_chunks,
     value,
     value_blocks,
@@ -633,3 +635,81 @@ def test_empty_closed_set_has_the_trivial_table():
     assert G.all_orbit_reps() == G.all_coorbit_reps()
     assert value(G, (), ()) == CharValue.of(0, 0, 2)
     assert is_irreducible(G, ())
+
+
+# ---------------------------------------------------------------------------
+# the scalar fill of table_rows against every character evaluated
+
+
+def _every_row(source):
+    """(coranks, irreducible, codes) of every character of ``source``, each
+    row evaluated by the value kernel itself: the reference of the rows
+    that table_rows fills from their scalar orbit's source."""
+    if isinstance(source, PatternGroup) and source.J.is_full_triangular():
+        monomials = un_monomials(source)
+        _, coranks, crossings = un_arc_counts(source, monomials)
+        codes = np.concatenate([codes for _, codes in un_value_chunks(source, monomials, monomials)])
+        return coranks, crossings == 0, codes
+    sc, co = source.orbit_partition(), source.coorbit_partition()
+    pieces = list(formula.value_chunks(source, co.digits, sc.digits))
+    coranks = np.concatenate([evaluators.coranks for _, evaluators, _ in pieces])
+    irreducible = np.asarray(co.sizes) == source.field.q ** (2 * coranks)
+    return coranks, irreducible, np.concatenate([codes for _, _, codes in pieces])
+
+
+def _assert_fill_matches_every_row(source, rows_per_chunk):
+    """The chunks of table_rows cover every row once, in whole orbits under
+    F_q^*, with the codes, coranks and flags of every character evaluated."""
+    coranks, irreducible, codes = _every_row(source)
+    classes, _, chars, chunks, _ = table_rows(source, None)
+    with pytest.MonkeyPatch.context() as mp:
+        if rows_per_chunk:
+            mp.setattr(formula, "_ROW_CELLS", rows_per_chunk * len(classes))
+        chunks = list(table_rows(source, None)[3])
+    rows = np.concatenate([chunk[0] for chunk in chunks])
+    assert sorted(rows.tolist()) == list(range(len(chars)))
+    for got_rows, got_coranks, got_irreducible, got_codes in chunks:
+        assert np.array_equal(got_rows, np.sort(got_rows))
+        assert np.array_equal(got_coranks, coranks[got_rows])
+        assert np.array_equal(got_irreducible, irreducible[got_rows])
+        assert got_codes.dtype == codes.dtype and np.array_equal(got_codes, codes[got_rows])
+    return chunks
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 6),
+    st.sampled_from((3, 4, 5, 7, 8, 9)),
+    st.sampled_from((None, 1, 3)),
+)
+def test_table_rows_fill_matches_every_character_on_random_closed_sets(seed, n, q, rows_per_chunk):
+    """Random closed sets, U_n among them, over fields with F_q^* of 2 to 8
+    scalars; chunks of one or three rows hold at least one whole orbit."""
+    J = _random_closed(random.Random(seed), n)
+    assume(q ** len(J) <= 2**12)
+    chunks = _assert_fill_matches_every_row(PatternGroup(J, Fq.of(q)), rows_per_chunk)
+    if rows_per_chunk == 1 and len(J):
+        assert any(len(chunk[0]) > 1 for chunk in chunks)  # an orbit of several rows, whole
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_table_rows_fill_matches_every_character_on_u_n(q):
+    _assert_fill_matches_every_row(PatternGroup(full_triangular(3), Fq.of(q)), None)
+    if q <= 5:
+        _assert_fill_matches_every_row(PatternGroup(full_triangular(4), Fq.of(q)), 2)
+
+
+def test_table_rows_fill_matches_every_character_on_random_matrix_algebras():
+    """Algebras whose structure constants are not all 1 (the seeds of
+    _random_matrix_algebra that give one), over F_3 to F_9."""
+    from test_algebra import _random_matrix_algebra  # test_algebra imports this module
+
+    fields = set()
+    for seed in range(60):
+        alg = _random_matrix_algebra(seed)
+        if alg is None:
+            continue
+        _assert_fill_matches_every_row(alg, seed % 3 or None)
+        fields.add(alg.field.q)
+    assert fields == {3, 4, 5, 8, 9}

@@ -1,12 +1,14 @@
 """Byte-for-byte golden output of ``superchar table`` and ``superchar check``.
 
-Every bundled spec is rendered in all three formats, plus three
-extension-field tables that no bundled spec reaches (generated from the
-catalog), and the sha256 of each output is compared with a recorded digest.
+Every bundled spec is rendered in all three formats, plus tables that no
+bundled spec reaches (generated from the catalog): extension fields, p = 5,
+and algebra groups whose characters fall into orbits of F_q^* of more than
+two rows.  The sha256 of each output is compared with a recorded digest.
 Any change to the partition, the values or the emitters shows up here.
-The report of ``superchar check`` on every bundled spec is pinned the same
-way: its class counts, cell counts and axiom lines (with the number of
-conjugacy classes) come from the oracle's orbit sweeps.
+The report of ``superchar check`` on every bundled spec, and on the
+generated specs that ``CHECK_DIGESTS`` names, is pinned the same way: its
+class counts, cell counts and axiom lines (with the number of conjugacy
+classes) come from the oracle's orbit sweeps.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from superchar.algebra import emit_algebra_spec
-from superchar.catalog import full_triangular, semidirect_algebra
+from superchar.catalog import full_triangular, heisenberg, semidirect_algebra
 from superchar.cli import main
 from superchar.gf import Fq
 from superchar.poset import emit_spec
@@ -26,6 +28,10 @@ GENERATED = {
     "full_u3_q4": lambda: emit_spec(full_triangular(3), Fq.of(4)),
     "full_u4_q4": lambda: emit_spec(full_triangular(4), Fq.of(4)),
     "semidirect4_q4": lambda: emit_algebra_spec(semidirect_algebra(4, Fq.of(4))),
+    "heisenberg4_q4": lambda: emit_spec(heisenberg(4), Fq.of(4)),
+    "heisenberg4_q5": lambda: emit_spec(heisenberg(4), Fq.of(5)),
+    "full_u3_q9": lambda: emit_spec(full_triangular(3), Fq.of(9)),
+    "semidirect4_q5": lambda: emit_algebra_spec(semidirect_algebra(4, Fq.of(5))),
 }
 
 DIGESTS = {
@@ -89,6 +95,18 @@ DIGESTS = {
     ("semidirect4_q4", "json"): "4989c61621f263b795b6bba6cd7162e860559da65b83b687497fdfa9cfffcf53",
     ("semidirect4_q4", "csv"): "bfc73970f4c9fa2607b263b776ae12a0c4a360b46ce27e439f72e9931898d126",
     ("semidirect4_q4", "pretty"): "299fe0e570c102a88e46c7543efd7dc8eb03155f5aea33e30c4c20b6dae473b7",
+    ("heisenberg4_q4", "json"): "949bdd5b4edc7d63104b88bd2aee3928b57b563b2c1209576fdbe2dd200f4d1b",
+    ("heisenberg4_q4", "csv"): "12b79344a3a114b9d4dbb625a949117c8cd15f23a1dfd05ef25fd109bc170104",
+    ("heisenberg4_q4", "pretty"): "c54bdcf085ff80b60a5c4cc209ac64f54dcb2a995a48c6579075492633930958",
+    ("heisenberg4_q5", "json"): "1e4b34799ed98fc5b15505d818cc76decbfe875e44fdb77850c63e2deea432a8",
+    ("heisenberg4_q5", "csv"): "e0901b6b8c67bc9a7648106778e0bafa458e3513c77d843352ec612359e94c59",
+    ("heisenberg4_q5", "pretty"): "a49f79011cb71a1ef4b47504e9937358f1edce1bd881df7f9af20706ad8be95c",
+    ("full_u3_q9", "json"): "40d9b6602d93ca65a5246614944e4494b06bb5da9baf04cd8d0179e74f053d2d",
+    ("full_u3_q9", "csv"): "f1eeebeece7ab1dd0673791c7089cbdaf9abbdfc97fc37bfeb5cdd1e4d6dce17",
+    ("full_u3_q9", "pretty"): "39dbd3c72b27b9a1fef0db128eb2b50d7c0a5e8bfbb057570fdfd101b8199daa",
+    ("semidirect4_q5", "json"): "baf3c0b5fd4df564aba4cf22ff1e100adeafbedf28481471ec3dd553721e9ac9",
+    ("semidirect4_q5", "csv"): "a51417c002cff9ba6187cde3aa0019e1a257445afa46221003d5662f2c83c149",
+    ("semidirect4_q5", "pretty"): "1de4316d9ac83f4cc5f9a2ca2d5b9c8a3328c5c2f7a71802f08051cc2744550b",
 }
 
 
@@ -98,13 +116,18 @@ def test_every_bundled_spec_has_digests():
     assert bundled == recorded
 
 
+def _spec(tmp_path, name: str) -> Path:
+    """The spec file of a bundled or generated name."""
+    if name not in GENERATED:
+        return DATA / f"{name}.txt"
+    spec = tmp_path / f"{name}.txt"
+    spec.write_text(GENERATED[name](), encoding="utf-8")
+    return spec
+
+
 @pytest.mark.parametrize("name,fmt", sorted(DIGESTS))
 def test_table_output_matches_golden_digest(tmp_path, name, fmt):
-    if name in GENERATED:
-        spec = tmp_path / f"{name}.txt"
-        spec.write_text(GENERATED[name](), encoding="utf-8")
-    else:
-        spec = DATA / f"{name}.txt"
+    spec = _spec(tmp_path, name)
     out = tmp_path / f"{name}.{fmt}"
     assert main(["table", str(spec), "--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[(name, fmt)]
@@ -128,10 +151,18 @@ CHECK_DIGESTS = {
     "heisenberg5_q3": "fd66eabb35cd3e9b91bfd150abda639c83e0a309cc9aead8af76e74cb2c95635",
     "orbit_shape_q2": "5477639fe6633bc9c51dd33a9df416fdf7b56ab61f8c14f1d585a032e0d33e38",
     "two_step_q2": "5477639fe6633bc9c51dd33a9df416fdf7b56ab61f8c14f1d585a032e0d33e38",
+    "heisenberg4_q4": "9cfed4e7b8be1f94dcfc66e0f33b1281795ef96d3490788b5243b99d1079860a",
+    "heisenberg4_q5": "4bac90c7e68f25f547c53ed76bf2887ea90e3bfd39401e5ea554af123018d7c4",
+    "full_u3_q9": "f4d401012bd8b5794393f06b05f29c1541af63631ce77aec0cac63767c17c995",
+    "semidirect4_q5": "ee5fbf658be7b031f7291989322637c9b42a74cafcd86ae4e9cc377d4fa020e4",
 }
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.txt")))
-def test_check_output_matches_golden_digest(capsys, name):
-    assert main(["check", str(DATA / f"{name}.txt")]) == 0
+def test_every_bundled_spec_has_a_check_digest():
+    assert {p.stem for p in DATA.glob("*.txt")} <= set(CHECK_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_DIGESTS))
+def test_check_output_matches_golden_digest(tmp_path, capsys, name):
+    assert main(["check", str(_spec(tmp_path, name))]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHECK_DIGESTS[name]

@@ -335,10 +335,26 @@ def test_full_check_reports_disagreeing_coorbit_partitions(monkeypatch):
     assert "FAIL: orbit partitions agree" in list(report.lines())
 
 
+def _scalar_orbit(G, eta):
+    """The representatives of the co-orbits of t * eta, t in F_q^*, from
+    field products and core's co-orbit lookup, one scalar at a time."""
+    F, co = G.field, G.coorbit_partition()
+    return {co.reps[co.class_of([F.mul(t, x) for x in eta])] for t in range(1, F.q)}
+
+
+def _scalar_sources(G):
+    """The characters the value kernels evaluate: the least of each orbit of
+    co-orbit representatives under F_q^*, ascending.  Every other row of a
+    table is filled from its orbit's source."""
+    return [eta for eta in G.coorbit_partition().reps if eta == min(_scalar_orbit(G, eta))]
+
+
 def _flip_zetas(monkeypatch, flipped):
     """Make formula.value_blocks flip the zeta exponent of each (character,
     class) in ``flipped``, a dict from character to class index: its codes
-    read back, mutated and encoded again."""
+    read back, mutated and encoded again.  The kernel sees only source
+    characters (:func:`_scalar_sources`), so the flip reaches every row of
+    the source's scalar orbit, at one class each."""
     value_blocks = formula.value_blocks
 
     def flip_one_zeta(evaluators, digits):
@@ -355,28 +371,82 @@ def _flip_zetas(monkeypatch, flipped):
 
 
 def test_full_check_counts_every_mismatching_cell(monkeypatch):
+    # a flipped cell of a source reaches both rows of its free orbit under
+    # F_3^* = {1, 2}: the source's cell, and the cell of the class of 2 phi in
+    # the other row; at phi = 0 that is class 0 again
     G = PatternGroup(heisenberg(4), F3)
-    etas = G.coorbit_partition().reps
-    _flip_zetas(monkeypatch, {etas[1]: 0, etas[-1]: 5})
-    monkeypatch.setattr(formula, "_ROW_CELLS", 2 * 83)  # two rows per chunk
+    sources = _scalar_sources(G)
+    assert len(_scalar_orbit(G, sources[1])) == len(_scalar_orbit(G, sources[-1])) == 2
+    _flip_zetas(monkeypatch, {sources[1]: 0, sources[-1]: 5})
+    monkeypatch.setattr(formula, "_ROW_CELLS", 2 * 83)  # one orbit of two rows per chunk
     report = full_check(G)
     assert report.partitions_match and not report.values_match and not report.ok
-    assert report.mismatches == 2
+    assert report.mismatches == 4
     eta, phi, _, _ = report.witness
-    assert eta == etas[1] and phi == G.orbit_partition().reps[0]
-    assert "2 mismatching cells" in "\n".join(report.lines())
+    assert eta == sources[1] and phi == G.orbit_partition().reps[0]
+    assert "4 mismatching cells" in "\n".join(report.lines())
 
 
 def test_full_check_witness_is_the_first_cell_in_eta_order(monkeypatch):
-    # both mismatches in one chunk of rows: the witness is the earlier
-    # character's, although the later one's class comes first
+    # four mismatches in one chunk of rows, two per free orbit: the witness
+    # is the earliest character's, although a later one's class comes first
     G = PatternGroup(heisenberg(4), F3)
-    etas = G.coorbit_partition().reps
-    _flip_zetas(monkeypatch, {etas[1]: 5, etas[2]: 0})
+    sources = _scalar_sources(G)
+    assert len(_scalar_orbit(G, sources[1])) == len(_scalar_orbit(G, sources[2])) == 2
+    _flip_zetas(monkeypatch, {sources[1]: 5, sources[2]: 0})
     report = full_check(G, with_axioms=False)
-    assert report.mismatches == 2
+    assert report.mismatches == 4
     eta, phi, _, _ = report.witness
-    assert eta == etas[1] and phi == G.orbit_partition().reps[5]
+    assert eta == sources[1] and phi == G.orbit_partition().reps[5]
+
+
+@pytest.mark.parametrize("name, q", [("heisenberg4", 3), ("full_u4", 3), ("semidirect4", 5), ("full_u3", 9)])
+def test_full_check_judges_the_rows_filled_from_a_source(name, q, monkeypatch):
+    """One cell of a row that no kernel evaluated, changed after the fill
+    from its scalar orbit's source, is one mismatch, and the witness: the
+    last row off a source, at its last class."""
+    G = _SOURCES[name](Fq.of(q))
+    p, last = G.field.p, G.coorbit_partition().reps[-1]
+    assert last not in _scalar_sources(G)
+    orbit_rows = formula._orbit_rows
+
+    def corrupted(*args):
+        rows, coranks, irreducible, codes = orbit_rows(*args)
+        if len(G.coorbit_partition()) - 1 in rows:
+            zero, q_exp, zeta_exp = gf.cell_exponents(codes, p)
+            zero[-1, -1], zeta_exp[-1, -1] = False, zeta_exp[-1, -1] + 1
+            codes = gf.cell_codes(zero, q_exp, zeta_exp, p, G.dim)
+        return rows, coranks, irreducible, codes
+
+    monkeypatch.setattr(formula, "_orbit_rows", corrupted)
+    report = full_check(G, with_axioms=False)
+    assert report.partitions_match and report.mismatches == 1
+    assert report.witness[:2] == (last, G.orbit_partition().reps[-1])
+    assert (report.mismatches, report.witness) == reference_verdict(G)
+
+
+@pytest.mark.parametrize("wrong", ["scales_codes_ending_in_0", "scales_the_low_half"])
+def test_full_check_fails_loudly_on_a_wrong_scalar_map(wrong, monkeypatch):
+    """The oracle relabels a source's residue counts for the row t times it
+    only after its own sweep confirms that t maps the source co-orbit onto
+    the row's.  A map that scales the representatives of H_4(3) (whose last
+    digit is 0) and no other member fails that check; one that scales the
+    low half of the digits alone maps co-orbits onto co-orbits, as a
+    diagonal automorphism does, but not residue k to t k, and the relabelled
+    counts mismatch."""
+    G = PatternGroup(heisenberg(4), F3)
+    scale = oracle_module._scale_codes
+    if wrong == "scales_codes_ending_in_0":
+        mapped = lambda codes, t, p, n: np.where(np.asarray(codes) % p == 0, scale(codes, t, p, n), codes)
+    else:
+        mapped = lambda codes, t, p, n: scale(np.asarray(codes) % p ** (n // 2), t, p, n // 2) + np.asarray(codes) // p ** (n // 2) * p ** (n // 2)
+    monkeypatch.setattr(oracle_module, "_scale_codes", mapped)
+    if wrong == "scales_codes_ending_in_0":
+        with pytest.raises(InternalInvariantViolation, match="is no co-orbit of the sweep"):
+            full_check(G, with_axioms=False)
+    else:
+        report = full_check(G, with_axioms=False)
+        assert report.partitions_match and not report.values_match and report.mismatches > 0
 
 
 def _mutate_values(monkeypatch, mutation, targets, raise_q=(), un=False):
@@ -385,7 +455,7 @@ def _mutate_values(monkeypatch, mutation, targets, raise_q=(), un=False):
     q-exponent of every nonzero cell in the rows of ``raise_q``.  The
     kernel is formula.value_blocks, or with ``un`` formula.un_value_chunks,
     the one U_n tables take; its codes are read back, mutated and encoded
-    again."""
+    again.  The kernel sees only source characters (:func:`_scalar_sources`)."""
 
     def mutate(G, etas, codes):
         zero, q_exp, zeta_exp = gf.cell_exponents(codes, G.field.p)
@@ -432,8 +502,9 @@ def test_full_check_verdict_equals_the_int64_reference(case, mutation, monkeypat
     etas = G.coorbit_partition().reps
     digits = np.array(G.orbit_partition().reps, dtype=np.int64).reshape(-1, G.dim)
     zero = formula.value_blocks(CharacterEvaluator.batch(G, etas), digits) == 0
-    # the first, second, middle and last of the characters with a cell to mutate
-    eligible = [eta for eta, row in zip(etas, zero) if (row if mutation == "zero_to_nonzero" else ~row).any()]
+    # the first, second, middle and last of the source characters with a cell to mutate
+    sources = set(_scalar_sources(G))
+    eligible = [eta for eta, row in zip(etas, zero) if eta in sources and (row if mutation == "zero_to_nonzero" else ~row).any()]
     targets = set(eligible[:2] + eligible[len(eligible) // 2 :][:1] + eligible[-1:])
     factors = []
     if name == "factor":
@@ -441,9 +512,9 @@ def test_full_check_verdict_equals_the_int64_reference(case, mutation, monkeypat
         assert not any(zero)
         runs, divided = Oracle._runs, oracle_module._divided
 
-        def doubled(self, rows):
-            members, starts, sizes, nright = runs(self, rows)
-            return members, starts, sizes, np.where(np.asarray(rows).any(axis=1), nright, 2 * nright)
+        def doubled(self, ks):  # co-orbit 0 is the zero character's
+            members, starts, sizes, nright = runs(self, ks)
+            return members, starts, sizes, np.where(ks > 0, nright, 2 * nright)
 
         monkeypatch.setattr(Oracle, "_runs", doubled)
         monkeypatch.setattr(oracle_module, "_divided", lambda *a: factors.append(divided(*a)[1]) or divided(*a))
@@ -459,23 +530,27 @@ def test_full_check_verdict_equals_the_int64_reference(case, mutation, monkeypat
 
 @pytest.mark.parametrize("n, q, cap", [(4, 2, None), (5, 3, 1 << 16)])
 def test_full_check_judges_the_un_kernel_the_table_takes(n, q, cap, monkeypatch, capsys):
-    """One corrupted cell of the U_n kernel, the degree of the last
-    character, is one mismatch: full_check judges the rows the table
-    emits, and superchar check exits 3."""
+    """One corrupted cell of the U_n kernel, the degree of the last source
+    character, is one mismatch per row of its scalar orbit, q - 1 of them,
+    each at the zero class: full_check judges the rows the table emits, and
+    superchar check exits 3."""
     G = PatternGroup(full_triangular(n), Fq.of(q))
+    last = _scalar_sources(G)[-1]
+    assert len(_scalar_orbit(G, last)) == q - 1
     un_value_chunks = formula.un_value_chunks
 
     def corrupted(G, etas, phis):
         for start, codes in un_value_chunks(G, etas, phis):
             zero, q_exp, zeta_exp = gf.cell_exponents(codes, q)
-            if start + len(codes) == len(etas):
-                zeta_exp[-1, 0] = (zeta_exp[-1, 0] + 1) % q
+            for i, eta in enumerate(etas[start : start + len(codes)].tolist()):
+                if tuple(eta) == last:
+                    zeta_exp[i, 0] = (zeta_exp[i, 0] + 1) % q
             yield start, gf.cell_codes(zero, q_exp, zeta_exp, q, G.dim)
 
     monkeypatch.setattr(formula, "un_value_chunks", corrupted)
     report = full_check(G, oracle_cap=cap, with_axioms=False)
-    assert report.partitions_match and not report.values_match and report.mismatches == 1
-    assert report.witness[:2] == (tuple(un_monomials(G)[-1].tolist()), G.zero())
+    assert report.partitions_match and not report.values_match and report.mismatches == q - 1
+    assert report.witness[:2] == (last, G.zero())
     if cap is None:
         spec = Path(__file__).resolve().parents[1] / "src" / "superchar" / "data" / f"full_u{n}_q{q}.txt"
         assert main(["check", str(spec)]) == 3
@@ -486,13 +561,15 @@ def test_full_check_judges_the_un_kernel_the_table_takes(n, q, cap, monkeypatch,
 def test_full_check_judges_the_arc_counts_the_table_takes(count, monkeypatch):
     """The class sizes, coranks and irreducibility flags of a U_n table
     come from un_arc_counts, not from the values: one wrong count of the
-    last monomial fails "orbit partitions agree", with every value right."""
+    last source monomial, whose corank and irreducibility flag its scalar
+    orbit copies, fails "orbit partitions agree", with every value right."""
     G = PatternGroup(full_triangular(4), F3)
     arc_counts = formula.un_arc_counts
+    last = [tuple(m) for m in un_monomials(G).tolist()].index(_scalar_sources(G)[-1])
 
     def wrong(G, monomials):
         counts = dict(zip(["size", "corank", "irreducible"], arc_counts(G, monomials)))
-        counts[count][-1] = not counts[count][-1] if count == "irreducible" else counts[count][-1] + 1
+        counts[count][last] = not counts[count][last] if count == "irreducible" else counts[count][last] + 1
         return tuple(counts.values())
 
     assert full_check(G, with_axioms=False).ok
@@ -664,7 +741,7 @@ def test_full_check_builds_the_residue_tables_once_per_set_of_representatives(mo
     builds, calls = [], []
     residue_tables, runs = Oracle._residue_tables, Oracle._runs
     monkeypatch.setattr(Oracle, "_residue_tables", lambda o, phi: builds.append(phi.shape) or residue_tables(o, phi))
-    monkeypatch.setattr(Oracle, "_runs", lambda o, etas: calls.append(len(etas)) or runs(o, etas))
+    monkeypatch.setattr(Oracle, "_runs", lambda o, ks: calls.append(len(ks)) or runs(o, ks))
     report = full_check(G, oracle_cap=1 << 13, with_axioms=True)
     assert report.ok and report.axioms is not None
     assert len(calls) >= 10
@@ -683,6 +760,40 @@ def test_orbit_sums_raise_on_a_member_run_that_is_not_a_co_orbit():
     assert any(phi[0] for phi in reps)
     with pytest.raises(NonIntegralScaling):
         o.value_row((0, 0, 0), digits, elements=elements)
+
+
+@pytest.mark.parametrize("q, per_run", [(2, 2), (2, 5), (4, 3), (3, 2), (9, 2)])
+def test_residue_counts_match_a_generic_count_on_random_blocks(q, per_run, monkeypatch):
+    """The p = 2 kernel (exclusive or of the runs, residue 1 counted as the
+    sum of the residues) and the generic one (additions folded below p,
+    comparisons or bincount) against residues taken one int64 product at a
+    time: random runs of random codes of U_4 (U_3 over F_9), not co-orbits,
+    over random representatives, in blocks of a few members and runs of a
+    few digits."""
+    F = Fq.of(q)
+    o = Oracle(PatternGroup(full_triangular(4 if q < 9 else 3), F))
+    p, digits = F.p, o.dim * F.r
+    rng = np.random.default_rng(q * 10 + per_run)
+    reps = rng.integers(0, q, (13, o.dim))
+    phi = o._phi_digits(reps)
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle_module, "_COEFF_CELLS", p**per_run * len(reps))
+        tables = o._residue_tables(phi)
+    assert len(tables) >= -(-digits // per_run) >= 2
+    monkeypatch.setattr(oracle_module, "_BLOCK_CELLS", 7 * len(reps))
+    sizes = rng.integers(1, 20, 9)
+    sizes[:3] = 5  # rows of one size share blocks
+    members = rng.integers(0, o.order, sizes.sum())
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    seen = []
+    for sel, m, nr, counts in o._residue_counts(members, starts, sizes, np.ones_like(sizes), tables):
+        for j, i in enumerate(sel.tolist()):
+            codes = members[starts[i] : starts[i] + m]
+            code_digits = codes[:, None] // p ** np.arange(digits) % p  # least significant first
+            residues = code_digits @ phi.astype(np.int64) % p
+            assert np.array_equal(counts[:, j], [(residues == k).sum(axis=0) for k in range(p)])
+            seen.append(i)
+    assert sorted(seen) == list(range(len(sizes)))
 
 
 @pytest.mark.parametrize("m", [127, 128, 255, 256, 32767, 32768])
