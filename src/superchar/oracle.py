@@ -786,7 +786,8 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
     # memory stays O(chunk x classes x p)
     for rows, coranks, irreducible, codes in chunks:
         ks = orc_co.classes_of(chars[rows])
-        agree = agree and np.array_equal(F.q**coranks, nright[ks]) and np.array_equal(irreducible, co_sizes[ks] == nright[ks] ** 2)
+        right = nright[ks]
+        agree = agree and np.array_equal(F.q**coranks, right) and np.array_equal(irreducible, co_sizes[ks] == right**2)
         # each row's co-orbit is t times a source's, whose counts alone are taken
         taken = np.zeros(len(orc_co), dtype=bool)
         taken[source[ks]] = True

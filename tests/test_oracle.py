@@ -436,10 +436,14 @@ def test_full_check_fails_loudly_on_a_wrong_scalar_map(wrong, monkeypatch):
     counts mismatch."""
     G = PatternGroup(heisenberg(4), F3)
     scale = oracle_module._scale_codes
-    if wrong == "scales_codes_ending_in_0":
-        mapped = lambda codes, t, p, n: np.where(np.asarray(codes) % p == 0, scale(codes, t, p, n), codes)
-    else:
-        mapped = lambda codes, t, p, n: scale(np.asarray(codes) % p ** (n // 2), t, p, n // 2) + np.asarray(codes) // p ** (n // 2) * p ** (n // 2)
+
+    def mapped(codes, t, p, n):
+        codes = np.asarray(codes)
+        if wrong == "scales_codes_ending_in_0":
+            return np.where(codes % p == 0, scale(codes, t, p, n), codes)
+        low = p ** (n // 2)
+        return scale(codes % low, t, p, n // 2) + codes // low * low
+
     monkeypatch.setattr(oracle_module, "_scale_codes", mapped)
     if wrong == "scales_codes_ending_in_0":
         with pytest.raises(InternalInvariantViolation, match="is no co-orbit of the sweep"):
