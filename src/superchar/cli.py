@@ -19,10 +19,10 @@ from pathlib import Path
 from .algebra import parse_algebra_spec, emit_algebra_spec
 from .core import DEFAULT_ENUM_CAP, PatternGroup, StructureAlgebra
 from .errors import SizeCapExceeded, SuperCharError
-from .formula import CharacterEvaluator, table_rows, un_arc_counts
+from .formula import CharacterEvaluator, coranks, table_rows
 from .oracle import DEFAULT_ORACLE_CAP, full_check
 from .poset import _content_lines, _functional_items, emit_spec, format_functional, parse_field_literal, parse_functional, parse_spec
-from .table import build_table, _algebra_rep_obj, _pattern_rep_obj
+from .table import build_table, _head
 
 
 def _load(path: str):
@@ -106,18 +106,14 @@ def cmd_irreducible(args) -> int:
 
 def cmd_orbits(args) -> int:
     obj = _load(args.path)
-    classes, sizes, chars, _, swept = table_rows(obj, args.cap)  # its value chunks are never read
-    if swept is None:  # U_n, with no sweep: co-orbits of q**(2 corank - crossings) members
-        _, coranks, crossings = un_arc_counts(obj, chars)
-        co_sizes = obj.field.q ** (2 * coranks - crossings)
-    else:
-        co_sizes, coranks = swept[1].sizes, [obj.corank(rep) for rep in swept[1].reps]
-    rep_obj = (_pattern_rep_obj if isinstance(obj, PatternGroup) else _algebra_rep_obj)(obj)
+    classes, sizes, chars, co_sizes, _ = table_rows(obj, args.cap)  # its value chunks are never read
+    ranks = coranks(obj, chars)
+    rep_obj = _head(obj)[2]
     payload = {
-        "classes": [{"rep": rep_obj(f), "size": s} for f, s in zip(classes.tolist(), map(int, sizes))],
+        "classes": [{"rep": rep_obj(f), "size": s} for f, s in zip(classes.tolist(), sizes.tolist())],
         "coorbits": [
             {"rep": rep_obj(f), "size": s, "corank": c}
-            for f, s, c in zip(chars.tolist(), map(int, co_sizes), map(int, coranks))
+            for f, s, c in zip(chars.tolist(), co_sizes.tolist(), ranks.tolist())
         ],
     }
     sys.stdout.write(json.dumps(payload, separators=(",", ":"), check_circular=False) + "\n")

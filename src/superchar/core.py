@@ -38,8 +38,8 @@ Orbits are closures under the generators 1 + t X_i, t in an additive basis
 of F_q.  A move is the tuple of updates (tgt, src, c), each adding c times
 coordinate src to coordinate tgt, with t folded into c; the oracle writes
 its moves the same way.  One vectorized sweep over F_q**d partitions every
-orbit space, and a single orbit is a lookup in the sweep of its action,
-kept by the algebra after its first use.
+orbit space, once per action: the algebra keeps it, and its partitions and
+single orbits are lookups in it.
 """
 
 from __future__ import annotations
@@ -553,21 +553,23 @@ class StructureAlgebra:
         return self._moves[kind]
 
     def _sweep(self, kinds, cap) -> OrbitPartition:
-        """The orbits of the move sets ``kinds`` on F_q**d, swept anew."""
-        moves = sum((self._move_set(kind) for kind in kinds), ())
-        return orbit_partition_from_moves(self.field, self.d, moves, cap)
+        """The orbits of the move sets ``kinds`` on F_q**d: one sweep per set,
+        on first use, kept and read by every query of it; the cap holds for a
+        kept sweep too (:func:`sweep_size`)."""
+        sweep_size(self.field, self.d, cap)
+        if kinds not in self._sweeps:
+            moves = sum((self._move_set(kind) for kind in kinds), ())
+            self._sweeps[kinds] = orbit_partition_from_moves(self.field, self.d, moves, cap)
+        return self._sweeps[kinds]
 
     def _orbit(self, f, kinds, cap) -> Orbit:
-        """The orbit of f, looked up in the sweep of ``kinds``, swept on the
-        first query of those kinds and kept: O(q**d) time and memory whatever
-        the orbit's size, about 12 MiB a kind kept at q**d = 2**20."""
+        """The orbit of f, looked up in the sweep of ``kinds`` (:meth:`_sweep`):
+        O(q**d) time and memory on the first query whatever the orbit's size."""
         f = self._functional(f)
         cap = DEFAULT_ENUM_CAP if cap is None else cap
         if self.order() > cap:
             raise SizeCapExceeded(self.order(), cap, "functionals to search")
-        if kinds not in self._sweeps:
-            self._sweeps[kinds] = self._sweep(kinds, cap)
-        part = self._sweeps[kinds]
+        part = self._sweep(kinds, cap)
         k = part.class_of(f)
         return Orbit(part.rep(k), part.sizes[k], frozenset(part.elements(k)))
 

@@ -58,10 +58,10 @@ systems it reduces.
 
 Tables of the full triangular group U_n take a kernel of their own,
 :func:`un_value_chunks`, which counts the values off the arcs of the
-monomial representatives and needs no plans; :func:`table_rows` alone
-chooses between the two.  Both kernels write each value as its cell code
-(:func:`~superchar.gf.cell_codes`), the one format that tables store and
-the check keys on.  :func:`table_rows` runs a kernel on one character of
+monomial representatives and needs no plans; :func:`table_rows` and
+:func:`coranks` alone choose between the two.  Both kernels write each
+value as its cell code (:func:`~superchar.gf.cell_codes`), the one format
+that tables store and the check keys on.  :func:`table_rows` runs a kernel on one character of
 each orbit under the scalars F_q^* and fills the other rows of the orbit
 by a gather, as chi^(t eta)(x_phi) = chi^eta(x_(t phi))
 (:func:`_orbit_chunks`).  The closed-form specializations for pattern
@@ -275,42 +275,53 @@ _CHUNK_ENTRIES = 1 << 16  # entries of the digit product per run of characters
 _BATCH_CELLS = 4096  # hard cells per batched elimination
 
 
+def _setup_size(source) -> int:
+    """Characters per batched setup: ``_SETUP_ENTRIES`` entries of A_eta, k * d**2 * r, but at least one."""
+    return max(1, _SETUP_ENTRIES // max(1, source.d**2 * source.field.r))
+
+
 def value_chunks(source, etas, digits: np.ndarray):
     """Yield (start, evaluators, codes) for consecutive chunks of the
     characters ``etas`` of ``source``, about ``_ROW_CELLS`` cells each:
     the chunk's evaluator and its :func:`value_blocks` over ``digits``.
 
-    The characters are set up in batches of at most ``_SETUP_ENTRIES``
-    entries of A_eta (k * d**2 * r for k characters, but at least one
-    character), one :meth:`CharacterEvaluator.batch` each, sized before it
-    allocates; the chunks are runs of a batch.  A batch lives only until
-    the next one is made, so memory stays O(batch + chunk x classes)."""
+    The characters are set up in batches of :func:`_setup_size`, one
+    :meth:`CharacterEvaluator.batch` each, sized before it allocates; the
+    chunks are runs of a batch.  A batch lives only until the next one is
+    made, so memory stays O(batch + chunk x classes).  The class digits are
+    checked and expanded once (:func:`_digit_rows`)."""
     step = max(1, _ROW_CELLS // max(1, len(digits)))
-    size = max(1, _SETUP_ENTRIES // max(1, source.d**2 * source.field.r))
+    size, classes = _setup_size(source), _digit_rows(source.field, _check_functionals(source.field, source.d, digits))
     for lo in range(0, len(etas), size):
         batch = CharacterEvaluator.batch(source, etas[lo : lo + size])
         for start in range(0, len(batch), step):
             evaluators = batch[start : start + step]
-            yield lo + start, evaluators, value_blocks(evaluators, digits)
+            yield lo + start, evaluators, value_blocks(evaluators, classes)
+
+
+def _digit_rows(F: Fq, digits: np.ndarray) -> np.ndarray:
+    """The base-p digits of the checked (count, dim) functionals ``digits``,
+    shape (count, dim, r), in the narrowest dtype that holds p - 1."""
+    return F.p_digits(digits).astype(np.min_scalar_type(F.p - 1))
 
 
 def value_blocks(evaluators: CharacterEvaluator, digits: np.ndarray):
     """Values of the characters of an evaluator over a block of superclass
     representatives (the bulk path of the module docstring).
 
-    ``digits`` is a (count, dim) integer array of packed functionals.
-    Returns the cell codes (:func:`~superchar.gf.cell_codes`) of shape
-    (len(evaluators), count), in :func:`~superchar.gf.cell_code_dtype`.
-    The characters are ordered by frame (rows, then columns, then off-frame
-    slots), so that equal frames are neighbours and a run pads little, and
-    taken in runs of that order whose padded digit product has at most
-    ``_CHUNK_ENTRIES`` entries; each run's codes are written to its
-    characters' own rows.
+    ``digits`` is a (count, dim) integer array of packed functionals, or
+    their (count, dim, r) :func:`_digit_rows`.  Returns the cell codes
+    (:func:`~superchar.gf.cell_codes`) of shape (len(evaluators), count), in
+    :func:`~superchar.gf.cell_code_dtype`.  The characters are ordered by
+    frame (rows, then columns, then off-frame slots), so that equal frames
+    are neighbours and a run pads little, and taken in runs of that order
+    whose padded digit product has at most ``_CHUNK_ENTRIES`` entries; each
+    run's codes are written to its characters' own rows.
     """
     F, dim = evaluators.field, evaluators.source.d
-    digits = _check_functionals(F, dim, digits)
-    count, r = len(digits), F.r
-    x = F.p_digits(digits).reshape(count, dim * r).astype(np.min_scalar_type(F.p - 1))
+    x = digits if np.ndim(digits) == 3 else _digit_rows(F, _check_functionals(F, dim, digits))
+    count, r = len(x), F.r
+    x = x.reshape(count, dim * r)
     order = np.lexsort(evaluators.frames.T[::-1])
     ordered = evaluators[order]
     codes = np.empty((len(evaluators), count), dtype=cell_code_dtype(dim, F.p))
@@ -495,8 +506,8 @@ def un_value_chunks(G: PatternGroup, etas, phis):
       l - i - 1 left of it in its row, and two arcs (i, l), (j, k) share one
       of them, (j, l), exactly when they cross: i < j < l < k.  So the
       co-orbit has q**(2 corank - crossings) members, and <chi^eta,
-      chi^eta> = q**(2 corank) / |U eta U| (see :func:`table_rows`) is 1 iff no
-      two arcs cross: :func:`full_un_irreducible`.
+      chi^eta> = q**(2 corank) / |U eta U| (see :func:`_orbit_chunks`) is 1
+      iff no two arcs cross: :func:`full_un_irreducible`.
     * Values, the paper's U_n corollary.  chi^eta(x_phi) = 0 iff an arc of
       phi starts with a longer arc of eta, (i, j) against (i, l) with
       j < l, or ends with an arc of eta that starts before it, (j, k)
@@ -537,52 +548,53 @@ def un_value_chunks(G: PatternGroup, etas, phis):
 
 
 def table_rows(source, cap: int | None):
-    """(classes, sizes, chars, chunks, partitions): the one source of the
-    rows that ``superchar table`` emits and ``superchar check`` judges.
-
-    ``classes`` and ``chars`` are the ascending representatives as (count,
-    d) digit arrays (one array when they are the same), ``sizes`` the class
-    sizes, and ``chunks`` yields (rows, coranks, irreducible, codes) for
-    whole orbits of characters under the scalars F_q^* (:func:`_orbit_chunks`):
-    ``rows`` the ascending character indices, the codes one array of
-    :func:`~superchar.gf.cell_codes`.  ``cap`` bounds q**d.  On U_n the
-    monomials are both lists, counted off their arcs with no sweep
-    (:func:`un_arc_counts`, :func:`un_value_chunks`), and ``partitions`` is
-    None.  Any other group is swept, ``partitions`` is its (superclass,
-    co-orbit) pair, and the values are :func:`value_chunks`; chi^eta =
-    (|eta U| / |U eta U|) * sum of the orthonormal theta o mu over its
-    co-orbit U eta U, so <chi^eta, chi^eta> = |eta U|**2 / |U eta U|, and
-    with |eta U| = q**corank it is irreducible iff its co-orbit has
-    q**(2 * corank) members."""
+    """(classes, sizes, chars, co_sizes, chunks): the one source of the rows
+    that ``superchar table`` emits and ``superchar check`` judges, described
+    alike for every group: the ascending class and character representatives
+    as (count, d) digit arrays (one array on U_n), the class and co-orbit
+    sizes, and the chunks of :func:`_orbit_chunks`.  ``cap`` bounds q**d.
+    On U_n the monomials are counted off their arcs with no sweep
+    (:func:`un_arc_counts`, :func:`un_value_chunks`); any other group is
+    swept and its values are :func:`value_chunks`."""
     F = source.field
     q, times_g = F.q, F.multiples(F.generator)
     if isinstance(source, PatternGroup) and source.J.is_full_triangular():
         sweep_size(F, source.d, cap)
         monomials = un_monomials(source)
         e, coranks, crossings = un_arc_counts(source, monomials)
+        # a floor, not q**(2 corank - crossings): a wrong crossing count
+        # must reach the check as a wrong size, not raise on a negative power
+        co_sizes = q ** (2 * coranks) // q**crossings
         step = np.searchsorted(_digits_to_codes(monomials, q), _digits_to_codes(times_g[monomials], q))
 
         def un_sources(rows):
             for start, codes in un_value_chunks(source, monomials[rows], monomials):
-                at = rows[start : start + len(codes)]
-                yield coranks[at], crossings[at] == 0, codes
+                yield coranks[rows[start : start + len(codes)]], codes
 
-        return monomials, q**e, monomials, _orbit_chunks(q, step, step, un_sources), None
+        return monomials, q**e, monomials, co_sizes, _orbit_chunks(q, step, step, co_sizes, un_sources)
     sc, co = source.orbit_partition(cap), source.coorbit_partition(cap)
     if len(sc) != len(co):
         raise InternalInvariantViolation("superclass and character counts differ")
-    co_sizes = np.asarray(co.sizes, dtype=np.int64)
 
     def swept_sources(rows):
-        for start, evaluators, codes in value_chunks(source, co.digits[rows], sc.digits):
-            coranks = evaluators.coranks
-            yield coranks, co_sizes[rows[start : start + len(coranks)]] == q ** (2 * coranks), codes
+        for _, evaluators, codes in value_chunks(source, co.digits[rows], sc.digits):
+            yield evaluators.coranks, codes
 
+    co_sizes = np.asarray(co.sizes, dtype=np.int64)
     steps = co.classes_of(times_g[co.digits]), sc.classes_of(times_g[sc.digits])
-    return sc.digits, np.asarray(sc.sizes, dtype=np.int64), co.digits, _orbit_chunks(q, *steps, swept_sources), (sc, co)
+    return sc.digits, np.asarray(sc.sizes, dtype=np.int64), co.digits, co_sizes, _orbit_chunks(q, *steps, co_sizes, swept_sources)
 
 
-def _orbit_chunks(q: int, char_step: np.ndarray, class_step: np.ndarray, evaluate):
+def coranks(source, etas) -> np.ndarray:
+    """rank(A_eta) for every character in the (count, d) array ``etas``: off
+    the arcs on U_n (:func:`un_arc_counts`), else off batched setups."""
+    if isinstance(source, PatternGroup) and source.J.is_full_triangular():
+        return un_arc_counts(source, etas)[1]
+    size = _setup_size(source)
+    return np.concatenate([CharacterEvaluator.batch(source, etas[lo : lo + size]).coranks for lo in range(0, len(etas), size)])
+
+
+def _orbit_chunks(q: int, char_step: np.ndarray, class_step: np.ndarray, co_sizes: np.ndarray, evaluate):
     """Yield (rows, coranks, irreducible, codes) for consecutive runs of
     whole orbits of characters under the scalars F_q^*, about ``_ROW_CELLS``
     cells each but at least one orbit (of at most q - 1 rows).
@@ -596,11 +608,13 @@ def _orbit_chunks(q: int, char_step: np.ndarray, class_step: np.ndarray, evaluat
     by pointer doubling, and walked from it to give each character k the
     power with g**power[k] eta_source in its co-orbit.  Only the sources are
     evaluated, by one pass of a value kernel: ``evaluate(sources)`` yields
-    (coranks, irreducible, codes) for consecutive runs of them, which are
-    cut to the chunks' sources as the chunks take them, so that the kernel
-    sets up its batches once.  :func:`_orbit_rows` fills the other rows.
-    InternalInvariantViolation when char_step does not move every
-    character in a cycle of at most q - 1 through its source."""
+    (coranks, codes) for consecutive runs of them, each cut into chunks as
+    it comes; :func:`_orbit_rows` fills the other rows.  Every flag follows
+    one rule (Diaconis-Isaacs): <chi^eta, chi^eta> = |eta U|**2 / |U eta U|
+    with |eta U| = q**corank, so chi^eta is irreducible iff its co-orbit has
+    ``co_sizes`` = q**(2 corank) members.  InternalInvariantViolation when
+    char_step does not move every character in a cycle of at most q - 1
+    through its source, or the kernel leaves sources out."""
     every = np.arange(len(char_step))
     source, power, by_orbit = every, np.zeros(len(every), dtype=np.int64), every
     if not np.array_equal(char_step, every):  # else every orbit is one character, as at q = 2
@@ -622,35 +636,34 @@ def _orbit_chunks(q: int, char_step: np.ndarray, class_step: np.ndarray, evaluat
     sources = np.flatnonzero(source == every)
     ends = np.cumsum(np.bincount(source)[sources])  # rows through each orbit
     per_chunk = max(1, _ROW_CELLS // max(1, len(class_step)))
-    pieces, held = evaluate(sources), []  # held: the kernel's output not yet taken, per field
-    lo = 0
-    while lo < len(sources):
-        first = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, first + per_chunk, side="right")))
-        while not held or len(held[0]) < hi - lo:
-            held = [np.concatenate(pair) for pair in zip(held, next(pieces))] if held else list(next(pieces))
-        rows = np.sort(by_orbit[first : ends[hi - 1]])
-        owner = np.searchsorted(sources[lo:hi], source[rows])
-        yield _orbit_rows(rows, owner, power[rows], class_step, *(part[: hi - lo] for part in held))
-        held = [part[hi - lo :] for part in held]
-        lo = hi
+    lo = 0  # the first source not yet yielded
+    for coranks, codes in evaluate(sources):
+        while len(coranks):  # the piece's sources not yet yielded, from lo
+            first = ends[lo - 1] if lo else 0
+            hi = min(lo + len(coranks), max(lo + 1, int(np.searchsorted(ends, first + per_chunk, side="right"))))
+            rows = np.sort(by_orbit[first : ends[hi - 1]])
+            owner = np.searchsorted(sources[lo:hi], source[rows])
+            rows, ranks, block = _orbit_rows(rows, owner, power[rows], class_step, coranks[: hi - lo], codes[: hi - lo])
+            yield rows, ranks, co_sizes[rows] == q ** (2 * ranks), block
+            coranks, codes, lo = coranks[hi - lo :], codes[hi - lo :], hi
+    if lo < len(sources):
+        raise InternalInvariantViolation("the value kernel evaluated too few sources")
 
 
-def _orbit_rows(rows, owner, power, class_step, coranks, irreducible, codes):
-    """(rows, coranks, irreducible, codes) of the ascending ``rows`` from
-    the (coranks, irreducible, codes) of their sources: row k is row
-    owner[k] of the sources read at class_step applied power[k] times, and
-    copies its corank and irreducibility flag, as an orbit shares them (see
-    :func:`_orbit_chunks`)."""
+def _orbit_rows(rows, owner, power, class_step, coranks, codes):
+    """(rows, coranks, codes) of the ascending ``rows`` from the (coranks,
+    codes) of their sources: row k is row owner[k] of the sources read at
+    class_step applied power[k] times, and copies its corank, as an orbit
+    shares it (see :func:`_orbit_chunks`)."""
     if not power.any():  # every orbit is its source alone
-        return rows, coranks, irreducible, codes
+        return rows, coranks, codes
     out = np.empty((len(rows), codes.shape[1]), dtype=codes.dtype)
     classes = np.arange(codes.shape[1])
     for k in range(int(power.max()) + 1):
         at = np.flatnonzero(power == k)
         out[at] = codes[owner[at]].take(classes, axis=1) if k else codes[owner[at]]
         classes = class_step[classes]
-    return rows, coranks[owner], irreducible[owner], out
+    return rows, coranks[owner], out
 
 
 # ---------------------------------------------------------------------------

@@ -261,24 +261,30 @@ class Oracle:
         source[k], the least co-orbit of its orbit under the scalars F_p^*
         (:func:`_scale_codes`); scalar is 1 at a source.
 
-        With g a generator of F_p^*, the orbits are the cycles of
-        k -> the co-orbit of g eta_k in the co-orbit sweep, each found at its
+        With g a generator of F_p^*, the orbits are the cycles of step: k ->
+        the co-orbit of g eta_k in the co-orbit sweep, each found at its
         least member by pointer doubling and walked from it.  Before any
-        count is relabelled, every co-orbit k off its source is checked
-        against the sweep: t = scalar[k] maps every member of the source
-        into co-orbit k, and both have the same size and the same right
-        co-orbit size, so t maps the one onto the other;
+        count is relabelled, g is checked against the sweep once, on every
+        member of every co-orbit k: it maps each into co-orbit step[k], and
+        the two have the same size and the same right co-orbit size.  So g
+        maps the one onto the other, and so does every power of g;
         InternalInvariantViolation if not."""
         F, co = self.field, self.coorbit_partition()
-        p, digits = F.p, self.dim * F.r
+        p = F.p
         g = F.power(F.generator, (F.q - 1) // (p - 1))  # generates F_p^*, the units of order p - 1
-        codes, bounds = co.members
-        reps, sizes = codes[bounds[:-1]], bounds[1:] - bounds[:-1]
-        step = co.classes_of_codes(_scale_codes(reps, g, p, digits))
         every = np.arange(len(co))
         source, scalar = every, np.ones(len(co), dtype=np.int64)
-        if np.array_equal(step, every):  # every orbit is one co-orbit, as at p = 2
+        if g == 1:  # p = 2: no scalar but 1
             return source, scalar
+        codes, bounds = co.members
+        sizes, right = np.diff(bounds), self._right_sizes  # the right sweep first, while little else is held
+        scaled = (_scale_codes(codes[lo : lo + _BLOCK_CELLS], g, p, self.dim * F.r) for lo in range(0, len(codes), _BLOCK_CELLS))
+        moved = np.concatenate([co.classes_of_codes(block) for block in scaled])  # blocks keep the int64 temporaries small
+        step = moved[bounds[:-1]]
+        if (moved != np.repeat(step, sizes)).any():
+            raise InternalInvariantViolation(f"{g} times a co-orbit is no co-orbit of the sweep")
+        if (sizes[step] != sizes).any() or (right[step] != right).any():
+            raise InternalInvariantViolation("a scalar multiple of a co-orbit differs from it in size")
         jump = step
         for _ in range((p - 2).bit_length()):  # source[k]: least of g**i eta_k, i < 2**rounds
             source, jump = np.minimum(source, source[jump]), jump[jump]
@@ -290,13 +296,6 @@ class Oracle:
             if not len(at):
                 break
             scalar[at] = t
-            if (sizes[at] != sizes[start]).any() or (self._right_sizes[at] != self._right_sizes[start]).any():
-                raise InternalInvariantViolation("a scalar multiple of a co-orbit differs from it in size")
-            lengths = sizes[at]
-            # the members of each source, run after run
-            members = codes[np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - bounds[start], lengths)]
-            if (co.classes_of_codes(_scale_codes(members, t, p, digits)) != np.repeat(at, lengths)).any():
-                raise InternalInvariantViolation(f"{t} times a co-orbit is no co-orbit of the sweep")
             at, t = step[at], t * g % p
         if len(start) or ((scalar == 1) != (source == every)).any():
             raise InternalInvariantViolation("the scalars do not move the co-orbits of the sweep in cycles")
@@ -554,10 +553,7 @@ class Oracle:
         tables = self._residue_tables(self._phi_digits(_codes_to_digits(members, F.q, self.dim)))
         inner = np.ones(self.order - 1, dtype=bool)  # neighbours in one class run
         inner[bounds[1:-1] - 1] = False
-        own = self.coorbit_partition()
-        taken = np.zeros(len(own), dtype=bool)
-        taken[self._scalar_orbits[0][own.classes_of(co.digits)]] = True
-        counted = np.flatnonzero(taken)
+        counted = np.flatnonzero(np.bincount(self._scalar_orbits[0][self.coorbit_partition().classes_of(co.digits)]))
         step = _rows_per_call(F.p, self.order)
         for start in range(0, len(counted), step):
             for _, m, nr, counts in self._residue_counts(*self._runs(counted[start : start + step]), tables):
@@ -735,10 +731,10 @@ class _Expected:
 def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None = None) -> CheckReport:
     """Judge the rows of :func:`~superchar.formula.table_rows`, the ones
     ``superchar table`` emits, against the oracle.  The orbit partitions
-    agree when core's label maps (swept for the rows, or here on U_n), the
-    listed representatives and the class sizes equal the oracle's, and each
-    character has q**corank = |lambda_eta U| and its irreducibility flag
-    set iff |U lambda_eta U| = |lambda_eta U|**2.
+    agree when core's label maps (the sweeps the group keeps), the listed
+    representatives and the class and co-orbit sizes equal the oracle's,
+    and each character has q**corank = |lambda_eta U| and its
+    irreducibility flag set iff |U lambda_eta U| = |lambda_eta U|**2.
 
     The rows come in chunks of whole orbits under the scalars F_q^* (see
     :func:`~superchar.formula.table_rows`), each chunk's rows in any order
@@ -759,8 +755,8 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
     they are verified only when |G| <= DEFAULT_ORACLE_CAP."""
     oracle = Oracle(source, cap=oracle_cap)
     report = CheckReport(order=oracle.order)
-    classes, sizes, chars, chunks, swept = table_rows(source, oracle.cap)
-    core_sc, core_co = swept or (source.orbit_partition(oracle.cap), source.coorbit_partition(oracle.cap))
+    classes, sizes, chars, co_sizes, chunks = table_rows(source, oracle.cap)
+    core_sc, core_co = source.orbit_partition(oracle.cap), source.coorbit_partition(oracle.cap)
     orc_sc, orc_co = oracle.superclass_partition(), oracle.coorbit_partition()
     agree = (
         np.array_equal(core_sc.canonical_codes(), orc_sc.canonical_codes())
@@ -768,30 +764,27 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
         and np.array_equal(classes, orc_sc.digits)
         and np.array_equal(sizes, orc_sc.sizes)
         and np.array_equal(chars, orc_co.digits)
+        and np.array_equal(co_sizes, orc_co.sizes)
     )
     report.classes, report.characters = len(classes), len(chars)
 
-    F, orc_co = oracle.field, oracle.coorbit_partition()
-    p = F.p
+    F, p = oracle.field, oracle.field.p
     tables = oracle._residue_tables(oracle._phi_digits(classes))
     expected = _Expected(p, F.q, oracle.dim)
     powers = np.array([F.q**e for e in range(oracle.dim + 1)], dtype=object)
     step = _rows_per_call(p, len(classes))
     source, scalar = oracle._scalar_orbits
     unscale = F.fp_inverses[scalar]  # co-orbit t O -> 1 / t
-    bounds, nright = orc_co.members[1], oracle._right_sizes
-    co_sizes = bounds[1:] - bounds[:-1]
+    orc_sizes, nright = np.asarray(orc_co.sizes), oracle._right_sizes
     first = None  # (row, class, formula coefficients, oracle coefficients) of the least mismatch
     # formula values and oracle counters for a chunk of rows at a time, so
     # memory stays O(chunk x classes x p)
     for rows, coranks, irreducible, codes in chunks:
         ks = orc_co.classes_of(chars[rows])
         right = nright[ks]
-        agree = agree and np.array_equal(F.q**coranks, right) and np.array_equal(irreducible, co_sizes[ks] == right**2)
+        agree = agree and np.array_equal(F.q**coranks, right) and np.array_equal(irreducible, orc_sizes[ks] == right**2)
         # each row's co-orbit is t times a source's, whose counts alone are taken
-        taken = np.zeros(len(orc_co), dtype=bool)
-        taken[source[ks]] = True
-        counted = np.flatnonzero(taken)
+        counted = np.flatnonzero(np.bincount(source[ks]))  # ascending, each once
         of_row = np.searchsorted(counted, source[ks])  # each row's source among the counted
         at = np.full(len(counted), -1)  # the column of each counted source in the current block
         for lo in range(0, len(counted), step):

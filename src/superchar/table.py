@@ -356,7 +356,7 @@ def build_table(source, cap: int | None = None) -> SuperTable:
     """The table of any algebra group, from the rows of
     :func:`~superchar.formula.table_rows`, each chunk written into its own
     rows."""
-    classes, sizes, chars, chunks, _ = table_rows(source, cap)
+    classes, sizes, chars, _, chunks = table_rows(source, cap)
     dim, p = source.dim, source.field.p
     codes = np.zeros((len(chars), len(classes)), dtype=cell_code_dtype(dim, p))
     kind, meta, rep_obj = _head(source)

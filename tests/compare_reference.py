@@ -27,7 +27,7 @@ def reference_verdict(source, oracle_cap=None):
     or filled it from its scalar orbit's source, is summed over its own
     co-orbit."""
     oracle = Oracle(source, cap=oracle_cap)
-    classes, _, chars, chunks, _ = formula.table_rows(source, oracle.cap)
+    classes, _, chars, _, chunks = formula.table_rows(source, oracle.cap)
     F = oracle.field
     tables = oracle._residue_tables(oracle._phi_digits(classes))
     step = _rows_per_call(F.p, len(classes))

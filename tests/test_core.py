@@ -20,6 +20,7 @@ from superchar.catalog import (
 )
 from superchar import core
 from superchar.core import Orbit, PatternGroup, StructureAlgebra
+from superchar.formula import table_rows
 from superchar.errors import SizeCapExceeded, SpecMismatch
 from superchar.gf import Fq, rank
 from superchar.oracle import Oracle
@@ -413,27 +414,34 @@ def test_single_orbits_equal_the_reference_closure(case):
             assert getattr(G, method)(f) == Orbit(min(members), len(members), frozenset(members)), (method, f)
 
 
-def test_single_orbits_sweep_once_and_partitions_sweep_every_call(monkeypatch):
+def test_each_action_set_is_swept_once(monkeypatch):
+    """One sweep per action set, kept by the group: single orbits,
+    partitions, representative lists and the table's rows all read it, and
+    each keeps its own cap check before the lookup."""
     sweeps = []
     sweep = core.orbit_partition_from_moves
     monkeypatch.setattr(core, "orbit_partition_from_moves", lambda *args: sweeps.append(args) or sweep(*args))
-    G = PatternGroup(full_triangular(4), F3)
+    G = PatternGroup(heisenberg(4), F3)
     rng = random.Random(5)
     phis = [tuple(rng.randrange(3) for _ in range(G.dim)) for _ in range(5)]
     for phi in phis:
         G.orbit(phi)
     assert len(sweeps) == 1
+    part = G.orbit_partition()
+    assert G.orbit_partition() is part and len(sweeps) == 1
+    assert [o.rep for o in G.all_orbit_reps()] == list(part.reps) and len(sweeps) == 1
     for phi in phis:
         G.coorbit(phi)
     assert len(sweeps) == 2
-    for calls in range(3, 6):
-        G.orbit_partition()
-        assert len(sweeps) == calls
-    G.coorbit_partition()
-    G.orbit(phis[0])
-    assert len(sweeps) == 6
+    classes, _, chars, _, _ = table_rows(G, None)
+    assert G.coorbit_partition() is G.coorbit_partition() and len(sweeps) == 2
+    assert np.array_equal(classes, part.digits) and np.array_equal(chars, G.coorbit_partition().digits)
+    G.orbit_left(phis[0])
+    assert len(sweeps) == 3
     with pytest.raises(SizeCapExceeded, match="functionals to search"):  # a kept sweep keeps the cap check
         G.orbit(phis[0], cap=100)
+    with pytest.raises(SizeCapExceeded, match="functionals to sweep"):
+        G.orbit_partition(cap=100)
 
 
 def test_coorbit_sizes_depend_on_more_than_shape():

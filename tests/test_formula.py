@@ -659,20 +659,28 @@ def _every_row(source):
 
 def _assert_fill_matches_every_row(source, rows_per_chunk):
     """The chunks of table_rows cover every row once, in whole orbits under
-    F_q^*, with the codes, coranks and flags of every character evaluated."""
+    F_q^*, with the codes, coranks and flags of every character evaluated:
+    in chunks of ``rows_per_chunk`` rows (or the default), and again with
+    setups of two characters, so that the value kernel's pieces end in the
+    middle of a chunk and each chunk is cut where its piece ends."""
     coranks, irreducible, codes = _every_row(source)
-    classes, _, chars, chunks, _ = table_rows(source, None)
-    with pytest.MonkeyPatch.context() as mp:
-        if rows_per_chunk:
-            mp.setattr(formula, "_ROW_CELLS", rows_per_chunk * len(classes))
-        chunks = list(table_rows(source, None)[3])
-    rows = np.concatenate([chunk[0] for chunk in chunks])
-    assert sorted(rows.tolist()) == list(range(len(chars)))
-    for got_rows, got_coranks, got_irreducible, got_codes in chunks:
-        assert np.array_equal(got_rows, np.sort(got_rows))
-        assert np.array_equal(got_coranks, coranks[got_rows])
-        assert np.array_equal(got_irreducible, irreducible[got_rows])
-        assert got_codes.dtype == codes.dtype and np.array_equal(got_codes, codes[got_rows])
+    F = source.field
+    classes, _, chars, _, _ = table_rows(source, None)
+    step = source.coorbit_partition().classes_of(F.multiples(F.generator)[chars])  # the character of g eta
+    for setup in (None, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            if rows_per_chunk:
+                mp.setattr(formula, "_ROW_CELLS", rows_per_chunk * len(classes))
+            if setup:
+                mp.setattr(formula, "_SETUP_ENTRIES", setup * source.dim**2 * F.r)
+            chunks = list(table_rows(source, None)[4])
+        rows = np.concatenate([chunk[0] for chunk in chunks])
+        assert sorted(rows.tolist()) == list(range(len(chars)))
+        for got_rows, got_coranks, got_irreducible, got_codes in chunks:
+            assert np.array_equal(got_rows, np.sort(got_rows)) and np.isin(step[got_rows], got_rows).all()
+            assert np.array_equal(got_coranks, coranks[got_rows])
+            assert np.array_equal(got_irreducible, irreducible[got_rows])
+            assert got_codes.dtype == codes.dtype and np.array_equal(got_codes, codes[got_rows])
     return chunks
 
 

@@ -411,12 +411,12 @@ def test_full_check_judges_the_rows_filled_from_a_source(name, q, monkeypatch):
     orbit_rows = formula._orbit_rows
 
     def corrupted(*args):
-        rows, coranks, irreducible, codes = orbit_rows(*args)
+        rows, coranks, codes = orbit_rows(*args)
         if len(G.coorbit_partition()) - 1 in rows:
             zero, q_exp, zeta_exp = gf.cell_exponents(codes, p)
             zero[-1, -1], zeta_exp[-1, -1] = False, zeta_exp[-1, -1] + 1
             codes = gf.cell_codes(zero, q_exp, zeta_exp, p, G.dim)
-        return rows, coranks, irreducible, codes
+        return rows, coranks, codes
 
     monkeypatch.setattr(formula, "_orbit_rows", corrupted)
     report = full_check(G, with_axioms=False)
@@ -451,6 +451,21 @@ def test_full_check_fails_loudly_on_a_wrong_scalar_map(wrong, monkeypatch):
     else:
         report = full_check(G, with_axioms=False)
         assert report.partitions_match and not report.values_match and report.mismatches > 0
+
+
+def test_a_scalar_map_wrong_on_one_member_off_the_representatives_fails_loudly(monkeypatch):
+    """The generator of F_p^* is checked on every member of every co-orbit,
+    not on the representatives alone: a map that sends one member of a
+    co-orbit of several members to 0, and is right everywhere else, raises."""
+    G = PatternGroup(heisenberg(4), F3)
+    co = Oracle(G).coorbit_partition()
+    codes, bounds = co.members
+    k = next(k for k, size in enumerate(co.sizes) if size > 1)
+    member = codes[bounds[k] + 1]  # not the least member, the representative
+    scale = oracle_module._scale_codes
+    monkeypatch.setattr(oracle_module, "_scale_codes", lambda codes, *args: np.where(codes == member, 0, scale(codes, *args)))
+    with pytest.raises(InternalInvariantViolation, match="is no co-orbit of the sweep"):
+        full_check(G, with_axioms=False)
 
 
 def _mutate_values(monkeypatch, mutation, targets, raise_q=(), un=False):
@@ -975,3 +990,16 @@ def test_the_oracle_takes_no_arithmetic_from_formula_or_core():
     assert not imports.get("", set()) & {"core", "formula"}
     assert imports["formula"] == {"table_rows"}
     assert imports["core"] <= _ORACLE_CORE_IMPORTS
+
+
+def test_formula_is_the_only_module_that_branches_on_u_n():
+    """cli, oracle, table and core take no U_n kernel (un_*) from formula
+    and never ask whether J is full triangular: every row, size and corank
+    of U_n comes from formula's own route."""
+    for module in ("cli", "oracle", "table", "core"):
+        tree = ast.parse((Path(oracle_module.__file__).parent / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert not [a.name for a in node.names if a.name.startswith("un_")], module
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "is_full_triangular" and not node.attr.startswith("un_"), module
