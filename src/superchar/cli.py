@@ -93,7 +93,7 @@ def cmd_value(args) -> int:
     eta, eta_s = _functional(obj, args.eta)
     phi, phi_s = _functional(obj, args.phi)
     val = CharacterEvaluator(obj, eta).value(phi)
-    print(f"chi[{eta_s}](x[{phi_s}]) = {val.render(obj.field)}")
+    print(f"chi[{eta_s}](x[{phi_s}]) = {val.render()}")
     return 0
 
 

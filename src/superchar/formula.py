@@ -289,14 +289,14 @@ def value_chunks(source, etas, digits: np.ndarray):
     :meth:`CharacterEvaluator.batch` each, sized before it allocates; the
     chunks are runs of a batch.  A batch lives only until the next one is
     made, so memory stays O(batch + chunk x classes).  The class digits are
-    checked and expanded once (:func:`_digit_rows`)."""
+    checked and expanded once (:func:`_digit_rows`), for :func:`_value_blocks`."""
     step = max(1, _ROW_CELLS // max(1, len(digits)))
     size, classes = _setup_size(source), _digit_rows(source.field, _check_functionals(source.field, source.d, digits))
     for lo in range(0, len(etas), size):
         batch = CharacterEvaluator.batch(source, etas[lo : lo + size])
         for start in range(0, len(batch), step):
             evaluators = batch[start : start + step]
-            yield lo + start, evaluators, value_blocks(evaluators, classes)
+            yield lo + start, evaluators, _value_blocks(evaluators, classes)
 
 
 def _digit_rows(F: Fq, digits: np.ndarray) -> np.ndarray:
@@ -306,20 +306,22 @@ def _digit_rows(F: Fq, digits: np.ndarray) -> np.ndarray:
 
 
 def value_blocks(evaluators: CharacterEvaluator, digits: np.ndarray):
-    """Values of the characters of an evaluator over a block of superclass
-    representatives (the bulk path of the module docstring).
+    """Values of the characters of an evaluator over a (count, dim) block of
+    packed superclass representatives (the bulk path of the module
+    docstring): :func:`_value_blocks` on their checked :func:`_digit_rows`."""
+    F = evaluators.field
+    return _value_blocks(evaluators, _digit_rows(F, _check_functionals(F, evaluators.source.d, digits)))
 
-    ``digits`` is a (count, dim) integer array of packed functionals, or
-    their (count, dim, r) :func:`_digit_rows`.  Returns the cell codes
-    (:func:`~superchar.gf.cell_codes`) of shape (len(evaluators), count), in
-    :func:`~superchar.gf.cell_code_dtype`.  The characters are ordered by
-    frame (rows, then columns, then off-frame slots), so that equal frames
-    are neighbours and a run pads little, and taken in runs of that order
-    whose padded digit product has at most ``_CHUNK_ENTRIES`` entries; each
-    run's codes are written to its characters' own rows.
-    """
+
+def _value_blocks(evaluators: CharacterEvaluator, x: np.ndarray):
+    """The cell codes (:func:`~superchar.gf.cell_codes`) of the characters
+    of an evaluator at the (count, dim, r) :func:`_digit_rows` ``x``, shape
+    (len(evaluators), count), in :func:`~superchar.gf.cell_code_dtype`.  The
+    characters are ordered by frame (rows, then columns, then off-frame
+    slots), so that equal frames are neighbours and a run pads little, and
+    taken in runs of that order whose padded digit product has at most
+    ``_CHUNK_ENTRIES`` entries; each run's codes go to their own rows."""
     F, dim = evaluators.field, evaluators.source.d
-    x = digits if np.ndim(digits) == 3 else _digit_rows(F, _check_functionals(F, dim, digits))
     count, r = len(x), F.r
     x = x.reshape(count, dim * r)
     order = np.lexsort(evaluators.frames.T[::-1])
@@ -460,13 +462,16 @@ def un_arc_counts(G: PatternGroup, monomials: np.ndarray):
     """(e, corank, crossings) for each monomial in the (count, d) array
     ``monomials`` of U_n: its superclass has q**e members, and its character
     has degree q**corank and a co-orbit of q**(2 corank - crossings) members
-    (the rules of :func:`un_value_chunks`)."""
+    (the rules of :func:`un_value_chunks`).  NonMonomialRepresentative when
+    two entries of a row share a start or an end."""
     i, l, j, k = _arcs(G.J)
     on = (_check_functionals(G.field, G.d, monomials) != 0).astype(np.int64)
 
     def pairs(relation):
         return ((on @ relation) * on).sum(axis=1)
 
+    if pairs((i == j) != (l == k)).any():  # two positions share exactly one of start and end
+        raise NonMonomialRepresentative("representatives must be monomial in rows and columns")
     e = on @ (i - 1 + G.J.n - l)[:, 0] - pairs((i < j) & (l < k))
     return e, on @ (l - i - 1)[:, 0], pairs((i < j) & (j < l) & (l < k))
 

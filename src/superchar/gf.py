@@ -21,7 +21,9 @@ everything F_p-linear is read from them: every block D(c), the trace form
 (matrix traces of D(X**u) D(X**v)) and :meth:`Fq.trace` (a linear form on
 digits).  The powers of the least unit g that generates F_q*, taken by
 doubling with those blocks, give the exp, log and Zech logarithm tables, so
-each scalar op (add, neg, sub, mul, inv, power) is a few list lookups.
+each scalar op (add, neg, sub, mul, inv, power) is a few list lookups.  The
+same walk proves the modulus irreducible when an extension field is built,
+so the module holds no polynomial arithmetic.
 
 Dense matrices reduce by ``_rref``, the package's only scalar pivoting, and
 ``_solve_perp``, the one scalar mesh solve, reads one reduction of [M | rhs]:
@@ -39,7 +41,6 @@ do, and this one makes every emitted table reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -49,7 +50,8 @@ from .errors import BadField, InternalInvariantViolation, SpecMismatch
 
 MAX_Q = 1 << 16
 
-# Lexicographically minimal monic irreducible polynomials, coefficients
+# The least monic irreducible polynomial of each degree, read from the
+# leading coefficient down (the least code sum m_i p**i); stored
 # constant-term first.  Overridable per input file.
 DEFAULT_MODULI = {
     4: (1, 1, 1),
@@ -73,10 +75,6 @@ def _prime_factors(n: int) -> list[int]:
     return out + ([n] if n > 1 else [])
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and _prime_factors(n) == [n]
-
-
 def _prime_power(q: int) -> tuple[int, int]:
     """Split q = p**r or raise BadField."""
     if q < 2:
@@ -89,46 +87,6 @@ def _prime_power(q: int) -> tuple[int, int]:
         q //= p
         r += 1
     return p, r
-
-
-# -- polynomial helpers over F_p (coefficient tuples, constant term first) --
-
-
-def _poly_trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _poly_mod(a, m, p):
-    a = [x % p for x in a]
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            f = (c * inv_lead) % p
-            for k in range(dm + 1):
-                a[i - dm + k] = (a[i - dm + k] - f * m[k]) % p
-    return _poly_trim(a)
-
-
-def _irreducible(modulus, p) -> bool:
-    """No roots and no monic factor of degree <= deg/2, by trial division."""
-    r = len(modulus) - 1
-    for t in range(p):
-        acc = 0
-        for c in reversed(modulus):
-            acc = (acc * t + c) % p
-        if acc == 0:
-            return False
-    for d in range(2, r // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            cand = tail + (1,)
-            if not _poly_mod(modulus, cand, p):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -144,7 +102,7 @@ class Fq:
             raise BadField(f"extension degree must be positive, got {self.r}")
         if self.p ** self.r > MAX_Q:  # before factoring p, which takes sqrt(p) steps
             raise BadField(f"q = {self.p}**{self.r} exceeds the supported limit {MAX_Q}")
-        if not _is_prime(self.p):
+        if _prime_factors(self.p) != [self.p]:  # [] for p < 2
             raise BadField(f"{self.p} is not prime")
         if self.r == 1:
             if self.modulus is not None:
@@ -159,8 +117,7 @@ class Fq:
                 raise BadField("modulus coefficients must be reduced mod p")
             if m[-1] != 1:
                 raise BadField("modulus must be monic")
-            if not _irreducible(m, self.p):
-                raise BadField(f"reducible polynomial: {list(m)} over F_{self.p}")
+            self._logs  # the walk that builds the log tables proves m irreducible
 
     @classmethod
     def of(cls, q: int, modulus=None) -> "Fq":
@@ -220,10 +177,17 @@ class Fq:
         1 + g**k = 0) for the least code g whose powers reach every unit, and
         log(-1).  exp and zech are stored twice over, with length 2(q - 1), so
         a sum or difference of two logs indexes them directly (Python reads a
-        negative index mod the length); log[0] is never read."""
+        negative index mod the length); log[0] is never read.  BadField when
+        the walk finds the modulus reducible."""
         p, n = self.p, self.q - 1
-        digits = self._unit_powers(next(g for g in range(1, n + 1) if self._generates(g)))
+        digits = self._unit_powers(next((g for g in range(1, n + 1) if self._generates(g)), 1))  # 1 fails the test below
         codes = digits @ p ** np.arange(self.r)
+        # F_p[X]/(m) is a field iff some g has q - 1 distinct nonzero powers:
+        # a ring R that is not a field has at most q - 2 units, where a unit's
+        # powers lie, and the powers g, g**2, ... of a zero divisor g lie in
+        # the proper ideal gR of at most q/p elements.
+        if not np.bincount(codes, minlength=n + 1)[1:].all():
+            raise BadField(f"reducible polynomial: {list(self.modulus)} over F_{p}")
         log = np.zeros(n + 1, dtype=np.int64)
         log[codes] = np.arange(n)
         one_plus = codes + np.where(digits[:, 0] == p - 1, 1 - p, 1)  # add 1 to digit 0
@@ -714,7 +678,7 @@ class CharValue:
             return -(field.q ** self.q_exp)
         return None
 
-    def render(self, field: Fq) -> str:
+    def render(self) -> str:
         if self.is_zero:
             return "0"
         return f"q^{self.q_exp}*z^{self.zeta_exp}"

@@ -36,7 +36,7 @@ import numpy as np
 from .core import PatternGroup, StructureAlgebra
 from .errors import BadField, SpecMismatch
 from .formula import table_rows
-from .gf import Fq, cell_code_dtype, cell_codes, cell_value
+from .gf import CharValue, Fq, cell_code_dtype, cell_codes, cell_value
 from .poset import format_field_literal, parse_field_literal
 
 
@@ -234,20 +234,19 @@ class SuperTable:
         )
         writer.writerow(["char\\class"] + [self._rep_label(c["rep"]) for c in self.classes])
         writer.writerow(["size"] + [str(c["size"]) for c in self.classes])
-        field = self.field
         # The values never need quoting, so csv.writer writes only each row's
         # label and its comma, and the values follow joined by commas.
         label_writer = csv.writer(stream, lineterminator="")
-        for ch, items in zip(self.chars, self._rows(lambda v: v.render(field), pairs=True)):
+        for ch, items in zip(self.chars, self._rows(CharValue.render, pairs=True)):
             label_writer.writerow([self._rep_label(ch["rep"]), ""])
             stream.write(",".join(items) + "\n")
 
     def _write_pretty(self, stream) -> None:
-        field = self.field
         if self.meta["p"] == 2:
+            field = self.field
             show = lambda v: str(v.as_int(field))
         else:
-            show = lambda v: v.render(field)
+            show = CharValue.render
         headers = ["chi \\ class"] + [self._rep_label(c["rep"]) for c in self.classes]
         sizes = ["size"] + [str(c["size"]) for c in self.classes]
         labels = [self._rep_label(ch["rep"]) for ch in self.chars]

@@ -6,7 +6,7 @@ cell, independent of the counter-domain comparison that
 The formula side is :func:`superchar.oracle.charvalue_coeff_rows` on the
 rows of :func:`superchar.formula.table_rows`, the rows ``superchar table``
 emits, looked up through the module at call time so that a test's patch of
-a value kernel (``formula.value_blocks`` or ``formula.un_value_chunks``)
+a value kernel (``formula._value_blocks`` or ``formula.un_value_chunks``)
 reaches both verdicts, its cell codes read back by
 :func:`superchar.gf.cell_exponents`; the oracle side is the scaled orbit-sum
 rows of :meth:`superchar.oracle.Oracle._rows`, one brute-force sum per row,

@@ -279,6 +279,7 @@ def test_an_entry_outside_the_field_is_a_spec_mismatch(source, bad):
         f = tuple(bad if i == k else 0 for i in range(source.dim))
         calls = [
             lambda: value_blocks(ev, np.array([zero, f])),
+            lambda: value_blocks(ev, np.array([zero, f])[..., None]),  # as (count, dim, r) digits
             lambda: ev.value_block(np.array([f])),
             lambda: ev.value(f),
             lambda: CharacterEvaluator(source, f),
@@ -472,6 +473,17 @@ def test_value_un_examples():
         value_un(G, functional(G.J, F2, {(1, 4): 1, (1, 2): 1}), G.zero())
     with pytest.raises(ShapeMismatch):
         value_un(PatternGroup(heisenberg(4), F2), (0,) * 5, (0,) * 5)
+
+
+def test_coranks_on_u_n_take_monomials_only():
+    # eta = E_14 + E_24 shares the end 4: its arcs once read corank 3,
+    # though rank(A_eta) is 2; a shared start is refused alike
+    G = PatternGroup(full_triangular(4), F2)
+    staircase = functional(G.J, F2, {(1, 4): 1, (2, 3): 1})
+    assert formula.coranks(G, np.array([G.zero(), staircase])).tolist() == [0, G.corank(staircase)] == [0, 2]
+    for shared in ({(1, 4): 1, (2, 4): 1}, {(1, 4): 1, (1, 2): 1}):
+        with pytest.raises(NonMonomialRepresentative):
+            formula.coranks(G, np.array([G.zero(), functional(G.J, F2, shared)]))
 
 
 def test_value_un_equals_generic():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -101,10 +102,50 @@ def test_a_field_past_the_limit_is_refused_before_factoring(monkeypatch):
         Fq(65535, 1)
 
 
+def _accepts(p, r, m) -> bool:
+    try:
+        Fq(p, r, m)
+    except BadField:
+        return False
+    return True
+
+
 def test_default_moduli_are_irreducible():
-    for q in DEFAULT_MODULI:
+    # construction validates irreducibility; each default is the first
+    # modulus accepted read from the leading coefficient down, the least
+    # code sum m_i p**i: for q = 8, 1 + X**2 + X**3 is irreducible and
+    # precedes the default 1 + X + X**3 as a stored tuple, but X**3 + X + 1
+    # comes first from the top
+    for q, default in DEFAULT_MODULI.items():
         F = Fq.of(q)
-        assert F.q == q  # construction validates irreducibility
+        assert F.q == q and F.modulus == default
+        candidates = (high[::-1] + (1,) for high in itertools.product(range(F.p), repeat=F.r))
+        assert next(m for m in candidates if _accepts(F.p, F.r, m)) == default, q
+
+
+def _poly_product(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p, degrees", [(2, range(2, 9)), (3, range(2, 5)), (5, range(2, 4)), (7, range(2, 3))])
+def test_fq_refuses_exactly_the_products_of_two_monic_polynomials(p, degrees):
+    """For r > 1, Fq(p, r, m) raises "reducible polynomial" iff m is a
+    product of two monic polynomials of positive degree, multiplied out here
+    coefficient by coefficient: the walk behind the log tables against the
+    definition, on every monic m of each degree."""
+    monic = {d: [tail + (1,) for tail in itertools.product(range(p), repeat=d)] for d in range(1, max(degrees))}
+    for r in degrees:
+        products = {_poly_product(a, b, p) for d in range(1, r // 2 + 1) for a in monic[d] for b in monic[r - d]}
+        for m in (tail + (1,) for tail in itertools.product(range(p), repeat=r)):
+            if m in products:
+                with pytest.raises(BadField, match=re.escape(f"reducible polynomial: {list(m)} over F_{p}")):
+                    Fq(p, r, m)
+            else:
+                assert Fq(p, r, m).modulus == m
 
 
 def test_custom_modulus_accepted():
@@ -551,5 +592,5 @@ def test_char_value_json_and_int_rendering():
     assert v.as_int(F2) == -4
     assert CharValue.of(1, 0, 3).as_int(F3) == 3
     assert CharValue.of(1, 1, 3).as_int(F3) is None
-    assert CharValue.zero().render(F3) == "0"
-    assert v.render(F2) == "q^2*z^1"
+    assert CharValue.zero().render() == "0"
+    assert v.render() == "q^2*z^1"

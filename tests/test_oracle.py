@@ -350,12 +350,12 @@ def _scalar_sources(G):
 
 
 def _flip_zetas(monkeypatch, flipped):
-    """Make formula.value_blocks flip the zeta exponent of each (character,
+    """Make formula._value_blocks flip the zeta exponent of each (character,
     class) in ``flipped``, a dict from character to class index: its codes
     read back, mutated and encoded again.  The kernel sees only source
     characters (:func:`_scalar_sources`), so the flip reaches every row of
     the source's scalar orbit, at one class each."""
-    value_blocks = formula.value_blocks
+    value_blocks = formula._value_blocks
 
     def flip_one_zeta(evaluators, digits):
         p = evaluators.field.p
@@ -367,7 +367,7 @@ def _flip_zetas(monkeypatch, flipped):
                 zeta_exp[i, c] = (zeta_exp[i, c] + 1) % p
         return gf.cell_codes(zero, q_exp, zeta_exp, p, evaluators.source.dim)
 
-    monkeypatch.setattr(formula, "value_blocks", flip_one_zeta)
+    monkeypatch.setattr(formula, "_value_blocks", flip_one_zeta)
 
 
 def test_full_check_counts_every_mismatching_cell(monkeypatch):
@@ -472,7 +472,7 @@ def _mutate_values(monkeypatch, mutation, targets, raise_q=(), un=False):
     """Make the value kernel apply ``mutation`` to every other cell it can
     take in the rows of the characters ``targets``, and add 1 to the
     q-exponent of every nonzero cell in the rows of ``raise_q``.  The
-    kernel is formula.value_blocks, or with ``un`` formula.un_value_chunks,
+    kernel is formula._value_blocks, or with ``un`` formula.un_value_chunks,
     the one U_n tables take; its codes are read back, mutated and encoded
     again.  The kernel sees only source characters (:func:`_scalar_sources`)."""
 
@@ -501,8 +501,8 @@ def _mutate_values(monkeypatch, mutation, targets, raise_q=(), un=False):
 
         monkeypatch.setattr(formula, "un_value_chunks", mutated_un)
     else:
-        value_blocks = formula.value_blocks
-        monkeypatch.setattr(formula, "value_blocks", lambda ev, digits: mutate(ev.source, ev.etas, value_blocks(ev, digits)))
+        value_blocks = formula._value_blocks
+        monkeypatch.setattr(formula, "_value_blocks", lambda ev, digits: mutate(ev.source, ev.etas, value_blocks(ev, digits)))
 
 
 @pytest.mark.parametrize("mutation", ["none", "flip_zeta", "q_exp_to_dim", "nonzero_to_zero", "zero_to_nonzero"])
@@ -626,7 +626,7 @@ def test_an_expected_value_past_the_counter_dtype_never_matches(q_exp):
     sentinels = gf.cell_codes([False] * 2, [q_exp] * 2, [0, 1], 2, G.dim)
     assert np.int64(2**8).astype(np.int8) == 0 and (columns[:, sentinels] == -128).all()
 
-    value_blocks = formula.value_blocks
+    value_blocks = formula._value_blocks
 
     def raised(evaluators, digits):
         zero, q_exp_, zeta_exp = gf.cell_exponents(value_blocks(evaluators, digits), 2)
@@ -636,7 +636,7 @@ def test_an_expected_value_past_the_counter_dtype_never_matches(q_exp):
         return gf.cell_codes(zero, q_exp_, zeta_exp, 2, G.dim)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(formula, "value_blocks", raised)
+        mp.setattr(formula, "_value_blocks", raised)
         report = full_check(G, with_axioms=False)
         assert (report.mismatches, report.witness) == reference_verdict(G)
     assert report.mismatches == 1 and report.witness == (etas[k], classes[c], (2**q_exp,), (0,))
@@ -676,7 +676,7 @@ def test_a_kernel_q_exponent_past_dim_fails_table_and_check(command, monkeypatch
 def test_a_zeta_exponent_past_p_is_read_mod_p(monkeypatch):
     # zeta**(z + p) = zeta**z: raising every zeta exponent by p changes no
     # value, and must neither wrap the narrow cell codes nor miss a match
-    value_blocks = formula.value_blocks
+    value_blocks = formula._value_blocks
 
     def raised(evaluators, digits):
         p = evaluators.field.p
@@ -684,7 +684,7 @@ def test_a_zeta_exponent_past_p_is_read_mod_p(monkeypatch):
         zeta_exp[~zero] += p
         return gf.cell_codes(zero, q_exp, zeta_exp, p, evaluators.source.dim)
 
-    monkeypatch.setattr(formula, "value_blocks", raised)
+    monkeypatch.setattr(formula, "_value_blocks", raised)
     report = full_check(PatternGroup(heisenberg(4), F3), with_axioms=False)
     assert report.values_match and report.mismatches == 0
 

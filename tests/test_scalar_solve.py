@@ -69,9 +69,12 @@ def test_one_fp_elimination_and_one_batched_setup():
 
 
 def test_one_scalar_arithmetic_for_every_q():
-    """No slow path beside the log tables, and no size threshold between them."""
+    """No slow path beside the log tables, and no size threshold between
+    them; no polynomial arithmetic either, as the walk behind the log
+    tables proves the modulus irreducible."""
     assert not [name for name in vars(Fq) if name.endswith("_slow")]
     assert "_TABLE_LIMIT" not in vars(gf)
+    assert not [name for name in vars(gf) if name.startswith("_poly") or name == "_irreducible"]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

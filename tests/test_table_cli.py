@@ -195,7 +195,7 @@ def test_emitted_rows_are_the_cells_joined(monkeypatch, rows, cols, p, dim, pair
     ]
     as_json = (",".join(json.dumps(v.to_json(), separators=(",", ":")) for v in row) for row in cells)
     assert tab.to_json().endswith(',"values":[' + ",".join(f"[{row}]" for row in as_json) + "]}\n")
-    as_csv = (",".join(v.render(tab.field) for v in row) for row in cells)
+    as_csv = (",".join(v.render() for v in row) for row in cells)
     assert tab.render("csv").splitlines()[3:] == [f"0,{row}" for row in as_csv]
     assert tab.values == cells
 
