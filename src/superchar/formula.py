@@ -61,11 +61,13 @@ Tables of the full triangular group U_n take a kernel of their own,
 monomial representatives and needs no plans; :func:`table_rows` and
 :func:`coranks` alone choose between the two.  Both kernels write each
 value as its cell code (:func:`~superchar.gf.cell_codes`), the one format
-that tables store and the check keys on.  :func:`table_rows` runs a kernel on one character of
-each orbit under the scalars F_q^* and fills the other rows of the orbit
-by a gather, as chi^(t eta)(x_phi) = chi^eta(x_(t phi))
-(:func:`_orbit_chunks`).  The closed-form specializations for pattern
-groups below, :func:`value_un` among them, are references for the tests.
+that tables store and the check keys on.  :func:`table_rows` runs a kernel
+on one character of each orbit under the scalars F_q^* and fills the
+other rows of the orbit by a gather, as chi^(t eta)(x_phi) =
+chi^eta(x_(t phi)) (:func:`_orbit_chunks`, which takes the orbits from
+gf's walk, :func:`~superchar.gf.unit_orbits`).  The closed-form
+specializations for pattern groups below, :func:`value_un` among them, are
+references for the tests.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from .errors import (
     NonMonomialRepresentative,
     ShapeMismatch,
 )
-from .gf import CharValue, Fq, FqMatrix, _solve_perp, cell_code_dtype, cell_codes, cell_exponents, nullspace_basis, rank
+from .gf import CharValue, Fq, FqMatrix, _solve_perp, cell_code_dtype, cell_codes, cell_exponents, nullspace_basis, rank, unit_orbits
 from .core import PatternGroup, _check_functionals, _digits_to_codes, _mesh_value, sweep_size
 from .poset import ClosedSet, is_monomial, support
 
@@ -609,36 +611,20 @@ def _orbit_chunks(q: int, char_step: np.ndarray, class_step: np.ndarray, co_size
     chi^(t eta)(x_phi) = chi^eta(x_(t phi)).  With g the generator of F_q^*
     (:attr:`~superchar.gf.Fq.generator`), ``char_step[k]`` is the character
     of g eta_k and ``class_step[c]`` the class of g phi_c: the orbits are
-    the cycles of char_step, each found at its least character, its source,
-    by pointer doubling, and walked from it to give each character k the
-    power with g**power[k] eta_source in its co-orbit.  Only the sources are
-    evaluated, by one pass of a value kernel: ``evaluate(sources)`` yields
-    (coranks, codes) for consecutive runs of them, each cut into chunks as
-    it comes; :func:`_orbit_rows` fills the other rows.  Every flag follows
-    one rule (Diaconis-Isaacs): <chi^eta, chi^eta> = |eta U|**2 / |U eta U|
-    with |eta U| = q**corank, so chi^eta is irreducible iff its co-orbit has
+    the cycles of char_step, each with its least character, its source, and
+    the power with g**power[k] eta_source in the co-orbit of eta_k
+    (:func:`~superchar.gf.unit_orbits`).  Only the sources are evaluated,
+    by one pass of a value kernel: ``evaluate(sources)`` yields (coranks,
+    codes) for consecutive runs of them, each cut into chunks as it comes;
+    :func:`_orbit_rows` fills the other rows.  Every flag follows one rule
+    (Diaconis-Isaacs): <chi^eta, chi^eta> = |eta U|**2 / |U eta U| with
+    |eta U| = q**corank, so chi^eta is irreducible iff its co-orbit has
     ``co_sizes`` = q**(2 corank) members.  InternalInvariantViolation when
     char_step does not move every character in a cycle of at most q - 1
     through its source, or the kernel leaves sources out."""
-    every = np.arange(len(char_step))
-    source, power, by_orbit = every, np.zeros(len(every), dtype=np.int64), every
-    if not np.array_equal(char_step, every):  # else every orbit is one character, as at q = 2
-        jump = char_step
-        for _ in range((q - 2).bit_length()):  # source[k]: least of g**i eta_k, i < 2**rounds
-            source, jump = np.minimum(source, source[jump]), jump[jump]
-        start = np.flatnonzero(source == every)
-        at = char_step[start]
-        for i in range(1, q):  # g**i times each source not yet back at itself
-            open_ = at != start
-            start, at = start[open_], at[open_]
-            if not len(at):
-                break
-            power[at] = i
-            at = char_step[at]
-        if len(start) or ((power == 0) != (source == every)).any():
-            raise InternalInvariantViolation("the scalars do not move the characters in cycles")
-        by_orbit = np.argsort(source, kind="stable")
-    sources = np.flatnonzero(source == every)
+    source, power = unit_orbits(char_step, q - 1)
+    by_orbit = np.argsort(source, kind="stable")
+    sources = np.flatnonzero(power == 0)
     ends = np.cumsum(np.bincount(source)[sources])  # rows through each orbit
     per_chunk = max(1, _ROW_CELLS // max(1, len(class_step)))
     lo = 0  # the first source not yet yielded

@@ -13,7 +13,8 @@ element and the trace are F_p-linear: :class:`Fq` holds that view as arrays
 (digits, digit blocks, trace form, inverses mod p), one exact mod-p matrix
 product and one batched Gauss-Jordan elimination mod p, the only digit
 arithmetic of the evaluator and the oracle.  The orbit sweep of :mod:`.core`
-adds codes digit-wise and reads rows of multiples off the log tables.
+adds codes digit-wise and reads rows of multiples off the log tables, as do
+the formula and the oracle, whose scalar orbits :func:`unit_orbits` finds.
 
 There is one scalar arithmetic for every q.  Multiplication by X is the
 companion matrix C of the modulus, so the blocks D(X**v) are C**v mod p, and
@@ -402,6 +403,31 @@ class Fq:
             free[cells, pivot] = False
             rank[cells] += 1
         return free, rank
+
+
+def unit_orbits(step, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source, power) for a cyclic group of ``order`` units acting on
+    range(n) through its generator g, ``step[k]`` the index of g k: source[k]
+    is the least index of the orbit of k, by pointer doubling, and k is
+    g**power[k] times source[k], by one walk from the sources.
+    InternalInvariantViolation unless every index lies in a cycle of at most
+    ``order`` members through its source."""
+    every = np.arange(len(step))
+    source, jump, power = every, step, np.zeros(len(step), dtype=np.int64)
+    for _ in range((order - 1).bit_length()):  # source[k]: least of g**i k, i < 2**rounds
+        source, jump = np.minimum(source, source[jump]), jump[jump]
+    start = np.flatnonzero(source == every)
+    at = step[start]
+    for i in range(1, order + 1):  # g**i times each source not yet back at itself
+        open_ = at != start
+        start, at = start[open_], at[open_]
+        if not len(at):
+            break
+        power[at] = i
+        at = step[at]
+    if len(start) or ((power == 0) != (source == every)).any():
+        raise InternalInvariantViolation("the units do not move the indices in cycles through their sources")
+    return source, power
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,10 @@ co-orbit O of eta onto the co-orbit of t eta, and trace(t mu . phi) =
 t trace(mu . phi): the counts of t O at residue k are the counts of O at
 k / t.  :func:`full_check` and the constancy check count the residues of
 one co-orbit per orbit of F_p^* (:attr:`Oracle._scalar_orbits`, read off
-the oracle's own co-orbit sweep and checked member by member before any
-count is relabelled) and relabel them for the others; :func:`full_check`
-still judges every row.  At p = 2 there is nothing to relabel.
+the oracle's own co-orbit sweep by gf's walk, ``unit_orbits``, with t mu
+from ``Fq.multiples``, and checked member by member before any count is
+relabelled) and relabel them for the others; :func:`full_check` still
+judges every row.  At p = 2 there is nothing to relabel.
 
 The representatives' digit rows come from the F_p layer of
 :class:`~superchar.gf.Fq`: base-p digits, the trace form and one exact mod-p
@@ -65,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -74,7 +75,7 @@ from .errors import (
     NonIntegralScaling,
     SizeCapExceeded,
 )
-from .gf import CycInt, Fq, cell_codes
+from .gf import CycInt, Fq, cell_codes, unit_orbits
 from .core import OrbitPartition, PatternGroup, _check_functionals, _codes_to_digits, _digits_to_codes, orbit_partition_from_moves
 from .formula import table_rows
 
@@ -262,44 +263,28 @@ class Oracle:
         (:func:`_scale_codes`); scalar is 1 at a source.
 
         With g a generator of F_p^*, the orbits are the cycles of step: k ->
-        the co-orbit of g eta_k in the co-orbit sweep, each found at its
-        least member by pointer doubling and walked from it.  Before any
-        count is relabelled, g is checked against the sweep once, on every
-        member of every co-orbit k: it maps each into co-orbit step[k], and
-        the two have the same size and the same right co-orbit size.  So g
-        maps the one onto the other, and so does every power of g;
-        InternalInvariantViolation if not."""
+        the co-orbit of g eta_k in the sweep (:func:`~superchar.gf.unit_orbits`).
+        Before any count is relabelled, g is checked once on every member of
+        every co-orbit k: it maps each into co-orbit step[k], and the two have
+        the same size and right co-orbit size, so g and its powers map the
+        one onto the other.  InternalInvariantViolation if not."""
         F, co = self.field, self.coorbit_partition()
         p = F.p
         g = F.power(F.generator, (F.q - 1) // (p - 1))  # generates F_p^*, the units of order p - 1
-        every = np.arange(len(co))
-        source, scalar = every, np.ones(len(co), dtype=np.int64)
         if g == 1:  # p = 2: no scalar but 1
-            return source, scalar
+            return np.arange(len(co)), np.ones(len(co), dtype=np.int64)
         codes, bounds = co.members
         sizes, right = np.diff(bounds), self._right_sizes  # the right sweep first, while little else is held
-        scaled = (_scale_codes(codes[lo : lo + _BLOCK_CELLS], g, p, self.dim * F.r) for lo in range(0, len(codes), _BLOCK_CELLS))
+        times = F.multiples(g)
+        scaled = (_scale_codes(codes[lo : lo + _BLOCK_CELLS], times, F.q, self.dim) for lo in range(0, len(codes), _BLOCK_CELLS))
         moved = np.concatenate([co.classes_of_codes(block) for block in scaled])  # blocks keep the int64 temporaries small
         step = moved[bounds[:-1]]
         if (moved != np.repeat(step, sizes)).any():
             raise InternalInvariantViolation(f"{g} times a co-orbit is no co-orbit of the sweep")
         if (sizes[step] != sizes).any() or (right[step] != right).any():
             raise InternalInvariantViolation("a scalar multiple of a co-orbit differs from it in size")
-        jump = step
-        for _ in range((p - 2).bit_length()):  # source[k]: least of g**i eta_k, i < 2**rounds
-            source, jump = np.minimum(source, source[jump]), jump[jump]
-        start = np.flatnonzero(source == every)
-        at, t = step[start], g
-        for _ in range(p - 1):  # t = g**i times each source not yet back at itself
-            open_ = at != start
-            start, at = start[open_], at[open_]
-            if not len(at):
-                break
-            scalar[at] = t
-            at, t = step[at], t * g % p
-        if len(start) or ((scalar == 1) != (source == every)).any():
-            raise InternalInvariantViolation("the scalars do not move the co-orbits of the sweep in cycles")
-        return source, scalar
+        source, power = unit_orbits(step, p - 1)
+        return source, np.array([pow(g, i, p) for i in range(p - 1)])[power]
 
     # -- orbit sums -----------------------------------------------------------
 
@@ -586,27 +571,14 @@ def _rows_per_call(p: int, count: int) -> int:
     return max(1, min(_BLOCK_CELLS, _COEFF_CELLS // p) // count)
 
 
-def _scale_codes(codes, t: int, p: int, digits: int) -> np.ndarray:
-    """The codes of t * mu for the codes of functionals mu with ``digits``
-    base-p digits, t in F_p^*: F_p acts on F_q = F_p[X]/(m) coefficient by
-    coefficient, so t multiplies every base-p digit of a code mod p.  Two
-    lookups, one per half of the digits, in tables of the scaled codes of
-    every half (:func:`_scaled_digits`)."""
+def _scale_codes(codes, times, q: int, dim: int) -> np.ndarray:
+    """The codes of t * mu for the codes of functionals mu in F_q**dim, by
+    two lookups in tables of t times every half of the coordinates, built
+    from ``times``, the code of t x for every code x (:meth:`Fq.multiples`)."""
     codes = np.asarray(codes, dtype=np.int64)
-    if t == 1:
-        return codes
-    split = p ** (digits // 2)
-    return _scaled_digits(t, p, digits - digits // 2)[codes // split] * split + _scaled_digits(t, p, digits // 2)[codes % split]
-
-
-@lru_cache(maxsize=64)
-def _scaled_digits(t: int, p: int, width: int) -> np.ndarray:
-    """The code of t * x for every code x of ``width`` base-p digits, as a
-    read-only array kept for the next call."""
-    place = p ** np.arange(width)
-    table = np.arange(p**width)[:, None] // place % p * t % p @ place
-    table.flags.writeable = False
-    return table
+    split = q ** (dim // 2)
+    high, low = (times[np.arange(q**w)[:, None] // q ** np.arange(w) % q] @ q ** np.arange(w) for w in (dim - dim // 2, dim // 2))
+    return high[codes // split] * split + low[codes % split]
 
 
 @dataclass

@@ -30,6 +30,7 @@ import io
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +62,7 @@ class SuperTable:
     chars: list  # {"rep": obj, "corank": int, "degree": int, "irreducible": bool}
     codes: np.ndarray
 
-    @property
+    @cached_property
     def field(self) -> Fq:
         modulus = self.meta.get("modulus")
         return Fq.of(self.meta["q"], tuple(modulus) if modulus else None)

@@ -1,6 +1,7 @@
 """Structure-constant algebras: validation, values, and the pattern reduction."""
 
 import random
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -429,6 +430,58 @@ def test_algebra_spec_errors():
         parse_algebra_spec("d 2\nq 2\nconstants\n3 1 1 1\n")  # index out of range
     with pytest.raises(ParseError):
         parse_algebra_spec("d 2\nq 2\n")  # no constants section
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: StructureAlgebra(-1, F2, {}), SpecMismatch, "dimension must be nonnegative"),
+        (lambda: StructureAlgebra(2, F2, {(0, 2): {1: 1}}), SpecMismatch, "constant index (0, 2) out of range"),
+        (lambda: StructureAlgebra(2, F2, {(0, 1): {2: 1}}), SpecMismatch, "constant target 2 out of range"),
+        (
+            lambda: constants_from_matrices(3, F2, [{(2, 1): 1}]),
+            SpecMismatch,
+            "matrix position (2, 1) is not strictly upper triangular",
+        ),
+        (
+            lambda: constants_from_matrices(3, F2, [{(1, 2): 1}, {(2, 3): 1}]),
+            SpecMismatch,
+            "basis is not closed under products (position (1, 3))",
+        ),
+        (  # E12 E23 = E13 lies at the positions, but not in the span
+            lambda: constants_from_matrices(3, F2, [{(1, 2): 1, (1, 3): 1}, {(2, 3): 1}]),
+            SpecMismatch,
+            "basis is not closed under products",
+        ),
+        (lambda: parse_algebra_spec("d 2\nq 2\nsize 3\nconstants\n"), ParseError, "line 3: unexpected 'size' in header"),
+        (lambda: parse_algebra_spec("d 2\nq 2\nconstants\nembed 3\n"), ParseError, "line 4: expected 'embed n <int>'"),
+        (
+            lambda: parse_algebra_spec("d 2\nq 2\nconstants\nembed n 3\n1 1 2\n"),
+            ParseError,
+            "line 5: expected 'b i j v', got '1 1 2'",
+        ),
+        (
+            lambda: parse_algebra_spec("d 2\nq 2\nconstants\nembed n 3\n3 1 2 1\n"),
+            ParseError,
+            "line 5: basis index out of range in '3 1 2 1'",
+        ),
+    ],
+    ids=[
+        "negative_d",
+        "constant_index",
+        "constant_target",
+        "lower_triangular_position",
+        "product_off_the_positions",
+        "product_off_the_span",
+        "unknown_header",
+        "bad_embed_line",
+        "short_embed_entry",
+        "basis_index",
+    ],
+)
+def test_each_malformed_algebra_is_refused_with_its_reason(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize(

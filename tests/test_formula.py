@@ -22,7 +22,7 @@ from superchar.catalog import (
 )
 from superchar import formula
 from superchar.core import PatternGroup
-from superchar.errors import NonMonomialRepresentative, ShapeMismatch, SpecMismatch
+from superchar.errors import InternalInvariantViolation, NonMonomialRepresentative, ShapeMismatch, SpecMismatch
 from superchar.formula import (
     CharacterEvaluator,
     ann_spaces,
@@ -221,6 +221,21 @@ def test_value_blocks_match_value_block_and_the_scalar_value(name, small_batches
             assert (want.is_zero, want.q_exp, want.zeta_exp) == tuple(arr[e, c] for arr in expected)
     if small_batches and name in ("U6(2)", "U5(3)", "class_counterexample(3)", "U4(4)", "semidirect5(4)"):
         assert any(len(sizes) > 1 for sizes in batches[: len(etas)])
+
+
+def test_a_batch_takes_runs_of_step_1_only():
+    G = PatternGroup(heisenberg(4), F3)
+    evaluators = CharacterEvaluator.batch(G, G.coorbit_partition().digits[:6])
+    with pytest.raises(IndexError, match="a run of characters is a slice with step 1"):
+        evaluators[::2]
+
+
+def test_orbit_chunks_refuse_a_kernel_that_leaves_a_source_out(monkeypatch):
+    G = PatternGroup(heisenberg(4), F3)
+    chunks = formula.value_chunks
+    monkeypatch.setattr(formula, "value_chunks", lambda source, etas, classes: chunks(source, etas[:-1], classes))
+    with pytest.raises(InternalInvariantViolation, match="the value kernel evaluated too few sources"):
+        list(table_rows(G, 3**G.dim)[4])
 
 
 @pytest.mark.parametrize("name", ["class_counterexample(3)", "U4(4)"])

@@ -23,6 +23,7 @@ from superchar.gf import (
     rank,
     solve,
     theta,
+    unit_orbits,
 )
 
 F2 = Fq.of(2)
@@ -86,6 +87,22 @@ def test_bad_fields_rejected():
         Fq.of(10**30 + 57)  # refused before sqrt(q) trial divisions
     with pytest.raises(BadField, match="only meaningful for proper prime powers"):
         Fq.of(5, (1, 1))  # a modulus for a prime field
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Fq(2, 0), "extension degree must be positive, got 0"),
+        (lambda: Fq(3, 2), "q = 9 needs a modulus polynomial"),
+        (lambda: Fq(3, 2, (1, 0, 4)), "modulus coefficients must be reduced mod p"),
+        (lambda: Fq(3, 2, (1, 0, 2)), "modulus must be monic"),
+        (lambda: Fq.of(32), "no built-in modulus for q = 32; supply one"),
+    ],
+    ids=["degree_0", "no_modulus", "unreduced_coefficient", "not_monic", "no_built_in_modulus"],
+)
+def test_each_malformed_field_is_refused_with_its_reason(build, message):
+    with pytest.raises(BadField, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_a_field_past_the_limit_is_refused_before_factoring(monkeypatch):
@@ -406,6 +423,54 @@ def test_matmul_mod_p_refuses_a_product_past_float64():
     a = np.broadcast_to(np.uint8(0), (1, inner))  # no memory behind it
     with pytest.raises(InternalInvariantViolation):
         F.matmul_mod_p(a, a.T)
+
+
+def _cycles(rng, n, order):
+    """A random permutation of range(n) whose cycles have lengths dividing
+    ``order``, and its cycles."""
+    lengths = [d for d in range(1, order + 1) if order % d == 0]
+    items, cycles = rng.permutation(n).tolist(), []
+    while items:
+        length = int(rng.choice(lengths))
+        if length > len(items):
+            length = 1
+        cycles.append(items[:length])
+        items = items[length:]
+    step = np.empty(n, dtype=np.int64)
+    for cycle in cycles:
+        step[cycle] = np.roll(cycle, -1)
+    return step, cycles
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 6, 12, 26, 80])
+def test_unit_orbits_finds_each_cycle_at_its_least_member(order):
+    rng = np.random.default_rng(order)
+    for n in (1, 7, 60):
+        step, cycles = _cycles(rng, n, order)
+        source, power = unit_orbits(step, order)
+        for cycle in cycles:
+            assert (source[cycle] == min(cycle)).all()
+        for k in range(n):
+            at = source[k]
+            for _ in range(power[k]):
+                at = step[at]
+            assert at == k
+
+
+def test_unit_orbits_of_the_identity_is_power_0_everywhere():
+    for order in (1, 2, 8):
+        source, power = unit_orbits(np.arange(9), order)
+        assert (source == np.arange(9)).all() and not power.any()
+
+
+@pytest.mark.parametrize(
+    "step, order",
+    [([1, 1, 2], 2), ([0, 0], 2), ([1, 0, 0], 2), ([1, 2, 0], 2), ([1, 2, 3, 0], 3), ([1, 0], 1)],
+    ids=["into_a_fixed_point", "onto_a_fixed_point", "into_a_cycle", "cycle_of_3_past_2", "cycle_of_4_past_3", "swap_past_1"],
+)
+def test_unit_orbits_refuses_a_map_that_is_no_permutation_of_short_cycles(step, order):
+    with pytest.raises(InternalInvariantViolation, match="do not move the indices in cycles"):
+        unit_orbits(np.array(step), order)
 
 
 # -- linear algebra ----------------------------------------------------------

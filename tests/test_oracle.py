@@ -437,12 +437,12 @@ def test_full_check_fails_loudly_on_a_wrong_scalar_map(wrong, monkeypatch):
     G = PatternGroup(heisenberg(4), F3)
     scale = oracle_module._scale_codes
 
-    def mapped(codes, t, p, n):
+    def mapped(codes, times, q, n):
         codes = np.asarray(codes)
         if wrong == "scales_codes_ending_in_0":
-            return np.where(codes % p == 0, scale(codes, t, p, n), codes)
-        low = p ** (n // 2)
-        return scale(codes % low, t, p, n // 2) + codes // low * low
+            return np.where(codes % q == 0, scale(codes, times, q, n), codes)
+        low = q ** (n // 2)
+        return scale(codes % low, times, q, n // 2) + codes // low * low
 
     monkeypatch.setattr(oracle_module, "_scale_codes", mapped)
     if wrong == "scales_codes_ending_in_0":
@@ -466,6 +466,34 @@ def test_a_scalar_map_wrong_on_one_member_off_the_representatives_fails_loudly(m
     monkeypatch.setattr(oracle_module, "_scale_codes", lambda codes, *args: np.where(codes == member, 0, scale(codes, *args)))
     with pytest.raises(InternalInvariantViolation, match="is no co-orbit of the sweep"):
         full_check(G, with_axioms=False)
+
+
+def test_a_scalar_map_onto_a_co_orbit_of_another_size_fails_loudly(monkeypatch):
+    """g must map each co-orbit onto one of the same size: a map that sends
+    every member of one co-orbit to the representative of a co-orbit of
+    another size, and is right everywhere else, raises."""
+    G = PatternGroup(heisenberg(4), F3)
+    co = Oracle(G).coorbit_partition()
+    codes, bounds = co.members
+    k = next(k for k, size in enumerate(co.sizes) if size > 1)
+    target = next(j for j, size in enumerate(co.sizes) if size != co.sizes[k])
+    members, rep = codes[bounds[k] : bounds[k + 1]], codes[bounds[target]]
+    scale = oracle_module._scale_codes
+    monkeypatch.setattr(oracle_module, "_scale_codes", lambda codes, *args: np.where(np.isin(codes, members), rep, scale(codes, *args)))
+    with pytest.raises(InternalInvariantViolation, match="a scalar multiple of a co-orbit differs from it in size"):
+        full_check(G, with_axioms=False)
+
+
+def test_value_rows_refuses_more_coefficients_than_one_call_holds(monkeypatch):
+    """Between p x count and p x rows x count coefficients the residue
+    tables fit, but the rows do not, and the counter raises before it
+    allocates."""
+    G = PatternGroup(full_triangular(3), F3)
+    reps, etas = G.orbit_partition().digits, G.coorbit_partition().digits[:4]
+    assert len(reps) == 11
+    monkeypatch.setattr(oracle_module, "_COEFF_CELLS", 3 * 4 * 11 - 1)
+    with pytest.raises(SizeCapExceeded, match="^132 orbit-sum coefficients exceed the cap of 131$"):
+        Oracle(G).value_rows(etas, reps)
 
 
 def _mutate_values(monkeypatch, mutation, targets, raise_q=(), un=False):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from superchar.poset import (
     functional,
     is_monomial,
     order_key,
+    parse_field_literal,
     parse_functional,
     parse_spec,
     support,
@@ -153,6 +155,21 @@ def test_parse_spec_errors():
         parse_spec("n 3\nq 6\npairs\n")
     with pytest.raises(BadField):
         parse_spec("n 3\nq 4\nmodulus 1 0 1\npairs\n")  # reducible
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ClosedSet(0, []), PairOutOfRange, "n must be positive, got 0"),
+        (lambda: close_covers(3, [(2, 5)]), PairOutOfRange, "pair (2, 5) outside 1 <= i < j <= 3"),
+        (lambda: parse_field_literal(Fq.of(9), "1:x"), BadField, "bad field element literal '1:x'"),
+        (lambda: parse_spec("n four\nq 2\npairs\n"), ParseError, "line 1: expected an integer, got 'four'"),
+    ],
+    ids=["n_0", "cover_out_of_range", "literal_not_an_integer", "header_not_an_integer"],
+)
+def test_each_malformed_input_is_refused_with_its_reason(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_spec_round_trip():

@@ -77,6 +77,23 @@ def test_one_scalar_arithmetic_for_every_q():
     assert not [name for name in vars(gf) if name.startswith("_poly") or name == "_irreducible"]
 
 
+def test_one_orbit_walk_under_the_scalars():
+    """The formula and the oracle find the orbits of the scalars by gf's
+    walk, the package's only pointer doubling, and the oracle multiplies
+    by a scalar through Fq.multiples, with no table cache of its own."""
+    formula, oracle = _functions(_tree("formula.py")), _functions(_tree("oracle.py"))
+    assert "unit_orbits" in _names(formula["_orbit_chunks"])
+    assert {"unit_orbits", "multiples"} <= _names(oracle["Oracle._scalar_orbits"])
+    doubling = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, node in _functions(_tree(path.name)).items()
+        if "bit_length" in _names(node)
+    }
+    assert doubling == {"gf.unit_orbits"}
+    assert "_scaled_digits" not in oracle and "lru_cache" not in _names(_tree("oracle.py"))
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_one_row_reduction_per_meshed_cell(q, monkeypatch):
     G = PatternGroup(full_triangular(4), Fq.of(q))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superchar.algebra import emit_algebra_spec
+from superchar.algebra import emit_algebra_spec, parse_algebra_spec
 from superchar.catalog import full_triangular, semidirect_algebra, sixteen_group
 from superchar.core import DEFAULT_ENUM_CAP
 from superchar.core import PatternGroup, StructureAlgebra
@@ -57,6 +57,16 @@ def test_csv_and_pretty_render():
     assert "q^2*z^1" in csv_text  # -4 = 4 * zeta_2
     pretty = tab.render("pretty")
     assert "-4" in pretty
+
+
+def test_a_table_builds_its_field_once(monkeypatch):
+    """Pretty output at p = 2 reads the table's field on every write, and
+    an extension field builds its log tables when it is made."""
+    tab = build_pattern_table(PatternGroup(full_triangular(3), Fq.of(4)))
+    built, of = [], Fq.of
+    monkeypatch.setattr(Fq, "of", classmethod(lambda cls, *args: built.append(args) or of(*args)))
+    assert tab.render("pretty") == tab.render("pretty")
+    assert built == [(4, (1, 1, 1))]
 
 
 GENERATED = {
@@ -584,6 +594,26 @@ def test_cmd_check_skips_the_axioms_past_the_default_cap(capsys, tmp_path):
 def test_missing_file(capsys):
     code, _, err = _run(capsys, "validate", "no_such_file.txt")
     assert code == 1
+
+
+def test_an_empty_spec_file_is_an_error_without_a_traceback(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# only a comment\n\n")
+    code, out, err = _run(capsys, "validate", str(empty))
+    assert (code, out, err) == (1, "", f"error: {empty}: empty spec file\n")
+
+
+def test_cmd_value_refuses_an_algebra_coordinate_past_d(capsys):
+    code, out, err = _run(capsys, "value", str(DATA / "group16.txt"), "--eta", "9=1", "--phi", "0")
+    assert (code, out, err) == (1, "", "error: coordinate 9 out of range 1..4\n")
+
+
+def test_cmd_validate_prints_an_algebra_spec_that_parses_back(capsys):
+    code, out, _ = _run(capsys, "validate", str(DATA / "group16.txt"))
+    assert code == 0
+    alg = _load(str(DATA / "group16.txt"))
+    parsed, _ = parse_algebra_spec(out)
+    assert (parsed.d, parsed.field, parsed.constants) == (alg.d, alg.field, alg.constants)
 
 
 def test_cmd_check_passes_on_every_bundled_spec(capsys):
