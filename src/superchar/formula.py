@@ -82,8 +82,8 @@ from .errors import (
     NonMonomialRepresentative,
     ShapeMismatch,
 )
-from .gf import CharValue, Fq, FqMatrix, _solve_perp, cell_code_dtype, cell_codes, cell_exponents, nullspace_basis, rank, unit_orbits
-from .core import PatternGroup, _check_functionals, _digits_to_codes, _mesh_value, sweep_size
+from .gf import CharValue, Fq, FqMatrix, _solve_perp, cell_code_dtype, cell_codes, cell_exponents, nullspace_basis, orbit_tree, rank, tree_rows
+from .core import PatternGroup, StructureAlgebra, _check_functionals, _digits_to_codes, _mesh_value, sweep_size, symmetry_codes
 from .poset import ClosedSet, is_monomial, support
 
 
@@ -272,6 +272,11 @@ class CharacterEvaluator:
 
 
 _ROW_CELLS = 1 << 16  # cells per chunk of rows in value_chunks
+_ORBIT_CELLS = 1 << 18  # cells per chunk of rows that table_rows yields: fewer, longer runs of one fill
+# table cells from which table_rows folds rows by every symmetry, not the
+# scalar alone: on smaller tables the walk and the class maps cost more
+# than the rows they save (in-process timing of the check corpus)
+_SYMMETRY_CELLS = 1 << 16
 _SETUP_ENTRIES = 1 << 16  # entries of A_eta, k * d**2 * r, per batched setup in value_chunks
 _CHUNK_ENTRIES = 1 << 16  # entries of the digit product per run of characters
 _BATCH_CELLS = 4096  # hard cells per batched elimination
@@ -559,12 +564,13 @@ def table_rows(source, cap: int | None):
     that ``superchar table`` emits and ``superchar check`` judges, described
     alike for every group: the ascending class and character representatives
     as (count, d) digit arrays (one array on U_n), the class and co-orbit
-    sizes, and the chunks of :func:`_orbit_chunks`.  ``cap`` bounds q**d.
-    On U_n the monomials are counted off their arcs with no sweep
-    (:func:`un_arc_counts`, :func:`un_value_chunks`); any other group is
-    swept and its values are :func:`value_chunks`."""
+    sizes, and the chunks of :func:`_orbit_chunks` under the symmetries of
+    the group (:meth:`~superchar.core.StructureAlgebra.symmetries`).  ``cap``
+    bounds q**d.  On U_n the monomials are counted off their arcs with no
+    sweep (:func:`un_arc_counts`, :func:`un_value_chunks`); any other group
+    is swept and its values are :func:`value_chunks`."""
     F = source.field
-    q, times_g = F.q, F.multiples(F.generator)
+    q = F.q
     if isinstance(source, PatternGroup) and source.J.is_full_triangular():
         sweep_size(F, source.d, cap)
         monomials = un_monomials(source)
@@ -572,13 +578,16 @@ def table_rows(source, cap: int | None):
         # a floor, not q**(2 corank - crossings): a wrong crossing count
         # must reach the check as a wrong size, not raise on a negative power
         co_sizes = q ** (2 * coranks) // q**crossings
-        step = np.searchsorted(_digits_to_codes(monomials, q), _digits_to_codes(times_g[monomials], q))
+        # the scalar alone: with the vertex scalings too, the walk and the
+        # class maps cost more than the cheap U_n kernel saves (U_3(16), U_4(4))
+        steps = np.searchsorted(_digits_to_codes(monomials, q), _digits_to_codes(F.multiples(F.generator)[monomials], q))[None]
+        steps = steps[: F.generator != 1]  # at q = 2 the scalar is 1
 
         def un_sources(rows):
             for start, codes in un_value_chunks(source, monomials[rows], monomials):
                 yield coranks[rows[start : start + len(codes)]], codes
 
-        return monomials, q**e, monomials, co_sizes, _orbit_chunks(q, step, step, co_sizes, un_sources)
+        return monomials, q**e, monomials, co_sizes, _orbit_chunks(q, steps, steps, co_sizes, un_sources)
     sc, co = source.orbit_partition(cap), source.coorbit_partition(cap)
     if len(sc) != len(co):
         raise InternalInvariantViolation("superclass and character counts differ")
@@ -588,8 +597,9 @@ def table_rows(source, cap: int | None):
             yield evaluators.coranks, codes
 
     co_sizes = np.asarray(co.sizes, dtype=np.int64)
-    steps = co.classes_of(times_g[co.digits]), sc.classes_of(times_g[sc.digits])
-    return sc.digits, np.asarray(sc.sizes, dtype=np.int64), co.digits, co_sizes, _orbit_chunks(q, *steps, co_sizes, swept_sources)
+    symmetries = source.symmetries() if len(sc) * len(co) >= _SYMMETRY_CELLS else StructureAlgebra.symmetries(source)  # the scalar
+    char_steps, class_steps = (part.classes_of_codes(symmetry_codes(F, symmetries, part.digits)) for part in (co, sc))
+    return sc.digits, np.asarray(sc.sizes, dtype=np.int64), co.digits, co_sizes, _orbit_chunks(q, char_steps, class_steps, co_sizes, swept_sources)
 
 
 def coranks(source, etas) -> np.ndarray:
@@ -601,60 +611,72 @@ def coranks(source, etas) -> np.ndarray:
     return np.concatenate([CharacterEvaluator.batch(source, etas[lo : lo + size]).coranks for lo in range(0, len(etas), size)])
 
 
-def _orbit_chunks(q: int, char_step: np.ndarray, class_step: np.ndarray, co_sizes: np.ndarray, evaluate):
-    """Yield (rows, coranks, irreducible, codes) for consecutive runs of
-    whole orbits of characters under the scalars F_q^*, about ``_ROW_CELLS``
-    cells each but at least one orbit (of at most q - 1 rows).
+def _orbit_chunks(q: int, char_steps, class_steps, co_sizes: np.ndarray, evaluate):
+    """Yield (rows, coranks, irreducible, codes) for consecutive runs of the
+    characters in a preorder of their orbits under the symmetries, about
+    ``_ORBIT_CELLS`` cells each; an orbit larger than that spans several runs.
 
-    A scalar t commutes with both actions, so the co-orbit of t eta is t
-    times that of eta, the superclass of t phi is t times that of phi, and
-    chi^(t eta)(x_phi) = chi^eta(x_(t phi)).  With g the generator of F_q^*
-    (:attr:`~superchar.gf.Fq.generator`), ``char_step[k]`` is the character
-    of g eta_k and ``class_step[c]`` the class of g phi_c: the orbits are
-    the cycles of char_step, each with its least character, its source, and
-    the power with g**power[k] eta_source in the co-orbit of eta_k
-    (:func:`~superchar.gf.unit_orbits`).  Only the sources are evaluated,
-    by one pass of a value kernel: ``evaluate(sources)`` yields (coranks,
-    codes) for consecutive runs of them, each cut into chunks as it comes;
-    :func:`_orbit_rows` fills the other rows.  Every flag follows one rule
-    (Diaconis-Isaacs): <chi^eta, chi^eta> = |eta U|**2 / |U eta U| with
-    |eta U| = q**corank, so chi^eta is irreducible iff its co-orbit has
-    ``co_sizes`` = q**(2 corank) members.  InternalInvariantViolation when
-    char_step does not move every character in a cycle of at most q - 1
-    through its source, or the kernel leaves sources out."""
-    source, power = unit_orbits(char_step, q - 1)
-    by_orbit = np.argsort(source, kind="stable")
-    sources = np.flatnonzero(power == 0)
-    ends = np.cumsum(np.bincount(source)[sources])  # rows through each orbit
-    per_chunk = max(1, _ROW_CELLS // max(1, len(class_step)))
-    lo = 0  # the first source not yet yielded
-    for coranks, codes in evaluate(sources):
-        while len(coranks):  # the piece's sources not yet yielded, from lo
-            first = ends[lo - 1] if lo else 0
-            hi = min(lo + len(coranks), max(lo + 1, int(np.searchsorted(ends, first + per_chunk, side="right"))))
-            rows = np.sort(by_orbit[first : ends[hi - 1]])
-            owner = np.searchsorted(sources[lo:hi], source[rows])
-            rows, ranks, block = _orbit_rows(rows, owner, power[rows], class_step, coranks[: hi - lo], codes[: hi - lo])
-            yield rows, ranks, co_sizes[rows] == q ** (2 * ranks), block
-            coranks, codes, lo = coranks[hi - lo :], codes[hi - lo :], hi
-    if lo < len(sources):
+    A symmetry D (:meth:`~superchar.core.StructureAlgebra.symmetries`)
+    has chi^(D eta)(x_phi) = chi^eta(x_(D phi)).  ``char_steps[j][k]`` is
+    the character of D_j eta_k and ``class_steps[j][c]`` the class of D_j
+    phi_c.  The orbits are found by gf's walk (:func:`~superchar.gf.orbit_tree`),
+    each at its least character, its source, with a BFS tree from it.  Only
+    the sources are evaluated, by one pass of a value kernel:
+    ``evaluate(sources)`` yields (coranks, codes) for consecutive runs of
+    them.  :func:`_orbit_rows` fills the other rows, each from its parent's;
+    a preorder makes every row once and keeps only the rows of the current
+    path beside the run.  Every flag follows one rule (Diaconis-Isaacs):
+    <chi^eta, chi^eta> = |eta U|**2 / |U eta U| with |eta U| = q**corank, so
+    chi^eta is irreducible iff its co-orbit has ``co_sizes`` = q**(2 corank)
+    members.  InternalInvariantViolation when a step is no permutation, or
+    the kernel leaves sources out."""
+    _, parent, via = orbit_tree(char_steps)
+    chain = [np.arange(len(parent))]  # each character's ancestors, nearest first
+    while (chain[-1] != parent[chain[-1]]).any():
+        chain.append(parent[chain[-1]])
+    chain = np.array(chain)
+    depth, level = (chain[1:] != chain[:-1]).sum(axis=0), np.arange(len(chain))[:, None]
+    path = np.where(level <= depth, chain[np.maximum(depth - level, 0), chain[0]], -1)  # from the source down
+    root, sources, taken = chain[-1], np.flatnonzero(parent == chain[0]), [0]
+    if len(chain) == 1:  # every character is a source: the kernel's pieces are the chunks
+        for coranks, codes in evaluate(sources):
+            rows, taken[0] = sources[taken[0] : taken[0] + len(codes)], taken[0] + len(codes)
+            yield rows, coranks, co_sizes[rows] == q ** (2 * coranks), codes
+        if taken[0] < len(sources):
+            raise InternalInvariantViolation("the value kernel evaluated too few sources")
+        return
+    order, pieces, ranks, ahead = np.lexsort(path[::-1]), evaluate(sources), np.zeros(len(parent), dtype=np.int64), []
+
+    def made(ks):  # the codes of the next sources, ks, in the kernel's order
+        while sum(len(codes) for _, codes in ahead) < len(ks):
+            ahead.append(next(pieces, None) or (None, None))
+            if ahead[-1][1] is None:
+                raise InternalInvariantViolation("the value kernel evaluated too few sources")
+        if not np.array_equal(ks, sources[taken[0] : taken[0] + len(ks)]):
+            raise InternalInvariantViolation("sources are wanted out of order")
+        coranks, codes = (np.concatenate(part) for part in zip(*ahead))
+        ahead[:], taken[0], ranks[ks] = [(coranks[len(ks) :], codes[len(ks) :])], taken[0] + len(ks), coranks[: len(ks)]
+        return codes[: len(ks)]
+
+    held: dict = {}
+    per_chunk = max(1, _ORBIT_CELLS // max(1, class_steps.shape[1]))
+    for lo in range(0, len(order), per_chunk):
+        rows, coranks, codes = _orbit_rows(order[lo : lo + per_chunk], (parent, via, root), ranks, class_steps, held, made)
+        yield rows, coranks, co_sizes[rows] == q ** (2 * coranks), codes
+    if taken[0] < len(sources):
         raise InternalInvariantViolation("the value kernel evaluated too few sources")
 
 
-def _orbit_rows(rows, owner, power, class_step, coranks, codes):
-    """(rows, coranks, codes) of the ascending ``rows`` from the (coranks,
-    codes) of their sources: row k is row owner[k] of the sources read at
-    class_step applied power[k] times, and copies its corank, as an orbit
-    shares it (see :func:`_orbit_chunks`)."""
-    if not power.any():  # every orbit is its source alone
-        return rows, coranks, codes
-    out = np.empty((len(rows), codes.shape[1]), dtype=codes.dtype)
-    classes = np.arange(codes.shape[1])
-    for k in range(int(power.max()) + 1):
-        at = np.flatnonzero(power == k)
-        out[at] = codes[owner[at]].take(classes, axis=1) if k else codes[owner[at]]
-        classes = class_step[classes]
-    return rows, coranks[owner], out
+def _orbit_rows(rows, tree, ranks, class_steps, held, made):
+    """(rows, coranks, codes) of ``rows``, ascending: a source's from the
+    kernel through ``made``, any other row its parent's codes gathered
+    through the class step of the symmetry that reaches it, and the corank
+    of its source, as an orbit shares it (see :func:`_orbit_chunks` and
+    :func:`~superchar.gf.tree_rows`)."""
+    parent, via, root = tree
+    rows = np.sort(rows)
+    codes = tree_rows(parent, via, class_steps, rows, held, made)
+    return rows, ranks[root[rows]], codes
 
 
 # ---------------------------------------------------------------------------

@@ -405,29 +405,83 @@ class Fq:
         return free, rank
 
 
-def unit_orbits(step, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(source, power) for a cyclic group of ``order`` units acting on
-    range(n) through its generator g, ``step[k]`` the index of g k: source[k]
-    is the least index of the orbit of k, by pointer doubling, and k is
-    g**power[k] times source[k], by one walk from the sources.
-    InternalInvariantViolation unless every index lies in a cycle of at most
-    ``order`` members through its source."""
-    every = np.arange(len(step))
-    source, jump, power = every, step, np.zeros(len(step), dtype=np.int64)
-    for _ in range((order - 1).bit_length()):  # source[k]: least of g**i k, i < 2**rounds
-        source, jump = np.minimum(source, source[jump]), jump[jump]
-    start = np.flatnonzero(source == every)
-    at = step[start]
-    for i in range(1, order + 1):  # g**i times each source not yet back at itself
-        open_ = at != start
-        start, at = start[open_], at[open_]
-        if not len(at):
-            break
-        power[at] = i
-        at = step[at]
-    if len(start) or ((power == 0) != (source == every)).any():
-        raise InternalInvariantViolation("the units do not move the indices in cycles through their sources")
-    return source, power
+def orbit_tree(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(source, parent, via) for the group generated by permutations of
+    range(n), ``steps[j][k]`` the index that generator j takes k to (a 2-d
+    array, of no rows for the trivial group): the one orbit walk of the
+    formula and the oracle.
+
+    source[k] is the least index of the orbit of k, by a min-label walk like
+    the sweep's in :mod:`.core`: each pass pulls every label from the
+    preimages under every generator, to a fixpoint.  The pass that last
+    lowers a label records where it came from, the first generator whose
+    preimage holds the least label: the source's label reaches k at the pass
+    equal to its distance from the source, so parent and via form a BFS tree
+    of each orbit, k = steps[via[k]][parent[k]].  A source is its own parent,
+    with via -1.  InternalInvariantViolation unless every step permutes
+    range(n)."""
+    steps = np.asarray(steps)
+    gens, n = steps.shape
+    if not gens:
+        return np.arange(n), np.arange(n), np.full(n, -1)
+    every, base, ks = np.arange(n), np.repeat(n * np.arange(gens), n), np.tile(np.arange(n), gens)
+    inverse = np.zeros(gens * n, dtype=np.int64)  # flat, as flat gathers are the fast ones
+    inverse[steps.ravel() + base] = ks
+    if not (steps.ravel()[inverse + base] == ks).all():
+        raise InternalInvariantViolation("a generator map does not permute the indices")
+    inverse = inverse.reshape(gens, n).T.copy()  # row k: the preimage of k under each generator
+    source, parent, via = every.copy(), every.copy(), np.full(n, -1)
+    while True:
+        pulled = source[inverse]
+        j = pulled.argmin(axis=1)  # the first generator with the least preimage label
+        lower = np.flatnonzero(pulled[every, j] < source)
+        if not len(lower):
+            return source, parent, via
+        source[lower], parent[lower], via[lower] = pulled[lower, j[lower]], inverse[lower, j[lower]], j[lower]
+
+
+def tree_rows(parent, via, steps: np.ndarray, nodes, held: dict, sources) -> np.ndarray:
+    """The rows of ``nodes`` (equal-length 1-d arrays, stacked) over a tree
+    of :func:`orbit_tree`: the rows of the sources ks among them are
+    ``sources(ks)``, ks ascending, and every other row is its parent's row
+    gathered through its generator's step, a row of the 2-d ``steps``:
+    row(k) = row(parent)[steps[via[k]]].
+
+    The rows of every ancestor of ``nodes`` are made too, or taken from
+    ``held``, which keeps them under "rows" for the next call: runs of a
+    preorder of the tree make each row once, and the sources in order.
+    InternalInvariantViolation when the parents lead to no source."""
+    mark, up = np.zeros(len(parent), dtype=bool), np.asarray(nodes)
+    while len(up):  # up the tree from every node
+        mark[up] = True
+        up = parent[up][~mark[parent[up]]]
+    need, slot = np.flatnonzero(mark), np.full(len(parent), -1)
+    ids, old = held.get("rows", (need[:0], None))
+    slot[ids] = np.arange(len(ids))
+    was = slot[need] >= 0
+    # level 0 for a held row or a source, else one below the parent's
+    level, at = np.where(was | (parent[need] == need), 0, -1), np.searchsorted(need, parent[need])
+    if (level < 0).any():
+        while (level < 0).any():
+            new = (level < 0) & (level[at] >= 0)
+            if not new.any():
+                raise InternalInvariantViolation("the tree's parents lead to no source")
+            level[new] = level[at[new]] + 1
+        order = np.lexsort((need, np.where(level > 0, via[need], -1), level))  # the sources ascending
+        need, level, was = need[order], level[order], was[order]
+    fresh = (level == 0) & ~was
+    made = sources(need[fresh]) if fresh.any() or not was.any() else old[:0]
+    rows = np.empty((len(need),) + made.shape[1:], made.dtype)
+    rows[fresh] = made
+    if was.any():
+        rows[was] = old[slot[need[was]]]
+    slot[need], start = np.arange(len(need)), int(np.count_nonzero(level == 0))
+    gen, at = via[need], slot[parent[need]]
+    cuts = (start + np.flatnonzero(np.diff(level[start:] * (len(steps) + 1) + gen[start:], prepend=-1))).tolist()
+    for lo, hi in zip(cuts, cuts[1:] + [len(need)]):  # runs of one level and generator, parents made before
+        np.take(rows[at[lo:hi]], steps[gen[lo]], axis=1, out=rows[lo:hi])
+    held["rows"] = need, rows
+    return rows[slot[nodes]]
 
 
 # ---------------------------------------------------------------------------

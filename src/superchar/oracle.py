@@ -75,13 +75,14 @@ from .errors import (
     NonIntegralScaling,
     SizeCapExceeded,
 )
-from .gf import CycInt, Fq, cell_codes, unit_orbits
+from .gf import CycInt, Fq, cell_codes, orbit_tree, tree_rows
 from .core import OrbitPartition, PatternGroup, _check_functionals, _codes_to_digits, _digits_to_codes, orbit_partition_from_moves
 from .formula import table_rows
 
 DEFAULT_ORACLE_CAP = 1 << 12
 _BLOCK_CELLS = 1 << 16  # member x class cells per block of an orbit sum
 _COEFF_CELLS = 1 << 22  # coefficients x rows x classes per orbit-sum call
+_SYMMETRY_SUMS = 1 << 19  # members x classes of the orbit sums from which vertex scalings and twin swaps pay
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +221,7 @@ class Oracle:
             raise SizeCapExceeded(total, self.cap, "group elements to enumerate")
         self.order = total
         self._partitions: dict[tuple[str, ...], OrbitPartition] = {}
+        self._closed_set = source.J if isinstance(source, PatternGroup) else None
 
     # -- partitions ---------------------------------------------------------
 
@@ -257,34 +259,41 @@ class Oracle:
         return part.elements(part.class_of(eta))
 
     @cached_property
-    def _scalar_orbits(self) -> tuple[np.ndarray, np.ndarray]:
-        """(source, scalar): co-orbit k is scalar[k] times co-orbit
-        source[k], the least co-orbit of its orbit under the scalars F_p^*
-        (:func:`_scale_codes`); scalar is 1 at a source.
+    def _orbits(self):
+        """(source, parent, via, columns, power) for the orbits of the
+        co-orbits under the oracle's own symmetries, by gf's walk
+        (:func:`~superchar.gf.orbit_tree`): the least co-orbit of each orbit
+        and a BFS tree from it.  The symmetries are the scalar g that
+        generates F_p^* (none at p = 2), first, which relabels residues, and
+        on a pattern group whose orbit sums take at least ``_SYMMETRY_SUMS``
+        member x class cells the
+        vertex scalings and twin swaps of :func:`_pattern_symmetries`, which
+        relabel columns: columns[j] is the class step of symmetry j, the
+        identity for g, and co-orbit k is g**power[k] times the image of its
+        source under the other symmetries on its path.
 
-        With g a generator of F_p^*, the orbits are the cycles of step: k ->
-        the co-orbit of g eta_k in the sweep (:func:`~superchar.gf.unit_orbits`).
-        Before any count is relabelled, g is checked once on every member of
-        every co-orbit k: it maps each into co-orbit step[k], and the two have
-        the same size and right co-orbit size, so g and its powers map the
-        one onto the other.  InternalInvariantViolation if not."""
-        F, co = self.field, self.coorbit_partition()
-        p = F.p
-        g = F.power(F.generator, (F.q - 1) // (p - 1))  # generates F_p^*, the units of order p - 1
-        if g == 1:  # p = 2: no scalar but 1
-            return np.arange(len(co)), np.ones(len(co), dtype=np.int64)
-        codes, bounds = co.members
-        sizes, right = np.diff(bounds), self._right_sizes  # the right sweep first, while little else is held
+        Before any count is relabelled, each symmetry is checked on every
+        member of every co-orbit and every superclass (:func:`_class_maps`):
+        it maps each into one class of the oracle's own sweep, of the same
+        size (and right co-orbit size).  InternalInvariantViolation if not."""
+        F, dim, co, sc = self.field, self.dim, self.coorbit_partition(), self.superclass_partition()
+        right = self._right_sizes  # the right sweep first, while little else is held
+        g = F.power(F.generator, (F.q - 1) // (F.p - 1))  # generates F_p^*, the units of order p - 1
         times = F.multiples(g)
-        scaled = (_scale_codes(codes[lo : lo + _BLOCK_CELLS], times, F.q, self.dim) for lo in range(0, len(codes), _BLOCK_CELLS))
-        moved = np.concatenate([co.classes_of_codes(block) for block in scaled])  # blocks keep the int64 temporaries small
-        step = moved[bounds[:-1]]
-        if (moved != np.repeat(step, sizes)).any():
-            raise InternalInvariantViolation(f"{g} times a co-orbit is no co-orbit of the sweep")
-        if (sizes[step] != sizes).any() or (right[step] != right).any():
-            raise InternalInvariantViolation("a scalar multiple of a co-orbit differs from it in size")
-        source, power = unit_orbits(step, p - 1)
-        return source, np.array([pow(g, i, p) for i in range(p - 1)])[power]
+        char_steps = np.empty((0, len(co)), dtype=np.int64)
+        if g > 1:
+            char_steps = _class_maps(co, lambda codes: _scale_codes(codes, times, F.q, dim)[None], "co-orbit", ["scalar multiple"], [f"the scalar {g}"], right)
+        columns = np.tile(np.arange(len(sc)), (len(char_steps), 1))
+        if self._closed_set is not None and self.order * len(sc) >= _SYMMETRY_SUMS:
+            whats, names, times, to = _pattern_symmetries(F, self._closed_set)
+            images = _code_maps(times, to, F.q, dim)
+            char_steps = np.concatenate([char_steps, _class_maps(co, images, "co-orbit", whats, names, right)])
+            columns = np.concatenate([columns, _class_maps(sc, images, "superclass", whats, names)])
+        source, parent, via = orbit_tree(char_steps)
+        power = np.zeros(len(co), dtype=np.int64)
+        while not np.array_equal(power, after := np.where(via < 0, 0, power[parent] + ((via == 0) & (g > 1)))):
+            power = after
+        return source, parent, via, columns, power
 
     # -- orbit sums -----------------------------------------------------------
 
@@ -528,17 +537,18 @@ class Oracle:
         representatives' columns, each the first of its run, which then
         stand for every element.
 
-        Only the source of each orbit of co-orbits under F_p^*
-        (:attr:`_scalar_orbits`) is counted: a co-orbit t O has the counts
-        of O with the residues relabelled, k -> t k, so its counts are
-        constant where those of O are, and their differences, which the
-        scaling divides, are differences of those of O."""
+        Only the source of each orbit of co-orbits under the oracle's
+        symmetries (:attr:`_orbits`) is counted: a co-orbit D O has the
+        counts of O with the residues or the columns relabelled through
+        maps checked on every member, so its counts are constant where
+        those of O are, and their differences, which the scaling divides,
+        are differences of those of O."""
         F = self.field
         members, bounds = sc.members
         tables = self._residue_tables(self._phi_digits(_codes_to_digits(members, F.q, self.dim)))
         inner = np.ones(self.order - 1, dtype=bool)  # neighbours in one class run
         inner[bounds[1:-1] - 1] = False
-        counted = np.flatnonzero(np.bincount(self._scalar_orbits[0][self.coorbit_partition().classes_of(co.digits)]))
+        counted = np.flatnonzero(np.bincount(self._orbits[0][self.coorbit_partition().classes_of(co.digits)]))
         step = _rows_per_call(F.p, self.order)
         for start in range(0, len(counted), step):
             for _, m, nr, counts in self._residue_counts(*self._runs(counted[start : start + step]), tables):
@@ -565,6 +575,28 @@ def _divided(counts, m: int, nr: int):
     return num, nr // g
 
 
+def _closed_form(num, factor: int, powers, p: int) -> np.ndarray:
+    """The cell codes (:func:`~superchar.gf.cell_codes`) of the scaled
+    coefficients num * factor of a block (:func:`_divided`), shape (rows,
+    count), with ``powers`` the powers q**0..q**dim: 0 for zero, 1 + e p + z
+    for q**e zeta**z, whose coefficients are q**e at z < p - 1 and 0
+    elsewhere, or -q**e everywhere at z = p - 1, and len(powers) p + 1, a
+    code no kernel writes, for any other value.  num stays in its narrow
+    dtype: e is looked up by |num|, in a table of the powers num * factor
+    can reach."""
+    low, high = num.min(axis=0), num.max(axis=0)
+    negative = (low == high) & (high < 0)  # all equal and negative: z = p - 1
+    positive = (low >= 0) & (np.count_nonzero(num, axis=0) == 1)  # one positive entry
+    value = np.where(negative, -low.astype(np.int64), high)  # at most m, which -low may pass in num's dtype
+    exponent = np.full(int(value.max(initial=0)) + 1, -1)
+    for e, power in enumerate(powers.tolist()):
+        if power % factor == 0 and power // factor < len(exponent):
+            exponent[power // factor] = e
+    e = exponent[np.maximum(value, 0)]
+    z = np.where(negative, p - 1, ((num > 0) * np.arange(p - 1)[:, None, None]).sum(axis=0))  # the positive entry's
+    return np.where((negative | positive) & (e >= 0), 1 + e * p + z, np.where(high | low, len(powers) * p + 1, 0))
+
+
 def _rows_per_call(p: int, count: int) -> int:
     """Characters per orbit-sum call over ``count`` classes: at most
     ``_BLOCK_CELLS`` cells and ``_COEFF_CELLS`` coefficients, but at least one."""
@@ -579,6 +611,69 @@ def _scale_codes(codes, times, q: int, dim: int) -> np.ndarray:
     split = q ** (dim // 2)
     high, low = (times[np.arange(q**w)[:, None] // q ** np.arange(w) % q] @ q ** np.arange(w) for w in (dim - dim // 2, dim // 2))
     return high[codes // split] * split + low[codes % split]
+
+
+def _code_maps(times, to, q: int, dim: int):
+    """The maps of codes of functionals f in F_q**dim to those of f' with
+    f'[to[j, k]] = times[j, k][f[k]], for every j at once: two lookups in
+    tables over the high and the low half of the coordinates."""
+    split, weight = q ** (dim // 2), q ** (dim - 1 - np.asarray(to))
+    high, low = (
+        (times[:, ks, np.arange(q ** len(ks))[:, None] // q ** np.arange(len(ks) - 1, -1, -1) % q] * weight[:, None, ks]).sum(axis=2)
+        for ks in (np.arange(dim - dim // 2), np.arange(dim - dim // 2, dim))
+    )
+    def images(codes):
+        top = np.asarray(codes) // split
+        return high.take(top, axis=1) + low.take(codes - top * split, axis=1)
+
+    return images
+
+
+def _pattern_symmetries(F: Fq, J):
+    """(whats, names, times, to) for the vertex scalings and twin swaps of
+    U_J as code maps (:func:`_code_maps`), read off the pairs ``J.order``
+    alone, as :func:`_dense_product` reads them: for q > 2 the scaling of
+    each vertex v < n that a pair touches, (a, b) times t_b / t_a with t_v
+    the generator of F_q^*, and the swap of each twin vertex (of equal lower
+    and equal upper neighbours) with the next.  Conjugation by a diagonal or
+    permutation matrix that maps the closed set onto itself is an
+    automorphism."""
+    pairs, g = list(J.order), F.generator
+    units = {1: F.multiples(1), g: F.multiples(g), -1: F.multiples(F.power(g, -1))}
+    out = [
+        ("vertex scaling", f"the scaling of vertex {v}", [units[g if b == v else -1 if a == v else 1] for a, b in pairs], range(len(pairs)))
+        for v in (range(1, J.n) if g != 1 else ())  # q > 2
+        if any(v in pair for pair in pairs)
+    ]
+    twins: dict = {}
+    for v in range(1, J.n + 1):
+        twins.setdefault((frozenset(a for a, b in pairs if b == v), frozenset(b for a, b in pairs if a == v)), []).append(v)
+    for (lower, upper), vs in twins.items():
+        for u, v in zip(vs, vs[1:]) if lower or upper else ():
+            swap = {u: v, v: u}
+            to = [pairs.index((swap.get(a, a), swap.get(b, b))) for a, b in pairs]
+            out.append(("twin swap", f"the swap of vertices {u} and {v}", [units[1]] * len(pairs), to))
+    whats, names, times, to = zip(*out) if out else ((), (), np.empty((0, len(pairs), F.q), dtype=np.int64), ())
+    return list(whats), list(names), np.array(times, dtype=np.int64), np.array(to, dtype=np.int64).reshape(len(whats), len(pairs))
+
+
+def _class_maps(part: OrbitPartition, images, kind: str, whats, names, right=None) -> np.ndarray:
+    """The class of the image of each class of ``part`` under each code map
+    of ``images`` (which maps an array of codes to one row of images per
+    map), checked on every member: the images of all members in blocks
+    (which keep the int64 temporaries small), one gather of the sweep's
+    labels at them, equal labels within each class run, and equal sizes (and
+    ``right`` co-orbit sizes).  InternalInvariantViolation if not."""
+    codes, bounds = part.members
+    labels = np.concatenate([part._labels[images(codes[lo : lo + _BLOCK_CELLS])] for lo in range(0, len(codes), _BLOCK_CELLS)], axis=1)
+    inner = np.ones(len(codes) - 1, dtype=bool)  # neighbours in one class run
+    inner[bounds[1:-1] - 1] = False
+    for j in np.flatnonzero(((labels[:, 1:] != labels[:, :-1]) & inner).any(axis=1))[:1]:
+        raise InternalInvariantViolation(f"the image of a {kind} under {names[j]} is no {kind} of the sweep")
+    steps, sizes = np.searchsorted(part._rep_codes, labels[:, bounds[:-1]]), np.diff(bounds)
+    for j in np.flatnonzero((sizes[steps] != sizes).any(axis=1) | (right is not None and (right[steps] != right).any(axis=1)))[:1]:
+        raise InternalInvariantViolation(f"a {whats[j]} of a {kind} differs from it in size")
+    return steps
 
 
 @dataclass
@@ -740,44 +835,61 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
     )
     report.classes, report.characters = len(classes), len(chars)
 
-    F, p = oracle.field, oracle.field.p
-    tables = oracle._residue_tables(oracle._phi_digits(classes))
-    expected = _Expected(p, F.q, oracle.dim)
+    F, p, width = oracle.field, oracle.field.p, len(orc_sc)
+    tables = oracle._residue_tables(oracle._phi_digits(orc_sc.digits))
     powers = np.array([F.q**e for e in range(oracle.dim + 1)], dtype=object)
-    step = _rows_per_call(p, len(classes))
-    source, scalar = oracle._scalar_orbits
-    unscale = F.fp_inverses[scalar]  # co-orbit t O -> 1 / t
+    step = _rows_per_call(p, width)
+    _, parent, via, steps, power = oracle._orbits
+    g = F.power(F.generator, (F.q - 1) // (p - 1))
+    codes_of, dtype = np.arange((oracle.dim + 1) * p + 2), np.min_scalar_type((oracle.dim + 1) * p + 1)  # no closed form last
+    # t = g**i takes q**e zeta**z to q**e zeta**(t z): the code 1 + e p + z to 1 + e p + (t z mod p)
+    twists = [
+        np.where((codes_of > 0) & (codes_of < codes_of[-1]), codes_of - (codes_of - 1) % p + (codes_of - 1) % p * pow(g, i, p) % p, codes_of).astype(dtype)
+        for i in range(p - 1)
+    ]
+    columns = orc_sc.classes_of(classes)  # the oracle's class of each column
+    identity = np.array_equal(columns, np.arange(width))
     orc_sizes, nright = np.asarray(orc_co.sizes), oracle._right_sizes
+
+    def closed_forms(ks):  # the closed form of the orbit sums of the sources ks, as cell codes
+        out = np.empty((len(ks), width), dtype)
+        for lo in range(0, len(ks), step):
+            for sel, m, nr, counts in oracle._residue_counts(*oracle._runs(ks[lo : lo + step]), tables):
+                num, factor = _divided(counts, m, nr)
+                # the formula's code where it is the value, and the value read off the other cells
+                at = placed[ks[lo + sel]]
+                guess = np.where((at[:, None] >= 0) & identity, codes[at], 0).astype(dtype)
+                fits = (num == expected.divided(factor, num.dtype).take(guess, axis=1)).all(axis=0)
+                if not fits.all():
+                    guess[~fits] = _closed_form(num[:, ~fits][:, None], factor, powers, p)[0]
+                out[lo + sel] = guess
+        return out
+
+    held, expected, placed = {}, _Expected(p, F.q, oracle.dim), np.full(len(orc_co), -1)
     first = None  # (row, class, formula coefficients, oracle coefficients) of the least mismatch
-    # formula values and oracle counters for a chunk of rows at a time, so
-    # memory stays O(chunk x classes x p)
+    # formula values and the oracle's for a chunk of rows at a time, so
+    # memory stays O(chunk x classes)
     for rows, coranks, irreducible, codes in chunks:
         ks = orc_co.classes_of(chars[rows])
         right = nright[ks]
         agree = agree and np.array_equal(F.q**coranks, right) and np.array_equal(irreducible, orc_sizes[ks] == right**2)
-        # each row's co-orbit is t times a source's, whose counts alone are taken
-        counted = np.flatnonzero(np.bincount(source[ks]))  # ascending, each once
-        of_row = np.searchsorted(counted, source[ks])  # each row's source among the counted
-        at = np.full(len(counted), -1)  # the column of each counted source in the current block
-        for lo in range(0, len(counted), step):
-            for sel, m, nr, counts in oracle._residue_counts(*oracle._runs(counted[lo : lo + step]), tables):
-                at[lo + sel] = np.arange(len(sel))
-                these = np.flatnonzero(at[of_row] >= 0)  # the rows counted in this block, ascending
-                column, inverse = at[of_row[these]], unscale[ks[these]]
-                at[lo + sel] = -1
-                if not np.array_equal(column, np.arange(len(sel))) or inverse.max() > 1:
-                    # t O has at residue k the counts of O at k / t
-                    counts = counts[(np.arange(p) * inverse[:, None] % p).T, column]
+        placed[:], placed[ks] = -1, np.arange(len(ks))  # where a source's formula row is, in this chunk
+        # each row's values: its source's, carried down its path of the tree
+        found = tree_rows(parent, via, steps, ks, held, closed_forms)
+        for i in set((power[ks] % (p - 1)).tolist()) - {0}:
+            twisted = power[ks] % (p - 1) == i
+            found[twisted] = twists[i][found[twisted]]
+        bad = (found if identity else found[:, columns]) != codes
+        mismatches = int(np.count_nonzero(bad))
+        report.mismatches += mismatches
+        if mismatches:
+            i, c = np.argwhere(bad)[0]  # rows ascend: the chunk's least (row, class)
+            if first is None or (rows[i], c) < first[:2]:
+                # the oracle's coefficients there, from the row's own co-orbit counted afresh
+                ((_, m, nr, counts),) = oracle._residue_counts(*oracle._runs(ks[i : i + 1]), tables)
                 num, factor = _divided(counts, m, nr)
-                bad = (num != expected.divided(factor, num.dtype).take(codes[these], axis=1)).any(axis=0)
-                mismatches = int(np.count_nonzero(bad))
-                report.mismatches += mismatches
-                if mismatches:
-                    j, c = np.argwhere(bad)[0]  # these ascend: the block's least (row, class)
-                    i = these[j]
-                    if first is None or (rows[i], c) < first[:2]:
-                        formula_coeffs = tuple(_code_columns(powers, p)[:, codes[i, c]].tolist())
-                        first = (rows[i], c, formula_coeffs, tuple(int(x) * factor for x in num[:, j, c]))
+                formula_coeffs = tuple(_code_columns(powers, p)[:, codes[i, c]].tolist())
+                first = (rows[i], c, formula_coeffs, tuple(int(x) * factor for x in num[:, 0, columns[c]]))
     if first is not None:
         i, c, formula_coeffs, oracle_coeffs = first
         report.witness = (tuple(chars[i].tolist()), tuple(classes[c].tolist()), formula_coeffs, oracle_coeffs)

@@ -198,7 +198,7 @@ def test_algebra_is_irreducible_matches_the_annihilators(n, q, monkeypatch):
         flags.append(expected)
     assert any(flags) and not all(flags)  # both outcomes occur
     # the table reads the same flags off the co-orbit sizes, two rows a chunk
-    monkeypatch.setattr(formula, "_ROW_CELLS", 2 * len(alg.all_orbit_reps()))
+    monkeypatch.setattr(formula, "_ORBIT_CELLS", 2 * len(alg.all_orbit_reps()))
     assert [ch["irreducible"] for ch in build_algebra_table(alg).chars] == flags
 
 

@@ -627,7 +627,7 @@ def test_is_irreducible_matches_the_annihilators_on_every_character(J, q, monkey
         flags.append(expected)
     assert any(flags) and not all(flags)  # both outcomes occur
     # the table reads the same flags off the co-orbit sizes, two rows a chunk
-    monkeypatch.setattr(formula, "_ROW_CELLS", 2 * len(G.all_orbit_reps()))
+    monkeypatch.setattr(formula, "_ORBIT_CELLS", 2 * len(G.all_orbit_reps()))
     assert [ch["irreducible"] for ch in build_pattern_table(G).chars] == flags
 
 
@@ -685,26 +685,26 @@ def _every_row(source):
 
 
 def _assert_fill_matches_every_row(source, rows_per_chunk):
-    """The chunks of table_rows cover every row once, in whole orbits under
-    F_q^*, with the codes, coranks and flags of every character evaluated:
-    in chunks of ``rows_per_chunk`` rows (or the default), and again with
+    """The chunks of table_rows cover every row once, ascending within a
+    chunk, with the codes, coranks and flags of every character evaluated:
+    in chunks of at most ``rows_per_chunk`` rows (or the default), so that
+    an orbit under the symmetries spans several chunks, and again with
     setups of two characters, so that the value kernel's pieces end in the
-    middle of a chunk and each chunk is cut where its piece ends."""
+    middle of a chunk."""
     coranks, irreducible, codes = _every_row(source)
     F = source.field
     classes, _, chars, _, _ = table_rows(source, None)
-    step = source.coorbit_partition().classes_of(F.multiples(F.generator)[chars])  # the character of g eta
     for setup in (None, 2):
         with pytest.MonkeyPatch.context() as mp:
             if rows_per_chunk:
-                mp.setattr(formula, "_ROW_CELLS", rows_per_chunk * len(classes))
+                mp.setattr(formula, "_ORBIT_CELLS", rows_per_chunk * len(classes))
             if setup:
                 mp.setattr(formula, "_SETUP_ENTRIES", setup * source.dim**2 * F.r)
             chunks = list(table_rows(source, None)[4])
         rows = np.concatenate([chunk[0] for chunk in chunks])
         assert sorted(rows.tolist()) == list(range(len(chars)))
         for got_rows, got_coranks, got_irreducible, got_codes in chunks:
-            assert np.array_equal(got_rows, np.sort(got_rows)) and np.isin(step[got_rows], got_rows).all()
+            assert np.array_equal(got_rows, np.sort(got_rows)) and len(got_rows) <= (rows_per_chunk or len(chars))
             assert np.array_equal(got_coranks, coranks[got_rows])
             assert np.array_equal(got_irreducible, irreducible[got_rows])
             assert got_codes.dtype == codes.dtype and np.array_equal(got_codes, codes[got_rows])
@@ -720,12 +720,12 @@ def _assert_fill_matches_every_row(source, rows_per_chunk):
 )
 def test_table_rows_fill_matches_every_character_on_random_closed_sets(seed, n, q, rows_per_chunk):
     """Random closed sets, U_n among them, over fields with F_q^* of 2 to 8
-    scalars; chunks of one or three rows hold at least one whole orbit."""
+    scalars; in chunks of one row every orbit of several rows is split."""
     J = _random_closed(random.Random(seed), n)
     assume(q ** len(J) <= 2**12)
     chunks = _assert_fill_matches_every_row(PatternGroup(J, Fq.of(q)), rows_per_chunk)
-    if rows_per_chunk == 1 and len(J):
-        assert any(len(chunk[0]) > 1 for chunk in chunks)  # an orbit of several rows, whole
+    if rows_per_chunk == 1:
+        assert all(len(chunk[0]) == 1 for chunk in chunks)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])

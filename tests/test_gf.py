@@ -22,8 +22,9 @@ from superchar.gf import (
     perp_to_nullspace,
     rank,
     solve,
+    orbit_tree,
     theta,
-    unit_orbits,
+    tree_rows,
 )
 
 F2 = Fq.of(2)
@@ -442,35 +443,113 @@ def _cycles(rng, n, order):
     return step, cycles
 
 
+def _assert_walk(steps, source, parent, via):
+    """Each orbit of the group generated by ``steps`` at its least index,
+    by a plain closure from every index, and a BFS tree of it: every edge
+    one generator step, each index at its least distance from its source."""
+    n = len(steps[0])
+    for k in range(n):
+        orbit, frontier = {k}, [k]
+        while frontier:
+            frontier = [int(step[i]) for i in frontier for step in steps if int(step[i]) not in orbit]
+            orbit.update(frontier)
+        assert source[k] == min(orbit)
+    roots = source == np.arange(n)
+    assert np.array_equal(parent[roots], np.flatnonzero(roots)) and (via[roots] == -1).all()
+    assert all(steps[via[k]][parent[k]] == k and source[parent[k]] == source[k] for k in np.flatnonzero(~roots))
+    depth = np.zeros(n, dtype=np.int64)  # from the tree, against a BFS by hand
+    for k in range(n):
+        at = k
+        while parent[at] != at:
+            at, depth[k] = parent[at], depth[k] + 1
+    distance = {int(s): 0 for s in np.flatnonzero(roots)}
+    frontier = list(distance)
+    while frontier:
+        reached = []
+        for i in frontier:
+            for j in (int(step[i]) for step in steps):
+                if j not in distance:
+                    distance[j] = distance[i] + 1
+                    reached.append(j)
+        frontier = reached
+    assert depth.tolist() == [distance[k] for k in range(n)]
+
+
 @pytest.mark.parametrize("order", [1, 2, 4, 6, 12, 26, 80])
 def test_unit_orbits_finds_each_cycle_at_its_least_member(order):
+    """The walk of one unit's step, whose cycles divide the unit's order,
+    finds each cycle at its least member, by a tree of steps."""
     rng = np.random.default_rng(order)
     for n in (1, 7, 60):
         step, cycles = _cycles(rng, n, order)
-        source, power = unit_orbits(step, order)
+        source, parent, via = orbit_tree([step])
         for cycle in cycles:
             assert (source[cycle] == min(cycle)).all()
-        for k in range(n):
-            at = source[k]
-            for _ in range(power[k]):
-                at = step[at]
-            assert at == k
+        _assert_walk([step], source, parent, via)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_orbit_walk_of_several_generators(seed):
+    """Orbits of the group that several permutations generate (cycles of
+    several orders, an involution, the identity), each at its least index,
+    with a BFS tree of generator steps."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 50))
+    steps = [_cycles(rng, n, order)[0] for order in rng.choice([1, 2, 3, 4, 6], size=int(rng.integers(1, 4)))]
+    _assert_walk(steps, *orbit_tree(steps))
 
 
 def test_unit_orbits_of_the_identity_is_power_0_everywhere():
-    for order in (1, 2, 8):
-        source, power = unit_orbits(np.arange(9), order)
-        assert (source == np.arange(9)).all() and not power.any()
+    """Every index is its own source, reached by no power of the step."""
+    for steps in ([np.arange(9)], [np.arange(9)] * 3):
+        source, parent, via = orbit_tree(steps)
+        assert (source == np.arange(9)).all() and (parent == np.arange(9)).all() and (via == -1).all()
 
 
 @pytest.mark.parametrize(
-    "step, order",
-    [([1, 1, 2], 2), ([0, 0], 2), ([1, 0, 0], 2), ([1, 2, 0], 2), ([1, 2, 3, 0], 3), ([1, 0], 1)],
-    ids=["into_a_fixed_point", "onto_a_fixed_point", "into_a_cycle", "cycle_of_3_past_2", "cycle_of_4_past_3", "swap_past_1"],
+    "step",
+    [[1, 1, 2], [0, 0], [1, 0, 0]],
+    ids=["into_a_fixed_point", "onto_a_fixed_point", "into_a_cycle"],
 )
-def test_unit_orbits_refuses_a_map_that_is_no_permutation_of_short_cycles(step, order):
-    with pytest.raises(InternalInvariantViolation, match="do not move the indices in cycles"):
-        unit_orbits(np.array(step), order)
+def test_unit_orbits_refuses_a_map_that_is_no_permutation_of_short_cycles(step):
+    """A generator map that is no permutation is refused, beside a good one."""
+    for steps in ([np.array(step)], [np.arange(len(step)), np.array(step)]):
+        with pytest.raises(InternalInvariantViolation, match="a generator map does not permute the indices"):
+            orbit_tree(steps)
+
+
+@pytest.mark.parametrize("per_call", [1, 2, 5, 40])
+def test_tree_rows_in_preorder_runs_make_each_row_once(per_call):
+    """Rows over a tree of two generators, each a permutation of 4 columns:
+    a source's row is asked for once, in order, and every other row is its
+    parent's gathered through its step, however a preorder is cut."""
+    rng = np.random.default_rng(per_call)
+    steps = [_cycles(rng, 30, 4)[0], _cycles(rng, 30, 2)[0]]
+    columns = [rng.permutation(4), np.array([1, 0, 2, 3])]
+    source, parent, via = orbit_tree(steps)
+    path = []
+    for k in range(30):  # the path from the source down, for a preorder
+        at, chain = k, [k]
+        while parent[at] != at:
+            at = parent[at]
+            chain.insert(0, at)
+        path.append(chain)
+    order = sorted(range(30), key=lambda k: path[k])
+    asked, held = [], {}
+
+    def sources(ks):
+        asked.extend(ks.tolist())
+        return np.tile(np.arange(4), (len(ks), 1)) + 10 * ks[:, None]
+
+    for lo in range(0, 30, per_call):
+        nodes = np.array(order[lo : lo + per_call])
+        rows = tree_rows(parent, via, columns, nodes, held, sources)
+        for k, row in zip(nodes.tolist(), rows):
+            want = 10 * path[k][0] + np.arange(4)
+            for child in path[k][1:]:
+                want = want[columns[via[child]]]
+            assert np.array_equal(row, want)
+    assert asked == sorted(set(asked)) == np.flatnonzero(source == np.arange(30)).tolist()
 
 
 # -- linear algebra ----------------------------------------------------------

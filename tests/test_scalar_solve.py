@@ -77,21 +77,24 @@ def test_one_scalar_arithmetic_for_every_q():
     assert not [name for name in vars(gf) if name.startswith("_poly") or name == "_irreducible"]
 
 
-def test_one_orbit_walk_under_the_scalars():
-    """The formula and the oracle find the orbits of the scalars by gf's
-    walk, the package's only pointer doubling, and the oracle multiplies
-    by a scalar through Fq.multiples, with no table cache of its own."""
+def test_one_orbit_walk_for_every_symmetry():
+    """The formula and the oracle find the orbits of the symmetries by gf's
+    one walk, and fill rows down its tree by gf's one gather; the oracle
+    takes its symmetries from no other module and multiplies by a scalar
+    through Fq.multiples, with no table cache of its own."""
     formula, oracle = _functions(_tree("formula.py")), _functions(_tree("oracle.py"))
-    assert "unit_orbits" in _names(formula["_orbit_chunks"])
-    assert {"unit_orbits", "multiples"} <= _names(oracle["Oracle._scalar_orbits"])
-    doubling = {
+    assert "orbit_tree" in _names(formula["_orbit_chunks"]) and "tree_rows" in _names(formula["_orbit_rows"])
+    assert "orbit_tree" in _names(oracle["Oracle._orbits"]) and "tree_rows" in _names(oracle["full_check"])
+    assert {"multiples", "_pattern_symmetries"} <= _names(oracle["Oracle._orbits"])
+    assert not {"symmetries", "symmetry_codes"} & _names(_tree("oracle.py"))
+    defined = {
         f"{path.stem}.{name}"
         for path in sorted(SRC.glob("*.py"))
         for name, node in _functions(_tree(path.name)).items()
-        if "bit_length" in _names(node)
+        if name in ("orbit_tree", "tree_rows") or "bit_length" in _names(node)  # no pointer doubling beside it
     }
-    assert doubling == {"gf.unit_orbits"}
-    assert "_scaled_digits" not in oracle and "lru_cache" not in _names(_tree("oracle.py"))
+    assert defined == {"gf.orbit_tree", "gf.tree_rows"}
+    assert "unit_orbits" not in vars(gf) and "_scalar_orbits" not in oracle and "lru_cache" not in _names(_tree("oracle.py"))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
