@@ -616,15 +616,20 @@ def _scale_codes(codes, times, q: int, dim: int) -> np.ndarray:
 def _code_maps(times, to, q: int, dim: int):
     """The maps of codes of functionals f in F_q**dim to those of f' with
     f'[to[j, k]] = times[j, k][f[k]], for every j at once: two lookups in
-    tables over the high and the low half of the coordinates."""
+    tables over the high and the low half of the coordinates, in the
+    narrowest dtype that holds a code: the images of a block of members
+    are a few times its size, fresh memory each."""
     split, weight = q ** (dim // 2), q ** (dim - 1 - np.asarray(to))
     high, low = (
-        (times[:, ks, np.arange(q ** len(ks))[:, None] // q ** np.arange(len(ks) - 1, -1, -1) % q] * weight[:, None, ks]).sum(axis=2)
+        (times[:, ks, np.arange(q ** len(ks))[:, None] // q ** np.arange(len(ks) - 1, -1, -1) % q] * weight[:, None, ks]).sum(axis=2).astype(np.min_scalar_type(q**dim - 1))
         for ks in (np.arange(dim - dim // 2), np.arange(dim - dim // 2, dim))
     )
+
     def images(codes):
         top = np.asarray(codes) // split
-        return high.take(top, axis=1) + low.take(codes - top * split, axis=1)
+        out = high.take(top, axis=1)
+        out += low.take(codes - top * split, axis=1)
+        return out
 
     return images
 
@@ -665,7 +670,8 @@ def _class_maps(part: OrbitPartition, images, kind: str, whats, names, right=Non
     labels at them, equal labels within each class run, and equal sizes (and
     ``right`` co-orbit sizes).  InternalInvariantViolation if not."""
     codes, bounds = part.members
-    labels = np.concatenate([part._labels[images(codes[lo : lo + _BLOCK_CELLS])] for lo in range(0, len(codes), _BLOCK_CELLS)], axis=1)
+    labels = [part._labels[images(codes[lo : lo + _BLOCK_CELLS])] for lo in range(0, len(codes), _BLOCK_CELLS)]
+    labels = labels[0] if len(labels) == 1 else np.concatenate(labels, axis=1)
     inner = np.ones(len(codes) - 1, dtype=bool)  # neighbours in one class run
     inner[bounds[1:-1] - 1] = False
     for j in np.flatnonzero(((labels[:, 1:] != labels[:, :-1]) & inner).any(axis=1))[:1]:
