@@ -612,13 +612,9 @@ class StructureAlgebra:
         return self._sweep(("co_left", "co_right"), cap)
 
     def symmetries(self) -> list:
-        """The generators of the symmetries that :func:`superchar.formula.table_rows`
-        folds rows by, each a monomial map (to, scale) of F_q**d that sends f
-        to f' with f'[to[k]] = scale[k] f[k] (:func:`symmetry_codes`): here
-        the scalar g that generates F_q^* alone.  A map D that carries
-        co-orbits to co-orbits and superclasses to superclasses, with
-        (D mu) . phi = mu . (D phi), has chi^(D eta)(x_phi) = chi^eta(x_(D phi)).
-        At q = 2 the scalar is 1, and there is none."""
+        """Generators of the symmetries :func:`superchar.formula.table_rows`
+        folds rows by, each a map (to, scale) sending f to f' with f'[to[k]] =
+        scale[k] f[k]: here the scalar g that generates F_q^*, if g != 1."""
         g = self.field.generator
         return [(np.arange(self.d), np.full(self.d, g))] if g != 1 else []
 
@@ -633,17 +629,13 @@ class StructureAlgebra:
 
 
 def symmetry_codes(field: Fq, symmetries, digits) -> np.ndarray:
-    """The codes (:func:`_digits_to_codes`) of the images of the (count, d)
-    functionals ``digits`` under each monomial map (to, scale) of
-    :meth:`StructureAlgebra.symmetries`, shape (len(symmetries), count):
-    one table lookup per coordinate, weighted by its place in the image."""
+    """The codes of the images of the (count, d) functionals ``digits``
+    under each map of :meth:`StructureAlgebra.symmetries`, shape
+    (len(symmetries), count): a weighted table lookup per coordinate."""
     (count, d), q = digits.shape, field.q
-    if not symmetries:
-        return np.empty((0, count), dtype=np.int64)
-    to, scale = (np.array(column, dtype=np.int64).reshape(len(symmetries), d) for column in zip(*symmetries))
+    to, scale = (np.array(column, dtype=np.int64).reshape(len(symmetries), d) for column in zip(*symmetries or [((), ())]))
     units = sorted(set(scale.ravel().tolist()))
-    # table[j, k, x]: the code of scale[j, k] x, weighted by q**(d - 1 - to[j, k])
-    table = np.array([field.multiples(c) for c in units]).reshape(-1, q)[np.searchsorted(units, scale)] * q ** (d - 1 - to)[:, :, None]
+    table = np.array([field.multiples(c) for c in units], dtype=np.int64).reshape(-1, q)[np.searchsorted(units, scale)] * q ** (d - 1 - to)[:, :, None]
     return sum((table[:, k].take(digits[:, k], axis=1) for k in range(d)), np.zeros((len(symmetries), count), dtype=np.int64))
 
 
@@ -712,24 +704,15 @@ class PatternGroup(StructureAlgebra):
         self._sweeps = {}
 
     def symmetries(self) -> list:
-        """The scalar g; for q > 2 the scaling of each vertex v < n that a
-        pair touches, t_v = g and (a, b) times t_b / t_a, the torus that
-        normalizes U_J (vertex n adds nothing: all n give the identity); and
-        the swap of each twin vertex with the next, twins having equal
-        lower and equal upper neighbours.  Each is conjugation by a diagonal
-        or permutation matrix, an automorphism of U_J, acting on
-        functionals through the pairing (Diaconis-Isaacs, Supercharacters
-        and superclasses for algebra groups)."""
-        F, J, d = self.field, self.J, self.d
-        a, b = np.array(J.order, dtype=np.int64).reshape(d, 2).T
-        g, every, out = F.generator, np.arange(d), super().symmetries()
-        if g != 1:  # q > 2
-            out += [(every, np.where(b == v, g, np.where(a == v, F.power(g, -1), 1))) for v in range(1, J.n) if v in a or v in b]
-        twins: dict = {}
+        """The scalar; for q > 2 the scaling by t_v = g of each vertex v < n a
+        pair touches, (a, b) times t_b / t_a; the swap of each twin vertex (of
+        equal lower and upper neighbours) with the next: conjugations by a
+        diagonal or permutation matrix, automorphisms of U_J."""
+        F, J = self.field, self.J
+        a, b = np.array(J.order, dtype=np.int64).reshape(self.d, 2).T
+        g, twins = F.generator, {}
         for v in range(1, J.n + 1):
             twins.setdefault((frozenset(a[b == v].tolist()), frozenset(b[a == v].tolist())), []).append(v)
-        for (lower, upper), vs in twins.items():
-            for u, v in zip(vs, vs[1:]) if lower or upper else ():
-                swap = {u: v, v: u}
-                out.append((np.array([J.index[swap.get(i, i), swap.get(j, j)] for i, j in J.order]), np.ones(d, dtype=np.int64)))
-        return out
+        swaps = [{u: v, v: u} for (lower, upper), vs in twins.items() for u, v in zip(vs, vs[1:]) if lower or upper]
+        scalings = [np.where(b == v, g, np.where(a == v, F.power(g, -1), 1)) for v in range(1, J.n) if g != 1 and v in (*a, *b)]
+        return super().symmetries() + [(range(self.d), t) for t in scalings] + [([J.index[s.get(i, i), s.get(j, j)] for i, j in J.order], [1] * self.d) for s in swaps]

@@ -62,10 +62,11 @@ monomial representatives and needs no plans; :func:`table_rows` and
 :func:`coranks` alone choose between the two.  Both kernels write each
 value as its cell code (:func:`~superchar.gf.cell_codes`), the one format
 that tables store and the check keys on.  :func:`table_rows` runs a kernel
-on one character of each orbit under the scalars F_q^* and fills the
-other rows of the orbit by a gather, as chi^(t eta)(x_phi) =
-chi^eta(x_(t phi)) (:func:`_orbit_chunks`, which takes the orbits from
-gf's walk, :func:`~superchar.gf.unit_orbits`).  The closed-form
+on one character of each orbit under the symmetries of the group (the
+scalars, and on large tables of a pattern group the vertex scalings and twin
+swaps) and fills each other row from its parent's in gf's BFS tree by a
+gather, as chi^(D eta)(x_phi) = chi^eta(x_(D phi)) (:func:`_orbit_chunks`).
+The closed-form
 specializations for pattern groups below, :func:`value_un` among them, are
 references for the tests.
 """
@@ -272,11 +273,8 @@ class CharacterEvaluator:
 
 
 _ROW_CELLS = 1 << 16  # cells per chunk of rows in value_chunks
-_ORBIT_CELLS = 1 << 18  # cells per chunk of rows that table_rows yields: fewer, longer runs of one fill
-# table cells from which table_rows folds rows by every symmetry, not the
-# scalar alone: on smaller tables the walk and the class maps cost more
-# than the rows they save (in-process timing of the check corpus)
-_SYMMETRY_CELLS = 1 << 16
+_ORBIT_CELLS = 1 << 18  # cells per chunk of rows that table_rows yields: longer runs of one fill
+_SYMMETRY_CELLS = 1 << 16  # table cells from which every symmetry pays, not the scalar alone
 _SETUP_ENTRIES = 1 << 16  # entries of A_eta, k * d**2 * r, per batched setup in value_chunks
 _CHUNK_ENTRIES = 1 << 16  # entries of the digit product per run of characters
 _BATCH_CELLS = 4096  # hard cells per batched elimination
@@ -578,10 +576,8 @@ def table_rows(source, cap: int | None):
         # a floor, not q**(2 corank - crossings): a wrong crossing count
         # must reach the check as a wrong size, not raise on a negative power
         co_sizes = q ** (2 * coranks) // q**crossings
-        # the scalar alone: with the vertex scalings too, the walk and the
-        # class maps cost more than the cheap U_n kernel saves (U_3(16), U_4(4))
-        steps = np.searchsorted(_digits_to_codes(monomials, q), _digits_to_codes(F.multiples(F.generator)[monomials], q))[None]
-        steps = steps[: F.generator != 1]  # at q = 2 the scalar is 1
+        # the scalar alone, if not 1: vertex scalings cost more than the cheap U_n kernel saves
+        steps = np.searchsorted(_digits_to_codes(monomials, q), _digits_to_codes(F.multiples(F.generator)[monomials], q))[None][: F.generator != 1]
 
         def un_sources(rows):
             for start, codes in un_value_chunks(source, monomials[rows], monomials):
@@ -612,24 +608,16 @@ def coranks(source, etas) -> np.ndarray:
 
 
 def _orbit_chunks(q: int, char_steps, class_steps, co_sizes: np.ndarray, evaluate):
-    """Yield (rows, coranks, irreducible, codes) for consecutive runs of the
-    characters in a preorder of their orbits under the symmetries, about
-    ``_ORBIT_CELLS`` cells each; an orbit larger than that spans several runs.
-
-    A symmetry D (:meth:`~superchar.core.StructureAlgebra.symmetries`)
-    has chi^(D eta)(x_phi) = chi^eta(x_(D phi)).  ``char_steps[j][k]`` is
-    the character of D_j eta_k and ``class_steps[j][c]`` the class of D_j
-    phi_c.  The orbits are found by gf's walk (:func:`~superchar.gf.orbit_tree`),
-    each at its least character, its source, with a BFS tree from it.  Only
-    the sources are evaluated, by one pass of a value kernel:
-    ``evaluate(sources)`` yields (coranks, codes) for consecutive runs of
-    them.  :func:`_orbit_rows` fills the other rows, each from its parent's;
-    a preorder makes every row once and keeps only the rows of the current
-    path beside the run.  Every flag follows one rule (Diaconis-Isaacs):
-    <chi^eta, chi^eta> = |eta U|**2 / |U eta U| with |eta U| = q**corank, so
-    chi^eta is irreducible iff its co-orbit has ``co_sizes`` = q**(2 corank)
-    members.  InternalInvariantViolation when a step is no permutation, or
-    the kernel leaves sources out."""
+    """Yield (rows, coranks, irreducible, codes) for runs of ``_ORBIT_CELLS``
+    cells of a preorder of the characters' orbits under the symmetries D_j,
+    which have chi^(D eta)(x_phi) = chi^eta(x_(D phi)): ``char_steps[j][k]``
+    is the character of D_j eta_k, ``class_steps[j][c]`` the class of D_j
+    phi_c.  gf's walk finds each orbit's least character, its source, and a
+    BFS tree; ``evaluate(sources)`` yields (coranks, codes) for runs of the
+    sources, and :func:`_orbit_rows` fills the rest down the tree.  chi^eta
+    is irreducible iff its co-orbit has ``co_sizes`` = q**(2 corank) members
+    (Diaconis-Isaacs).  InternalInvariantViolation when a step is no
+    permutation, or the kernel leaves sources out."""
     _, parent, via = orbit_tree(char_steps)
     chain = [np.arange(len(parent))]  # each character's ancestors, nearest first
     while (chain[-1] != parent[chain[-1]]).any():
@@ -637,42 +625,30 @@ def _orbit_chunks(q: int, char_steps, class_steps, co_sizes: np.ndarray, evaluat
     chain = np.array(chain)
     depth, level = (chain[1:] != chain[:-1]).sum(axis=0), np.arange(len(chain))[:, None]
     path = np.where(level <= depth, chain[np.maximum(depth - level, 0), chain[0]], -1)  # from the source down
-    root, sources, taken = chain[-1], np.flatnonzero(parent == chain[0]), [0]
-    if len(chain) == 1:  # every character is a source: the kernel's pieces are the chunks
-        for coranks, codes in evaluate(sources):
-            rows, taken[0] = sources[taken[0] : taken[0] + len(codes)], taken[0] + len(codes)
-            yield rows, coranks, co_sizes[rows] == q ** (2 * coranks), codes
-        if taken[0] < len(sources):
-            raise InternalInvariantViolation("the value kernel evaluated too few sources")
-        return
-    order, pieces, ranks, ahead = np.lexsort(path[::-1]), evaluate(sources), np.zeros(len(parent), dtype=np.int64), []
+    sources, ranks, taken = np.flatnonzero(parent == chain[0]), np.zeros(len(parent), dtype=np.int64), [0]
+    pieces, ahead, held = evaluate(sources), [], {}
 
-    def made(ks):  # the codes of the next sources, ks, in the kernel's order
-        while sum(len(codes) for _, codes in ahead) < len(ks):
-            ahead.append(next(pieces, None) or (None, None))
-            if ahead[-1][1] is None:
-                raise InternalInvariantViolation("the value kernel evaluated too few sources")
-        if not np.array_equal(ks, sources[taken[0] : taken[0] + len(ks)]):
-            raise InternalInvariantViolation("sources are wanted out of order")
-        coranks, codes = (np.concatenate(part) for part in zip(*ahead))
+    def made(ks):  # the next sources' codes, as the kernel made them
+        while sum(len(codes) for _, codes in ahead) < len(ks) and (piece := next(pieces, None)):
+            ahead.append(piece)
+        coranks, codes = (np.concatenate(part) for part in zip(*ahead)) if ahead else (ks[:0], None)
+        if len(coranks) < len(ks) or not np.array_equal(ks, sources[taken[0] : taken[0] + len(ks)]):
+            raise InternalInvariantViolation("the value kernel evaluated too few sources")
         ahead[:], taken[0], ranks[ks] = [(coranks[len(ks) :], codes[len(ks) :])], taken[0] + len(ks), coranks[: len(ks)]
         return codes[: len(ks)]
 
-    held: dict = {}
-    per_chunk = max(1, _ORBIT_CELLS // max(1, class_steps.shape[1]))
+    order, per_chunk = np.lexsort(path[::-1]), max(1, _ORBIT_CELLS // max(1, class_steps.shape[1]))
     for lo in range(0, len(order), per_chunk):
-        rows, coranks, codes = _orbit_rows(order[lo : lo + per_chunk], (parent, via, root), ranks, class_steps, held, made)
+        rows, coranks, codes = _orbit_rows(order[lo : lo + per_chunk], (parent, via, chain[-1]), ranks, class_steps, held, made)
         yield rows, coranks, co_sizes[rows] == q ** (2 * coranks), codes
     if taken[0] < len(sources):
         raise InternalInvariantViolation("the value kernel evaluated too few sources")
 
 
 def _orbit_rows(rows, tree, ranks, class_steps, held, made):
-    """(rows, coranks, codes) of ``rows``, ascending: a source's from the
-    kernel through ``made``, any other row its parent's codes gathered
-    through the class step of the symmetry that reaches it, and the corank
-    of its source, as an orbit shares it (see :func:`_orbit_chunks` and
-    :func:`~superchar.gf.tree_rows`)."""
+    """(rows, coranks, codes) of ``rows``, ascending: each a source's from
+    the kernel through ``made`` or its parent's gathered through a class
+    step (:func:`~superchar.gf.tree_rows`), with its source's corank."""
     parent, via, root = tree
     rows = np.sort(rows)
     codes = tree_rows(parent, via, class_steps, rows, held, made)

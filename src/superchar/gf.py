@@ -14,7 +14,8 @@ element and the trace are F_p-linear: :class:`Fq` holds that view as arrays
 product and one batched Gauss-Jordan elimination mod p, the only digit
 arithmetic of the evaluator and the oracle.  The orbit sweep of :mod:`.core`
 adds codes digit-wise and reads rows of multiples off the log tables, as do
-the formula and the oracle, whose scalar orbits :func:`unit_orbits` finds.
+the formula and the oracle, whose orbits under their symmetries
+:func:`orbit_tree` finds and whose rows :func:`tree_rows` fills down its tree.
 
 There is one scalar arithmetic for every q.  Multiplication by X is the
 companion matrix C of the modulus, so the blocks D(X**v) are C**v mod p, and
@@ -405,52 +406,38 @@ class Fq:
         return free, rank
 
 
-def orbit_tree(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(source, parent, via) for the group generated by permutations of
-    range(n), ``steps[j][k]`` the index that generator j takes k to (a 2-d
-    array, of no rows for the trivial group): the one orbit walk of the
-    formula and the oracle.
-
-    source[k] is the least index of the orbit of k, by a min-label walk like
-    the sweep's in :mod:`.core`: each pass pulls every label from the
-    preimages under every generator, to a fixpoint.  The pass that last
-    lowers a label records where it came from, the first generator whose
-    preimage holds the least label: the source's label reaches k at the pass
-    equal to its distance from the source, so parent and via form a BFS tree
-    of each orbit, k = steps[via[k]][parent[k]].  A source is its own parent,
-    with via -1.  InternalInvariantViolation unless every step permutes
-    range(n)."""
+def orbit_tree(steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(source, parent, via) of the group generated by the permutations
+    ``steps[j]`` of range(n): the one orbit walk of formula and oracle.  Each
+    pass pulls every label from its preimages, so source[k] is the least
+    index of k's orbit, and reaches k at the pass of its distance, from the
+    first generator holding it: k = steps[via[k]][parent[k]], a BFS tree (a
+    source is its own parent, via -1).  InternalInvariantViolation unless
+    every step permutes range(n)."""
     steps = np.asarray(steps)
     gens, n = steps.shape
-    if not gens:
-        return np.arange(n), np.arange(n), np.full(n, -1)
-    every, base, ks = np.arange(n), np.repeat(n * np.arange(gens), n), np.tile(np.arange(n), gens)
-    inverse = np.zeros(gens * n, dtype=np.int64)  # flat, as flat gathers are the fast ones
-    inverse[steps.ravel() + base] = ks
-    if not (steps.ravel()[inverse + base] == ks).all():
+    every, inverse = np.arange(n), np.argsort(steps, axis=1)  # of a permutation, its inverse
+    if not (np.take_along_axis(steps, inverse, axis=1) == every).all():
         raise InternalInvariantViolation("a generator map does not permute the indices")
-    inverse = inverse.reshape(gens, n).T.copy()  # row k: the preimage of k under each generator
+    inverse = inverse.T.copy()  # row k: the preimage of k under each generator
     source, parent, via = every.copy(), every.copy(), np.full(n, -1)
-    while True:
+    while gens:
         pulled = source[inverse]
-        j = pulled.argmin(axis=1)  # the first generator with the least preimage label
+        j = pulled.argmin(axis=1)
         lower = np.flatnonzero(pulled[every, j] < source)
         if not len(lower):
-            return source, parent, via
+            break
         source[lower], parent[lower], via[lower] = pulled[lower, j[lower]], inverse[lower, j[lower]], j[lower]
+    return source, parent, via
 
 
 def tree_rows(parent, via, steps: np.ndarray, nodes, held: dict, sources) -> np.ndarray:
-    """The rows of ``nodes`` (equal-length 1-d arrays, stacked) over a tree
-    of :func:`orbit_tree`: the rows of the sources ks among them are
-    ``sources(ks)``, ks ascending, and every other row is its parent's row
-    gathered through its generator's step, a row of the 2-d ``steps``:
-    row(k) = row(parent)[steps[via[k]]].
-
-    The rows of every ancestor of ``nodes`` are made too, or taken from
-    ``held``, which keeps them under "rows" for the next call: runs of a
-    preorder of the tree make each row once, and the sources in order.
-    InternalInvariantViolation when the parents lead to no source."""
+    """The rows of ``nodes`` over a tree of :func:`orbit_tree`: those of the
+    sources ks are ``sources(ks)``, ks ascending, any other is its parent's
+    row gathered through steps[via[k]].  Every ancestor's row is made too, or
+    taken from ``held``, kept there for the next call, so runs of a preorder
+    make each row once.  InternalInvariantViolation when the parents lead to
+    no source."""
     mark, up = np.zeros(len(parent), dtype=bool), np.asarray(nodes)
     while len(up):  # up the tree from every node
         mark[up] = True
@@ -461,20 +448,16 @@ def tree_rows(parent, via, steps: np.ndarray, nodes, held: dict, sources) -> np.
     was = slot[need] >= 0
     # level 0 for a held row or a source, else one below the parent's
     level, at = np.where(was | (parent[need] == need), 0, -1), np.searchsorted(need, parent[need])
-    if (level < 0).any():
-        while (level < 0).any():
-            new = (level < 0) & (level[at] >= 0)
-            if not new.any():
-                raise InternalInvariantViolation("the tree's parents lead to no source")
-            level[new] = level[at[new]] + 1
-        order = np.lexsort((need, np.where(level > 0, via[need], -1), level))  # the sources ascending
-        need, level, was = need[order], level[order], was[order]
+    while (level < 0).any():
+        if not (new := (level < 0) & (level[at] >= 0)).any():
+            raise InternalInvariantViolation("the tree's parents lead to no source")
+        level[new] = level[at[new]] + 1
+    order = np.lexsort((need, np.where(level > 0, via[need], -1), level))  # the sources ascending
+    need, level, was = need[order], level[order], was[order]
     fresh = (level == 0) & ~was
     made = sources(need[fresh]) if fresh.any() or not was.any() else old[:0]
     rows = np.empty((len(need),) + made.shape[1:], made.dtype)
-    rows[fresh] = made
-    if was.any():
-        rows[was] = old[slot[need[was]]]
+    rows[fresh], rows[was] = made, old[slot[need[was]]] if was.any() else made[:0]
     slot[need], start = np.arange(len(need)), int(np.count_nonzero(level == 0))
     gen, at = via[need], slot[parent[need]]
     cuts = (start + np.flatnonzero(np.diff(level[start:] * (len(steps) + 1) + gen[start:], prepend=-1))).tolist()

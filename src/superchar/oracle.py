@@ -45,15 +45,15 @@ coefficients.  :func:`full_check` does not: it judges each block of
 counters as it comes, against the formula's coefficient columns divided by
 the block's scale factor in the counters' own dtype (:class:`_Expected`).
 
-The scalars t in F_p^* commute with both two-sided actions, so t maps the
-co-orbit O of eta onto the co-orbit of t eta, and trace(t mu . phi) =
-t trace(mu . phi): the counts of t O at residue k are the counts of O at
-k / t.  :func:`full_check` and the constancy check count the residues of
-one co-orbit per orbit of F_p^* (:attr:`Oracle._scalar_orbits`, read off
-the oracle's own co-orbit sweep by gf's walk, ``unit_orbits``, with t mu
-from ``Fq.multiples``, and checked member by member before any count is
-relabelled) and relabel them for the others; :func:`full_check` still
-judges every row.  At p = 2 there is nothing to relabel.
+A scalar t in F_p^* maps the co-orbit O of eta onto that of t eta, and
+trace(t mu . phi) = t trace(mu . phi): t O has the counts of O at k / t.
+On a pattern group a vertex scaling or twin swap D, read off the closed set
+alone, maps co-orbits and superclasses onto their like, and (D mu) . phi =
+mu . (D phi): D O has at phi the counts of O at D phi, those of D phi's
+superclass.  :func:`full_check` and the constancy check count one co-orbit
+per orbit of the group they generate (:attr:`Oracle._orbits`, gf's walk
+over the oracle's own sweep, each map checked member by member first) and
+carry its values down the walk's tree to the others; every row is judged.
 
 The representatives' digit rows come from the F_p layer of
 :class:`~superchar.gf.Fq`: base-p digits, the trace form and one exact mod-p
@@ -260,40 +260,31 @@ class Oracle:
 
     @cached_property
     def _orbits(self):
-        """(source, parent, via, columns, power) for the orbits of the
-        co-orbits under the oracle's own symmetries, by gf's walk
-        (:func:`~superchar.gf.orbit_tree`): the least co-orbit of each orbit
-        and a BFS tree from it.  The symmetries are the scalar g that
-        generates F_p^* (none at p = 2), first, which relabels residues, and
-        on a pattern group whose orbit sums take at least ``_SYMMETRY_SUMS``
-        member x class cells the
-        vertex scalings and twin swaps of :func:`_pattern_symmetries`, which
-        relabel columns: columns[j] is the class step of symmetry j, the
-        identity for g, and co-orbit k is g**power[k] times the image of its
-        source under the other symmetries on its path.
-
-        Before any count is relabelled, each symmetry is checked on every
-        member of every co-orbit and every superclass (:func:`_class_maps`):
-        it maps each into one class of the oracle's own sweep, of the same
-        size (and right co-orbit size).  InternalInvariantViolation if not."""
+        """(source, parent, via, columns, power): gf's walk over the co-orbits
+        under the oracle's symmetries, each checked on every member of every
+        co-orbit and superclass first (:func:`_class_maps`): the generator g
+        of F_p^* (none at p = 2), and from ``_SYMMETRY_SUMS`` orbit-sum cells
+        on a pattern group, :func:`_pattern_symmetries`.  columns[j] is the
+        class step of symmetry j (the identity for g), and co-orbit k is
+        g**power[k] times the image of its source under the others."""
         F, dim, co, sc = self.field, self.dim, self.coorbit_partition(), self.superclass_partition()
         right = self._right_sizes  # the right sweep first, while little else is held
         g = F.power(F.generator, (F.q - 1) // (F.p - 1))  # generates F_p^*, the units of order p - 1
         times = F.multiples(g)
-        char_steps = np.empty((0, len(co)), dtype=np.int64)
+        char_steps = [np.empty((0, len(co)), dtype=np.int64)]
         if g > 1:
-            char_steps = _class_maps(co, lambda codes: _scale_codes(codes, times, F.q, dim)[None], "co-orbit", ["scalar multiple"], [f"the scalar {g}"], right)
-        columns = np.tile(np.arange(len(sc)), (len(char_steps), 1))
+            char_steps = [_class_maps(co, lambda codes: _scale_codes(codes, times, F.q, dim)[None], "co-orbit", ["scalar multiple"], [f"the scalar {g}"], right)]
+        columns = [np.tile(np.arange(len(sc)), (len(char_steps[0]), 1))]
         if self._closed_set is not None and self.order * len(sc) >= _SYMMETRY_SUMS:
-            whats, names, times, to = _pattern_symmetries(F, self._closed_set)
-            images = _code_maps(times, to, F.q, dim)
-            char_steps = np.concatenate([char_steps, _class_maps(co, images, "co-orbit", whats, names, right)])
-            columns = np.concatenate([columns, _class_maps(sc, images, "superclass", whats, names)])
-        source, parent, via = orbit_tree(char_steps)
+            whats, names, unit_maps, to = _pattern_symmetries(F, self._closed_set)
+            images = _code_maps(unit_maps, to, F.q, dim)
+            char_steps.append(_class_maps(co, images, "co-orbit", whats, names, right))
+            columns.append(_class_maps(sc, images, "superclass", whats, names))
+        source, parent, via = orbit_tree(np.concatenate(char_steps))
         power = np.zeros(len(co), dtype=np.int64)
         while not np.array_equal(power, after := np.where(via < 0, 0, power[parent] + ((via == 0) & (g > 1)))):
             power = after
-        return source, parent, via, columns, power
+        return source, parent, via, np.concatenate(columns), power
 
     # -- orbit sums -----------------------------------------------------------
 
@@ -537,12 +528,9 @@ class Oracle:
         representatives' columns, each the first of its run, which then
         stand for every element.
 
-        Only the source of each orbit of co-orbits under the oracle's
-        symmetries (:attr:`_orbits`) is counted: a co-orbit D O has the
-        counts of O with the residues or the columns relabelled through
-        maps checked on every member, so its counts are constant where
-        those of O are, and their differences, which the scaling divides,
-        are differences of those of O."""
+        Only the source of each orbit (:attr:`_orbits`) is counted: D O has
+        the counts of O relabelled by maps checked on every member, constant
+        where those of O are, with differences those of O."""
         F = self.field
         members, bounds = sc.members
         tables = self._residue_tables(self._phi_digits(_codes_to_digits(members, F.q, self.dim)))
@@ -575,28 +563,6 @@ def _divided(counts, m: int, nr: int):
     return num, nr // g
 
 
-def _closed_form(num, factor: int, powers, p: int) -> np.ndarray:
-    """The cell codes (:func:`~superchar.gf.cell_codes`) of the scaled
-    coefficients num * factor of a block (:func:`_divided`), shape (rows,
-    count), with ``powers`` the powers q**0..q**dim: 0 for zero, 1 + e p + z
-    for q**e zeta**z, whose coefficients are q**e at z < p - 1 and 0
-    elsewhere, or -q**e everywhere at z = p - 1, and len(powers) p + 1, a
-    code no kernel writes, for any other value.  num stays in its narrow
-    dtype: e is looked up by |num|, in a table of the powers num * factor
-    can reach."""
-    low, high = num.min(axis=0), num.max(axis=0)
-    negative = (low == high) & (high < 0)  # all equal and negative: z = p - 1
-    positive = (low >= 0) & (np.count_nonzero(num, axis=0) == 1)  # one positive entry
-    value = np.where(negative, -low.astype(np.int64), high)  # at most m, which -low may pass in num's dtype
-    exponent = np.full(int(value.max(initial=0)) + 1, -1)
-    for e, power in enumerate(powers.tolist()):
-        if power % factor == 0 and power // factor < len(exponent):
-            exponent[power // factor] = e
-    e = exponent[np.maximum(value, 0)]
-    z = np.where(negative, p - 1, ((num > 0) * np.arange(p - 1)[:, None, None]).sum(axis=0))  # the positive entry's
-    return np.where((negative | positive) & (e >= 0), 1 + e * p + z, np.where(high | low, len(powers) * p + 1, 0))
-
-
 def _rows_per_call(p: int, count: int) -> int:
     """Characters per orbit-sum call over ``count`` classes: at most
     ``_BLOCK_CELLS`` cells and ``_COEFF_CELLS`` coefficients, but at least one."""
@@ -604,21 +570,15 @@ def _rows_per_call(p: int, count: int) -> int:
 
 
 def _scale_codes(codes, times, q: int, dim: int) -> np.ndarray:
-    """The codes of t * mu for the codes of functionals mu in F_q**dim, by
-    two lookups in tables of t times every half of the coordinates, built
-    from ``times``, the code of t x for every code x (:meth:`Fq.multiples`)."""
-    codes = np.asarray(codes, dtype=np.int64)
-    split = q ** (dim // 2)
-    high, low = (times[np.arange(q**w)[:, None] // q ** np.arange(w) % q] @ q ** np.arange(w) for w in (dim - dim // 2, dim // 2))
-    return high[codes // split] * split + low[codes % split]
+    """The codes of t * mu for the codes of functionals mu in F_q**dim,
+    ``times`` the code of t x for every code x (:meth:`Fq.multiples`)."""
+    return _code_maps(np.tile(times, (1, dim, 1)), np.arange(dim)[None], q, dim)(codes)[0]
 
 
 def _code_maps(times, to, q: int, dim: int):
-    """The maps of codes of functionals f in F_q**dim to those of f' with
-    f'[to[j, k]] = times[j, k][f[k]], for every j at once: two lookups in
-    tables over the high and the low half of the coordinates, in the
-    narrowest dtype that holds a code: the images of a block of members
-    are a few times its size, fresh memory each."""
+    """The map of codes of functionals f in F_q**dim to those of f' with
+    f'[to[j, k]] = times[j, k][f[k]] for every j: two lookups in tables over
+    the high and the low half of the coordinates, in the narrowest dtype."""
     split, weight = q ** (dim // 2), q ** (dim - 1 - np.asarray(to))
     high, low = (
         (times[:, ks, np.arange(q ** len(ks))[:, None] // q ** np.arange(len(ks) - 1, -1, -1) % q] * weight[:, None, ks]).sum(axis=2).astype(np.min_scalar_type(q**dim - 1))
@@ -627,48 +587,37 @@ def _code_maps(times, to, q: int, dim: int):
 
     def images(codes):
         top = np.asarray(codes) // split
-        out = high.take(top, axis=1)
-        out += low.take(codes - top * split, axis=1)
-        return out
+        return np.add(high.take(top, axis=1), low.take(codes - top * split, axis=1), dtype=high.dtype)
 
     return images
 
 
 def _pattern_symmetries(F: Fq, J):
-    """(whats, names, times, to) for the vertex scalings and twin swaps of
-    U_J as code maps (:func:`_code_maps`), read off the pairs ``J.order``
-    alone, as :func:`_dense_product` reads them: for q > 2 the scaling of
-    each vertex v < n that a pair touches, (a, b) times t_b / t_a with t_v
-    the generator of F_q^*, and the swap of each twin vertex (of equal lower
-    and equal upper neighbours) with the next.  Conjugation by a diagonal or
-    permutation matrix that maps the closed set onto itself is an
-    automorphism."""
-    pairs, g = list(J.order), F.generator
+    """(whats, names, times, to) for :func:`_code_maps`, read off the pairs
+    ``J.order`` alone: for q > 2 the scaling by t_v = g of each vertex v < n a
+    pair touches, (a, b) times t_b / t_a, and the swap of each twin vertex
+    (of equal lower and upper neighbours) with the next."""
+    pairs, g, out, twins = list(J.order), F.generator, [], {}
     units = {1: F.multiples(1), g: F.multiples(g), -1: F.multiples(F.power(g, -1))}
-    out = [
-        ("vertex scaling", f"the scaling of vertex {v}", [units[g if b == v else -1 if a == v else 1] for a, b in pairs], range(len(pairs)))
-        for v in (range(1, J.n) if g != 1 else ())  # q > 2
-        if any(v in pair for pair in pairs)
-    ]
-    twins: dict = {}
+    for v in range(1, J.n) if g != 1 else ():  # q > 2
+        if any(v in pair for pair in pairs):
+            out.append(("vertex scaling", f"the scaling of vertex {v}", [units[g if b == v else -1 if a == v else 1] for a, b in pairs], range(len(pairs))))
     for v in range(1, J.n + 1):
         twins.setdefault((frozenset(a for a, b in pairs if b == v), frozenset(b for a, b in pairs if a == v)), []).append(v)
     for (lower, upper), vs in twins.items():
         for u, v in zip(vs, vs[1:]) if lower or upper else ():
-            swap = {u: v, v: u}
-            to = [pairs.index((swap.get(a, a), swap.get(b, b))) for a, b in pairs]
+            to = [pairs.index(tuple({u: v, v: u}.get(x, x) for x in pair)) for pair in pairs]
             out.append(("twin swap", f"the swap of vertices {u} and {v}", [units[1]] * len(pairs), to))
-    whats, names, times, to = zip(*out) if out else ((), (), np.empty((0, len(pairs), F.q), dtype=np.int64), ())
-    return list(whats), list(names), np.array(times, dtype=np.int64), np.array(to, dtype=np.int64).reshape(len(whats), len(pairs))
+    whats, names, times, to = zip(*out) if out else ((), (), np.empty((0, len(pairs), F.q)), ())
+    return whats, names, np.array(times, dtype=np.int64), np.array(to, dtype=np.int64).reshape(len(whats), len(pairs))
 
 
 def _class_maps(part: OrbitPartition, images, kind: str, whats, names, right=None) -> np.ndarray:
-    """The class of the image of each class of ``part`` under each code map
-    of ``images`` (which maps an array of codes to one row of images per
-    map), checked on every member: the images of all members in blocks
-    (which keep the int64 temporaries small), one gather of the sweep's
-    labels at them, equal labels within each class run, and equal sizes (and
-    ``right`` co-orbit sizes).  InternalInvariantViolation if not."""
+    """The class of the image of each class of ``part`` under each map of
+    ``images`` (codes to one row of image codes per map), checked on every
+    member: one gather of the sweep's labels at the images, in blocks, equal
+    labels within each class run, equal sizes (and ``right`` co-orbit
+    sizes).  InternalInvariantViolation if not."""
     codes, bounds = part.members
     labels = [part._labels[images(codes[lo : lo + _BLOCK_CELLS])] for lo in range(0, len(codes), _BLOCK_CELLS)]
     labels = labels[0] if len(labels) == 1 else np.concatenate(labels, axis=1)
@@ -809,20 +758,19 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
     and each character has q**corank = |lambda_eta U| and its
     irreducibility flag set iff |U lambda_eta U| = |lambda_eta U|**2.
 
-    The rows come in chunks of whole orbits under the scalars F_q^* (see
-    :func:`~superchar.formula.table_rows`), each chunk's rows in any order
-    among the chunks.  In each chunk the residues are counted once per orbit
-    of co-orbits under F_p^*, for its least co-orbit
-    (:attr:`Oracle._scalar_orbits`), and every row of the chunk is judged on
-    its own counts, those of its source relabelled, k -> k / t.  Values are
-    compared on every representative pair in the domain of the oracle's
-    narrow counters: each block of :meth:`Oracle._residue_counts`, scaled by
-    :func:`_divided` to num * factor, against the formula's coefficient
-    columns divided by factor (:class:`_Expected`), gathered by each cell's
-    code, so no int64 coefficient row is built.  Every mismatching cell is
-    counted; the witness is the least in (eta, class) order over all
-    chunks, with both sides' coefficients, the formula's read off its code
-    over exact powers of q.
+    The rows come in chunks, in any order.  The residues are counted once
+    per orbit of co-orbits under the oracle's symmetries
+    (:attr:`Oracle._orbits`), at its source, and compared in the domain of
+    the oracle's narrow counters: each block of
+    :meth:`Oracle._residue_counts`, scaled by :func:`_divided` to num *
+    factor, against the formula's coefficient columns divided by factor
+    (:class:`_Expected`), gathered by the code of the source's formula row.
+    A source's values are those codes where they match, and the rows of its
+    orbit take them down the walk's tree (twisted, zeta -> zeta**t, for the
+    scalars); a row whose values are not all known is judged on its own
+    counts.  Every mismatching cell is counted; the witness is the least in
+    (eta, class) order, with both sides' coefficients, the oracle's from the
+    row's own counts, the formula's read off its code over exact powers of q.
 
     The axioms cost |G|**2 products; unless ``with_axioms`` says otherwise
     they are verified only when |G| <= DEFAULT_ORACLE_CAP."""
@@ -843,35 +791,30 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
 
     F, p, width = oracle.field, oracle.field.p, len(orc_sc)
     tables = oracle._residue_tables(oracle._phi_digits(orc_sc.digits))
-    powers = np.array([F.q**e for e in range(oracle.dim + 1)], dtype=object)
-    step = _rows_per_call(p, width)
+    expected, step, powers = _Expected(p, F.q, oracle.dim), _rows_per_call(p, width), np.array([F.q**e for e in range(oracle.dim + 1)], dtype=object)
     _, parent, via, steps, power = oracle._orbits
-    g = F.power(F.generator, (F.q - 1) // (p - 1))
-    codes_of, dtype = np.arange((oracle.dim + 1) * p + 2), np.min_scalar_type((oracle.dim + 1) * p + 1)  # no closed form last
-    # t = g**i takes q**e zeta**z to q**e zeta**(t z): the code 1 + e p + z to 1 + e p + (t z mod p)
-    twists = [
-        np.where((codes_of > 0) & (codes_of < codes_of[-1]), codes_of - (codes_of - 1) % p + (codes_of - 1) % p * pow(g, i, p) % p, codes_of).astype(dtype)
-        for i in range(p - 1)
-    ]
+    g, unknown = F.power(F.generator, (F.q - 1) // (p - 1)), (oracle.dim + 1) * p + 1  # a code no kernel writes
+    codes_of = np.arange(unknown + 1)
+    z = (codes_of - 1) % p  # t = g**i takes q**e zeta**z, code 1 + e p + z, to q**e zeta**(t z)
+    twists = [np.where((codes_of > 0) & (codes_of < unknown), codes_of - z + z * pow(g, i, p) % p, codes_of).astype(np.min_scalar_type(unknown)) for i in range(p - 1)]
     columns = orc_sc.classes_of(classes)  # the oracle's class of each column
     identity = np.array_equal(columns, np.arange(width))
-    orc_sizes, nright = np.asarray(orc_co.sizes), oracle._right_sizes
+    orc_sizes, nright, held, placed = np.asarray(orc_co.sizes), oracle._right_sizes, {}, np.full(len(orc_co), -1)
 
-    def closed_forms(ks):  # the closed form of the orbit sums of the sources ks, as cell codes
-        out = np.empty((len(ks), width), dtype)
+    def differ(ks, guess, cols):  # the cells of the co-orbits ks, at classes cols, whose orbit sums are not guess
+        out = np.empty(guess.shape, dtype=bool)
         for lo in range(0, len(ks), step):
             for sel, m, nr, counts in oracle._residue_counts(*oracle._runs(ks[lo : lo + step]), tables):
                 num, factor = _divided(counts, m, nr)
-                # the formula's code where it is the value, and the value read off the other cells
-                at = placed[ks[lo + sel]]
-                guess = np.where((at[:, None] >= 0) & identity, codes[at], 0).astype(dtype)
-                fits = (num == expected.divided(factor, num.dtype).take(guess, axis=1)).all(axis=0)
-                if not fits.all():
-                    guess[~fits] = _closed_form(num[:, ~fits][:, None], factor, powers, p)[0]
-                out[lo + sel] = guess
+                out[lo + sel] = (num[:, :, cols] != expected.divided(factor, num.dtype).take(guess[lo + sel], axis=1)).any(axis=0)
         return out
 
-    held, expected, placed = {}, _Expected(p, F.q, oracle.dim), np.full(len(orc_co), -1)
+    def sources(ks):  # a source's values: the formula's codes where they are its orbit sums, else unknown
+        at = placed[ks]
+        guess = np.where((at[:, None] >= 0) & identity, codes[at], 0).astype(twists[0].dtype)
+        guess[differ(ks, guess, slice(None))] = unknown
+        return guess
+
     first = None  # (row, class, formula coefficients, oracle coefficients) of the least mismatch
     # formula values and the oracle's for a chunk of rows at a time, so
     # memory stays O(chunk x classes)
@@ -879,20 +822,20 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
         ks = orc_co.classes_of(chars[rows])
         right = nright[ks]
         agree = agree and np.array_equal(F.q**coranks, right) and np.array_equal(irreducible, orc_sizes[ks] == right**2)
-        placed[:], placed[ks] = -1, np.arange(len(ks))  # where a source's formula row is, in this chunk
-        # each row's values: its source's, carried down its path of the tree
-        found = tree_rows(parent, via, steps, ks, held, closed_forms)
+        placed[:], placed[ks] = -1, np.arange(len(ks))  # where a co-orbit's formula row is, in this chunk
+        found = tree_rows(parent, via, steps, ks, held, sources)  # a source's values down its path of the tree
         for i in set((power[ks] % (p - 1)).tolist()) - {0}:
             twisted = power[ks] % (p - 1) == i
             found[twisted] = twists[i][found[twisted]]
         bad = (found if identity else found[:, columns]) != codes
+        redo = np.flatnonzero((found == unknown).any(axis=1))  # rows judged on their own counts
+        bad[redo] = differ(ks[redo], codes[redo], columns)
         mismatches = int(np.count_nonzero(bad))
         report.mismatches += mismatches
         if mismatches:
             i, c = np.argwhere(bad)[0]  # rows ascend: the chunk's least (row, class)
             if first is None or (rows[i], c) < first[:2]:
-                # the oracle's coefficients there, from the row's own co-orbit counted afresh
-                ((_, m, nr, counts),) = oracle._residue_counts(*oracle._runs(ks[i : i + 1]), tables)
+                ((_, m, nr, counts),) = oracle._residue_counts(*oracle._runs(ks[i : i + 1]), tables)  # its own counts
                 num, factor = _divided(counts, m, nr)
                 formula_coeffs = tuple(_code_columns(powers, p)[:, codes[i, c]].tolist())
                 first = (rows[i], c, formula_coeffs, tuple(int(x) * factor for x in num[:, 0, columns[c]]))
