@@ -52,7 +52,8 @@ from superchar.gf import (
     rank,
     solve,
 )
-from superchar.oracle import Oracle
+from superchar import oracle as oracle_module
+from superchar.oracle import Oracle, full_check
 from superchar.poset import functional, support, validate_closed
 from superchar.table import build_pattern_table
 
@@ -748,3 +749,76 @@ def test_table_rows_fill_matches_every_character_on_random_matrix_algebras():
         _assert_fill_matches_every_row(alg, seed % 3 or None)
         fields.add(alg.field.q)
     assert fields == {3, 4, 5, 8, 9}
+
+
+# ---------------------------------------------------------------------------
+# the fill by every symmetry: vertex scalings and twin swaps beside the scalar
+
+
+def _with_twin(J, v):
+    """J with a twin of vertex v inserted right after it: the new vertex
+    v + 1 has the lower and upper neighbours of v."""
+    shift = lambda i: i + (i > v)  # noqa: E731
+    pairs = {(shift(a), shift(b)) for a, b in J.pairs}
+    pairs |= {(shift(a), v + 1) for a, b in J.pairs if b == v} | {(v + 1, shift(b)) for a, b in J.pairs if a == v}
+    return validate_closed(J.n + 1, pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.sampled_from((2, 3, 4, 5, 7, 9)), st.booleans())
+def test_the_fill_by_every_symmetry_matches_every_row_and_the_oracle(seed, n, q, twin):
+    """Random closed sets on up to five points, with a twin pair or not, and
+    every symmetry taken whatever the size: each row of table_rows, in
+    chunks of two rows so that orbits split, equals the row its kernel
+    evaluates directly, and full_check, folding by its own symmetries, passes."""
+    rng = random.Random(seed)
+    J = _random_closed(rng, n)
+    if twin:
+        J = _with_twin(J, rng.randint(1, n))
+    assume(q ** len(J) <= 2**12 and not J.is_full_triangular())
+    G = PatternGroup(J, Fq.of(q))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formula, "_SYMMETRY_CELLS", 0)
+        mp.setattr(oracle_module, "_SYMMETRY_SUMS", 0)
+        _assert_fill_matches_every_row(G, 2)
+        assert full_check(G, with_axioms=False).ok
+
+
+@pytest.mark.parametrize(
+    "make, q, sources",
+    [
+        (two_step_poset, 3, 36),
+        (lambda: heisenberg(6), 2, 36),
+        (class_counterexample_poset, 3, 45),
+        (lambda: heisenberg(5), 3, 25),
+        (None, 3, 12),  # the semidirect algebra n = 4: the scalar alone
+    ],
+    ids=["two_step_q3", "heisenberg6_q2", "class_counterexample_q3", "heisenberg5_q3", "semidirect4_q3"],
+)
+def test_the_kernel_evaluates_one_character_per_orbit(make, q, sources, monkeypatch):
+    """The rows handed to the value kernel: one per orbit under the scalars,
+    the vertex scalings and the twin swaps."""
+    source = semidirect_algebra(4, Fq.of(q)) if make is None else PatternGroup(make(), Fq.of(q))
+    handed, value_chunks = [], formula.value_chunks
+    monkeypatch.setattr(formula, "value_chunks", lambda src, etas, digits: handed.append(len(etas)) or value_chunks(src, etas, digits))
+    list(table_rows(source, None)[4])
+    assert sum(handed) == sources
+
+
+def test_a_parent_in_another_orbit_is_a_counted_mismatch(monkeypatch):
+    """A BFS parent of the formula's walk pointed at the source of another
+    orbit fills its row from the wrong character: full_check counts the
+    cells that differ, and does not raise."""
+    G = PatternGroup(heisenberg(4), Fq.of(3))
+    walk = formula.orbit_tree
+
+    def misled(steps):
+        source, parent, via = walk(steps)
+        k = int(np.flatnonzero(parent != np.arange(len(parent)))[-1])  # the last row off a source
+        parent = parent.copy()
+        parent[k] = next(s for s in np.flatnonzero(source == np.arange(len(source))) if s != source[k])
+        return source, parent, via
+
+    monkeypatch.setattr(formula, "orbit_tree", misled)
+    report = full_check(G, with_axioms=False)
+    assert report.mismatches > 0 and not report.ok

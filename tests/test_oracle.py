@@ -26,6 +26,7 @@ from superchar.catalog import (
     sixteen_group,
     SIXTEEN_CLASS_MEMBERS,
     SIXTEEN_TABLE,
+    two_step_poset,
 )
 from superchar import core, gf, oracle as oracle_module
 from superchar.cli import main
@@ -35,7 +36,7 @@ from superchar.formula import CharacterEvaluator, un_monomials
 from superchar.gf import CharValue, CycInt, Fq, theta
 from superchar import formula
 from superchar.oracle import Backend, Oracle, _dense_product, charvalue_coeff_rows, full_check
-from superchar.poset import functional, validate_closed
+from superchar.poset import emit_spec, functional, validate_closed
 
 F2 = Fq.of(2)
 F3 = Fq.of(3)
@@ -1043,3 +1044,70 @@ def test_formula_is_the_only_module_that_branches_on_u_n():
                 assert not [a.name for a in node.names if a.name.startswith("un_")], module
             elif isinstance(node, ast.Attribute):
                 assert node.attr != "is_full_triangular" and not node.attr.startswith("un_"), module
+
+
+# ---------------------------------------------------------------------------
+# the vertex scalings and twin swaps
+
+
+def _with_symmetries(monkeypatch):
+    """Every symmetry on both sides, whatever the size of the group."""
+    monkeypatch.setattr(formula, "_SYMMETRY_CELLS", 0)
+    monkeypatch.setattr(oracle_module, "_SYMMETRY_SUMS", 0)
+
+
+def test_a_swap_of_vertices_that_are_not_twins_is_refused(monkeypatch, capsys, tmp_path):
+    """core handing the formula a swap of vertices 1 and 2 of
+    class_counterexample, which are not twins (pairs read in either order):
+    its class steps are no permutation, and the walk refuses it, so
+    superchar check fails with the walk's message.  (Every such swap of the
+    corpus and of random closed sets either fails so or reverses each pair
+    it moves, an anti-automorphism whose rows come out right.)"""
+    _with_symmetries(monkeypatch)
+    J = class_counterexample_poset()
+    swap = {1: 2, 2: 1}
+    to = [J.index[tuple(sorted((swap.get(i, i), swap.get(j, j))))] for i, j in J.order]
+    assert sorted(to) == list(range(len(J))) and to != list(range(len(J)))
+    symmetries = PatternGroup.symmetries
+    monkeypatch.setattr(PatternGroup, "symmetries", lambda self: symmetries(self) + [(to, [1] * self.d)])
+    with pytest.raises(InternalInvariantViolation, match="a generator map does not permute the indices"):
+        full_check(PatternGroup(J, F2), with_axioms=False)
+    spec = tmp_path / "class_counterexample.txt"
+    spec.write_text(emit_spec(J, F2))
+    assert main(["check", str(spec)]) == 1
+    assert "error: a generator map does not permute the indices" in capsys.readouterr().err
+
+
+def test_an_oracle_symmetry_wrong_on_one_member_fails_loudly(monkeypatch):
+    """Each vertex scaling and twin swap of the oracle is checked on every
+    member of every co-orbit, not on the representatives alone: a map that
+    sends one member of a co-orbit of several members to 0, under one
+    symmetry, and is right everywhere else, raises."""
+    _with_symmetries(monkeypatch)
+    G = PatternGroup(heisenberg(4), F3)
+    co = Oracle(G).coorbit_partition()
+    codes, bounds = co.members
+    k = next(k for k, size in enumerate(co.sizes) if size > 1)
+    member = codes[bounds[k] + 1]  # not the least member, the representative
+    code_maps = oracle_module._code_maps
+
+    def wrong(times, *args):  # the first of the vertex scalings and twin swaps, not the scalar alone
+        images = code_maps(times, *args)
+        return lambda codes: np.where((np.asarray(codes) == member) & (np.arange(len(times))[:, None] == 0) & (len(times) > 1), 0, images(codes))
+
+    monkeypatch.setattr(oracle_module, "_code_maps", wrong)
+    with pytest.raises(InternalInvariantViolation, match="under the scaling of vertex 1 is no co-orbit of the sweep"):
+        full_check(G, with_axioms=False)
+
+
+@pytest.mark.parametrize("name, q", [("heisenberg4", 3), ("heisenberg4", 5), ("two_step", 2)])
+def test_full_check_on_every_symmetry(name, q, monkeypatch):
+    """The oracle's vertex scalings and twin swaps fold its counts, and its
+    check agrees with the int64 reference, axioms included."""
+    _with_symmetries(monkeypatch)
+    G = PatternGroup(heisenberg(4) if name == "heisenberg4" else two_step_poset(), Fq.of(q))
+    o = Oracle(G, 1 << 16)
+    source, parent, via, columns, power = o._orbits
+    assert (via > 0).any() and len(columns) > 1  # a vertex scaling or twin swap in the tree
+    report = full_check(G, oracle_cap=1 << 16, with_axioms=True)
+    assert report.ok and (report.mismatches, report.witness) == reference_verdict(G, 1 << 16)
