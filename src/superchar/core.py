@@ -710,9 +710,13 @@ class PatternGroup(StructureAlgebra):
         diagonal or permutation matrix, automorphisms of U_J."""
         F, J = self.field, self.J
         a, b = np.array(J.order, dtype=np.int64).reshape(self.d, 2).T
-        g, twins = F.generator, {}
+        g, out, twins = F.generator, super().symmetries(), {}
+        if g != 1:  # the vertex scalings, q > 2
+            out += [(range(self.d), np.where(b == v, g, np.where(a == v, F.power(g, -1), 1))) for v in range(1, J.n) if v in a or v in b]
         for v in range(1, J.n + 1):
             twins.setdefault((frozenset(a[b == v].tolist()), frozenset(b[a == v].tolist())), []).append(v)
-        swaps = [{u: v, v: u} for (lower, upper), vs in twins.items() for u, v in zip(vs, vs[1:]) if lower or upper]
-        scalings = [np.where(b == v, g, np.where(a == v, F.power(g, -1), 1)) for v in range(1, J.n) if g != 1 and v in (*a, *b)]
-        return super().symmetries() + [(range(self.d), t) for t in scalings] + [([J.index[s.get(i, i), s.get(j, j)] for i, j in J.order], [1] * self.d) for s in swaps]
+        for (lower, upper), vs in twins.items():
+            for u, v in zip(vs, vs[1:]) if lower or upper else ():  # the twin swaps
+                swap = {u: v, v: u}
+                out.append(([J.index[swap.get(i, i), swap.get(j, j)] for i, j in J.order], [1] * self.d))
+        return out
