@@ -439,6 +439,8 @@ def tree_rows(parent, via, steps: np.ndarray, nodes, held: dict, sources) -> np.
     make each row once.  InternalInvariantViolation when the parents lead to
     no source."""
     mark, up = np.zeros(len(parent), dtype=bool), np.asarray(nodes)
+    if (parent == np.arange(len(parent))).all() and (np.diff(up) > 0).all():
+        return sources(up)  # every node a source, in order: nothing to fill or keep
     while len(up):  # up the tree from every node
         mark[up] = True
         up = parent[up][~mark[parent[up]]]
