@@ -30,12 +30,12 @@ from superchar.catalog import (
 )
 from superchar import core, gf, oracle as oracle_module
 from superchar.cli import main
-from superchar.core import OrbitPartition, PatternGroup, symmetry_codes
+from superchar.core import OrbitPartition, PatternGroup
 from superchar.errors import InternalInvariantViolation, NonIntegralScaling, SizeCapExceeded, SpecMismatch
 from superchar.formula import CharacterEvaluator, un_monomials
 from superchar.gf import CharValue, CycInt, Fq, theta
 from superchar import formula
-from superchar.oracle import Backend, Oracle, _dense_product, charvalue_coeff_rows, full_check
+from superchar.oracle import Backend, Oracle, _dense_product, _Expected, charvalue_coeff_rows, full_check
 from superchar.poset import emit_spec, functional, validate_closed
 
 F2 = Fq.of(2)
@@ -343,17 +343,6 @@ def _scalar_orbit(G, eta):
     return {co.reps[co.class_of([F.mul(t, x) for x in eta])] for t in range(1, F.q)}
 
 
-def _symmetry_orbit(G, eta):
-    """The representatives of the co-orbits of D eta, D in the group that
-    G's symmetries generate, by a closure over core's co-orbit lookup."""
-    co, orbit, frontier = G.coorbit_partition(), {eta}, [eta]
-    while frontier:
-        images = {co.reps[k] for k in co.classes_of_codes(symmetry_codes(G.field, G.symmetries(), np.array(frontier)).ravel())}
-        frontier = list(images - orbit)
-        orbit.update(frontier)
-    return orbit
-
-
 def _scalar_sources(G):
     """The characters the value kernels evaluate: the least of each orbit of
     co-orbit representatives under F_q^*, ascending.  Every other row of a
@@ -654,9 +643,7 @@ def test_full_check_sweeps_each_core_partition_once(J, monkeypatch):
 def test_an_expected_value_past_the_counter_dtype_never_matches(q_exp):
     # class_counterexample at q = 2 (dim 9): a zero cell of a character
     # whose co-orbit has m <= 127 members, so its counters are int8, set to
-    # q**8 = 256, which narrowed to int8 is 0, the oracle's value there: the
-    # oracle reads its counters as a closed form in int64, never the
-    # formula's value in the counters' dtype
+    # q**8 = 256, which narrowed to int8 is 0, the oracle's value there
     G = PatternGroup(class_counterexample_poset(), F2)
     co = Oracle(G).coorbit_partition()
     etas, classes = G.coorbit_partition().reps, G.orbit_partition().reps
@@ -664,7 +651,9 @@ def test_an_expected_value_past_the_counter_dtype_never_matches(q_exp):
     zero = formula.value_blocks(CharacterEvaluator.batch(G, etas), digits) == 0
     k = next(k for k, eta in enumerate(etas) if co.sizes[co.class_of(eta)] <= 127 and zero[k].any())
     c = int(np.flatnonzero(zero[k])[0])
-    assert np.int64(2**q_exp).astype(np.int8) == 0
+    columns = _Expected(2, 2, G.dim).divided(1, np.dtype(np.int8))
+    sentinels = gf.cell_codes([False] * 2, [q_exp] * 2, [0, 1], 2, G.dim)
+    assert np.int64(2**8).astype(np.int8) == 0 and (columns[:, sentinels] == -128).all()
 
     value_blocks = formula._value_blocks
 
