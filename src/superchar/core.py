@@ -612,11 +612,9 @@ class StructureAlgebra:
         return self._sweep(("co_left", "co_right"), cap)
 
     def symmetries(self) -> list:
-        """Generators of the symmetries :func:`superchar.formula.table_rows`
-        folds rows by, each a map (to, scale) sending f to f' with f'[to[k]] =
-        scale[k] f[k]: here the scalar g that generates F_q^*, if g != 1."""
-        g = self.field.generator
-        return [(np.arange(self.d), np.full(self.d, g))] if g != 1 else []
+        """Generators (to, scale), f to f' with f'[to[k]] = scale[k] f[k], of
+        symmetries of the table: here the generator g of F_q^*, if g != 1."""
+        return [(np.arange(self.d), np.full(self.d, self.field.generator))][: self.field.generator != 1]
 
     def all_orbit_reps(self, cap: int | None = None) -> list[Orbit]:
         """Canonical superclass representatives (least members) with sizes, ascending."""
@@ -629,9 +627,8 @@ class StructureAlgebra:
 
 
 def symmetry_codes(field: Fq, symmetries, digits) -> np.ndarray:
-    """The codes of the images of the (count, d) functionals ``digits``
-    under each map of :meth:`StructureAlgebra.symmetries`, shape
-    (len(symmetries), count): a weighted table lookup per coordinate."""
+    """The codes of the (count, d) functionals ``digits`` under each map of
+    :meth:`StructureAlgebra.symmetries`: a table lookup per coordinate."""
     (count, d), q = digits.shape, field.q
     to, scale = (np.array(column, dtype=np.int64).reshape(len(symmetries), d) for column in zip(*symmetries or [((), ())]))
     units = sorted(set(scale.ravel().tolist()))
@@ -706,8 +703,7 @@ class PatternGroup(StructureAlgebra):
     def symmetries(self) -> list:
         """The scalar; for q > 2 the scaling by t_v = g of each vertex v < n a
         pair touches, (a, b) times t_b / t_a; the swap of each twin vertex (of
-        equal lower and upper neighbours) with the next: conjugations by a
-        diagonal or permutation matrix, automorphisms of U_J."""
+        equal lower and upper neighbours) with the next: automorphisms of U_J."""
         F, J = self.field, self.J
         a, b = np.array(J.order, dtype=np.int64).reshape(self.d, 2).T
         g, out, twins = F.generator, super().symmetries(), {}
@@ -715,8 +711,7 @@ class PatternGroup(StructureAlgebra):
             out += [(range(self.d), np.where(b == v, g, np.where(a == v, F.power(g, -1), 1))) for v in range(1, J.n) if v in a or v in b]
         for v in range(1, J.n + 1):
             twins.setdefault((frozenset(a[b == v].tolist()), frozenset(b[a == v].tolist())), []).append(v)
-        for (lower, upper), vs in twins.items():
-            for u, v in zip(vs, vs[1:]) if lower or upper else ():  # the twin swaps
-                swap = {u: v, v: u}
-                out.append(([J.index[swap.get(i, i), swap.get(j, j)] for i, j in J.order], [1] * self.d))
+        for (lower, upper), vs in twins.items():  # the twin swaps
+            swaps = [{u: v, v: u} for u, v in zip(vs, vs[1:]) if lower or upper]
+            out += [([J.index[s.get(i, i), s.get(j, j)] for i, j in J.order], [1] * self.d) for s in swaps]
         return out

@@ -66,9 +66,8 @@ on one character of each orbit under the symmetries of the group (the
 scalars, and on large tables of a pattern group the vertex scalings and twin
 swaps) and fills each other row from its parent's in gf's BFS tree by a
 gather, as chi^(D eta)(x_phi) = chi^eta(x_(D phi)) (:func:`_orbit_chunks`).
-The closed-form
-specializations for pattern groups below, :func:`value_un` among them, are
-references for the tests.
+The closed-form specializations for pattern groups below, :func:`value_un`
+among them, are references for the tests.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ from .errors import (
     NonMonomialRepresentative,
     ShapeMismatch,
 )
-from .gf import CharValue, Fq, FqMatrix, _solve_perp, cell_code_dtype, cell_codes, cell_exponents, nullspace_basis, orbit_tree, rank, tree_rows
+from .gf import SYMMETRY_CELLS, CharValue, Fq, FqMatrix, _solve_perp, cell_code_dtype, cell_codes, cell_exponents, nullspace_basis, orbit_tree, rank, tree_rows
 from .core import PatternGroup, StructureAlgebra, _check_functionals, _digits_to_codes, _mesh_value, sweep_size, symmetry_codes
 from .poset import ClosedSet, is_monomial, support
 
@@ -274,7 +273,6 @@ class CharacterEvaluator:
 
 _ROW_CELLS = 1 << 16  # cells per chunk of rows in value_chunks
 _ORBIT_CELLS = 1 << 18  # cells per chunk of rows that table_rows yields: longer runs of one fill
-_SYMMETRY_CELLS = 1 << 16  # table cells from which every symmetry pays, not the scalar alone
 _SETUP_ENTRIES = 1 << 16  # entries of A_eta, k * d**2 * r, per batched setup in value_chunks
 _CHUNK_ENTRIES = 1 << 16  # entries of the digit product per run of characters
 _BATCH_CELLS = 4096  # hard cells per batched elimination
@@ -562,11 +560,10 @@ def table_rows(source, cap: int | None):
     that ``superchar table`` emits and ``superchar check`` judges, described
     alike for every group: the ascending class and character representatives
     as (count, d) digit arrays (one array on U_n), the class and co-orbit
-    sizes, and the chunks of :func:`_orbit_chunks` under the symmetries of
-    the group (:meth:`~superchar.core.StructureAlgebra.symmetries`).  ``cap``
-    bounds q**d.  On U_n the monomials are counted off their arcs with no
-    sweep (:func:`un_arc_counts`, :func:`un_value_chunks`); any other group
-    is swept and its values are :func:`value_chunks`."""
+    sizes, and the chunks of :func:`_orbit_chunks`.  ``cap`` bounds q**d.
+    On U_n the monomials are counted off their arcs with no sweep
+    (:func:`un_arc_counts`, :func:`un_value_chunks`); any other group is
+    swept and its values are :func:`value_chunks`."""
     F = source.field
     q = F.q
     if isinstance(source, PatternGroup) and source.J.is_full_triangular():
@@ -593,7 +590,7 @@ def table_rows(source, cap: int | None):
             yield evaluators.coranks, codes
 
     co_sizes = np.asarray(co.sizes, dtype=np.int64)
-    symmetries = source.symmetries() if len(sc) * len(co) >= _SYMMETRY_CELLS else StructureAlgebra.symmetries(source)  # the scalar
+    symmetries = source.symmetries() if len(sc) * len(co) >= SYMMETRY_CELLS else StructureAlgebra.symmetries(source)  # the scalar
     char_steps, class_steps = (part.classes_of_codes(symmetry_codes(F, symmetries, part.digits)) for part in (co, sc))
     return sc.digits, np.asarray(sc.sizes, dtype=np.int64), co.digits, co_sizes, _orbit_chunks(q, char_steps, class_steps, co_sizes, swept_sources)
 
@@ -609,23 +606,15 @@ def coranks(source, etas) -> np.ndarray:
 
 def _orbit_chunks(q: int, char_steps, class_steps, co_sizes: np.ndarray, evaluate):
     """Yield (rows, coranks, irreducible, codes) for runs of ``_ORBIT_CELLS``
-    cells of a preorder of the characters' orbits under the symmetries D_j,
-    which have chi^(D eta)(x_phi) = chi^eta(x_(D phi)): ``char_steps[j][k]``
-    is the character of D_j eta_k, ``class_steps[j][c]`` the class of D_j
-    phi_c.  gf's walk finds each orbit's least character, its source, and a
-    BFS tree; ``evaluate(sources)`` yields (coranks, codes) for runs of the
-    sources, and :func:`_orbit_rows` fills the rest down the tree.  chi^eta
-    is irreducible iff its co-orbit has ``co_sizes`` = q**(2 corank) members
-    (Diaconis-Isaacs).  InternalInvariantViolation when a step is no
-    permutation, or the kernel leaves sources out."""
-    _, parent, via = orbit_tree(char_steps)
-    chain = [np.arange(len(parent))]  # each character's ancestors, nearest first
-    while (chain[-1] != parent[chain[-1]]).any():
-        chain.append(parent[chain[-1]])
-    chain = np.array(chain)
-    depth, level = (chain[1:] != chain[:-1]).sum(axis=0), np.arange(len(chain))[:, None]
-    path = np.where(level <= depth, chain[np.maximum(depth - level, 0), chain[0]], -1)  # from the source down
-    sources, ranks, taken = np.flatnonzero(parent == chain[0]), np.zeros(len(parent), dtype=np.int64), [0]
+    cells of a :func:`_preorder` of the characters' orbits under symmetries
+    D_j, chi^(D eta)(x_phi) = chi^eta(x_(D phi)), ``char_steps[j][k]`` the
+    index of D_j eta_k, ``class_steps[j][c]`` that of D_j phi_c: the kernel
+    runs on the sources of gf's walk, ``evaluate(sources)`` yielding (coranks,
+    codes), and :func:`_orbit_rows` fills the rest.  chi^eta is irreducible
+    iff ``co_sizes`` = q**(2 corank) (Diaconis-Isaacs).  InternalInvariantViolation
+    when a step is no permutation, or the kernel leaves sources out."""
+    walk = source, _, via, _ = orbit_tree(char_steps)
+    sources, ranks, taken = np.flatnonzero(via < 0), np.zeros(len(source), dtype=np.int64), [0]
     pieces, ahead, held = evaluate(sources), [], {}
 
     def made(ks):  # the next sources' codes, as the kernel made them
@@ -637,22 +626,32 @@ def _orbit_chunks(q: int, char_steps, class_steps, co_sizes: np.ndarray, evaluat
         ahead[:], taken[0], ranks[ks] = [(coranks[len(ks) :], codes[len(ks) :])], taken[0] + len(ks), coranks[: len(ks)]
         return codes[: len(ks)]
 
-    order, per_chunk = np.lexsort(path[::-1]), max(1, _ORBIT_CELLS // max(1, class_steps.shape[1]))
+    order, per_chunk = _preorder(*walk[1:]), max(1, _ORBIT_CELLS // max(1, class_steps.shape[1]))
     for lo in range(0, len(order), per_chunk):
-        rows, coranks, codes = _orbit_rows(order[lo : lo + per_chunk], (parent, via, chain[-1]), ranks, class_steps, held, made)
+        rows, coranks, codes = _orbit_rows(np.sort(order[lo : lo + per_chunk]), walk, ranks, class_steps, held, made)
         yield rows, coranks, co_sizes[rows] == q ** (2 * coranks), codes
     if taken[0] < len(sources):
         raise InternalInvariantViolation("the value kernel evaluated too few sources")
 
 
-def _orbit_rows(rows, tree, ranks, class_steps, held, made):
-    """(rows, coranks, codes) of ``rows``, ascending: each a source's from
-    the kernel through ``made`` or its parent's gathered through a class
-    step (:func:`~superchar.gf.tree_rows`), with its source's corank."""
-    parent, via, root = tree
-    rows = np.sort(rows)
-    codes = tree_rows(parent, via, class_steps, rows, held, made)
-    return rows, ranks[root[rows]], codes
+def _preorder(parent, via, depth) -> np.ndarray:
+    """:func:`~superchar.gf.orbit_tree`'s trees in preorder, by source, children by index."""
+    up = np.where(via < 0, -1, parent)  # the sources under one root
+    levels = np.split(np.lexsort((up, depth)), np.cumsum(np.bincount(depth))[:-1])  # by depth, then parent
+    size, at = np.ones(len(parent), dtype=np.int64), np.zeros(len(parent), dtype=np.int64)
+    for nodes in levels[:0:-1]:  # subtree sizes, the deepest level first
+        np.add.at(size, parent[nodes], size[nodes])
+    for nodes in levels:  # each node after its parent and its earlier siblings' subtrees
+        before = np.cumsum(size[nodes]) - size[nodes]
+        at[nodes] = np.where(up[nodes] < 0, 0, at[up[nodes]] + 1) + before - before[np.searchsorted(up[nodes], up[nodes])]
+    return np.argsort(at)
+
+
+def _orbit_rows(rows, walk, ranks, class_steps, held, made):
+    """(rows, coranks, codes) of the ascending ``rows``, filled down the walk
+    (:func:`~superchar.gf.tree_rows`), each with its source's corank."""
+    codes = tree_rows(walk[1:], class_steps, rows, held, made)
+    return rows, ranks[walk[0][rows]], codes
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ element and the trace are F_p-linear: :class:`Fq` holds that view as arrays
 product and one batched Gauss-Jordan elimination mod p, the only digit
 arithmetic of the evaluator and the oracle.  The orbit sweep of :mod:`.core`
 adds codes digit-wise and reads rows of multiples off the log tables, as do
-the formula and the oracle, whose orbits under their symmetries
-:func:`orbit_tree` finds and whose rows :func:`tree_rows` fills down its tree.
+the formula and the oracle, whose orbits and rows gf walks and fills.
 
 There is one scalar arithmetic for every q.  Multiplication by X is the
 companion matrix C of the modulus, so the blocks D(X**v) are C**v mod p, and
@@ -406,67 +405,61 @@ class Fq:
         return free, rank
 
 
-def orbit_tree(steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(source, parent, via) of the group generated by the permutations
-    ``steps[j]`` of range(n): the one orbit walk of formula and oracle.  Each
-    pass pulls every label from its preimages, so source[k] is the least
-    index of k's orbit, and reaches k at the pass of its distance, from the
-    first generator holding it: k = steps[via[k]][parent[k]], a BFS tree (a
-    source is its own parent, via -1).  InternalInvariantViolation unless
-    every step permutes range(n)."""
+SYMMETRY_CELLS = 1 << 15  # table cells from which formula and oracle fold a pattern group by every symmetry, not the scalar alone
+
+
+def orbit_tree(steps) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(source, parent, via, depth) of the group generated by the
+    permutations ``steps[j]`` of range(n), the one orbit walk of formula and
+    oracle: each O(n) pass pulls every label from its preimages, so
+    source[k], the least index of k's orbit, settles at the pass depth[k],
+    from the first generator holding it, k = steps[via[k]][parent[k]]: a BFS
+    tree, via -1 at a source; InternalInvariantViolation for a non-permutation."""
     steps = np.asarray(steps)
     gens, n = steps.shape
-    every, inverse = np.arange(n), np.argsort(steps, axis=1)  # of a permutation, its inverse
-    if not (np.take_along_axis(steps, inverse, axis=1) == every).all():
+    every, inverse = np.arange(n), np.full((n, gens), -1)
+    inverse[steps, np.arange(gens)[:, None]] = every  # row k: the preimage of k under each generator
+    if (inverse < 0).any():  # an index no map reaches
         raise InternalInvariantViolation("a generator map does not permute the indices")
-    inverse = inverse.T.copy()  # row k: the preimage of k under each generator
-    source, parent, via = every.copy(), every.copy(), np.full(n, -1)
+    source, parent, via, depth, distance = every.copy(), every.copy(), np.full(n, -1), np.zeros(n, dtype=np.int64), 0
     while gens:
-        pulled = source[inverse]
+        pulled, distance = source[inverse], distance + 1
         j = pulled.argmin(axis=1)
-        lower = np.flatnonzero(pulled[every, j] < source)
-        if not len(lower):
+        if not len(lower := np.flatnonzero(pulled[every, j] < source)):
             break
-        source[lower], parent[lower], via[lower] = pulled[lower, j[lower]], inverse[lower, j[lower]], j[lower]
-    return source, parent, via
+        j = j[lower]
+        source[lower], parent[lower], via[lower], depth[lower] = pulled[lower, j], inverse[lower, j], j, distance
+    return source, parent, via, depth
 
 
-def tree_rows(parent, via, steps: np.ndarray, nodes, held: dict, sources) -> np.ndarray:
-    """The rows of ``nodes`` over a tree of :func:`orbit_tree`: those of the
-    sources ks are ``sources(ks)``, ks ascending, any other is its parent's
-    row gathered through steps[via[k]].  Every ancestor's row is made too, or
-    taken from ``held``, kept there for the next call, so runs of a preorder
-    make each row once.  InternalInvariantViolation when the parents lead to
-    no source."""
-    mark, up = np.zeros(len(parent), dtype=bool), np.asarray(nodes)
-    if (parent == np.arange(len(parent))).all() and (np.diff(up) > 0).all():
-        return sources(up)  # every node a source, in order: nothing to fill or keep
-    while len(up):  # up the tree from every node
-        mark[up] = True
-        up = parent[up][~mark[parent[up]]]
-    need, slot = np.flatnonzero(mark), np.full(len(parent), -1)
-    ids, old = held.get("rows", (need[:0], None))
-    slot[ids] = np.arange(len(ids))
-    was = slot[need] >= 0
-    # level 0 for a held row or a source, else one below the parent's
-    level, at = np.where(was | (parent[need] == need), 0, -1), np.searchsorted(need, parent[need])
-    while (level < 0).any():
-        if not (new := (level < 0) & (level[at] >= 0)).any():
-            raise InternalInvariantViolation("the tree's parents lead to no source")
-        level[new] = level[at[new]] + 1
-    order = np.lexsort((need, np.where(level > 0, via[need], -1), level))  # the sources ascending
-    need, level, was = need[order], level[order], was[order]
-    fresh = (level == 0) & ~was
-    made = sources(need[fresh]) if fresh.any() or not was.any() else old[:0]
-    rows = np.empty((len(need),) + made.shape[1:], made.dtype)
-    rows[fresh], rows[was] = made, old[slot[need[was]]] if was.any() else made[:0]
-    slot[need], start = np.arange(len(need)), int(np.count_nonzero(level == 0))
-    gen, at = via[need], slot[parent[need]]
-    cuts = (start + np.flatnonzero(np.diff(level[start:] * (len(steps) + 1) + gen[start:], prepend=-1))).tolist()
-    for lo, hi in zip(cuts, cuts[1:] + [len(need)]):  # runs of one level and generator, parents made before
-        np.take(rows[at[lo:hi]], steps[gen[lo]], axis=1, out=rows[lo:hi])
-    held["rows"] = need, rows
-    return rows[slot[nodes]]
+def tree_rows(tree, steps: np.ndarray, nodes, held: dict, make) -> np.ndarray:
+    """The rows of ``nodes`` over ``tree``, the (parent, via, depth) of
+    :func:`orbit_tree`: a node's row is its parent's, from ``held`` or made
+    first in this call, gathered through steps[via]; ``make(ks)`` gives those
+    of the sources and of the nodes whose parent is neither, in order.
+    ``held`` keeps the rows with children not all made: a path, over preorder runs."""
+    parent, via, depth = tree
+    nodes = np.asarray(nodes)
+    if not len(steps):  # every node a source
+        return make(nodes)
+    if "rows" not in held:  # children not yet made, per node
+        held["waiting"], held["rows"] = np.bincount(parent[via >= 0], minlength=len(parent)), (nodes[:0], None)
+    waiting, (kept, old) = held["waiting"], held["rows"]
+    slot = np.full(len(parent), -1)
+    slot[kept], slot[nodes] = np.arange(len(kept)), len(kept) + np.arange(len(nodes))
+    up, key = slot[parent[nodes]], depth[nodes] * len(steps) + via[nodes]
+    fresh = (via[nodes] < 0) | (up < 0)
+    made = make(nodes[fresh])
+    rows = np.concatenate([old if len(kept) else made[:0], np.empty((len(nodes),) + made.shape[1:], made.dtype)])
+    rows[len(kept) + np.flatnonzero(fresh)] = made
+    grow = np.flatnonzero(~fresh)[np.argsort(key[~fresh], kind="stable")]  # by level, then generator: parents first
+    _, starts = np.unique(key[grow], return_index=True)
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(grow)]):  # runs of one level and generator
+        rows[len(kept) + grow[lo:hi]] = rows[up[grow[lo:hi]]].take(steps[key[grow[lo]] % len(steps)], axis=1)
+    np.subtract.at(waiting, parent[nodes[via[nodes] >= 0]], 1)
+    keep = waiting[every := np.concatenate([kept, nodes])] > 0
+    held["rows"] = every[keep], rows[keep]
+    return rows[len(kept) :]
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,8 @@ On a pattern group a vertex scaling or twin swap D, read off the closed set
 alone, maps co-orbits and superclasses onto their like, and (D mu) . phi =
 mu . (D phi): D O has at phi the counts of O at D phi, those of D phi's
 superclass.  :func:`full_check` and the constancy check count one co-orbit
-per orbit of the group they generate (:attr:`Oracle._orbits`, gf's walk
-over the oracle's own sweep, each map checked member by member first) and
-carry its values down the walk's tree to the others; every row is judged.
+per orbit of the group they generate (:attr:`Oracle._orbits`, each map
+checked member by member first) and carry its values down gf's tree.
 
 The representatives' digit rows come from the F_p layer of
 :class:`~superchar.gf.Fq`: base-p digits, the trace form and one exact mod-p
@@ -75,14 +74,13 @@ from .errors import (
     NonIntegralScaling,
     SizeCapExceeded,
 )
-from .gf import CycInt, Fq, cell_codes, orbit_tree, tree_rows
+from .gf import SYMMETRY_CELLS, CycInt, Fq, cell_codes, orbit_tree, tree_rows
 from .core import OrbitPartition, PatternGroup, _check_functionals, _codes_to_digits, _digits_to_codes, orbit_partition_from_moves
 from .formula import table_rows
 
 DEFAULT_ORACLE_CAP = 1 << 12
 _BLOCK_CELLS = 1 << 16  # member x class cells per block of an orbit sum
 _COEFF_CELLS = 1 << 22  # coefficients x rows x classes per orbit-sum call
-_SYMMETRY_SUMS = 1 << 19  # members x classes of the orbit sums from which vertex scalings and twin swaps pay
 
 
 # ---------------------------------------------------------------------------
@@ -260,31 +258,21 @@ class Oracle:
 
     @cached_property
     def _orbits(self):
-        """(source, parent, via, columns, power): gf's walk over the co-orbits
-        under the oracle's symmetries, each checked on every member of every
-        co-orbit and superclass first (:func:`_class_maps`): the generator g
-        of F_p^* (none at p = 2), and from ``_SYMMETRY_SUMS`` orbit-sum cells
-        on a pattern group, :func:`_pattern_symmetries`.  columns[j] is the
-        class step of symmetry j (the identity for g), and co-orbit k is
+        """(source, tree, columns, power): gf's walk over the co-orbits under
+        :func:`_symmetries`, each checked on every member of every co-orbit
+        and superclass (:func:`_class_maps`); columns[j] is the class step of
+        symmetry j, the identity for the scalar g, and co-orbit k is
         g**power[k] times the image of its source under the others."""
-        F, dim, co, sc = self.field, self.dim, self.coorbit_partition(), self.superclass_partition()
+        F, co, sc = self.field, self.coorbit_partition(), self.superclass_partition()
         right = self._right_sizes  # the right sweep first, while little else is held
-        g = F.power(F.generator, (F.q - 1) // (F.p - 1))  # generates F_p^*, the units of order p - 1
-        times = F.multiples(g)
-        char_steps = [np.empty((0, len(co)), dtype=np.int64)]
-        if g > 1:
-            char_steps = [_class_maps(co, lambda codes: _scale_codes(codes, times, F.q, dim)[None], "co-orbit", ["scalar multiple"], [f"the scalar {g}"], right)]
-        columns = [np.tile(np.arange(len(sc)), (len(char_steps[0]), 1))]
-        if self._closed_set is not None and self.order * len(sc) >= _SYMMETRY_SUMS:
-            whats, names, unit_maps, to = _pattern_symmetries(F, self._closed_set)
-            images = _code_maps(unit_maps, to, F.q, dim)
-            char_steps.append(_class_maps(co, images, "co-orbit", whats, names, right))
-            columns.append(_class_maps(sc, images, "superclass", whats, names))
-        source, parent, via = orbit_tree(np.concatenate(char_steps))
-        power = np.zeros(len(co), dtype=np.int64)
-        while not np.array_equal(power, after := np.where(via < 0, 0, power[parent] + ((via == 0) & (g > 1)))):
+        whats, names, times, to = _symmetries(F, self.dim, self._closed_set if len(co) * len(sc) >= SYMMETRY_CELLS else None)
+        images = _code_maps(times, to, F.q, self.dim) if whats else None
+        source, parent, via, depth = orbit_tree(_class_maps(co, images, "co-orbit", whats, names, right))
+        columns, scalar = _class_maps(sc, images, "superclass", whats, names), whats[:1] == ("scalar multiple",)
+        columns[:scalar], power = np.arange(len(sc)), np.zeros(len(co), dtype=np.int64)  # g twists residues instead
+        while not np.array_equal(power, after := np.where(via < 0, 0, power[parent] + (via == 0) * scalar)):
             power = after
-        return source, parent, via, np.concatenate(columns), power
+        return source, (parent, via, depth), columns, power
 
     # -- orbit sums -----------------------------------------------------------
 
@@ -569,12 +557,6 @@ def _rows_per_call(p: int, count: int) -> int:
     return max(1, min(_BLOCK_CELLS, _COEFF_CELLS // p) // count)
 
 
-def _scale_codes(codes, times, q: int, dim: int) -> np.ndarray:
-    """The codes of t * mu for the codes of functionals mu in F_q**dim,
-    ``times`` the code of t x for every code x (:meth:`Fq.multiples`)."""
-    return _code_maps(np.tile(times, (1, dim, 1)), np.arange(dim)[None], q, dim)(codes)[0]
-
-
 def _code_maps(times, to, q: int, dim: int):
     """The map of codes of functionals f in F_q**dim to those of f' with
     f'[to[j, k]] = times[j, k][f[k]] for every j: two lookups in tables over
@@ -584,48 +566,45 @@ def _code_maps(times, to, q: int, dim: int):
         (times[:, ks, np.arange(q ** len(ks))[:, None] // q ** np.arange(len(ks) - 1, -1, -1) % q] * weight[:, None, ks]).sum(axis=2).astype(np.min_scalar_type(q**dim - 1))
         for ks in (np.arange(dim - dim // 2), np.arange(dim - dim // 2, dim))
     )
-
-    def images(codes):
-        top = np.asarray(codes) // split
-        return np.add(high.take(top, axis=1), low.take(codes - top * split, axis=1), dtype=high.dtype)
-
-    return images
+    return lambda codes: np.add(*(half.take(at, axis=1) for half, at in zip((high, low), np.divmod(codes, split))), dtype=high.dtype)
 
 
-def _pattern_symmetries(F: Fq, J):
-    """(whats, names, times, to) for :func:`_code_maps`, read off the pairs
-    ``J.order`` alone: for q > 2 the scaling by t_v = g of each vertex v < n a
-    pair touches, (a, b) times t_b / t_a, and the swap of each twin vertex
-    (of equal lower and upper neighbours) with the next."""
-    pairs, g, out, twins = list(J.order), F.generator, [], {}
-    units = {1: F.multiples(1), g: F.multiples(g), -1: F.multiples(F.power(g, -1))}
-    for v in range(1, J.n) if g != 1 else ():  # q > 2
-        if any(v in pair for pair in pairs):
-            out.append(("vertex scaling", f"the scaling of vertex {v}", [units[g if b == v else -1 if a == v else 1] for a, b in pairs], range(len(pairs))))
-    for v in range(1, J.n + 1):
+def _symmetries(F: Fq, dim: int, J):
+    """(whats, names, times, to) for :func:`_code_maps`: the generator g of
+    F_p^* unless p = 2, and on a closed set ``J``, read off its pairs alone,
+    for q > 2 the scaling by t_v = h, the generator of F_q^*, of each vertex
+    v < n a pair touches, (a, b) times t_b / t_a, and the swap of each twin
+    vertex (of equal lower and upper neighbours) with the next."""
+    g, h, pairs, twins = F.power(F.generator, (F.q - 1) // (F.p - 1)), F.generator, list(J.order) if J else [], {}
+    units = {t: F.multiples(t) for t in (1, g, h, F.power(h, -1))}
+    out = [("scalar multiple", f"the scalar {g}", [units[g]] * dim, range(dim))] if g != 1 else []
+    for v in sorted({v for pair in pairs for v in pair} - {J.n}) if J and h != 1 else ():  # q > 2
+        out.append(("vertex scaling", f"the scaling of vertex {v}", [units[h if b == v else F.power(h, -1) if a == v else 1] for a, b in pairs], range(dim)))
+    for v in range(1, J.n + 1) if J else ():
         twins.setdefault((frozenset(a for a, b in pairs if b == v), frozenset(b for a, b in pairs if a == v)), []).append(v)
     for (lower, upper), vs in twins.items():
-        for u, v in zip(vs, vs[1:]) if lower or upper else ():
-            to = [pairs.index(tuple({u: v, v: u}.get(x, x) for x in pair)) for pair in pairs]
-            out.append(("twin swap", f"the swap of vertices {u} and {v}", [units[1]] * len(pairs), to))
-    whats, names, times, to = zip(*out) if out else ((), (), np.empty((0, len(pairs), F.q)), ())
-    return whats, names, np.array(times, dtype=np.int64), np.array(to, dtype=np.int64).reshape(len(whats), len(pairs))
+        swaps = [(u, v, {u: v, v: u}) for u, v in zip(vs, vs[1:]) if lower or upper]
+        out += [("twin swap", f"the swap of vertices {u} and {v}", [units[1]] * dim, [pairs.index(tuple(s.get(x, x) for x in pair)) for pair in pairs]) for u, v, s in swaps]
+    whats, names, times, to = zip(*out) if out else ((), (), (), ())
+    return whats, names, np.array(times, dtype=np.int64).reshape(len(out), dim, F.q), np.array(to, dtype=np.int64).reshape(len(out), dim)
 
 
 def _class_maps(part: OrbitPartition, images, kind: str, whats, names, right=None) -> np.ndarray:
     """The class of the image of each class of ``part`` under each map of
-    ``images`` (codes to one row of image codes per map), checked on every
-    member: one gather of the sweep's labels at the images, in blocks, equal
-    labels within each class run, equal sizes (and ``right`` co-orbit
-    sizes).  InternalInvariantViolation if not."""
+    ``images`` (codes to a row of codes per map), checked on every member:
+    equal labels in each class run, equal sizes (and ``right`` co-orbit sizes)."""
+    if images is None:  # no map
+        return np.empty((0, len(part)), dtype=np.int64)
     codes, bounds = part.members
-    labels = [part._labels[images(codes[lo : lo + _BLOCK_CELLS])] for lo in range(0, len(codes), _BLOCK_CELLS)]
-    labels = labels[0] if len(labels) == 1 else np.concatenate(labels, axis=1)
     inner = np.ones(len(codes) - 1, dtype=bool)  # neighbours in one class run
     inner[bounds[1:-1] - 1] = False
-    for j in np.flatnonzero(((labels[:, 1:] != labels[:, :-1]) & inner).any(axis=1))[:1]:
-        raise InternalInvariantViolation(f"the image of a {kind} under {names[j]} is no {kind} of the sweep")
-    steps, sizes = np.searchsorted(part._rep_codes, labels[:, bounds[:-1]]), np.diff(bounds)
+    cuts, steps = np.unique(bounds[np.searchsorted(bounds, np.arange(0, len(codes), _BLOCK_CELLS), side="right") - 1]).tolist() + [len(codes)], []
+    for lo, hi in zip(cuts, cuts[1:]):  # blocks of whole classes, about _BLOCK_CELLS members each
+        labels = part._labels[images(codes[lo:hi])]
+        for j in np.flatnonzero(((labels[:, 1:] != labels[:, :-1]) & inner[lo : hi - 1]).any(axis=1))[:1]:
+            raise InternalInvariantViolation(f"the image of a {kind} under {names[j]} is no {kind} of the sweep")
+        steps.append(labels[:, bounds[(bounds >= lo) & (bounds < hi)] - lo])
+    steps, sizes = np.searchsorted(part._rep_codes, np.concatenate(steps, axis=1)), np.diff(bounds)
     for j in np.flatnonzero((sizes[steps] != sizes).any(axis=1) | (right is not None and (right[steps] != right).any(axis=1)))[:1]:
         raise InternalInvariantViolation(f"a {whats[j]} of a {kind} differs from it in size")
     return steps
@@ -760,17 +739,15 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
 
     The rows come in chunks, in any order.  The residues are counted once
     per orbit of co-orbits under the oracle's symmetries
-    (:attr:`Oracle._orbits`), at its source, and compared in the domain of
-    the oracle's narrow counters: each block of
-    :meth:`Oracle._residue_counts`, scaled by :func:`_divided` to num *
-    factor, against the formula's coefficient columns divided by factor
-    (:class:`_Expected`), gathered by the code of the source's formula row.
-    A source's values are those codes where they match, and the rows of its
-    orbit take them down the walk's tree (twisted, zeta -> zeta**t, for the
-    scalars); a row whose values are not all known is judged on its own
-    counts.  Every mismatching cell is counted; the witness is the least in
-    (eta, class) order, with both sides' coefficients, the oracle's from the
-    row's own counts, the formula's read off its code over exact powers of q.
+    (:attr:`Oracle._orbits`), at its source, in the domain of the narrow
+    counters: each block of :meth:`Oracle._residue_counts`, scaled by
+    :func:`_divided` to num * factor, against the formula's coefficient
+    columns divided by factor (:class:`_Expected`), gathered by the codes
+    of the source's formula row.  The codes that match are the source's
+    values, which the rows of its orbit take down the walk's tree (zeta ->
+    zeta**t for the scalars); a row with values not all known is judged on
+    its own counts.  Every mismatching cell is counted; the witness is the
+    least in (eta, class) order, with both sides' coefficients.
 
     The axioms cost |G|**2 products; unless ``with_axioms`` says otherwise
     they are verified only when |G| <= DEFAULT_ORACLE_CAP."""
@@ -792,11 +769,9 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
     F, p, width = oracle.field, oracle.field.p, len(orc_sc)
     tables = oracle._residue_tables(oracle._phi_digits(orc_sc.digits))
     expected, step, powers = _Expected(p, F.q, oracle.dim), _rows_per_call(p, width), np.array([F.q**e for e in range(oracle.dim + 1)], dtype=object)
-    _, parent, via, steps, power = oracle._orbits
+    _, tree, steps, power = oracle._orbits
     g, unknown = F.power(F.generator, (F.q - 1) // (p - 1)), (oracle.dim + 1) * p + 1  # a code no kernel writes
-    codes_of = np.arange(unknown + 1)
-    z = (codes_of - 1) % p  # t = g**i takes q**e zeta**z, code 1 + e p + z, to q**e zeta**(t z)
-    twists = [np.where((codes_of > 0) & (codes_of < unknown), codes_of - z + z * pow(g, i, p) % p, codes_of).astype(np.min_scalar_type(unknown)) for i in range(p - 1)]
+    units, code = np.array([pow(g, i, p) for i in range(p - 1)]), np.arange(unknown + 1)  # g**i, every code
     columns = orc_sc.classes_of(classes)  # the oracle's class of each column
     identity = np.array_equal(columns, np.arange(width))
     orc_sizes, nright, held, placed = np.asarray(orc_co.sizes), oracle._right_sizes, {}, np.full(len(orc_co), -1)
@@ -809,11 +784,16 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
                 out[lo + sel] = (num[:, :, cols] != expected.divided(factor, num.dtype).take(guess[lo + sel], axis=1)).any(axis=0)
         return out
 
-    def sources(ks):  # a source's values: the formula's codes where they are its orbit sums, else unknown
-        at = placed[ks]
-        guess = np.where((at[:, None] >= 0) & identity, codes[at], 0).astype(twists[0].dtype)
+    def sources(ks):  # rows made afresh: the formula's codes where they are the orbit sums, else unknown
+        guess = codes[placed[ks]].astype(np.min_scalar_type(unknown)) if identity else np.zeros((len(ks), width), np.min_scalar_type(unknown))
         guess[differ(ks, guess, slice(None))] = unknown
-        return guess
+        return twist(guess, -power[ks])  # as its source's row would carry them
+
+    def twist(found, powers):  # g**i takes q**e zeta**z, code 1 + e p + z, to q**e zeta**(g**i z), in place
+        for i in set((powers % (p - 1)).tolist()) - {0}:
+            rows, z = np.flatnonzero(powers % (p - 1) == i), (code - 1) % p
+            found[rows] = np.where((code > 0) & (code < unknown), code - z + z * units[i] % p, code).astype(found.dtype)[found[rows]]
+        return found
 
     first = None  # (row, class, formula coefficients, oracle coefficients) of the least mismatch
     # formula values and the oracle's for a chunk of rows at a time, so
@@ -823,10 +803,7 @@ def full_check(source, oracle_cap: int | None = None, with_axioms: bool | None =
         right = nright[ks]
         agree = agree and np.array_equal(F.q**coranks, right) and np.array_equal(irreducible, orc_sizes[ks] == right**2)
         placed[:], placed[ks] = -1, np.arange(len(ks))  # where a co-orbit's formula row is, in this chunk
-        found = tree_rows(parent, via, steps, ks, held, sources)  # a source's values down its path of the tree
-        for i in set((power[ks] % (p - 1)).tolist()) - {0}:
-            twisted = power[ks] % (p - 1) == i
-            found[twisted] = twists[i][found[twisted]]
+        found = twist(tree_rows(tree, steps, ks, held, sources), power[ks])  # a source's values down the tree
         bad = (found if identity else found[:, columns]) != codes
         redo = np.flatnonzero((found == unknown).any(axis=1))  # rows judged on their own counts
         bad[redo] = differ(ks[redo], codes[redo], columns)

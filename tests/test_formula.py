@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from functools import lru_cache, partial
 
 import numpy as np
@@ -48,9 +49,11 @@ from superchar.gf import (
     cell_code_dtype,
     cell_exponents,
     nullspace_basis,
+    orbit_tree,
     perp_to_nullspace,
     rank,
     solve,
+    tree_rows,
 )
 from superchar import oracle as oracle_module
 from superchar.oracle import Oracle, full_check
@@ -778,8 +781,8 @@ def test_the_fill_by_every_symmetry_matches_every_row_and_the_oracle(seed, n, q,
     assume(q ** len(J) <= 2**12 and not J.is_full_triangular())
     G = PatternGroup(J, Fq.of(q))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(formula, "_SYMMETRY_CELLS", 0)
-        mp.setattr(oracle_module, "_SYMMETRY_SUMS", 0)
+        mp.setattr(formula, "SYMMETRY_CELLS", 0)
+        mp.setattr(oracle_module, "SYMMETRY_CELLS", 0)
         _assert_fill_matches_every_row(G, 2)
         assert full_check(G, with_axioms=False).ok
 
@@ -805,6 +808,45 @@ def test_the_kernel_evaluates_one_character_per_orbit(make, q, sources, monkeypa
     assert sum(handed) == sources
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_the_preorder_of_a_walk_against_a_depth_first_search(seed):
+    """The chunks' order: the walk's trees by source, each node followed by
+    its children's subtrees, children by index, as a plain depth-first
+    search gives it; over it, the fill holds no more rows than a depth."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    steps = [rng.permutation(n) for _ in range(int(rng.integers(1, 4)))]
+    source, parent, via, depth = orbit_tree(steps)
+    order, stack = [], np.flatnonzero(via < 0)[::-1].tolist()
+    while stack:
+        order.append(k := stack.pop())
+        stack += np.flatnonzero((parent == k) & (via >= 0))[::-1].tolist()
+    assert formula._preorder(parent, via, depth).tolist() == order
+    held, tree = {}, (parent, via, depth)
+    for lo in range(0, n, 3):
+        tree_rows(tree, np.array([np.arange(2)] * len(steps)), np.sort(order[lo : lo + 3]), held, lambda ks: np.zeros((len(ks), 2)))
+        assert len(held["rows"][0]) <= depth.max() + 1
+
+
+def test_the_walk_of_one_long_cycle_holds_a_row_between_chunks(monkeypatch):
+    """U_2 over F_1021 under the scalars: the nonzero characters are one
+    cycle of depth 1019 and the table has 1021 x 1021 cells.  The walk and
+    the fill take well under seconds, and, the chunks taking the cycle by
+    depth, hold one row between chunks."""
+    G = PatternGroup(full_triangular(2), Fq.of(1021))
+    start, held, fill = time.perf_counter(), [], formula.tree_rows
+
+    def watched(tree, steps, nodes, kept, make):
+        out = fill(tree, steps, nodes, kept, make)
+        held.append(len(kept["rows"][0]))
+        return out
+
+    monkeypatch.setattr(formula, "tree_rows", watched)
+    _, _, chars, _, chunks = table_rows(G, None)
+    assert sum(len(chunk[0]) for chunk in chunks) == len(chars) == 1021
+    assert len(held) == 4 and max(held) == 1 and time.perf_counter() - start < 5
+
+
 def test_a_parent_in_another_orbit_is_a_counted_mismatch(monkeypatch):
     """A BFS parent of the formula's walk pointed at the source of another
     orbit fills its row from the wrong character: full_check counts the
@@ -813,11 +855,11 @@ def test_a_parent_in_another_orbit_is_a_counted_mismatch(monkeypatch):
     walk = formula.orbit_tree
 
     def misled(steps):
-        source, parent, via = walk(steps)
+        source, parent, via, depth = walk(steps)
         k = int(np.flatnonzero(parent != np.arange(len(parent)))[-1])  # the last row off a source
         parent = parent.copy()
         parent[k] = next(s for s in np.flatnonzero(source == np.arange(len(source))) if s != source[k])
-        return source, parent, via
+        return source, parent, via, depth
 
     monkeypatch.setattr(formula, "orbit_tree", misled)
     report = full_check(G, with_axioms=False)

@@ -443,10 +443,11 @@ def _cycles(rng, n, order):
     return step, cycles
 
 
-def _assert_walk(steps, source, parent, via):
+def _assert_walk(steps, source, parent, via, walked):
     """Each orbit of the group generated by ``steps`` at its least index,
     by a plain closure from every index, and a BFS tree of it: every edge
-    one generator step, each index at its least distance from its source."""
+    one generator step, each index at its least distance from its source,
+    which the walk gives as its depth."""
     n = len(steps[0])
     for k in range(n):
         orbit, frontier = {k}, [k]
@@ -472,7 +473,7 @@ def _assert_walk(steps, source, parent, via):
                     distance[j] = distance[i] + 1
                     reached.append(j)
         frontier = reached
-    assert depth.tolist() == [distance[k] for k in range(n)]
+    assert depth.tolist() == walked.tolist() == [distance[k] for k in range(n)]
 
 
 @pytest.mark.parametrize("order", [1, 2, 4, 6, 12, 26, 80])
@@ -482,10 +483,10 @@ def test_unit_orbits_finds_each_cycle_at_its_least_member(order):
     rng = np.random.default_rng(order)
     for n in (1, 7, 60):
         step, cycles = _cycles(rng, n, order)
-        source, parent, via = orbit_tree([step])
+        walk = source, _, _, _ = orbit_tree([step])
         for cycle in cycles:
             assert (source[cycle] == min(cycle)).all()
-        _assert_walk([step], source, parent, via)
+        _assert_walk([step], *walk)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -502,8 +503,8 @@ def test_the_orbit_walk_of_several_generators(seed):
 def test_unit_orbits_of_the_identity_is_power_0_everywhere():
     """Every index is its own source, reached by no power of the step."""
     for steps in ([np.arange(9)], [np.arange(9)] * 3):
-        source, parent, via = orbit_tree(steps)
-        assert (source == np.arange(9)).all() and (parent == np.arange(9)).all() and (via == -1).all()
+        source, parent, via, depth = orbit_tree(steps)
+        assert (source == np.arange(9)).all() and (parent == np.arange(9)).all() and (via == -1).all() and not depth.any()
 
 
 @pytest.mark.parametrize(
@@ -519,37 +520,51 @@ def test_unit_orbits_refuses_a_map_that_is_no_permutation_of_short_cycles(step):
 
 
 @pytest.mark.parametrize("per_call", [1, 2, 5, 40])
-def test_tree_rows_in_preorder_runs_make_each_row_once(per_call):
-    """Rows over a tree of two generators, each a permutation of 4 columns:
-    a source's row is asked for once, in order, and every other row is its
-    parent's gathered through its step, however a preorder is cut."""
+def test_tree_rows_in_runs_by_orbit_and_depth_make_each_row_once(per_call):
+    """Rows over a tree of two generators, each a permutation of 4 columns,
+    asked for in runs of the orbits by source, each by depth, every run
+    ascending: a source's row is made once, in order, every other row is
+    its parent's gathered through its step, and no more rows are held than
+    wait for a child."""
     rng = np.random.default_rng(per_call)
     steps = [_cycles(rng, 30, 4)[0], _cycles(rng, 30, 2)[0]]
     columns = [rng.permutation(4), np.array([1, 0, 2, 3])]
-    source, parent, via = orbit_tree(steps)
-    path = []
-    for k in range(30):  # the path from the source down, for a preorder
-        at, chain = k, [k]
-        while parent[at] != at:
-            at = parent[at]
-            chain.insert(0, at)
-        path.append(chain)
-    order = sorted(range(30), key=lambda k: path[k])
-    asked, held = [], {}
+    source, *tree = orbit_tree(steps)
+    parent, via, depth = tree
+    order, made, held = np.lexsort((depth, source)), [], {}
 
-    def sources(ks):
-        asked.extend(ks.tolist())
+    def make(ks):
+        made.extend(ks.tolist())
         return np.tile(np.arange(4), (len(ks), 1)) + 10 * ks[:, None]
 
     for lo in range(0, 30, per_call):
-        nodes = np.array(order[lo : lo + per_call])
-        rows = tree_rows(parent, via, columns, nodes, held, sources)
+        nodes = np.sort(order[lo : lo + per_call])
+        rows = tree_rows(tree, columns, nodes, held, make)
         for k, row in zip(nodes.tolist(), rows):
-            want = 10 * path[k][0] + np.arange(4)
-            for child in path[k][1:]:
-                want = want[columns[via[child]]]
-            assert np.array_equal(row, want)
-    assert asked == sorted(set(asked)) == np.flatnonzero(source == np.arange(30)).tolist()
+            want, at = np.arange(4), k
+            while parent[at] != at:  # row k is its source's read at want
+                want, at = columns[via[at]][want], parent[at]
+            assert np.array_equal(row, 10 * at + want)
+        kept = held["rows"][0]
+        done = order[: lo + per_call]
+        assert set(kept.tolist()) == {k for k in done.tolist() if set(np.flatnonzero((parent == k) & (via >= 0)).tolist()) - set(done.tolist())}
+    assert made == sorted(set(made)) == np.flatnonzero(via < 0).tolist()
+
+
+def test_tree_rows_make_a_row_whose_parent_is_not_at_hand():
+    """A node asked for before its parent, or after the parent's row is
+    let go, is made by ``make`` as a source is."""
+    steps = [np.array([1, 2, 0, 3])]  # the cycle 0 -> 1 -> 2
+    tree = orbit_tree(steps)[1:]
+    made = []
+
+    def make(ks):
+        made.append(ks.tolist())
+        return ks[:, None] * 10 + np.arange(2)
+
+    columns = [np.array([1, 0])]
+    assert tree_rows(tree, columns, np.array([2, 3]), {}, make).tolist() == [[20, 21], [30, 31]]
+    assert made == [[2, 3]]
 
 
 # -- linear algebra ----------------------------------------------------------

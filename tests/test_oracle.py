@@ -426,6 +426,20 @@ def test_full_check_judges_the_rows_filled_from_a_source(name, q, monkeypatch):
     assert (report.mismatches, report.witness) == reference_verdict(G)
 
 
+def _patch_scalar(monkeypatch, wrong):
+    """Route the oracle's map of the scalar g, the first of its code maps
+    at p > 2, through ``wrong(codes, scale)``, scale(codes, n) the right
+    map of the codes of F_q**n."""
+    code_maps = oracle_module._code_maps
+
+    def patched(times, to, q, dim):
+        images = code_maps(times, to, q, dim)
+        scale = lambda codes, n: code_maps(times[:1, :n], np.arange(n)[None], q, n)(codes)[0]  # noqa: E731
+        return lambda codes: np.concatenate([wrong(np.asarray(codes), scale)[None], images(codes)[1:]])
+
+    monkeypatch.setattr(oracle_module, "_code_maps", patched)
+
+
 @pytest.mark.parametrize("wrong", ["scales_codes_ending_in_0", "scales_the_low_half"])
 def test_full_check_fails_loudly_on_a_wrong_scalar_map(wrong, monkeypatch):
     """The oracle relabels a source's residue counts for the row t times it
@@ -436,16 +450,15 @@ def test_full_check_fails_loudly_on_a_wrong_scalar_map(wrong, monkeypatch):
     diagonal automorphism does, but not residue k to t k, and the relabelled
     counts mismatch."""
     G = PatternGroup(heisenberg(4), F3)
-    scale = oracle_module._scale_codes
+    q, n = G.field.q, G.dim
 
-    def mapped(codes, times, q, n):
-        codes = np.asarray(codes)
+    def mapped(codes, scale):
         if wrong == "scales_codes_ending_in_0":
-            return np.where(codes % q == 0, scale(codes, times, q, n), codes)
+            return np.where(codes % q == 0, scale(codes, n), codes)
         low = q ** (n // 2)
-        return scale(codes % low, times, q, n // 2) + codes // low * low
+        return scale(codes % low, n // 2) + codes // low * low
 
-    monkeypatch.setattr(oracle_module, "_scale_codes", mapped)
+    _patch_scalar(monkeypatch, mapped)
     if wrong == "scales_codes_ending_in_0":
         with pytest.raises(InternalInvariantViolation, match="is no co-orbit of the sweep"):
             full_check(G, with_axioms=False)
@@ -463,8 +476,7 @@ def test_a_scalar_map_wrong_on_one_member_off_the_representatives_fails_loudly(m
     codes, bounds = co.members
     k = next(k for k, size in enumerate(co.sizes) if size > 1)
     member = codes[bounds[k] + 1]  # not the least member, the representative
-    scale = oracle_module._scale_codes
-    monkeypatch.setattr(oracle_module, "_scale_codes", lambda codes, *args: np.where(codes == member, 0, scale(codes, *args)))
+    _patch_scalar(monkeypatch, lambda codes, scale: np.where(codes == member, 0, scale(codes, G.dim)))
     with pytest.raises(InternalInvariantViolation, match="is no co-orbit of the sweep"):
         full_check(G, with_axioms=False)
 
@@ -479,8 +491,7 @@ def test_a_scalar_map_onto_a_co_orbit_of_another_size_fails_loudly(monkeypatch):
     k = next(k for k, size in enumerate(co.sizes) if size > 1)
     target = next(j for j, size in enumerate(co.sizes) if size != co.sizes[k])
     members, rep = codes[bounds[k] : bounds[k + 1]], codes[bounds[target]]
-    scale = oracle_module._scale_codes
-    monkeypatch.setattr(oracle_module, "_scale_codes", lambda codes, *args: np.where(np.isin(codes, members), rep, scale(codes, *args)))
+    _patch_scalar(monkeypatch, lambda codes, scale: np.where(np.isin(codes, members), rep, scale(codes, G.dim)))
     with pytest.raises(InternalInvariantViolation, match="a scalar multiple of a co-orbit differs from it in size"):
         full_check(G, with_axioms=False)
 
@@ -1041,8 +1052,8 @@ def test_formula_is_the_only_module_that_branches_on_u_n():
 
 def _with_symmetries(monkeypatch):
     """Every symmetry on both sides, whatever the size of the group."""
-    monkeypatch.setattr(formula, "_SYMMETRY_CELLS", 0)
-    monkeypatch.setattr(oracle_module, "_SYMMETRY_SUMS", 0)
+    monkeypatch.setattr(formula, "SYMMETRY_CELLS", 0)
+    monkeypatch.setattr(oracle_module, "SYMMETRY_CELLS", 0)
 
 
 def test_a_swap_of_vertices_that_are_not_twins_is_refused(monkeypatch, capsys, tmp_path):
@@ -1067,6 +1078,29 @@ def test_a_swap_of_vertices_that_are_not_twins_is_refused(monkeypatch, capsys, t
     assert "error: a generator map does not permute the indices" in capsys.readouterr().err
 
 
+def test_a_class_step_that_is_no_symmetry_is_a_counted_mismatch(monkeypatch, capsys, tmp_path):
+    """The formula handed class steps that are permutations but no
+    symmetry's: each generator's step with the images of the first and the
+    last class exchanged.  The rows filled through them are wrong, and
+    full_check counts the cells that differ, so superchar check exits 3."""
+    _with_symmetries(monkeypatch)
+    J = two_step_poset()
+    chunks = formula._orbit_chunks
+
+    def wrong(q, char_steps, class_steps, *args):
+        class_steps = class_steps.copy()
+        class_steps[:, [0, -1]] = class_steps[:, [-1, 0]]
+        return chunks(q, char_steps, class_steps, *args)
+
+    monkeypatch.setattr(formula, "_orbit_chunks", wrong)
+    report = full_check(PatternGroup(J, F3), oracle_cap=3**8, with_axioms=False)
+    assert report.partitions_match and report.mismatches > 0 and not report.ok
+    spec = tmp_path / "two_step.txt"
+    spec.write_text(emit_spec(J, F3))
+    assert main(["check", str(spec), "--oracle-cap", str(3**8)]) == 3
+    assert "mismatching cells" in capsys.readouterr().out
+
+
 def test_an_oracle_symmetry_wrong_on_one_member_fails_loudly(monkeypatch):
     """Each vertex scaling and twin swap of the oracle is checked on every
     member of every co-orbit, not on the representatives alone: a map that
@@ -1080,9 +1114,9 @@ def test_an_oracle_symmetry_wrong_on_one_member_fails_loudly(monkeypatch):
     member = codes[bounds[k] + 1]  # not the least member, the representative
     code_maps = oracle_module._code_maps
 
-    def wrong(times, *args):  # the first of the vertex scalings and twin swaps, not the scalar alone
+    def wrong(times, *args):  # the first of the vertex scalings and twin swaps, after the scalar
         images = code_maps(times, *args)
-        return lambda codes: np.where((np.asarray(codes) == member) & (np.arange(len(times))[:, None] == 0) & (len(times) > 1), 0, images(codes))
+        return lambda codes: np.where((np.asarray(codes) == member) & (np.arange(len(times))[:, None] == 1), 0, images(codes))
 
     monkeypatch.setattr(oracle_module, "_code_maps", wrong)
     with pytest.raises(InternalInvariantViolation, match="under the scaling of vertex 1 is no co-orbit of the sweep"):
@@ -1096,7 +1130,7 @@ def test_full_check_on_every_symmetry(name, q, monkeypatch):
     _with_symmetries(monkeypatch)
     G = PatternGroup(heisenberg(4) if name == "heisenberg4" else two_step_poset(), Fq.of(q))
     o = Oracle(G, 1 << 16)
-    source, parent, via, columns, power = o._orbits
+    source, (parent, via, depth), columns, power = o._orbits
     assert (via > 0).any() and len(columns) > 1  # a vertex scaling or twin swap in the tree
     report = full_check(G, oracle_cap=1 << 16, with_axioms=True)
     assert report.ok and (report.mismatches, report.witness) == reference_verdict(G, 1 << 16)
