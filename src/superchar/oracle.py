@@ -268,8 +268,8 @@ class Oracle:
         whats, names, times, to = _symmetries(F, self.dim, self._closed_set if len(co) * len(sc) >= SYMMETRY_CELLS else None)
         images = _code_maps(times, to, F.q, self.dim) if whats else None
         source, parent, via, depth = orbit_tree(_class_maps(co, images, "co-orbit", whats, names, right))
-        columns, scalar = _class_maps(sc, images, "superclass", whats, names), whats[:1] == ("scalar multiple",)
-        columns[:scalar], power = np.arange(len(sc)), np.zeros(len(co), dtype=np.int64)  # g twists residues instead
+        scalar, power = whats[:1] == ("scalar multiple",), np.zeros(len(co), dtype=np.int64)  # g twists residues: its columns stay
+        columns = np.concatenate([np.arange(len(sc))[None][:scalar], _class_maps(sc, images if len(whats) > scalar else None, "superclass", whats, names)[scalar:]])
         while not np.array_equal(power, after := np.where(via < 0, 0, power[parent] + (via == 0) * scalar)):
             power = after
         return source, (parent, via, depth), columns, power
@@ -576,7 +576,7 @@ def _symmetries(F: Fq, dim: int, J):
     v < n a pair touches, (a, b) times t_b / t_a, and the swap of each twin
     vertex (of equal lower and upper neighbours) with the next."""
     g, h, pairs, twins = F.power(F.generator, (F.q - 1) // (F.p - 1)), F.generator, list(J.order) if J else [], {}
-    units = {t: F.multiples(t) for t in (1, g, h, F.power(h, -1))}
+    units = {t: F.multiples(t) for t in {1, g, h, F.power(h, -1)}}
     out = [("scalar multiple", f"the scalar {g}", [units[g]] * dim, range(dim))] if g != 1 else []
     for v in sorted({v for pair in pairs for v in pair} - {J.n}) if J and h != 1 else ():  # q > 2
         out.append(("vertex scaling", f"the scaling of vertex {v}", [units[h if b == v else F.power(h, -1) if a == v else 1] for a, b in pairs], range(dim)))
@@ -598,7 +598,7 @@ def _class_maps(part: OrbitPartition, images, kind: str, whats, names, right=Non
     codes, bounds = part.members
     inner = np.ones(len(codes) - 1, dtype=bool)  # neighbours in one class run
     inner[bounds[1:-1] - 1] = False
-    cuts, steps = np.unique(bounds[np.searchsorted(bounds, np.arange(0, len(codes), _BLOCK_CELLS), side="right") - 1]).tolist() + [len(codes)], []
+    cuts, steps = [*dict.fromkeys(bounds[np.searchsorted(bounds, np.arange(0, len(codes), _BLOCK_CELLS), side="right") - 1].tolist()), len(codes)], []
     for lo, hi in zip(cuts, cuts[1:]):  # blocks of whole classes, about _BLOCK_CELLS members each
         labels = part._labels[images(codes[lo:hi])]
         for j in np.flatnonzero(((labels[:, 1:] != labels[:, :-1]) & inner[lo : hi - 1]).any(axis=1))[:1]:
