@@ -702,8 +702,8 @@ class PatternGroup(StructureAlgebra):
 
     def symmetries(self) -> list:
         """The scalar; for q > 2 the scaling by t_v = g of each vertex v < n a
-        pair touches, (a, b) times t_b / t_a; the swap of each twin vertex (of
-        equal lower and upper neighbours) with the next: automorphisms of U_J."""
+        pair touches, (a, b) times t_b / t_a; the swap of each twin vertex
+        (equal lower and upper neighbours) with the next: automorphisms of U_J."""
         F, J = self.field, self.J
         a, b = np.array(J.order, dtype=np.int64).reshape(self.d, 2).T
         g, out, twins = F.generator, super().symmetries(), {}

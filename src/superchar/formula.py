@@ -610,9 +610,9 @@ def _orbit_chunks(q: int, char_steps, class_steps, co_sizes: np.ndarray, evaluat
     D_j, chi^(D eta)(x_phi) = chi^eta(x_(D phi)), ``char_steps[j][k]`` the
     index of D_j eta_k, ``class_steps[j][c]`` that of D_j phi_c: the kernel
     runs on the sources of gf's walk, ``evaluate(sources)`` yielding (coranks,
-    codes), and :func:`_orbit_rows` fills the rest.  chi^eta is irreducible
-    iff ``co_sizes`` = q**(2 corank) (Diaconis-Isaacs).  InternalInvariantViolation
-    when a step is no permutation, or the kernel leaves sources out."""
+    codes), and :func:`_orbit_rows` fills the rest; chi^eta is irreducible
+    iff ``co_sizes`` = q**(2 corank) (Diaconis-Isaacs).  Raises
+    InternalInvariantViolation for a step that is no permutation, or sources left out."""
     walk = source, _, via, _ = orbit_tree(char_steps)
     sources, ranks, taken = np.flatnonzero(via < 0), np.zeros(len(source), dtype=np.int64), [0]
     pieces, ahead, held = evaluate(sources), [], {}
@@ -635,7 +635,7 @@ def _orbit_chunks(q: int, char_steps, class_steps, co_sizes: np.ndarray, evaluat
 
 
 def _preorder(parent, via, depth) -> np.ndarray:
-    """:func:`~superchar.gf.orbit_tree`'s trees in preorder, by source, children by index."""
+    """The walk's trees in preorder: by source, children by index."""
     up = np.where(via < 0, -1, parent)  # the sources under one root
     levels = np.split(np.lexsort((up, depth)), np.cumsum(np.bincount(depth))[:-1])  # by depth, then parent
     size, at = np.ones(len(parent), dtype=np.int64), np.zeros(len(parent), dtype=np.int64)

@@ -414,7 +414,7 @@ def orbit_tree(steps) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     oracle: each O(n) pass pulls every label from its preimages, so
     source[k], the least index of k's orbit, settles at the pass depth[k],
     from the first generator holding it, k = steps[via[k]][parent[k]]: a BFS
-    tree, via -1 at a source; InternalInvariantViolation for a non-permutation."""
+    tree, via -1 at a source.  InternalInvariantViolation for a non-permutation."""
     steps = np.asarray(steps)
     gens, n = steps.shape
     every, inverse = np.arange(n), np.full((n, gens), -1)
@@ -437,7 +437,7 @@ def tree_rows(tree, steps: np.ndarray, nodes, held: dict, make) -> np.ndarray:
     :func:`orbit_tree`: a node's row is its parent's, from ``held`` or made
     first in this call, gathered through steps[via]; ``make(ks)`` gives those
     of the sources and of the nodes whose parent is neither, in order.
-    ``held`` keeps the rows with children not all made: a path, over preorder runs."""
+    ``held`` keeps rows with children still to make: a path, in preorder."""
     parent, via, depth = tree
     nodes = np.asarray(nodes)
     if not len(steps):  # every node a source

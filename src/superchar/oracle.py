@@ -592,7 +592,7 @@ def _symmetries(F: Fq, dim: int, J):
 def _class_maps(part: OrbitPartition, images, kind: str, whats, names, right=None) -> np.ndarray:
     """The class of the image of each class of ``part`` under each map of
     ``images`` (codes to a row of codes per map), checked on every member:
-    equal labels in each class run, equal sizes (and ``right`` co-orbit sizes)."""
+    equal labels in each class run, equal sizes (and ``right`` sizes)."""
     if images is None:  # no map
         return np.empty((0, len(part)), dtype=np.int64)
     codes, bounds = part.members
